@@ -26,10 +26,9 @@
 //! * [`rename`] — relation/attribute renaming;
 //! * [`properties`] — empirical verifiers for the closure and
 //!   boundedness properties of Theorem 1 (§3.6);
-//! * [`partition`] — the key-hash [`Partitioner`] shared by every
-//!   parallel executor (multiply-shift mix, multiply-high slots);
-//! * [`par`] — a parallel extended-union executor partitioned by key
-//!   hash (std threads only).
+//! * [`partition`] — the key-hash [`Partitioner`] behind the plan
+//!   layer's exchange operator (multiply-shift mix, multiply-high
+//!   slots).
 //!
 //! All operations yield relations that satisfy CWA_ER by construction:
 //! result tuples with `sn = 0` are *not stored* (they are exactly the
@@ -53,7 +52,6 @@
 pub mod conflict;
 pub mod error;
 pub mod join;
-pub mod par;
 pub mod partition;
 pub mod predicate;
 pub mod product;

@@ -1,9 +1,9 @@
 //! Hash partitioning of tuples by key — the slot-assignment scheme
-//! shared by the parallel executors.
+//! of the parallel executor.
 //!
-//! Both [`crate::par::par_union`] and `evirel-plan`'s exchange
-//! operator split work by routing every tuple to one of `shards`
-//! slots based on its key hash. The raw [`DefaultHasher`] output is
+//! `evirel-plan`'s exchange operator (and `evirel-integrate`'s merge
+//! stage on top of it) splits work by routing every tuple to one of
+//! `shards` slots based on its key hash. The raw [`DefaultHasher`] output is
 //! fine as a 64-bit hash but its low bits are not uniform enough to
 //! feed a bare `% shards` — with few shards and structured keys
 //! (`"key-0"`, `"key-1"`, …) the modulo can leave whole workers idle.

@@ -133,8 +133,7 @@ pub type MergeScratch = evirel_evidence::combine::Scratch<f64>;
 /// Merge one matched tuple pair. Returns `None` when the combined
 /// membership has `sn = 0` (the merged tuple is then not stored,
 /// consistent with CWA_ER). This is the per-pair kernel of ∪̃, shared
-/// with the parallel executor in [`crate::par`] and with the
-/// streaming merge operator in `evirel-plan`.
+/// with the streaming merge operator in `evirel-plan`.
 pub fn merge_tuples(
     schema: &evirel_relation::Schema,
     key: &[Value],

@@ -1,8 +1,8 @@
-//! Extended-union benchmarks: relation size, key overlap, conflict
-//! bias, and the parallel executor.
+//! Extended-union benchmarks: relation size, key overlap, and
+//! conflict bias. (Parallel ∪̃ is measured through the exchange
+//! operator in `exchange.rs`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use evirel_algebra::par::par_union;
 use evirel_algebra::union::{union_with, UnionOptions};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use std::hint::black_box;
@@ -74,28 +74,6 @@ fn bench_conflict_bias(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("union/parallel");
-    let (a, b) = pair(5000, 1.0, 0.0);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |bench, threads| {
-                bench.iter(|| {
-                    par_union(
-                        black_box(&a),
-                        black_box(&b),
-                        &UnionOptions::default(),
-                        *threads,
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -106,6 +84,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_size, bench_overlap, bench_conflict_bias, bench_parallel
+    targets = bench_size, bench_overlap, bench_conflict_bias
 }
 criterion_main!(benches);

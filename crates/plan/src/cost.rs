@@ -4,7 +4,7 @@
 //! Every size-sensitive planning decision reads estimates from here:
 //! the chain reorderer picks the cheapest ×̃/⋈̃ exploration order,
 //! [`crate::ops::MergeOp`] sizes (or eagerly spills) its build side,
-//! and [`crate::exec::physical_with`] places exchanges by estimated
+//! and physical planning ([`crate::exec`]) places exchanges by estimated
 //! fragment cost. Estimates are **advisory only**: every consumer is
 //! bit-for-bit result-identical with and without them (proptest
 //! pinned), so a missing [`RelStats`] block — a v2 segment, a

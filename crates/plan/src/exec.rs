@@ -1,10 +1,12 @@
 //! Physical planning and execution.
 //!
-//! [`physical`] lowers an (ideally optimized) [`LogicalPlan`] into an
-//! [`Operator`] tree; [`execute_plan`] optimizes, builds, and drives
-//! it to a materialized relation; [`explain_plan`] renders all three
-//! stages — logical tree, fired rewrite rules, optimized tree,
-//! physical tree.
+//! One lowering (`physical`) turns an optimized [`LogicalPlan`] into
+//! an [`Operator`] tree, every node behind a row meter.
+//! [`execute_optimized_metered`] — the live path — builds that tree
+//! and drives it to a materialized relation; [`execute_plan`] is the
+//! same run with the rewrite pass in front; [`explain_plan`] renders
+//! the stages — logical tree, fired rewrite rules, optimized tree,
+//! physical tree — and, for `ANALYZE`, runs the tree it renders.
 //!
 //! Physical fusion: a σ̃ directly above a ×̃ whose predicate carries an
 //! equality conjunct between definite attributes of opposite sides
@@ -27,7 +29,7 @@ use crate::ops::{
     run, DempsterMerger, DifferenceOp, HashJoinOp, MergeOp, MeteredOp, Operator, ProductOp,
     ProjectOp, RenameOp, ScanOp, SelectOp, ThresholdOp,
 };
-use crate::rewrite::{optimize, Rewrite};
+use crate::rewrite::optimize;
 use crate::ExecContext;
 use evirel_algebra::partition::Partitioner;
 use evirel_algebra::predicate::Predicate;
@@ -38,8 +40,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Below this many scanned tuples per worker, an exchange cannot pay
-/// for its partitioning and re-merge overhead (mirrors the parallel
-/// union's fallback in `evirel_algebra::par`).
+/// for its partitioning and re-merge overhead.
 const MIN_TUPLES_PER_SHARD: usize = 64;
 
 /// Cost-model floor per exchange worker, in [`CostModel::est_cost`]
@@ -47,36 +48,6 @@ const MIN_TUPLES_PER_SHARD: usize = 64;
 /// κ-inflated memo weight). Roughly `MIN_TUPLES_PER_SHARD` tuples
 /// each scanned and touched once more downstream.
 const MIN_COST_PER_SHARD: f64 = 128.0;
-
-/// Lower a logical plan into a physical operator tree, without
-/// optimizing or running it. Single-threaded; see [`physical_with`]
-/// for the parallel variant.
-///
-/// # Errors
-/// Unknown relations, invalid projections/renames/thresholds,
-/// incompatible schemas.
-pub fn physical(
-    plan: &LogicalPlan,
-    source: &dyn RelationSource,
-    options: &UnionOptions,
-) -> Result<Box<dyn Operator>, PlanError> {
-    physical_with(plan, source, options, 1)
-}
-
-/// [`physical`] with an explicit thread budget: parallelizable
-/// subtrees are wrapped in an exchange when `parallelism > 1` and the
-/// scanned inputs are large enough to amortize it.
-///
-/// # Errors
-/// As [`physical`].
-pub fn physical_with(
-    plan: &LogicalPlan,
-    source: &dyn RelationSource,
-    options: &UnionOptions,
-    parallelism: usize,
-) -> Result<Box<dyn Operator>, PlanError> {
-    physical_impl(plan, source, options, parallelism, false)
-}
 
 /// Is `plan`'s fragment worth `parallelism` exchange workers? With
 /// statistics, compare the cost model's total-work estimate against a
@@ -92,51 +63,45 @@ fn exchange_pays_off(plan: &LogicalPlan, source: &dyn RelationSource, parallelis
     fragment_scan_tuples(plan, source) >= parallelism * MIN_TUPLES_PER_SHARD
 }
 
-/// Wrap `op` in the `EXPLAIN`-analyze meter when requested, tagging
-/// it with the cost model's row estimate for `plan`.
-fn meter_wrap(
-    op: Box<dyn Operator>,
-    plan: &LogicalPlan,
-    source: &dyn RelationSource,
-    meter: bool,
-) -> Box<dyn Operator> {
-    if !meter {
-        return op;
-    }
-    let est = if stats_enabled() {
-        CostModel::new(source).est_rows(plan)
-    } else {
-        None
-    };
-    Box::new(MeteredOp::new(op, est))
-}
-
-fn physical_impl(
+/// Lower an optimized logical plan into a physical operator tree,
+/// every node behind its row meter ([`MeteredOp`], tagged with the
+/// cost model's row estimate). Metering is observation only — tuples
+/// pass through untouched — which is what lets production queries,
+/// the slow-query log and `EXPLAIN ANALYZE` share one tree.
+/// Parallelizable subtrees are wrapped in an exchange when
+/// `parallelism > 1` and the scanned inputs are large enough to
+/// amortize it.
+fn physical(
     plan: &LogicalPlan,
     source: &dyn RelationSource,
     options: &UnionOptions,
     parallelism: usize,
-    meter: bool,
 ) -> Result<Box<dyn Operator>, PlanError> {
+    let mut op = None;
     if parallelism > 1
         && shardable(plan)
         && contains_merge(plan)
         && exchange_pays_off(plan, source, parallelism)
     {
-        if let Some(op) = build_exchange(plan, source, options, parallelism)? {
-            return Ok(meter_wrap(op, plan, source, meter));
-        }
+        op = build_exchange(plan, source, options, parallelism)?;
     }
-    // ≥3-way ⋈̃/×̃ spines with statistics available run through the
-    // cost-ordered chain operator (bit-identical to the left-deep
-    // lowering below — see `crate::chain`).
-    let mut build_leaf =
-        |leaf: &LogicalPlan| physical_impl(leaf, source, options, parallelism, meter);
-    if let Some(op) = crate::chain::try_build_chain(plan, source, &mut build_leaf)? {
-        return Ok(meter_wrap(op, plan, source, meter));
+    if op.is_none() {
+        // ≥3-way ⋈̃/×̃ spines with statistics available run through
+        // the cost-ordered chain operator (bit-identical to the
+        // left-deep lowering below — see `crate::chain`).
+        let mut build_leaf = |leaf: &LogicalPlan| physical(leaf, source, options, parallelism);
+        op = crate::chain::try_build_chain(plan, source, &mut build_leaf)?;
     }
-    let op = physical_node(plan, source, options, parallelism, meter)?;
-    Ok(meter_wrap(op, plan, source, meter))
+    let op = match op {
+        Some(op) => op,
+        None => physical_node(plan, source, options, parallelism)?,
+    };
+    let est = if stats_enabled() {
+        CostModel::new(source).est_rows(plan)
+    } else {
+        None
+    };
+    Ok(Box::new(MeteredOp::new(op, est)))
 }
 
 fn physical_node(
@@ -144,7 +109,6 @@ fn physical_node(
     source: &dyn RelationSource,
     options: &UnionOptions,
     parallelism: usize,
-    meter: bool,
 ) -> Result<Box<dyn Operator>, PlanError> {
     Ok(match plan {
         LogicalPlan::Scan { name } => match source.relation(name) {
@@ -170,48 +134,36 @@ fn physical_node(
                     source,
                     options,
                     parallelism,
-                    meter,
                 );
             }
             Box::new(SelectOp::new(
-                physical_impl(input, source, options, parallelism, meter)?,
+                physical(input, source, options, parallelism)?,
                 predicate.clone(),
                 *threshold,
             )?)
         }
         LogicalPlan::ThresholdFilter { input, threshold } => Box::new(ThresholdOp::new(
-            physical_impl(input, source, options, parallelism, meter)?,
+            physical(input, source, options, parallelism)?,
             *threshold,
         )?),
         LogicalPlan::Project { input, attrs } => Box::new(ProjectOp::new(
-            physical_impl(input, source, options, parallelism, meter)?,
+            physical(input, source, options, parallelism)?,
             attrs,
         )?),
         LogicalPlan::Product { left, right } => Box::new(ProductOp::new(
-            physical_impl(left, source, options, parallelism, meter)?,
-            physical_impl(right, source, options, parallelism, meter)?,
+            physical(left, source, options, parallelism)?,
+            physical(right, source, options, parallelism)?,
         )?),
         LogicalPlan::Join {
             left,
             right,
             on,
             threshold,
-        } => {
-            return build_join(
-                left,
-                right,
-                on,
-                threshold,
-                source,
-                options,
-                parallelism,
-                meter,
-            )
-        }
+        } => return build_join(left, right, on, threshold, source, options, parallelism),
         LogicalPlan::Union { left, right } => Box::new(sized_merge(
             MergeOp::union(
-                physical_impl(left, source, options, parallelism, meter)?,
-                physical_impl(right, source, options, parallelism, meter)?,
+                physical(left, source, options, parallelism)?,
+                physical(right, source, options, parallelism)?,
                 Box::new(DempsterMerger::new(options.clone())),
             )?,
             right,
@@ -219,23 +171,23 @@ fn physical_node(
         )),
         LogicalPlan::Intersect { left, right } => Box::new(sized_merge(
             MergeOp::intersect(
-                physical_impl(left, source, options, parallelism, meter)?,
-                physical_impl(right, source, options, parallelism, meter)?,
+                physical(left, source, options, parallelism)?,
+                physical(right, source, options, parallelism)?,
                 Box::new(DempsterMerger::new(options.clone())),
             )?,
             right,
             source,
         )),
         LogicalPlan::Difference { left, right } => Box::new(DifferenceOp::new(
-            physical_impl(left, source, options, parallelism, meter)?,
-            physical_impl(right, source, options, parallelism, meter)?,
+            physical(left, source, options, parallelism)?,
+            physical(right, source, options, parallelism)?,
         )?),
         LogicalPlan::RenameRelation { input, name } => Box::new(RenameOp::relation(
-            physical_impl(input, source, options, parallelism, meter)?,
+            physical(input, source, options, parallelism)?,
             name,
         )),
         LogicalPlan::RenameAttribute { input, from, to } => Box::new(RenameOp::attribute(
-            physical_impl(input, source, options, parallelism, meter)?,
+            physical(input, source, options, parallelism)?,
             from,
             to,
         )?),
@@ -467,7 +419,8 @@ fn build_exchange(
 /// [`physical`] restricted to the shardable family, with scan leaves
 /// replaced by [`ShardScanOp`]s of one shard. `slot_tables` caches
 /// one precomputed slot table per scanned relation so N shards hash
-/// every key once, not N times.
+/// every key once, not N times (a caller may seed it to route a
+/// relation by something other than its key).
 fn physical_shard(
     plan: &LogicalPlan,
     source: &dyn RelationSource,
@@ -529,7 +482,6 @@ fn physical_shard(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_join(
     left: &LogicalPlan,
     right: &LogicalPlan,
@@ -538,17 +490,22 @@ fn build_join(
     source: &dyn RelationSource,
     options: &UnionOptions,
     parallelism: usize,
-    meter: bool,
 ) -> Result<Box<dyn Operator>, PlanError> {
     if parallelism > 1 {
-        if let Some(op) =
-            build_partitioned_join(left, right, predicate, threshold, source, parallelism)?
-        {
+        if let Some(op) = build_partitioned_join(
+            left,
+            right,
+            predicate,
+            threshold,
+            source,
+            options,
+            parallelism,
+        )? {
             return Ok(op);
         }
     }
-    let left_op = physical_impl(left, source, options, parallelism, meter)?;
-    let right_op = physical_impl(right, source, options, parallelism, meter)?;
+    let left_op = physical(left, source, options, parallelism)?;
+    let right_op = physical(right, source, options, parallelism)?;
     let product_schema =
         evirel_algebra::product::product_schema(left_op.schema(), right_op.schema())?;
     match HashJoinOp::indexable_conjunct(
@@ -586,43 +543,6 @@ fn filter_chain_base(plan: &LogicalPlan) -> Option<&str> {
     }
 }
 
-/// Rebuild a filter chain over one shard scan of its base relation.
-fn shard_filter_chain(
-    plan: &LogicalPlan,
-    rel: &Arc<ExtendedRelation>,
-    partitioner: Partitioner,
-    shard: usize,
-    slots: &Arc<Vec<u32>>,
-) -> Result<Box<dyn Operator>, PlanError> {
-    Ok(match plan {
-        LogicalPlan::Scan { name } => Box::new(ShardScanOp::with_slots(
-            name.clone(),
-            Arc::clone(rel),
-            partitioner,
-            shard,
-            Arc::clone(slots),
-        )),
-        LogicalPlan::Select {
-            input,
-            predicate,
-            threshold,
-        } => Box::new(SelectOp::new(
-            shard_filter_chain(input, rel, partitioner, shard, slots)?,
-            predicate.clone(),
-            *threshold,
-        )?),
-        LogicalPlan::ThresholdFilter { input, threshold } => Box::new(ThresholdOp::new(
-            shard_filter_chain(input, rel, partitioner, shard, slots)?,
-            *threshold,
-        )?),
-        _ => {
-            return Err(PlanError::Pairing {
-                reason: "partitioned ⋈̃ sides must be filter chains over scans".to_owned(),
-            })
-        }
-    })
-}
-
 /// Partitioned ⋈̃: when both join sides are filter chains over
 /// in-memory scans, the predicate has a hashable equality conjunct,
 /// and the cost model estimates enough work to amortize `parallelism`
@@ -638,6 +558,7 @@ fn build_partitioned_join(
     predicate: &Predicate,
     threshold: &Threshold,
     source: &dyn RelationSource,
+    options: &UnionOptions,
     parallelism: usize,
 ) -> Result<Option<Box<dyn Operator>>, PlanError> {
     if !stats_enabled() {
@@ -712,13 +633,16 @@ fn build_partitioned_join(
                 .collect(),
         )
     };
-    let l_slots = slot_by_attr(&l_rel, lp);
-    let r_slots = slot_by_attr(&r_rel, rp);
+    // One slot table per side (a self-join shards the same relation
+    // by two different attributes), seeded so the shard lowering
+    // routes by join value instead of hashing keys.
+    let mut l_slots = HashMap::from([(l_name.to_owned(), slot_by_attr(&l_rel, lp))]);
+    let mut r_slots = HashMap::from([(r_name.to_owned(), slot_by_attr(&r_rel, rp))]);
     let shards = (0..parallelism)
         .map(|shard| -> Result<Box<dyn Operator>, PlanError> {
             Ok(Box::new(HashJoinOp::new(
-                shard_filter_chain(left, &l_rel, partitioner, shard, &l_slots)?,
-                shard_filter_chain(right, &r_rel, partitioner, shard, &r_slots)?,
+                physical_shard(left, source, options, partitioner, shard, &mut l_slots)?,
+                physical_shard(right, source, options, partitioner, shard, &mut r_slots)?,
                 predicate.clone(),
                 *threshold,
                 lp,
@@ -737,10 +661,11 @@ fn build_partitioned_join(
     )?)))
 }
 
-/// Optimize and execute a plan, materializing the result. Side
-/// outputs (conflict reports, κ stats) accumulate in `ctx`, and
-/// [`ExecContext::parallelism`] governs whether shardable fragments
-/// run through an exchange.
+/// Optimize and execute a plan, materializing the result — the
+/// convenience for callers holding an un-rewritten plan (tests,
+/// benches, examples); prepared plans go straight to
+/// [`execute_optimized_metered`], which this calls after the rewrite
+/// pass.
 ///
 /// # Errors
 /// Plan-build and operator errors.
@@ -750,32 +675,11 @@ pub fn execute_plan(
     ctx: &mut ExecContext,
 ) -> Result<ExtendedRelation, PlanError> {
     let (optimized, _) = optimize(plan, source);
-    let options = ctx.union_options.clone();
-    let mut op = physical_with(&optimized, source, &options, ctx.parallelism)?;
-    run(op.as_mut(), ctx)
+    Ok(execute_optimized_metered(&optimized, source, ctx)?.0)
 }
 
-/// Execute an **already optimized** plan, skipping the rewrite pass —
-/// the fast path for prepared plans: callers that cached the output
-/// of [`crate::optimize`] (keyed by catalog generation, so the plan
-/// still matches the bindings) lower and execute it directly,
-/// amortizing the per-query optimizer cost across re-executions.
-///
-/// # Errors
-/// As [`execute_plan`], minus rewrite-stage errors (there is no
-/// rewrite stage).
-pub fn execute_optimized(
-    optimized: &LogicalPlan,
-    source: &dyn RelationSource,
-    ctx: &mut ExecContext,
-) -> Result<ExtendedRelation, PlanError> {
-    let options = ctx.union_options.clone();
-    let mut op = physical_with(optimized, source, &options, ctx.parallelism)?;
-    run(op.as_mut(), ctx)
-}
-
-/// One operator's row accounting from a metered execution: what the
-/// cost model predicted vs what the operator actually emitted. The
+/// One operator's row accounting from an execution: what the cost
+/// model predicted vs what the operator actually emitted. The
 /// slow-query log attaches these so planner mis-estimates are visible
 /// in production, not just under `EXPLAIN ANALYZE`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -790,7 +694,7 @@ pub struct OpMeter {
 }
 
 /// Collect every metered node under `op`, pre-order (root first).
-pub fn collect_meters(op: &dyn Operator, out: &mut Vec<OpMeter>) {
+fn collect_meters(op: &dyn Operator, out: &mut Vec<OpMeter>) {
     if let Some((est_rows, actual_rows)) = op.metered() {
         out.push(OpMeter {
             describe: op.describe(),
@@ -803,109 +707,59 @@ pub fn collect_meters(op: &dyn Operator, out: &mut Vec<OpMeter>) {
     }
 }
 
-/// [`execute_optimized`] with every operator wrapped in a row meter
-/// (the `EXPLAIN ANALYZE` machinery), returning the per-operator
-/// est-vs-actual counts alongside the result. Metering is observation
-/// only: [`MeteredOp`] passes tuples through untouched, so the result
-/// is identical to the unmetered path — the slow-query log relies on
-/// that to instrument production queries without changing them.
+/// Execute an **already optimized** plan — the one way a plan runs.
+/// Callers that cached the output of [`crate::optimize`] (keyed by
+/// catalog generation, so the plan still matches the bindings) lower
+/// and execute it directly, amortizing the optimizer across
+/// re-executions. Side outputs (conflict reports, κ stats) accumulate
+/// in `ctx`, whose [`ExecContext::parallelism`] governs whether
+/// shardable fragments run through an exchange; the per-operator
+/// est-vs-actual row counts come back alongside the result.
 ///
 /// # Errors
-/// As [`execute_optimized`].
+/// Plan-build and operator errors.
 pub fn execute_optimized_metered(
     optimized: &LogicalPlan,
     source: &dyn RelationSource,
     ctx: &mut ExecContext,
 ) -> Result<(ExtendedRelation, Vec<OpMeter>), PlanError> {
-    let options = ctx.union_options.clone();
-    let mut op = physical_impl(optimized, source, &options, ctx.parallelism, true)?;
+    let mut op = physical(optimized, source, &ctx.union_options, ctx.parallelism)?;
     let rel = run(op.as_mut(), ctx)?;
     let mut meters = Vec::new();
     collect_meters(op.as_ref(), &mut meters);
     Ok((rel, meters))
 }
 
-/// Optimize and lower a plan into an operator tree without running it
-/// — for callers that want to pull tuples themselves.
-///
-/// # Errors
-/// As [`execute_plan`], minus execution.
-pub fn open_plan(
-    plan: &LogicalPlan,
-    source: &dyn RelationSource,
-    options: &UnionOptions,
-) -> Result<Box<dyn Operator>, PlanError> {
-    let (optimized, _) = optimize(plan, source);
-    physical(&optimized, source, options)
-}
-
 /// Render the full `EXPLAIN`: logical tree, fired rewrites, optimized
-/// tree, physical operator tree.
+/// tree, and the physical operator tree exactly as
+/// [`execute_optimized_metered`] would build it under `ctx` (its
+/// union options and parallelism — exchange nodes included).
+///
+/// With `analyze`, the tree also **runs** to completion (side outputs
+/// land in `ctx` as an execution's would) and every physical line
+/// carries an `[est≈N act=M]` suffix — estimates from the cost model
+/// (`est=?` when statistics are unavailable), actuals from the
+/// meters. When that execution fails the tree is still rendered
+/// (meters show rows emitted up to the failure) with the error
+/// appended.
 ///
 /// # Errors
-/// Plan-build errors (the physical tree must be constructible).
+/// Plan-build errors (the physical tree must be constructible);
+/// *execution* errors are folded into the rendered text instead, so a
+/// failing query still explains itself.
 pub fn explain_plan(
     plan: &LogicalPlan,
     source: &dyn RelationSource,
-    options: &UnionOptions,
-) -> Result<String, PlanError> {
-    explain_plan_with(plan, source, options, 1)
-}
-
-/// [`explain_plan`] with a thread budget, so the physical section
-/// shows exchange nodes exactly as [`execute_plan`] would build them
-/// at that parallelism.
-///
-/// # Errors
-/// As [`explain_plan`].
-pub fn explain_plan_with(
-    plan: &LogicalPlan,
-    source: &dyn RelationSource,
-    options: &UnionOptions,
-    parallelism: usize,
-) -> Result<String, PlanError> {
-    let (optimized, fired) = optimize(plan, source);
-    let op = physical_with(&optimized, source, options, parallelism)?;
-    Ok(render_explain(plan, &optimized, &fired, op.as_ref(), None))
-}
-
-/// `EXPLAIN` with *actual* row counts: build the physical tree with
-/// every operator wrapped in a row meter, execute the plan to
-/// completion (side outputs land in `ctx` exactly as
-/// [`execute_plan`]'s would), and render each physical line with its
-/// `[est≈N act=M]` suffix — estimates from the cost model (`est=?`
-/// when statistics are unavailable), actuals from the meters. When
-/// execution fails the tree is still rendered (meters show rows
-/// emitted up to the failure) with the error appended.
-///
-/// # Errors
-/// Plan-build errors; *execution* errors are folded into the rendered
-/// text instead, so a failing query still explains itself.
-pub fn explain_analyze_with(
-    plan: &LogicalPlan,
-    source: &dyn RelationSource,
     ctx: &mut ExecContext,
+    analyze: bool,
 ) -> Result<String, PlanError> {
     let (optimized, fired) = optimize(plan, source);
-    let options = ctx.union_options.clone();
-    let mut op = physical_impl(&optimized, source, &options, ctx.parallelism, true)?;
-    let run_error = run(op.as_mut(), ctx).err();
-    Ok(render_explain(
-        plan,
-        &optimized,
-        &fired,
-        op.as_ref(),
-        run_error,
-    ))
-}
-
-fn render_explain(
-    plan: &LogicalPlan,
-    optimized: &LogicalPlan,
-    fired: &[Rewrite],
-    op: &dyn Operator,
-    run_error: Option<PlanError>,
-) -> String {
+    let mut op = physical(&optimized, source, &ctx.union_options, ctx.parallelism)?;
+    let run_error = if analyze {
+        run(op.as_mut(), ctx).err()
+    } else {
+        None
+    };
     let mut out = String::new();
     out.push_str("logical:\n");
     push_indented(&mut out, &plan.render());
@@ -913,23 +767,18 @@ fn render_explain(
     if fired.is_empty() {
         out.push_str("  (none)\n");
     } else {
-        for rewrite in fired {
+        for rewrite in &fired {
             out.push_str(&format!("  - {rewrite}\n"));
         }
     }
     out.push_str("optimized:\n");
     push_indented(&mut out, &optimized.render());
     out.push_str("physical:\n");
-    push_indented(&mut out, &crate::ops::render_physical(op));
+    push_indented(&mut out, &crate::ops::render_physical(op.as_ref(), analyze));
     if let Some(e) = run_error {
         out.push_str(&format!("execution failed: {e}\n"));
     }
-    out
-}
-
-/// The rewrites [`optimize`] would apply, without executing anything.
-pub fn planned_rewrites(plan: &LogicalPlan, source: &dyn RelationSource) -> Vec<Rewrite> {
-    optimize(plan, source).1
+    Ok(out)
 }
 
 fn push_indented(out: &mut String, text: &str) {
@@ -947,6 +796,18 @@ mod tests {
     use evirel_algebra::{Operand, ThetaOp};
     use evirel_relation::{AttrDomain, RelationBuilder, Schema, Value, ValueKind};
     use std::sync::Arc;
+
+    /// Plain `EXPLAIN` of `plan` at an explicit thread budget.
+    fn explain(
+        plan: &LogicalPlan,
+        b: &Bindings,
+        options: &UnionOptions,
+        parallelism: usize,
+    ) -> String {
+        let mut ctx = ExecContext::with_options(options.clone());
+        ctx.parallelism = parallelism;
+        explain_plan(plan, b, &mut ctx, false).unwrap()
+    }
 
     fn bindings() -> Bindings {
         let d = Arc::new(AttrDomain::categorical("spec", ["mu", "it"]).unwrap());
@@ -1000,7 +861,7 @@ mod tests {
             Operand::attr("RM.rname"),
         );
         let plan = scan("r").join(scan("rm"), on).build();
-        let text = explain_plan(&plan, &b, &UnionOptions::default()).unwrap();
+        let text = explain(&plan, &b, &UnionOptions::default(), 1);
         assert!(text.contains("hash rname = rname"), "{text}");
         assert!(text.contains("join-expansion"), "{text}");
         let mut ctx = ExecContext::new();
@@ -1021,7 +882,7 @@ mod tests {
             Operand::attr("RM.rname"),
         );
         let plan = scan("r").join(scan("rm"), on).build();
-        let text = explain_plan(&plan, &b, &UnionOptions::default()).unwrap();
+        let text = explain(&plan, &b, &UnionOptions::default(), 1);
         assert!(!text.contains("hash"), "{text}");
         assert!(text.contains("×̃"), "{text}");
         let mut ctx = ExecContext::new();
@@ -1060,11 +921,11 @@ mod tests {
             ..Default::default()
         };
 
-        let text = explain_plan_with(&plan, &b, &options, 4).unwrap();
+        let text = explain(&plan, &b, &options, 4);
         assert!(text.contains("⇄ exchange (4 threads"), "{text}");
         assert!(text.contains("shard 0/4"), "{text}");
         // At parallelism 1 the same plan has no exchange node.
-        let text = explain_plan(&plan, &b, &options).unwrap();
+        let text = explain(&plan, &b, &options, 1);
         assert!(!text.contains("exchange"), "{text}");
 
         let mut seq_ctx = ExecContext::with_options(options.clone());
@@ -1122,7 +983,7 @@ mod tests {
             .select(Predicate::is("e0", ["v0", "v1", "v2"]))
             .union(scan("gb"))
             .build();
-        let text = explain_plan_with(&left_filtered, &b, &options, 4).unwrap();
+        let text = explain(&left_filtered, &b, &options, 4);
         assert!(!text.contains("exchange"), "{text}");
         // Parallel execution (sequential fallback) still matches.
         let mut seq_ctx = ExecContext::with_parallelism(1);
@@ -1139,7 +1000,7 @@ mod tests {
         let right_filtered = scan("ga")
             .union(scan("gb").select(Predicate::is("e0", ["v0", "v1", "v2"])))
             .build();
-        let text = explain_plan_with(&right_filtered, &b, &options, 4).unwrap();
+        let text = explain(&right_filtered, &b, &options, 4);
         assert!(text.contains("⇄ exchange (4 threads"), "{text}");
         let mut seq_ctx = ExecContext::with_parallelism(1);
         let seq = execute_plan(&right_filtered, &b, &mut seq_ctx).unwrap();
@@ -1196,7 +1057,7 @@ mod tests {
             .project(["k2", "k1", "d"]) // key attrs swapped
             .build();
         let options = UnionOptions::default();
-        let text = explain_plan_with(&plan, &bindings, &options, 4).unwrap();
+        let text = explain(&plan, &bindings, &options, 4);
         // Exchange present, but *under* the projection.
         let pi_line = text.lines().position(|l| l.contains("π̃")).unwrap();
         let ex_line = text
@@ -1236,7 +1097,7 @@ mod tests {
         let on = Predicate::theta(Operand::attr("GA.k"), ThetaOp::Eq, Operand::attr("GB.k"));
         let plan = scan("ga").join(scan("gb"), on).build();
         let options = UnionOptions::default();
-        let text = explain_plan_with(&plan, &b, &options, 4).unwrap();
+        let text = explain(&plan, &b, &options, 4);
         if crate::cost::stats_enabled() {
             assert!(
                 text.contains("⇄ exchange (4 threads, hash(k = k) partition"),
@@ -1268,7 +1129,7 @@ mod tests {
             .project(["rname", "spec"])
             .build();
         let mut ctx = ExecContext::new();
-        let text = explain_analyze_with(&plan, &b, &mut ctx).unwrap();
+        let text = explain_plan(&plan, &b, &mut ctx, true).unwrap();
         assert!(text.contains("physical:"), "{text}");
         assert!(text.contains("act="), "{text}");
         if crate::cost::stats_enabled() {
@@ -1296,7 +1157,7 @@ mod tests {
             .threshold(Threshold::SnAtLeast(0.5))
             .project(["rname", "spec"])
             .build();
-        let text = explain_plan(&plan, &b, &UnionOptions::default()).unwrap();
+        let text = explain(&plan, &b, &UnionOptions::default(), 1);
         for section in ["logical:", "rewrites:", "optimized:", "physical:"] {
             assert!(text.contains(section), "{text}");
         }

@@ -58,28 +58,23 @@ pub mod reference;
 pub mod rewrite;
 pub mod spill;
 
-pub use chain::ChainOp;
 pub use cost::{stats_enabled, CostModel, NO_STATS_ENV};
 pub use error::PlanError;
 pub use exchange::{compute_slots, rank_keys, ExchangeOp, OrderMap, ShardScanOp};
-pub use exec::{
-    collect_meters, execute_optimized, execute_optimized_metered, execute_plan,
-    explain_analyze_with, explain_plan, explain_plan_with, open_plan, physical, physical_with,
-    planned_rewrites, OpMeter,
-};
+pub use exec::{execute_optimized_metered, execute_plan, explain_plan, OpMeter};
 pub use logical::{
     scan, schema_of, validate_plan, Bindings, LogicalPlan, PlanBuilder, RelationSource,
 };
 pub use ops::{
-    default_parallelism, parse_parallelism, run, DempsterMerger, ExecContext, ExecStats, MergeEmit,
-    MergeOp, MergePairing, MeteredOp, Operator, ScanOp, TupleMerger, MAX_PARALLELISM,
+    default_parallelism, run, ExecContext, ExecStats, MergeOp, MergePairing, Operator, ScanOp,
+    TupleMerger, MAX_PARALLELISM,
 };
-pub use rewrite::{optimize, Rewrite};
+pub use rewrite::optimize;
 pub use spill::SpillScanOp;
 // The storage-engine types that appear in this crate's public API
 // (`RelationSource::stored`, `ExecContext::pool`), re-exported so
 // callers need not depend on `evirel-store` directly.
-pub use evirel_store::{BufferPool, PoolStats, StoredRelation};
+pub use evirel_store::{BufferPool, StoredRelation};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, PlanError>;

@@ -20,13 +20,13 @@ use evirel_store::StoredRelation;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Where scans resolve their relations. Implemented by
-/// `evirel_query::Catalog` and by the standalone [`Bindings`].
+/// Where scans resolve their relations. Implemented by [`Bindings`]
+/// and, by forwarding to the one it holds, `evirel_query::Catalog`.
 ///
 /// A name resolves to an in-memory relation, a disk-backed
 /// [`StoredRelation`] (scanned page-at-a-time through the buffer
 /// pool by the plan layer's spill scan), or nothing. In-memory takes
-/// precedence when a source binds both.
+/// precedence should a source bind both.
 pub trait RelationSource {
     /// The in-memory relation bound to `name`, if any.
     fn relation(&self, name: &str) -> Option<Arc<ExtendedRelation>>;
@@ -57,14 +57,22 @@ pub(crate) fn source_schema(source: &dyn RelationSource, name: &str) -> Option<A
         .or_else(|| source.stored(name).map(|s| Arc::clone(s.schema())))
 }
 
-/// A minimal name → relation map for running plans without a query
-/// catalog (examples, benches, the integration pipeline). Holds both
-/// in-memory relations and disk-backed stored relations.
+/// What one name is bound to: an in-memory relation *or* a stored
+/// one (never both), and the statistics the cost model reads.
+#[derive(Debug, Clone, Default)]
+struct Binding {
+    memory: Option<Arc<ExtendedRelation>>,
+    stored: Option<Arc<StoredRelation>>,
+    stats: Option<Arc<evirel_store::RelStats>>,
+}
+
+/// The name → relation map behind every [`RelationSource`] in the
+/// workspace: plans run against it directly (examples, benches, the
+/// integration pipeline) and `evirel_query::Catalog` wraps one.
+/// Rebinding a name replaces whatever it was bound to, of either kind.
 #[derive(Debug, Default, Clone)]
 pub struct Bindings {
-    map: HashMap<String, Arc<ExtendedRelation>>,
-    stored: HashMap<String, Arc<StoredRelation>>,
-    stats: HashMap<String, Arc<evirel_store::RelStats>>,
+    map: HashMap<String, Binding>,
 }
 
 impl Bindings {
@@ -73,57 +81,79 @@ impl Bindings {
         Bindings::default()
     }
 
-    /// Bind (or rebind) `name` to a relation.
-    pub fn bind(&mut self, name: impl Into<String>, rel: ExtendedRelation) -> &mut Self {
-        self.bind_shared(name, Arc::new(rel))
-    }
-
-    /// Bind an already-shared relation without copying it. Statistics
+    /// Bind (or rebind) `name` to an in-memory relation. Statistics
     /// are computed in the same pass ([`evirel_store::compute_stats`])
     /// so cost-based planning sees in-memory bindings too.
-    pub fn bind_shared(
-        &mut self,
-        name: impl Into<String>,
-        rel: Arc<ExtendedRelation>,
-    ) -> &mut Self {
-        let name = name.into();
-        self.stored.remove(&name);
-        self.stats
-            .insert(name.clone(), Arc::new(evirel_store::compute_stats(&rel)));
-        self.map.insert(name, rel);
+    pub fn bind(&mut self, name: impl Into<String>, rel: ExtendedRelation) -> &mut Self {
+        let binding = Binding {
+            stats: Some(Arc::new(evirel_store::compute_stats(&rel))),
+            memory: Some(Arc::new(rel)),
+            stored: None,
+        };
+        self.map.insert(name.into(), binding);
         self
     }
 
-    /// Bind `name` to a disk-backed stored relation: scans stream its
-    /// pages through the buffer pool instead of requiring a
-    /// materialized [`ExtendedRelation`].
+    /// Bind (or rebind) `name` to a disk-backed stored relation: scans
+    /// stream its pages through the buffer pool instead of requiring a
+    /// materialized [`ExtendedRelation`]. Statistics are the segment's
+    /// persisted block; a pre-v3 segment has none, and the planner
+    /// then falls back to heuristics for this name rather than reusing
+    /// a previous binding's numbers.
     pub fn bind_stored(
         &mut self,
         name: impl Into<String>,
         stored: Arc<StoredRelation>,
     ) -> &mut Self {
-        let name = name.into();
-        self.map.remove(&name);
-        match stored.stats() {
-            Some(stats) => self.stats.insert(name.clone(), stats),
-            None => self.stats.remove(&name),
+        let binding = Binding {
+            stats: stored.stats(),
+            memory: None,
+            stored: Some(stored),
         };
-        self.stored.insert(name, stored);
+        self.map.insert(name.into(), binding);
         self
+    }
+
+    /// Remove `name`'s binding; returns the relation when it was an
+    /// in-memory one (stored extensions live on disk).
+    pub fn unbind(&mut self, name: &str) -> Option<Arc<ExtendedRelation>> {
+        self.map.remove(name)?.memory
+    }
+
+    /// The in-memory relation bound to `name`, borrowed.
+    pub fn get(&self, name: &str) -> Option<&ExtendedRelation> {
+        self.map.get(name)?.memory.as_deref()
+    }
+
+    /// Bound names (in-memory and stored), sorted.
+    pub fn names(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self.map.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        names
+    }
+
+    /// Number of bound names.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// `true` when nothing is bound.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 }
 
 impl RelationSource for Bindings {
     fn relation(&self, name: &str) -> Option<Arc<ExtendedRelation>> {
-        self.map.get(name).cloned()
+        self.map.get(name)?.memory.clone()
     }
 
     fn stored(&self, name: &str) -> Option<Arc<StoredRelation>> {
-        self.stored.get(name).cloned()
+        self.map.get(name)?.stored.clone()
     }
 
     fn stats(&self, name: &str) -> Option<Arc<evirel_store::RelStats>> {
-        self.stats.get(name).cloned()
+        self.map.get(name)?.stats.clone()
     }
 }
 

@@ -21,7 +21,7 @@ use evirel_algebra::threshold::Threshold;
 use evirel_algebra::union::{MergeScratch, UnionOptions};
 use evirel_algebra::AlgebraError;
 use evirel_relation::{ExtendedRelation, Schema, Tuple, Value};
-use evirel_store::{BufferPool, StoredRelation};
+use evirel_store::{BufferPool, EnvKnob, StoredRelation};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -91,42 +91,19 @@ impl Default for ExecContext {
 /// real machine), so it is rejected like garbage input.
 pub const MAX_PARALLELISM: usize = 1024;
 
+const THREADS: EnvKnob = EnvKnob {
+    var: "EVIREL_THREADS",
+    range: 1..=MAX_PARALLELISM,
+    default: 1,
+};
+
 /// The process-wide default for [`ExecContext::parallelism`]: the
 /// `EVIREL_THREADS` environment variable when it parses to an integer
-/// in `1..=1024`, else 1 (sequential). CI runs the whole suite under
+/// in `1..=1024`, else 1 (sequential) — an invalid value is rejected
+/// loudly, see [`EnvKnob::get`]. CI runs the whole suite under
 /// `EVIREL_THREADS=4` to exercise the parallel paths.
-///
-/// An *invalid* value — garbage text, `0`, a negative number, or
-/// anything above [`MAX_PARALLELISM`] — is rejected **loudly**: one
-/// warning per process goes to stderr naming the value and the
-/// accepted range, and execution falls back to sequential. Silently
-/// treating `EVIREL_THREADS=O4` (a typo for `04`) as "1 thread" cost
-/// real debugging time; never again.
 pub fn default_parallelism() -> usize {
-    let Ok(raw) = std::env::var("EVIREL_THREADS") else {
-        return 1;
-    };
-    parse_parallelism(&raw).unwrap_or_else(|| {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: ignoring invalid EVIREL_THREADS={raw:?}: expected an \
-                 integer in 1..={MAX_PARALLELISM}; running sequentially (1 thread)"
-            );
-        });
-        1
-    })
-}
-
-/// Parse an `EVIREL_THREADS` value: `Some(n)` for an integer in
-/// `1..=`[`MAX_PARALLELISM`], `None` for anything else (garbage,
-/// `0`, negatives, absurd counts) — the invalid cases
-/// [`default_parallelism`] warns about.
-pub fn parse_parallelism(raw: &str) -> Option<usize> {
-    raw.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|n| (1..=MAX_PARALLELISM).contains(n))
+    THREADS.get()
 }
 
 impl ExecContext {
@@ -205,9 +182,9 @@ pub trait Operator: Send {
         None
     }
     /// `(estimated rows, rows emitted so far)` when this node is
-    /// wrapped by the `EXPLAIN`-analyze meter ([`MeteredOp`]); `None`
-    /// for unmetered operators. [`render_physical`] appends the
-    /// estimate/actual suffix when this returns `Some`.
+    /// wrapped by the row meter ([`MeteredOp`]); `None` for unmetered
+    /// operators. `EXPLAIN ANALYZE` renders it as the line's
+    /// estimate/actual suffix.
     fn metered(&self) -> Option<(Option<u64>, u64)> {
         None
     }
@@ -228,12 +205,13 @@ pub fn run(op: &mut dyn Operator, ctx: &mut ExecContext) -> Result<ExtendedRelat
     Ok(out)
 }
 
-/// Render a physical operator tree.
-pub fn render_physical(op: &dyn Operator) -> String {
-    fn walk(op: &dyn Operator, depth: usize, out: &mut String) {
+/// Render a physical operator tree; with `analyze`, metered nodes
+/// carry their estimated-vs-actual row suffix.
+pub(crate) fn render_physical(op: &dyn Operator, analyze: bool) -> String {
+    fn walk(op: &dyn Operator, depth: usize, analyze: bool, out: &mut String) {
         out.push_str(&"  ".repeat(depth));
         out.push_str(&op.describe());
-        if let Some((est, act)) = op.metered() {
+        if let Some((est, act)) = op.metered().filter(|_| analyze) {
             match est {
                 Some(est) => out.push_str(&format!(" [est\u{2248}{est} act={act}]")),
                 None => out.push_str(&format!(" [est=? act={act}]")),
@@ -241,20 +219,20 @@ pub fn render_physical(op: &dyn Operator) -> String {
         }
         out.push('\n');
         for child in op.children() {
-            walk(child, depth + 1, out);
+            walk(child, depth + 1, analyze, out);
         }
     }
     let mut out = String::new();
-    walk(op, 0, &mut out);
+    walk(op, 0, analyze, &mut out);
     out
 }
 
 // --------------------------------------------------------------- meter
 
-/// Transparent row counter for `EXPLAIN`-analyze: records how many
-/// tuples the wrapped operator actually emitted next to the cost
-/// model's pre-execution estimate. Delegates everything else —
-/// including `children()` (so it adds no level to the rendered tree)
+/// Transparent row counter: records how many tuples the wrapped
+/// operator actually emitted next to the cost model's pre-execution
+/// estimate (read by `EXPLAIN ANALYZE` and the slow-query log).
+/// Delegates everything else — including `children()` (so it adds no level to the rendered tree)
 /// and `stored_relation()` (so [`MergeOp`]'s stored fast path still
 /// fires through the meter).
 pub struct MeteredOp {
@@ -1539,11 +1517,11 @@ mod tests {
     /// `default_parallelism` warn once and run sequentially).
     #[test]
     fn parallelism_parsing_rejects_invalid_values() {
-        assert_eq!(parse_parallelism("1"), Some(1));
-        assert_eq!(parse_parallelism(" 4 "), Some(4));
-        assert_eq!(parse_parallelism("1024"), Some(crate::MAX_PARALLELISM));
+        assert_eq!(THREADS.parse("1"), Some(1));
+        assert_eq!(THREADS.parse(" 4 "), Some(4));
+        assert_eq!(THREADS.parse("1024"), Some(crate::MAX_PARALLELISM));
         for invalid in ["", "0", "-2", "4.0", "O4", "four", "1025", "9999999999"] {
-            assert_eq!(parse_parallelism(invalid), None, "{invalid:?}");
+            assert_eq!(THREADS.parse(invalid), None, "{invalid:?}");
         }
     }
 

@@ -144,7 +144,7 @@ proptest! {
 fn explain_shows_chain_when_stats_enabled() {
     let bindings = bind(7, (12, 8, 3), 4);
     let plan = chain_plan(0);
-    let text = explain_plan(&plan, &bindings, &UnionOptions::default()).unwrap();
+    let text = explain_plan(&plan, &bindings, &mut ExecContext::new(), false).unwrap();
     if stats_enabled() {
         assert!(text.contains("⋈̃ chain (3 inputs"), "{text}");
         assert!(text.contains("cost-ordered:"), "{text}");

@@ -5,7 +5,7 @@
 // planner still exchanges the ∪̃ below it), keeping parallel output
 // order sequential-exact.
 use evirel_algebra::predicate::Predicate;
-use evirel_plan::{execute_plan, explain_plan_with, scan, Bindings, ExecContext};
+use evirel_plan::{execute_plan, explain_plan, scan, Bindings, ExecContext};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 
 #[test]
@@ -36,8 +36,7 @@ fn difference_with_filtered_right_order() {
         .union(scan("gb"))
         .difference(scan("gc").select(Predicate::is("e0", ["v0"])))
         .build();
-    let options = Default::default();
-    let text = explain_plan_with(&plan, &b, &options, 4).unwrap();
+    let text = explain_plan(&plan, &b, &mut ExecContext::with_parallelism(4), false).unwrap();
     eprintln!("{text}");
     // The −̃ itself is not exchanged; its shardable ∪̃ subtree is.
     let diff_line = text.lines().position(|l| l.contains("physical:")).unwrap();

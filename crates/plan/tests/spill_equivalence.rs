@@ -223,6 +223,6 @@ fn stored_merge_indexes_segment_directly() {
     );
     assert!(pool.stats().misses > misses_before);
     // EXPLAIN renders the stored scan with its page geometry.
-    let text = evirel_plan::explain_plan(&plan, &bindings, &UnionOptions::default()).unwrap();
+    let text = evirel_plan::explain_plan(&plan, &bindings, &mut ExecContext::new(), false).unwrap();
     assert!(text.contains("[stored:"), "{text}");
 }

@@ -2,23 +2,25 @@
 
 use crate::error::QueryError;
 use evirel_algebra::union::UnionOptions;
-use evirel_plan::{BufferPool, RelationSource, StoredRelation};
+use evirel_plan::{Bindings, BufferPool, ExecContext, RelationSource, StoredRelation};
 use evirel_relation::ExtendedRelation;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A registry of queryable relations plus execution options.
 ///
-/// Relations are stored behind [`Arc`] so the plan layer's scan
-/// operators can stream them without cloning whole extensions. A name
-/// can alternatively be *attached* to an on-disk binary segment
+/// The name → relation bookkeeping is the plan layer's
+/// [`Bindings`]; this type adds what executing *queries* needs on
+/// top: the shared buffer pool, the ∪̃ options and the thread budget.
+/// Relations are held behind [`Arc`] so scan operators stream them
+/// without cloning whole extensions. A name can alternatively be
+/// *attached* to an on-disk binary segment
 /// ([`Catalog::attach_stored`]): queries then stream its pages
 /// through the catalog's shared buffer pool instead of requiring the
 /// relation in memory — the eql shell's `\load` (and `\store` to
 /// write segments) sits on top of this.
 ///
 /// `Clone` is cheap — relation extensions and stored attachments are
-/// behind `Arc`s, so a clone copies two small maps of handles plus
+/// behind `Arc`s, so a clone copies one small map of handles plus
 /// the options. The epoch-snapshot layer
 /// ([`crate::snapshot::SharedCatalog`]) leans on this: every write
 /// clones the current catalog, mutates the clone, and publishes it as
@@ -26,14 +28,9 @@ use std::sync::Arc;
 /// change.
 #[derive(Debug, Clone)]
 pub struct Catalog {
-    relations: HashMap<String, Arc<ExtendedRelation>>,
-    stored: HashMap<String, Arc<StoredRelation>>,
-    /// Per-relation statistics feeding the plan layer's cost model
-    /// ([`evirel_plan::CostModel`]): computed at [`Catalog::register`]
-    /// time for in-memory relations, read from the segment's stats
-    /// section for stored attachments (absent for pre-v3 segments —
-    /// the planner then falls back to heuristics for that relation).
-    stats: HashMap<String, Arc<evirel_store::RelStats>>,
+    /// Names, their relations, and the per-relation statistics
+    /// feeding the cost model ([`evirel_plan::CostModel`]).
+    bindings: Bindings,
     /// The buffer pool stored relations (and spilled merge build
     /// sides) page through — one pool per catalog, shared by every
     /// query and exchange worker, budgeted by `EVIREL_BUFFER_BYTES`.
@@ -51,9 +48,7 @@ pub struct Catalog {
 impl Default for Catalog {
     fn default() -> Catalog {
         Catalog {
-            relations: HashMap::new(),
-            stored: HashMap::new(),
-            stats: HashMap::new(),
+            bindings: Bindings::new(),
             pool: Arc::new(BufferPool::from_env()),
             union_options: UnionOptions::default(),
             parallelism: evirel_plan::default_parallelism(),
@@ -67,25 +62,34 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// The execution context queries against this catalog run under
+    /// — its ∪̃ options, thread budget, and pool, with merge build
+    /// sides spilling once they outgrow the whole pool budget. The
+    /// one place a context is derived from a catalog; a
+    /// [`crate::Session`] then caps it with its own budget.
+    pub fn exec_context(&self) -> ExecContext {
+        let mut ctx = ExecContext::with_options(self.union_options.clone());
+        ctx.parallelism = self.parallelism.max(1);
+        // One pool per catalog: stored scans and spilled merge build
+        // sides of every query page under a single byte budget.
+        ctx.pool = Arc::clone(&self.pool);
+        ctx.spill_threshold_bytes = self.pool.budget_bytes();
+        ctx
+    }
+
     /// Register (or replace) a relation under `name`. Lookup is by the
     /// registered name, not the relation's schema name. Replaces a
     /// stored attachment of the same name.
     pub fn register(&mut self, name: impl Into<String>, rel: ExtendedRelation) {
-        let name = name.into();
-        self.stored.remove(&name);
-        self.stats
-            .insert(name.clone(), Arc::new(evirel_store::compute_stats(&rel)));
-        self.relations.insert(name, Arc::new(rel));
+        self.bindings.bind(name, rel);
     }
 
     /// Remove a relation; returns it if present. Also detaches a
     /// stored binding of the same name (returning `None` for it —
     /// stored extensions live on disk).
     pub fn deregister(&mut self, name: &str) -> Option<ExtendedRelation> {
-        self.stored.remove(name);
-        self.stats.remove(name);
-        self.relations
-            .remove(name)
+        self.bindings
+            .unbind(name)
             .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
     }
 
@@ -106,19 +110,7 @@ impl Catalog {
                 message: e.to_string(),
             }
         })?;
-        let name = name.into();
-        self.relations.remove(&name);
-        match stored.stats() {
-            Some(stats) => {
-                self.stats.insert(name.clone(), stats);
-            }
-            // Pre-v3 segment: no stats section. Drop any stale entry
-            // so the planner falls back to heuristics, not old data.
-            None => {
-                self.stats.remove(&name);
-            }
-        }
-        self.stored.insert(name, Arc::new(stored));
+        self.attach(name, stored);
         Ok(())
     }
 
@@ -130,18 +122,7 @@ impl Catalog {
     /// verification. Replaces an in-memory registration of the same
     /// name.
     pub fn attach(&mut self, name: impl Into<String>, stored: impl Into<Arc<StoredRelation>>) {
-        let name = name.into();
-        let stored = stored.into();
-        self.relations.remove(&name);
-        match stored.stats() {
-            Some(stats) => {
-                self.stats.insert(name.clone(), stats);
-            }
-            None => {
-                self.stats.remove(&name);
-            }
-        }
-        self.stored.insert(name, stored);
+        self.bindings.bind_stored(name, stored.into());
     }
 
     /// Write the relation registered under `name` to a binary segment
@@ -162,11 +143,11 @@ impl Catalog {
         let exec_err = |e: evirel_store::StoreError| QueryError::Execution {
             message: e.to_string(),
         };
-        if let Some(rel) = self.relations.get(name) {
+        if let Some(rel) = self.get(name) {
             return evirel_store::write_segment(rel, path, evirel_store::DEFAULT_PAGE_SIZE)
                 .map_err(exec_err);
         }
-        if let Some(stored) = self.stored.get(name) {
+        if let Some(stored) = self.get_stored(name) {
             let mut writer = evirel_store::SegmentWriter::create(
                 path,
                 stored.schema(),
@@ -192,10 +173,10 @@ impl Catalog {
     /// # Errors
     /// [`QueryError::UnknownRelation`] / [`QueryError::Execution`].
     pub fn materialize(&self, name: &str) -> Result<ExtendedRelation, QueryError> {
-        if let Some(rel) = self.relations.get(name) {
-            return Ok((**rel).clone());
+        if let Some(rel) = self.get(name) {
+            return Ok(rel.clone());
         }
-        if let Some(stored) = self.stored.get(name) {
+        if let Some(stored) = self.get_stored(name) {
             return stored.to_relation().map_err(|e| QueryError::Execution {
                 message: e.to_string(),
             });
@@ -205,19 +186,14 @@ impl Catalog {
         })
     }
 
-    /// Look up a relation.
+    /// Look up an in-memory relation.
     pub fn get(&self, name: &str) -> Option<&ExtendedRelation> {
-        self.relations.get(name).map(|arc| arc.as_ref())
-    }
-
-    /// Look up a relation as a shared handle (for scan operators).
-    pub fn get_shared(&self, name: &str) -> Option<Arc<ExtendedRelation>> {
-        self.relations.get(name).cloned()
+        self.bindings.get(name)
     }
 
     /// Look up a stored (disk-backed) relation handle.
     pub fn get_stored(&self, name: &str) -> Option<Arc<StoredRelation>> {
-        self.stored.get(name).cloned()
+        self.bindings.stored(name)
     }
 
     /// Statistics for the relation under `name`, when known. Present
@@ -225,7 +201,7 @@ impl Catalog {
     /// and for stored attachments whose segment carries a stats
     /// section (v3+); absent for pre-v3 segments.
     pub fn stats_for(&self, name: &str) -> Option<Arc<evirel_store::RelStats>> {
-        self.stats.get(name).cloned()
+        self.bindings.stats(name)
     }
 
     /// Human-readable per-relation statistics, one line per
@@ -235,12 +211,12 @@ impl Catalog {
     pub fn stats_summary(&self) -> String {
         let mut out = String::new();
         for name in self.names() {
-            let kind = if self.stored.contains_key(name) {
-                "stored"
-            } else {
+            let kind = if self.get(name).is_some() {
                 "memory"
+            } else {
+                "stored"
             };
-            match self.stats.get(name) {
+            match self.stats_for(name) {
                 Some(s) => {
                     out.push_str(&format!("{name} ({kind}): {}\n", s.render()));
                 }
@@ -259,38 +235,31 @@ impl Catalog {
 
     /// Registered names (in-memory and stored), sorted.
     pub fn names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .relations
-            .keys()
-            .chain(self.stored.keys())
-            .map(String::as_str)
-            .collect();
-        names.sort_unstable();
-        names
+        self.bindings.names()
     }
 
     /// Number of registered relations (in-memory and stored).
     pub fn len(&self) -> usize {
-        self.relations.len() + self.stored.len()
+        self.bindings.len()
     }
 
     /// `true` when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.relations.is_empty() && self.stored.is_empty()
+        self.bindings.is_empty()
     }
 }
 
 impl RelationSource for Catalog {
     fn relation(&self, name: &str) -> Option<Arc<ExtendedRelation>> {
-        self.get_shared(name)
+        self.bindings.relation(name)
     }
 
     fn stored(&self, name: &str) -> Option<Arc<StoredRelation>> {
-        self.get_stored(name)
+        self.bindings.stored(name)
     }
 
     fn stats(&self, name: &str) -> Option<Arc<evirel_store::RelStats>> {
-        self.stats_for(name)
+        self.bindings.stats(name)
     }
 }
 

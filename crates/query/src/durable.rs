@@ -82,8 +82,8 @@ pub struct DurableMetrics {
 /// for replication senders **by default**. A follower whose resume
 /// cursor falls below the retained window gets a full snapshot
 /// transfer instead of record replay. Override per process with the
-/// `EVIREL_RETAIN_RECORDS` environment variable (see
-/// [`retain_records_cap`]).
+/// `EVIREL_RETAIN_RECORDS` environment variable, an integer in
+/// `1..=`[`MAX_RETAIN_RECORDS`].
 pub const RETAINED_RECORDS_CAP: usize = 4096;
 
 /// Largest retained-window size `EVIREL_RETAIN_RECORDS` accepts.
@@ -92,44 +92,18 @@ pub const RETAINED_RECORDS_CAP: usize = 4096;
 /// record count — reject it like garbage input.
 pub const MAX_RETAIN_RECORDS: usize = 1 << 20;
 
-/// Parse an `EVIREL_RETAIN_RECORDS` value: `Some(n)` for an integer
-/// in `1..=`[`MAX_RETAIN_RECORDS`], `None` for anything else
-/// (garbage, `0`, negatives, absurd counts) — the invalid cases
-/// [`retain_records_cap`] warns about.
-pub fn parse_retain_records(raw: &str) -> Option<usize> {
-    raw.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|n| (1..=MAX_RETAIN_RECORDS).contains(n))
-}
-
 /// The retained-window size a newly opened [`DurableCatalog`] uses:
-/// the `EVIREL_RETAIN_RECORDS` environment variable when it parses to
-/// an integer in `1..=`[`MAX_RETAIN_RECORDS`], else
-/// [`RETAINED_RECORDS_CAP`] (4096). Small windows resync followers
+/// `EVIREL_RETAIN_RECORDS` when it is an integer in
+/// `1..=`[`MAX_RETAIN_RECORDS`], else [`RETAINED_RECORDS_CAP`] (an
+/// invalid value is rejected loudly, see
+/// [`evirel_store::EnvKnob::get`]). Small windows resync followers
 /// sooner; large windows let a long-offline standby catch up by
 /// record replay.
-///
-/// An *invalid* value is rejected **loudly**: one warning per process
-/// goes to stderr naming the value and the accepted range, and the
-/// default applies — the same reject-loudly contract as
-/// `EVIREL_THREADS` ([`evirel_plan::default_parallelism`]).
-pub fn retain_records_cap() -> usize {
-    let Ok(raw) = std::env::var("EVIREL_RETAIN_RECORDS") else {
-        return RETAINED_RECORDS_CAP;
-    };
-    parse_retain_records(&raw).unwrap_or_else(|| {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: ignoring invalid EVIREL_RETAIN_RECORDS={raw:?}: expected \
-                 an integer in 1..={MAX_RETAIN_RECORDS}; using the default \
-                 ({RETAINED_RECORDS_CAP})"
-            );
-        });
-        RETAINED_RECORDS_CAP
-    })
-}
+const RETAIN_RECORDS: evirel_store::EnvKnob = evirel_store::EnvKnob {
+    var: "EVIREL_RETAIN_RECORDS",
+    range: 1..=MAX_RETAIN_RECORDS,
+    default: RETAINED_RECORDS_CAP,
+};
 
 /// What a replication sender should stream to a follower that has
 /// applied through some generation — computed by
@@ -173,8 +147,7 @@ pub struct DurableCatalog {
     /// checkpoint). Ascending generations; capped at `retained_cap`.
     retained: Vec<JournalRecord>,
     /// Retained-window size, fixed at open time from
-    /// [`retain_records_cap`] (`EVIREL_RETAIN_RECORDS`, default
-    /// [`RETAINED_RECORDS_CAP`]).
+    /// `EVIREL_RETAIN_RECORDS` (default [`RETAINED_RECORDS_CAP`]).
     retained_cap: usize,
     /// Followers resuming from a generation **below** this floor need
     /// a full resync — the records are no longer individually
@@ -265,7 +238,7 @@ impl DurableCatalog {
 
         // Apply the retained-window cap to the replayed tail too, so
         // a long journal does not pin unbounded memory at open.
-        let retained_cap = retain_records_cap();
+        let retained_cap = RETAIN_RECORDS.get();
         let mut retained_floor = manifest.generation;
         if retained.len() > retained_cap {
             let excess = retained.len() - retained_cap;
@@ -689,9 +662,9 @@ mod tests {
 
     #[test]
     fn retain_records_parsing_rejects_invalid_values() {
-        assert_eq!(parse_retain_records("1"), Some(1));
-        assert_eq!(parse_retain_records(" 4096 "), Some(RETAINED_RECORDS_CAP));
-        assert_eq!(parse_retain_records("1048576"), Some(MAX_RETAIN_RECORDS));
+        assert_eq!(RETAIN_RECORDS.parse("1"), Some(1));
+        assert_eq!(RETAIN_RECORDS.parse(" 4096 "), Some(RETAINED_RECORDS_CAP));
+        assert_eq!(RETAIN_RECORDS.parse("1048576"), Some(MAX_RETAIN_RECORDS));
         for invalid in [
             "",
             "0",
@@ -702,7 +675,7 @@ mod tests {
             "1048577",
             "9999999999999999999999",
         ] {
-            assert_eq!(parse_retain_records(invalid), None, "{invalid:?}");
+            assert_eq!(RETAIN_RECORDS.parse(invalid), None, "{invalid:?}");
         }
     }
 }

@@ -1,19 +1,19 @@
-//! Query execution against a catalog.
+//! Query execution against a bare catalog.
 //!
-//! Queries execute through `evirel-plan`: the lowered [`crate::plan::Plan`]
-//! converts to a `LogicalPlan`, the rewrite optimizer runs, and the
-//! streaming operators pull tuples end to end — no intermediate
-//! relation is materialized between σ̃/π̃/∪̃/⋈̃ stages, and the ∪̃
-//! conflict reports that the old executor discarded now surface on
-//! [`QueryOutcome`].
+//! Thin by design: [`PreparedPlan::prepare`] turns the text into an
+//! optimized `evirel-plan` plan and [`PreparedPlan::run`] drives the
+//! streaming operators under the catalog's own
+//! [`Catalog::exec_context`] — the same two steps a [`crate::Session`]
+//! takes (through its plan cache, under its budget), so the REPL, the
+//! examples and the server execute identically. No intermediate
+//! relation is materialized between σ̃/π̃/∪̃/⋈̃ stages, and ∪̃ conflict
+//! reports surface on [`QueryOutcome`].
 
-use crate::ast::SelectStmt;
 use crate::catalog::Catalog;
 use crate::error::QueryError;
-use crate::parser::parse;
-use crate::plan::lower_validated;
+use crate::prepare::PreparedPlan;
 use evirel_algebra::ConflictReport;
-use evirel_plan::{execute_plan, ExecContext, ExecStats};
+use evirel_plan::ExecStats;
 use evirel_relation::ExtendedRelation;
 
 /// The full result of one query: the relation plus the side outputs
@@ -36,18 +36,7 @@ pub struct QueryOutcome {
 /// time), and algebra errors (including total-conflict aborts from
 /// `UNION`, governed by [`Catalog::union_options`]).
 pub fn execute(catalog: &Catalog, query: &str) -> Result<ExtendedRelation, QueryError> {
-    execute_parsed(catalog, &parse(query)?)
-}
-
-/// Execute an already-parsed statement.
-///
-/// # Errors
-/// As [`execute`], minus the parse stage.
-pub fn execute_parsed(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-) -> Result<ExtendedRelation, QueryError> {
-    Ok(execute_stmt(catalog, stmt)?.relation)
+    Ok(execute_with_report(catalog, query)?.relation)
 }
 
 /// Parse and execute, returning the relation together with the
@@ -56,23 +45,9 @@ pub fn execute_parsed(
 /// # Errors
 /// As [`execute`].
 pub fn execute_with_report(catalog: &Catalog, query: &str) -> Result<QueryOutcome, QueryError> {
-    execute_stmt(catalog, &parse(query)?)
-}
-
-fn execute_stmt(catalog: &Catalog, stmt: &SelectStmt) -> Result<QueryOutcome, QueryError> {
-    let plan = lower_validated(stmt, catalog)?;
-    let mut ctx = ExecContext::with_options(catalog.union_options.clone());
-    ctx.parallelism = catalog.parallelism.max(1);
-    // One pool per catalog: stored scans and spilled merge build
-    // sides of every query page under a single byte budget.
-    ctx.pool = std::sync::Arc::clone(&catalog.pool);
-    ctx.spill_threshold_bytes = catalog.pool.budget_bytes();
-    let relation = execute_plan(&plan.to_logical(), catalog, &mut ctx)?;
-    Ok(QueryOutcome {
-        relation,
-        report: ctx.conflict_report(),
-        stats: ctx.stats,
-    })
+    // A bare catalog has no generations; the stamp is unused here.
+    let prepared = PreparedPlan::prepare(catalog, 0, query)?;
+    Ok(prepared.run(catalog, catalog.exec_context())?.0)
 }
 
 #[cfg(test)]
@@ -259,9 +234,12 @@ mod tests {
     /// rewrite rules firing in EXPLAIN.
     #[test]
     fn explain_shows_rewrites_firing() {
-        let text = crate::plan::explain_with(
-            &catalog(),
+        let c = catalog();
+        let text = crate::explain_with(
+            &c,
             "SELECT * FROM ra JOIN rma ON RA.rname = RMA.rname WHERE speciality IS {si} WITH SN > 0",
+            c.exec_context(),
+            false,
         )
         .unwrap();
         for rule in [
@@ -275,9 +253,11 @@ mod tests {
         assert!(text.contains("physical:"), "{text}");
         assert!(text.contains("hash rname = rname"), "{text}");
         // Key-crisp selections distribute below ∪̃.
-        let text = crate::plan::explain_with(
-            &catalog(),
+        let text = crate::explain_with(
+            &c,
             "SELECT rname, rating FROM ra UNION rb WHERE rname = 'mehl'",
+            c.exec_context(),
+            false,
         )
         .unwrap();
         assert!(text.contains("select-under-union"), "{text}");

@@ -23,8 +23,11 @@
 //! * thresholds:       `WITH SN > c`, `WITH SN >= c`, `WITH SN = 1`,
 //!   `WITH SP >= c`
 //!
-//! Pipeline: [`lexer`] → [`parser`] → [`ast`] → [`plan`] → [`exec`]
-//! against a [`catalog::Catalog`] of named extended relations.
+//! Pipeline: [`lexer`] → [`parser`] → [`ast`] → [`plan`] →
+//! [`prepare`] (the one place text becomes an optimized plan) → the
+//! `evirel-plan` executor, against a [`catalog::Catalog`] of named
+//! extended relations. [`exec`] is that pipeline for a bare catalog,
+//! [`session`] the same through a plan cache and a resource budget.
 //!
 //! ```
 //! use evirel_query::{Catalog, execute};
@@ -52,17 +55,17 @@ pub mod snapshot;
 
 pub use catalog::Catalog;
 pub use durable::{
-    parse_retain_records, retain_records_cap, DurabilityStats, DurableCatalog, DurableMetrics,
-    StreamPlan, MAX_RETAIN_RECORDS, RETAINED_RECORDS_CAP,
+    DurabilityStats, DurableCatalog, DurableMetrics, StreamPlan, MAX_RETAIN_RECORDS,
+    RETAINED_RECORDS_CAP,
 };
 pub use error::QueryError;
-pub use exec::{execute, execute_parsed, execute_with_report, QueryOutcome};
+pub use exec::{execute, execute_with_report, QueryOutcome};
 pub use parser::parse;
-pub use plan::{explain, explain_analyze_with, explain_with};
-pub use prepare::{normalize_eql, CacheStats, PlanCache, PreparedPlan};
+pub use plan::explain;
+pub use prepare::{explain_with, normalize_eql, CacheStats, PlanCache, PreparedPlan};
 pub use session::{
-    register_query_collectors, slow_query_ms_from_env, Session, SessionBudget, SessionOutcome,
-    DEFAULT_SLOW_QUERY_MS, SLOW_QUERY_ENV,
+    register_query_collectors, Session, SessionBudget, SessionOutcome, DEFAULT_SLOW_QUERY_MS,
+    SLOW_QUERY_ENV,
 };
 pub use snapshot::{CatalogSnapshot, SharedCatalog};
 

@@ -262,54 +262,12 @@ fn render_source(source: &SourcePlan, depth: usize, out: &mut String) {
 
 /// Parse and lower a query, returning the rendered plan tree without
 /// executing it — the catalog-free `EXPLAIN` (no rewrites fire, since
-/// schema-aware rules need the catalog; see [`explain_with`]).
+/// schema-aware rules need the catalog; see [`crate::explain_with`]).
 ///
 /// # Errors
 /// Lex/parse errors.
 pub fn explain(query: &str) -> Result<String, QueryError> {
     Ok(lower(&crate::parser::parse(query)?)?.render())
-}
-
-/// Full `EXPLAIN` against a catalog: the logical plan, every rewrite
-/// rule that fired, the optimized plan, and the physical operator
-/// tree that would execute it (exchange nodes included when
-/// [`Catalog::parallelism`] > 1).
-///
-/// # Errors
-/// Lex/parse errors, unknown relations/attributes, plan-build errors.
-pub fn explain_with(catalog: &Catalog, query: &str) -> Result<String, QueryError> {
-    let plan = lower_validated(&crate::parser::parse(query)?, catalog)?;
-    Ok(evirel_plan::explain_plan_with(
-        &plan.to_logical(),
-        catalog,
-        &catalog.union_options,
-        catalog.parallelism,
-    )?)
-}
-
-/// `EXPLAIN` **with execution**: like [`explain_with`], but the
-/// physical tree actually runs (result discarded) and every operator
-/// line carries `[est≈N act=M]` — the cost model's row estimate next
-/// to the true row count from execution, so mis-estimates are visible
-/// at a glance. Estimates render as `est=?` where no statistics apply
-/// (non-relation-rooted operators under `EVIREL_NO_STATS=1`, pre-v3
-/// stored segments).
-///
-/// # Errors
-/// As [`explain_with`], plus execution errors — though an execution
-/// failure after a successful plan build is folded into the rendered
-/// text rather than returned, so the plan itself is still shown.
-pub fn explain_analyze_with(catalog: &Catalog, query: &str) -> Result<String, QueryError> {
-    let plan = lower_validated(&crate::parser::parse(query)?, catalog)?;
-    let mut ctx = evirel_plan::ExecContext::with_options(catalog.union_options.clone());
-    ctx.parallelism = catalog.parallelism.max(1);
-    ctx.pool = std::sync::Arc::clone(&catalog.pool);
-    ctx.spill_threshold_bytes = catalog.pool.budget_bytes();
-    Ok(evirel_plan::explain_analyze_with(
-        &plan.to_logical(),
-        catalog,
-        &mut ctx,
-    )?)
 }
 
 #[cfg(test)]

@@ -4,9 +4,12 @@
 //! optimizer are the per-query costs worth amortizing when the same
 //! EQL text executes many times (the common shape of service
 //! traffic). A [`PreparedPlan`] captures the *optimized* logical plan
-//! once; re-execution goes straight to physical planning via
-//! [`evirel_plan::execute_optimized`], skipping lowering and every
-//! rewrite pass.
+//! once; re-execution ([`PreparedPlan::run`]) goes straight to
+//! physical planning via [`evirel_plan::execute_optimized_metered`],
+//! skipping lowering and every rewrite pass. Every way EQL text is
+//! executed — [`crate::execute`], a [`crate::Session`] — is
+//! [`PreparedPlan::prepare`] followed by [`PreparedPlan::run`], and
+//! `EXPLAIN` ([`explain_with`]) lowers the text the same way.
 //!
 //! **Staleness is the hazard**: a plan prepared against catalog
 //! generation G bakes in G's schemas and rewrite decisions. If a
@@ -20,11 +23,12 @@
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
+use crate::exec::QueryOutcome;
 use crate::lexer::Token;
 use crate::plan::lower_validated;
 use crate::snapshot::CatalogSnapshot;
 use evirel_obs::Trace;
-use evirel_plan::LogicalPlan;
+use evirel_plan::{ExecContext, LogicalPlan, OpMeter};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -75,6 +79,43 @@ pub struct PreparedPlan {
     rewrites: Vec<String>,
 }
 
+/// Parse, lower, and validate `text` against `catalog` — the only
+/// place EQL text becomes a plan.
+fn lower_text(catalog: &Catalog, text: &str) -> Result<LogicalPlan, QueryError> {
+    let stmt = crate::parser::parse(text)?;
+    let logical = lower_validated(&stmt, catalog)?.to_logical();
+    // Deriving the output schema forces every scan leaf to resolve,
+    // so a query over an unregistered relation fails *here* — at
+    // prepare time, with a typed error — instead of caching a plan
+    // that can only fail at execution.
+    evirel_plan::schema_of(&logical, catalog)?;
+    Ok(logical)
+}
+
+/// Full `EXPLAIN` of `query` against `catalog` — logical plan, fired
+/// rewrite rules, optimized plan, and the physical operator tree
+/// exactly as [`PreparedPlan::run`] would build it under `ctx`
+/// (exchange nodes included when its parallelism > 1). With `analyze`
+/// the tree actually runs (result discarded) and every operator line
+/// carries `[est≈N act=M]`: the cost model's row estimate (`est=?`
+/// where no statistics apply) next to the true row count.
+///
+/// # Errors
+/// Lex/parse errors, unknown relations/attributes, plan-build errors;
+/// an execution failure under `analyze` is folded into the rendered
+/// text, so the plan is still shown.
+pub fn explain_with(
+    catalog: &Catalog,
+    query: &str,
+    mut ctx: ExecContext,
+    analyze: bool,
+) -> Result<String, QueryError> {
+    let logical = lower_text(catalog, query)?;
+    Ok(evirel_plan::explain_plan(
+        &logical, catalog, &mut ctx, analyze,
+    )?)
+}
+
 impl PreparedPlan {
     /// Parse, lower, validate, and optimize `text` against `catalog`
     /// as it stands at `generation`.
@@ -87,14 +128,7 @@ impl PreparedPlan {
         generation: u64,
         text: &str,
     ) -> Result<PreparedPlan, QueryError> {
-        let stmt = crate::parser::parse(text)?;
-        let plan = lower_validated(&stmt, catalog)?;
-        let logical = plan.to_logical();
-        // Deriving the output schema forces every scan leaf to
-        // resolve, so a query over an unregistered relation fails
-        // *here* — at prepare time, with a typed error — instead of
-        // caching a plan that can only fail at execution.
-        evirel_plan::schema_of(&logical, catalog)?;
+        let logical = lower_text(catalog, text)?;
         let (optimized, fired) = evirel_plan::optimize(&logical, catalog);
         Ok(PreparedPlan {
             normalized: normalize_eql(text),
@@ -102,6 +136,28 @@ impl PreparedPlan {
             optimized,
             rewrites: fired.iter().map(|r| r.to_string()).collect(),
         })
+    }
+
+    /// Execute the plan against `catalog` (the one it was prepared
+    /// against) under `ctx`, returning the outcome and the
+    /// per-operator est-vs-actual row counts.
+    ///
+    /// # Errors
+    /// Plan-build and execution errors (including total-conflict
+    /// aborts from `UNION`, governed by the context's union options).
+    pub fn run(
+        &self,
+        catalog: &Catalog,
+        mut ctx: ExecContext,
+    ) -> Result<(QueryOutcome, Vec<OpMeter>), QueryError> {
+        let (relation, meters) =
+            evirel_plan::execute_optimized_metered(&self.optimized, catalog, &mut ctx)?;
+        let outcome = QueryOutcome {
+            relation,
+            report: ctx.conflict_report(),
+            stats: ctx.stats,
+        };
+        Ok((outcome, meters))
     }
 
     /// The normalized text this plan was prepared from.

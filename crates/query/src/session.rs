@@ -17,7 +17,7 @@ use crate::prepare::{PlanCache, PreparedPlan};
 use crate::snapshot::{CatalogSnapshot, SharedCatalog};
 use evirel_obs::{Counter, Event, Histogram, MetricsRegistry, Trace};
 use evirel_plan::{ExecContext, OpMeter};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Environment knob: queries whose wall-clock time meets or exceeds
@@ -25,35 +25,18 @@ use std::time::{Duration, Instant};
 /// the registry's event log and stderr) with per-stage span timings
 /// and the plan's est-vs-actual row counts. `0` logs every query —
 /// useful for smoke tests and load drills. Invalid values warn once
-/// on stderr and fall back to [`DEFAULT_SLOW_QUERY_MS`].
+/// on stderr and fall back to [`DEFAULT_SLOW_QUERY_MS`] (see
+/// [`evirel_store::EnvKnob::get`]).
 pub const SLOW_QUERY_ENV: &str = "EVIREL_SLOW_QUERY_MS";
 
 /// Default slow-query threshold when [`SLOW_QUERY_ENV`] is unset.
 pub const DEFAULT_SLOW_QUERY_MS: u64 = 500;
 
-/// The slow-query threshold from [`SLOW_QUERY_ENV`], reject-loudly:
-/// an unparsable value warns once on stderr (naming the value, the
-/// accepted form, and the default used) rather than silently changing
-/// what gets logged.
-pub fn slow_query_ms_from_env() -> u64 {
-    let Ok(raw) = std::env::var(SLOW_QUERY_ENV) else {
-        return DEFAULT_SLOW_QUERY_MS;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(ms) => ms,
-        Err(_) => {
-            static WARNED: Once = Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "evirel: ignoring invalid {SLOW_QUERY_ENV}={raw:?}: expected a \
-                     non-negative integer of milliseconds (0 logs every query); \
-                     using default {DEFAULT_SLOW_QUERY_MS}"
-                );
-            });
-            DEFAULT_SLOW_QUERY_MS
-        }
-    }
-}
+const SLOW_QUERY_MS: evirel_store::EnvKnob = evirel_store::EnvKnob {
+    var: SLOW_QUERY_ENV,
+    range: 0..=usize::MAX,
+    default: DEFAULT_SLOW_QUERY_MS as usize,
+};
 
 /// Pre-registered handles for the per-query hot path, so executing a
 /// query touches only atomics — the registry's map lock is paid once
@@ -213,7 +196,7 @@ impl Session {
             read_only: false,
             metrics,
             qm,
-            slow_query_ms: slow_query_ms_from_env(),
+            slow_query_ms: SLOW_QUERY_MS.get() as u64,
         }
     }
 
@@ -308,24 +291,12 @@ impl Session {
         let (prepared, cached_plan) = self
             .cache
             .prepare_or_cached_traced(snapshot, text, &mut trace)?;
-        let mut ctx = self.context_for(snapshot.catalog());
+        let ctx = self.context_for(snapshot.catalog());
         let exec_started = Instant::now();
-        // Metered execution is observation only (see
-        // `execute_optimized_metered`): results are identical to the
-        // unmetered path, so instrumenting production queries cannot
-        // change what they produce.
-        let (relation, meters) = evirel_plan::execute_optimized_metered(
-            prepared.optimized(),
-            snapshot.catalog(),
-            &mut ctx,
-        )?;
+        let (outcome, meters) = prepared.run(snapshot.catalog(), ctx)?;
         trace.record("execute", exec_started.elapsed());
         let outcome = SessionOutcome {
-            outcome: QueryOutcome {
-                relation,
-                report: ctx.conflict_report(),
-                stats: ctx.stats,
-            },
+            outcome,
             cached_plan,
             generation: snapshot.generation(),
         };
@@ -451,18 +422,21 @@ impl Session {
     }
 
     /// Full `EXPLAIN` of `text` against the current generation —
-    /// **analyzing**: the plan executes (result discarded) so every
-    /// physical operator line shows estimated vs actual rows
-    /// ([`crate::explain_analyze_with`]) — with a trailing
-    /// `plan cache:` line showing whether execution would hit the
-    /// prepared-plan cache (the observable "lowering/rewrite skipped"
-    /// signal).
+    /// **analyzing**: the plan executes (result discarded) under the
+    /// same context [`Session::query`] would run it in, so the
+    /// physical tree is the one this session's queries get (its
+    /// thread and spill budget, not the whole catalog's) and every
+    /// operator line shows estimated vs actual rows
+    /// ([`crate::explain_with`]) — with a trailing `plan cache:`
+    /// line showing whether execution would hit the prepared-plan
+    /// cache (the observable "lowering/rewrite skipped" signal).
     ///
     /// # Errors
-    /// As [`crate::explain_analyze_with`].
+    /// As [`crate::explain_with`].
     pub fn explain(&self, text: &str) -> Result<String, QueryError> {
         let snapshot = self.pin();
-        let mut out = crate::plan::explain_analyze_with(snapshot.catalog(), text)?;
+        let catalog = snapshot.catalog();
+        let mut out = crate::explain_with(catalog, text, self.context_for(catalog), true)?;
         let hit = self.cache.peek(text, snapshot.generation());
         out.push_str(&format!(
             "plan cache: {} (generation {})\n",
@@ -476,21 +450,17 @@ impl Session {
         Ok(out)
     }
 
-    /// The execution context this session's queries run under:
-    /// catalog options and pool, with parallelism and spill threshold
-    /// capped to the session budget.
+    /// The execution context this session's queries run under: the
+    /// catalog's own ([`Catalog::exec_context`]), with parallelism and
+    /// spill threshold capped to the session budget.
     fn context_for(&self, catalog: &Catalog) -> ExecContext {
-        let mut ctx = ExecContext::with_options(catalog.union_options.clone());
-        ctx.pool = Arc::clone(&catalog.pool);
-        ctx.parallelism = self
-            .budget
-            .parallelism
-            .unwrap_or(catalog.parallelism)
-            .max(1);
-        ctx.spill_threshold_bytes = self
-            .budget
-            .spill_bytes
-            .unwrap_or_else(|| catalog.pool.budget_bytes());
+        let mut ctx = catalog.exec_context();
+        if let Some(parallelism) = self.budget.parallelism {
+            ctx.parallelism = parallelism.max(1);
+        }
+        if let Some(spill_bytes) = self.budget.spill_bytes {
+            ctx.spill_threshold_bytes = spill_bytes;
+        }
         ctx
     }
 }
@@ -591,6 +561,27 @@ mod tests {
         )
     }
 
+    /// `ga`/`gb`: 600-tuple inputs, enough to clear the exchange's
+    /// pay-off floor, so `ga UNION gb` at 4 threads really executes
+    /// through exchange workers.
+    fn big_union_catalog() -> Catalog {
+        use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
+        let (ga, gb) = generate_pair(&PairConfig {
+            base: GeneratorConfig {
+                tuples: 600,
+                seed: 7,
+                ..Default::default()
+            },
+            key_overlap: 0.5,
+            conflict_bias: 0.0,
+        })
+        .unwrap();
+        let mut c = Catalog::new();
+        c.register("ga", ga);
+        c.register("gb", gb);
+        c
+    }
+
     #[test]
     fn query_results_match_direct_execution_and_cache_kicks_in() {
         let s = session();
@@ -641,6 +632,29 @@ mod tests {
         assert!(text.contains("plan cache: miss"), "{text}");
     }
 
+    /// Regression: `EXPLAIN` renders the plan *this session* runs. A
+    /// session budgeted to one thread over a 4-thread catalog shows
+    /// no exchange (it used to show the catalog's); an unbudgeted
+    /// session over the same catalog does.
+    #[test]
+    fn explain_runs_under_the_session_budget() {
+        let mut c = big_union_catalog();
+        c.parallelism = 4;
+        let shared = Arc::new(SharedCatalog::new(c));
+        let explain = |budget: SessionBudget| {
+            Session::with_budget(Arc::clone(&shared), Arc::new(PlanCache::default()), budget)
+                .explain("SELECT * FROM ga UNION gb")
+                .unwrap()
+        };
+        let text = explain(SessionBudget {
+            parallelism: Some(1),
+            spill_bytes: None,
+        });
+        assert!(!text.contains("exchange"), "{text}");
+        let text = explain(SessionBudget::default());
+        assert!(text.contains("⇄ exchange (4 threads"), "{text}");
+    }
+
     #[test]
     fn read_only_sessions_reject_every_mutation_path() {
         let mut s = session();
@@ -684,23 +698,7 @@ mod tests {
     /// inner one).
     #[test]
     fn exec_stats_reach_registry_exactly_once_at_1_and_4_threads() {
-        use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
-        let (ga, gb) = generate_pair(&PairConfig {
-            base: GeneratorConfig {
-                tuples: 600,
-                seed: 7,
-                ..Default::default()
-            },
-            key_overlap: 0.5,
-            conflict_bias: 0.0,
-        })
-        .unwrap();
-        let mut c = Catalog::new();
-        c.register("ga", ga);
-        c.register("gb", gb);
-        let shared = Arc::new(SharedCatalog::new(c));
-        // 600-tuple inputs clear the exchange's pay-off floor, so the
-        // 4-thread run really executes through exchange workers.
+        let shared = Arc::new(SharedCatalog::new(big_union_catalog()));
         let run = |threads: usize| -> [u64; 4] {
             let registry = Arc::new(MetricsRegistry::new());
             let mut s = Session::new(Arc::clone(&shared), Arc::new(PlanCache::default()));

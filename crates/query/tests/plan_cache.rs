@@ -11,21 +11,40 @@
 //! keying the stale entry can never be returned: the lookup records a
 //! stale invalidation and re-prepares against the new binding.
 
-use evirel_query::{Catalog, PlanCache, Session, SharedCatalog};
-use evirel_workload::generator::{generate, GeneratorConfig};
+use evirel_query::{
+    execute_with_report, Catalog, PlanCache, QueryError, QueryOutcome, Session, SharedCatalog,
+};
+use evirel_workload::generator::{generate, generate_pair, GeneratorConfig, PairConfig};
 use evirel_workload::restaurant_db_a;
 use std::sync::Arc;
 
 const QUERY_OLD_SCHEMA: &str = "SELECT rname, speciality FROM t WITH SN > 0";
 const QUERY_NEW_SCHEMA: &str = "SELECT k, e0 FROM t WITH SN > 0";
+/// ∪̃ over inputs large enough to run through a 4-thread exchange,
+/// with conflicts to report.
+const QUERY_UNION: &str = "SELECT k, e0 FROM ga UNION gb WHERE e0 IS {v0, v1} WITH SN > 0";
 
 /// A session whose catalog binds `t` to the restaurant relation
 /// (schema: rname, speciality, …), plus the path of a binary segment
 /// holding a *generated* relation (schema: k, e0, e1, e2) ready to be
-/// `\load`-ed over the same name.
+/// `\load`-ed over the same name. `ga`/`gb` are a conflicting
+/// generated pair for [`QUERY_UNION`].
 fn session_and_segment() -> (Session, std::path::PathBuf) {
     let mut catalog = Catalog::new();
     catalog.register("t", restaurant_db_a().restaurants);
+    let (ga, gb) = generate_pair(&PairConfig {
+        base: GeneratorConfig {
+            tuples: 600,
+            seed: 7,
+            ..GeneratorConfig::default()
+        },
+        key_overlap: 0.5,
+        conflict_bias: 0.3,
+    })
+    .expect("generator config is valid");
+    catalog.register("ga", ga);
+    catalog.register("gb", gb);
+    catalog.union_options.on_total_conflict = evirel_algebra::ConflictPolicy::Vacuous;
     let generated = generate(
         "G",
         &GeneratorConfig {
@@ -44,9 +63,51 @@ fn session_and_segment() -> (Session, std::path::PathBuf) {
     (session, path)
 }
 
+/// There is one read path: at 1 and 4 threads, a session (plan
+/// cache, metering, budget) and the bare-catalog `execute_with_report`
+/// agree on every corpus query against the session's current
+/// generation — tuples bit for bit and in order, conflict-report
+/// order, `ExecStats` — or fail with the same kind of error.
+fn assert_session_matches_direct(session: &Session) {
+    let digest = |result: Result<QueryOutcome, QueryError>| {
+        result.map_err(|e| e.kind()).map(|outcome| {
+            let tuples: Vec<_> = outcome
+                .relation
+                .iter()
+                .map(|t| {
+                    let m = t.membership();
+                    (t.values().to_vec(), m.sn().to_bits(), m.sp().to_bits())
+                })
+                .collect();
+            (tuples, outcome.report.conflicts().to_vec(), outcome.stats)
+        })
+    };
+    for threads in [1, 4] {
+        let mut catalog = session.pin().catalog().clone();
+        catalog.parallelism = threads;
+        let over_copy = Session::new(
+            Arc::new(SharedCatalog::new(catalog.clone())),
+            Arc::new(PlanCache::default()),
+        );
+        for query in [QUERY_OLD_SCHEMA, QUERY_NEW_SCHEMA, QUERY_UNION] {
+            let direct = digest(execute_with_report(&catalog, query));
+            if query == QUERY_UNION {
+                let (_, conflicts, _) = direct.as_ref().expect("valid at every generation");
+                assert!(!conflicts.is_empty(), "corpus must exercise conflicts");
+            }
+            // Twice: a cache miss, then the cached plan.
+            for _ in 0..2 {
+                let via_session = digest(over_copy.query(query).map(|s| s.outcome));
+                assert_eq!(direct, via_session, "{query} @ {threads} threads");
+            }
+        }
+    }
+}
+
 #[test]
 fn load_replacing_a_binding_invalidates_the_cached_plan() {
     let (session, segment) = session_and_segment();
+    assert_session_matches_direct(&session);
 
     // Warm the cache at generation 0 and prove it's being reused.
     let first = session.query(QUERY_OLD_SCHEMA).expect("valid at gen 0");
@@ -77,11 +138,11 @@ fn load_replacing_a_binding_invalidates_the_cached_plan() {
     // planned. (Before the generation keying, this error — or a stale
     // rewrite decision — is what clients would see.)
     let snapshot_new = session.pin();
-    let mut ctx =
-        evirel_plan::ExecContext::with_options(snapshot_new.catalog().union_options.clone());
-    ctx.pool = Arc::clone(&snapshot_new.catalog().pool);
-    let stale_exec =
-        evirel_plan::execute_optimized(stale_plan.optimized(), snapshot_new.catalog(), &mut ctx);
+    let stale_exec = evirel_plan::execute_optimized_metered(
+        stale_plan.optimized(),
+        snapshot_new.catalog(),
+        &mut snapshot_new.catalog().exec_context(),
+    );
     assert!(
         stale_exec.is_err(),
         "executing the generation-0 plan against generation 1 must fail — \
@@ -106,6 +167,8 @@ fn load_replacing_a_binding_invalidates_the_cached_plan() {
     let new_schema = session.query(QUERY_NEW_SCHEMA).expect("valid at gen 1");
     assert!(!new_schema.cached_plan);
     assert_eq!(new_schema.outcome.relation.len(), 64);
+    // Same agreement with `t` now a stored binding.
+    assert_session_matches_direct(&session);
 
     std::fs::remove_file(&segment).ok();
 }

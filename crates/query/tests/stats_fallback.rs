@@ -63,12 +63,15 @@ fn v2_segment_plans_and_queries_via_heuristics() {
 
     // EXPLAIN-analyze renders `est=?` for the stats-less scan —
     // actuals still appear — while the in-memory catalog estimates.
-    let text = evirel_query::explain_analyze_with(&disk, "SELECT * FROM ra WITH SN > 0").unwrap();
+    let explain = |c: &Catalog| {
+        evirel_query::explain_with(c, "SELECT * FROM ra WITH SN > 0", c.exec_context(), true)
+            .unwrap()
+    };
+    let text = explain(&disk);
     assert!(text.contains("act="), "{text}");
     if evirel_plan::stats_enabled() {
         assert!(text.contains("est=?"), "{text}");
-        let text =
-            evirel_query::explain_analyze_with(&mem, "SELECT * FROM ra WITH SN > 0").unwrap();
+        let text = explain(&mem);
         assert!(text.contains("est≈"), "{text}");
     }
 }

@@ -32,6 +32,7 @@ pub mod checkpoint;
 pub mod codec;
 pub mod compat;
 pub mod crc;
+pub mod env;
 pub mod error;
 pub mod failpoint;
 pub mod journal;
@@ -43,6 +44,7 @@ pub mod stats;
 pub mod stored;
 
 pub use checkpoint::CheckpointOutcome;
+pub use env::EnvKnob;
 pub use error::StoreError;
 pub use journal::{Journal, JournalRecord, JOURNAL_FILE};
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_FILE};

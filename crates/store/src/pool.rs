@@ -18,6 +18,7 @@
 //! the plan/query/integrate suites under a tiny budget so the
 //! eviction and spill paths are exercised end to end every build.
 
+use crate::env::EnvKnob;
 use crate::error::StoreError;
 use crate::segment::Segment;
 use std::collections::HashMap;
@@ -29,6 +30,12 @@ pub const DEFAULT_BUFFER_BYTES: usize = 64 * 1024 * 1024;
 
 /// Environment variable naming the pool byte budget.
 pub const BUFFER_BYTES_ENV: &str = "EVIREL_BUFFER_BYTES";
+
+const BUFFER_BYTES: EnvKnob = EnvKnob {
+    var: BUFFER_BYTES_ENV,
+    range: 1..=usize::MAX,
+    default: DEFAULT_BUFFER_BYTES,
+};
 
 /// Environment variable that, when set to anything non-empty other
 /// than `0`, makes the pool re-verify page checksums on every cache
@@ -99,42 +106,11 @@ impl BufferPool {
 
     /// A pool budgeted from the `EVIREL_BUFFER_BYTES` environment
     /// variable (bytes; default [`DEFAULT_BUFFER_BYTES`]). The
-    /// accepted range is `1..=usize::MAX` — an *invalid* value
-    /// (garbage text, a negative number, or `0`, which would turn
-    /// every page access into an overcommit) is rejected **loudly**:
-    /// one warning per process goes to stderr naming the value and
-    /// the accepted range, and the budget falls back to the default.
+    /// accepted range is `1..=usize::MAX`; `0` would turn every page
+    /// access into an overcommit, so it is invalid like garbage text
+    /// (see [`EnvKnob::get`] for how invalid values are handled).
     pub fn from_env() -> BufferPool {
-        BufferPool::new(Self::budget_from_env())
-    }
-
-    /// The byte budget [`BufferPool::from_env`] would use, with the
-    /// same invalid-value handling (warn once, fall back to
-    /// [`DEFAULT_BUFFER_BYTES`]).
-    pub fn budget_from_env() -> usize {
-        let Ok(raw) = std::env::var(BUFFER_BYTES_ENV) else {
-            return DEFAULT_BUFFER_BYTES;
-        };
-        Self::parse_budget(&raw).unwrap_or_else(|| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: ignoring invalid {BUFFER_BYTES_ENV}={raw:?}: expected a \
-                     positive byte count (1..=usize::MAX); using the default \
-                     {DEFAULT_BUFFER_BYTES} bytes"
-                );
-            });
-            DEFAULT_BUFFER_BYTES
-        })
-    }
-
-    /// Parse an `EVIREL_BUFFER_BYTES` value: `Some(bytes)` for a
-    /// positive integer, `None` for the invalid cases
-    /// [`BufferPool::budget_from_env`] warns about (garbage text,
-    /// negatives, and `0`, which would make every pool access an
-    /// overcommit).
-    pub fn parse_budget(raw: &str) -> Option<usize> {
-        raw.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+        BufferPool::new(BUFFER_BYTES.get())
     }
 
     /// The configured byte budget.
@@ -397,14 +373,14 @@ mod tests {
     }
 
     /// A `0` budget would make every pool access an overcommit, so it
-    /// is invalid like garbage text — `budget_from_env` warns once
-    /// and falls back to the default instead of silently accepting it.
+    /// is invalid like garbage text — `from_env` warns once and
+    /// falls back to the default instead of silently accepting it.
     #[test]
     fn budget_parsing_rejects_invalid_values() {
-        assert_eq!(BufferPool::parse_budget("4096"), Some(4096));
-        assert_eq!(BufferPool::parse_budget(" 1 "), Some(1));
+        assert_eq!(BUFFER_BYTES.parse("4096"), Some(4096));
+        assert_eq!(BUFFER_BYTES.parse(" 1 "), Some(1));
         for invalid in ["", "0", "-4096", "64MiB", "1e6", "lots"] {
-            assert_eq!(BufferPool::parse_budget(invalid), None, "{invalid:?}");
+            assert_eq!(BUFFER_BYTES.parse(invalid), None, "{invalid:?}");
         }
     }
 }

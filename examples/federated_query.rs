@@ -65,7 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let q =
         "SELECT * FROM ra JOIN rma ON RA.rname = RMA.rname WHERE speciality IS {si} WITH SN > 0";
     println!("eql> EXPLAIN {q}");
-    println!("{}", evirel::query::explain_with(&catalog, q)?);
+    println!(
+        "{}",
+        evirel::query::explain_with(&catalog, q, catalog.exec_context(), false)?
+    );
 
     // ---- The same pipeline, built directly on the plan API --------
     let plan = scan("ra")
@@ -75,8 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .project(["rname", "rating"])
         .build();
     println!("plan builder → EXPLAIN:");
-    println!("{}", explain_plan(&plan, &catalog, &catalog.union_options)?);
-    let mut ctx = ExecContext::with_options(catalog.union_options.clone());
+    let mut ctx = catalog.exec_context();
+    println!("{}", explain_plan(&plan, &catalog, &mut ctx, false)?);
     let result = execute_plan(&plan, &catalog, &mut ctx)?;
     println!("{result}");
     println!(

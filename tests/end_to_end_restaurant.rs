@@ -134,12 +134,13 @@ fn parallel_union_agrees_on_paper_data() {
     let ra = restaurant_db_a().restaurants;
     let rb = restaurant_db_b().restaurants;
     let seq = union_extended(&ra, &rb).unwrap();
-    let par = evirel::algebra::par::par_union(
-        &ra,
-        &rb,
-        &evirel::algebra::union::UnionOptions::default(),
-        4,
+    let mut catalog = Bindings::new();
+    catalog.bind("ra", ra).bind("rb", rb);
+    let par = execute_plan(
+        &scan("ra").union(scan("rb")).build(),
+        &catalog,
+        &mut ExecContext::with_parallelism(4),
     )
     .unwrap();
-    assert!(seq.relation.approx_eq(&par.relation));
+    assert!(seq.relation.approx_eq(&par));
 }
