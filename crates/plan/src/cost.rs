@@ -32,23 +32,27 @@
 use crate::logical::{LogicalPlan, RelationSource};
 use evirel_algebra::{Operand, Predicate, ThetaOp};
 use evirel_relation::{AttrType, Schema, Value};
-use evirel_store::RelStats;
+use evirel_store::{EnvKnob, RelStats};
 use std::sync::Arc;
 
-/// Environment knob disabling statistics-driven planning: set (and
-/// not `0`/empty) means every stats lookup reports "none", so all
-/// consumers take their heuristic fallback paths. CI runs the plan
-/// and query suites under `EVIREL_NO_STATS=1` to keep those paths
-/// exercised end-to-end.
+/// Environment knob disabling statistics-driven planning: `1` means
+/// every stats lookup reports "none", so all consumers take their
+/// heuristic fallback paths. CI runs the plan and query suites under
+/// `EVIREL_NO_STATS=1` to keep those paths exercised end-to-end.
 pub const NO_STATS_ENV: &str = "EVIREL_NO_STATS";
+
+/// `0` (the default) or `1`; anything else is rejected loudly, see
+/// [`EnvKnob::get`].
+pub(crate) const NO_STATS: EnvKnob = EnvKnob {
+    var: NO_STATS_ENV,
+    range: 0..=1,
+    default: 0,
+};
 
 /// `false` when [`NO_STATS_ENV`] disables statistics. Read per call:
 /// planning happens once per query, and tests toggle the knob.
 pub fn stats_enabled() -> bool {
-    match std::env::var(NO_STATS_ENV) {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    }
+    NO_STATS.get() == 0
 }
 
 /// Default selectivity for predicates the model cannot resolve

@@ -1523,6 +1523,13 @@ mod tests {
         for invalid in ["", "0", "-2", "4.0", "O4", "four", "1025", "9999999999"] {
             assert_eq!(THREADS.parse(invalid), None, "{invalid:?}");
         }
+        // The boolean knobs share the policy: 0 or 1, nothing else.
+        let no_stats = crate::cost::NO_STATS;
+        assert_eq!(no_stats.parse("0"), Some(0));
+        assert_eq!(no_stats.parse(" 1 "), Some(1));
+        for invalid in ["", "2", "-1", "yes", "off", "true", "1.0"] {
+            assert_eq!(no_stats.parse(invalid), None, "{invalid:?}");
+        }
     }
 
     #[test]

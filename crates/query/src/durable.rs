@@ -13,25 +13,49 @@
 //!   seeds its [`crate::SharedCatalog`] with
 //!   [`crate::SharedCatalog::with_generation`] so the generation
 //!   stream continues monotonically across restarts.
-//! * **Mutation** ([`DurableCatalog::record_bind`] /
-//!   [`DurableCatalog::record_drop`]): called *inside* a
-//!   [`crate::SharedCatalog::update_at`] closure, so the journal
-//!   record is written and fsync'd under the catalog write lock —
-//!   strictly before any reader can observe the new generation.
-//!   `record_bind` first writes the relation to a fresh
-//!   `seg-NNNNNN.evb` (atomic temp+fsync+rename), then journals
-//!   `{name, file, checksum, generation}`.
 //! * **Checkpoint** ([`DurableCatalog::checkpoint`]): fold the
 //!   journal into a freshly-written manifest, truncate the journal,
 //!   GC unreferenced segments. Safe to crash out of at any point.
 //!
+//! ## The write path
+//!
+//! One rule governs every mutation: **durable first, published
+//! second** — no reader may pin a generation that a crash could lose.
+//! The five operations that change a served catalog implement it here
+//! and nowhere else; each takes the [`SharedCatalog`] it publishes to:
+//!
+//! | operation | durable step | publish |
+//! |---|---|---|
+//! | [`DurableCatalog::bind`] | segment write, journal + fsync | [`SharedCatalog::update_at`], next generation |
+//! | [`DurableCatalog::unbind`] | journal + fsync | [`SharedCatalog::update_at`], next generation |
+//! | [`DurableCatalog::apply_record`] | verify staged segment, journal + fsync | [`SharedCatalog::update_stamped`], the primary's generation |
+//! | [`DurableCatalog::install`] | verify segments, manifest swap | [`SharedCatalog::update_stamped`], the snapshot's generation |
+//! | [`DurableCatalog::reconcile`] | none (already durable) | [`SharedCatalog::update_stamped`], the committed generation |
+//!
+//! `bind`/`unbind` are the primary's side: the generation is the one
+//! the catalog write guard hands out, so the durable step runs
+//! *inside* the `update_at` closure — the record is fsync'd under the
+//! guard, strictly before the swap, and writers (hence journal
+//! records) are totally ordered with strictly increasing generations.
+//! The other three are the follower's side: the primary already
+//! stamped the generation, so the durable step runs first and the
+//! guard is held only for the swap. A failure between the two steps
+//! leaves the durable state ahead of the published one, which is safe
+//! (nothing unrecoverable was served) and which `reconcile` repairs.
+//!
+//! **Lock order**: exclusive access to the [`DurableCatalog`] first
+//! (the five are methods — in `evirel-serve`, called with the durable
+//! mutex held), the catalog write guard second. Nothing may lock a
+//! shared `DurableCatalog` from inside a [`SharedCatalog`] closure.
+//!
 //! Generation parity: the durable side never invents generations — it
-//! records the ones `update_at` hands it. As long as every published
-//! mutation is journaled (the serve layer's MERGE path) the durable
-//! generation equals the published one.
+//! records the ones the write guard (primary) or the stream (follower)
+//! hands it, so the durable generation equals the published one after
+//! every successful call.
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
+use crate::snapshot::SharedCatalog;
 use evirel_obs::{Counter, Histogram};
 use evirel_store::checkpoint::{checkpoint, CheckpointOutcome};
 use evirel_store::{
@@ -120,7 +144,7 @@ pub enum StreamPlan {
         /// The committed generation this snapshot represents.
         generation: u64,
         /// Every durable binding. The follower installs this set
-        /// atomically ([`DurableCatalog::install_snapshot`]); segment
+        /// atomically ([`DurableCatalog::install`]); segment
         /// payloads need shipping only for entries stamped after the
         /// follower's cursor — older entries are byte-identical on
         /// both sides because both replayed the same single-writer
@@ -190,31 +214,7 @@ impl DurableCatalog {
             }
             committed = committed.max(record.generation());
             retained.push(record.clone());
-            match record {
-                JournalRecord::Bind {
-                    name,
-                    file,
-                    format_version,
-                    checksum,
-                    tuple_count,
-                    generation,
-                } => {
-                    entries.insert(
-                        name.clone(),
-                        ManifestEntry {
-                            name: name.clone(),
-                            file: file.clone(),
-                            format_version: *format_version,
-                            checksum: *checksum,
-                            tuple_count: *tuple_count,
-                            generation: *generation,
-                        },
-                    );
-                }
-                JournalRecord::Drop { name, .. } => {
-                    entries.remove(name);
-                }
-            }
+            fold(&mut entries, record);
         }
 
         // Attach every surviving binding, verifying content checksums
@@ -271,13 +271,22 @@ impl DurableCatalog {
         self.metrics = Some(metrics);
     }
 
-    /// Journal one record, timing the append + fsync when metrics are
-    /// attached.
-    fn timed_append(&mut self, record: &JournalRecord) -> Result<(), QueryError> {
+    /// The commit point of every mutation: journal `record` (append +
+    /// fsync, timed when metrics are attached), then fold it into the
+    /// in-memory durable state. Nothing changes on `Err`.
+    fn commit(&mut self, record: JournalRecord) -> Result<(), QueryError> {
         let started = Instant::now();
-        self.journal.append(record).map_err(store_err)?;
+        self.journal.append(&record).map_err(store_err)?;
         if let Some(m) = &self.metrics {
             m.journal_append.observe(started.elapsed());
+        }
+        fold(&mut self.entries, &record);
+        self.committed_generation = self.committed_generation.max(record.generation());
+        self.retained.push(record);
+        if self.retained.len() > self.retained_cap {
+            let excess = self.retained.len() - self.retained_cap;
+            self.retained_floor = self.retained[excess - 1].generation();
+            self.retained.drain(..excess);
         }
         Ok(())
     }
@@ -308,20 +317,222 @@ impl DurableCatalog {
         }
     }
 
-    /// Durably record that `name` now binds `rel` at `generation`:
-    /// write a fresh segment (atomic), then journal + fsync the
-    /// binding. Call from inside [`crate::SharedCatalog::update_at`],
-    /// with the generation the closure received, *before* registering
-    /// the relation in the in-memory catalog — on return the mutation
-    /// is durable, so publishing it is safe.
-    ///
-    /// Returns the segment path, so the caller can re-attach the
-    /// binding as a stored relation instead of keeping it in memory.
+    /// Bind `name` to `rel` as the next generation of `shared`
+    /// (the serve layer's durable `MERGE`): segment write, journal +
+    /// fsync, then publish the binding re-attached from its segment —
+    /// the catalog serves the very bytes recovery would. Returns the
+    /// generation published.
     ///
     /// # Errors
     /// [`QueryError::Execution`] wrapping the store error; nothing
     /// was published then (a written segment without its journal
     /// record is GC'd at the next checkpoint).
+    pub fn bind(
+        &mut self,
+        shared: &SharedCatalog,
+        name: &str,
+        rel: &evirel_relation::ExtendedRelation,
+    ) -> Result<u64, QueryError> {
+        let ((), generation) = shared.update_at(|catalog, generation| {
+            let path = self.record_bind(name, rel, generation)?;
+            catalog.attach_stored(name, path)
+        })?;
+        Ok(generation)
+    }
+
+    /// Drop `name` as the next generation of `shared`: journal +
+    /// fsync, then publish. Returns the generation published.
+    ///
+    /// # Errors
+    /// [`QueryError::Execution`] wrapping the store error; nothing
+    /// was published then.
+    pub fn unbind(&mut self, shared: &SharedCatalog, name: &str) -> Result<u64, QueryError> {
+        let ((), generation) = shared.update_at(|catalog, generation| {
+            self.commit(JournalRecord::Drop {
+                name: name.to_owned(),
+                generation,
+            })?;
+            catalog.deregister(name);
+            Ok(())
+        })?;
+        Ok(generation)
+    }
+
+    /// Apply one replicated journal record on a **follower**: verify
+    /// the referenced segment (already staged into this directory by
+    /// [`evirel_store::replica`]) against the record's checksum and
+    /// tuple count, journal + fsync the record locally, then publish
+    /// it at the generation the *primary* stamped — so a follower
+    /// never serves a generation it could lose, and one killed between
+    /// the two steps recovers the record from its own journal at
+    /// reboot.
+    ///
+    /// # Errors
+    /// [`QueryError::Execution`] on a generation that does not
+    /// strictly advance the committed one (a re-send the stream
+    /// contract forbids), a pre-v3 segment, or any verification /
+    /// journal / attach failure. Nothing is published then.
+    pub fn apply_record(
+        &mut self,
+        shared: &SharedCatalog,
+        record: &JournalRecord,
+    ) -> Result<(), QueryError> {
+        self.must_advance("replicated record", record.generation())?;
+        if let JournalRecord::Bind {
+            name,
+            file,
+            format_version,
+            checksum,
+            tuple_count,
+            ..
+        } = record
+        {
+            if *format_version < 3 {
+                return Err(store_err(StoreError::corrupt(format!(
+                    "replicated binding {name:?} uses segment format v{format_version}; \
+                     replication requires checksummed v3 segments"
+                ))));
+            }
+            evirel_store::verify_segment(&self.dir, file, *checksum, *tuple_count)
+                .map_err(store_err)?;
+            // Keep local segment numbering clear of replicated files,
+            // so a post-promotion bind never collides.
+            if let Some(n) = segment_number(file) {
+                self.next_segment = self.next_segment.max(n);
+            }
+        }
+        self.commit(record.clone())?;
+        shared.update_stamped(record.generation(), |catalog| match record {
+            JournalRecord::Bind { name, file, .. } => {
+                catalog.attach_stored(name.as_str(), self.dir.join(file))
+            }
+            JournalRecord::Drop { name, .. } => {
+                catalog.deregister(name);
+                Ok(())
+            }
+        })
+    }
+
+    /// Install a full durable state on a **follower** too far behind
+    /// for record replay: verify that every entry's segment is present
+    /// (entries newer than the follower's cursor were just staged by
+    /// the sender; older ones are byte-identical survivors of the
+    /// shared history), swap the manifest — write-temp → fsync →
+    /// rename, the checkpoint primitive — and truncate the journal,
+    /// then publish it ([`DurableCatalog::reconcile`]: one swap that
+    /// drops the bindings the snapshot no longer has and attaches the
+    /// new set).
+    /// A crash at any point leaves either the old complete state or
+    /// the new one, never a mix; that atomicity is why resync is a
+    /// manifest swap rather than a journal replay.
+    ///
+    /// # Errors
+    /// [`QueryError::Execution`] when `generation` does not advance
+    /// the applied one, a segment is missing or fails verification,
+    /// or the manifest swap fails. The previous state remains intact
+    /// and nothing is published.
+    pub fn install(
+        &mut self,
+        shared: &SharedCatalog,
+        generation: u64,
+        entries: Vec<ManifestEntry>,
+    ) -> Result<(), QueryError> {
+        self.must_advance("snapshot", generation)?;
+        for entry in &entries {
+            if entry.format_version >= 3 {
+                evirel_store::verify_segment(
+                    &self.dir,
+                    &entry.file,
+                    entry.checksum,
+                    entry.tuple_count,
+                )
+                .map_err(store_err)?;
+            } else if !self.dir.join(&entry.file).is_file() {
+                return Err(store_err(StoreError::corrupt(format!(
+                    "snapshot entry {:?} references missing segment {:?}",
+                    entry.name, entry.file
+                ))));
+            }
+        }
+        let manifest = Manifest {
+            generation,
+            entries,
+        };
+        // Manifest swap then journal truncation — exactly a
+        // checkpoint, except the state comes from the wire instead of
+        // this process's own mutations. GC sweeps segments the new
+        // state obsoleted (plus any abandoned staging files).
+        checkpoint(&self.dir, &manifest, &mut self.journal).map_err(store_err)?;
+        self.entries = manifest
+            .entries
+            .into_iter()
+            .map(|e| (e.name.clone(), e))
+            .collect();
+        self.committed_generation = generation;
+        self.checkpoints += 1;
+        self.retained.clear();
+        self.retained_floor = generation;
+        self.next_segment = next_segment_number(&self.dir);
+        self.reconcile(shared)
+    }
+
+    /// `Err` unless `generation` is past the committed one — a
+    /// follower applies each generation of the stream exactly once.
+    fn must_advance(&self, what: &str, generation: u64) -> Result<(), QueryError> {
+        if generation > self.committed_generation {
+            return Ok(());
+        }
+        Err(QueryError::Execution {
+            message: format!(
+                "{what} at generation {generation} does not advance \
+                 the applied generation {}",
+                self.committed_generation
+            ),
+        })
+    }
+
+    /// Self-heal a durable-ahead-of-published skew (a crash — or an
+    /// error — between a follower's durable step and its publish):
+    /// republish the durable binding set at the committed generation,
+    /// after which the catalog's stored bindings are exactly the
+    /// durable entries. In-memory bindings (seeded, never replicated)
+    /// are left alone. A no-op when the generations already agree.
+    ///
+    /// # Errors
+    /// [`QueryError::Execution`] when a durable segment cannot be
+    /// attached; nothing is published then.
+    pub fn reconcile(&self, shared: &SharedCatalog) -> Result<(), QueryError> {
+        if shared.generation() >= self.committed_generation {
+            return Ok(());
+        }
+        shared.update_stamped(self.committed_generation, |catalog| {
+            let stale: Vec<String> = catalog
+                .names()
+                .into_iter()
+                .filter(|n| catalog.get_stored(n).is_some() && !self.entries.contains_key(*n))
+                .map(str::to_owned)
+                .collect();
+            for name in stale {
+                catalog.deregister(&name);
+            }
+            for entry in self.entries.values() {
+                catalog.attach_stored(entry.name.as_str(), self.dir.join(&entry.file))?;
+            }
+            Ok(())
+        })
+    }
+
+    /// The durable half of [`DurableCatalog::bind`]: write a fresh
+    /// segment (atomic temp + fsync + rename), then journal + fsync
+    /// `{name, file, checksum, generation}`. Must run inside a
+    /// [`SharedCatalog::update_at`] closure with the generation it
+    /// received. Public only so a harness can time the durable step
+    /// apart from the publish; everything that serves calls `bind`.
+    ///
+    /// Returns the segment path.
+    ///
+    /// # Errors
+    /// [`QueryError::Execution`] wrapping the store error.
     pub fn record_bind(
         &mut self,
         name: &str,
@@ -337,46 +548,15 @@ impl DurableCatalog {
             m.segment_bytes
                 .add(std::fs::metadata(&meta.path).map_or(0, |f| f.len()));
         }
-        let record = JournalRecord::Bind {
+        self.commit(JournalRecord::Bind {
             name: name.to_owned(),
-            file: file.clone(),
+            file,
             format_version: 3,
             checksum: meta.checksum,
             tuple_count: meta.tuple_count,
             generation,
-        };
-        self.timed_append(&record)?;
-        self.entries.insert(
-            name.to_owned(),
-            ManifestEntry {
-                name: name.to_owned(),
-                file,
-                format_version: 3,
-                checksum: meta.checksum,
-                tuple_count: meta.tuple_count,
-                generation,
-            },
-        );
-        self.committed_generation = self.committed_generation.max(generation);
-        self.push_retained(record);
+        })?;
         Ok(path)
-    }
-
-    /// Durably record that `name` was dropped at `generation`. Same
-    /// calling discipline as [`DurableCatalog::record_bind`].
-    ///
-    /// # Errors
-    /// [`QueryError::Execution`] wrapping the store error.
-    pub fn record_drop(&mut self, name: &str, generation: u64) -> Result<(), QueryError> {
-        let record = JournalRecord::Drop {
-            name: name.to_owned(),
-            generation,
-        };
-        self.timed_append(&record)?;
-        self.entries.remove(name);
-        self.committed_generation = self.committed_generation.max(generation);
-        self.push_retained(record);
-        Ok(())
     }
 
     /// Checkpoint: write the manifest from the current durable
@@ -386,10 +566,10 @@ impl DurableCatalog {
     /// the GC may have deleted segment files that superseded `Bind`
     /// records reference, so offering those records to a lagging
     /// follower would stream dangling file names forever. Raising
-    /// [`DurableCatalog::retained_floor`] to the checkpointed
-    /// generation instead routes any follower still below it onto
-    /// the resync path (a follower already at the floor keeps
-    /// tailing — its next plan is an empty tail, not a resync).
+    /// the retained floor to the checkpointed generation instead
+    /// routes any follower still below it onto the resync path (a
+    /// follower already at the floor keeps tailing — its next plan is
+    /// an empty tail, not a resync).
     ///
     /// # Errors
     /// [`QueryError::Execution`] wrapping the store error; the
@@ -408,40 +588,6 @@ impl DurableCatalog {
         self.retained.clear();
         self.retained_floor = self.committed_generation;
         Ok(outcome)
-    }
-
-    /// Persist the whole of `catalog` as one durable generation, then
-    /// checkpoint: every relation is re-bound (segment + journal
-    /// record), durable bindings absent from the catalog are dropped,
-    /// and the manifest is swapped. The eql REPL's `\checkpoint` uses
-    /// this to bind an interactive catalog wholesale; superseded
-    /// segments are GC'd by the checkpoint.
-    ///
-    /// The generation is self-stamped (`committed + 1`) rather than
-    /// taken from the caller: an interactive shell's in-memory
-    /// generation counter starts at 0 regardless of what the data
-    /// directory has seen, and journal records stamped below the
-    /// manifest generation would be ignored by recovery.
-    ///
-    /// Returns how many bindings were persisted.
-    ///
-    /// # Errors
-    /// [`QueryError::Execution`] wrapping the store error.
-    /// Record `record` into the in-memory retained window, trimming
-    /// the front (and raising the floor) past the cap.
-    fn push_retained(&mut self, record: JournalRecord) {
-        self.retained.push(record);
-        if self.retained.len() > self.retained_cap {
-            let excess = self.retained.len() - self.retained_cap;
-            self.retained_floor = self.retained[excess - 1].generation();
-            self.retained.drain(..excess);
-        }
-    }
-
-    /// Generations at or below this are no longer individually
-    /// retained for replay; followers behind it get a full resync.
-    pub fn retained_floor(&self) -> u64 {
-        self.retained_floor
     }
 
     /// What to stream to a follower that has applied through `from`:
@@ -471,145 +617,28 @@ impl DurableCatalog {
         }
     }
 
-    /// Apply one replicated journal record on a **follower**: verify
-    /// the referenced segment (already staged into this directory by
-    /// [`evirel_store::replica`]) against the record's checksum and
-    /// tuple count, then journal + fsync it locally. On return the
-    /// record is durable — the caller publishes the catalog change
-    /// via [`crate::SharedCatalog::update_stamped`] *after* this, the
-    /// same fsync-before-publish rule the primary follows, so a
-    /// follower can never serve a generation it could lose.
-    ///
-    /// # Errors
-    /// [`QueryError::Execution`] on a generation that does not
-    /// strictly advance the committed one (a re-send the stream
-    /// contract forbids), a pre-v3 segment, or any verification /
-    /// journal failure. Nothing is applied then.
-    pub fn apply_replicated(&mut self, record: &JournalRecord) -> Result<(), QueryError> {
-        let generation = record.generation();
-        if generation <= self.committed_generation {
-            return Err(QueryError::Execution {
-                message: format!(
-                    "replicated record at generation {generation} does not advance \
-                     the applied generation {}",
-                    self.committed_generation
-                ),
-            });
-        }
-        match record {
-            JournalRecord::Bind {
-                name,
-                file,
-                format_version,
-                checksum,
-                tuple_count,
-                generation,
-            } => {
-                if *format_version < 3 {
-                    return Err(store_err(StoreError::corrupt(format!(
-                        "replicated binding {name:?} uses segment format v{format_version}; \
-                         replication requires checksummed v3 segments"
-                    ))));
-                }
-                evirel_store::verify_segment(&self.dir, file, *checksum, *tuple_count)
-                    .map_err(store_err)?;
-                self.timed_append(record)?;
-                self.entries.insert(
-                    name.clone(),
-                    ManifestEntry {
-                        name: name.clone(),
-                        file: file.clone(),
-                        format_version: *format_version,
-                        checksum: *checksum,
-                        tuple_count: *tuple_count,
-                        generation: *generation,
-                    },
-                );
-                // Keep local segment numbering clear of replicated
-                // files, so a post-promotion bind never collides.
-                if let Some(n) = segment_number(file) {
-                    self.next_segment = self.next_segment.max(n);
-                }
-            }
-            JournalRecord::Drop { name, .. } => {
-                self.timed_append(record)?;
-                self.entries.remove(name);
-            }
-        }
-        self.committed_generation = generation;
-        self.push_retained(record.clone());
-        Ok(())
-    }
-
-    /// Atomically install a full durable state on a **follower** that
-    /// is too far behind for record replay: verify that every entry's
-    /// segment is present (entries newer than the follower's cursor
-    /// were just staged by the sender; older ones are byte-identical
-    /// survivors of the shared history), then swap the manifest —
-    /// write-temp → fsync → rename, the checkpoint primitive — and
-    /// truncate the journal. A crash at any point leaves either the
-    /// old complete state or the new complete state, never a mix;
-    /// that atomicity is why resync is a manifest swap rather than a
-    /// journal replay.
-    ///
-    /// # Errors
-    /// [`QueryError::Execution`] when `generation` does not advance
-    /// the applied one, a segment is missing or fails verification,
-    /// or the manifest swap fails. The previous state remains intact.
-    pub fn install_snapshot(
-        &mut self,
-        generation: u64,
-        entries: Vec<ManifestEntry>,
-    ) -> Result<(), QueryError> {
-        if generation <= self.committed_generation {
-            return Err(QueryError::Execution {
-                message: format!(
-                    "snapshot at generation {generation} does not advance \
-                     the applied generation {}",
-                    self.committed_generation
-                ),
-            });
-        }
-        for entry in &entries {
-            if entry.format_version >= 3 {
-                evirel_store::verify_segment(
-                    &self.dir,
-                    &entry.file,
-                    entry.checksum,
-                    entry.tuple_count,
-                )
-                .map_err(store_err)?;
-            } else if !self.dir.join(&entry.file).is_file() {
-                return Err(store_err(StoreError::corrupt(format!(
-                    "snapshot entry {:?} references missing segment {:?}",
-                    entry.name, entry.file
-                ))));
-            }
-        }
-        let manifest = Manifest {
-            generation,
-            entries: entries.clone(),
-        };
-        // Manifest swap then journal truncation — exactly a
-        // checkpoint, except the state comes from the wire instead of
-        // this process's own mutations. GC sweeps segments the new
-        // state obsoleted (plus any abandoned staging files).
-        let outcome = checkpoint(&self.dir, &manifest, &mut self.journal).map_err(store_err)?;
-        let _ = outcome;
-        self.entries = entries.into_iter().map(|e| (e.name.clone(), e)).collect();
-        self.committed_generation = generation;
-        self.checkpoints += 1;
-        self.retained.clear();
-        self.retained_floor = generation;
-        self.next_segment = next_segment_number(&self.dir);
-        Ok(())
-    }
-
     /// The durable binding set, in name order — what a resync ships.
     pub fn entries(&self) -> impl Iterator<Item = &ManifestEntry> {
         self.entries.values()
     }
 
+    /// Persist the whole of `catalog` as one durable generation, then
+    /// checkpoint: every relation is re-bound (segment + journal
+    /// record), durable bindings absent from the catalog are dropped,
+    /// and the manifest is swapped. The eql REPL's `\checkpoint` uses
+    /// this to bind an interactive catalog wholesale; superseded
+    /// segments are GC'd by the checkpoint.
+    ///
+    /// The generation is self-stamped (`committed + 1`) rather than
+    /// taken from the caller: an interactive shell's in-memory
+    /// generation counter starts at 0 regardless of what the data
+    /// directory has seen, and journal records stamped below the
+    /// manifest generation would be ignored by recovery.
+    ///
+    /// Returns how many bindings were persisted.
+    ///
+    /// # Errors
+    /// [`QueryError::Execution`] wrapping the store error.
     pub fn checkpoint_full(&mut self, catalog: &Catalog) -> Result<u64, QueryError> {
         let generation = self.committed_generation + 1;
         let mut persisted = 0u64;
@@ -627,10 +656,41 @@ impl DurableCatalog {
             .cloned()
             .collect();
         for name in stale {
-            self.record_drop(&name, generation)?;
+            self.commit(JournalRecord::Drop { name, generation })?;
         }
         self.checkpoint()?;
         Ok(persisted)
+    }
+}
+
+/// Fold one journal record into a durable binding set — the one
+/// definition of what a record means, shared by recovery's replay and
+/// the live commit.
+fn fold(entries: &mut BTreeMap<String, ManifestEntry>, record: &JournalRecord) {
+    match record {
+        JournalRecord::Bind {
+            name,
+            file,
+            format_version,
+            checksum,
+            tuple_count,
+            generation,
+        } => {
+            entries.insert(
+                name.clone(),
+                ManifestEntry {
+                    name: name.clone(),
+                    file: file.clone(),
+                    format_version: *format_version,
+                    checksum: *checksum,
+                    tuple_count: *tuple_count,
+                    generation: *generation,
+                },
+            );
+        }
+        JournalRecord::Drop { name, .. } => {
+            entries.remove(name);
+        }
     }
 }
 
@@ -659,6 +719,123 @@ fn segment_number(file: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evirel_store::failpoint::FailpointFs;
+    use evirel_workload::{restaurant_db_a, restaurant_db_b};
+
+    fn names(catalog: &Catalog) -> Vec<String> {
+        catalog.names().into_iter().map(str::to_owned).collect()
+    }
+
+    fn published(shared: &SharedCatalog) -> (u64, Vec<String>) {
+        let pin = shared.pin();
+        (pin.generation(), names(pin.catalog()))
+    }
+
+    /// Run `op` with its first fsync (and everything after) failing:
+    /// it must fail and publish nothing. Returns the binding set a
+    /// fresh open of `dir` then recovers.
+    fn killed_at_first_fsync(
+        (dir, mut durable, shared): (&Path, DurableCatalog, &SharedCatalog),
+        op: impl FnOnce(&mut DurableCatalog, &SharedCatalog) -> Result<(), QueryError>,
+    ) -> Vec<String> {
+        let before = published(shared);
+        let fp = FailpointFs::kill_at_fsync(1);
+        op(&mut durable, shared).expect_err("the killed operation fails");
+        assert!(fp.fired());
+        drop(fp);
+        assert_eq!(published(shared), before, "a failed operation published");
+        drop(durable);
+        names(&DurableCatalog::open(dir).unwrap().1)
+    }
+
+    #[test]
+    fn a_failed_write_path_operation_publishes_nothing() {
+        let root = std::env::temp_dir().join(format!("evirel-durable-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let node = |label: &str| {
+            let dir = root.join(label);
+            let (durable, recovered) = DurableCatalog::open(&dir).unwrap();
+            (dir, durable, SharedCatalog::new(recovered))
+        };
+        let rb = restaurant_db_b().restaurants;
+        let only_a = vec!["a".to_owned()];
+        let a_and_b = vec!["a".to_owned(), "b".to_owned()];
+
+        // A primary whose history is bind a (1), bind b (2), and a way
+        // to make nodes that published `a` at generation 1 by applying
+        // record 1 (every segment already shipped).
+        let (pdir, mut primary, pshared) = node("primary");
+        let ra = restaurant_db_a().restaurants;
+        primary.bind(&pshared, "a", &ra).unwrap();
+        primary.bind(&pshared, "b", &rb).unwrap();
+        let StreamPlan::Tail(records) = primary.stream_plan(0) else {
+            panic!("an uncheckpointed primary tails");
+        };
+        let replica = |label: &str| {
+            let (dir, mut durable, shared) = node(label);
+            for entry in primary.entries() {
+                std::fs::copy(pdir.join(&entry.file), dir.join(&entry.file)).unwrap();
+            }
+            durable.apply_record(&shared, &records[0]).unwrap();
+            (dir, durable, shared)
+        };
+
+        // bind and install die before their commit point (the segment
+        // fsync precedes the journal record, the manifest temp file's
+        // fsync precedes its rename): recovery is the last publish.
+        let (dir, durable, shared) = replica("bind");
+        let recovered = killed_at_first_fsync((&dir, durable, &shared), |d, s| {
+            d.bind(s, "b", &rb).map(|_| ())
+        });
+        assert_eq!(recovered, only_a);
+
+        // unbind and apply_record have one fsync — the journal's, their
+        // commit point. The record's bytes were written before it, so a
+        // process killed there recovers the whole record (never a torn
+        // one), and still nothing was published before the kill.
+        let (dir, durable, shared) = replica("unbind");
+        let recovered = killed_at_first_fsync((&dir, durable, &shared), |d, s| {
+            d.unbind(s, "a").map(|_| ())
+        });
+        assert_eq!(recovered, Vec::<String>::new());
+
+        let (fdir, durable, fshared) = replica("apply");
+        let recovered = killed_at_first_fsync((&fdir, durable, &fshared), |d, s| {
+            d.apply_record(s, &records[1])
+        });
+        assert_eq!(recovered, a_and_b);
+
+        let (dir, durable, shared) = replica("install");
+        primary.checkpoint().unwrap();
+        let StreamPlan::Resync {
+            generation,
+            entries,
+        } = primary.stream_plan(1)
+        else {
+            panic!("a cursor below the checkpoint floor resyncs");
+        };
+        let recovered = killed_at_first_fsync((&dir, durable, &shared), |d, s| {
+            d.install(s, generation, entries)
+        });
+        assert_eq!(recovered, only_a);
+
+        // The killed apply left its directory ahead of what `fshared`
+        // serves — the skew reconcile repairs. It performs no durable
+        // write, so its one failure is an unreadable segment.
+        let (durable, _) = DurableCatalog::open(&fdir).unwrap();
+        let segment = fdir.join(&durable.entries["b"].file);
+        let hidden = fdir.join("hidden");
+        std::fs::rename(&segment, &hidden).unwrap();
+        durable
+            .reconcile(&fshared)
+            .expect_err("a missing segment fails");
+        assert_eq!(published(&fshared), (1, only_a));
+        std::fs::rename(&hidden, &segment).unwrap();
+        durable.reconcile(&fshared).unwrap();
+        assert_eq!(published(&fshared), (2, a_and_b));
+
+        std::fs::remove_dir_all(&root).ok();
+    }
 
     #[test]
     fn retain_records_parsing_rejects_invalid_values() {

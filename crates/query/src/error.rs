@@ -45,13 +45,6 @@ pub enum QueryError {
         /// Description.
         message: String,
     },
-    /// The catalog is read-only — a replication follower serving a
-    /// primary's generation stream rejects local mutations until
-    /// promoted.
-    ReadOnly {
-        /// Description (e.g. which primary this standby follows).
-        message: String,
-    },
 }
 
 impl QueryError {
@@ -75,7 +68,6 @@ impl QueryError {
             Self::Algebra(_) => "algebra",
             Self::Relation(_) => "relation",
             Self::Execution { .. } => "execution",
-            Self::ReadOnly { .. } => "readonly",
         }
     }
 }
@@ -94,7 +86,6 @@ impl fmt::Display for QueryError {
             Self::Algebra(e) => write!(f, "execution error: {e}"),
             Self::Relation(e) => write!(f, "execution error: {e}"),
             Self::Execution { message } => write!(f, "execution error: {message}"),
-            Self::ReadOnly { message } => write!(f, "read-only catalog: {message}"),
         }
     }
 }

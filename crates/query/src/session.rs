@@ -167,7 +167,6 @@ pub struct Session {
     cache: Arc<PlanCache>,
     /// This session's resource slice.
     pub budget: SessionBudget,
-    read_only: bool,
     metrics: Arc<MetricsRegistry>,
     qm: QueryMetrics,
     slow_query_ms: u64,
@@ -193,7 +192,6 @@ impl Session {
             shared,
             cache,
             budget,
-            read_only: false,
             metrics,
             qm,
             slow_query_ms: SLOW_QUERY_MS.get() as u64,
@@ -219,33 +217,6 @@ impl Session {
     /// mutating the process environment.
     pub fn set_slow_query_ms(&mut self, ms: u64) {
         self.slow_query_ms = ms;
-    }
-
-    /// Mark this session read-only: every `update*` call returns
-    /// [`QueryError::ReadOnly`] without touching the catalog. A
-    /// replication follower hands read-only sessions to its query
-    /// workers; only the apply loop (which publishes via
-    /// [`SharedCatalog::update_stamped`] directly) mutates the
-    /// standby's catalog.
-    pub fn set_read_only(&mut self, read_only: bool) {
-        self.read_only = read_only;
-    }
-
-    /// Whether this session rejects mutations.
-    pub fn read_only(&self) -> bool {
-        self.read_only
-    }
-
-    fn check_writable(&self) -> Result<(), QueryError> {
-        if self.read_only {
-            Err(QueryError::ReadOnly {
-                message: "this session serves a replication standby; \
-                          promote the follower to accept writes"
-                    .into(),
-            })
-        } else {
-            Ok(())
-        }
     }
 
     /// The shared catalog this session reads and writes.
@@ -388,37 +359,7 @@ impl Session {
         &self,
         mutate: impl FnOnce(&mut Catalog) -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
-        self.check_writable()?;
         self.shared.update(mutate)
-    }
-
-    /// [`Session::update`], additionally returning the generation the
-    /// mutation was published at (see
-    /// [`SharedCatalog::update_with_generation`]).
-    ///
-    /// # Errors
-    /// As [`Session::update`].
-    pub fn update_with_generation<T>(
-        &self,
-        mutate: impl FnOnce(&mut Catalog) -> Result<T, QueryError>,
-    ) -> Result<(T, u64), QueryError> {
-        self.check_writable()?;
-        self.shared.update_with_generation(mutate)
-    }
-
-    /// [`Session::update_with_generation`] with the to-be-published
-    /// generation passed *into* the closure (see
-    /// [`SharedCatalog::update_at`]) — the durability hook: journal
-    /// the mutation at that generation, fsync, then return.
-    ///
-    /// # Errors
-    /// As [`Session::update`].
-    pub fn update_at<T>(
-        &self,
-        mutate: impl FnOnce(&mut Catalog, u64) -> Result<T, QueryError>,
-    ) -> Result<(T, u64), QueryError> {
-        self.check_writable()?;
-        self.shared.update_at(mutate)
     }
 
     /// Full `EXPLAIN` of `text` against the current generation —
@@ -653,40 +594,6 @@ mod tests {
         assert!(!text.contains("exchange"), "{text}");
         let text = explain(SessionBudget::default());
         assert!(text.contains("⇄ exchange (4 threads"), "{text}");
-    }
-
-    #[test]
-    fn read_only_sessions_reject_every_mutation_path() {
-        let mut s = session();
-        s.set_read_only(true);
-        assert!(s.read_only());
-        // Reads still work…
-        assert!(s.query("SELECT * FROM ra WITH SN > 0").is_ok());
-        // …every write path is a typed "readonly" error, catalog
-        // untouched.
-        let before = s.shared().generation();
-        let err = s
-            .update(|c| {
-                c.register("x", restaurant_db_a().restaurants);
-                Ok(())
-            })
-            .unwrap_err();
-        assert_eq!(err.kind(), "readonly");
-        assert_eq!(
-            s.update_with_generation(|_| Ok(())).unwrap_err().kind(),
-            "readonly"
-        );
-        assert_eq!(s.update_at(|_, _| Ok(())).unwrap_err().kind(), "readonly");
-        assert_eq!(s.shared().generation(), before);
-        assert!(s.pin().catalog().get("x").is_none());
-        // Flipping back re-enables writes (promotion).
-        s.set_read_only(false);
-        s.update(|c| {
-            c.register("x", restaurant_db_a().restaurants);
-            Ok(())
-        })
-        .unwrap();
-        assert!(s.pin().catalog().get("x").is_some());
     }
 
     /// Satellite regression: per-worker `ExecContext` stats summed at

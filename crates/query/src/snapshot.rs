@@ -120,34 +120,27 @@ impl SharedCatalog {
         &self,
         mutate: impl FnOnce(&mut Catalog) -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
-        self.update_with_generation(mutate).map(|(value, _)| value)
-    }
-
-    /// [`SharedCatalog::update`], additionally returning the
-    /// generation this mutation was published at. Use this when
-    /// reporting the write: with concurrent writers, reading
-    /// [`SharedCatalog::generation`] after `update` returns may
-    /// already observe a *later* writer's bump.
-    ///
-    /// # Errors
-    /// As [`SharedCatalog::update`].
-    pub fn update_with_generation<T>(
-        &self,
-        mutate: impl FnOnce(&mut Catalog) -> Result<T, QueryError>,
-    ) -> Result<(T, u64), QueryError> {
         self.update_at(|catalog, _| mutate(catalog))
+            .map(|(value, _)| value)
     }
 
-    /// As [`SharedCatalog::update_with_generation`], but the closure
-    /// also receives the generation the mutation will publish as.
+    /// As [`SharedCatalog::update`], but the closure also receives the
+    /// generation the mutation will publish as, and the call returns
+    /// it alongside the closure's value. Use the returned generation
+    /// when reporting the write: with concurrent writers, reading
+    /// [`SharedCatalog::generation`] afterwards may already observe a
+    /// *later* writer's bump.
     ///
-    /// This is the durability hook: the closure can write a journal
-    /// record stamped with that generation and fsync it *before*
-    /// returning — because the closure runs under the write lock, the
-    /// record is durable before any reader can observe the new
-    /// generation, and writers (hence journal appends) are totally
-    /// ordered with strictly increasing generations. An `Err` from
-    /// the closure publishes nothing, exactly as in `update`.
+    /// This is the durability hook ([`crate::DurableCatalog::bind`]):
+    /// the closure writes a journal record stamped with that
+    /// generation and fsyncs it *before* returning — because the
+    /// closure runs under the write lock, the record is durable before
+    /// any reader can observe the new generation, and writers (hence
+    /// journal appends) are totally ordered with strictly increasing
+    /// generations. Readers' [`SharedCatalog::pin`] waits for that
+    /// lock, so a durable publish stalls pins for the length of its
+    /// fsync. An `Err` from the closure publishes nothing, exactly as
+    /// in `update`.
     ///
     /// # Errors
     /// Whatever the closure returns; the catalog is unchanged then.
@@ -171,9 +164,10 @@ impl SharedCatalog {
     }
 
     /// Publish a mutation at an **explicit** generation instead of
-    /// `current + 1`. This is the replication-apply hook: a follower
-    /// replays the primary's journal records and must publish each one
-    /// at the generation the *primary* stamped it with, so pinned
+    /// `current + 1`. This is the replication-apply hook
+    /// ([`crate::DurableCatalog::apply_record`]): a follower replays
+    /// the primary's journal records and must publish each one at the
+    /// generation the *primary* stamped it with, so pinned
     /// snapshots on the standby carry the same generation numbers as
     /// on the primary and STATS/plan-cache keys line up across
     /// failover. Generations may skip (the primary's counter also
@@ -397,7 +391,7 @@ mod tests {
                 let published = &published;
                 s.spawn(move || {
                     let ((), generation) = shared
-                        .update_with_generation(|c| {
+                        .update_at(|c, _| {
                             c.register(format!("r{i}"), rel(0.5));
                             Ok(())
                         })

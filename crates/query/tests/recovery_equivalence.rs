@@ -108,8 +108,7 @@ proptest! {
         let dir = fresh_dir("script");
 
         // Durable side: a SharedCatalog + DurableCatalog pair driven
-        // exactly the way evirel-serve drives them (record inside the
-        // update_at closure, before registering in the clone).
+        // through the write path evirel-serve calls.
         let (mut durable, recovered) = DurableCatalog::open(&dir).unwrap();
         let mut shared = SharedCatalog::with_generation(recovered, 0);
 
@@ -121,26 +120,12 @@ proptest! {
             match op {
                 Op::Bind { name, seed, tuples } => {
                     let r = rel(*seed, *tuples);
-                    let d = &mut durable;
-                    shared
-                        .update_at(|catalog, generation| {
-                            let path = d.record_bind(name, &r, generation)?;
-                            catalog.attach_stored(name.clone(), path)?;
-                            Ok(())
-                        })
-                        .unwrap();
+                    durable.bind(&shared, name, &r).unwrap();
                     oracle.register(name.clone(), r);
                     oracle_generation += 1;
                 }
                 Op::Drop { name } => {
-                    let d = &mut durable;
-                    shared
-                        .update_at(|catalog, generation| {
-                            d.record_drop(name, generation)?;
-                            catalog.deregister(name);
-                            Ok(())
-                        })
-                        .unwrap();
+                    durable.unbind(&shared, name).unwrap();
                     oracle.deregister(name);
                     oracle_generation += 1;
                 }
@@ -199,30 +184,14 @@ fn open_bind_checkpoint_reopen_roundtrip() {
         assert!(recovered.is_empty());
         let shared = SharedCatalog::with_generation(recovered, 0);
 
-        let ra = rel(7, 6);
-        let d = &mut durable;
-        shared
-            .update_at(|catalog, generation| {
-                let path = d.record_bind("ra", &ra, generation)?;
-                catalog.attach_stored("ra", path)?;
-                Ok(())
-            })
-            .unwrap();
+        durable.bind(&shared, "ra", &rel(7, 6)).unwrap();
         assert_eq!(durable.stats().journal_records, 1);
 
         durable.checkpoint().unwrap();
         assert_eq!(durable.stats().journal_records, 0);
         assert_eq!(durable.stats().checkpoints, 1);
 
-        let rb = rel(9, 4);
-        let d = &mut durable;
-        shared
-            .update_at(|catalog, generation| {
-                let path = d.record_bind("rb", &rb, generation)?;
-                catalog.attach_stored("rb", path)?;
-                Ok(())
-            })
-            .unwrap();
+        durable.bind(&shared, "rb", &rel(9, 4)).unwrap();
         assert_eq!(durable.committed_generation(), 2);
     }
     // "Crash" (drop without checkpoint) and recover: the manifest has
@@ -261,15 +230,7 @@ fn recovered_bindings_are_queryable_and_gc_prunes() {
         // Rebind the same name three times: two segments become
         // garbage for the checkpoint to collect.
         for seed in [1u64, 2, 3] {
-            let r = rel(seed, 5);
-            let d = &mut durable;
-            shared
-                .update_at(|catalog, generation| {
-                    let path = d.record_bind("g", &r, generation)?;
-                    catalog.attach_stored("g", path)?;
-                    Ok(())
-                })
-                .unwrap();
+            durable.bind(&shared, "g", &rel(seed, 5)).unwrap();
         }
         let outcome = durable.checkpoint().unwrap();
         assert_eq!(outcome.files_removed, 2, "two superseded segments GC'd");

@@ -8,13 +8,11 @@
 //! point, with no replicated record ever applied twice or skipped.
 //!
 //! This is the wire-free half of the replication test stack: it
-//! drives [`DurableCatalog::stream_plan`] /
-//! [`DurableCatalog::apply_replicated`] /
-//! [`DurableCatalog::install_snapshot`] and
-//! [`SharedCatalog::update_stamped`] directly, exactly the way
-//! `evirel-serve`'s replication module does. The socket framing,
-//! torn-frame, and kill-mid-apply variants live in the serve crate's
-//! `replication_faults` suite.
+//! drives [`DurableCatalog::stream_plan`] on the primary and
+//! [`DurableCatalog::apply_record`] / [`DurableCatalog::install`] on
+//! the follower — the functions `evirel-serve`'s replication module
+//! calls. The socket framing, torn-frame, and kill-mid-apply variants
+//! live in the serve crate's `replication_faults` suite.
 
 use evirel_query::{DurableCatalog, SharedCatalog, StreamPlan};
 use evirel_relation::ExtendedRelation;
@@ -112,35 +110,15 @@ impl Follower {
         Follower::open(dir)
     }
 
-    /// Apply one record the way the serve replication module does:
-    /// durable journal + fsync first, catalog publish at the
-    /// primary's generation second.
+    /// Ship the record's segment, then apply it through the write
+    /// path.
     fn apply(&mut self, primary_dir: &Path, record: &JournalRecord) {
         if let JournalRecord::Bind { file, .. } = record {
             std::fs::copy(primary_dir.join(file), self.dir.join(file)).expect("segment ships");
         }
         self.durable
-            .apply_replicated(record)
-            .expect("replicated record applies");
-        let generation = record.generation();
-        match record {
-            JournalRecord::Bind { name, file, .. } => {
-                let path = self.dir.join(file);
-                self.shared
-                    .update_stamped(generation, |catalog| {
-                        catalog.attach_stored(name.clone(), &path)
-                    })
-                    .expect("bind publishes");
-            }
-            JournalRecord::Drop { name, .. } => {
-                self.shared
-                    .update_stamped(generation, |catalog| {
-                        catalog.deregister(name);
-                        Ok(())
-                    })
-                    .expect("drop publishes");
-            }
-        }
+            .apply_record(&self.shared, record)
+            .expect("replicated record applies and publishes");
     }
 
     /// One full replication round: plan from the current cursor and
@@ -165,27 +143,9 @@ impl Follower {
                             .expect("resync segment ships");
                     }
                 }
-                let stale: Vec<String> = self
-                    .durable
-                    .entries()
-                    .map(|e| e.name.clone())
-                    .filter(|n| !entries.iter().any(|e| &e.name == n))
-                    .collect();
                 self.durable
-                    .install_snapshot(generation, entries.clone())
-                    .expect("snapshot installs");
-                self.shared
-                    .update_stamped(generation, |catalog| {
-                        for name in &stale {
-                            catalog.deregister(name);
-                        }
-                        for entry in &entries {
-                            catalog
-                                .attach_stored(entry.name.clone(), self.dir.join(&entry.file))?;
-                        }
-                        Ok(())
-                    })
-                    .expect("snapshot publishes");
+                    .install(&self.shared, generation, entries)
+                    .expect("snapshot installs and publishes");
             }
         }
     }
@@ -271,24 +231,10 @@ proptest! {
             match op {
                 Op::Bind { name, seed, tuples } => {
                     let r = rel(*seed, *tuples);
-                    let d = &mut primary;
-                    primary_shared
-                        .update_at(|catalog, generation| {
-                            let path = d.record_bind(name, &r, generation)?;
-                            catalog.attach_stored(name.clone(), path)?;
-                            Ok(())
-                        })
-                        .unwrap();
+                    primary.bind(&primary_shared, name, &r).unwrap();
                 }
                 Op::Drop { name } => {
-                    let d = &mut primary;
-                    primary_shared
-                        .update_at(|catalog, generation| {
-                            d.record_drop(name, generation)?;
-                            catalog.deregister(name);
-                            Ok(())
-                        })
-                        .unwrap();
+                    primary.unbind(&primary_shared, name).unwrap();
                 }
                 Op::Checkpoint => {
                     primary.checkpoint().unwrap();
@@ -332,15 +278,7 @@ fn checkpoint_floor_forces_resync_then_tailing_resumes() {
     let primary_shared = SharedCatalog::with_generation(recovered, 0);
 
     for (name, seed) in [("a", 1u64), ("b", 2), ("a", 3)] {
-        let r = rel(seed, 4);
-        let d = &mut primary;
-        primary_shared
-            .update_at(|catalog, generation| {
-                let path = d.record_bind(name, &r, generation)?;
-                catalog.attach_stored(name.to_owned(), path)?;
-                Ok(())
-            })
-            .unwrap();
+        primary.bind(&primary_shared, name, &rel(seed, 4)).unwrap();
     }
     primary.checkpoint().unwrap();
 
@@ -353,15 +291,7 @@ fn checkpoint_floor_forces_resync_then_tailing_resumes() {
     assert_converged(&primary, &pdir, &primary_shared, &follower);
 
     // Post-resync the follower tails.
-    let r = rel(9, 6);
-    let d = &mut primary;
-    primary_shared
-        .update_at(|catalog, generation| {
-            let path = d.record_bind("c", &r, generation)?;
-            catalog.attach_stored("c", path)?;
-            Ok(())
-        })
-        .unwrap();
+    primary.bind(&primary_shared, "c", &rel(9, 6)).unwrap();
     assert!(matches!(
         primary.stream_plan(follower.durable.committed_generation()),
         StreamPlan::Tail(_)

@@ -24,13 +24,14 @@
 //! ## The durability rule, replicated
 //!
 //! The follower applies a record with exactly the primary's
-//! discipline: journal + fsync first
-//! ([`DurableCatalog::apply_replicated`]), publish second
-//! ([`SharedCatalog::update_stamped`], at the generation the
-//! *primary* stamped). A follower therefore never serves a generation
-//! it could lose — the invariant that makes standby reads safe — and
-//! a follower killed between the two steps recovers the record from
-//! its own journal at reboot.
+//! discipline — journal + fsync first, publish second, at the
+//! generation the *primary* stamped — by calling the one write path:
+//! [`DurableCatalog::apply_record`] per `REC`,
+//! [`DurableCatalog::install`] per snapshot,
+//! [`DurableCatalog::reconcile`] before every (re)connect. A follower
+//! therefore never serves a generation it could lose — the invariant
+//! that makes standby reads safe. This module only frames, counts and
+//! heartbeats.
 //!
 //! ## Resume
 //!
@@ -51,6 +52,7 @@
 use crate::protocol::{
     read_frame_with, write_frame, Request, Response, StreamFrame, SEG_CHUNK_BYTES,
 };
+use evirel_obs::{Event, EventLog};
 use evirel_query::{DurableCatalog, SharedCatalog, StreamPlan};
 use evirel_store::{JournalRecord, ManifestEntry};
 use std::io::{self, Read, Write};
@@ -234,11 +236,29 @@ pub struct ApplyCtx<'a> {
     /// 0 until the first frame. The heartbeat-age gauge subtracts
     /// this from now.
     pub heartbeat_unix_ms: &'a AtomicU64,
+    /// Where follower failures are logged (the server's event ring):
+    /// one `replication_error` event per failed connect, stream,
+    /// apply, install or reconcile.
+    pub events: &'a EventLog,
+}
+
+impl ApplyCtx<'_> {
+    /// Log one follower failure: `stage` is the step that failed,
+    /// `generation` the one it was working toward.
+    fn failed(&self, stage: &str, generation: u64, error: &dyn std::fmt::Display) {
+        self.events.record(
+            Event::new("replication_error")
+                .field("stage", stage)
+                .field("generation", generation)
+                .field("message", error),
+        );
+    }
 }
 
 /// Apply stream frames from `r` until the stream ends, `stop` turns
 /// true, or an error. Ordinary returns (`Ok`) mean "reconnect if you
-/// still want to follow"; errors mean the same but are worth logging.
+/// still want to follow"; errors mean the same and leave one
+/// `replication_error` event in [`ApplyCtx::events`].
 ///
 /// # Errors
 /// I/O and protocol failures; a failed verification or out-of-order
@@ -246,6 +266,17 @@ pub struct ApplyCtx<'a> {
 /// half-applied (each record is atomic; a snapshot is a manifest
 /// swap).
 pub fn apply_stream(r: &mut impl Read, ctx: &ApplyCtx<'_>) -> io::Result<()> {
+    // The step in flight and the generation it works toward — what
+    // the error event reports.
+    let mut at = ("stream", lock(ctx.durable).committed_generation());
+    apply_frames(r, ctx, &mut at).inspect_err(|e| ctx.failed(at.0, at.1, e))
+}
+
+fn apply_frames(
+    r: &mut impl Read,
+    ctx: &ApplyCtx<'_>,
+    at: &mut (&'static str, u64),
+) -> io::Result<()> {
     let dir = lock(ctx.durable).dir().to_path_buf();
     let mut pending_snap: Option<(u64, Vec<ManifestEntry>)> = None;
     loop {
@@ -272,12 +303,23 @@ pub fn apply_stream(r: &mut impl Read, ctx: &ApplyCtx<'_>) -> io::Result<()> {
                 evirel_store::stage_chunk(&dir, &file, offset, &chunk, total_len)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             }
-            StreamFrame::Rec(record) => apply_record(ctx, &dir, &record)?,
+            StreamFrame::Rec(record) => {
+                let generation = record.generation();
+                *at = ("apply", generation);
+                lock(ctx.durable)
+                    .apply_record(ctx.catalog, &record)
+                    .map_err(to_io)?;
+                ctx.records_applied.fetch_add(1, Ordering::Relaxed);
+                ctx.primary_generation
+                    .fetch_max(generation, Ordering::Relaxed);
+                *at = ("stream", generation);
+            }
             StreamFrame::Snap {
                 generation,
                 entries,
             } => pending_snap = Some((generation, entries)),
             StreamFrame::SnapEnd { generation } => {
+                *at = ("install", generation);
                 let Some((announced, entries)) = pending_snap.take() else {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -290,10 +332,13 @@ pub fn apply_stream(r: &mut impl Read, ctx: &ApplyCtx<'_>) -> io::Result<()> {
                         format!("SNAPEND generation {generation} != SNAP {announced}"),
                     ));
                 }
-                install_snapshot(ctx, &dir, generation, entries)?;
+                lock(ctx.durable)
+                    .install(ctx.catalog, generation, entries)
+                    .map_err(to_io)?;
                 ctx.resyncs.fetch_add(1, Ordering::Relaxed);
                 ctx.primary_generation
                     .fetch_max(generation, Ordering::Relaxed);
+                *at = ("stream", generation);
             }
             // Heartbeat: liveness, plus the primary's committed
             // generation — what the lag gauge measures against.
@@ -305,111 +350,12 @@ pub fn apply_stream(r: &mut impl Read, ctx: &ApplyCtx<'_>) -> io::Result<()> {
     }
 }
 
-/// Apply one journal record: durable first (journal + fsync), then
-/// publish at the primary's generation.
-fn apply_record(ctx: &ApplyCtx<'_>, dir: &Path, record: &JournalRecord) -> io::Result<()> {
-    lock(ctx.durable).apply_replicated(record).map_err(to_io)?;
-    let generation = record.generation();
-    match record {
-        JournalRecord::Bind { name, file, .. } => ctx
-            .catalog
-            .update_stamped(generation, |catalog| {
-                catalog.attach_stored(name.clone(), dir.join(file))
-            })
-            .map_err(to_io)?,
-        JournalRecord::Drop { name, .. } => ctx
-            .catalog
-            .update_stamped(generation, |catalog| {
-                catalog.deregister(name);
-                Ok(())
-            })
-            .map_err(to_io)?,
-    }
-    ctx.records_applied.fetch_add(1, Ordering::Relaxed);
-    ctx.primary_generation
-        .fetch_max(generation, Ordering::Relaxed);
-    Ok(())
-}
-
 /// Wall-clock Unix milliseconds — heartbeat timestamps only, never
 /// ordering.
 fn unix_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_millis() as u64)
-}
-
-/// Install a full-state snapshot: durable manifest swap first, then
-/// one atomic catalog publish that drops vanished bindings and
-/// attaches the new set.
-fn install_snapshot(
-    ctx: &ApplyCtx<'_>,
-    dir: &Path,
-    generation: u64,
-    entries: Vec<ManifestEntry>,
-) -> io::Result<()> {
-    let stale: Vec<String> = {
-        let mut durable = lock(ctx.durable);
-        let stale = durable
-            .entries()
-            .map(|e| e.name.clone())
-            .filter(|n| !entries.iter().any(|e| &e.name == n))
-            .collect();
-        durable
-            .install_snapshot(generation, entries.clone())
-            .map_err(to_io)?;
-        stale
-    };
-    ctx.catalog
-        .update_stamped(generation, |catalog| {
-            for name in &stale {
-                catalog.deregister(name);
-            }
-            for entry in &entries {
-                catalog.attach_stored(entry.name.clone(), dir.join(&entry.file))?;
-            }
-            Ok(())
-        })
-        .map_err(to_io)?;
-    Ok(())
-}
-
-/// Self-heal a catalog/durable generation skew (a crash — or an
-/// error — between "journal applied" and "snapshot published" leaves
-/// the durable state ahead of the published one). Republishes the
-/// whole durable binding set at the committed generation; a no-op
-/// when the generations already agree.
-pub fn reconcile(ctx: &ApplyCtx<'_>) {
-    let (committed, entries, dir) = {
-        let durable = lock(ctx.durable);
-        (
-            durable.committed_generation(),
-            durable.entries().cloned().collect::<Vec<_>>(),
-            durable.dir().to_path_buf(),
-        )
-    };
-    if ctx.catalog.generation() >= committed {
-        return;
-    }
-    let durable_names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
-    let _ = ctx.catalog.update_stamped(committed, |catalog| {
-        // Drop bindings the durable state no longer has — but only
-        // names that *could* be durable (seeded in-memory bindings
-        // are not replicated and must survive).
-        let stale: Vec<String> = catalog
-            .names()
-            .iter()
-            .map(|s| (*s).to_owned())
-            .filter(|n| catalog.get_stored(n).is_some() && !durable_names.contains(n))
-            .collect();
-        for name in stale {
-            catalog.deregister(&name);
-        }
-        for entry in &entries {
-            catalog.attach_stored(entry.name.clone(), dir.join(&entry.file))?;
-        }
-        Ok(())
-    });
 }
 
 // ------------------------------------------------------- follower
@@ -470,18 +416,35 @@ pub fn follower_loop(
             reconnects.fetch_add(1, Ordering::Relaxed);
         }
         first = false;
-        // A crash (or apply error) may have left the durable state
-        // ahead of the published catalog — republish before resuming
-        // so reads catch up to everything that is already safe.
-        reconcile(ctx);
         // Resume from what is durably applied *now* — never from
         // where this loop started: an unclean primary death tears the
         // stream after records were applied, and a reborn primary
         // offered the stale session-start cursor would re-send them
-        // (rejected by apply_replicated, so the follower would loop
-        // on reconnect forever instead of converging).
-        let cursor = lock(ctx.durable).committed_generation();
-        match connect_and_follow(primary, cursor, ctx, connected, policy.poll) {
+        // (rejected by apply_record, so the follower would loop on
+        // reconnect forever instead of converging).
+        let cursor = {
+            let durable = lock(ctx.durable);
+            // A crash (or apply error) may have left the durable
+            // state ahead of the published catalog — republish before
+            // resuming so reads catch up to everything already safe.
+            if let Err(e) = durable.reconcile(ctx.catalog) {
+                ctx.failed("reconcile", durable.committed_generation(), &e);
+            }
+            durable.committed_generation()
+        };
+        // Failures past the handshake are logged by `apply_stream`.
+        let attempt = match connect(primary, cursor, ctx, policy.poll) {
+            Ok(Some(mut stream)) => {
+                connected.store(true, Ordering::SeqCst);
+                apply_stream(&mut stream, ctx).map(|()| true)
+            }
+            Ok(None) => Ok(false),
+            Err(e) => {
+                ctx.failed("connect", cursor, &e);
+                Err(e)
+            }
+        };
+        match attempt {
             Ok(handshook) => {
                 connected.store(false, Ordering::SeqCst);
                 if (ctx.stop)() {
@@ -509,16 +472,14 @@ pub fn follower_loop(
     }
 }
 
-/// One connection attempt: dial, handshake, apply until the stream
-/// ends. The bool reports whether the handshake succeeded (used to
-/// reset the failure counter).
-fn connect_and_follow(
+/// Dial `primary` and `FOLLOW` from `from`. `None` means the stop
+/// predicate fired before the handshake completed.
+fn connect(
     primary: &str,
     from: u64,
     ctx: &ApplyCtx<'_>,
-    connected: &AtomicBool,
     poll: Duration,
-) -> io::Result<bool> {
+) -> io::Result<Option<TcpStream>> {
     let mut stream = TcpStream::connect(primary)?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(poll));
@@ -534,7 +495,7 @@ fn connect_and_follow(
             }
             Err(e) if is_timeout(&e) => {
                 if (ctx.stop)() {
-                    return Ok(false);
+                    return Ok(None);
                 }
             }
             Err(e) => return Err(e),
@@ -556,8 +517,7 @@ fn connect_and_follow(
         }
         Err(m) => return Err(io::Error::new(io::ErrorKind::InvalidData, m)),
     }
-    connected.store(true, Ordering::SeqCst);
-    apply_stream(&mut stream, ctx).map(|()| true)
+    Ok(Some(stream))
 }
 
 /// Sleep `total`, in slices, bailing early when `stop` turns true.

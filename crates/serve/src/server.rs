@@ -19,11 +19,17 @@
 //! ## Concurrency contract
 //!
 //! Reads (`QUERY`/`EXPLAIN`) pin one catalog generation for their
-//! whole execution and never block writers. Writes (`MERGE`) execute
-//! their query against a pinned snapshot, then publish the result as
-//! the next generation through [`SharedCatalog::update`]; writers
-//! serialize on the swap, and a reader either sees the whole new
-//! generation or none of it. Worker panics are caught per-request
+//! whole execution; once pinned they never block writers and no
+//! writer can change what they see. Writes (`MERGE`) execute their
+//! query against a pinned snapshot, then publish the result as the
+//! next generation — durably through [`DurableCatalog::bind`], the
+//! one write path, or in memory through [`SharedCatalog::update_at`]
+//! when there is no data directory. Writers serialize on the swap,
+//! and a reader either sees the whole new generation or none of it.
+//! The pin itself waits for the catalog write guard, which a durable
+//! `MERGE` holds across its journal fsync (until the ROADMAP
+//! publish-lock item lands), so reads that arrive mid-`MERGE` start
+//! after it. Worker panics are caught per-request
 //! ([`std::panic::catch_unwind`]) and surfaced as `ERR panic` frames,
 //! so one poisoned request cannot take down a worker or the process.
 
@@ -393,14 +399,17 @@ struct Shared {
     config: ServeConfig,
     budget: SessionBudget,
     /// The write-ahead durability layer, when the server was started
-    /// with a data directory. MERGE handlers journal through it from
-    /// inside the catalog write lock, so a mutation is fsync'd before
-    /// its generation is observable; the mutex only ever contends
-    /// among writers, which the write lock already serializes.
+    /// with a data directory. MERGE handlers and the follower loop
+    /// publish through it ([`DurableCatalog::bind`] and friends), so a
+    /// mutation is fsync'd before its generation is observable; lock
+    /// order is this mutex, then the catalog write guard.
     /// Arc'd so the scrape-time durability collector can hold it
     /// without owning the whole [`Shared`] (which owns the registry —
     /// a collector capturing `Shared` would leak the server).
     durable: Option<Arc<Mutex<DurableCatalog>>>,
+    /// The data directory's path as `STATS` prints it — fixed at
+    /// startup, so reading it never waits on the `durable` mutex.
+    data_dir: Option<String>,
     /// Replication role and counters (present on every server; a
     /// plain primary just never flips out of the `primary` role).
     /// Arc'd for the same collector-capture reason as `durable`.
@@ -572,6 +581,7 @@ pub fn start_with_durability(
     let stats = ServerStats::new(&metrics);
     let serve_metrics = ServeMetrics::new(&metrics);
     let replication = Arc::new(Replication::new(config.follow.is_some()));
+    let data_dir = durable.as_ref().map(|d| d.dir().display().to_string());
     let durable = durable.map(|mut d| {
         d.set_metrics(DurableMetrics {
             journal_append: metrics.histogram(
@@ -615,6 +625,7 @@ pub fn start_with_durability(
         config: ServeConfig { workers, ..config },
         budget,
         durable,
+        data_dir,
     });
 
     let accept = {
@@ -782,6 +793,7 @@ fn run_follower(shared: &Shared, follow: &FollowConfig) {
         resyncs: &repl.resyncs,
         primary_generation: &repl.primary_generation,
         heartbeat_unix_ms: &repl.heartbeat_unix_ms,
+        events: shared.metrics.events(),
     };
     let policy = RetryPolicy {
         initial_backoff: follow.initial_backoff,
@@ -1131,30 +1143,26 @@ fn merge_response(session: &Session, shared: &Shared, name: &str, query: &str) -
     };
     let tuples = out.outcome.relation.len();
     let rel = out.outcome.relation;
-    let published = if let Some(durable) = &shared.durable {
-        // Durable path: segment write + journal fsync happen inside
-        // the update_at closure — under the catalog write lock, at
-        // the exact generation this merge will publish as — so no
-        // reader can observe a generation whose mutation is not yet
-        // on disk. The binding is then re-attached from its segment:
-        // the published catalog serves the very bytes recovery would.
-        session.update_at(|catalog, generation| {
-            let mut durable = durable.lock().unwrap_or_else(|e| e.into_inner());
-            let path = durable.record_bind(name, &rel, generation)?;
-            catalog.attach_stored(name.to_owned(), path)?;
-            Ok(())
-        })
-    } else {
-        session.update_with_generation(|catalog| {
-            catalog.register(name.to_owned(), rel);
-            Ok(())
-        })
+    let published = match &shared.durable {
+        Some(durable) => {
+            durable
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .bind(&shared.shared, name, &rel)
+        }
+        None => shared
+            .shared
+            .update_at(|catalog, _| {
+                catalog.register(name.to_owned(), rel);
+                Ok(())
+            })
+            .map(|((), generation)| generation),
     };
     match published {
         // Report the generation *this* merge published — re-reading
         // the shared counter here could already see a concurrent
         // writer's later bump.
-        Ok(((), generation)) => {
+        Ok(generation) => {
             shared.stats.merges.inc();
             Response::Ok {
                 body: format!("merged {name} tuples={tuples} generation={generation}"),
@@ -1173,23 +1181,15 @@ fn stats_response(session: &Session, shared: &Shared) -> Response {
     shared.metrics.refresh();
     let v = |name: &str| shared.metrics.value(name, &[]).unwrap_or(0);
     let snapshot = session.pin();
-    let durability = match &shared.durable {
-        Some(durable) => {
-            let dir = durable
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .dir()
-                .display()
-                .to_string();
-            format!(
-                "durability dir={dir} generation_committed={} journal_records={} \
-                 checkpoints={} bindings={}",
-                v("evirel_store_committed_generation"),
-                v("evirel_store_journal_records"),
-                v("evirel_store_checkpoints_total"),
-                v("evirel_store_bindings"),
-            )
-        }
+    let durability = match &shared.data_dir {
+        Some(dir) => format!(
+            "durability dir={dir} generation_committed={} journal_records={} \
+             checkpoints={} bindings={}",
+            v("evirel_store_committed_generation"),
+            v("evirel_store_journal_records"),
+            v("evirel_store_checkpoints_total"),
+            v("evirel_store_bindings"),
+        ),
         None => "durability off".into(),
     };
     let replication = format!(

@@ -15,10 +15,17 @@
 //!
 //! Convergence means: same committed generation, same manifest
 //! entries, same raw segment bytes as the primary.
+//!
+//! Both halves run production code: the primary's history is written
+//! by [`DurableCatalog::bind`] / [`DurableCatalog::unbind`], and the
+//! follower applies through [`apply_stream`].
 
+use evirel_obs::EventLog;
 use evirel_query::{DurableCatalog, SharedCatalog};
 use evirel_serve::replicate::{apply_stream, serve_follow, ApplyCtx, SenderCtx};
+use evirel_serve::{read_frame, write_frame, StreamFrame};
 use evirel_store::failpoint::FailpointFs;
+use evirel_store::JournalRecord;
 use evirel_workload::generator::{generate, GeneratorConfig};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -68,20 +75,16 @@ fn build_primary(dir: &Path) -> (Mutex<DurableCatalog>, SharedCatalog) {
         ("rb", 5, 2),
     ] {
         let r = rel(seed, tuples);
-        shared
-            .update_at(|catalog, generation| {
-                let path = durable.lock().unwrap().record_bind(name, &r, generation)?;
-                catalog.attach_stored(name.to_owned(), path)?;
-                Ok(())
-            })
+        durable
+            .lock()
+            .unwrap()
+            .bind(&shared, name, &r)
             .expect("primary bind");
     }
-    shared
-        .update_at(|catalog, generation| {
-            durable.lock().unwrap().record_drop("rc", generation)?;
-            catalog.deregister("rc");
-            Ok(())
-        })
+    durable
+        .lock()
+        .unwrap()
+        .unbind(&shared, "rc")
         .expect("primary drop");
     (durable, shared)
 }
@@ -154,6 +157,7 @@ struct Follower {
     resyncs: AtomicU64,
     primary_generation: AtomicU64,
     heartbeat_unix_ms: AtomicU64,
+    events: EventLog,
 }
 
 impl Follower {
@@ -168,6 +172,7 @@ impl Follower {
             resyncs: AtomicU64::new(0),
             primary_generation: AtomicU64::new(0),
             heartbeat_unix_ms: AtomicU64::new(0),
+            events: EventLog::default(),
         }
     }
 
@@ -188,6 +193,7 @@ impl Follower {
             resyncs: &self.resyncs,
             primary_generation: &self.primary_generation,
             heartbeat_unix_ms: &self.heartbeat_unix_ms,
+            events: &self.events,
         };
         let mut r = stream;
         apply_stream(&mut r, &ctx)
@@ -377,5 +383,48 @@ fn resync_stream_survives_the_same_fault_matrix() {
         assert_converged(&durable, &pdir, &follower);
         std::fs::remove_dir_all(&fdir).ok();
     }
+    std::fs::remove_dir_all(&pdir).ok();
+}
+
+#[test]
+fn record_failing_verification_logs_one_event_and_publishes_nothing() {
+    let pdir = fresh_dir("verify-p");
+    let (durable, shared) = build_primary(&pdir);
+    let full = capture(&durable, &shared, 0);
+
+    // Re-frame the stream with one bit of every bind's checksum
+    // flipped: the segments arrive intact but no longer verify, so
+    // the apply dies at the first record.
+    let mut tampered = Vec::new();
+    let mut frames = &full[..];
+    while let Some(payload) = read_frame(&mut frames).expect("captured stream re-reads") {
+        let mut frame = StreamFrame::parse(&payload).expect("captured frame parses");
+        if let StreamFrame::Rec(JournalRecord::Bind { checksum, .. }) = &mut frame {
+            *checksum ^= 1;
+        }
+        write_frame(&mut tampered, &frame.encode()).expect("re-frame");
+    }
+
+    let follower = Follower::open(fresh_dir("verify-f"));
+    let err = follower
+        .apply(&tampered)
+        .expect_err("a record whose segment fails verification must not apply");
+    assert_eq!(follower.shared.generation(), 0, "nothing was published");
+    assert_eq!(follower.committed(), 0, "nothing was journaled");
+    let events = follower.events.snapshot();
+    assert_eq!(events.len(), 1, "exactly one event: {events:?}");
+    assert_eq!(events[0].kind, "replication_error");
+    let fields = [
+        ("stage", "apply".to_owned()),
+        ("generation", "1".to_owned()),
+        ("message", err.to_string()),
+    ]
+    .map(|(k, v)| (k.to_owned(), v));
+    assert_eq!(events[0].fields, fields);
+
+    // The failure is not sticky: the intact stream converges.
+    follower.apply(&full).expect("intact stream applies");
+    assert_converged(&durable, &pdir, &follower);
+    std::fs::remove_dir_all(&follower.dir).ok();
     std::fs::remove_dir_all(&pdir).ok();
 }

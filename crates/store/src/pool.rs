@@ -37,16 +37,24 @@ const BUFFER_BYTES: EnvKnob = EnvKnob {
     default: DEFAULT_BUFFER_BYTES,
 };
 
-/// Environment variable that, when set to anything non-empty other
-/// than `0`, makes the pool re-verify page checksums on every cache
-/// *hit* (misses always verify on the disk read). CI runs the store
-/// suites with this forced on; production leaves it off because a
-/// page in cache was already verified when it was read.
+/// Environment variable that, set to `1`, makes the pool re-verify
+/// page checksums on every cache *hit* (misses always verify on the
+/// disk read). CI runs the store suites with this forced on;
+/// production leaves it off because a page in cache was already
+/// verified when it was read.
 pub const PARANOID_ENV: &str = "EVIREL_PARANOID_CHECKSUMS";
 
+/// `0` (the default) or `1`; anything else is rejected loudly, see
+/// [`EnvKnob::get`].
+const PARANOID: EnvKnob = EnvKnob {
+    var: PARANOID_ENV,
+    range: 0..=1,
+    default: 0,
+};
+
 fn paranoid_checksums() -> bool {
-    static PARANOID: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PARANOID.get_or_init(|| std::env::var(PARANOID_ENV).is_ok_and(|v| !v.is_empty() && v != "0"))
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| PARANOID.get() == 1)
 }
 
 type PageKey = (u64, u64);
@@ -381,6 +389,12 @@ mod tests {
         assert_eq!(BUFFER_BYTES.parse(" 1 "), Some(1));
         for invalid in ["", "0", "-4096", "64MiB", "1e6", "lots"] {
             assert_eq!(BUFFER_BYTES.parse(invalid), None, "{invalid:?}");
+        }
+        // The boolean knobs share the policy: 0 or 1, nothing else.
+        assert_eq!(PARANOID.parse("0"), Some(0));
+        assert_eq!(PARANOID.parse(" 1 "), Some(1));
+        for invalid in ["", "2", "-1", "yes", "off", "true", "1.0"] {
+            assert_eq!(PARANOID.parse(invalid), None, "{invalid:?}");
         }
     }
 }

@@ -553,7 +553,7 @@ impl Segment {
     /// Verify `bytes` against page `page`'s recorded length and (for
     /// v3 segments) checksum. The read path calls this on every disk
     /// read; the buffer pool re-calls it on cache hits when
-    /// `EVIREL_PARANOID_CHECKSUMS` is set.
+    /// `EVIREL_PARANOID_CHECKSUMS=1`.
     ///
     /// # Errors
     /// [`StoreError::Corrupt`] on any mismatch.
