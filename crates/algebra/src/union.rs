@@ -21,7 +21,7 @@ use crate::conflict::{AttributeConflict, ConflictPolicy, ConflictReport};
 use crate::error::AlgebraError;
 use evirel_evidence::{rules::CombinationRule, EvidenceError, MassFunction};
 use evirel_relation::{
-    AttrType, AttrValue, ExtendedRelation, RelationError, SupportPair, Tuple, Value,
+    AttrDomain, AttrType, AttrValue, ExtendedRelation, RelationError, SupportPair, Tuple, Value,
 };
 use std::sync::Arc;
 
@@ -174,106 +174,136 @@ pub fn merge_tuples_with(
                 if lv == rv {
                     values.push(lv.clone());
                 } else {
-                    report.record(AttributeConflict {
-                        key: key.to_vec(),
-                        attr: attr.name().to_owned(),
-                        kappa: 1.0,
-                        total: true,
-                    });
-                    match options.on_total_conflict {
-                        ConflictPolicy::Error => {
-                            return Err(AlgebraError::TotalConflict {
-                                key: Value::render_key(key),
-                                attr: attr.name().to_owned(),
-                            })
-                        }
-                        ConflictPolicy::KeepLeft => values.push(lv.clone()),
-                        ConflictPolicy::KeepRight => values.push(rv.clone()),
+                    total_conflict(key, attr.name(), options.on_total_conflict, report)?;
+                    values.push(match options.on_total_conflict {
+                        ConflictPolicy::KeepRight => rv.clone(),
                         // There is no vacuous definite value; keep left
                         // (documented behaviour for definite attrs).
-                        ConflictPolicy::Vacuous => values.push(lv.clone()),
-                    }
+                        _ => lv.clone(),
+                    });
                 }
             }
-            AttrType::Evidential(domain) => {
-                let lm = lv.to_evidence(domain)?;
-                let rm = rv.to_evidence(domain)?;
-                let combined = options.rule.combine_reporting_with(&lm, &rm, scratch);
-                match combined {
-                    Ok((mass, kappa)) => {
-                        if kappa > 0.0 {
-                            report.record(AttributeConflict {
-                                key: key.to_vec(),
-                                attr: attr.name().to_owned(),
-                                kappa,
-                                total: false,
-                            });
-                        }
-                        let mass = match options.max_focal {
-                            Some(k) => evirel_evidence::approx::summarize(&mass, k)
-                                .map_err(RelationError::from)?,
-                            None => mass,
-                        };
-                        values.push(AttrValue::Evidential(mass));
-                    }
-                    Err(EvidenceError::TotalConflict) => {
-                        report.record(AttributeConflict {
-                            key: key.to_vec(),
-                            attr: attr.name().to_owned(),
-                            kappa: 1.0,
-                            total: true,
-                        });
-                        match options.on_total_conflict {
-                            ConflictPolicy::Error => {
-                                return Err(AlgebraError::TotalConflict {
-                                    key: Value::render_key(key),
-                                    attr: attr.name().to_owned(),
-                                })
-                            }
-                            ConflictPolicy::KeepLeft => values.push(AttrValue::Evidential(lm)),
-                            ConflictPolicy::KeepRight => values.push(AttrValue::Evidential(rm)),
-                            ConflictPolicy::Vacuous => values.push(AttrValue::Evidential(
-                                MassFunction::vacuous(Arc::clone(domain.frame()))
-                                    .map_err(RelationError::from)?,
-                            )),
-                        }
-                    }
-                    Err(e) => return Err(AlgebraError::Evidence(e)),
-                }
-            }
+            AttrType::Evidential(domain) => values.push(combine_evidence(
+                attr.name(),
+                domain,
+                key,
+                lv,
+                rv,
+                options,
+                report,
+                scratch,
+            )?),
         }
     }
+    match combine_membership(key, l, r, options.on_total_conflict, report)? {
+        Some(membership) => Ok(Some(Tuple::new(schema, values, membership)?)),
+        None => Ok(None),
+    }
+}
 
-    // Membership: the paper's F — Dempster over Ψ.
+/// Record a total conflict (κ = 1) on `attr`; an error under
+/// [`ConflictPolicy::Error`], else the caller resolves it by `policy`.
+fn total_conflict(
+    key: &[Value],
+    attr: &str,
+    policy: ConflictPolicy,
+    report: &mut ConflictReport,
+) -> Result<(), AlgebraError> {
+    report.record(AttributeConflict {
+        key: key.to_vec(),
+        attr: attr.to_owned(),
+        kappa: 1.0,
+        total: true,
+    });
+    match policy {
+        ConflictPolicy::Error => Err(AlgebraError::TotalConflict {
+            key: Value::render_key(key),
+            attr: attr.to_owned(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// The per-pair kernel's evidential step — one implementation for ∪̃
+/// and the integration pipeline's registry merge: combine attribute
+/// `attr`'s two values under `options.rule`, record κ > 0 in `report`,
+/// and resolve a total conflict by `options.on_total_conflict`.
+///
+/// # Errors
+/// [`AlgebraError::TotalConflict`] under [`ConflictPolicy::Error`];
+/// values that are not evidence over `domain`.
+#[allow(clippy::too_many_arguments)]
+pub fn combine_evidence(
+    attr: &str,
+    domain: &Arc<AttrDomain>,
+    key: &[Value],
+    lv: &AttrValue,
+    rv: &AttrValue,
+    options: &UnionOptions,
+    report: &mut ConflictReport,
+    scratch: &mut MergeScratch,
+) -> Result<AttrValue, AlgebraError> {
+    let lm = lv.to_evidence(domain)?;
+    let rm = rv.to_evidence(domain)?;
+    let mass = match options.rule.combine_reporting_with(&lm, &rm, scratch) {
+        Ok((mass, kappa)) => {
+            if kappa > 0.0 {
+                report.record(AttributeConflict {
+                    key: key.to_vec(),
+                    attr: attr.to_owned(),
+                    kappa,
+                    total: false,
+                });
+            }
+            match options.max_focal {
+                Some(k) => {
+                    evirel_evidence::approx::summarize(&mass, k).map_err(RelationError::from)?
+                }
+                None => mass,
+            }
+        }
+        Err(EvidenceError::TotalConflict) => {
+            total_conflict(key, attr, options.on_total_conflict, report)?;
+            match options.on_total_conflict {
+                ConflictPolicy::KeepRight => rm,
+                ConflictPolicy::Vacuous => MassFunction::vacuous(Arc::clone(domain.frame()))
+                    .map_err(RelationError::from)?,
+                _ => lm,
+            }
+        }
+        Err(e) => return Err(AlgebraError::Evidence(e)),
+    };
+    Ok(AttrValue::Evidential(mass))
+}
+
+/// The per-pair kernel's membership step, shared like
+/// [`combine_evidence`]: the paper's `F` (Dempster over Ψ) on the two
+/// `(sn, sp)` pairs, a total conflict resolved by `policy`, and
+/// `None` when the result has `sn = 0` — under CWA_ER the merged tuple
+/// is then not stored.
+///
+/// # Errors
+/// [`AlgebraError::TotalConflict`] under [`ConflictPolicy::Error`].
+pub fn combine_membership(
+    key: &[Value],
+    l: &Tuple,
+    r: &Tuple,
+    policy: ConflictPolicy,
+    report: &mut ConflictReport,
+) -> Result<Option<SupportPair>, AlgebraError> {
     let membership = match l.membership().combine_dempster(&r.membership()) {
         Ok(m) => m,
         Err(RelationError::Evidence(EvidenceError::TotalConflict)) => {
-            report.record(AttributeConflict {
-                key: key.to_vec(),
-                attr: "(sn,sp)".to_owned(),
-                kappa: 1.0,
-                total: true,
-            });
-            match options.on_total_conflict {
-                ConflictPolicy::Error => {
-                    return Err(AlgebraError::TotalConflict {
-                        key: Value::render_key(key),
-                        attr: "(sn,sp)".to_owned(),
-                    })
-                }
-                ConflictPolicy::KeepLeft => l.membership(),
+            total_conflict(key, "(sn,sp)", policy, report)?;
+            match policy {
                 ConflictPolicy::KeepRight => r.membership(),
                 ConflictPolicy::Vacuous => SupportPair::unknown(),
+                _ => l.membership(),
             }
         }
         Err(e) => return Err(AlgebraError::Relation(e)),
     };
-
-    if !membership.is_positive() {
-        // CWA_ER: the merged tuple has no necessary support — not stored.
-        return Ok(None);
-    }
-    Ok(Some(Tuple::new(schema, values, membership)?))
+    Ok(membership.is_positive().then_some(membership))
 }
 
 #[cfg(test)]

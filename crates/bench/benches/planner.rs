@@ -1,5 +1,5 @@
-//! Planner benchmark: cost-based join ordering vs the left-deep
-//! rule-based order on a skewed 3-way ⋈̃ chain.
+//! Planner benchmark: cost-based join ordering on a skewed 3-way ⋈̃
+//! chain.
 //!
 //! The chain is `A ⋈ B ON A.x = B.x ⋈ C ON B.y = C.y` with the skew
 //! arranged so the orders diverge hard: `x` is drawn from a 4-value
@@ -7,18 +7,19 @@
 //! while `y` is unique per B tuple and C is a handful of tuples — so
 //! exploring from C touches a few hundred combinations where the
 //! left-deep order materializes hundreds of thousands of intermediate
-//! pairs. With statistics on, the chain operator starts from C
-//! (cheapest, connected); under `EVIREL_NO_STATS=1` the same plan
-//! lowers left-deep. The acceptance bar is cost-ordered ≥ 2× faster
-//! at the measured sizes; results are asserted **bit-identical**
-//! (tuples, insertion order, membership bits) before timing, at 1 and
-//! 4 threads.
+//! pairs. The chain operator starts from C (cheapest, connected).
+//! Before timing, results are asserted **bit-identical** (tuples,
+//! insertion order, membership bits) at 1 and 4 threads and, at the
+//! sizes where materializing A×B is affordable, against the left-deep
+//! `plan::reference` oracle. (The timed left-deep row is retired with
+//! the statistics-off switch that produced it.)
 //!
 //! Reference numbers live in `crates/bench/BASELINES.md`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
-use evirel_plan::{execute_plan, scan, Bindings, ExecContext, LogicalPlan, NO_STATS_ENV};
+use evirel_plan::reference::execute_reference;
+use evirel_plan::{execute_plan, scan, Bindings, ExecContext, LogicalPlan};
 use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, ValueKind};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -104,15 +105,6 @@ fn run(bindings: &Bindings, plan: &LogicalPlan, threads: usize) -> ExtendedRelat
     execute_plan(plan, bindings, &mut ctx).expect("plan executes")
 }
 
-/// Run with statistics force-disabled — the left-deep rule-based
-/// order, exactly what the CI `EVIREL_NO_STATS=1` mode executes.
-fn run_no_stats(bindings: &Bindings, plan: &LogicalPlan, threads: usize) -> ExtendedRelation {
-    std::env::set_var(NO_STATS_ENV, "1");
-    let out = run(bindings, plan, threads);
-    std::env::remove_var(NO_STATS_ENV);
-    out
-}
-
 fn assert_identical(a: &ExtendedRelation, b: &ExtendedRelation) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b.iter()) {
@@ -130,21 +122,21 @@ fn bench_planner(c: &mut Criterion) {
     for &big in sizes {
         let bindings = bindings(big, 6);
         let plan = chain_plan();
-        // Sanity before timing: both orders must agree bit for bit at
-        // 1 and 4 threads (the acceptance identity), and the output
-        // must be non-trivial.
+        // Sanity before timing: 1 and 4 threads agree bit for bit,
+        // the output is non-trivial, and it is the left-deep oracle's
+        // (which materializes all of A×B, so only the small sizes).
         let cost_ordered = run(&bindings, &plan, 1);
         assert!(!cost_ordered.is_empty(), "skew produced an empty join");
-        assert_identical(&cost_ordered, &run_no_stats(&bindings, &plan, 1));
         assert_identical(&cost_ordered, &run(&bindings, &plan, 4));
-        assert_identical(&cost_ordered, &run_no_stats(&bindings, &plan, 4));
+        if big <= 500 {
+            let (left_deep, _) = execute_reference(&plan, &bindings, &Default::default())
+                .expect("reference executes");
+            assert_identical(&cost_ordered, &left_deep);
+        }
 
         group.throughput(Throughput::Elements(2 * big as u64 + 6));
         group.bench_with_input(BenchmarkId::new("cost-ordered", big), &big, |bench, _| {
             bench.iter(|| run(black_box(&bindings), black_box(&plan), 1))
-        });
-        group.bench_with_input(BenchmarkId::new("left-deep", big), &big, |bench, _| {
-            bench.iter(|| run_no_stats(black_box(&bindings), black_box(&plan), 1));
         });
     }
     group.finish();

@@ -48,9 +48,7 @@ pub mod schema_map;
 pub use domain_map::{DomainMapping, MappedValue};
 pub use entity_id::{EntityMatcher, KeyMatcher, MatchOutcome, NormalizedKeyMatcher};
 pub use error::IntegrateError;
-pub use merge::{
-    merge_relations, merge_relations_sharded, merge_relations_shared, merge_stored, MergeOutcome,
-};
+pub use merge::{merge_relations, MergeOutcome};
 pub use methods::{IntegrationMethod, MethodRegistry};
 pub use pipeline::{IntegrationOutcome, Integrator, StageTrace};
 pub use preprocess::Preprocessor;

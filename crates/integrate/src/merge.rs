@@ -7,35 +7,27 @@
 //! evidential combination, Dayal aggregates, and trust policies
 //! coexist — the §1.3 coexistence claim, executable.
 //!
-//! Execution runs through `evirel-plan`'s streaming [`MergeOp`]: the
-//! right relation is key-indexed once, the left relation streams
-//! through, and `RegistryMerger` plugs the per-attribute method
-//! dispatch into the same operator that serves the algebra's ∪̃ — so
-//! the Figure 1 merge stage and EQL's `UNION` share one executor.
-//! With `EVIREL_THREADS` > 1 (the [`ExecContext`] parallelism
-//! default) and inputs large enough to amortize partitioning, the
-//! merge runs through the plan layer's exchange operator instead: N
-//! hash-sharded `MergeOp`s on worker threads, re-merged
-//! deterministically — matched pairs route both sides by the
-//! *canonical* (left) key, so matcher-paired tuples with unequal keys
-//! still land in the same shard.
+//! Execution is `evirel-plan`'s [`execute_merge`]: the Figure 1 merge
+//! stage is lowered exactly like EQL's `UNION` — one streaming merge
+//! operator (right side key-indexed once, left side streamed), N
+//! hash-sharded copies under an exchange when the thread budget and
+//! the pairing's size warrant it, spill scans for stored inputs — with
+//! `RegistryMerger` plugged in where ∪̃ uses Dempster's rule on
+//! everything. The evidential and membership steps of the per-pair
+//! kernel are the algebra's own ([`combine_evidence`],
+//! [`combine_membership`]).
 
 use crate::entity_id::MatchOutcome;
 use crate::error::IntegrateError;
 use crate::methods::{IntegrationMethod, MethodRegistry};
-use evirel_algebra::partition::Partitioner;
-use evirel_algebra::{AttributeConflict, ConflictPolicy, ConflictReport};
-use evirel_evidence::{rules::CombinationRule, EvidenceError, MassFunction};
+use evirel_algebra::union::{combine_evidence, combine_membership, UnionOptions};
+use evirel_algebra::{AlgebraError, ConflictReport};
+use evirel_evidence::rules::CombinationRule;
 use evirel_plan::{
-    compute_slots, rank_keys, ExchangeOp, ExecContext, MergeOp, MergePairing, Operator, OrderMap,
-    PlanError, ScanOp, ShardScanOp, TupleMerger,
+    execute_merge, BoundRelation, ExecContext, MergePairing, PlanError, TupleMerger,
 };
-use evirel_relation::{AttrType, AttrValue, ExtendedRelation, Schema, SupportPair, Tuple, Value};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Below this many tuples per worker the sequential merge wins.
-const MIN_TUPLES_PER_THREAD: usize = 64;
+use evirel_relation::{AttrDef, AttrType, AttrValue, ExtendedRelation, Schema, Tuple, Value};
+use std::collections::{HashMap, HashSet};
 
 /// The result of tuple merging.
 #[derive(Debug, Clone)]
@@ -46,65 +38,25 @@ pub struct MergeOutcome {
     pub report: ConflictReport,
 }
 
-/// Merge two preprocessed relations according to `matching` and
-/// `registry`.
+/// Merge two preprocessed relations — in memory or stored — according
+/// to `matching` and `registry`, on up to `threads` worker threads.
+/// The result, its tuple order and the conflict report are the same
+/// bit for bit at every thread count and for stored and in-memory
+/// copies of the same inputs.
+///
+/// Matcher validation needs key membership for both sides; a stored
+/// side pays one extra streaming pass for it (keys only are retained).
 ///
 /// # Errors
 /// * [`IntegrateError::Relation`] for union-incompatible schemas;
 /// * [`IntegrateError::MethodMismatch`] from registry validation;
+/// * [`IntegrateError::BadMatch`] for an inconsistent matching, or a
+///   storage failure while scanning a segment;
 /// * [`IntegrateError::Algebra`] wrapping a total conflict under
-///   [`ConflictPolicy::Error`].
+///   [`evirel_algebra::ConflictPolicy::Error`].
 pub fn merge_relations(
-    left: &ExtendedRelation,
-    right: &ExtendedRelation,
-    matching: &MatchOutcome,
-    registry: &MethodRegistry,
-) -> Result<MergeOutcome, IntegrateError> {
-    // The per-Arc shallow clone here only bumps tuple refcounts and
-    // rebuilds the key index; the pipeline avoids even that via
-    // [`merge_relations_shared`].
-    merge_relations_shared(
-        Arc::new(left.clone()),
-        Arc::new(right.clone()),
-        matching,
-        registry,
-    )
-}
-
-/// [`merge_relations`] over shared handles — the zero-copy entry
-/// point the pipeline uses (scan operators stream the relations
-/// without cloning them). Runs with [`evirel_plan::default_parallelism`]
-/// worker threads (the `EVIREL_THREADS` environment variable, else
-/// sequential).
-///
-/// # Errors
-/// As [`merge_relations`].
-pub fn merge_relations_shared(
-    left: Arc<ExtendedRelation>,
-    right: Arc<ExtendedRelation>,
-    matching: &MatchOutcome,
-    registry: &MethodRegistry,
-) -> Result<MergeOutcome, IntegrateError> {
-    merge_relations_sharded(
-        left,
-        right,
-        matching,
-        registry,
-        evirel_plan::default_parallelism(),
-    )
-}
-
-/// [`merge_relations_shared`] with an explicit thread budget: the
-/// merge stage runs through the plan layer's exchange operator when
-/// `threads > 1` and the inputs are large enough to amortize
-/// partitioning, and is guaranteed to produce the sequential result
-/// bit for bit either way.
-///
-/// # Errors
-/// As [`merge_relations`].
-pub fn merge_relations_sharded(
-    left: Arc<ExtendedRelation>,
-    right: Arc<ExtendedRelation>,
+    left: &BoundRelation,
+    right: &BoundRelation,
     matching: &MatchOutcome,
     registry: &MethodRegistry,
     threads: usize,
@@ -114,75 +66,35 @@ pub fn merge_relations_sharded(
         .check_union_compatible(right.schema())
         .map_err(IntegrateError::Relation)?;
     registry.validate(schema)?;
-    let pairing = validated_pairing(matching, &|k| left.contains_key(k), &|k| {
-        right.contains_key(k)
-    })?;
-
-    let name = format!("{}⊎{}", schema.name(), right.schema().name());
-    let mut ctx = ExecContext::new();
-    ctx.parallelism = 1; // the thread budget is spent here, not below
-    let left_name = schema.name().to_owned();
-    let right_name = right.schema().name().to_owned();
-    let threads = threads.max(1);
-    let relation = if threads > 1 && left.len() + right.len() >= threads * MIN_TUPLES_PER_THREAD {
-        // Parallel merge stage: N hash-sharded MergeOps under an
-        // exchange. Right tuples route (and order-rank) under their
-        // canonical left key so matched pairs share a shard.
-        let canonical: HashMap<Vec<Value>, Vec<Value>> = pairing
-            .matched
-            .iter()
-            .map(|(lk, rk)| (rk.clone(), lk.clone()))
-            .collect();
-        let mut order = OrderMap::new();
-        rank_keys(&mut order, &left, None);
-        rank_keys(&mut order, &right, Some(&canonical));
-        let partitioner = Partitioner::new(threads);
-        // One slot table per relation and one shared pairing handle —
-        // the shards clone nothing proportional to the input.
-        let left_slots = compute_slots(&left, partitioner, None);
-        let right_slots = compute_slots(&right, partitioner, Some(&canonical));
-        let pairing = Arc::new(pairing);
-        let shards = (0..threads)
-            .map(|shard| {
-                MergeOp::with_shared_pairing(
-                    Box::new(ShardScanOp::with_slots(
-                        left_name.clone(),
-                        Arc::clone(&left),
-                        partitioner,
-                        shard,
-                        Arc::clone(&left_slots),
-                    )),
-                    Box::new(ShardScanOp::with_slots(
-                        right_name.clone(),
-                        Arc::clone(&right),
-                        partitioner,
-                        shard,
-                        Arc::clone(&right_slots),
-                    )),
-                    Box::new(RegistryMerger::new(registry.clone())),
-                    Arc::clone(&pairing),
-                    name.clone(),
-                )
-                .map(|op| Box::new(op) as Box<dyn Operator>)
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(from_plan_error)?;
-        let mut op = ExchangeOp::new(shards, order).map_err(from_plan_error)?;
-        evirel_plan::run(&mut op, &mut ctx).map_err(from_plan_error)?
-    } else {
-        let mut op = MergeOp::with_pairing(
-            Box::new(ScanOp::new(left_name, left)),
-            Box::new(ScanOp::new(right_name, right)),
-            Box::new(RegistryMerger::new(registry.clone())),
-            pairing,
-            name,
-        )
-        .map_err(from_plan_error)?;
-        evirel_plan::run(&mut op, &mut ctx).map_err(from_plan_error)?
-    };
+    let pairing = validated_pairing(matching, &*key_probe(left)?, &*key_probe(right)?)?;
+    let mut ctx = ExecContext::with_parallelism(threads);
+    let merger = || Box::new(RegistryMerger::new(registry.clone())) as Box<dyn TupleMerger>;
+    let relation =
+        execute_merge(left, right, pairing, &merger, &mut ctx).map_err(from_plan_error)?;
     Ok(MergeOutcome {
         relation,
         report: ctx.conflict_report(),
+    })
+}
+
+/// "Does this side hold `key`?"
+type KeyProbe<'a> = Box<dyn Fn(&[Value]) -> bool + 'a>;
+
+/// The relation's own index in memory; one streaming pass collecting
+/// the key set for a stored side.
+fn key_probe(side: &BoundRelation) -> Result<KeyProbe<'_>, IntegrateError> {
+    Ok(match side {
+        BoundRelation::Memory(rel) => Box::new(|key| rel.contains_key(key)),
+        BoundRelation::Stored(stored) => {
+            let mut keys = HashSet::with_capacity(stored.len());
+            for tuple in stored.iter() {
+                let tuple = tuple.map_err(|e| IntegrateError::BadMatch {
+                    reason: format!("stored scan failed: {e}"),
+                })?;
+                keys.insert(tuple.key(stored.schema()));
+            }
+            Box::new(move |key| keys.contains(key))
+        }
     })
 }
 
@@ -192,7 +104,7 @@ pub fn merge_relations_sharded(
 /// key may be claimed at most once across `matched` and the `*_only`
 /// lists of its side (the old materializing merger made such mistakes
 /// loud via duplicate-key insert failures or silently produced extra
-/// rows). Shared by the in-memory and stored merge entry points.
+/// rows).
 fn validated_pairing(
     matching: &MatchOutcome,
     left_has: &dyn Fn(&[Value]) -> bool,
@@ -208,8 +120,8 @@ fn validated_pairing(
                 })
             }
         };
-    let mut matched = std::collections::HashMap::with_capacity(matching.matched.len());
-    let mut matched_right = std::collections::HashSet::with_capacity(matching.matched.len());
+    let mut matched = HashMap::with_capacity(matching.matched.len());
+    let mut matched_right = HashSet::with_capacity(matching.matched.len());
     for (lk, rk) in &matching.matched {
         require(left_has, lk, "left")?;
         require(right_has, rk, "right")?;
@@ -253,80 +165,6 @@ fn validated_pairing(
     })
 }
 
-/// Merge two *stored* relations directly from their on-disk segments:
-/// both sides stream through the plan layer's spill scan (one decoded
-/// page in memory at a time), the right side's key index is built
-/// from its segment in one pass, and the registry merger dispatches
-/// per attribute exactly as in [`merge_relations`]. The result and
-/// conflict report are identical to materializing both relations and
-/// merging in memory — proptest-checked in the merge tests.
-///
-/// Cost note: matcher validation needs key membership for both
-/// sides, which costs one extra streaming decode pass per segment up
-/// front (keys only are retained) before the merge's own pass. A
-/// segment-resident key directory would remove it — named as a next
-/// step on the ROADMAP storage item.
-///
-/// # Errors
-/// As [`merge_relations`], plus storage-engine failures while
-/// scanning the segments.
-pub fn merge_stored(
-    left: &Arc<evirel_plan::StoredRelation>,
-    right: &Arc<evirel_plan::StoredRelation>,
-    matching: &MatchOutcome,
-    registry: &MethodRegistry,
-) -> Result<MergeOutcome, IntegrateError> {
-    let schema = left.schema();
-    schema
-        .check_union_compatible(right.schema())
-        .map_err(IntegrateError::Relation)?;
-    registry.validate(schema)?;
-    // Key-membership for matcher validation: one streaming pass per
-    // side (keys only are retained, never the tuples).
-    let collect = |side: &Arc<evirel_plan::StoredRelation>| -> Result<
-        std::collections::HashSet<Vec<Value>>,
-        IntegrateError,
-    > {
-        let schema = Arc::clone(side.schema());
-        let mut keys = std::collections::HashSet::with_capacity(side.len());
-        for tuple in side.iter() {
-            let tuple = tuple.map_err(|e| IntegrateError::BadMatch {
-                reason: format!("stored scan failed: {e}"),
-            })?;
-            keys.insert(tuple.key(&schema));
-        }
-        Ok(keys)
-    };
-    let left_keys = collect(left)?;
-    let right_keys = collect(right)?;
-    let pairing = validated_pairing(matching, &|k| left_keys.contains(k), &|k| {
-        right_keys.contains(k)
-    })?;
-
-    let name = format!("{}⊎{}", schema.name(), right.schema().name());
-    let mut ctx = ExecContext::new();
-    ctx.parallelism = 1;
-    let mut op = MergeOp::with_pairing(
-        Box::new(evirel_plan::SpillScanOp::new(
-            schema.name().to_owned(),
-            Arc::clone(left),
-        )),
-        Box::new(evirel_plan::SpillScanOp::new(
-            right.schema().name().to_owned(),
-            Arc::clone(right),
-        )),
-        Box::new(RegistryMerger::new(registry.clone())),
-        pairing,
-        name,
-    )
-    .map_err(from_plan_error)?;
-    let relation = evirel_plan::run(&mut op, &mut ctx).map_err(from_plan_error)?;
-    Ok(MergeOutcome {
-        relation,
-        report: ctx.conflict_report(),
-    })
-}
-
 /// [`TupleMerger`] adapter: per-attribute method dispatch through the
 /// [`MethodRegistry`], riding the plan layer's streaming merge
 /// operator.
@@ -351,20 +189,72 @@ impl TupleMerger for RegistryMerger {
         &mut self,
         schema: &Schema,
         key: &[Value],
-        left: &Tuple,
-        right: &Tuple,
+        l: &Tuple,
+        r: &Tuple,
         report: &mut ConflictReport,
     ) -> Result<Option<Tuple>, PlanError> {
-        merge_pair(
-            schema,
-            key,
-            left,
-            right,
-            &self.registry,
-            report,
-            &mut self.scratch,
-        )
-        .map_err(to_plan_error)
+        let registry = &self.registry;
+        let scratch = &mut self.scratch;
+        let mismatch = |attr: &AttrDef, reason: String| PlanError::Merge {
+            attr: attr.name().to_owned(),
+            reason,
+        };
+        let mut evidential = |attr: &AttrDef, lv, rv, rule, report: &mut ConflictReport| {
+            let AttrType::Evidential(domain) = attr.ty() else {
+                return Err(mismatch(
+                    attr,
+                    "evidential merge needs an evidential attribute".to_owned(),
+                ));
+            };
+            let options = UnionOptions {
+                on_total_conflict: registry.on_total_conflict,
+                rule,
+                max_focal: None,
+            };
+            Ok(combine_evidence(
+                attr.name(),
+                domain,
+                key,
+                lv,
+                rv,
+                &options,
+                report,
+                scratch,
+            )?)
+        };
+        let mut values = Vec::with_capacity(schema.arity());
+        for (pos, attr) in schema.attrs().iter().enumerate() {
+            let lv = l.value(pos);
+            let rv = r.value(pos);
+            if attr.is_key() {
+                // Left key is canonical (matchers may pair unequal keys).
+                values.push(lv.clone());
+                continue;
+            }
+            values.push(match registry.method_for_attr(attr) {
+                IntegrationMethod::KeepLeft => lv.clone(),
+                IntegrationMethod::KeepRight => rv.clone(),
+                IntegrationMethod::Aggregate(f) => {
+                    let (Some(a), Some(b)) = (lv.as_definite(), rv.as_definite()) else {
+                        return Err(mismatch(
+                            attr,
+                            "aggregate method requires definite values".to_owned(),
+                        ));
+                    };
+                    AttrValue::Definite(f.resolve_values(a, b).ok_or_else(|| {
+                        mismatch(attr, format!("aggregate {f} cannot resolve {a} and {b}"))
+                    })?)
+                }
+                IntegrationMethod::Evidential => {
+                    evidential(attr, lv, rv, CombinationRule::Dempster, report)?
+                }
+                IntegrationMethod::EvidentialWith(rule) => evidential(attr, lv, rv, rule, report)?,
+            });
+        }
+        match combine_membership(key, l, r, registry.on_total_conflict, report)? {
+            Some(membership) => Ok(Some(Tuple::new(schema, values, membership)?)),
+            None => Ok(None),
+        }
     }
 
     fn describe(&self) -> String {
@@ -372,30 +262,16 @@ impl TupleMerger for RegistryMerger {
     }
 }
 
-/// Round-trip integrate errors through the plan layer without losing
-/// their type: [`to_plan_error`] for the merger, [`from_plan_error`]
-/// when execution hands them back.
-fn to_plan_error(e: IntegrateError) -> PlanError {
-    match e {
-        IntegrateError::Algebra(a) => PlanError::Algebra(a),
-        IntegrateError::Relation(r) => PlanError::Relation(r),
-        IntegrateError::Evidence(ev) => {
-            PlanError::Algebra(evirel_algebra::AlgebraError::Evidence(ev))
-        }
-        IntegrateError::MethodMismatch { attr, reason } => PlanError::Merge { attr, reason },
-        other => PlanError::Pairing {
-            reason: other.to_string(),
-        },
-    }
-}
-
+/// Hand a plan-layer failure back in this crate's terms; the merger's
+/// own refusals ([`PlanError::Merge`]) come back as the
+/// [`IntegrateError::MethodMismatch`] they are.
 fn from_plan_error(e: PlanError) -> IntegrateError {
     match e {
-        PlanError::Algebra(evirel_algebra::AlgebraError::Evidence(ev)) => {
-            IntegrateError::Evidence(ev)
+        PlanError::Algebra(AlgebraError::Evidence(ev)) => IntegrateError::Evidence(ev),
+        PlanError::Algebra(AlgebraError::Relation(r)) | PlanError::Relation(r) => {
+            IntegrateError::Relation(r)
         }
         PlanError::Algebra(a) => IntegrateError::Algebra(a),
-        PlanError::Relation(r) => IntegrateError::Relation(r),
         PlanError::Merge { attr, reason } => IntegrateError::MethodMismatch { attr, reason },
         other => IntegrateError::BadMatch {
             reason: other.to_string(),
@@ -403,159 +279,14 @@ fn from_plan_error(e: PlanError) -> IntegrateError {
     }
 }
 
-fn merge_pair(
-    schema: &evirel_relation::Schema,
-    key: &[Value],
-    l: &Tuple,
-    r: &Tuple,
-    registry: &MethodRegistry,
-    report: &mut ConflictReport,
-    scratch: &mut evirel_algebra::MergeScratch,
-) -> Result<Option<Tuple>, IntegrateError> {
-    let mut values = Vec::with_capacity(schema.arity());
-    for (pos, attr) in schema.attrs().iter().enumerate() {
-        let lv = l.value(pos);
-        let rv = r.value(pos);
-        if attr.is_key() {
-            // Left key is canonical (matchers may pair unequal keys).
-            values.push(lv.clone());
-            continue;
-        }
-        let merged = match registry.method_for_attr(attr) {
-            IntegrationMethod::KeepLeft => lv.clone(),
-            IntegrationMethod::KeepRight => rv.clone(),
-            IntegrationMethod::Aggregate(f) => {
-                let (a, b) = match (lv.as_definite(), rv.as_definite()) {
-                    (Some(a), Some(b)) => (a, b),
-                    _ => {
-                        return Err(IntegrateError::MethodMismatch {
-                            attr: attr.name().to_owned(),
-                            reason: "aggregate method requires definite values".to_owned(),
-                        })
-                    }
-                };
-                let resolved =
-                    f.resolve_values(a, b)
-                        .ok_or_else(|| IntegrateError::MethodMismatch {
-                            attr: attr.name().to_owned(),
-                            reason: format!("aggregate {f} cannot resolve {a} and {b}"),
-                        })?;
-                AttrValue::Definite(resolved)
-            }
-            IntegrationMethod::Evidential => evidential_merge(
-                attr,
-                key,
-                lv,
-                rv,
-                CombinationRule::Dempster,
-                registry,
-                report,
-                scratch,
-            )?,
-            IntegrationMethod::EvidentialWith(rule) => {
-                evidential_merge(attr, key, lv, rv, rule, registry, report, scratch)?
-            }
-        };
-        values.push(merged);
-    }
-
-    let membership = match l.membership().combine_dempster(&r.membership()) {
-        Ok(m) => m,
-        Err(evirel_relation::RelationError::Evidence(EvidenceError::TotalConflict)) => {
-            report.record(AttributeConflict {
-                key: key.to_vec(),
-                attr: "(sn,sp)".to_owned(),
-                kappa: 1.0,
-                total: true,
-            });
-            match registry.on_total_conflict {
-                ConflictPolicy::Error => {
-                    return Err(IntegrateError::Algebra(
-                        evirel_algebra::AlgebraError::TotalConflict {
-                            key: Value::render_key(key),
-                            attr: "(sn,sp)".to_owned(),
-                        },
-                    ))
-                }
-                ConflictPolicy::KeepLeft => l.membership(),
-                ConflictPolicy::KeepRight => r.membership(),
-                ConflictPolicy::Vacuous => SupportPair::unknown(),
-            }
-        }
-        Err(e) => return Err(IntegrateError::Relation(e)),
-    };
-    if !membership.is_positive() {
-        return Ok(None);
-    }
-    Ok(Some(Tuple::new(schema, values, membership)?))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn evidential_merge(
-    attr: &evirel_relation::AttrDef,
-    key: &[Value],
-    lv: &AttrValue,
-    rv: &AttrValue,
-    rule: CombinationRule,
-    registry: &MethodRegistry,
-    report: &mut ConflictReport,
-    scratch: &mut evirel_algebra::MergeScratch,
-) -> Result<AttrValue, IntegrateError> {
-    let domain = match attr.ty() {
-        AttrType::Evidential(d) => d,
-        AttrType::Definite(_) => {
-            return Err(IntegrateError::MethodMismatch {
-                attr: attr.name().to_owned(),
-                reason: "evidential merge needs an evidential attribute".to_owned(),
-            })
-        }
-    };
-    let lm = lv.to_evidence(domain)?;
-    let rm = rv.to_evidence(domain)?;
-    match rule.combine_reporting_with(&lm, &rm, scratch) {
-        Ok((mass, kappa)) => {
-            if kappa > 0.0 {
-                report.record(AttributeConflict {
-                    key: key.to_vec(),
-                    attr: attr.name().to_owned(),
-                    kappa,
-                    total: false,
-                });
-            }
-            Ok(AttrValue::Evidential(mass))
-        }
-        Err(EvidenceError::TotalConflict) => {
-            report.record(AttributeConflict {
-                key: key.to_vec(),
-                attr: attr.name().to_owned(),
-                kappa: 1.0,
-                total: true,
-            });
-            match registry.on_total_conflict {
-                ConflictPolicy::Error => Err(IntegrateError::Algebra(
-                    evirel_algebra::AlgebraError::TotalConflict {
-                        key: Value::render_key(key),
-                        attr: attr.name().to_owned(),
-                    },
-                )),
-                ConflictPolicy::KeepLeft => Ok(AttrValue::Evidential(lm)),
-                ConflictPolicy::KeepRight => Ok(AttrValue::Evidential(rm)),
-                ConflictPolicy::Vacuous => Ok(AttrValue::Evidential(
-                    MassFunction::vacuous(Arc::clone(domain.frame()))
-                        .map_err(evirel_relation::RelationError::from)?,
-                )),
-            }
-        }
-        Err(e) => Err(IntegrateError::Evidence(e)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::entity_id::{EntityMatcher, KeyMatcher};
+    use evirel_algebra::ConflictPolicy;
     use evirel_baselines::AggregateFn;
-    use evirel_relation::{AttrDomain, RelationBuilder, Schema, ValueKind};
+    use evirel_relation::{AttrDomain, RelationBuilder, ValueKind};
+    use std::sync::Arc;
 
     fn domain() -> Arc<AttrDomain> {
         Arc::new(AttrDomain::categorical("rating", ["avg", "gd", "ex"]).unwrap())
@@ -606,6 +337,20 @@ mod tests {
             .build()
     }
 
+    fn memory(rel: &ExtendedRelation) -> BoundRelation {
+        BoundRelation::Memory(Arc::new(rel.clone()))
+    }
+
+    /// The sequential in-memory merge most tests exercise.
+    fn merge(
+        l: &ExtendedRelation,
+        r: &ExtendedRelation,
+        matching: &MatchOutcome,
+        registry: &MethodRegistry,
+    ) -> Result<MergeOutcome, IntegrateError> {
+        merge_relations(&memory(l), &memory(r), matching, registry, 1)
+    }
+
     fn registry() -> MethodRegistry {
         MethodRegistry::new()
             .with_default(IntegrationMethod::KeepLeft)
@@ -621,7 +366,7 @@ mod tests {
     fn merge_stored_matches_in_memory() {
         let (l, r) = (left(), right());
         let matching = KeyMatcher.match_tuples(&l, &r).unwrap();
-        let mem = merge_relations(&l, &r, &matching, &registry()).unwrap();
+        let mem = merge(&l, &r, &matching, &registry()).unwrap();
 
         let pool = Arc::new(evirel_plan::BufferPool::new(1024));
         let store = |rel: &ExtendedRelation| {
@@ -629,16 +374,18 @@ mod tests {
             evirel_store::write_segment(rel, &path, 256).unwrap();
             let s = evirel_plan::StoredRelation::open(&path, Arc::clone(&pool)).unwrap();
             std::fs::remove_file(&path).ok();
-            Arc::new(s)
+            BoundRelation::Stored(Arc::new(s))
         };
         let (sl, sr) = (store(&l), store(&r));
-        let out = merge_stored(&sl, &sr, &matching, &registry()).unwrap();
-        assert!(mem.relation.approx_eq(&out.relation));
-        assert_eq!(
-            mem.relation.keys().collect::<Vec<_>>(),
-            out.relation.keys().collect::<Vec<_>>()
-        );
-        assert_eq!(mem.report.conflicts(), out.report.conflicts());
+        for threads in [1usize, 4] {
+            let out = merge_relations(&sl, &sr, &matching, &registry(), threads).unwrap();
+            assert!(mem.relation.approx_eq(&out.relation));
+            assert_eq!(
+                mem.relation.keys().collect::<Vec<_>>(),
+                out.relation.keys().collect::<Vec<_>>()
+            );
+            assert_eq!(mem.report.conflicts(), out.report.conflicts());
+        }
 
         // Matcher validation still fires against segment key sets.
         let bad = MatchOutcome {
@@ -647,7 +394,7 @@ mod tests {
             right_only: Vec::new(),
         };
         assert!(matches!(
-            merge_stored(&sl, &sr, &bad, &registry()),
+            merge_relations(&sl, &sr, &bad, &registry(), 1),
             Err(IntegrateError::BadMatch { .. })
         ));
     }
@@ -656,7 +403,7 @@ mod tests {
     fn methods_coexist_in_one_merge() {
         let (l, r) = (left(), right());
         let matching = KeyMatcher.match_tuples(&l, &r).unwrap();
-        let out = merge_relations(&l, &r, &matching, &registry()).unwrap();
+        let out = merge(&l, &r, &matching, &registry()).unwrap();
         assert_eq!(out.relation.len(), 3);
         let wok = out.relation.get_by_key(&[Value::str("wok")]).unwrap();
         // Dayal average on seats.
@@ -686,7 +433,7 @@ mod tests {
             right_only: Vec::new(),
         };
         assert!(matches!(
-            merge_relations(&l, &r, &matching, &registry()),
+            merge(&l, &r, &matching, &registry()),
             Err(IntegrateError::BadMatch { .. })
         ));
         let matching = MatchOutcome {
@@ -695,7 +442,7 @@ mod tests {
             right_only: Vec::new(),
         };
         assert!(matches!(
-            merge_relations(&l, &r, &matching, &registry()),
+            merge(&l, &r, &matching, &registry()),
             Err(IntegrateError::BadMatch { .. })
         ));
         // Right-side double claims are rejected symmetrically.
@@ -706,7 +453,7 @@ mod tests {
             right_only: Vec::new(),
         };
         assert!(matches!(
-            merge_relations(&l, &r, &matching, &registry()),
+            merge(&l, &r, &matching, &registry()),
             Err(IntegrateError::BadMatch { .. })
         ));
         let matching = MatchOutcome {
@@ -715,7 +462,7 @@ mod tests {
             right_only: vec![wok],
         };
         assert!(matches!(
-            merge_relations(&l, &r, &matching, &registry()),
+            merge(&l, &r, &matching, &registry()),
             Err(IntegrateError::BadMatch { .. })
         ));
     }
@@ -738,7 +485,7 @@ mod tests {
                     })
                     .unwrap();
             }
-            Arc::new(b.build())
+            BoundRelation::Memory(Arc::new(b.build()))
         };
         // Left keys "l-i", right keys "r-i": every match pairs unequal
         // keys; half the right side stays unmatched. The offset label
@@ -763,12 +510,9 @@ mod tests {
                 .collect(),
         };
         let reg = registry().with_conflict_policy(ConflictPolicy::Vacuous);
-        let seq =
-            merge_relations_sharded(Arc::clone(&l), Arc::clone(&r), &matching, &reg, 1).unwrap();
+        let seq = merge_relations(&l, &r, &matching, &reg, 1).unwrap();
         for threads in [2usize, 4, 8] {
-            let par =
-                merge_relations_sharded(Arc::clone(&l), Arc::clone(&r), &matching, &reg, threads)
-                    .unwrap();
+            let par = merge_relations(&l, &r, &matching, &reg, threads).unwrap();
             assert_eq!(seq.relation.len(), par.relation.len());
             for (s, p) in seq.relation.iter().zip(par.relation.iter()) {
                 assert_eq!(
@@ -791,7 +535,7 @@ mod tests {
     fn unmatched_tuples_pass_through() {
         let (l, r) = (left(), right());
         let matching = KeyMatcher.match_tuples(&l, &r).unwrap();
-        let out = merge_relations(&l, &r, &matching, &registry()).unwrap();
+        let out = merge(&l, &r, &matching, &registry()).unwrap();
         assert!(out.relation.contains_key(&[Value::str("solo-left")]));
         assert!(out.relation.contains_key(&[Value::str("solo-right")]));
     }
@@ -803,7 +547,7 @@ mod tests {
             .assign("rating", IntegrationMethod::Evidential);
         let (l, r) = (left(), right());
         let matching = KeyMatcher.match_tuples(&l, &r).unwrap();
-        let out = merge_relations(&l, &r, &matching, &reg).unwrap();
+        let out = merge(&l, &r, &matching, &reg).unwrap();
         let wok = out.relation.get_by_key(&[Value::str("wok")]).unwrap();
         assert_eq!(wok.value(1).as_definite(), Some(&Value::int(50)));
     }
@@ -815,11 +559,11 @@ mod tests {
         let (l, r) = (left(), right());
         let matching = KeyMatcher.match_tuples(&l, &r).unwrap();
         assert!(matches!(
-            merge_relations(&l, &r, &matching, &reg),
+            merge(&l, &r, &matching, &reg),
             Err(IntegrateError::MethodMismatch { .. })
         ));
         // The zero-config registry merges mixed schemas out of the box.
-        let out = merge_relations(&l, &r, &matching, &MethodRegistry::new()).unwrap();
+        let out = merge(&l, &r, &matching, &MethodRegistry::new()).unwrap();
         assert_eq!(out.relation.len(), 3);
         let wok = out.relation.get_by_key(&[Value::str("wok")]).unwrap();
         // Definite fallback keeps the left seats value.
@@ -841,10 +585,10 @@ mod tests {
         let l = mk("ex");
         let r = mk("avg");
         let matching = KeyMatcher.match_tuples(&l, &r).unwrap();
-        let err = merge_relations(&l, &r, &matching, &registry());
+        let err = merge(&l, &r, &matching, &registry());
         assert!(matches!(err, Err(IntegrateError::Algebra(_))));
         let reg = registry().with_conflict_policy(ConflictPolicy::Vacuous);
-        let out = merge_relations(&l, &r, &matching, &reg).unwrap();
+        let out = merge(&l, &r, &matching, &reg).unwrap();
         let wok = out.relation.get_by_key(&[Value::str("wok")]).unwrap();
         assert!(wok.value(2).as_evidential().unwrap().is_vacuous());
     }
@@ -869,7 +613,7 @@ mod tests {
         let r = mk("avg");
         let matching = KeyMatcher.match_tuples(&l, &r).unwrap();
         // Yager handles total conflict by moving mass to Ω — no error.
-        let out = merge_relations(&l, &r, &matching, &reg).unwrap();
+        let out = merge(&l, &r, &matching, &reg).unwrap();
         let wok = out.relation.get_by_key(&[Value::str("wok")]).unwrap();
         assert!(wok.value(2).as_evidential().unwrap().is_vacuous());
     }

@@ -8,10 +8,11 @@
 
 use crate::entity_id::{EntityMatcher, KeyMatcher, MatchOutcome};
 use crate::error::IntegrateError;
-use crate::merge::{merge_relations_shared, MergeOutcome};
+use crate::merge::{merge_relations, MergeOutcome};
 use crate::methods::MethodRegistry;
 use crate::preprocess::Preprocessor;
 use evirel_algebra::ConflictReport;
+use evirel_plan::BoundRelation;
 use evirel_relation::{ExtendedRelation, Schema};
 use std::fmt;
 use std::sync::Arc;
@@ -242,12 +243,14 @@ impl Integrator {
         // Stage 2: entity identification.
         let matching = self.matcher.match_tuples(&left_pre, &right_pre)?;
 
-        // Stage 3: tuple merging — streamed, no input copies.
-        let MergeOutcome { relation, report } = merge_relations_shared(
-            Arc::clone(&left_pre),
-            Arc::clone(&right_pre),
+        // Stage 3: tuple merging — streamed, no input copies, on the
+        // process's thread budget (`EVIREL_THREADS`).
+        let MergeOutcome { relation, report } = merge_relations(
+            &BoundRelation::Memory(Arc::clone(&left_pre)),
+            &BoundRelation::Memory(Arc::clone(&right_pre)),
             &matching,
             &self.registry,
+            evirel_plan::default_parallelism(),
         )?;
 
         let trace = StageTrace {

@@ -22,12 +22,8 @@
 //! is: a combination failing a top-level `=` conjunct gets predicate
 //! support `(0, 0)`, which zeroes the revised membership and can
 //! never pass a (positivity-ensuring) threshold.
-//!
-//! The operator only forms when statistics are enabled (see
-//! [`crate::cost::stats_enabled`]); under `EVIREL_NO_STATS=1` the
-//! planner lowers the spine left-deep exactly as before.
 
-use crate::cost::{flatten_and, stats_enabled, CostModel};
+use crate::cost::{flatten_and, CostModel};
 use crate::error::PlanError;
 use crate::logical::{LogicalPlan, RelationSource};
 use crate::ops::{ExecContext, Operator};
@@ -149,17 +145,13 @@ pub(crate) type LoweredLeaf = Result<Box<dyn Operator>, PlanError>;
 
 /// Try to lower `plan` as a cost-ordered chain. `Ok(None)` when the
 /// plan is not an eligible spine (fewer than three inputs, no
-/// cross-input definite `=` conjunct, statistics disabled, or a shape
-/// the flattener cannot prove equivalent) — the caller then lowers it
-/// left-deep as before. `build_leaf` lowers one leaf subplan.
+/// cross-input definite `=` conjunct, or a shape the flattener cannot
+/// prove equivalent) — the caller then lowers it left-deep. `build_leaf` lowers one leaf subplan.
 pub(crate) fn try_build_chain(
     plan: &LogicalPlan,
     source: &dyn RelationSource,
     build_leaf: &mut dyn FnMut(&LogicalPlan) -> LoweredLeaf,
 ) -> Result<Option<Box<dyn Operator>>, PlanError> {
-    if !stats_enabled() {
-        return Ok(None);
-    }
     let Some(spine) = flatten_spine(plan) else {
         return Ok(None);
     };
@@ -253,7 +245,7 @@ pub(crate) fn try_build_chain(
     if edges.is_empty() {
         return Ok(None);
     }
-    let order = exploration_order(&spine.leaves, &edges, source);
+    let order = exploration_order(&spine.leaves, &edges, source)?;
     Ok(Some(Box::new(ChainOp {
         inputs,
         levels,
@@ -267,20 +259,17 @@ pub(crate) fn try_build_chain(
 /// fewest estimated rows, then repeatedly take the cheapest input
 /// connected (by an edge) to the set already placed, falling back to
 /// the cheapest unconnected one. Deterministic: ties break on input
-/// index, and estimates come from published statistics (actual leaf
-/// cardinality when a leaf has no stats).
+/// index, and estimates come from published statistics.
 fn exploration_order(
     leaves: &[&LogicalPlan],
     edges: &[Edge],
     source: &dyn RelationSource,
-) -> Vec<usize> {
+) -> Result<Vec<usize>, PlanError> {
     let model = CostModel::new(source);
-    let size = |plan: &LogicalPlan| -> f64 {
-        model
-            .est_rows(plan)
-            .unwrap_or_else(|| leaf_tuples(plan, source) as f64)
-    };
-    let sizes: Vec<f64> = leaves.iter().map(|leaf| size(leaf)).collect();
+    let sizes = leaves
+        .iter()
+        .map(|leaf| model.est_rows(leaf))
+        .collect::<Result<Vec<f64>, _>>()?;
     let n = leaves.len();
     let mut placed = vec![false; n];
     let mut order = Vec::with_capacity(n);
@@ -303,31 +292,7 @@ fn exploration_order(
         placed[next] = true;
         order.push(next);
     }
-    order
-}
-
-/// Actual tuple count of a leaf subplan's base relation (stats-free
-/// ordering fallback).
-fn leaf_tuples(plan: &LogicalPlan, source: &dyn RelationSource) -> usize {
-    match plan {
-        LogicalPlan::Scan { name } => source
-            .relation(name)
-            .map(|rel| rel.len())
-            .or_else(|| source.stored(name).map(|s| s.len()))
-            .unwrap_or(0),
-        LogicalPlan::Select { input, .. }
-        | LogicalPlan::ThresholdFilter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::RenameRelation { input, .. }
-        | LogicalPlan::RenameAttribute { input, .. } => leaf_tuples(input, source),
-        LogicalPlan::Union { left, right }
-        | LogicalPlan::Intersect { left, right }
-        | LogicalPlan::Difference { left, right }
-        | LogicalPlan::Product { left, right }
-        | LogicalPlan::Join { left, right, .. } => {
-            leaf_tuples(left, source) + leaf_tuples(right, source)
-        }
-    }
+    Ok(order)
 }
 
 /// The cost-ordered chain operator. See the module docs for the

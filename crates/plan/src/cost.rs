@@ -5,11 +5,11 @@
 //! the chain reorderer picks the cheapest ×̃/⋈̃ exploration order,
 //! [`crate::ops::MergeOp`] sizes (or eagerly spills) its build side,
 //! and physical planning ([`crate::exec`]) places exchanges by estimated
-//! fragment cost. Estimates are **advisory only**: every consumer is
-//! bit-for-bit result-identical with and without them (proptest
-//! pinned), so a missing [`RelStats`] block — a v2 segment, a
-//! pre-stats file, or `EVIREL_NO_STATS=1` — just reinstates the old
-//! fixed heuristics.
+//! fragment cost. Estimates are **advisory only**: they pick which of
+//! several result-identical executions runs (proptest pinned against
+//! [`crate::reference`]), never what it returns. Every bound relation
+//! has a [`RelStats`] block ([`crate::logical::Binding`]), so the only
+//! way an estimate fails is an unbound name.
 //!
 //! Formulas (documented in ARCHITECTURE.md):
 //!
@@ -29,31 +29,12 @@
 //!   inputs merge cheaper, which is what makes the chain ordering
 //!   κ-aware.
 
-use crate::logical::{LogicalPlan, RelationSource};
+use crate::error::PlanError;
+use crate::logical::{binding_of, LogicalPlan, RelationSource};
 use evirel_algebra::{Operand, Predicate, ThetaOp};
 use evirel_relation::{AttrType, Schema, Value};
-use evirel_store::{EnvKnob, RelStats};
+use evirel_store::RelStats;
 use std::sync::Arc;
-
-/// Environment knob disabling statistics-driven planning: `1` means
-/// every stats lookup reports "none", so all consumers take their
-/// heuristic fallback paths. CI runs the plan and query suites under
-/// `EVIREL_NO_STATS=1` to keep those paths exercised end-to-end.
-pub const NO_STATS_ENV: &str = "EVIREL_NO_STATS";
-
-/// `0` (the default) or `1`; anything else is rejected loudly, see
-/// [`EnvKnob::get`].
-pub(crate) const NO_STATS: EnvKnob = EnvKnob {
-    var: NO_STATS_ENV,
-    range: 0..=1,
-    default: 0,
-};
-
-/// `false` when [`NO_STATS_ENV`] disables statistics. Read per call:
-/// planning happens once per query, and tests toggle the knob.
-pub fn stats_enabled() -> bool {
-    NO_STATS.get() == 0
-}
 
 /// Default selectivity for predicates the model cannot resolve
 /// against a profile.
@@ -63,15 +44,12 @@ const DEFAULT_EQ_SELECTIVITY: f64 = 0.15;
 /// Pass fraction assumed for a bare membership threshold.
 const THRESHOLD_SELECTIVITY: f64 = 0.9;
 /// Memo-growth weight for a merge with no focal-width information.
-const DEFAULT_MERGE_WEIGHT: f64 = 2.0;
+pub(crate) const DEFAULT_MERGE_WEIGHT: f64 = 2.0;
 
 /// Cardinality/cost estimator over a [`RelationSource`]'s statistics.
 ///
-/// All entry points return `Option`: `None` means "some required
-/// statistic is missing" and instructs the caller to fall back to
-/// its heuristic. No estimate is ever fabricated from thin air — a
-/// chain with one stats-less leaf plans exactly like a pre-stats
-/// build.
+/// Estimates fail only with [`PlanError::UnknownRelation`] — the same
+/// error lowering the scan reports.
 pub struct CostModel<'a> {
     source: &'a dyn RelationSource,
 }
@@ -82,24 +60,15 @@ impl<'a> CostModel<'a> {
         CostModel { source }
     }
 
-    /// Statistics for a scan of `name`, honoring [`NO_STATS_ENV`].
-    pub fn rel_stats(&self, name: &str) -> Option<Arc<RelStats>> {
-        if !stats_enabled() {
-            return None;
-        }
-        self.source.stats(name)
-    }
-
     /// The base-relation stats + schema a unary chain bottoms out in:
     /// `Select`/`ThresholdFilter`/`RenameRelation` pass through,
     /// `Scan` resolves. Projections and attribute renames decline
     /// (positions/names would no longer line up with the block).
-    fn leaf_stats(&self, plan: &LogicalPlan) -> Option<(Arc<RelStats>, Arc<Schema>)> {
+    fn leaf_stats(&self, plan: &LogicalPlan) -> Option<(&Arc<RelStats>, &Arc<Schema>)> {
         match plan {
             LogicalPlan::Scan { name } => {
-                let stats = self.rel_stats(name)?;
-                let schema = crate::logical::source_schema(self.source, name)?;
-                Some((stats, schema))
+                let binding = self.source.resolve(name)?;
+                Some((&binding.stats, binding.relation.schema()))
             }
             LogicalPlan::Select { input, .. }
             | LogicalPlan::ThresholdFilter { input, .. }
@@ -108,74 +77,73 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Estimated output rows of `plan`; `None` when any required
-    /// statistic is missing.
-    pub fn est_rows(&self, plan: &LogicalPlan) -> Option<f64> {
-        match plan {
-            LogicalPlan::Scan { name } => Some(self.rel_stats(name)?.tuples as f64),
+    /// Estimated output rows of `plan`.
+    ///
+    /// # Errors
+    /// [`PlanError::UnknownRelation`] for a scan of an unbound name.
+    pub fn est_rows(&self, plan: &LogicalPlan) -> Result<f64, PlanError> {
+        Ok(match plan {
+            LogicalPlan::Scan { name } => binding_of(self.source, name)?.stats.tuples as f64,
             LogicalPlan::Select {
                 input, predicate, ..
-            } => {
-                let rows = self.est_rows(input)?;
-                Some(rows * self.selectivity(input, predicate))
-            }
+            } => self.est_rows(input)? * self.selectivity(input, predicate),
             LogicalPlan::ThresholdFilter { input, .. } => {
-                Some(self.est_rows(input)? * THRESHOLD_SELECTIVITY)
+                self.est_rows(input)? * THRESHOLD_SELECTIVITY
             }
             LogicalPlan::Project { input, .. }
             | LogicalPlan::RenameRelation { input, .. }
-            | LogicalPlan::RenameAttribute { input, .. } => self.est_rows(input),
-            LogicalPlan::Product { left, right } => {
-                Some(self.est_rows(left)? * self.est_rows(right)?)
-            }
+            | LogicalPlan::RenameAttribute { input, .. } => self.est_rows(input)?,
+            LogicalPlan::Product { left, right } => self.est_rows(left)? * self.est_rows(right)?,
             LogicalPlan::Join {
                 left, right, on, ..
             } => {
                 let l = self.est_rows(left)?;
                 let r = self.est_rows(right)?;
-                Some(l * r * self.join_selectivity(left, right, on))
+                l * r * self.join_selectivity(left, right, on)
             }
             LogicalPlan::Union { left, right } => {
                 let l = self.est_rows(left)?;
                 let r = self.est_rows(right)?;
                 let overlap = self.key_overlap(left, right, l, r);
-                Some((l + r - overlap).max(l.max(r)))
+                (l + r - overlap).max(l.max(r))
             }
             LogicalPlan::Intersect { left, right } => {
                 let l = self.est_rows(left)?;
                 let r = self.est_rows(right)?;
-                Some(self.key_overlap(left, right, l, r))
+                self.key_overlap(left, right, l, r)
             }
             LogicalPlan::Difference { left, right } => {
                 let l = self.est_rows(left)?;
                 let r = self.est_rows(right)?;
-                Some((l - self.key_overlap(left, right, l, r)).max(0.0))
+                (l - self.key_overlap(left, right, l, r)).max(0.0)
             }
-        }
+        })
     }
 
     /// Estimated total work (rows touched, with merges inflated by
-    /// memo growth) of executing `plan`; `None` when any required
-    /// statistic is missing. This is the quantity the exchange
-    /// placement compares against its per-worker floor.
-    pub fn est_cost(&self, plan: &LogicalPlan) -> Option<f64> {
-        match plan {
-            LogicalPlan::Scan { .. } => self.est_rows(plan),
+    /// memo growth) of executing `plan`. This is the quantity the
+    /// exchange placement compares against its per-worker floor.
+    ///
+    /// # Errors
+    /// As [`CostModel::est_rows`].
+    pub fn est_cost(&self, plan: &LogicalPlan) -> Result<f64, PlanError> {
+        Ok(match plan {
+            LogicalPlan::Scan { .. } => self.est_rows(plan)?,
             LogicalPlan::Select { input, .. }
             | LogicalPlan::ThresholdFilter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::RenameRelation { input, .. }
             | LogicalPlan::RenameAttribute { input, .. } => {
-                Some(self.est_cost(input)? + self.est_rows(input)?)
+                self.est_cost(input)? + self.est_rows(input)?
             }
             LogicalPlan::Product { left, right } => {
                 let (cl, cr) = (self.est_cost(left)?, self.est_cost(right)?);
-                Some(cl + cr + self.est_rows(left)? * self.est_rows(right)?)
+                cl + cr + self.est_rows(left)? * self.est_rows(right)?
             }
             LogicalPlan::Join { left, right, .. } => {
                 let (cl, cr) = (self.est_cost(left)?, self.est_cost(right)?);
                 let (l, r) = (self.est_rows(left)?, self.est_rows(right)?);
-                Some(cl + cr + l + r + self.est_rows(plan)?)
+                cl + cr + l + r + self.est_rows(plan)?
             }
             LogicalPlan::Union { left, right }
             | LogicalPlan::Intersect { left, right }
@@ -183,17 +151,19 @@ impl<'a> CostModel<'a> {
                 let (cl, cr) = (self.est_cost(left)?, self.est_cost(right)?);
                 let (l, r) = (self.est_rows(left)?, self.est_rows(right)?);
                 let pairs = self.key_overlap(left, right, l, r);
-                Some(cl + cr + l + r + self.merge_weight(left, right) * pairs)
+                cl + cr + merge_cost(l, r, pairs, self.merge_weight(left, right))
             }
-        }
+        })
     }
 
     /// Estimated `(bytes, rows)` of `plan`'s output, for sizing a
     /// merge build side. Bytes scale the leaf relation's encoded
-    /// size by the estimated surviving-row fraction.
+    /// size by the estimated surviving-row fraction; `None` when
+    /// `plan` is not a filter chain over one base relation (the merge
+    /// then sizes its build side as it drains it).
     pub fn build_estimate(&self, plan: &LogicalPlan) -> Option<(u64, u64)> {
         let (stats, _) = self.leaf_stats(plan)?;
-        let rows = self.est_rows(plan)?;
+        let rows = self.est_rows(plan).ok()?;
         if stats.tuples == 0 {
             return Some((0, 0));
         }
@@ -223,8 +193,9 @@ impl<'a> CostModel<'a> {
 
     /// Expected number of key-matched pairs between two inputs, from
     /// the leaves' distinct-key sketches (inclusion–exclusion over
-    /// the sketch union); conservative `min/2` fallback when either
-    /// sketch is unavailable.
+    /// the sketch union); a conservative `min/2` when either input is
+    /// not a filter chain over one base relation, whose sketch it
+    /// could read.
     fn key_overlap(
         &self,
         left: &LogicalPlan,
@@ -324,14 +295,14 @@ impl<'a> CostModel<'a> {
     /// definite attribute resolved against `plan`'s leaf relation.
     fn attr_distinct(&self, plan: &LogicalPlan, attr: &str) -> Option<f64> {
         let (stats, schema) = self.leaf_stats(plan)?;
-        let pos = resolve_attr(&schema, attr)?;
+        let pos = resolve_attr(schema, attr)?;
         stats.distinct_at(pos)
     }
 
     /// Plausibility-profile selectivity for `attr IS {values}`.
     fn is_selectivity(&self, plan: &LogicalPlan, attr: &str, values: &[Value]) -> Option<f64> {
         let (stats, schema) = self.leaf_stats(plan)?;
-        let pos = resolve_attr(&schema, attr)?;
+        let pos = resolve_attr(schema, attr)?;
         match schema.attr(pos).ty() {
             AttrType::Evidential(domain) => {
                 let mut sel = 0.0;
@@ -346,6 +317,14 @@ impl<'a> CostModel<'a> {
                 .map(|d| (values.len() as f64 / d.max(1.0)).clamp(0.0, 1.0)),
         }
     }
+}
+
+/// Work of one key-indexed merge over `l` and `r` input rows: each
+/// side is read once and each of the `pairs` key-matched pairs costs
+/// its memo-growth `weight`. Shared by the ∪̃/∩̃/−̃ estimate (estimated
+/// counts) and the integration merge (exact ones).
+pub(crate) fn merge_cost(l: f64, r: f64, pairs: f64, weight: f64) -> f64 {
+    l + r + weight * pairs
 }
 
 /// Resolve a predicate attribute name against a leaf schema: the
@@ -376,13 +355,6 @@ mod tests {
     use crate::logical::{scan, Bindings};
     use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 
-    /// The tests below assert the *enabled* estimator; under the
-    /// `EVIREL_NO_STATS=1` CI pass the whole model declines to
-    /// estimate, so they have nothing to check.
-    fn stats_off() -> bool {
-        !stats_enabled()
-    }
-
     fn bindings() -> Bindings {
         let (a, b) = generate_pair(&PairConfig {
             base: GeneratorConfig {
@@ -402,28 +374,25 @@ mod tests {
 
     #[test]
     fn scan_and_filter_estimates() {
-        if stats_off() {
-            return;
-        }
         let bind = bindings();
         let model = CostModel::new(&bind);
         let scan_plan = scan("ga").build();
-        assert_eq!(model.est_rows(&scan_plan), Some(300.0));
+        assert_eq!(model.est_rows(&scan_plan).unwrap(), 300.0);
         let filtered = scan("ga")
             .select(evirel_algebra::Predicate::is("e0", ["v0"]))
             .build();
         let rows = model.est_rows(&filtered).unwrap();
         assert!(rows > 0.0 && rows < 300.0, "selective estimate: {rows}");
         assert!(model.est_cost(&filtered).unwrap() >= 300.0);
-        // Unknown relation → no estimate, never a panic.
-        assert!(model.est_rows(&scan("ghost").build()).is_none());
+        // Unknown relation → the lowering's typed error, never a panic.
+        assert!(matches!(
+            model.est_rows(&scan("ghost").build()),
+            Err(PlanError::UnknownRelation { .. })
+        ));
     }
 
     #[test]
     fn union_overlap_uses_sketches() {
-        if stats_off() {
-            return;
-        }
         let bind = bindings();
         let model = CostModel::new(&bind);
         let union = scan("ga").union(scan("gb")).build();
@@ -443,21 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn no_stats_env_disables_estimates() {
-        let bind = bindings();
-        let model = CostModel::new(&bind);
-        let plan = scan("ga").build();
-        assert_eq!(model.est_rows(&plan).is_some(), stats_enabled());
-        // Exercised end-to-end by the `EVIREL_NO_STATS=1` CI pass —
-        // here only the parse contract: "0"/"" keep stats on.
-        assert!(stats_enabled() || std::env::var(NO_STATS_ENV).is_ok());
-    }
-
-    #[test]
     fn build_estimate_scales_bytes() {
-        if stats_off() {
-            return;
-        }
         let bind = bindings();
         let model = CostModel::new(&bind);
         let (full_bytes, full_rows) = model.build_estimate(&scan("ga").build()).unwrap();

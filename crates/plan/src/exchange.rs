@@ -55,9 +55,9 @@ use std::sync::Arc;
 pub type OrderMap = HashMap<Vec<Value>, usize>;
 
 /// Assign ranks to `rel`'s keys in insertion order, skipping keys
-/// already ranked. `canonical` (used by the integration pipeline's
-/// entity matcher, which may pair *unequal* keys) maps a tuple's own
-/// key to the key it is emitted and partitioned under.
+/// already ranked. `canonical` (used by [`crate::exec::execute_merge`],
+/// whose pairing may match *unequal* keys) maps a tuple's own key to
+/// the key it is emitted and partitioned under.
 pub fn rank_keys(
     map: &mut OrderMap,
     rel: &ExtendedRelation,
@@ -121,20 +121,6 @@ impl ShardScanOp {
         shard: usize,
     ) -> ShardScanOp {
         let slots = compute_slots(&rel, partitioner, None);
-        ShardScanOp::with_slots(name, rel, partitioner, shard, slots)
-    }
-
-    /// As [`ShardScanOp::new`], but route tuples by
-    /// `key_map[key]` when present (tuples matched under a different
-    /// canonical key must land in their partner's shard).
-    pub fn with_key_map(
-        name: impl Into<String>,
-        rel: Arc<ExtendedRelation>,
-        partitioner: Partitioner,
-        shard: usize,
-        key_map: &HashMap<Vec<Value>, Vec<Value>>,
-    ) -> ShardScanOp {
-        let slots = compute_slots(&rel, partitioner, Some(key_map));
         ShardScanOp::with_slots(name, rel, partitioner, shard, slots)
     }
 
@@ -280,11 +266,6 @@ impl ExchangeOp {
             merged_reports: Vec::new(),
             partition_desc,
         })
-    }
-
-    /// Number of worker threads / shard plans.
-    pub fn threads(&self) -> usize {
-        self.shards.len()
     }
 
     fn rank_of(&self, key: &[Value]) -> usize {

@@ -1,12 +1,17 @@
 //! Physical planning and execution.
 //!
-//! One lowering (`physical`) turns an optimized [`LogicalPlan`] into
-//! an [`Operator`] tree, every node behind a row meter.
+//! One lowering turns an optimized [`LogicalPlan`] into an
+//! [`Operator`] tree: `physical` decides per node whether it becomes
+//! an exchange, a chain or a plain operator and puts it behind a row
+//! meter; `physical_node` is the one `match` that builds operators.
 //! [`execute_optimized_metered`] — the live path — builds that tree
 //! and drives it to a materialized relation; [`execute_plan`] is the
 //! same run with the rewrite pass in front; [`explain_plan`] renders
 //! the stages — logical tree, fired rewrite rules, optimized tree,
 //! physical tree — and, for `ANALYZE`, runs the tree it renders.
+//! [`execute_merge`] runs the integration pipeline's paired merge,
+//! which has no logical node, over the same leaves and the same
+//! exchange floor.
 //!
 //! Physical fusion: a σ̃ directly above a ×̃ whose predicate carries an
 //! equality conjunct between definite attributes of opposite sides
@@ -21,46 +26,36 @@
 //! identical copy of the subtree over one hash-shard of the scans and
 //! the outputs re-merge deterministically — see [`crate::exchange`].
 
-use crate::cost::{stats_enabled, CostModel};
+use crate::cost::{merge_cost, CostModel, DEFAULT_MERGE_WEIGHT};
 use crate::error::PlanError;
-use crate::exchange::{compute_slots, ExchangeOp, OrderMap, ShardScanOp};
-use crate::logical::{LogicalPlan, RelationSource};
+use crate::exchange::{compute_slots, rank_keys, ExchangeOp, OrderMap, ShardScanOp};
+use crate::logical::{binding_of, BoundRelation, LogicalPlan, RelationSource};
 use crate::ops::{
-    run, DempsterMerger, DifferenceOp, HashJoinOp, MergeOp, MeteredOp, Operator, ProductOp,
-    ProjectOp, RenameOp, ScanOp, SelectOp, ThresholdOp,
+    run, DempsterMerger, DifferenceOp, HashJoinOp, MergeOp, MergePairing, MeteredOp, Operator,
+    ProductOp, ProjectOp, RenameOp, ScanOp, SelectOp, ThresholdOp, TupleMerger,
 };
 use crate::rewrite::optimize;
+use crate::spill::SpillScanOp;
 use crate::ExecContext;
 use evirel_algebra::partition::Partitioner;
 use evirel_algebra::predicate::Predicate;
 use evirel_algebra::threshold::Threshold;
 use evirel_algebra::union::UnionOptions;
-use evirel_relation::ExtendedRelation;
+use evirel_relation::{ExtendedRelation, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Below this many scanned tuples per worker, an exchange cannot pay
-/// for its partitioning and re-merge overhead.
-const MIN_TUPLES_PER_SHARD: usize = 64;
-
 /// Cost-model floor per exchange worker, in [`CostModel::est_cost`]
 /// units (≈ rows touched: a scanned tuple costs 1, a merged pair its
-/// κ-inflated memo weight). Roughly `MIN_TUPLES_PER_SHARD` tuples
-/// each scanned and touched once more downstream.
+/// κ-inflated memo weight) — about 64 tuples each scanned and touched
+/// once more downstream. Below it an exchange cannot pay for its
+/// partitioning and re-merge, so a highly selective fragment over a
+/// large scan is not sharded for nothing.
 const MIN_COST_PER_SHARD: f64 = 128.0;
 
-/// Is `plan`'s fragment worth `parallelism` exchange workers? With
-/// statistics, compare the cost model's total-work estimate against a
-/// per-worker floor (so a highly selective fragment over a large scan
-/// is not sharded for nothing); without them, fall back to the
-/// scanned-tuple heuristic.
-fn exchange_pays_off(plan: &LogicalPlan, source: &dyn RelationSource, parallelism: usize) -> bool {
-    if stats_enabled() {
-        if let Some(cost) = CostModel::new(source).est_cost(plan) {
-            return cost >= parallelism as f64 * MIN_COST_PER_SHARD;
-        }
-    }
-    fragment_scan_tuples(plan, source) >= parallelism * MIN_TUPLES_PER_SHARD
+/// Is `cost` worth `parallelism` exchange workers?
+fn exchange_pays_off(cost: f64, parallelism: usize) -> bool {
+    parallelism > 1 && cost >= parallelism as f64 * MIN_COST_PER_SHARD
 }
 
 /// Lower an optimized logical plan into a physical operator tree,
@@ -69,63 +64,147 @@ fn exchange_pays_off(plan: &LogicalPlan, source: &dyn RelationSource, parallelis
 /// pass through untouched — which is what lets production queries,
 /// the slow-query log and `EXPLAIN ANALYZE` share one tree.
 /// Parallelizable subtrees are wrapped in an exchange when
-/// `parallelism > 1` and the scanned inputs are large enough to
-/// amortize it.
+/// `parallelism > 1` and their estimated cost amortizes it.
 fn physical(
     plan: &LogicalPlan,
     source: &dyn RelationSource,
     options: &UnionOptions,
     parallelism: usize,
 ) -> Result<Box<dyn Operator>, PlanError> {
+    let model = CostModel::new(source);
     let mut op = None;
     if parallelism > 1
         && shardable(plan)
         && contains_merge(plan)
-        && exchange_pays_off(plan, source, parallelism)
+        && exchange_pays_off(model.est_cost(plan)?, parallelism)
     {
         op = build_exchange(plan, source, options, parallelism)?;
     }
     if op.is_none() {
-        // ≥3-way ⋈̃/×̃ spines with statistics available run through
-        // the cost-ordered chain operator (bit-identical to the
-        // left-deep lowering below — see `crate::chain`).
+        // ≥3-way ⋈̃/×̃ spines run through the cost-ordered chain
+        // operator (bit-identical to the left-deep lowering below —
+        // see `crate::chain`).
         let mut build_leaf = |leaf: &LogicalPlan| physical(leaf, source, options, parallelism);
         op = crate::chain::try_build_chain(plan, source, &mut build_leaf)?;
     }
     let op = match op {
         Some(op) => op,
-        None => physical_node(plan, source, options, parallelism)?,
+        None => physical_node(plan, source, options, &mut Leaves::Whole { parallelism })?,
     };
-    let est = if stats_enabled() {
-        CostModel::new(source).est_rows(plan)
-    } else {
-        None
-    };
-    Ok(Box::new(MeteredOp::new(op, est)))
+    Ok(Box::new(MeteredOp::new(op, model.est_rows(plan)?)))
 }
 
+/// One slot table per scanned relation name — see [`Leaves::Shard`].
+type SlotTables = HashMap<String, Arc<Vec<u32>>>;
+
+/// What [`physical_node`] — the one lowering — puts at scan leaves,
+/// and how it lowers a node's inputs.
+enum Leaves<'a> {
+    /// Whole relations (in-memory or stored scans); inputs go back
+    /// through [`physical`], so each is metered and may itself become
+    /// an exchange or a chain.
+    Whole { parallelism: usize },
+    /// Shard `shard` of an exchange fragment: [`ShardScanOp`] leaves,
+    /// inputs lowered bare (the exchange is metered as one node).
+    /// `slots` caches one precomputed slot table per scanned relation
+    /// so N shards hash every key once, not N times; a caller may seed
+    /// it to route a relation by something other than its key.
+    Shard {
+        partitioner: Partitioner,
+        shard: usize,
+        slots: &'a mut SlotTables,
+    },
+}
+
+impl Leaves<'_> {
+    /// The thread budget for lowering a ×̃/⋈̃ — which pair tuples
+    /// *across* keys, so they exist only outside exchange fragments.
+    fn parallelism(&self) -> Result<usize, PlanError> {
+        match self {
+            Leaves::Whole { parallelism } => Ok(*parallelism),
+            Leaves::Shard { .. } => Err(PlanError::Pairing {
+                reason: "×̃/⋈̃ cannot appear inside an exchange fragment".to_owned(),
+            }),
+        }
+    }
+
+    /// The scan leaf for `relation`, displayed as `name`.
+    fn scan(
+        &mut self,
+        name: &str,
+        relation: &BoundRelation,
+    ) -> Result<Box<dyn Operator>, PlanError> {
+        Ok(match (self, relation) {
+            (Leaves::Whole { .. }, BoundRelation::Memory(rel)) => {
+                Box::new(ScanOp::new(name, Arc::clone(rel)))
+            }
+            // Disk-backed binding: stream pages through the buffer
+            // pool instead of requiring a materialized relation.
+            (Leaves::Whole { .. }, BoundRelation::Stored(stored)) => {
+                Box::new(SpillScanOp::new(name, Arc::clone(stored)))
+            }
+            (
+                Leaves::Shard {
+                    partitioner,
+                    shard,
+                    slots,
+                },
+                BoundRelation::Memory(rel),
+            ) => {
+                let slots = slots
+                    .entry(name.to_owned())
+                    .or_insert_with(|| compute_slots(rel, *partitioner, None));
+                Box::new(ShardScanOp::with_slots(
+                    name,
+                    Arc::clone(rel),
+                    *partitioner,
+                    *shard,
+                    Arc::clone(slots),
+                ))
+            }
+            (Leaves::Shard { .. }, BoundRelation::Stored(_)) => {
+                return Err(PlanError::Pairing {
+                    reason: format!("stored relation {name} cannot be sharded"),
+                })
+            }
+        })
+    }
+}
+
+/// The one place a [`LogicalPlan`] node becomes an operator. `leaves`
+/// says what the node's scans and inputs are built from; everything
+/// else is the same sequentially and inside an exchange shard.
 fn physical_node(
     plan: &LogicalPlan,
     source: &dyn RelationSource,
     options: &UnionOptions,
-    parallelism: usize,
+    leaves: &mut Leaves<'_>,
 ) -> Result<Box<dyn Operator>, PlanError> {
-    Ok(match plan {
-        LogicalPlan::Scan { name } => match source.relation(name) {
-            Some(rel) => Box::new(ScanOp::new(name.clone(), rel)),
-            // Disk-backed binding: stream pages through the buffer
-            // pool instead of requiring a materialized relation.
-            None => match source.stored(name) {
-                Some(stored) => Box::new(crate::spill::SpillScanOp::new(name.clone(), stored)),
-                None => return Err(PlanError::UnknownRelation { name: name.clone() }),
-            },
+    let lower = |input: &LogicalPlan, leaves: &mut Leaves<'_>| match leaves {
+        Leaves::Whole { parallelism } => physical(input, source, options, *parallelism),
+        Leaves::Shard { .. } => physical_node(input, source, options, leaves),
+    };
+    // Only a whole-relation merge is sized from the cost model's
+    // build-side estimate: it picks the build path (eager spill vs
+    // pre-sized map, see [`MergeOp::with_build_estimate`]); a shard's
+    // build side is a fraction of it and sizes itself as it drains.
+    let sized = |op: MergeOp, right: &LogicalPlan, leaves: &Leaves<'_>| match leaves {
+        Leaves::Whole { .. } => match CostModel::new(source).build_estimate(right) {
+            Some((bytes, rows)) => op.with_build_estimate(bytes, rows),
+            None => op,
         },
+        Leaves::Shard { .. } => op,
+    };
+    let merger = || Box::new(DempsterMerger::new(options.clone()));
+    Ok(match plan {
+        LogicalPlan::Scan { name } => leaves.scan(name, &binding_of(source, name)?.relation)?,
         LogicalPlan::Select {
             input,
             predicate,
             threshold,
         } => {
             if let LogicalPlan::Product { left, right } = &**input {
+                let parallelism = leaves.parallelism()?;
                 return build_join(
                     left,
                     right,
@@ -137,75 +216,49 @@ fn physical_node(
                 );
             }
             Box::new(SelectOp::new(
-                physical(input, source, options, parallelism)?,
+                lower(input, leaves)?,
                 predicate.clone(),
                 *threshold,
             )?)
         }
-        LogicalPlan::ThresholdFilter { input, threshold } => Box::new(ThresholdOp::new(
-            physical(input, source, options, parallelism)?,
-            *threshold,
-        )?),
-        LogicalPlan::Project { input, attrs } => Box::new(ProjectOp::new(
-            physical(input, source, options, parallelism)?,
-            attrs,
-        )?),
-        LogicalPlan::Product { left, right } => Box::new(ProductOp::new(
-            physical(left, source, options, parallelism)?,
-            physical(right, source, options, parallelism)?,
-        )?),
+        LogicalPlan::ThresholdFilter { input, threshold } => {
+            Box::new(ThresholdOp::new(lower(input, leaves)?, *threshold)?)
+        }
+        LogicalPlan::Project { input, attrs } => {
+            Box::new(ProjectOp::new(lower(input, leaves)?, attrs)?)
+        }
+        LogicalPlan::Product { left, right } => {
+            leaves.parallelism()?;
+            Box::new(ProductOp::new(lower(left, leaves)?, lower(right, leaves)?)?)
+        }
         LogicalPlan::Join {
             left,
             right,
             on,
             threshold,
-        } => return build_join(left, right, on, threshold, source, options, parallelism),
-        LogicalPlan::Union { left, right } => Box::new(sized_merge(
-            MergeOp::union(
-                physical(left, source, options, parallelism)?,
-                physical(right, source, options, parallelism)?,
-                Box::new(DempsterMerger::new(options.clone())),
-            )?,
-            right,
-            source,
-        )),
-        LogicalPlan::Intersect { left, right } => Box::new(sized_merge(
-            MergeOp::intersect(
-                physical(left, source, options, parallelism)?,
-                physical(right, source, options, parallelism)?,
-                Box::new(DempsterMerger::new(options.clone())),
-            )?,
-            right,
-            source,
-        )),
+        } => {
+            let parallelism = leaves.parallelism()?;
+            return build_join(left, right, on, threshold, source, options, parallelism);
+        }
+        LogicalPlan::Union { left, right } => {
+            let op = MergeOp::union(lower(left, leaves)?, lower(right, leaves)?, merger())?;
+            Box::new(sized(op, right, leaves))
+        }
+        LogicalPlan::Intersect { left, right } => {
+            let op = MergeOp::intersect(lower(left, leaves)?, lower(right, leaves)?, merger())?;
+            Box::new(sized(op, right, leaves))
+        }
         LogicalPlan::Difference { left, right } => Box::new(DifferenceOp::new(
-            physical(left, source, options, parallelism)?,
-            physical(right, source, options, parallelism)?,
+            lower(left, leaves)?,
+            lower(right, leaves)?,
         )?),
-        LogicalPlan::RenameRelation { input, name } => Box::new(RenameOp::relation(
-            physical(input, source, options, parallelism)?,
-            name,
-        )),
-        LogicalPlan::RenameAttribute { input, from, to } => Box::new(RenameOp::attribute(
-            physical(input, source, options, parallelism)?,
-            from,
-            to,
-        )?),
+        LogicalPlan::RenameRelation { input, name } => {
+            Box::new(RenameOp::relation(lower(input, leaves)?, name))
+        }
+        LogicalPlan::RenameAttribute { input, from, to } => {
+            Box::new(RenameOp::attribute(lower(input, leaves)?, from, to)?)
+        }
     })
-}
-
-/// Attach the cost model's build-side estimate to a merge, when
-/// statistics cover its right (build) input. The estimate only picks
-/// the build path (eager spill vs pre-sized map) — see
-/// [`MergeOp::with_build_estimate`].
-fn sized_merge(op: MergeOp, right: &LogicalPlan, source: &dyn RelationSource) -> MergeOp {
-    if !stats_enabled() {
-        return op;
-    }
-    match CostModel::new(source).build_estimate(right) {
-        Some((bytes, rows)) => op.with_build_estimate(bytes, rows),
-        None => op,
-    }
 }
 
 /// Can this whole subtree execute over hash-shards of its scans?
@@ -247,31 +300,6 @@ fn contains_merge(plan: &LogicalPlan) -> bool {
     }
 }
 
-/// Total tuples the fragment's scan leaves would produce.
-fn fragment_scan_tuples(plan: &LogicalPlan, source: &dyn RelationSource) -> usize {
-    match plan {
-        LogicalPlan::Scan { name } => source
-            .relation(name)
-            .map(|rel| rel.len())
-            .or_else(|| source.stored(name).map(|s| s.len()))
-            .unwrap_or(0),
-        LogicalPlan::Select { input, .. }
-        | LogicalPlan::ThresholdFilter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::RenameRelation { input, .. }
-        | LogicalPlan::RenameAttribute { input, .. } => fragment_scan_tuples(input, source),
-        LogicalPlan::Union { left, right }
-        | LogicalPlan::Intersect { left, right }
-        | LogicalPlan::Difference { left, right }
-        | LogicalPlan::Product { left, right } => {
-            fragment_scan_tuples(left, source) + fragment_scan_tuples(right, source)
-        }
-        LogicalPlan::Join { left, right, .. } => {
-            fragment_scan_tuples(left, source) + fragment_scan_tuples(right, source)
-        }
-    }
-}
-
 /// The static emission-order domain of a shardable fragment: every
 /// key it can emit, in sequential emission order, plus whether the
 /// key *set* is exact (no data-dependent filtering below).
@@ -304,7 +332,9 @@ fn emit_domain(plan: &LogicalPlan, source: &dyn RelationSource) -> Option<EmitDo
             // computing their emit domain would require a full scan up
             // front, defeating the point of paging. They run through
             // the sequential spill scan instead (still streaming).
-            let rel = source.relation(name)?;
+            let BoundRelation::Memory(rel) = &source.resolve(name)?.relation else {
+                return None;
+            };
             let order: Vec<_> = rel.iter_keyed().map(|(key, _)| key).collect();
             let set = order.iter().cloned().collect();
             Some(EmitDomain {
@@ -389,10 +419,10 @@ fn emit_domain(plan: &LogicalPlan, source: &dyn RelationSource) -> Option<EmitDo
 }
 
 /// Wrap a shardable fragment in an exchange: N identical shard plans
-/// over [`ShardScanOp`] leaves (sharing one precomputed slot table
-/// per scanned relation) plus the emit-domain order map. `Ok(None)`
-/// when [`emit_domain`] cannot guarantee sequential emission order —
-/// the caller then plans this node sequentially and recurses.
+/// ([`physical_node`] over [`Leaves::Shard`], sharing one precomputed
+/// slot table per scanned relation) plus the emit-domain order map.
+/// `Ok(None)` when [`emit_domain`] cannot guarantee sequential emission
+/// order — the caller then plans this node sequentially and recurses.
 fn build_exchange(
     plan: &LogicalPlan,
     source: &dyn RelationSource,
@@ -409,77 +439,18 @@ fn build_exchange(
         .map(|(rank, key)| (key, rank))
         .collect();
     let partitioner = Partitioner::new(threads);
-    let mut slot_tables: HashMap<String, Arc<Vec<u32>>> = HashMap::new();
+    let mut slots = SlotTables::new();
     let shards = (0..threads)
-        .map(|shard| physical_shard(plan, source, options, partitioner, shard, &mut slot_tables))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Some(Box::new(ExchangeOp::new(shards, order)?)))
-}
-
-/// [`physical`] restricted to the shardable family, with scan leaves
-/// replaced by [`ShardScanOp`]s of one shard. `slot_tables` caches
-/// one precomputed slot table per scanned relation so N shards hash
-/// every key once, not N times (a caller may seed it to route a
-/// relation by something other than its key).
-fn physical_shard(
-    plan: &LogicalPlan,
-    source: &dyn RelationSource,
-    options: &UnionOptions,
-    partitioner: Partitioner,
-    shard: usize,
-    slot_tables: &mut HashMap<String, Arc<Vec<u32>>>,
-) -> Result<Box<dyn Operator>, PlanError> {
-    let mut build = |input| physical_shard(input, source, options, partitioner, shard, slot_tables);
-    Ok(match plan {
-        LogicalPlan::Scan { name } => {
-            let rel = source
-                .relation(name)
-                .ok_or_else(|| PlanError::UnknownRelation { name: name.clone() })?;
-            let slots = slot_tables
-                .entry(name.clone())
-                .or_insert_with(|| compute_slots(&rel, partitioner, None));
-            Box::new(ShardScanOp::with_slots(
-                name.clone(),
-                rel,
+        .map(|shard| {
+            let mut leaves = Leaves::Shard {
                 partitioner,
                 shard,
-                Arc::clone(slots),
-            ))
-        }
-        LogicalPlan::Select {
-            input,
-            predicate,
-            threshold,
-        } => Box::new(SelectOp::new(build(input)?, predicate.clone(), *threshold)?),
-        LogicalPlan::ThresholdFilter { input, threshold } => {
-            Box::new(ThresholdOp::new(build(input)?, *threshold)?)
-        }
-        LogicalPlan::Project { input, attrs } => Box::new(ProjectOp::new(build(input)?, attrs)?),
-        LogicalPlan::Union { left, right } => Box::new(MergeOp::union(
-            build(left)?,
-            build(right)?,
-            Box::new(DempsterMerger::new(options.clone())),
-        )?),
-        LogicalPlan::Intersect { left, right } => Box::new(MergeOp::intersect(
-            build(left)?,
-            build(right)?,
-            Box::new(DempsterMerger::new(options.clone())),
-        )?),
-        LogicalPlan::Difference { left, right } => {
-            Box::new(DifferenceOp::new(build(left)?, build(right)?)?)
-        }
-        LogicalPlan::RenameRelation { input, name } => {
-            Box::new(RenameOp::relation(build(input)?, name))
-        }
-        LogicalPlan::RenameAttribute { input, from, to } => {
-            Box::new(RenameOp::attribute(build(input)?, from, to)?)
-        }
-        LogicalPlan::Product { .. } | LogicalPlan::Join { .. } => {
-            return Err(PlanError::Pairing {
-                reason: "×̃/⋈̃ cannot appear inside an exchange fragment".to_owned(),
-            })
-        }
-    })
+                slots: &mut slots,
+            };
+            physical_node(plan, source, options, &mut leaves)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Some(Box::new(ExchangeOp::new(shards, order)?)))
 }
 
 fn build_join(
@@ -545,8 +516,7 @@ fn filter_chain_base(plan: &LogicalPlan) -> Option<&str> {
 
 /// Partitioned ⋈̃: when both join sides are filter chains over
 /// in-memory scans, the predicate has a hashable equality conjunct,
-/// and the cost model estimates enough work to amortize `parallelism`
-/// workers, shard **both** sides by the join attribute's value —
+/// and the estimated cost amortizes `parallelism` workers, shard **both** sides by the join attribute's value —
 /// equal values land in the same shard, so each worker's hash join
 /// sees every matching pair — and re-merge worker outputs in
 /// sequential emission order (left insertion order × matching right
@@ -561,13 +531,13 @@ fn build_partitioned_join(
     options: &UnionOptions,
     parallelism: usize,
 ) -> Result<Option<Box<dyn Operator>>, PlanError> {
-    if !stats_enabled() {
-        return Ok(None);
-    }
     let (Some(l_name), Some(r_name)) = (filter_chain_base(left), filter_chain_base(right)) else {
         return Ok(None);
     };
-    let (Some(l_rel), Some(r_rel)) = (source.relation(l_name), source.relation(r_name)) else {
+    let (BoundRelation::Memory(l_rel), BoundRelation::Memory(r_rel)) = (
+        &binding_of(source, l_name)?.relation,
+        &binding_of(source, r_name)?.relation,
+    ) else {
         return Ok(None);
     };
     let l_schema = crate::logical::schema_of(left, source)?;
@@ -586,10 +556,8 @@ fn build_partitioned_join(
         on: predicate.clone(),
         threshold: *threshold,
     };
-    let model = CostModel::new(source);
-    match model.est_cost(&join_plan) {
-        Some(cost) if cost >= parallelism as f64 * MIN_COST_PER_SHARD => {}
-        _ => return Ok(None),
+    if !exchange_pays_off(CostModel::new(source).est_cost(&join_plan)?, parallelism) {
+        return Ok(None);
     }
     // Rank every join-value-matching pair in sequential emission
     // order. Filters above the scans only *remove* emissions, so the
@@ -636,13 +604,21 @@ fn build_partitioned_join(
     // One slot table per side (a self-join shards the same relation
     // by two different attributes), seeded so the shard lowering
     // routes by join value instead of hashing keys.
-    let mut l_slots = HashMap::from([(l_name.to_owned(), slot_by_attr(&l_rel, lp))]);
-    let mut r_slots = HashMap::from([(r_name.to_owned(), slot_by_attr(&r_rel, rp))]);
+    let mut l_slots = HashMap::from([(l_name.to_owned(), slot_by_attr(l_rel, lp))]);
+    let mut r_slots = HashMap::from([(r_name.to_owned(), slot_by_attr(r_rel, rp))]);
     let shards = (0..parallelism)
         .map(|shard| -> Result<Box<dyn Operator>, PlanError> {
+            let side = |plan, slots| {
+                let mut leaves = Leaves::Shard {
+                    partitioner,
+                    shard,
+                    slots,
+                };
+                physical_node(plan, source, options, &mut leaves)
+            };
             Ok(Box::new(HashJoinOp::new(
-                physical_shard(left, source, options, partitioner, shard, &mut l_slots)?,
-                physical_shard(right, source, options, partitioner, shard, &mut r_slots)?,
+                side(left, &mut l_slots)?,
+                side(right, &mut r_slots)?,
                 predicate.clone(),
                 *threshold,
                 lp,
@@ -678,6 +654,85 @@ pub fn execute_plan(
     Ok(execute_optimized_metered(&optimized, source, ctx)?.0)
 }
 
+/// Execute a union-style merge of `left` and `right` under an explicit
+/// tuple `pairing` — the integration pipeline's Figure 1 merge stage,
+/// lowered like a ∪̃ of two scans: one [`MergeOp`] over whole-relation
+/// (or stored) scans, or, when both sides are in memory and the merge's
+/// cost amortizes [`ExecContext::parallelism`] workers, N hash-sharded
+/// `MergeOp`s under an exchange. The pairing may match *unequal* keys,
+/// so a matched right tuple is routed and ranked under its partner's
+/// (canonical) left key and both land in one shard. The cost is the
+/// ∪̃ formula fed with the pairing's exact counts, against the same
+/// floor; either lowering emits the same tuples in the same order with
+/// the same conflict report. `merger` is called once per `MergeOp`.
+///
+/// # Errors
+/// Union-incompatible schemas; merger and scan errors.
+pub fn execute_merge(
+    left: &BoundRelation,
+    right: &BoundRelation,
+    pairing: MergePairing,
+    merger: &dyn Fn() -> Box<dyn TupleMerger>,
+    ctx: &mut ExecContext,
+) -> Result<ExtendedRelation, PlanError> {
+    let (l_name, r_name) = (left.schema().name(), right.schema().name());
+    let name = format!("{l_name}⊎{r_name}");
+    let (l, r) = (left.len() as f64, right.len() as f64);
+    let cost = l + r + merge_cost(l, r, pairing.matched.len() as f64, DEFAULT_MERGE_WEIGHT);
+    let pairing = Arc::new(pairing);
+    let merge = |l_leaves: &mut Leaves<'_>, r_leaves: &mut Leaves<'_>| {
+        MergeOp::with_shared_pairing(
+            l_leaves.scan(l_name, left)?,
+            r_leaves.scan(r_name, right)?,
+            merger(),
+            Arc::clone(&pairing),
+            name.clone(),
+        )
+    };
+    let threads = ctx.parallelism;
+    let mut op: Box<dyn Operator> = match (left, right) {
+        (BoundRelation::Memory(l_rel), BoundRelation::Memory(r_rel))
+            if exchange_pays_off(cost, threads) =>
+        {
+            let canonical: HashMap<Vec<Value>, Vec<Value>> = pairing
+                .matched
+                .iter()
+                .map(|(lk, rk)| (rk.clone(), lk.clone()))
+                .collect();
+            let mut order = OrderMap::new();
+            rank_keys(&mut order, l_rel, None);
+            rank_keys(&mut order, r_rel, Some(&canonical));
+            let partitioner = Partitioner::new(threads);
+            // One slot table per side (both schemas may share a name),
+            // the right one seeded with the canonical routing.
+            let mut l_slots = SlotTables::new();
+            let mut r_slots = SlotTables::from([(
+                r_name.to_owned(),
+                compute_slots(r_rel, partitioner, Some(&canonical)),
+            )]);
+            let shards = (0..threads)
+                .map(|shard| -> Result<Box<dyn Operator>, PlanError> {
+                    let leaves = |slots| Leaves::Shard {
+                        partitioner,
+                        shard,
+                        slots,
+                    };
+                    Ok(Box::new(merge(
+                        &mut leaves(&mut l_slots),
+                        &mut leaves(&mut r_slots),
+                    )?))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Box::new(ExchangeOp::new(shards, order)?)
+        }
+        _ => {
+            let whole = || Leaves::Whole { parallelism: 1 };
+            Box::new(merge(&mut whole(), &mut whole())?)
+        }
+    };
+    run(op.as_mut(), ctx)
+}
+
 /// One operator's row accounting from an execution: what the cost
 /// model predicted vs what the operator actually emitted. The
 /// slow-query log attaches these so planner mis-estimates are visible
@@ -686,9 +741,8 @@ pub fn execute_plan(
 pub struct OpMeter {
     /// The operator's `describe()` line.
     pub describe: String,
-    /// Cost-model row estimate; `None` when statistics were
-    /// unavailable for this node.
-    pub est_rows: Option<u64>,
+    /// Cost-model row estimate.
+    pub est_rows: u64,
     /// Rows the operator actually emitted.
     pub actual_rows: u64,
 }
@@ -737,9 +791,8 @@ pub fn execute_optimized_metered(
 ///
 /// With `analyze`, the tree also **runs** to completion (side outputs
 /// land in `ctx` as an execution's would) and every physical line
-/// carries an `[est≈N act=M]` suffix — estimates from the cost model
-/// (`est=?` when statistics are unavailable), actuals from the
-/// meters. When that execution fails the tree is still rendered
+/// carries an `[est≈N act=M]` suffix — estimates from the cost
+/// model, actuals from the meters. When that execution fails the tree is still rendered
 /// (meters show rows emitted up to the failure) with the error
 /// appended.
 ///
@@ -1077,7 +1130,7 @@ mod tests {
     }
 
     /// A large equality ⋈̃ at parallelism 4 runs through the
-    /// join-attribute-partitioned exchange (stats on) and reproduces
+    /// join-attribute-partitioned exchange and reproduces
     /// the sequential output bit for bit, stats included.
     #[test]
     fn parallel_join_partitions_by_join_attribute() {
@@ -1098,14 +1151,10 @@ mod tests {
         let plan = scan("ga").join(scan("gb"), on).build();
         let options = UnionOptions::default();
         let text = explain(&plan, &b, &options, 4);
-        if crate::cost::stats_enabled() {
-            assert!(
-                text.contains("⇄ exchange (4 threads, hash(k = k) partition"),
-                "{text}"
-            );
-        } else {
-            assert!(!text.contains("exchange"), "{text}");
-        }
+        assert!(
+            text.contains("⇄ exchange (4 threads, hash(k = k) partition"),
+            "{text}"
+        );
         let mut seq_ctx = ExecContext::with_parallelism(1);
         let seq = execute_plan(&plan, &b, &mut seq_ctx).unwrap();
         assert!(!seq.is_empty());
@@ -1132,12 +1181,7 @@ mod tests {
         let text = explain_plan(&plan, &b, &mut ctx, true).unwrap();
         assert!(text.contains("physical:"), "{text}");
         assert!(text.contains("act="), "{text}");
-        if crate::cost::stats_enabled() {
-            // Bound relations publish stats, so estimates resolve.
-            assert!(text.contains("[est≈"), "{text}");
-        } else {
-            assert!(text.contains("[est=? act="), "{text}");
-        }
+        assert!(text.contains("[est≈"), "{text}");
         // The analyze pass really executed: emitted rows were counted.
         assert!(ctx.stats.tuples_emitted > 0, "{:?}", ctx.stats);
         // The root line shows the actual row count of the result.

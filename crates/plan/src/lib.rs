@@ -10,7 +10,7 @@
 //!    threshold-into-select fusion, select fusion, and σ̃-under-∪̃
 //!    distribution for key-crisp predicates. Every rule application
 //!    is recorded and surfaced by `EXPLAIN`.
-//! 2. **Physical**: a pull-based [`Operator`] trait
+//! 2. **Physical**: a pull-based [`ops::Operator`] trait
 //!    (`open`/`next`/`close` over extended tuples) with streaming
 //!    implementations — scan, select, membership threshold, project,
 //!    product, a hash-probing ⋈̃, and a key-indexed ∪̃/∩̃ merge that
@@ -28,7 +28,7 @@
 //! [`reference::execute_reference`] composes them into an independent
 //! oracle that the equivalence property suite checks the streaming
 //! executor against. `evirel-query` lowers EQL onto this crate, and
-//! `evirel-integrate`'s merge stage runs through [`ops::MergeOp`]
+//! `evirel-integrate`'s merge stage runs through [`execute_merge`]
 //! with its method-registry merger.
 //!
 //! ```
@@ -58,21 +58,19 @@ pub mod reference;
 pub mod rewrite;
 pub mod spill;
 
-pub use cost::{stats_enabled, CostModel, NO_STATS_ENV};
+pub use cost::CostModel;
 pub use error::PlanError;
-pub use exchange::{compute_slots, rank_keys, ExchangeOp, OrderMap, ShardScanOp};
-pub use exec::{execute_optimized_metered, execute_plan, explain_plan, OpMeter};
+pub use exec::{execute_merge, execute_optimized_metered, execute_plan, explain_plan, OpMeter};
 pub use logical::{
-    scan, schema_of, validate_plan, Bindings, LogicalPlan, PlanBuilder, RelationSource,
+    scan, schema_of, validate_plan, Binding, Bindings, BoundRelation, LogicalPlan, PlanBuilder,
+    RelationSource,
 };
 pub use ops::{
-    default_parallelism, run, ExecContext, ExecStats, MergeOp, MergePairing, Operator, ScanOp,
-    TupleMerger, MAX_PARALLELISM,
+    default_parallelism, ExecContext, ExecStats, MergePairing, TupleMerger, MAX_PARALLELISM,
 };
 pub use rewrite::optimize;
-pub use spill::SpillScanOp;
 // The storage-engine types that appear in this crate's public API
-// (`RelationSource::stored`, `ExecContext::pool`), re-exported so
+// (`BoundRelation::Stored`, `ExecContext::pool`), re-exported so
 // callers need not depend on `evirel-store` directly.
 pub use evirel_store::{BufferPool, StoredRelation};
 

@@ -22,48 +22,70 @@ use std::sync::Arc;
 
 /// Where scans resolve their relations. Implemented by [`Bindings`]
 /// and, by forwarding to the one it holds, `evirel_query::Catalog`.
-///
-/// A name resolves to an in-memory relation, a disk-backed
-/// [`StoredRelation`] (scanned page-at-a-time through the buffer
-/// pool by the plan layer's spill scan), or nothing. In-memory takes
-/// precedence should a source bind both.
 pub trait RelationSource {
-    /// The in-memory relation bound to `name`, if any.
-    fn relation(&self, name: &str) -> Option<Arc<ExtendedRelation>>;
-
-    /// The disk-backed relation bound to `name`, if any. Sources
-    /// without storage attachments (the default) return `None`.
-    fn stored(&self, name: &str) -> Option<Arc<StoredRelation>> {
-        let _ = name;
-        None
-    }
-
-    /// Statistics for the relation bound to `name`, if the source
-    /// collected any ([`Bindings`] computes them at bind time; stored
-    /// bindings carry the segment's persisted block). `None` — the
-    /// default — makes the planner fall back to its size heuristics;
-    /// stats never change results, only cost estimates.
-    fn stats(&self, name: &str) -> Option<Arc<evirel_store::RelStats>> {
-        let _ = name;
-        None
-    }
+    /// What `name` is bound to — the relation and its statistics in
+    /// one lookup — or `None` for an unbound name.
+    fn resolve(&self, name: &str) -> Option<&Binding>;
 }
 
-/// The schema `name` scans as, from either binding kind.
-pub(crate) fn source_schema(source: &dyn RelationSource, name: &str) -> Option<Arc<Schema>> {
+/// `name`'s binding, or the typed error every lowering step reports
+/// for an unbound name.
+pub(crate) fn binding_of<'s>(
+    source: &'s dyn RelationSource,
+    name: &str,
+) -> Result<&'s Binding, PlanError> {
     source
-        .relation(name)
-        .map(|rel| Arc::clone(rel.schema()))
-        .or_else(|| source.stored(name).map(|s| Arc::clone(s.schema())))
+        .resolve(name)
+        .ok_or_else(|| PlanError::UnknownRelation {
+            name: name.to_owned(),
+        })
 }
 
-/// What one name is bound to: an in-memory relation *or* a stored
-/// one (never both), and the statistics the cost model reads.
-#[derive(Debug, Clone, Default)]
-struct Binding {
-    memory: Option<Arc<ExtendedRelation>>,
-    stored: Option<Arc<StoredRelation>>,
-    stats: Option<Arc<evirel_store::RelStats>>,
+/// A bound relation's extension: in memory, or a disk-backed
+/// [`StoredRelation`] scanned page-at-a-time through the buffer pool
+/// by the plan layer's spill scan.
+#[derive(Debug, Clone)]
+pub enum BoundRelation {
+    /// Held in memory.
+    Memory(Arc<ExtendedRelation>),
+    /// Held in an on-disk segment.
+    Stored(Arc<StoredRelation>),
+}
+
+impl BoundRelation {
+    /// The schema scans of this relation emit.
+    pub fn schema(&self) -> &Arc<Schema> {
+        match self {
+            BoundRelation::Memory(rel) => rel.schema(),
+            BoundRelation::Stored(stored) => stored.schema(),
+        }
+    }
+
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        match self {
+            BoundRelation::Memory(rel) => rel.len(),
+            BoundRelation::Stored(stored) => stored.len(),
+        }
+    }
+
+    /// `true` when the extension is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// What one name is bound to: the relation and the statistics the
+/// cost model reads. Every binding has statistics — [`Bindings::bind`]
+/// computes them, a stored relation carries its segment's block — so
+/// planning never meets a relation it cannot estimate.
+#[derive(Debug, Clone)]
+pub struct Binding {
+    /// The relation's extension.
+    pub relation: BoundRelation,
+    /// Its statistics. They change how a plan runs, never what it
+    /// returns.
+    pub stats: Arc<evirel_store::RelStats>,
 }
 
 /// The name → relation map behind every [`RelationSource`] in the
@@ -82,13 +104,11 @@ impl Bindings {
     }
 
     /// Bind (or rebind) `name` to an in-memory relation. Statistics
-    /// are computed in the same pass ([`evirel_store::compute_stats`])
-    /// so cost-based planning sees in-memory bindings too.
+    /// are computed in the same pass ([`evirel_store::compute_stats`]).
     pub fn bind(&mut self, name: impl Into<String>, rel: ExtendedRelation) -> &mut Self {
         let binding = Binding {
-            stats: Some(Arc::new(evirel_store::compute_stats(&rel))),
-            memory: Some(Arc::new(rel)),
-            stored: None,
+            stats: Arc::new(evirel_store::compute_stats(&rel)),
+            relation: BoundRelation::Memory(Arc::new(rel)),
         };
         self.map.insert(name.into(), binding);
         self
@@ -96,10 +116,7 @@ impl Bindings {
 
     /// Bind (or rebind) `name` to a disk-backed stored relation: scans
     /// stream its pages through the buffer pool instead of requiring a
-    /// materialized [`ExtendedRelation`]. Statistics are the segment's
-    /// persisted block; a pre-v3 segment has none, and the planner
-    /// then falls back to heuristics for this name rather than reusing
-    /// a previous binding's numbers.
+    /// materialized [`ExtendedRelation`]. Statistics are the segment's.
     pub fn bind_stored(
         &mut self,
         name: impl Into<String>,
@@ -107,8 +124,7 @@ impl Bindings {
     ) -> &mut Self {
         let binding = Binding {
             stats: stored.stats(),
-            memory: None,
-            stored: Some(stored),
+            relation: BoundRelation::Stored(stored),
         };
         self.map.insert(name.into(), binding);
         self
@@ -117,12 +133,10 @@ impl Bindings {
     /// Remove `name`'s binding; returns the relation when it was an
     /// in-memory one (stored extensions live on disk).
     pub fn unbind(&mut self, name: &str) -> Option<Arc<ExtendedRelation>> {
-        self.map.remove(name)?.memory
-    }
-
-    /// The in-memory relation bound to `name`, borrowed.
-    pub fn get(&self, name: &str) -> Option<&ExtendedRelation> {
-        self.map.get(name)?.memory.as_deref()
+        match self.map.remove(name)?.relation {
+            BoundRelation::Memory(rel) => Some(rel),
+            BoundRelation::Stored(_) => None,
+        }
     }
 
     /// Bound names (in-memory and stored), sorted.
@@ -144,16 +158,8 @@ impl Bindings {
 }
 
 impl RelationSource for Bindings {
-    fn relation(&self, name: &str) -> Option<Arc<ExtendedRelation>> {
-        self.map.get(name)?.memory.clone()
-    }
-
-    fn stored(&self, name: &str) -> Option<Arc<StoredRelation>> {
-        self.map.get(name)?.stored.clone()
-    }
-
-    fn stats(&self, name: &str) -> Option<Arc<evirel_store::RelStats>> {
-        self.map.get(name)?.stats.clone()
+    fn resolve(&self, name: &str) -> Option<&Binding> {
+        self.map.get(name)
     }
 }
 
@@ -469,8 +475,7 @@ pub fn schema_of(
     source: &dyn RelationSource,
 ) -> Result<Arc<Schema>, PlanError> {
     match plan {
-        LogicalPlan::Scan { name } => source_schema(source, name)
-            .ok_or_else(|| PlanError::UnknownRelation { name: name.clone() }),
+        LogicalPlan::Scan { name } => Ok(Arc::clone(binding_of(source, name)?.relation.schema())),
         LogicalPlan::Select { input, .. } | LogicalPlan::ThresholdFilter { input, .. } => {
             schema_of(input, source)
         }

@@ -185,7 +185,7 @@ pub trait Operator: Send {
     /// wrapped by the row meter ([`MeteredOp`]); `None` for unmetered
     /// operators. `EXPLAIN ANALYZE` renders it as the line's
     /// estimate/actual suffix.
-    fn metered(&self) -> Option<(Option<u64>, u64)> {
+    fn metered(&self) -> Option<(u64, u64)> {
         None
     }
 }
@@ -212,10 +212,7 @@ pub(crate) fn render_physical(op: &dyn Operator, analyze: bool) -> String {
         out.push_str(&"  ".repeat(depth));
         out.push_str(&op.describe());
         if let Some((est, act)) = op.metered().filter(|_| analyze) {
-            match est {
-                Some(est) => out.push_str(&format!(" [est\u{2248}{est} act={act}]")),
-                None => out.push_str(&format!(" [est=? act={act}]")),
-            }
+            out.push_str(&format!(" [est\u{2248}{est} act={act}]"));
         }
         out.push('\n');
         for child in op.children() {
@@ -237,17 +234,16 @@ pub(crate) fn render_physical(op: &dyn Operator, analyze: bool) -> String {
 /// fires through the meter).
 pub struct MeteredOp {
     inner: Box<dyn Operator>,
-    est: Option<u64>,
+    est: u64,
     emitted: u64,
 }
 
 impl MeteredOp {
-    /// Wrap `inner`, tagging it with the cost model's row estimate
-    /// (`None` when statistics were unavailable).
-    pub fn new(inner: Box<dyn Operator>, est: Option<f64>) -> MeteredOp {
+    /// Wrap `inner`, tagging it with the cost model's row estimate.
+    pub fn new(inner: Box<dyn Operator>, est: f64) -> MeteredOp {
         MeteredOp {
             inner,
-            est: est.map(|e| e.round().max(0.0) as u64),
+            est: est.round().max(0.0) as u64,
             emitted: 0,
         }
     }
@@ -286,7 +282,7 @@ impl Operator for MeteredOp {
         self.inner.stored_relation()
     }
 
-    fn metered(&self) -> Option<(Option<u64>, u64)> {
+    fn metered(&self) -> Option<(u64, u64)> {
         Some((self.est, self.emitted))
     }
 }
@@ -970,8 +966,6 @@ pub struct MergeOp {
     report: ConflictReport,
     right_pos: usize,
     left_done: bool,
-    /// `true` once the build side went to disk (surfaced in stats).
-    spilled: bool,
     /// Cost-model estimate of the build side as `(bytes, rows)`, from
     /// [`MergeOp::with_build_estimate`]. Picks the build *path* up
     /// front (eager spill vs pre-sized map) — never the results.
@@ -1006,25 +1000,12 @@ impl MergeOp {
     }
 
     /// A union-style merge driven by an explicit [`MergePairing`] —
-    /// the integration pipeline's merge stage. `name` becomes the
-    /// output relation name.
-    ///
-    /// # Errors
-    /// Union-incompatible schemas.
-    pub fn with_pairing(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        merger: Box<dyn TupleMerger>,
-        pairing: MergePairing,
-        name: impl Into<String>,
-    ) -> Result<MergeOp, PlanError> {
-        MergeOp::with_shared_pairing(left, right, merger, Arc::new(pairing), name)
-    }
-
-    /// [`MergeOp::with_pairing`] over a shared pairing handle — the
-    /// parallel merge stage builds one shard `MergeOp` per worker, and
-    /// a pairing can hold an entry per input key, so per-shard deep
-    /// copies would multiply its footprint by the thread count.
+    /// the integration pipeline's merge stage
+    /// ([`crate::exec::execute_merge`]). `name` becomes the output
+    /// relation name. The pairing is a shared handle: the parallel
+    /// merge stage builds one shard `MergeOp` per worker, and a pairing
+    /// can hold an entry per input key, so per-shard deep copies would
+    /// multiply its footprint by the thread count.
     ///
     /// # Errors
     /// Union-incompatible schemas.
@@ -1070,7 +1051,6 @@ impl MergeOp {
             report: ConflictReport::new(),
             right_pos: 0,
             left_done: false,
-            spilled: false,
             build_estimate: None,
         })
     }
@@ -1086,12 +1066,6 @@ impl MergeOp {
     pub fn with_build_estimate(mut self, bytes: u64, rows: u64) -> MergeOp {
         self.build_estimate = Some((bytes, rows));
         self
-    }
-
-    /// `true` once the build side has been written to a temp segment
-    /// (or indexed directly from a stored scan's segment).
-    pub fn build_side_spilled(&self) -> bool {
-        self.spilled
     }
 }
 
@@ -1114,7 +1088,6 @@ impl Operator for MergeOp {
             ctx.stats.tuples_scanned += stored.len();
             self.right_order = order;
             self.build = BuildSide::Spilled(spilled);
-            self.spilled = true;
             return Ok(());
         }
         let right_schema = Arc::clone(self.right.schema());
@@ -1155,10 +1128,7 @@ impl Operator for MergeOp {
             }
         }
         self.build = match spill {
-            Some(build) => {
-                self.spilled = true;
-                BuildSide::Spilled(build.finish(&ctx.pool)?)
-            }
+            Some(build) => BuildSide::Spilled(build.finish(&ctx.pool)?),
             None => BuildSide::Mem(mem),
         };
         Ok(())
@@ -1522,13 +1492,6 @@ mod tests {
         assert_eq!(THREADS.parse("1024"), Some(crate::MAX_PARALLELISM));
         for invalid in ["", "0", "-2", "4.0", "O4", "four", "1025", "9999999999"] {
             assert_eq!(THREADS.parse(invalid), None, "{invalid:?}");
-        }
-        // The boolean knobs share the policy: 0 or 1, nothing else.
-        let no_stats = crate::cost::NO_STATS;
-        assert_eq!(no_stats.parse("0"), Some(0));
-        assert_eq!(no_stats.parse(" 1 "), Some(1));
-        for invalid in ["", "2", "-1", "yes", "off", "true", "1.0"] {
-            assert_eq!(no_stats.parse(invalid), None, "{invalid:?}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! identically.
 
 use crate::error::PlanError;
-use crate::logical::{LogicalPlan, RelationSource};
+use crate::logical::{binding_of, BoundRelation, LogicalPlan, RelationSource};
 use evirel_algebra::conflict::ConflictReport;
 use evirel_algebra::rename::{rename_attribute, rename_relation};
 use evirel_algebra::setops::{difference_extended, intersect_extended};
@@ -42,15 +42,12 @@ fn eval(
     report: &mut ConflictReport,
 ) -> Result<ExtendedRelation, PlanError> {
     Ok(match plan {
-        LogicalPlan::Scan { name } => match source.relation(name) {
-            Some(rel) => (*rel).clone(),
+        LogicalPlan::Scan { name } => match &binding_of(source, name)?.relation {
+            BoundRelation::Memory(rel) => (**rel).clone(),
             // The oracle materializes stored bindings fully — it is
             // the naive spec, so memory-oblivious by design; the
             // streaming path under test pages instead.
-            None => source
-                .stored(name)
-                .ok_or_else(|| PlanError::UnknownRelation { name: name.clone() })?
-                .to_relation()?,
+            BoundRelation::Stored(stored) => stored.to_relation()?,
         },
         LogicalPlan::Select {
             input,

@@ -52,11 +52,6 @@ impl SpillScanOp {
             buf: Vec::new().into_iter(),
         }
     }
-
-    /// The stored relation this operator scans.
-    pub fn stored(&self) -> &Arc<StoredRelation> {
-        &self.stored
-    }
 }
 
 impl Operator for SpillScanOp {

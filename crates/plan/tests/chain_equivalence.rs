@@ -1,19 +1,14 @@
 //! Differential properties for the cost-ordered chain operator: for
 //! random three-way join chains, streaming execution (which lowers
-//! them through `ChainOp` whenever statistics are enabled) must
-//! reproduce the naive free-function composition **bit for bit** —
-//! same tuples, same insertion order (the left-deep emission order),
-//! same `(sn, sp)` — at parallelism 1 and 4 alike. The CI matrix runs
-//! this suite both with statistics on (chain engaged) and under
-//! `EVIREL_NO_STATS=1` (left-deep lowering), pinning the two paths to
-//! the same oracle.
+//! them through `ChainOp`) must reproduce the naive free-function
+//! composition **bit for bit** — same tuples, same insertion order
+//! (the left-deep emission order), same `(sn, sp)` — at parallelism 1
+//! and 4 alike.
 
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
 use evirel_plan::reference::execute_reference;
-use evirel_plan::{
-    execute_plan, explain_plan, scan, stats_enabled, Bindings, ExecContext, LogicalPlan,
-};
+use evirel_plan::{execute_plan, explain_plan, scan, Bindings, ExecContext, LogicalPlan};
 use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, ValueKind};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -138,18 +133,12 @@ proptest! {
 }
 
 /// The planner actually engages the chain (and renders its chosen
-/// order) for a three-way equality chain when statistics are on, and
-/// never under `EVIREL_NO_STATS=1`.
+/// order) for a three-way equality chain.
 #[test]
-fn explain_shows_chain_when_stats_enabled() {
+fn explain_shows_chain() {
     let bindings = bind(7, (12, 8, 3), 4);
     let plan = chain_plan(0);
     let text = explain_plan(&plan, &bindings, &mut ExecContext::new(), false).unwrap();
-    if stats_enabled() {
-        assert!(text.contains("⋈̃ chain (3 inputs"), "{text}");
-        assert!(text.contains("cost-ordered:"), "{text}");
-    } else {
-        assert!(!text.contains("⋈̃ chain"), "{text}");
-        assert!(text.contains("hash"), "{text}");
-    }
+    assert!(text.contains("⋈̃ chain (3 inputs"), "{text}");
+    assert!(text.contains("cost-ordered:"), "{text}");
 }

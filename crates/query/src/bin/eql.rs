@@ -42,8 +42,7 @@
 //!   truncate the journal;
 //! * `\stats` — per-relation statistics (tuple count, distinct-key
 //!   estimate, average focal width, observed κ) as the planner's cost
-//!   model sees them; relations without statistics (pre-v3 segments)
-//!   are flagged as planning via heuristics;
+//!   model sees them;
 //! * `\pool` — buffer-pool statistics (hits/misses/evictions/bytes),
 //!   read from the shared metrics registry;
 //! * `\cache` — prepared-plan cache statistics (hits = re-executions

@@ -2,7 +2,9 @@
 
 use crate::error::QueryError;
 use evirel_algebra::union::UnionOptions;
-use evirel_plan::{Bindings, BufferPool, ExecContext, RelationSource, StoredRelation};
+use evirel_plan::{
+    Binding, Bindings, BoundRelation, BufferPool, ExecContext, RelationSource, StoredRelation,
+};
 use evirel_relation::ExtendedRelation;
 use std::sync::Arc;
 
@@ -188,44 +190,38 @@ impl Catalog {
 
     /// Look up an in-memory relation.
     pub fn get(&self, name: &str) -> Option<&ExtendedRelation> {
-        self.bindings.get(name)
+        match &self.resolve(name)?.relation {
+            BoundRelation::Memory(rel) => Some(rel),
+            BoundRelation::Stored(_) => None,
+        }
     }
 
     /// Look up a stored (disk-backed) relation handle.
     pub fn get_stored(&self, name: &str) -> Option<Arc<StoredRelation>> {
-        self.bindings.stored(name)
+        match &self.resolve(name)?.relation {
+            BoundRelation::Memory(_) => None,
+            BoundRelation::Stored(stored) => Some(Arc::clone(stored)),
+        }
     }
 
-    /// Statistics for the relation under `name`, when known. Present
-    /// for every in-memory registration (computed at register time)
-    /// and for stored attachments whose segment carries a stats
-    /// section (v3+); absent for pre-v3 segments.
+    /// Statistics for the relation under `name` (`None` for an
+    /// unknown name): computed at register time for an in-memory
+    /// registration, the segment's own for a stored attachment.
     pub fn stats_for(&self, name: &str) -> Option<Arc<evirel_store::RelStats>> {
-        self.bindings.stats(name)
+        Some(Arc::clone(&self.resolve(name)?.stats))
     }
 
     /// Human-readable per-relation statistics, one line per
     /// registered name (sorted) — the `STATS` / `\stats` payload.
-    /// Relations without statistics (pre-v3 segments) say so rather
-    /// than being omitted.
     pub fn stats_summary(&self) -> String {
         let mut out = String::new();
         for name in self.names() {
-            let kind = if self.get(name).is_some() {
-                "memory"
-            } else {
-                "stored"
+            let binding = self.resolve(name).expect("names() lists only bound names");
+            let kind = match binding.relation {
+                BoundRelation::Memory(_) => "memory",
+                BoundRelation::Stored(_) => "stored",
             };
-            match self.stats_for(name) {
-                Some(s) => {
-                    out.push_str(&format!("{name} ({kind}): {}\n", s.render()));
-                }
-                None => {
-                    out.push_str(&format!(
-                        "{name} ({kind}): no statistics (pre-v3 segment; planner uses heuristics)\n"
-                    ));
-                }
-            }
+            out.push_str(&format!("{name} ({kind}): {}\n", binding.stats.render()));
         }
         if out.is_empty() {
             out.push_str("no relations registered\n");
@@ -250,16 +246,8 @@ impl Catalog {
 }
 
 impl RelationSource for Catalog {
-    fn relation(&self, name: &str) -> Option<Arc<ExtendedRelation>> {
-        self.bindings.relation(name)
-    }
-
-    fn stored(&self, name: &str) -> Option<Arc<StoredRelation>> {
-        self.bindings.stored(name)
-    }
-
-    fn stats(&self, name: &str) -> Option<Arc<evirel_store::RelStats>> {
-        self.bindings.stats(name)
+    fn resolve(&self, name: &str) -> Option<&Binding> {
+        self.bindings.resolve(name)
     }
 }
 

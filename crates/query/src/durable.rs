@@ -56,7 +56,7 @@
 use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::snapshot::SharedCatalog;
-use evirel_obs::{Counter, Histogram};
+use evirel_obs::{Counter, Gauge, Histogram};
 use evirel_store::checkpoint::{checkpoint, CheckpointOutcome};
 use evirel_store::{
     Journal, JournalRecord, Manifest, ManifestEntry, Segment, StoreError, StoredRelation,
@@ -89,9 +89,20 @@ pub struct DurabilityStats {
 /// owner attaches them ([`DurableCatalog::set_metrics`]). The serve
 /// layer wires these to its per-server registry; a bare
 /// [`DurableCatalog`] (tests, the REPL) records nothing. Recording is
-/// observation-only — it never changes what is written or when.
+/// observation-only — it never changes what is written or when. The
+/// four state series are *pushed* — set when attached and after every
+/// commit, checkpoint and install — so a scrape reads them without
+/// taking whatever lock guards the [`DurableCatalog`].
 #[derive(Debug, Clone)]
 pub struct DurableMetrics {
+    /// [`DurabilityStats::committed_generation`].
+    pub committed_generation: Gauge,
+    /// [`DurabilityStats::journal_records`].
+    pub journal_records: Gauge,
+    /// [`DurabilityStats::checkpoints`].
+    pub checkpoints: Counter,
+    /// [`DurabilityStats::bindings`].
+    pub bindings: Gauge,
     /// Latency of one journal append + fsync — the commit point every
     /// mutation pays before its generation becomes observable.
     pub journal_append: Histogram,
@@ -269,6 +280,18 @@ impl DurableCatalog {
     /// checkpoints, and segment writes record into them.
     pub fn set_metrics(&mut self, metrics: DurableMetrics) {
         self.metrics = Some(metrics);
+        self.publish_state();
+    }
+
+    /// Push the durable state into the attached state series.
+    fn publish_state(&self) {
+        if let Some(m) = &self.metrics {
+            let s = self.stats();
+            m.committed_generation.set(s.committed_generation);
+            m.journal_records.set(s.journal_records);
+            m.checkpoints.set_at_least(s.checkpoints);
+            m.bindings.set(s.bindings);
+        }
     }
 
     /// The commit point of every mutation: journal `record` (append +
@@ -288,6 +311,7 @@ impl DurableCatalog {
             self.retained_floor = self.retained[excess - 1].generation();
             self.retained.drain(..excess);
         }
+        self.publish_state();
         Ok(())
     }
 
@@ -473,6 +497,7 @@ impl DurableCatalog {
         self.retained.clear();
         self.retained_floor = generation;
         self.next_segment = next_segment_number(&self.dir);
+        self.publish_state();
         self.reconcile(shared)
     }
 
@@ -587,6 +612,7 @@ impl DurableCatalog {
         self.checkpoints += 1;
         self.retained.clear();
         self.retained_floor = self.committed_generation;
+        self.publish_state();
         Ok(outcome)
     }
 

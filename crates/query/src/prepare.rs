@@ -97,8 +97,8 @@ fn lower_text(catalog: &Catalog, text: &str) -> Result<LogicalPlan, QueryError> 
 /// exactly as [`PreparedPlan::run`] would build it under `ctx`
 /// (exchange nodes included when its parallelism > 1). With `analyze`
 /// the tree actually runs (result discarded) and every operator line
-/// carries `[est≈N act=M]`: the cost model's row estimate (`est=?`
-/// where no statistics apply) next to the true row count.
+/// carries `[est≈N act=M]`: the cost model's row estimate next to
+/// the true row count.
 ///
 /// # Errors
 /// Lex/parse errors, unknown relations/attributes, plan-build errors;

@@ -325,23 +325,12 @@ impl Session {
             event.fields.push((key, value));
         }
         if let Some(root) = meters.first() {
-            event = event.field(
-                "root_est_rows",
-                root.est_rows
-                    .map_or_else(|| "?".to_owned(), |n| n.to_string()),
-            );
+            event = event.field("root_est_rows", root.est_rows);
             event = event.field("root_act_rows", root.actual_rows);
         }
         let plan_lines: Vec<String> = meters
             .iter()
-            .map(|m| {
-                format!(
-                    "{} est={} act={}",
-                    m.describe,
-                    m.est_rows.map_or_else(|| "?".to_owned(), |n| n.to_string()),
-                    m.actual_rows
-                )
-            })
+            .map(|m| format!("{} est={} act={}", m.describe, m.est_rows, m.actual_rows))
             .collect();
         event = event.field("plan", plan_lines.join("; "));
         eprintln!("{}", event.render());

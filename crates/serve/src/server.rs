@@ -402,17 +402,18 @@ struct Shared {
     /// with a data directory. MERGE handlers and the follower loop
     /// publish through it ([`DurableCatalog::bind`] and friends), so a
     /// mutation is fsync'd before its generation is observable; lock
-    /// order is this mutex, then the catalog write guard.
-    /// Arc'd so the scrape-time durability collector can hold it
-    /// without owning the whole [`Shared`] (which owns the registry —
-    /// a collector capturing `Shared` would leak the server).
-    durable: Option<Arc<Mutex<DurableCatalog>>>,
+    /// order is this mutex, then the catalog write guard. `STATS` and
+    /// `METRICS` never take it: its counters are pushed into the
+    /// registry ([`DurableMetrics`]).
+    durable: Option<Mutex<DurableCatalog>>,
     /// The data directory's path as `STATS` prints it — fixed at
     /// startup, so reading it never waits on the `durable` mutex.
     data_dir: Option<String>,
     /// Replication role and counters (present on every server; a
     /// plain primary just never flips out of the `primary` role).
-    /// Arc'd for the same collector-capture reason as `durable`.
+    /// Arc'd so the scrape-time replication collector can hold it
+    /// without owning the whole [`Shared`] (which owns the registry —
+    /// a collector capturing `Shared` would leak the server).
     replication: Arc<Replication>,
 }
 
@@ -584,6 +585,22 @@ pub fn start_with_durability(
     let data_dir = durable.as_ref().map(|d| d.dir().display().to_string());
     let durable = durable.map(|mut d| {
         d.set_metrics(DurableMetrics {
+            committed_generation: metrics.gauge(
+                "evirel_store_committed_generation",
+                "Last journaled or checkpointed generation",
+                &[],
+            ),
+            journal_records: metrics.gauge(
+                "evirel_store_journal_records",
+                "Journal records since the last checkpoint",
+                &[],
+            ),
+            checkpoints: metrics.counter(
+                "evirel_store_checkpoints_total",
+                "Checkpoints taken since open",
+                &[],
+            ),
+            bindings: metrics.gauge("evirel_store_bindings", "Bindings currently persisted", &[]),
             journal_append: metrics.histogram(
                 "evirel_store_journal_append_seconds",
                 "Journal append + fsync latency (the commit point of every mutation)",
@@ -600,17 +617,11 @@ pub fn start_with_durability(
                 &[],
             ),
         });
-        Arc::new(Mutex::new(d))
+        Mutex::new(d)
     });
     let shared_catalog = Arc::new(SharedCatalog::with_generation(catalog, generation));
     let cache = Arc::new(PlanCache::default());
-    register_collectors(
-        &metrics,
-        &shared_catalog,
-        &cache,
-        &replication,
-        durable.as_ref(),
-    );
+    register_collectors(&metrics, &shared_catalog, &cache, &replication);
     let shared = Arc::new(Shared {
         shared: shared_catalog,
         cache,
@@ -663,8 +674,11 @@ pub fn start_with_durability(
 }
 
 /// Mirror the subsystems that keep their own counters — plan cache,
-/// buffer pool, replication, durability — into the registry at scrape
-/// time, so `METRICS` and `STATS` read one source of truth. Each
+/// buffer pool, replication — into the registry at scrape time, so
+/// `METRICS` and `STATS` read one source of truth. (The durability
+/// layer pushes its series itself — [`DurableMetrics`] — because
+/// reading them here would take the durable mutex, which a MERGE
+/// holds across its fsync.) Each
 /// collector runs on [`MetricsRegistry::refresh`] (every scrape) and
 /// touches only narrow `Arc`s, never the whole [`Shared`] — which
 /// owns the registry, so capturing it would cycle and leak the
@@ -674,7 +688,6 @@ fn register_collectors(
     catalog: &Arc<SharedCatalog>,
     cache: &Arc<PlanCache>,
     replication: &Arc<Replication>,
-    durable: Option<&Arc<Mutex<DurableCatalog>>>,
 ) {
     // Plan-cache + buffer-pool/generation collectors are shared with
     // the `eql` REPL so both surfaces expose identical series names.
@@ -739,33 +752,6 @@ fn register_collectors(
             });
         });
     }
-    if let Some(durable) = durable {
-        let durable = Arc::clone(durable);
-        let committed = metrics.gauge(
-            "evirel_store_committed_generation",
-            "Last journaled or checkpointed generation",
-            &[],
-        );
-        let journal_records = metrics.gauge(
-            "evirel_store_journal_records",
-            "Journal records since the last checkpoint",
-            &[],
-        );
-        let checkpoints = metrics.counter(
-            "evirel_store_checkpoints_total",
-            "Checkpoints taken since open",
-            &[],
-        );
-        let bindings = metrics.gauge("evirel_store_bindings", "Bindings currently persisted", &[]);
-        metrics.register_collector("store.durable", move || {
-            let d = durable.lock().unwrap_or_else(|e| e.into_inner());
-            let s = d.stats();
-            committed.set(s.committed_generation);
-            journal_records.set(s.journal_records);
-            checkpoints.set_at_least(s.checkpoints);
-            bindings.set(s.bindings);
-        });
-    }
 }
 
 /// Wall-clock Unix milliseconds — heartbeat-age arithmetic only.
@@ -783,7 +769,7 @@ fn run_follower(shared: &Shared, follow: &FollowConfig) {
     let stop = || shared.shutdown.load(Ordering::SeqCst) || repl.promote.load(Ordering::SeqCst);
     let durable = shared
         .durable
-        .as_deref()
+        .as_ref()
         .expect("follower servers always have a durability layer");
     let ctx = ApplyCtx {
         catalog: &shared.shared,
@@ -934,7 +920,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         // handle_request. The subscription occupies this worker for
         // its lifetime — size `workers` accordingly.
         if let Ok(Request::Follow { from }) = &parsed {
-            let Some(durable) = shared.durable.as_deref() else {
+            let Some(durable) = shared.durable.as_ref() else {
                 let err = Response::error(
                     "unsupported",
                     "this server has no durability layer (no --data-dir); \
@@ -1204,8 +1190,7 @@ fn stats_response(session: &Session, shared: &Shared) -> Response {
         v("evirel_repl_connected"),
     );
     // Per-relation statistics as the planner's cost model sees them
-    // — one `relation <name> (...)` line each, pre-v3 segments
-    // flagged as planning via heuristics.
+    // — one `relation <name> (...)` line each.
     let relations: String = snapshot
         .catalog()
         .stats_summary()
@@ -1258,5 +1243,55 @@ mod tests {
         assert!(!shutdown_permitted(unresolvable(), false));
         assert!(shutdown_permitted(Ok(remote), true));
         assert!(shutdown_permitted(unresolvable(), true));
+    }
+
+    /// `STATS` and `METRICS` answer while another thread holds the
+    /// durable mutex, as a MERGE does across its segment write and
+    /// fsync: the durability series are pushed into the registry by
+    /// the `DurableCatalog`, not read under its lock at scrape time.
+    #[test]
+    fn stats_and_metrics_answer_while_the_durable_mutex_is_held() {
+        use crate::protocol::{read_frame, write_frame};
+        let dir = std::env::temp_dir().join(format!("evirel-serve-scrape-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (durable, recovered) = DurableCatalog::open(&dir).unwrap();
+        let handle = start_with_durability(recovered, ServeConfig::default(), Some(durable))
+            .expect("server starts");
+
+        let shared = Arc::clone(&handle.shared);
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let durable = shared.durable.as_ref().expect("started durable");
+            let _guard = durable.lock().unwrap();
+            locked_tx.send(()).unwrap();
+            release_rx.recv().ok();
+        });
+        locked_rx.recv().expect("holder took the durable mutex");
+
+        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        // A scrape queued behind the mutex would never answer.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        for (verb, series) in [
+            ("STATS", "generation_committed=0 journal_records=0"),
+            ("METRICS", "evirel_store_committed_generation 0"),
+        ] {
+            write_frame(&mut stream, verb).unwrap();
+            let reply = read_frame(&mut stream)
+                .unwrap_or_else(|e| panic!("{verb} waited on the durable mutex: {e}"))
+                .expect("server replied");
+            match Response::parse(&reply).unwrap() {
+                Response::Ok { body } => assert!(body.contains(series), "{verb}: {body}"),
+                other => panic!("{verb}: {other:?}"),
+            }
+        }
+
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        handle.shutdown();
+        handle.join();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

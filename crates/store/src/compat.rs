@@ -44,8 +44,8 @@ pub const TABLE_ENTRY_V2: usize = 12;
 pub const TABLE_ENTRY_V3: usize = 16;
 /// Preamble flag bit: the file carries a statistics section
 /// (`[u32 len | RelStats payload | u32 crc]`) immediately after the
-/// page table. Older v3 files have a zero flags word and simply read
-/// as "no stats"; v2 files have no flags word at all.
+/// page table. Older v3 files have a zero flags word and v2 files no
+/// flags word at all: their statistics are computed at open.
 pub const FLAG_STATS: u16 = 0x0001;
 
 /// A parsed, validated segment preamble — version-independent view.

@@ -46,10 +46,11 @@
 //! table. The flag lives inside the CRC-covered preamble prefix;
 //! the section carries its own CRC (verified at open — a corrupt
 //! stats block is a loud [`StoreError::Corrupt`], never a silently
-//! wrong estimate). Files without the flag — v2 segments and
-//! pre-stats v3 segments — read as "no stats": the plan layer then
-//! falls back to its size heuristics. Stats never affect query
-//! results, only cost estimates.
+//! wrong estimate). A file without the flag — a v2 segment or a
+//! pre-stats v3 one — gets the same block computed once at open, by
+//! folding its tuples through the same [`StatsBuilder`], so every
+//! open segment has statistics. Stats never affect query results,
+//! only cost estimates.
 
 use crate::codec::{self, Cursor};
 use crate::compat::{self, PageEntry, MAGIC, PREAMBLE_V3, VERSION_V3};
@@ -386,6 +387,57 @@ fn read_stats_section(file: &mut File, offset: u64, file_len: u64) -> Result<Rel
     RelStats::decode(&payload)
 }
 
+/// Check `bytes` against a page-table entry: its recorded length and
+/// (v3) checksum.
+fn verify_entry(page: u64, entry: &PageEntry, bytes: &[u8]) -> Result<(), StoreError> {
+    if bytes.len() != entry.len as usize {
+        return Err(StoreError::corrupt(format!(
+            "page {page} length mismatch ({} bytes, expected {})",
+            bytes.len(),
+            entry.len
+        )));
+    }
+    if let Some(expected) = entry.crc {
+        let actual = crc32(bytes);
+        if actual != expected {
+            return Err(StoreError::corrupt(format!(
+                "page {page} checksum mismatch (stored {expected:#010x}, \
+                 computed {actual:#010x})"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Read one page's bytes (unverified — see [`verify_entry`]).
+fn read_entry(file: &mut File, page: u64, entry: &PageEntry) -> Result<Vec<u8>, StoreError> {
+    let mut buf = vec![0u8; entry.len as usize];
+    file.seek(SeekFrom::Start(entry.offset))
+        .and_then(|_| file.read_exact(&mut buf))
+        .map_err(|e| StoreError::io(format!("read page {page}"), &e))?;
+    Ok(buf)
+}
+
+/// Decode every record of a page into tuples, in slot order.
+fn decode_records(
+    bytes: &[u8],
+    schema: &Arc<Schema>,
+    domains: &[Option<Arc<AttrDomain>>],
+) -> Result<Vec<Tuple>, StoreError> {
+    let mut cur = Cursor::new(bytes, "page");
+    let count = cur.u32()? as usize;
+    // A record costs at least its 4-byte length prefix — cap the
+    // pre-allocation so a corrupted count can't request gigabytes.
+    let mut out = Vec::with_capacity(count.min(bytes.len() / 4));
+    for _ in 0..count {
+        let len = cur.u32()? as usize;
+        let record = cur.bytes(len)?;
+        let mut rcur = Cursor::new(record, "record");
+        out.push(codec::decode_record(&mut rcur, schema, domains)?);
+    }
+    Ok(out)
+}
+
 // ------------------------------------------------------------- reader
 
 /// An open segment: the parsed header (schema + domains + page table)
@@ -403,9 +455,9 @@ pub struct Segment {
     page_size: usize,
     version: u16,
     content_checksum: Option<u32>,
-    /// Persisted relation statistics, when the segment carries the
-    /// stats flag. `None` for v2 and pre-stats v3 files.
-    stats: Option<Arc<RelStats>>,
+    /// Relation statistics: the persisted block when the segment
+    /// carries the stats flag, else computed at open.
+    stats: Arc<RelStats>,
 }
 
 impl Segment {
@@ -472,13 +524,19 @@ impl Segment {
         let stats = if header.flags & compat::FLAG_STATS != 0 {
             let table_len = (header.page_count * compat::TABLE_ENTRY_V3) as u64;
             let stats_offset = header.table_offset + table_len;
-            Some(Arc::new(read_stats_section(
-                &mut file,
-                stats_offset,
-                file_len,
-            )?))
+            read_stats_section(&mut file, stats_offset, file_len)?
         } else {
-            None
+            // Written before the stats section existed: one pass over
+            // the data pages, the fold the writer would have done.
+            let mut builder = StatsBuilder::new(&schema);
+            for (page, entry) in pages.iter().enumerate() {
+                let bytes = read_entry(&mut file, page as u64, entry)?;
+                verify_entry(page as u64, entry, &bytes)?;
+                for tuple in decode_records(&bytes, &schema, &domains)? {
+                    builder.observe(&tuple);
+                }
+            }
+            builder.finish()
         };
 
         Ok(Segment {
@@ -491,7 +549,7 @@ impl Segment {
             page_size: header.page_size,
             version: header.version,
             content_checksum: header.content_checksum,
-            stats,
+            stats: Arc::new(stats),
         })
     }
 
@@ -532,11 +590,11 @@ impl Segment {
         self.content_checksum
     }
 
-    /// The persisted relation statistics, when this segment was
-    /// written with a stats section ([`compat::FLAG_STATS`]); `None`
-    /// for v2 and pre-stats v3 files — never an error.
-    pub fn stats(&self) -> Option<&Arc<RelStats>> {
-        self.stats.as_ref()
+    /// The relation statistics: read from the stats section
+    /// ([`compat::FLAG_STATS`]) or, for v2 and pre-stats v3 files,
+    /// computed from the data pages when the segment was opened.
+    pub fn stats(&self) -> &Arc<RelStats> {
+        &self.stats
     }
 
     /// On-disk byte length of page `page`.
@@ -544,9 +602,12 @@ impl Segment {
     /// # Errors
     /// [`StoreError::Corrupt`] for out-of-range page numbers.
     pub fn page_len(&self, page: u64) -> Result<usize, StoreError> {
+        Ok(self.entry(page)?.len as usize)
+    }
+
+    fn entry(&self, page: u64) -> Result<&PageEntry, StoreError> {
         self.pages
             .get(page as usize)
-            .map(|entry| entry.len as usize)
             .ok_or_else(|| StoreError::corrupt(format!("page {page} out of range")))
     }
 
@@ -558,27 +619,7 @@ impl Segment {
     /// # Errors
     /// [`StoreError::Corrupt`] on any mismatch.
     pub fn verify_page(&self, page: u64, bytes: &[u8]) -> Result<(), StoreError> {
-        let entry = self
-            .pages
-            .get(page as usize)
-            .ok_or_else(|| StoreError::corrupt(format!("page {page} out of range")))?;
-        if bytes.len() != entry.len as usize {
-            return Err(StoreError::corrupt(format!(
-                "page {page} length mismatch ({} bytes, expected {})",
-                bytes.len(),
-                entry.len
-            )));
-        }
-        if let Some(expected) = entry.crc {
-            let actual = crc32(bytes);
-            if actual != expected {
-                return Err(StoreError::corrupt(format!(
-                    "page {page} checksum mismatch (stored {expected:#010x}, \
-                     computed {actual:#010x})"
-                )));
-            }
-        }
-        Ok(())
+        verify_entry(page, self.entry(page)?, bytes)
     }
 
     /// Read raw page bytes from disk, verifying the page checksum —
@@ -588,18 +629,14 @@ impl Segment {
     /// # Errors
     /// [`StoreError::Io`] / [`StoreError::Corrupt`].
     pub fn read_page(&self, page: u64) -> Result<Vec<u8>, StoreError> {
-        let entry = *self
-            .pages
-            .get(page as usize)
-            .ok_or_else(|| StoreError::corrupt(format!("page {page} out of range")))?;
-        let mut buf = vec![0u8; entry.len as usize];
-        {
-            let mut file = self.file.lock().expect("segment file lock");
-            file.seek(SeekFrom::Start(entry.offset))
-                .and_then(|_| file.read_exact(&mut buf))
-                .map_err(|e| StoreError::io(format!("read page {page}"), &e))?;
-        }
-        self.verify_page(page, &buf)?;
+        let entry = self.entry(page)?;
+        // The file lock covers the read only, not the checksum.
+        let buf = read_entry(
+            &mut self.file.lock().expect("segment file lock"),
+            page,
+            entry,
+        )?;
+        verify_entry(page, entry, &buf)?;
         Ok(buf)
     }
 
@@ -610,22 +647,7 @@ impl Segment {
     /// [`StoreError::Corrupt`] on malformed pages; validation errors
     /// from tuple reconstruction.
     pub fn decode_page(&self, bytes: &[u8]) -> Result<Vec<Tuple>, StoreError> {
-        let mut cur = Cursor::new(bytes, "page");
-        let count = cur.u32()? as usize;
-        // A record costs at least its 4-byte length prefix — cap the
-        // pre-allocation so a corrupted count can't request gigabytes.
-        let mut out = Vec::with_capacity(count.min(bytes.len() / 4));
-        for _ in 0..count {
-            let len = cur.u32()? as usize;
-            let record = cur.bytes(len)?;
-            let mut rcur = Cursor::new(record, "record");
-            out.push(codec::decode_record(
-                &mut rcur,
-                &self.schema,
-                &self.domains,
-            )?);
-        }
-        Ok(out)
+        decode_records(bytes, &self.schema, &self.domains)
     }
 
     /// Decode only record `slot` of a page — the point-lookup path
@@ -835,6 +857,27 @@ mod tests {
             }
             assert!(saw_corrupt, "bit flip must surface as Corrupt");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A segment that carries its stats section opens from the
+    /// preamble, schema block, page table and that section alone: a
+    /// rotten data page does not fail the open, it surfaces at the
+    /// first read of that page. Only a stats-less legacy file pays a
+    /// pass over its pages at open.
+    #[test]
+    fn open_with_stats_section_reads_no_data_page() {
+        let rel = sample(30);
+        let path = tmp("noscan.evb");
+        write_segment(&rel, &path, 512).unwrap();
+        let mut schema_block = Vec::new();
+        codec::encode_schema(rel.schema(), &mut schema_block);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[PREAMBLE_V3 + schema_block.len() + 10] ^= 0x10; // inside page 0
+        std::fs::write(&path, &bytes).unwrap();
+        let seg = Segment::open(&path).expect("open touches no data page");
+        assert_eq!(seg.stats().tuples, 30);
+        assert!(matches!(seg.read_page(0), Err(StoreError::Corrupt { .. })));
         std::fs::remove_file(&path).ok();
     }
 

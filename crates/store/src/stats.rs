@@ -23,9 +23,9 @@
 //! bit — a property the store proptests pin.
 //!
 //! Stats never change query *results*, only the plan layer's cost
-//! estimates, so a missing block (a v2 segment, a pre-stats v3
-//! segment, or `EVIREL_NO_STATS=1`) simply falls back to the old
-//! heuristics.
+//! estimates, and every relation has them: a segment written before
+//! the stats section existed gets its block computed by the same
+//! builder when it is opened.
 
 use crate::codec::{self, put_u32, put_u64};
 use crate::error::StoreError;

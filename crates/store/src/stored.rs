@@ -77,10 +77,9 @@ impl StoredRelation {
         &self.pool
     }
 
-    /// The segment's persisted statistics, when it carries a stats
-    /// section (`None` for v2 / pre-stats files — never an error).
-    pub fn stats(&self) -> Option<Arc<crate::stats::RelStats>> {
-        self.segment.stats().cloned()
+    /// The segment's statistics (see [`Segment::stats`]).
+    pub fn stats(&self) -> Arc<crate::stats::RelStats> {
+        Arc::clone(self.segment.stats())
     }
 
     /// Decode all tuples of one page (pinning it only for the decode).

@@ -36,9 +36,7 @@ fn assert_stats_roundtrip(
     evirel_store::write_segment(rel, &path, page_size).map_err(|e| format!("write: {e}"))?;
     let pool = Arc::new(BufferPool::new(8192));
     let stored = StoredRelation::open(&path, pool).map_err(|e| format!("open: {e}"))?;
-    let persisted = stored
-        .stats()
-        .ok_or("v3 segment is missing its stats section")?;
+    let persisted = stored.stats();
     let decoded = stored.to_relation().map_err(|e| format!("decode: {e}"))?;
     std::fs::remove_file(&path).ok();
     let recomputed = compute_stats(&decoded);
@@ -104,15 +102,19 @@ proptest! {
 }
 
 /// The committed v2 fixture (written before the stats section
-/// existed) reads as "no stats" — never an error — so the planner
-/// falls back to heuristics for it.
+/// existed) has its block computed when it is opened — the same
+/// bytes `compute_stats` gives for the decoded relation, so a legacy
+/// segment plans exactly like a current one.
 #[test]
-fn v2_segment_reads_as_no_stats() {
+fn v2_segment_stats_are_computed_at_open() {
     let fixture =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2-restaurants.evb");
     let stored = StoredRelation::open(fixture, Arc::new(BufferPool::new(4096))).unwrap();
-    assert!(stored.stats().is_none(), "v2 carries no stats section");
-    assert_eq!(stored.len(), 40, "and still decodes fine");
+    assert_eq!(stored.len(), 40);
+    let (mut at_open, mut recomputed) = (Vec::new(), Vec::new());
+    stored.stats().encode(&mut at_open);
+    compute_stats(&stored.to_relation().unwrap()).encode(&mut recomputed);
+    assert_eq!(at_open, recomputed);
 }
 
 /// An empty relation still writes (and round-trips) a stats block.
