@@ -5,7 +5,7 @@
 //!
 //! * `serve/roundtrip` — single-connection QUERY latency, split by
 //!   cold (first execution, full lowering/rewrite) vs warm (prepared
-//!   plan served from the generation-keyed cache). The gap is the
+//!   plan served from the prepared-plan cache). The gap is the
 //!   plan cache's observable win.
 //! * `serve/load` — wall-clock for a full mixed read/merge load-driver
 //!   run (barrier-synchronized concurrent sessions, ~10% MERGE

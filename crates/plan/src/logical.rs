@@ -84,7 +84,11 @@ pub struct Binding {
     /// The relation's extension.
     pub relation: BoundRelation,
     /// Its statistics. They change how a plan runs, never what it
-    /// returns.
+    /// returns. The handle belongs to one relation object — minted by
+    /// [`Bindings::bind`], or owned by the stored relation's segment —
+    /// so `evirel-query`'s plan cache uses its pointer identity to tell
+    /// whether a name is still bound to what a plan was prepared
+    /// against; do not share one handle between relations.
     pub stats: Arc<evirel_store::RelStats>,
 }
 

@@ -338,7 +338,7 @@ fn main() {
                     println!(
                         "plan cache: {} entries, generation {}; {} hit(s) \
                          (lowering/rewrite skipped), {} miss(es), {} stale \
-                         (invalidated by generation bump), {} eviction(s)",
+                         (a scanned relation was rebound), {} eviction(s)",
                         v("evirel_query_cache_entries"),
                         v("evirel_catalog_generation"),
                         v("evirel_query_cache_hits_total"),

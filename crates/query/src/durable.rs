@@ -26,30 +26,36 @@
 //!
 //! | operation | durable step | publish |
 //! |---|---|---|
-//! | [`DurableCatalog::bind`] | segment write, journal + fsync | [`SharedCatalog::update_at`], next generation |
-//! | [`DurableCatalog::unbind`] | journal + fsync | [`SharedCatalog::update_at`], next generation |
+//! | [`DurableCatalog::bind`] | segment write, journal + fsync (in the closure) | [`SharedCatalog::update_at`], next generation |
+//! | [`DurableCatalog::unbind`] | journal + fsync (in the closure) | [`SharedCatalog::update_at`], next generation |
 //! | [`DurableCatalog::apply_record`] | verify staged segment, journal + fsync | [`SharedCatalog::update_stamped`], the primary's generation |
 //! | [`DurableCatalog::install`] | verify segments, manifest swap | [`SharedCatalog::update_stamped`], the snapshot's generation |
 //! | [`DurableCatalog::reconcile`] | none (already durable) | [`SharedCatalog::update_stamped`], the committed generation |
 //!
 //! `bind`/`unbind` are the primary's side: the generation is the one
-//! the catalog write guard hands out, so the durable step runs
-//! *inside* the `update_at` closure — the record is fsync'd under the
-//! guard, strictly before the swap, and writers (hence journal
-//! records) are totally ordered with strictly increasing generations.
+//! the catalog's writer mutex hands out, so the durable step runs
+//! *inside* the `update_at` closure — under that mutex, which orders
+//! writers (hence journal records) totally with strictly increasing
+//! generations, but under **no** guard on the published snapshot:
+//! readers keep pinning the previous generation while the segment is
+//! written and the journal fsync'd, and the new one is swapped in only
+//! after the closure has returned, i.e. strictly after the fsync.
 //! The other three are the follower's side: the primary already
 //! stamped the generation, so the durable step runs first and the
-//! guard is held only for the swap. A failure between the two steps
-//! leaves the durable state ahead of the published one, which is safe
-//! (nothing unrecoverable was served) and which `reconcile` repairs.
+//! `update_stamped` closure only opens the segment. A failure between
+//! the two steps leaves the durable state ahead of the published one,
+//! which is safe (nothing unrecoverable was served) and which
+//! `reconcile` repairs.
 //!
 //! **Lock order**: exclusive access to the [`DurableCatalog`] first
 //! (the five are methods — in `evirel-serve`, called with the durable
-//! mutex held), the catalog write guard second. Nothing may lock a
-//! shared `DurableCatalog` from inside a [`SharedCatalog`] closure.
+//! mutex held), the [`SharedCatalog`]'s writer mutex second, its
+//! pointer-swap guard last (taken by `SharedCatalog` itself, for the
+//! store only). Nothing may lock a shared `DurableCatalog` from inside
+//! a [`SharedCatalog`] closure. Readers take neither mutex.
 //!
 //! Generation parity: the durable side never invents generations — it
-//! records the ones the write guard (primary) or the stream (follower)
+//! records the ones the writer mutex (primary) or the stream (follower)
 //! hands it, so the durable generation equals the published one after
 //! every successful call.
 

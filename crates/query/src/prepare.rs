@@ -1,4 +1,4 @@
-//! Prepared plans and the generation-keyed plan cache.
+//! Prepared plans and the plan cache.
 //!
 //! Parsing is cheap; lowering, semantic validation, and the rewrite
 //! optimizer are the per-query costs worth amortizing when the same
@@ -11,15 +11,20 @@
 //! [`PreparedPlan::prepare`] followed by [`PreparedPlan::run`], and
 //! `EXPLAIN` ([`explain_with`]) lowers the text the same way.
 //!
-//! **Staleness is the hazard**: a plan prepared against catalog
-//! generation G bakes in G's schemas and rewrite decisions. If a
-//! `\load` or merge-write has since replaced a relation binding, the
-//! plan may reference attributes that no longer exist or distribute
-//! predicates the new schema does not support. The cache therefore
-//! keys every entry on **(normalized text, catalog generation)** —
-//! see [`crate::snapshot::SharedCatalog`] — and a lookup against any
-//! other generation is a miss (counted as a stale invalidation). The
-//! regression test `tests/plan_cache.rs` pins the failure mode.
+//! **Staleness is the hazard**: a plan bakes in the schemas and
+//! statistics of the relations it scans — projection lists, rewrite
+//! and join-order decisions. If a `\load` or merge-write has since
+//! replaced one of those bindings, the plan may reference attributes
+//! that no longer exist or distribute predicates the new schema does
+//! not support. The cache therefore keys every entry on the
+//! **normalized text** and validates it against the **bindings it
+//! scans**: a plan reads the catalog only through
+//! [`RelationSource::resolve`], so it records what each scan leaf
+//! resolved to when it was prepared, and a lookup under any snapshot
+//! in which one of those names is bound differently (or not at all)
+//! is a miss (counted as a stale invalidation). A publish that rebinds
+//! some *other* relation leaves the entry a hit. The regression test
+//! `tests/plan_cache.rs` pins the failure mode.
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
@@ -28,7 +33,8 @@ use crate::lexer::Token;
 use crate::plan::lower_validated;
 use crate::snapshot::CatalogSnapshot;
 use evirel_obs::Trace;
-use evirel_plan::{ExecContext, LogicalPlan, OpMeter};
+use evirel_plan::{ExecContext, LogicalPlan, OpMeter, RelationSource};
+use evirel_store::RelStats;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -77,6 +83,33 @@ pub struct PreparedPlan {
     generation: u64,
     optimized: LogicalPlan,
     rewrites: Vec<String>,
+    /// What each scanned name was bound to at prepare time,
+    /// identified by the binding's statistics handle (compared with
+    /// [`Arc::ptr_eq`]; every bind creates a fresh one, and holding it
+    /// here keeps its address from being reused). Only the small
+    /// statistics block — never the relation or its segment — so a
+    /// cached plan cannot keep a superseded extension alive.
+    scanned: Vec<(String, Arc<RelStats>)>,
+}
+
+/// Record what every `Scan` leaf of `plan` resolves to in `catalog`,
+/// each name once.
+fn scanned_bindings(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    scanned: &mut Vec<(String, Arc<RelStats>)>,
+) -> Result<(), QueryError> {
+    if let LogicalPlan::Scan { name } = plan {
+        if !scanned.iter().any(|(seen, _)| seen == name) {
+            let stats = catalog
+                .stats_for(name)
+                .ok_or_else(|| QueryError::UnknownRelation { name: name.clone() })?;
+            scanned.push((name.clone(), stats));
+        }
+    }
+    plan.inputs()
+        .into_iter()
+        .try_for_each(|input| scanned_bindings(input, catalog, scanned))
 }
 
 /// Parse, lower, and validate `text` against `catalog` — the only
@@ -128,18 +161,46 @@ impl PreparedPlan {
         generation: u64,
         text: &str,
     ) -> Result<PreparedPlan, QueryError> {
+        PreparedPlan::prepare_keyed(catalog, generation, text, normalize_eql(text))
+    }
+
+    /// [`PreparedPlan::prepare`] for a caller that already computed
+    /// `normalized` = [`normalize_eql`]`(text)` (the cache, for its
+    /// key).
+    fn prepare_keyed(
+        catalog: &Catalog,
+        generation: u64,
+        text: &str,
+        normalized: String,
+    ) -> Result<PreparedPlan, QueryError> {
         let logical = lower_text(catalog, text)?;
+        let mut scanned = Vec::new();
+        scanned_bindings(&logical, catalog, &mut scanned)?;
         let (optimized, fired) = evirel_plan::optimize(&logical, catalog);
         Ok(PreparedPlan {
-            normalized: normalize_eql(text),
+            normalized,
             generation,
             optimized,
             rewrites: fired.iter().map(|r| r.to_string()).collect(),
+            scanned,
+        })
+    }
+
+    /// Whether `catalog` still binds every relation this plan scans
+    /// to what it was prepared against — the whole of what a plan
+    /// depends on, so the plan runs under `catalog` exactly as a fresh
+    /// prepare would. The one validity rule of the [`PlanCache`].
+    fn valid_in(&self, catalog: &Catalog) -> bool {
+        self.scanned.iter().all(|(name, stats)| {
+            catalog
+                .resolve(name)
+                .is_some_and(|binding| Arc::ptr_eq(&binding.stats, stats))
         })
     }
 
     /// Execute the plan against `catalog` (the one it was prepared
-    /// against) under `ctx`, returning the outcome and the
+    /// against, or a later one that binds the relations it scans the
+    /// same way) under `ctx`, returning the outcome and the
     /// per-operator est-vs-actual row counts.
     ///
     /// # Errors
@@ -165,7 +226,9 @@ impl PreparedPlan {
         &self.normalized
     }
 
-    /// The catalog generation this plan is valid for.
+    /// The catalog generation this plan was prepared at. It stays
+    /// valid for later generations until one rebinds a relation it
+    /// scans.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -186,11 +249,13 @@ impl PreparedPlan {
 /// `STATS` command and the eql shell's `\cache` expose.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from cache (same text, same generation).
+    /// Lookups answered from cache (same text, every scanned
+    /// relation bound as when the plan was prepared).
     pub hits: u64,
     /// Lookups that had to prepare (no entry at all).
     pub misses: u64,
-    /// Lookups that found the text but at an older generation — the
+    /// Lookups that found the text but a scanned relation was
+    /// rebound (or dropped) since the plan was prepared — the
     /// stale-plan hazard, detected and re-prepared.
     pub stale: u64,
     /// Entries dropped by capacity eviction.
@@ -207,10 +272,32 @@ struct CacheInner {
     stats: CacheStats,
 }
 
+/// What the cache holds for a key under a snapshot.
+enum Lookup {
+    /// An entry valid under the snapshot.
+    Hit(Arc<PreparedPlan>),
+    /// An entry, but a relation it scans is bound differently.
+    Stale,
+    /// No entry.
+    Miss,
+}
+
+impl CacheInner {
+    /// The one lookup rule, shared by execution and `EXPLAIN`'s
+    /// `plan cache:` line.
+    fn lookup(&self, normalized: &str, snapshot: &CatalogSnapshot) -> Lookup {
+        match self.plans.get(normalized) {
+            Some(plan) if plan.valid_in(snapshot.catalog()) => Lookup::Hit(Arc::clone(plan)),
+            Some(_) => Lookup::Stale,
+            None => Lookup::Miss,
+        }
+    }
+}
+
 /// A shared, bounded cache of [`PreparedPlan`]s keyed by normalized
-/// EQL text, validated against the catalog generation on every
-/// lookup. Thread-safe; one instance serves every session of a
-/// query service.
+/// EQL text, validated on every lookup against the bindings the plan
+/// scans. Thread-safe; one instance serves every session of a query
+/// service.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
@@ -232,9 +319,9 @@ impl PlanCache {
         }
     }
 
-    /// The plan for `text` under `snapshot`'s generation, preparing
-    /// and caching it on a miss. Returns the plan and whether it was
-    /// a cache hit (`true` = lowering/rewrite were skipped).
+    /// The plan for `text` under `snapshot`, preparing and caching it
+    /// on a miss. Returns the plan and whether it was a cache hit
+    /// (`true` = lowering/rewrite were skipped).
     ///
     /// # Errors
     /// Preparation errors on a miss; errors are **not** cached.
@@ -266,28 +353,15 @@ impl PlanCache {
         let lookup_started = Instant::now();
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let fresh = inner
-                .plans
-                .get(&normalized)
-                .filter(|p| p.generation() == snapshot.generation())
-                .cloned();
-            let outcome = match fresh {
-                Some(plan) => {
-                    inner.stats.hits += 1;
-                    Some(plan)
-                }
-                None if inner.plans.contains_key(&normalized) => {
-                    inner.stats.stale += 1;
-                    None
-                }
-                None => {
-                    inner.stats.misses += 1;
-                    None
-                }
-            };
+            let found = inner.lookup(&normalized, snapshot);
+            match found {
+                Lookup::Hit(_) => inner.stats.hits += 1,
+                Lookup::Stale => inner.stats.stale += 1,
+                Lookup::Miss => inner.stats.misses += 1,
+            }
             drop(inner);
             trace.record("cache_lookup", lookup_started.elapsed());
-            if let Some(plan) = outcome {
+            if let Lookup::Hit(plan) = found {
                 return Ok((plan, true));
             }
         }
@@ -297,18 +371,20 @@ impl PlanCache {
         // prepare; the newest-generation plan wins the slot — wasted
         // work, never wrong results.
         let prepare_started = Instant::now();
-        let plan = Arc::new(PreparedPlan::prepare(
+        let plan = Arc::new(PreparedPlan::prepare_keyed(
             snapshot.catalog(),
             snapshot.generation(),
             text,
+            normalized.clone(),
         )?);
         trace.record("lower_rewrite", prepare_started.elapsed());
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         match inner.plans.get(&normalized).map(|p| p.generation()) {
-            // A racing session already cached a *fresher* plan for
-            // this text; keep it — overwriting with the older one
-            // would make every current-generation lookup count as
-            // stale and re-prepare until the next insert.
+            // A racing session already cached a plan prepared at a
+            // *fresher* generation; keep it — overwriting with the
+            // older one (a straggler still pinned before a rebind)
+            // would make every current lookup count as stale and
+            // re-prepare until the next insert.
             Some(existing) if existing > plan.generation() => {}
             Some(_) => {
                 inner.plans.insert(normalized, Arc::clone(&plan));
@@ -331,15 +407,13 @@ impl PlanCache {
         Ok((plan, false))
     }
 
-    /// Whether `text` would hit the cache at `generation`, without
-    /// touching the statistics — for `EXPLAIN`-style observability.
-    pub fn peek(&self, text: &str, generation: u64) -> bool {
+    /// Whether executing `text` under `snapshot` would hit the cache,
+    /// without touching the statistics — for `EXPLAIN`-style
+    /// observability.
+    pub fn peek(&self, snapshot: &CatalogSnapshot, text: &str) -> bool {
         let normalized = normalize_eql(text);
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .plans
-            .get(&normalized)
-            .is_some_and(|p| p.generation() == generation)
+        matches!(inner.lookup(&normalized, snapshot), Lookup::Hit(_))
     }
 
     /// Counter snapshot.
@@ -364,12 +438,24 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::snapshot::SharedCatalog;
-    use evirel_workload::restaurant_db_a;
+    use evirel_workload::{restaurant_db_a, restaurant_db_b};
 
     fn shared() -> SharedCatalog {
         let mut c = Catalog::new();
         c.register("ra", restaurant_db_a().restaurants);
+        c.register("rb", restaurant_db_b().restaurants);
         SharedCatalog::new(c)
+    }
+
+    /// Publish a generation that rebinds `name` to a fresh copy of the
+    /// restaurant relation.
+    fn rebind(shared: &SharedCatalog, name: &str) {
+        shared
+            .update(|c| {
+                c.register(name, restaurant_db_a().restaurants);
+                Ok(())
+            })
+            .unwrap();
     }
 
     #[test]
@@ -450,7 +536,7 @@ mod tests {
         // current-generation entry…
         let (_, hit) = cache.prepare_or_cached(&old, q).unwrap();
         assert!(!hit);
-        assert!(cache.peek(q, new.generation()), "fresher entry survives");
+        assert!(cache.peek(&new, q), "fresher entry survives");
         // …so current-generation sessions keep hitting.
         let (_, hit) = cache.prepare_or_cached(&new, q).unwrap();
         assert!(hit);
@@ -471,18 +557,64 @@ mod tests {
         assert!(hit, "formatting variants share an entry");
         assert_eq!(cache.stats().hits, 1);
 
-        shared
-            .update(|c| {
-                c.register("ra", restaurant_db_a().restaurants);
-                Ok(())
-            })
-            .unwrap();
+        rebind(&shared, "ra");
         let snap = shared.pin();
         let (_, hit) = cache
             .prepare_or_cached(&snap, "SELECT * FROM ra WITH SN > 0")
             .unwrap();
-        assert!(!hit, "generation bump invalidates");
+        assert!(!hit, "a generation that rebinds ra invalidates");
         assert_eq!(cache.stats().stale, 1);
+    }
+
+    #[test]
+    fn a_publish_that_leaves_the_scanned_relation_alone_is_a_hit() {
+        let shared = shared();
+        let cache = PlanCache::new(8);
+        let q = "SELECT * FROM ra WITH SN > 0";
+        cache.prepare_or_cached(&shared.pin(), q).unwrap();
+        // A new name, then a rebind of another existing one.
+        rebind(&shared, "m3");
+        rebind(&shared, "rb");
+        let snap = shared.pin();
+        assert_eq!(snap.generation(), 2);
+        assert!(cache.peek(&snap, q));
+        let (plan, hit) = cache.prepare_or_cached(&snap, q).unwrap();
+        assert!(hit, "rebinding other relations must not invalidate");
+        assert_eq!(plan.generation(), 0, "the plan prepared at generation 0");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.stale, stats.misses), (1, 0, 1));
+        // `peek` and the lookup agree on the other side of the rule too.
+        rebind(&shared, "ra");
+        assert!(!cache.peek(&shared.pin(), q));
+    }
+
+    #[test]
+    fn a_union_plan_goes_stale_when_either_side_changes() {
+        let shared = shared();
+        let cache = PlanCache::new(8);
+        let q = "SELECT * FROM ra UNION rb";
+        let prepare = |expect_hit: bool, why: &str| {
+            let (_, hit) = cache.prepare_or_cached(&shared.pin(), q).unwrap();
+            assert_eq!(hit, expect_hit, "{why}");
+        };
+        prepare(false, "cold");
+        prepare(true, "warm");
+        rebind(&shared, "ra");
+        prepare(false, "left side rebound");
+        prepare(true, "re-prepared against the new left side");
+        rebind(&shared, "rb");
+        prepare(false, "right side rebound");
+        // Dropped and registered again is a different binding, and a
+        // plan over a name that is gone re-prepares into the typed
+        // error rather than running.
+        shared.update(|c| Ok(c.deregister("rb"))).unwrap();
+        assert!(!cache.peek(&shared.pin(), q));
+        let err = cache.prepare_or_cached(&shared.pin(), q).unwrap_err();
+        assert_eq!(err.kind(), "unknown-relation");
+        rebind(&shared, "rb");
+        prepare(false, "right side dropped and re-registered");
+        assert_eq!(cache.stats().stale, 4);
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]
@@ -501,8 +633,8 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
         // The oldest entry is gone, the newest two still hit.
-        assert!(!cache.peek("SELECT * FROM ra", snap.generation()));
-        assert!(cache.peek("SELECT * FROM ra WITH SN > 0.7", snap.generation()));
+        assert!(!cache.peek(&snap, "SELECT * FROM ra"));
+        assert!(cache.peek(&snap, "SELECT * FROM ra WITH SN > 0.7"));
     }
 
     #[test]

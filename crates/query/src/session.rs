@@ -338,9 +338,9 @@ impl Session {
     }
 
     /// Apply a catalog mutation as the next generation (see
-    /// [`SharedCatalog::update`]). Cached plans of older generations
-    /// become stale automatically — the cache re-prepares on next
-    /// lookup.
+    /// [`SharedCatalog::update`]). Cached plans that scan a relation
+    /// the mutation rebinds become stale automatically — the cache
+    /// re-prepares them on next lookup; the rest stay hits.
     ///
     /// # Errors
     /// Whatever `mutate` returns; nothing is published then.
@@ -367,7 +367,7 @@ impl Session {
         let snapshot = self.pin();
         let catalog = snapshot.catalog();
         let mut out = crate::explain_with(catalog, text, self.context_for(catalog), true)?;
-        let hit = self.cache.peek(text, snapshot.generation());
+        let hit = self.cache.peek(&snapshot, text);
         out.push_str(&format!(
             "plan cache: {} (generation {})\n",
             if hit {
@@ -419,7 +419,7 @@ pub fn register_query_collectors(
         let misses = metrics.counter("evirel_query_cache_misses_total", "Plan-cache misses", &[]);
         let stale = metrics.counter(
             "evirel_query_cache_stale_total",
-            "Plan-cache entries invalidated by a generation bump",
+            "Plan-cache lookups that re-prepared because a scanned relation was rebound",
             &[],
         );
         let evictions = metrics.counter(
@@ -553,13 +553,22 @@ mod tests {
         s.query(q).unwrap();
         let text = s.explain(q).unwrap();
         assert!(text.contains("plan cache: hit"), "{text}");
-        s.update(|c| {
-            c.register("ra", restaurant_db_a().restaurants);
-            Ok(())
-        })
-        .unwrap();
-        let text = s.explain(q).unwrap();
-        assert!(text.contains("plan cache: miss"), "{text}");
+        // EXPLAIN says what the next QUERY does: a publish that leaves
+        // `ra` alone keeps the plan, one that rebinds it does not.
+        for (rebound, line, hit) in [
+            ("rb", "plan cache: hit", true),
+            ("ra", "plan cache: miss", false),
+        ] {
+            s.update(|c| {
+                c.register(rebound, restaurant_db_a().restaurants);
+                Ok(())
+            })
+            .unwrap();
+            let text = s.explain(q).unwrap();
+            assert!(text.contains(line), "after rebinding {rebound}: {text}");
+            let queried = s.query(q).unwrap();
+            assert_eq!(queried.cached_plan, hit, "after rebinding {rebound}");
+        }
     }
 
     /// Regression: `EXPLAIN` renders the plan *this session* runs. A

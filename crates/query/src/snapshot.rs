@@ -10,20 +10,23 @@
 //! * The current catalog lives behind an immutable, generation-
 //!   stamped [`CatalogSnapshot`] inside an `Arc`. **Readers pin** a
 //!   snapshot ([`SharedCatalog::pin`]) — one `Arc` clone under a
-//!   briefly-held lock — and execute entirely against it; nothing a
-//!   concurrent writer does can change what they see.
-//! * **Writers publish** ([`SharedCatalog::update`]): clone the
-//!   current catalog (cheap — maps of `Arc` handles), apply the
-//!   mutation to the clone, bump the generation counter, and swap the
-//!   new snapshot in atomically. A failed mutation publishes nothing.
+//!   read guard that no writer ever holds for longer than a pointer
+//!   store — and execute entirely against it; nothing a concurrent
+//!   writer does can change what they see, and nothing a writer does
+//!   (a segment write, a journal fsync) makes a reader wait.
+//! * **Writers publish** ([`SharedCatalog::update`]): take the writer
+//!   mutex, clone the current catalog (cheap — maps of `Arc` handles),
+//!   apply the mutation to the clone, bump the generation counter, and
+//!   swap the new snapshot in atomically. A failed mutation publishes
+//!   nothing.
 //! * **Retirement is automatic**: the old generation's `Arc` drops
 //!   when the last pinned reader finishes — no epoch bookkeeping
 //!   thread, no grace periods.
 //!
-//! The generation number doubles as the invalidation key for the
-//! prepared-plan cache ([`crate::prepare::PlanCache`]): a plan
-//! prepared against generation G is only replayed against generation
-//! G.
+//! The generation number orders publishes; it does *not* decide
+//! whether a prepared plan may be replayed — that is the bindings the
+//! plan scans ([`crate::prepare::PlanCache`]), so a publish that
+//! rebinds `m3` leaves the cached plans over `ra` valid.
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
@@ -59,11 +62,20 @@ impl CatalogSnapshot {
 /// and written through atomic generation swaps. See the module docs.
 #[derive(Debug)]
 pub struct SharedCatalog {
+    /// The published snapshot. Read-locked for one `Arc` clone
+    /// ([`SharedCatalog::pin`]), write-locked for one `Arc` store
+    /// (`swap`) — never across anything that can block.
     current: RwLock<Arc<CatalogSnapshot>>,
+    /// Serializes writers: held from reading the generation a publish
+    /// builds on until its snapshot is swapped in, across the mutation
+    /// closure. Readers never touch it. It guards no data — a closure
+    /// that panics has published nothing — so a poisoned lock is
+    /// simply taken over.
+    writer: Mutex<()>,
     /// Publish signal: paired with `publish_cv` so subscribers
     /// ([`SharedCatalog::wait_newer`]) block instead of spinning.
-    /// Publishers release the `current` write lock *before* taking
-    /// this mutex (lock order: never both), then notify.
+    /// Publishers release the writer mutex *before* taking this one
+    /// (lock order: never both), then notify.
     publish_lock: Mutex<()>,
     publish_cv: Condvar,
 }
@@ -85,6 +97,7 @@ impl SharedCatalog {
                 generation,
                 catalog,
             })),
+            writer: Mutex::new(()),
             publish_lock: Mutex::new(()),
             publish_cv: Condvar::new(),
         }
@@ -92,7 +105,8 @@ impl SharedCatalog {
 
     /// Pin the current snapshot: the returned handle keeps every
     /// binding of this generation alive and unchanged for as long as
-    /// it is held, no matter what writers publish meanwhile.
+    /// it is held, no matter what writers publish meanwhile. Waits on
+    /// nothing longer than another thread's pointer store.
     pub fn pin(&self) -> Arc<CatalogSnapshot> {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
@@ -106,13 +120,16 @@ impl SharedCatalog {
     /// Apply a mutation and publish it as the next generation.
     ///
     /// The closure runs on a private clone of the current catalog;
-    /// concurrent readers keep seeing the old generation until the
-    /// swap, and an `Err` from the closure publishes **nothing** —
-    /// there is no observable half-applied state, ever. Writers
-    /// serialize against each other (the closure runs under the write
-    /// lock), so read-modify-write sequences like "execute this merge
-    /// query, then register the result" are atomic when expressed as
-    /// one `update` call.
+    /// concurrent readers keep pinning the old generation — without
+    /// waiting — until the swap, and an `Err` from the closure
+    /// publishes **nothing** — there is no observable half-applied
+    /// state, ever. Writers serialize against each other (the closure
+    /// runs under the writer mutex), so read-modify-write sequences
+    /// like "execute this merge query, then register the result" are
+    /// atomic when expressed as one `update` call. The closure may
+    /// read through the `SharedCatalog` ([`SharedCatalog::pin`]); it
+    /// must not publish through it (the writer mutex is not
+    /// reentrant).
     ///
     /// # Errors
     /// Whatever the closure returns; the catalog is unchanged then.
@@ -133,14 +150,26 @@ impl SharedCatalog {
     ///
     /// This is the durability hook ([`crate::DurableCatalog::bind`]):
     /// the closure writes a journal record stamped with that
-    /// generation and fsyncs it *before* returning — because the
-    /// closure runs under the write lock, the record is durable before
-    /// any reader can observe the new generation, and writers (hence
-    /// journal appends) are totally ordered with strictly increasing
-    /// generations. Readers' [`SharedCatalog::pin`] waits for that
-    /// lock, so a durable publish stalls pins for the length of its
-    /// fsync. An `Err` from the closure publishes nothing, exactly as
-    /// in `update`.
+    /// generation and fsyncs it *before* returning. The closure runs
+    /// under the writer mutex only — no guard on the published
+    /// snapshot — so pins proceed at full speed while it writes and
+    /// fsyncs; the ordering rules hold all the same:
+    ///
+    /// * **fsync before publish.** The swap happens after the closure
+    ///   has returned, so the record is durable before any reader can
+    ///   pin the new generation; until then every pin returns the old
+    ///   one. No reader observes a generation a crash could lose.
+    /// * **Total order.** The writer mutex is held from reading the
+    ///   current generation to the swap, so writers — hence journal
+    ///   appends — are totally ordered with strictly increasing
+    ///   generations, and no publish is built on a stale clone.
+    /// * **All or nothing.** An `Err` from the closure returns before
+    ///   the swap: nothing is published, exactly as in `update`.
+    ///
+    /// Lock order, outermost first: whatever guards the caller's
+    /// durable state (in `evirel-serve`, the durable mutex), the
+    /// writer mutex, the swap's write guard; subscribers are notified
+    /// after all three are released.
     ///
     /// # Errors
     /// Whatever the closure returns; the catalog is unchanged then.
@@ -148,19 +177,7 @@ impl SharedCatalog {
         &self,
         mutate: impl FnOnce(&mut Catalog, u64) -> Result<T, QueryError>,
     ) -> Result<(T, u64), QueryError> {
-        let result = {
-            let mut slot = self.current.write().unwrap_or_else(|e| e.into_inner());
-            let mut next = slot.catalog.clone();
-            let generation = slot.generation + 1;
-            let value = mutate(&mut next, generation)?;
-            *slot = Arc::new(CatalogSnapshot {
-                generation,
-                catalog: next,
-            });
-            (value, generation)
-        };
-        self.notify_publish();
-        Ok(result)
+        self.publish(|current| Ok(current + 1), mutate)
     }
 
     /// Publish a mutation at an **explicit** generation instead of
@@ -169,10 +186,12 @@ impl SharedCatalog {
     /// the primary's journal records and must publish each one at the
     /// generation the *primary* stamped it with, so pinned
     /// snapshots on the standby carry the same generation numbers as
-    /// on the primary and STATS/plan-cache keys line up across
-    /// failover. Generations may skip (the primary's counter also
-    /// advances on mutations that never reach this follower's catalog,
-    /// e.g. drops of unknown names) but must strictly increase.
+    /// on the primary and STATS lines up across failover. Generations
+    /// may skip (the primary's counter also advances on mutations that
+    /// never reach this follower's catalog, e.g. drops of unknown
+    /// names) but must strictly increase. Locking is
+    /// [`SharedCatalog::update_at`]'s: the closure (a segment open)
+    /// runs under the writer mutex, readers keep pinning meanwhile.
     ///
     /// # Errors
     /// Whatever the closure returns, or [`QueryError::Execution`] when
@@ -183,27 +202,59 @@ impl SharedCatalog {
         generation: u64,
         mutate: impl FnOnce(&mut Catalog) -> Result<T, QueryError>,
     ) -> Result<T, QueryError> {
-        let value = {
-            let mut slot = self.current.write().unwrap_or_else(|e| e.into_inner());
-            if generation <= slot.generation {
-                return Err(QueryError::Execution {
-                    message: format!(
-                        "stamped publish must advance the generation \
-                         (current {}, stamped {generation})",
-                        slot.generation
-                    ),
-                });
+        let stamp = |current| {
+            if generation > current {
+                return Ok(generation);
             }
-            let mut next = slot.catalog.clone();
-            let value = mutate(&mut next)?;
-            *slot = Arc::new(CatalogSnapshot {
+            Err(QueryError::Execution {
+                message: format!(
+                    "stamped publish must advance the generation \
+                     (current {current}, stamped {generation})"
+                ),
+            })
+        };
+        self.publish(stamp, |catalog, _| mutate(catalog))
+            .map(|(value, _)| value)
+    }
+
+    /// The one publish protocol behind `update`/`update_at`/
+    /// `update_stamped`: become the writer, pick the generation
+    /// (`stamp` maps the current one to the next, or refuses), mutate
+    /// a private clone with no guard on `current`, swap, notify.
+    fn publish<T>(
+        &self,
+        stamp: impl FnOnce(u64) -> Result<u64, QueryError>,
+        mutate: impl FnOnce(&mut Catalog, u64) -> Result<T, QueryError>,
+    ) -> Result<(T, u64), QueryError> {
+        let published = {
+            let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+            // Only the writer swaps, so this pin is still current at
+            // the swap below.
+            let base = self.pin();
+            let generation = stamp(base.generation)?;
+            let mut next = base.catalog.clone();
+            let value = mutate(&mut next, generation)?;
+            self.swap(CatalogSnapshot {
                 generation,
                 catalog: next,
             });
-            value
+            (value, generation)
         };
         self.notify_publish();
-        Ok(value)
+        Ok(published)
+    }
+
+    /// Store `next` as the published snapshot — the only place the
+    /// write guard on `current` is taken, and all it covers: the
+    /// allocation happens before it, and the retired snapshot (whose
+    /// last reference this may be) drops after it.
+    fn swap(&self, next: CatalogSnapshot) {
+        let next = Arc::new(next);
+        let retired = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(|e| e.into_inner()),
+            next,
+        );
+        drop(retired);
     }
 
     /// Block until a generation **newer than** `seen` is published,
@@ -405,5 +456,114 @@ mod tests {
         let mut published = published.into_inner().unwrap();
         published.sort_unstable();
         assert_eq!(published, (1..=8).collect::<Vec<u64>>());
+    }
+
+    /// Park a writer *inside* its publish closure (`write` runs one
+    /// publish whose closure calls the `park` it is handed) and check
+    /// the short publish lock from outside: a pin on another thread
+    /// still answers — with the old generation — a second writer does
+    /// not start, and once the first is released its generation
+    /// (`published`) appears and the second publishes right after it.
+    fn readers_run_and_writers_queue_behind_a_parked_writer(
+        write: impl Fn(&SharedCatalog, &dyn Fn()) + Send,
+        published: u64,
+    ) {
+        use std::sync::mpsc::channel;
+        let patience = Duration::from_secs(20);
+        let shared = &SharedCatalog::new(Catalog::new());
+        let (parked_tx, parked_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (pinned_tx, pinned_rx) = channel();
+        let (second_tx, second_rx) = channel();
+        std::thread::scope(|s| {
+            // Owned by this block, so a failed assertion below drops
+            // it and the parked writer wakes instead of hanging the
+            // scope's join.
+            let release_tx = release_tx;
+            s.spawn(move || {
+                write(shared, &|| {
+                    parked_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                });
+            });
+            parked_rx.recv().expect("the writer entered its closure");
+
+            s.spawn(move || pinned_tx.send(shared.pin().generation()).unwrap());
+            let pinned = pinned_rx
+                .recv_timeout(patience)
+                .expect("pin() waited for a writer that is inside its closure");
+            assert_eq!(pinned, 0, "nothing is published before the closure returns");
+
+            s.spawn(move || {
+                let base = shared.update_at(|_, generation| {
+                    second_tx.send(generation).unwrap();
+                    Ok(shared.pin().generation())
+                });
+                // It was built on the first writer's snapshot.
+                assert_eq!(base.unwrap(), (published, published + 1));
+            });
+            assert!(
+                second_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+                "a second writer started beside the first"
+            );
+
+            release_tx.send(()).unwrap();
+            let second = second_rx
+                .recv_timeout(patience)
+                .expect("the second writer runs once the first has published");
+            assert_eq!(second, published + 1);
+        });
+        assert_eq!(shared.generation(), published + 1);
+    }
+
+    #[test]
+    fn update_at_holds_no_guard_on_the_snapshot_across_its_closure() {
+        readers_run_and_writers_queue_behind_a_parked_writer(
+            |shared, park| {
+                let ((), generation) = shared
+                    .update_at(|_, _| {
+                        park();
+                        Ok(())
+                    })
+                    .unwrap();
+                assert_eq!(generation, 1);
+            },
+            1,
+        );
+    }
+
+    #[test]
+    fn update_stamped_holds_no_guard_on_the_snapshot_across_its_closure() {
+        readers_run_and_writers_queue_behind_a_parked_writer(
+            |shared, park| {
+                shared
+                    .update_stamped(5, |_| {
+                        park();
+                        Ok(())
+                    })
+                    .unwrap();
+            },
+            5,
+        );
+    }
+
+    /// A publish closure may read through the `SharedCatalog` it is
+    /// publishing to: it sees the generation it builds on.
+    #[test]
+    fn a_publish_closure_may_pin() {
+        let shared = Arc::new(SharedCatalog::new(Catalog::new()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let seen = shared.update_at(|_, _| Ok(shared.pin().generation()));
+                tx.send(seen.unwrap()).unwrap();
+            })
+        };
+        let seen = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("pin() inside a publish closure deadlocked");
+        assert_eq!(seen, (0, 1));
+        writer.join().unwrap();
     }
 }

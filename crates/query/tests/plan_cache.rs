@@ -1,16 +1,20 @@
 //! Regression: a cached plan must not execute after `\load` has
 //! replaced the relation binding it was prepared against.
 //!
-//! The hazard (this is the failing-first scenario the generation
-//! keying fixes): a plan prepared at catalog generation G bakes in
-//! G's schemas — projection lists, rewrite decisions. If the cache
+//! The hazard (this is the failing-first scenario the cache's
+//! validity check fixes): a plan prepared at catalog generation G
+//! bakes in G's schemas — projection lists, rewrite decisions. If the cache
 //! keyed on query text alone, a `\load` that rebinds the name to a
 //! relation with a different schema would leave the old plan live,
 //! and re-execution would fail deep inside the executor (or worse,
-//! silently apply stale rewrite decisions). With (text, generation)
-//! keying the stale entry can never be returned: the lookup records a
-//! stale invalidation and re-prepares against the new binding.
+//! silently apply stale rewrite decisions). The cache validates every
+//! entry against the bindings its plan scans, so the stale entry can
+//! never be returned: the lookup records a stale invalidation and
+//! re-prepares against the new binding. The other half of that rule
+//! is pinned here too: a publish that touches none of the plan's
+//! relations keeps the entry, and a kept entry pins no old extension.
 
+use evirel_plan::{BoundRelation, RelationSource};
 use evirel_query::{
     execute_with_report, Catalog, PlanCache, QueryError, QueryOutcome, Session, SharedCatalog,
 };
@@ -201,6 +205,73 @@ fn rebinding_back_reprepares_rather_than_resurrecting() {
 
     // From here the gen-2 entry is reused normally.
     assert!(session.query(QUERY_OLD_SCHEMA).expect("cached").cached_plan);
+
+    std::fs::remove_file(&segment).ok();
+}
+
+#[test]
+fn rebinding_an_unrelated_relation_keeps_the_cached_plan() {
+    let (session, segment) = session_and_segment();
+    let first = session.query(QUERY_UNION).expect("valid");
+    assert!(!first.cached_plan);
+
+    // Two publishes that leave `ga` and `gb` alone: a `\load` over `t`
+    // and a brand-new name.
+    session
+        .update(|c| c.attach_stored("t", &segment))
+        .expect("attach");
+    session
+        .update(|c| {
+            c.register("m3", restaurant_db_a().restaurants);
+            Ok(())
+        })
+        .expect("register");
+    let again = session.query(QUERY_UNION).expect("still valid");
+    assert!(again.cached_plan, "no scanned relation changed");
+    assert_eq!(again.generation, first.generation + 2);
+    assert_eq!(session.cache().stats().stale, 0);
+    // The kept plan is the right plan for the new generation.
+    assert_session_matches_direct(&session);
+
+    std::fs::remove_file(&segment).ok();
+}
+
+/// A cached plan holds its scanned relations' statistics, never the
+/// relations: once `t` is rebound and no reader pins the old
+/// generation, the old extension is freed even though the cache still
+/// holds the plan that scanned it.
+#[test]
+fn a_cached_plan_does_not_keep_a_superseded_extension_alive() {
+    let (session, segment) = session_and_segment();
+    session.query(QUERY_OLD_SCHEMA).expect("valid at gen 0");
+    let old_extension = {
+        let pinned = session.pin();
+        let binding = pinned.catalog().resolve("t").expect("t is bound");
+        let BoundRelation::Memory(rel) = &binding.relation else {
+            panic!("t starts in memory");
+        };
+        Arc::downgrade(rel)
+    };
+    assert!(old_extension.upgrade().is_some());
+
+    session
+        .update(|c| {
+            c.register("t", restaurant_db_a().restaurants);
+            Ok(())
+        })
+        .expect("rebind");
+    assert_eq!(
+        session.cache().stats().entries,
+        1,
+        "the plan is still cached"
+    );
+    assert!(
+        old_extension.upgrade().is_none(),
+        "the cached plan kept the superseded relation alive"
+    );
+    // And the entry it holds is stale, not resurrected.
+    assert!(!session.query(QUERY_OLD_SCHEMA).expect("valid").cached_plan);
+    assert_eq!(session.cache().stats().stale, 1);
 
     std::fs::remove_file(&segment).ok();
 }

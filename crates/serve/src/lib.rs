@@ -9,10 +9,12 @@
 //!   catalog generation ([`evirel_query::SharedCatalog`]); `MERGE`
 //!   writes publish the next generation atomically (RCU-style swap),
 //!   so readers never observe a half-updated binding set.
-//! * **Prepared-plan cache** — plans are keyed by (normalized EQL,
-//!   generation) in a shared [`evirel_query::PlanCache`]; repeated
-//!   service traffic skips lowering/validation/rewrite, and a
-//!   generation bump invalidates stale plans by construction.
+//! * **Prepared-plan cache** — plans are keyed by normalized EQL in
+//!   a shared [`evirel_query::PlanCache`] and stay valid until a
+//!   relation they scan is rebound; repeated service traffic skips
+//!   lowering/validation/rewrite, a `MERGE` into another relation
+//!   costs readers nothing, and a rebind invalidates exactly the
+//!   plans that scanned the old binding.
 //! * **Admission control** — a bounded worker pool serves sessions;
 //!   connections beyond the pending-queue bound get a typed `BUSY`
 //!   frame instead of an unbounded thread pile. Each worker session

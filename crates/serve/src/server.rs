@@ -19,17 +19,20 @@
 //! ## Concurrency contract
 //!
 //! Reads (`QUERY`/`EXPLAIN`) pin one catalog generation for their
-//! whole execution; once pinned they never block writers and no
+//! whole execution; they never block writers, never wait for one (a
+//! pin waits at most for another thread's pointer store), and no
 //! writer can change what they see. Writes (`MERGE`) execute their
 //! query against a pinned snapshot, then publish the result as the
 //! next generation — durably through [`DurableCatalog::bind`], the
 //! one write path, or in memory through [`SharedCatalog::update_at`]
-//! when there is no data directory. Writers serialize on the swap,
-//! and a reader either sees the whole new generation or none of it.
-//! The pin itself waits for the catalog write guard, which a durable
-//! `MERGE` holds across its journal fsync (until the ROADMAP
-//! publish-lock item lands), so reads that arrive mid-`MERGE` start
-//! after it. Worker panics are caught per-request
+//! when there is no data directory. Writers queue on the durable
+//! mutex (then the catalog's writer mutex) for the whole of their
+//! segment write and journal fsync — `evirel_catalog_writer_wait_seconds`
+//! is that queue — and a reader that arrives meanwhile is served from
+//! the generation before; it sees the whole new generation once the
+//! fsync'd result is swapped in, or none of it. A `MERGE` into one
+//! relation leaves the cached plans over the others valid. Worker
+//! panics are caught per-request
 //! ([`std::panic::catch_unwind`]) and surfaced as `ERR panic` frames,
 //! so one poisoned request cannot take down a worker or the process.
 
@@ -247,6 +250,10 @@ struct ServeMetrics {
     workers_busy: Gauge,
     bytes_read: Counter,
     bytes_written: Counter,
+    /// `evirel_catalog_writer_wait_seconds`: how long a `MERGE`, its
+    /// result computed, queued behind other writers before its own
+    /// publish began.
+    writer_wait: Histogram,
     verbs: BTreeMap<&'static str, VerbMetrics>,
 }
 
@@ -291,6 +298,11 @@ impl ServeMetrics {
             bytes_written: registry.counter(
                 "evirel_serve_bytes_written_total",
                 "Response bytes sent, frame headers included",
+                &[],
+            ),
+            writer_wait: registry.histogram(
+                "evirel_catalog_writer_wait_seconds",
+                "Time a MERGE waited behind other writers to begin its publish",
                 &[],
             ),
             verbs,
@@ -402,9 +414,10 @@ struct Shared {
     /// with a data directory. MERGE handlers and the follower loop
     /// publish through it ([`DurableCatalog::bind`] and friends), so a
     /// mutation is fsync'd before its generation is observable; lock
-    /// order is this mutex, then the catalog write guard. `STATS` and
-    /// `METRICS` never take it: its counters are pushed into the
-    /// registry ([`DurableMetrics`]).
+    /// order is this mutex, then the catalog's writer mutex. Reads,
+    /// `STATS` and `METRICS` never take either: a read pins without
+    /// waiting for a writer, and the durable counters are pushed into
+    /// the registry ([`DurableMetrics`]).
     durable: Option<Mutex<DurableCatalog>>,
     /// The data directory's path as `STATS` prints it — fixed at
     /// startup, so reading it never waits on the `durable` mutex.
@@ -1120,25 +1133,29 @@ fn merge_response(session: &Session, shared: &Shared, name: &str, query: &str) -
         );
     }
     // Read at a pinned snapshot, then publish the result as the next
-    // generation. Two concurrent MERGEs to the same name serialize on
-    // the write lock; last writer wins, and either way every reader
-    // sees a complete binding.
+    // generation. Two concurrent MERGEs to the same name serialize as
+    // writers; last writer wins, and either way every reader sees a
+    // complete binding.
     let out = match session.query(query) {
         Ok(out) => out,
         Err(e) => return Response::error(e.kind(), e.to_string()),
     };
     let tuples = out.outcome.relation.len();
     let rel = out.outcome.relation;
+    // Becoming the writer is taking the durable mutex, or — with no
+    // data directory — entering the publish closure.
+    let writer_wait = &shared.serve_metrics.writer_wait;
+    let queued = Instant::now();
     let published = match &shared.durable {
         Some(durable) => {
-            durable
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .bind(&shared.shared, name, &rel)
+            let mut durable = durable.lock().unwrap_or_else(|e| e.into_inner());
+            writer_wait.observe(queued.elapsed());
+            durable.bind(&shared.shared, name, &rel)
         }
         None => shared
             .shared
             .update_at(|catalog, _| {
+                writer_wait.observe(queued.elapsed());
                 catalog.register(name.to_owned(), rel);
                 Ok(())
             })

@@ -190,3 +190,101 @@ fn merge_survives_unclean_drop_via_journal_alone() {
     handle.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The `key=value` field of a reply's first line, as u64.
+fn reply_field(body: &str, key: &str) -> u64 {
+    stat(body.lines().next().unwrap_or_default(), key)
+}
+
+/// Reads beside a durable writer: one connection issues MERGEs back
+/// to back, two others read `ra`/`rb` for as long as it does. Every
+/// connection sees generations that never go back, no read is served
+/// from a generation the journal does not hold yet (a MERGE publishes
+/// only after its fsync), and — since no MERGE rebinds `ra` or `rb` —
+/// the readers keep their cached plans across every publish.
+#[test]
+fn readers_beside_a_durable_writer_see_only_journalled_generations() {
+    use std::sync::atomic::AtomicBool;
+    const MERGES: u64 = 150;
+    const MIN_READS: u64 = 150;
+    let dir = fresh_dir("beside");
+    let handle = boot(&dir);
+    let metrics = std::sync::Arc::clone(handle.metrics());
+    let committed = || {
+        metrics
+            .value("evirel_store_committed_generation", &[])
+            .expect("a durable server exports its committed generation")
+    };
+    let writer_done = AtomicBool::new(false);
+    /// Set on drop, so a writer that fails an assertion still ends
+    /// the readers' loops and the failure is reported, not hung on.
+    struct Done<'a>(&'a AtomicBool);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    let (reads, cached) = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let _done = Done(&writer_done);
+            let mut c = connect(&handle);
+            let mut last = 0;
+            for i in 0..MERGES {
+                let request = format!("MERGE m{}\nSELECT * FROM ra UNION rb", i % 4);
+                let generation = reply_field(&ok_body(roundtrip(&mut c, &request)), "generation");
+                assert!(
+                    generation > last,
+                    "acked MERGE generations strictly increase"
+                );
+                assert!(generation <= committed(), "acked before it was journalled");
+                last = generation;
+            }
+            last
+        });
+        let readers: Vec<_> = ["ra", "rb"]
+            .into_iter()
+            .map(|name| {
+                let (handle, writer_done, committed) = (&handle, &writer_done, &committed);
+                s.spawn(move || {
+                    let request = format!("QUERY\nSELECT * FROM {name} WITH SN > 0");
+                    let mut c = connect(handle);
+                    let (mut reads, mut cached, mut last) = (0u64, 0u64, 0u64);
+                    loop {
+                        // Sampled first: the read after the writer's
+                        // last ack must see its generation.
+                        let finished = writer_done.load(Ordering::SeqCst);
+                        let body = ok_body(roundtrip(&mut c, &request));
+                        let generation = reply_field(&body, "generation");
+                        assert!(
+                            generation <= committed(),
+                            "read served from generation {generation}, not yet journalled"
+                        );
+                        assert!(generation >= last, "a connection's generations went back");
+                        last = generation;
+                        reads += 1;
+                        cached += reply_field(&body, "cached");
+                        if finished && reads >= MIN_READS {
+                            return (reads, cached, last);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let last_merge = writer.join().expect("writer");
+        assert_eq!(last_merge, MERGES);
+        readers.into_iter().fold((0, 0), |(reads, cached), reader| {
+            let (r, c, last_read) = reader.join().expect("reader");
+            assert_eq!(last_read, last_merge, "the final read sees the final MERGE");
+            (reads + r, cached + c)
+        })
+    });
+    assert!(
+        cached * 10 > reads * 9,
+        "MERGEs into m0..m3 invalidated plans over ra/rb: {cached} of {reads} reads cached"
+    );
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}

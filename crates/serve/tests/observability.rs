@@ -96,6 +96,7 @@ fn metrics_scrape_covers_every_subsystem() {
         "# TYPE evirel_serve_requests_total counter",
         "# TYPE evirel_serve_request_seconds histogram",
         "# TYPE evirel_serve_queue_depth gauge",
+        "# TYPE evirel_catalog_writer_wait_seconds histogram",
         "# TYPE evirel_query_cache_hits_total counter",
         "# TYPE evirel_query_seconds histogram",
         "# TYPE evirel_store_pool_hits_total counter",
@@ -126,6 +127,11 @@ fn metrics_scrape_covers_every_subsystem() {
     // Two cold plans: the first SELECT and the MERGE body.
     assert_eq!(series(&exposition, "evirel_query_cache_misses_total"), 2);
     assert_eq!(series(&exposition, "evirel_serve_merges_total"), 1);
+    // Recorded on the write path only: once per MERGE, never by a read.
+    assert_eq!(
+        series(&exposition, "evirel_catalog_writer_wait_seconds_count"),
+        1
+    );
     assert_eq!(series(&exposition, "evirel_serve_request_errors_total"), 0);
     assert_eq!(series(&exposition, "evirel_serve_panics_total"), 0);
     // The warm query's latency was observed into the per-verb
