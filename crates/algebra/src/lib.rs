@@ -43,7 +43,7 @@
 //! which builds a logical plan over the same operators, optimizes it
 //! (predicate pushdown, threshold fusion, σ̃-under-∪̃ distribution),
 //! and executes it with pull-based streaming operators that reuse
-//! this crate's per-tuple kernels ([`support::predicate_support`],
+//! this crate's per-tuple kernels ([`support::BoundPredicate`],
 //! [`union::merge_tuples`], the schema helpers) — so intermediates
 //! are never materialized and ∪̃ conflict reports survive. The free
 //! functions deliberately stay independent: they are the oracle the
@@ -73,7 +73,7 @@ pub use product::product;
 pub use project::project;
 pub use rename::{rename_attribute, rename_relation};
 pub use select::select;
-pub use support::predicate_support;
+pub use support::{predicate_support, BoundPredicate, Row};
 pub use threshold::Threshold;
 pub use union::{union_extended, MergeScratch, UnionOptions, UnionOutcome};
 

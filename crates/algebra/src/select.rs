@@ -14,7 +14,7 @@
 
 use crate::error::AlgebraError;
 use crate::predicate::Predicate;
-use crate::support::predicate_support;
+use crate::support::BoundPredicate;
 use crate::threshold::Threshold;
 use evirel_relation::ExtendedRelation;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// # Errors
 /// * [`AlgebraError::ThresholdNotPositive`] if `Q` could admit tuples
 ///   with `sn = 0`;
-/// * predicate-evaluation errors from [`predicate_support`].
+/// * predicate-evaluation errors from [`BoundPredicate::support`].
 pub fn select(
     rel: &ExtendedRelation,
     pred: &Predicate,
@@ -38,8 +38,9 @@ pub fn select(
     let schema = rel.schema();
     let out_schema = Arc::new(schema.renamed(format!("σ({})", schema.name())));
     let mut out = ExtendedRelation::new(Arc::clone(&out_schema));
+    let bound = BoundPredicate::bind(schema, pred);
     for tuple in rel.iter() {
-        let fss = predicate_support(schema, tuple, pred)?;
+        let fss = bound.support(tuple)?;
         // F_TM: selection support and original membership are
         // independent events (§3.1.2).
         let revised = tuple.membership().and_independent(&fss);

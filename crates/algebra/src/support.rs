@@ -16,88 +16,231 @@
 //! θ comparisons are evaluated in *domain order* — the declared order
 //! of the attribute domain's values (numeric order for integer
 //! domains).
+//!
+//! Evaluation is split in two. [`BoundPredicate::bind`] resolves a
+//! predicate against a schema once — attribute names to positions,
+//! each `is` target to a focal set of its attribute's domain — and
+//! [`BoundPredicate::support`] evaluates the bound form per [`Row`].
+//! A row is anything that yields the attribute value at a position: a
+//! [`Tuple`], or a stored scan's partially decoded record, which holds
+//! only the positions the predicate reads. What binding cannot resolve
+//! (an unknown attribute, an out-of-domain target) is kept as the
+//! error it raised and returned when a row is evaluated, so a
+//! selection over an empty input still succeeds.
 
 use crate::error::AlgebraError;
 use crate::predicate::{Operand, Predicate, ThetaOp};
 use evirel_evidence::{FocalSet, MassFunction};
-use evirel_relation::{AttrDomain, AttrValue, Schema, SupportPair, Tuple, Value};
+use evirel_relation::{AttrDomain, AttrValue, RelationError, Schema, SupportPair, Tuple, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
-/// A predicate operand resolved against a tuple.
-enum Resolved {
-    /// A definite value (from a definite attribute or a literal).
-    Definite(Value),
-    /// An evidence set together with the typed domain that orders it.
-    Evidence(MassFunction<f64>, Arc<AttrDomain>),
-    /// An evidence literal awaiting a domain from the opposite operand.
-    PendingLiteral(Vec<(Vec<Value>, f64)>),
+/// What `F_SS` reads of a tuple: the attribute value at a schema
+/// position.
+pub trait Row {
+    /// The value at position `pos` of the schema the predicate was
+    /// bound against.
+    fn value(&self, pos: usize) -> &AttrValue;
 }
 
-/// Compute `F_SS(r, P)` for tuple `tuple` of `schema`.
+impl Row for Tuple {
+    fn value(&self, pos: usize) -> &AttrValue {
+        Tuple::value(self, pos)
+    }
+}
+
+/// A predicate resolved against one schema — see the module docs.
+#[derive(Debug, Clone)]
+pub struct BoundPredicate(Node);
+
+#[derive(Debug, Clone)]
+enum Node {
+    /// `A is C`, `A` evidential: `C` as a focal set of `A`'s domain.
+    IsEvidence {
+        pos: usize,
+        domain: Arc<AttrDomain>,
+        target: FocalSet,
+    },
+    /// `A is C`, `A` definite: crisp membership in `C`.
+    IsDefinite {
+        pos: usize,
+        attr: String,
+        values: Vec<Value>,
+    },
+    Theta {
+        left: BoundOperand,
+        op: ThetaOp,
+        right: BoundOperand,
+    },
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    Not(Box<Node>),
+    /// Binding failed; evaluating a row returns the error.
+    Invalid(AlgebraError),
+}
+
+/// One side of a bound θ-predicate.
+#[derive(Debug, Clone)]
+enum BoundOperand {
+    /// The attribute at `pos`; `domain` when it is evidential.
+    Attr {
+        pos: usize,
+        name: String,
+        domain: Option<Arc<AttrDomain>>,
+    },
+    Value(Value),
+    Evidence(Vec<(Vec<Value>, f64)>),
+}
+
+/// A θ operand resolved against a row.
+enum Resolved<'a> {
+    /// A definite value (from a definite attribute or a literal).
+    Definite(&'a Value),
+    /// An evidence set together with the typed domain that orders it.
+    Evidence(Cow<'a, MassFunction<f64>>, &'a Arc<AttrDomain>),
+    /// An evidence literal awaiting a domain from the opposite operand.
+    PendingLiteral(&'a [(Vec<Value>, f64)]),
+}
+
+fn holds_evidence(attr: &str) -> AlgebraError {
+    AlgebraError::PredicateType {
+        reason: format!("attribute {attr:?} is declared definite but holds evidence"),
+    }
+}
+
+impl BoundPredicate {
+    /// Resolve `pred` against `schema`.
+    pub fn bind(schema: &Schema, pred: &Predicate) -> BoundPredicate {
+        BoundPredicate(Node::bind(schema, pred))
+    }
+
+    /// `F_SS(row, P)`.
+    ///
+    /// # Errors
+    /// * [`AlgebraError::Relation`] for unknown attributes or
+    ///   out-of-domain values;
+    /// * [`AlgebraError::PredicateType`] for incomparable operands.
+    pub fn support(&self, row: &impl Row) -> Result<SupportPair, AlgebraError> {
+        self.0.support(row)
+    }
+}
+
+impl Node {
+    fn bind(schema: &Schema, pred: &Predicate) -> Node {
+        Node::try_bind(schema, pred).unwrap_or_else(|e| Node::Invalid(AlgebraError::Relation(e)))
+    }
+
+    fn try_bind(schema: &Schema, pred: &Predicate) -> Result<Node, RelationError> {
+        let bind = |p: &Predicate| Box::new(Node::bind(schema, p));
+        Ok(match pred {
+            Predicate::Is { attr, values } => {
+                let pos = schema.position(attr)?;
+                match schema.attr(pos).ty().domain() {
+                    Some(domain) => Node::IsEvidence {
+                        pos,
+                        target: domain.subset_of_values(values.iter())?,
+                        domain: Arc::clone(domain),
+                    },
+                    None => Node::IsDefinite {
+                        pos,
+                        attr: attr.clone(),
+                        values: values.clone(),
+                    },
+                }
+            }
+            Predicate::Theta { left, op, right } => Node::Theta {
+                left: BoundOperand::bind(schema, left)?,
+                op: *op,
+                right: BoundOperand::bind(schema, right)?,
+            },
+            Predicate::And(a, b) => Node::And(bind(a), bind(b)),
+            Predicate::Or(a, b) => Node::Or(bind(a), bind(b)),
+            Predicate::Not(a) => Node::Not(bind(a)),
+        })
+    }
+
+    fn support(&self, row: &impl Row) -> Result<SupportPair, AlgebraError> {
+        match self {
+            // §3.1.1: `(Bel(C), Pls(C))` of the attribute's evidence.
+            Node::IsEvidence {
+                pos,
+                domain,
+                target,
+            } => {
+                let m = row.value(*pos).to_evidence(domain)?;
+                Ok(SupportPair::new(m.bel(target), m.pls(target))?)
+            }
+            Node::IsDefinite { pos, attr, values } => match row.value(*pos) {
+                AttrValue::Definite(v) if values.contains(v) => Ok(SupportPair::certain()),
+                AttrValue::Definite(_) => Ok(SupportPair::impossible()),
+                AttrValue::Evidential(_) => Err(holds_evidence(attr)),
+            },
+            Node::Theta { left, op, right } => theta_support(row, left, *op, right),
+            Node::And(a, b) => {
+                let sa = a.support(row)?;
+                let sb = b.support(row)?;
+                // §3.1.1: multiplicative rule for independent predicates.
+                Ok(sa.and_independent(&sb))
+            }
+            Node::Or(a, b) => {
+                let sa = a.support(row)?;
+                let sb = b.support(row)?;
+                // Extension: independent-event disjunction.
+                let sn = 1.0 - (1.0 - sa.sn()) * (1.0 - sb.sn());
+                let sp = 1.0 - (1.0 - sa.sp()) * (1.0 - sb.sp());
+                Ok(SupportPair::new(sn, sp)?)
+            }
+            Node::Not(a) => {
+                let sa = a.support(row)?;
+                // Extension: belief/plausibility duality.
+                Ok(SupportPair::new(1.0 - sa.sp(), 1.0 - sa.sn())?)
+            }
+            Node::Invalid(e) => Err(e.clone()),
+        }
+    }
+}
+
+impl BoundOperand {
+    fn bind(schema: &Schema, operand: &Operand) -> Result<BoundOperand, RelationError> {
+        Ok(match operand {
+            Operand::Attr(name) => {
+                let pos = schema.position(name)?;
+                BoundOperand::Attr {
+                    pos,
+                    name: name.clone(),
+                    domain: schema.attr(pos).ty().domain().cloned(),
+                }
+            }
+            Operand::Value(v) => BoundOperand::Value(v.clone()),
+            Operand::Evidence(entries) => BoundOperand::Evidence(entries.clone()),
+        })
+    }
+
+    fn resolve<'a>(&'a self, row: &'a impl Row) -> Result<Resolved<'a>, AlgebraError> {
+        match self {
+            BoundOperand::Attr { pos, name, domain } => match (domain, row.value(*pos)) {
+                (Some(domain), value) => Ok(Resolved::Evidence(value.to_evidence(domain)?, domain)),
+                (None, AttrValue::Definite(v)) => Ok(Resolved::Definite(v)),
+                (None, AttrValue::Evidential(_)) => Err(holds_evidence(name)),
+            },
+            BoundOperand::Value(v) => Ok(Resolved::Definite(v)),
+            BoundOperand::Evidence(entries) => Ok(Resolved::PendingLiteral(entries)),
+        }
+    }
+}
+
+/// Compute `F_SS(r, P)` for tuple `tuple` of `schema` — one-shot
+/// binding plus evaluation; anything that evaluates `P` over many
+/// tuples binds once ([`BoundPredicate::bind`]) instead.
 ///
 /// # Errors
-/// * [`AlgebraError::Relation`] for unknown attributes or
-///   out-of-domain values;
-/// * [`AlgebraError::PredicateType`] for incomparable operands.
+/// As [`BoundPredicate::support`].
 pub fn predicate_support(
     schema: &Schema,
     tuple: &Tuple,
     pred: &Predicate,
 ) -> Result<SupportPair, AlgebraError> {
-    match pred {
-        Predicate::Is { attr, values } => is_support(schema, tuple, attr, values),
-        Predicate::Theta { left, op, right } => theta_support(schema, tuple, left, *op, right),
-        Predicate::And(a, b) => {
-            let sa = predicate_support(schema, tuple, a)?;
-            let sb = predicate_support(schema, tuple, b)?;
-            // §3.1.1: multiplicative rule for independent predicates.
-            Ok(sa.and_independent(&sb))
-        }
-        Predicate::Or(a, b) => {
-            let sa = predicate_support(schema, tuple, a)?;
-            let sb = predicate_support(schema, tuple, b)?;
-            // Extension: independent-event disjunction.
-            let sn = 1.0 - (1.0 - sa.sn()) * (1.0 - sb.sn());
-            let sp = 1.0 - (1.0 - sa.sp()) * (1.0 - sb.sp());
-            Ok(SupportPair::new(sn, sp)?)
-        }
-        Predicate::Not(a) => {
-            let sa = predicate_support(schema, tuple, a)?;
-            // Extension: belief/plausibility duality.
-            Ok(SupportPair::new(1.0 - sa.sp(), 1.0 - sa.sn())?)
-        }
-    }
-}
-
-/// Support of `A is C` (§3.1.1): `(Bel(C), Pls(C))`.
-fn is_support(
-    schema: &Schema,
-    tuple: &Tuple,
-    attr: &str,
-    values: &[Value],
-) -> Result<SupportPair, AlgebraError> {
-    let pos = schema.position(attr)?;
-    let def = schema.attr(pos);
-    match (def.ty().domain(), tuple.value(pos)) {
-        // Evidential attribute: Bel/Pls of the target set.
-        (Some(domain), value) => {
-            let target = domain.subset_of_values(values.iter())?;
-            let m = value.to_evidence(domain)?;
-            Ok(SupportPair::new(m.bel(&target), m.pls(&target))?)
-        }
-        // Definite open-domain attribute: crisp membership.
-        (None, AttrValue::Definite(v)) => {
-            let hit = values.contains(v);
-            Ok(if hit {
-                SupportPair::certain()
-            } else {
-                SupportPair::impossible()
-            })
-        }
-        (None, AttrValue::Evidential(_)) => Err(AlgebraError::PredicateType {
-            reason: format!("attribute {attr:?} is declared definite but holds evidence"),
-        }),
-    }
+    BoundPredicate::bind(schema, pred).support(tuple)
 }
 
 /// `aᵢ θ bⱼ` *is TRUE*: the comparison holds for all member pairs
@@ -201,66 +344,40 @@ fn literal_to_mass(
     let mut b = MassFunction::<f64>::builder(Arc::clone(domain.frame()));
     for (vals, w) in entries {
         let set = domain.subset_of_values(vals.iter())?;
-        b = b
-            .add_set(set, *w)
-            .map_err(evirel_relation::RelationError::from)?;
+        b = b.add_set(set, *w).map_err(RelationError::from)?;
     }
-    Ok(b.build().map_err(evirel_relation::RelationError::from)?)
-}
-
-fn resolve(schema: &Schema, tuple: &Tuple, operand: &Operand) -> Result<Resolved, AlgebraError> {
-    match operand {
-        Operand::Attr(name) => {
-            let pos = schema.position(name)?;
-            let def = schema.attr(pos);
-            match (def.ty().domain(), tuple.value(pos)) {
-                (Some(domain), value) => Ok(Resolved::Evidence(
-                    value.to_evidence(domain)?,
-                    Arc::clone(domain),
-                )),
-                (None, AttrValue::Definite(v)) => Ok(Resolved::Definite(v.clone())),
-                (None, AttrValue::Evidential(_)) => Err(AlgebraError::PredicateType {
-                    reason: format!("attribute {name:?} is declared definite but holds evidence"),
-                }),
-            }
-        }
-        Operand::Value(v) => Ok(Resolved::Definite(v.clone())),
-        Operand::Evidence(entries) => Ok(Resolved::PendingLiteral(entries.clone())),
-    }
+    Ok(b.build().map_err(RelationError::from)?)
 }
 
 fn theta_support(
-    schema: &Schema,
-    tuple: &Tuple,
-    left: &Operand,
+    row: &impl Row,
+    left: &BoundOperand,
     op: ThetaOp,
-    right: &Operand,
+    right: &BoundOperand,
 ) -> Result<SupportPair, AlgebraError> {
-    let l = resolve(schema, tuple, left)?;
-    let r = resolve(schema, tuple, right)?;
+    let l = left.resolve(row)?;
+    let r = right.resolve(row)?;
     match (l, r) {
-        (Resolved::Definite(a), Resolved::Definite(b)) => Ok(if op.test_values(&a, &b) {
+        (Resolved::Definite(a), Resolved::Definite(b)) => Ok(if op.test_values(a, b) {
             SupportPair::certain()
         } else {
             SupportPair::impossible()
         }),
-        (Resolved::Evidence(a, dom), Resolved::Evidence(b, _)) => {
-            theta_evidence_support_checked(&a, op, &b, &dom)
-        }
+        (Resolved::Evidence(a, _), Resolved::Evidence(b, _)) => theta_evidence_support(&a, op, &b),
         (Resolved::Evidence(a, dom), Resolved::Definite(v)) => {
-            let b = promote(&dom, &v)?;
+            let b = promote(dom, v)?;
             theta_evidence_support(&a, op, &b)
         }
         (Resolved::Definite(v), Resolved::Evidence(b, dom)) => {
-            let a = promote(&dom, &v)?;
+            let a = promote(dom, v)?;
             theta_evidence_support(&a, op, &b)
         }
         (Resolved::Evidence(a, dom), Resolved::PendingLiteral(entries)) => {
-            let b = literal_to_mass(&dom, &entries)?;
+            let b = literal_to_mass(dom, entries)?;
             theta_evidence_support(&a, op, &b)
         }
         (Resolved::PendingLiteral(entries), Resolved::Evidence(b, dom)) => {
-            let a = literal_to_mass(&dom, &entries)?;
+            let a = literal_to_mass(dom, entries)?;
             theta_evidence_support(&a, op, &b)
         }
         _ => Err(AlgebraError::PredicateType {
@@ -271,22 +388,13 @@ fn theta_support(
     }
 }
 
-fn theta_evidence_support_checked(
-    a: &MassFunction<f64>,
-    op: ThetaOp,
-    b: &MassFunction<f64>,
-    _domain: &Arc<AttrDomain>,
-) -> Result<SupportPair, AlgebraError> {
-    theta_evidence_support(a, op, b)
-}
-
 fn promote(domain: &Arc<AttrDomain>, v: &Value) -> Result<MassFunction<f64>, AlgebraError> {
     let idx = domain.index_of(v)?;
     Ok(MassFunction::from_entries(
         Arc::clone(domain.frame()),
         [(FocalSet::singleton(idx), 1.0)],
     )
-    .map_err(evirel_relation::RelationError::from)?)
+    .map_err(RelationError::from)?)
 }
 
 #[cfg(test)]

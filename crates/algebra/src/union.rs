@@ -265,10 +265,10 @@ pub fn combine_evidence(
         Err(EvidenceError::TotalConflict) => {
             total_conflict(key, attr, options.on_total_conflict, report)?;
             match options.on_total_conflict {
-                ConflictPolicy::KeepRight => rm,
+                ConflictPolicy::KeepRight => rm.into_owned(),
                 ConflictPolicy::Vacuous => MassFunction::vacuous(Arc::clone(domain.frame()))
                     .map_err(RelationError::from)?,
-                _ => lm,
+                _ => lm.into_owned(),
             }
         }
         Err(e) => return Err(AlgebraError::Evidence(e)),

@@ -28,7 +28,7 @@ use crate::error::PlanError;
 use crate::logical::{LogicalPlan, RelationSource};
 use crate::ops::{ExecContext, Operator};
 use evirel_algebra::predicate::Predicate;
-use evirel_algebra::support::predicate_support;
+use evirel_algebra::support::BoundPredicate;
 use evirel_algebra::threshold::Threshold;
 use evirel_algebra::{Operand, ThetaOp};
 use evirel_relation::{AttrType, Schema, SupportPair, Tuple, Value};
@@ -39,7 +39,8 @@ use std::sync::Arc;
 /// running prefix applies `predicate` (revising membership by its
 /// support) and/or `threshold`; both `None` means a bare ×̃ level.
 struct Level {
-    predicate: Option<Predicate>,
+    /// The level's predicate, bound to `schema`.
+    predicate: Option<BoundPredicate>,
     /// `None` for a bare product level (only the implicit
     /// positive-support check applies); `Some` for σ̃/⋈̃/membership
     /// filter levels.
@@ -195,15 +196,15 @@ pub(crate) fn try_build_chain(
         );
         prefix = Arc::clone(&schema);
         levels.push(Level {
-            predicate: predicate.cloned(),
+            predicate: predicate.map(|p| BoundPredicate::bind(&schema, p)),
             threshold: *threshold,
             schema,
         });
     }
     // Cross-input definite = conjuncts become pruning edges.
     let mut edges = Vec::new();
-    for (j, level) in levels.iter().enumerate() {
-        let Some(predicate) = &level.predicate else {
+    for (j, (level, (predicate, _))) in levels.iter().zip(&spine.levels).enumerate() {
+        let Some(predicate) = predicate else {
             continue;
         };
         let mut conjuncts = Vec::new();
@@ -464,7 +465,7 @@ impl Operator for ChainOp {
                         // The fused σ̃(×̃) path: build the pair, revise
                         // by predicate support, test the threshold.
                         let pair = Tuple::new(&level.schema, values.clone(), membership)?;
-                        let fss = predicate_support(&level.schema, &pair, predicate)?;
+                        let fss = predicate.support(&pair)?;
                         let revised = pair.membership().and_independent(&fss);
                         let admits = match level.threshold {
                             Some(t) => t.admits(&revised),

@@ -16,7 +16,9 @@
 //! Physical fusion: a σ̃ directly above a ×̃ whose predicate carries an
 //! equality conjunct between definite attributes of opposite sides
 //! becomes a [`HashJoinOp`] — the streaming ⋈̃ that builds its key
-//! index once and probes it per left tuple.
+//! index once and probes it per left tuple. A σ̃ directly above the
+//! scan of a stored relation becomes that scan with the selection
+//! inside it ([`SpillScanOp::filtered`]).
 //!
 //! Parallelism: when [`ExecContext::parallelism`] > 1, the largest
 //! subtrees whose operators pair tuples by key equality (σ̃, member-
@@ -214,6 +216,19 @@ fn physical_node(
                     options,
                     parallelism,
                 );
+            }
+            // σ̃ directly over a whole stored relation runs inside the
+            // scan: one operator (and one meter, the σ̃'s) that decodes
+            // in full only the records the selection keeps.
+            if let (LogicalPlan::Scan { name }, Leaves::Whole { .. }) = (&**input, &*leaves) {
+                if let BoundRelation::Stored(stored) = &binding_of(source, name)?.relation {
+                    return Ok(Box::new(SpillScanOp::filtered(
+                        name,
+                        Arc::clone(stored),
+                        predicate.clone(),
+                        *threshold,
+                    )?));
+                }
             }
             Box::new(SelectOp::new(
                 lower(input, leaves)?,
@@ -1191,6 +1206,51 @@ mod tests {
             .nth(1)
             .unwrap();
         assert!(root.contains("act=1"), "{root}");
+    }
+
+    /// A σ̃ over a stored scan is one physical line naming both halves,
+    /// under the σ̃'s estimate and actual; the same relation bound in
+    /// memory keeps its two lines, and a bare stored scan its own.
+    #[test]
+    fn explain_analyze_shows_the_fused_scan_as_one_line() {
+        let mem = bindings();
+        let BoundRelation::Memory(r) = &mem.resolve("r").unwrap().relation else {
+            unreachable!("bound in memory");
+        };
+        let path = evirel_store::spill_path("explain-fused");
+        evirel_store::write_segment(r, &path, 512).unwrap();
+        let pool = Arc::new(evirel_store::BufferPool::new(4096));
+        let stored = evirel_store::StoredRelation::open(&path, pool).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut b = Bindings::new();
+        b.bind_stored("r", Arc::new(stored));
+
+        let plan = scan("r")
+            .select_where(Predicate::is("spec", ["mu"]), Threshold::SnGreater(0.5))
+            .project(["rname"])
+            .build();
+        let physical = |b: &Bindings, plan: &LogicalPlan| {
+            let text = explain_plan(plan, b, &mut ExecContext::new(), true).unwrap();
+            let lines = text.lines().skip_while(|l| !l.starts_with("physical:"));
+            lines.skip(1).map(str::to_owned).collect::<Vec<_>>()
+        };
+        let fused = physical(&b, &plan);
+        assert_eq!(fused.len(), 2, "{fused:?}");
+        assert!(
+            fused[1].trim_start().starts_with(
+                "σ̃[spec is {mu}] with sn > 0.5 ⟵ scan r [stored: 2 tuples, 1 pages × 512 B target] [est≈"
+            ) && fused[1].ends_with("act=1]"),
+            "{fused:?}"
+        );
+        let unfused = physical(&mem, &plan);
+        assert_eq!(unfused.len(), 3, "{unfused:?}");
+        assert!(unfused[1].contains("σ̃[spec is {mu}] with sn > 0.5 [est≈"));
+        assert!(unfused[2].contains("scan r (2 tuples)"));
+        let bare = physical(&b, &scan("r").build());
+        assert!(
+            bare[0].starts_with("  scan r [stored: 2 tuples,") && bare[0].ends_with("act=2]"),
+            "{bare:?}"
+        );
     }
 
     #[test]

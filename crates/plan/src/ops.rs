@@ -16,7 +16,7 @@ use crate::error::PlanError;
 use crate::spill::{index_stored, SpillBuild, SpilledRight};
 use evirel_algebra::conflict::ConflictReport;
 use evirel_algebra::predicate::Predicate;
-use evirel_algebra::support::predicate_support;
+use evirel_algebra::support::BoundPredicate;
 use evirel_algebra::threshold::Threshold;
 use evirel_algebra::union::{MergeScratch, UnionOptions};
 use evirel_algebra::AlgebraError;
@@ -28,8 +28,12 @@ use std::sync::Arc;
 /// Counters accumulated over one plan execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecStats {
-    /// Tuples produced by scan leaves.
+    /// Tuples produced by scan leaves — every record a stored scan
+    /// visits counts, whether or not a fused σ̃ keeps it.
     pub tuples_scanned: usize,
+    /// Records a σ̃ fused into a stored scan dropped after decoding
+    /// only the membership pair and the predicate's attributes.
+    pub records_skipped: usize,
     /// Tuples emitted by the plan root.
     pub tuples_emitted: usize,
     /// Matched pairs handed to a tuple merger.
@@ -350,6 +354,8 @@ impl Operator for ScanOp {
 pub struct SelectOp {
     child: Box<dyn Operator>,
     predicate: Predicate,
+    /// `predicate` bound to the child's schema once, at construction.
+    bound: BoundPredicate,
     threshold: Threshold,
 }
 
@@ -366,6 +372,7 @@ impl SelectOp {
     ) -> Result<SelectOp, PlanError> {
         check_threshold(&threshold)?;
         Ok(SelectOp {
+            bound: BoundPredicate::bind(child.schema(), &predicate),
             child,
             predicate,
             threshold,
@@ -385,7 +392,7 @@ fn with_membership_shared(
     })
 }
 
-fn check_threshold(threshold: &Threshold) -> Result<(), PlanError> {
+pub(crate) fn check_threshold(threshold: &Threshold) -> Result<(), PlanError> {
     if threshold.ensures_positive_support() {
         Ok(())
     } else {
@@ -406,7 +413,7 @@ impl Operator for SelectOp {
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Arc<Tuple>>, PlanError> {
         while let Some(tuple) = self.child.next(ctx)? {
-            let fss = predicate_support(self.child.schema(), &tuple, &self.predicate)?;
+            let fss = self.bound.support(&*tuple)?;
             let revised = tuple.membership().and_independent(&fss);
             if self.threshold.admits(&revised) && revised.is_positive() {
                 return Ok(Some(with_membership_shared(tuple, revised)));
@@ -651,6 +658,8 @@ pub struct HashJoinOp {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
     predicate: Predicate,
+    /// `predicate` bound to the product schema once, at construction.
+    bound: BoundPredicate,
     threshold: Threshold,
     schema: Arc<Schema>,
     left_eq_pos: usize,
@@ -724,6 +733,7 @@ impl HashJoinOp {
         Ok(HashJoinOp {
             left,
             right,
+            bound: BoundPredicate::bind(&schema, &predicate),
             predicate,
             threshold,
             schema,
@@ -767,7 +777,7 @@ impl Operator for HashJoinOp {
                     let membership = l.membership().and_independent(&r.membership());
                     let values = l.values().iter().chain(r.values()).cloned().collect();
                     let pair = Tuple::new(&self.schema, values, membership)?;
-                    let fss = predicate_support(&self.schema, &pair, &self.predicate)?;
+                    let fss = self.bound.support(&pair)?;
                     let revised = pair.membership().and_independent(&fss);
                     if self.threshold.admits(&revised) && revised.is_positive() {
                         return Ok(Some(Arc::new(pair.with_membership_owned(revised))));

@@ -12,6 +12,15 @@
 //!   raw bits, so a stored scan is *bit-for-bit* equivalent to an
 //!   in-memory [`crate::ops::ScanOp`] over the same tuples — the
 //!   determinism contract the equivalence property suite checks.
+//!   A σ̃ directly above the scan is evaluated *inside* it
+//!   ([`SpillScanOp::filtered`]): per record the one record decoder
+//!   materializes the membership pair and the predicate's attributes
+//!   only, `F_SS` and the threshold decide, and a record is decoded in
+//!   full (and validated as a tuple) only if it survives. Under
+//!   CWA_ER a rejected record is a dropped one — nothing downstream
+//!   ever sees it — so the emitted tuples, their order and their
+//!   memberships are exactly [`crate::ops::SelectOp`]'s over the bare
+//!   scan.
 //! * `SpillBuild` / `SpilledRight` (crate-private) — the merge
 //!   operator's build side on disk. While draining its right input,
 //!   [`crate::ops::MergeOp`]
@@ -21,25 +30,95 @@
 //!   `key → (page, slot)` index in memory. Probes then pin one page
 //!   through the buffer pool and decode one record. Spill files are
 //!   unlinked as soon as the segment is open, so the kernel reclaims
-//!   them when the merge closes — nothing leaks even on panic.
+//!   them when the merge closes — nothing leaks even on panic. When
+//!   the right input is a bare stored scan its segment is the build
+//!   side as it stands, indexed by decoding the key positions only.
 
 use crate::error::PlanError;
-use crate::ops::{ExecContext, Operator};
-use evirel_relation::{Schema, Tuple, Value};
-use evirel_store::segment::RecordId;
-use evirel_store::{BufferPool, Segment, SegmentWriter, StoredRelation};
+use crate::ops::{check_threshold, ExecContext, ExecStats, Operator};
+use evirel_algebra::predicate::Predicate;
+use evirel_algebra::support::{BoundPredicate, Row};
+use evirel_algebra::threshold::Threshold;
+use evirel_relation::{AttrValue, Schema, Tuple, Value};
+use evirel_store::codec::decode_record;
+use evirel_store::segment::{PageRecords, RecordId};
+use evirel_store::{BufferPool, Segment, SegmentWriter, StoreError, StoredRelation};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------- spill scan
 
 /// Leaf operator: stream a stored relation's tuples in insertion
-/// order, one decoded page at a time through the buffer pool.
+/// order, one decoded page at a time through the buffer pool —
+/// all of them, or with a fused σ̃ only the ones it keeps.
 pub struct SpillScanOp {
     name: String,
     stored: Arc<StoredRelation>,
+    filter: Option<ScanFilter>,
     page: u64,
     buf: std::vec::IntoIter<Tuple>,
+}
+
+/// A σ̃ evaluated inside the scan.
+struct ScanFilter {
+    predicate: Predicate,
+    /// `predicate` bound to the stored schema.
+    bound: BoundPredicate,
+    threshold: Threshold,
+    /// The positions `predicate` reads.
+    reads: Vec<bool>,
+    /// Schema position → index into a record decoded under `reads`.
+    slots: Vec<usize>,
+    /// The all-true mask survivors are decoded under.
+    all: Vec<bool>,
+}
+
+/// A record decoded under [`ScanFilter::reads`], as the row `F_SS`
+/// evaluates: it holds exactly the positions the predicate names.
+struct PartialRow<'a> {
+    values: &'a [AttrValue],
+    slots: &'a [usize],
+}
+
+impl Row for PartialRow<'_> {
+    fn value(&self, pos: usize) -> &AttrValue {
+        &self.values[self.slots[pos]]
+    }
+}
+
+impl ScanFilter {
+    /// Visit every record of `page`: count it, decide it from its
+    /// membership pair and the predicate's attributes, and decode the
+    /// survivors in full with their revised membership — the same
+    /// `F_SS`, `F_TM` and threshold test as `SelectOp::next`.
+    fn survivors(
+        &self,
+        stored: &StoredRelation,
+        page: u64,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<Tuple>, PlanError> {
+        let segment = stored.segment();
+        let guard = stored.pool().get(segment, page)?;
+        let mut out = Vec::new();
+        for record in PageRecords::new(&guard)? {
+            let record = record?;
+            stats.tuples_scanned += 1;
+            let partial = decode_record(record, segment.domains(), &self.reads)?;
+            let fss = self.bound.support(&PartialRow {
+                values: &partial.values,
+                slots: &self.slots,
+            })?;
+            let revised = partial.membership.and_independent(&fss);
+            if self.threshold.admits(&revised) && revised.is_positive() {
+                let tuple = decode_record(record, segment.domains(), &self.all)?
+                    .into_tuple(stored.schema())?;
+                out.push(tuple.with_membership_owned(revised));
+            } else {
+                stats.records_skipped += 1;
+            }
+        }
+        Ok(out)
+    }
 }
 
 impl SpillScanOp {
@@ -48,9 +127,55 @@ impl SpillScanOp {
         SpillScanOp {
             name: name.into(),
             stored,
+            filter: None,
             page: 0,
             buf: Vec::new().into_iter(),
         }
+    }
+
+    /// Scan `stored` with σ̃ (`predicate`, `threshold`) evaluated
+    /// inside the scan — see the module docs.
+    ///
+    /// # Errors
+    /// As [`crate::ops::SelectOp::new`].
+    pub fn filtered(
+        name: impl Into<String>,
+        stored: Arc<StoredRelation>,
+        predicate: Predicate,
+        threshold: Threshold,
+    ) -> Result<SpillScanOp, PlanError> {
+        check_threshold(&threshold)?;
+        let schema = stored.schema();
+        let mut reads = vec![false; schema.arity()];
+        // An unknown name reads nothing: its error is the bound
+        // predicate's, raised at the first record like `SelectOp`'s.
+        for pos in predicate
+            .referenced_attrs()
+            .into_iter()
+            .filter_map(|attr| schema.position(attr).ok())
+        {
+            reads[pos] = true;
+        }
+        let slots = reads
+            .iter()
+            .scan(0, |kept, &read| {
+                let slot = if read { *kept } else { usize::MAX };
+                *kept += usize::from(read);
+                Some(slot)
+            })
+            .collect();
+        let filter = ScanFilter {
+            bound: BoundPredicate::bind(schema, &predicate),
+            predicate,
+            threshold,
+            slots,
+            all: vec![true; reads.len()],
+            reads,
+        };
+        Ok(SpillScanOp {
+            filter: Some(filter),
+            ..SpillScanOp::new(name, stored)
+        })
     }
 }
 
@@ -68,14 +193,21 @@ impl Operator for SpillScanOp {
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Arc<Tuple>>, PlanError> {
         loop {
             if let Some(tuple) = self.buf.next() {
-                ctx.stats.tuples_scanned += 1;
                 return Ok(Some(Arc::new(tuple)));
             }
             if self.page >= self.stored.segment().page_count() {
                 return Ok(None);
             }
-            // The page is pinned only while it decodes.
-            let tuples = self.stored.page_tuples(self.page)?;
+            // Either way the page is pinned only while it decodes, and
+            // every record on it counts as a tuple scanned.
+            let tuples = match &self.filter {
+                None => {
+                    let tuples = self.stored.page_tuples(self.page)?;
+                    ctx.stats.tuples_scanned += tuples.len();
+                    tuples
+                }
+                Some(filter) => filter.survivors(&self.stored, self.page, &mut ctx.stats)?,
+            };
             self.page += 1;
             self.buf = tuples.into_iter();
         }
@@ -87,13 +219,17 @@ impl Operator for SpillScanOp {
     }
 
     fn describe(&self) -> String {
-        format!(
+        let scan = format!(
             "scan {} [stored: {} tuples, {} pages × {} B target]",
             self.name,
             self.stored.len(),
             self.stored.segment().page_count(),
             self.stored.segment().page_size(),
-        )
+        );
+        match &self.filter {
+            None => scan,
+            Some(f) => format!("σ̃[{}] with {} ⟵ {scan}", f.predicate, f.threshold),
+        }
     }
 
     fn children(&self) -> Vec<&dyn Operator> {
@@ -101,7 +237,8 @@ impl Operator for SpillScanOp {
     }
 
     fn stored_relation(&self) -> Option<&Arc<StoredRelation>> {
-        Some(&self.stored)
+        // Only a bare scan's segment can stand in for its output.
+        self.filter.is_none().then_some(&self.stored)
     }
 }
 
@@ -181,17 +318,33 @@ impl SpilledRight {
 /// Index a stored relation's keys in ONE pass over its pages —
 /// [`crate::ops::MergeOp`] uses this when its right child is a bare
 /// stored scan, so the build side needs no re-spill (the segment on
-/// disk *is* the build side) and no materialized tuples.
+/// disk *is* the build side) and no materialized tuples: each record
+/// is decoded under the key-positions mask only, and decoded in full
+/// when a probe fetches it.
 pub(crate) fn index_stored(
     stored: &Arc<StoredRelation>,
 ) -> Result<(SpilledRight, Vec<Vec<Value>>), PlanError> {
-    let schema = Arc::clone(stored.schema());
+    let segment = stored.segment();
+    let mut keys_only = vec![false; stored.schema().arity()];
+    for &pos in stored.schema().key_positions() {
+        keys_only[pos] = true;
+    }
     let mut index = HashMap::with_capacity(stored.len());
     let mut order = Vec::with_capacity(stored.len());
-    for page in 0..stored.segment().page_count() {
-        let tuples = stored.page_tuples(page)?;
-        for (slot, tuple) in tuples.iter().enumerate() {
-            let key = tuple.key(&schema);
+    for page in 0..segment.page_count() {
+        let guard = stored.pool().get(segment, page)?;
+        for (slot, record) in PageRecords::new(&guard)?.enumerate() {
+            // Key positions ascend, so the masked values are the key.
+            let key = decode_record(record?, segment.domains(), &keys_only)?
+                .values
+                .into_iter()
+                .map(|value| match value {
+                    AttrValue::Definite(v) => Ok(v),
+                    AttrValue::Evidential(_) => {
+                        Err(StoreError::corrupt("evidential value in a key position"))
+                    }
+                })
+                .collect::<Result<Vec<Value>, StoreError>>()?;
             order.push(key.clone());
             index.insert(
                 key,
@@ -204,7 +357,7 @@ pub(crate) fn index_stored(
     }
     Ok((
         SpilledRight {
-            segment: Arc::clone(stored.segment()),
+            segment: Arc::clone(segment),
             pool: Arc::clone(stored.pool()),
             index,
         },
@@ -215,7 +368,8 @@ pub(crate) fn index_stored(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{run, ScanOp};
+    use crate::ops::{run, ScanOp, SelectOp};
+    use evirel_algebra::{Operand, ThetaOp};
     use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder};
 
     fn rel(n: usize) -> ExtendedRelation {
@@ -299,5 +453,122 @@ mod tests {
         let key = vec![Value::str("k0042")];
         let fetched = spilled.fetch(&key).unwrap().unwrap();
         assert_eq!(fetched.values(), r.get_by_key(&key).unwrap().values());
+    }
+
+    /// Values and `(sn, sp)` bits, tuple by tuple, in order.
+    fn assert_identical(a: &ExtendedRelation, b: &ExtendedRelation) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.values(), y.values());
+            assert_eq!(x.membership().sn().to_bits(), y.membership().sn().to_bits());
+            assert_eq!(x.membership().sp().to_bits(), y.membership().sp().to_bits());
+        }
+    }
+
+    /// σ̃ inside the stored scan ≡ `SelectOp` over the bare stored
+    /// scan ≡ `SelectOp` over the in-memory scan, for every predicate
+    /// kind; every record visited is a tuple scanned, and every record
+    /// not emitted was skipped.
+    #[test]
+    fn filtered_scan_is_select_over_scan_bit_for_bit() {
+        let r = rel(300);
+        let stored = store(&r, 1024);
+        let is_x = Predicate::is("d", ["x"]);
+        let predicates = [
+            is_x.clone(),
+            Predicate::theta(Operand::attr("d"), ThetaOp::Ge, Operand::value("y")),
+            is_x.clone().and(Predicate::theta(
+                Operand::attr("k"),
+                ThetaOp::Gt,
+                Operand::value("k0100"),
+            )),
+            is_x.clone().or(Predicate::is("k", ["k0007"])),
+            is_x.negate(),
+        ];
+        for predicate in predicates {
+            for threshold in [Threshold::POSITIVE, Threshold::SnAtLeast(0.3)] {
+                let mut mem_ctx = ExecContext::new();
+                let mem_scan = Box::new(ScanOp::new("r", Arc::new(r.clone())));
+                let mut mem_op = SelectOp::new(mem_scan, predicate.clone(), threshold).unwrap();
+                let mem = run(&mut mem_op, &mut mem_ctx).unwrap();
+
+                let bare = Box::new(SpillScanOp::new("r", Arc::clone(&stored)));
+                let mut bare_op = SelectOp::new(bare, predicate.clone(), threshold).unwrap();
+                let unfused = run(&mut bare_op, &mut ExecContext::new()).unwrap();
+
+                let mut fused_ctx = ExecContext::new();
+                let mut fused_op =
+                    SpillScanOp::filtered("r", Arc::clone(&stored), predicate.clone(), threshold)
+                        .unwrap();
+                assert!(fused_op.stored_relation().is_none());
+                let fused = run(&mut fused_op, &mut fused_ctx).unwrap();
+
+                assert_identical(&mem, &fused);
+                assert_identical(&unfused, &fused);
+                assert!(!fused.is_empty() && fused.len() < 300, "{predicate}");
+                assert_eq!(fused_ctx.stats.tuples_scanned, stored.len());
+                assert_eq!(fused_ctx.stats.records_skipped, 300 - fused.len());
+                assert_eq!(
+                    ExecStats {
+                        records_skipped: 0,
+                        ..fused_ctx.stats
+                    },
+                    mem_ctx.stats
+                );
+                assert_eq!(
+                    fused_op.describe(),
+                    format!(
+                        "σ̃[{predicate}] with {threshold} ⟵ {}",
+                        SpillScanOp::new("r", Arc::clone(&stored)).describe()
+                    )
+                );
+            }
+        }
+    }
+
+    /// What `SelectOp` rejects per tuple, the fused scan rejects per
+    /// record with the same text — and neither rejects anything when
+    /// there is no tuple to evaluate.
+    #[test]
+    fn filtered_scan_fails_like_select() {
+        let bad = [
+            Predicate::is("nope", ["x"]),
+            Predicate::is("d", ["not-a-label"]),
+            Predicate::theta(Operand::attr("d"), ThetaOp::Le, Operand::value("w")),
+            Predicate::is("d", ["x"]).and(Predicate::theta(
+                Operand::attr("missing"),
+                ThetaOp::Eq,
+                Operand::value("x"),
+            )),
+        ];
+        for n in [0, 40] {
+            let r = rel(n);
+            let stored = store(&r, 4096);
+            for predicate in &bad {
+                let scan = Box::new(ScanOp::new("r", Arc::new(r.clone())));
+                let mem = SelectOp::new(scan, predicate.clone(), Threshold::POSITIVE)
+                    .and_then(|mut op| run(&mut op, &mut ExecContext::new()));
+                let fused = SpillScanOp::filtered(
+                    "r",
+                    Arc::clone(&stored),
+                    predicate.clone(),
+                    Threshold::POSITIVE,
+                )
+                .and_then(|mut op| run(&mut op, &mut ExecContext::new()));
+                assert_eq!(mem.is_ok(), n == 0, "{predicate}");
+                assert_eq!(
+                    mem.map(|r| r.len()).map_err(|e| e.to_string()),
+                    fused.map(|r| r.len()).map_err(|e| e.to_string()),
+                    "{predicate}"
+                );
+            }
+        }
+        // A threshold that could admit sn = 0 is refused up front.
+        let stored = store(&rel(3), 4096);
+        let (p, q) = (Predicate::is("d", ["x"]), Threshold::SnAtLeast(0.0));
+        let fused = SpillScanOp::filtered("r", Arc::clone(&stored), p.clone(), q).map(|_| ());
+        let select = SelectOp::new(Box::new(SpillScanOp::new("r", stored)), p, q).map(|_| ());
+        assert!(fused.is_err());
+        assert_eq!(fused, select);
     }
 }

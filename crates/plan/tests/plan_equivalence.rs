@@ -2,7 +2,10 @@
 //! random plans, optimized + streaming execution must produce a
 //! relation identical to naive free-function composition — same
 //! schema, same key set, attribute values approximately equal, and
-//! `(sn, sp)` within 1e-12.
+//! `(sn, sp)` within 1e-12. The same plans then run over *stored*
+//! bindings (σ̃ directly over a stored scan is evaluated inside the
+//! scan) and must reproduce the in-memory streaming result bit for
+//! bit, in the same order.
 //!
 //! Total conflicts resolve vacuously here: the σ̃-under-∪̃
 //! distribution rule deliberately merges only entities that survive a
@@ -14,13 +17,16 @@
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{ConflictPolicy, Operand, Predicate, ThetaOp, Threshold};
 use evirel_plan::reference::execute_reference;
-use evirel_plan::{execute_plan, scan, Bindings, ExecContext, LogicalPlan, PlanBuilder};
+use evirel_plan::{
+    execute_plan, scan, Bindings, BufferPool, ExecContext, LogicalPlan, PlanBuilder, StoredRelation,
+};
 use evirel_relation::{ExtendedRelation, Value};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
-fn bindings(seed: u64, tuples: usize) -> Bindings {
-    let (ga, gb) = generate_pair(&PairConfig {
+fn relations(seed: u64, tuples: usize) -> (ExtendedRelation, ExtendedRelation) {
+    generate_pair(&PairConfig {
         base: GeneratorConfig {
             tuples,
             seed,
@@ -29,9 +35,29 @@ fn bindings(seed: u64, tuples: usize) -> Bindings {
         key_overlap: 0.5,
         conflict_bias: 0.3,
     })
-    .expect("generator config is valid");
+    .expect("generator config is valid")
+}
+
+fn bindings(seed: u64, tuples: usize) -> Bindings {
+    let (ga, gb) = relations(seed, tuples);
     let mut b = Bindings::new();
     b.bind("ga", ga).bind("gb", gb);
+    b
+}
+
+/// The same pair as [`bindings`], each written to a 512-byte-page
+/// segment and bound stored, paging through a three-page pool.
+fn stored_bindings(seed: u64, tuples: usize) -> Bindings {
+    let (ga, gb) = relations(seed, tuples);
+    let pool = Arc::new(BufferPool::new(3 * 512));
+    let mut b = Bindings::new();
+    for (name, rel) in [("ga", ga), ("gb", gb)] {
+        let path = evirel_store::spill_path("plan-equiv");
+        evirel_store::write_segment(&rel, &path, 512).expect("segment writes");
+        let stored = StoredRelation::open(&path, Arc::clone(&pool)).expect("segment opens");
+        std::fs::remove_file(&path).ok();
+        b.bind_stored(name, Arc::new(stored));
+    }
     b
 }
 
@@ -126,13 +152,18 @@ fn random_plan(source: u8, pred_kind: u8, attr_i: u8, val: u8, th: u8, proj: u8)
             ThetaOp::Eq,
             Operand::Value(Value::str("shared-1")),
         )),
-        _ => Some(
+        4 => Some(
             Predicate::is(evidential.clone(), [label(val)]).and(Predicate::theta(
                 Operand::attr(q("k")),
                 ThetaOp::Ne,
                 Operand::Value(Value::str("shared-0")),
             )),
         ),
+        5 => Some(
+            Predicate::is(evidential.clone(), [label(val)])
+                .or(Predicate::is(q("e0"), [label(val + 2), label(val + 3)])),
+        ),
+        _ => Some(Predicate::is(evidential.clone(), [label(val), label(val + 1)]).negate()),
     };
     let builder = match predicate {
         Some(p) => builder.select(p),
@@ -142,7 +173,8 @@ fn random_plan(source: u8, pred_kind: u8, attr_i: u8, val: u8, th: u8, proj: u8)
         0 => builder,
         1 => builder.threshold(Threshold::SnAtLeast(0.3)),
         2 => builder.threshold(Threshold::SpAtLeastPositive(0.5)),
-        _ => builder.threshold(Threshold::POSITIVE),
+        3 => builder.threshold(Threshold::POSITIVE),
+        _ => builder.threshold(Threshold::Definite),
     };
     match proj {
         0 => builder,
@@ -161,9 +193,9 @@ proptest! {
     fn streaming_matches_naive_composition(
         seed in 0u64..1_000_000,
         source in 0u8..5,
-        pred_kind in 0u8..5,
+        pred_kind in 0u8..7,
         attr_val in 0u8..24, // attr index × predicate value, combined
-        th in 0u8..4,
+        th in 0u8..5,
         proj in 0u8..3,
     ) {
         let bindings = bindings(seed, 24);
@@ -173,8 +205,30 @@ proptest! {
             ..Default::default()
         };
         let naive = execute_reference(&plan, &bindings, &options);
-        let mut ctx = ExecContext::with_options(options);
+        let mut ctx = ExecContext::with_options(options.clone());
         let streaming = execute_plan(&plan, &bindings, &mut ctx);
+        // Stored bindings: same tuples, same order, same bits — or the
+        // same error.
+        let mut stored_ctx = ExecContext::with_options(options);
+        let stored = execute_plan(&plan, &stored_bindings(seed, 24), &mut stored_ctx);
+        match (&streaming, &stored) {
+            (Ok(s), Ok(d)) => {
+                prop_assert_eq!(s.len(), d.len(), "stored run\nplan:\n{}", plan.render());
+                for (st, dt) in s.iter().zip(d.iter()) {
+                    prop_assert_eq!(st.values(), dt.values(), "plan:\n{}", plan.render());
+                    prop_assert_eq!(st.membership().sn().to_bits(), dt.membership().sn().to_bits());
+                    prop_assert_eq!(st.membership().sp().to_bits(), dt.membership().sp().to_bits());
+                }
+            }
+            (Err(se), Err(de)) => prop_assert_eq!(se, de),
+            _ => prop_assert!(
+                false,
+                "memory {:?} vs stored {:?}\nplan:\n{}",
+                streaming.as_ref().map(|_| "ok"),
+                stored.as_ref().map(|_| "ok"),
+                plan.render()
+            ),
+        }
         match (naive, streaming) {
             (Ok((n, _)), Ok(s)) => {
                 if let Err(reason) = equivalent(&n, &s) {
@@ -208,13 +262,13 @@ proptest! {
     fn parallel_exchange_matches_sequential_and_reference(
         seed in 0u64..1_000_000,
         source in 0u8..5,
-        pred_threads in 0u8..15, // predicate kind × thread count, combined
+        pred_threads in 0u8..21, // predicate kind × thread count, combined
         attr_val in 0u8..24,
-        th in 0u8..4,
+        th in 0u8..5,
         proj in 0u8..3,
     ) {
-        let pred_kind = pred_threads % 5;
-        let threads = [2usize, 4, 8][usize::from(pred_threads / 5)];
+        let pred_kind = pred_threads % 7;
+        let threads = [2usize, 4, 8][usize::from(pred_threads / 7)];
         let bindings = bindings(seed, 280);
         let plan = random_plan(source, pred_kind, attr_val / 8, attr_val % 8, th, proj);
         let options = UnionOptions {

@@ -5,13 +5,17 @@
 //! against `plan::reference`. Also pins the spilled-build-side path:
 //! forcing every merge's right side to a temp segment
 //! (`spill_threshold_bytes = 0`) must not change a single bit of the
-//! output, the stats, or the conflict-report order.
+//! output, the stats, or the conflict-report order. And the fused
+//! path: a σ̃ directly over a stored scan runs inside the scan, for
+//! every predicate and threshold kind, with output bit-identical to
+//! the in-memory run and to the reference.
 
 use evirel_algebra::union::UnionOptions;
-use evirel_algebra::{ConflictPolicy, Predicate, Threshold};
+use evirel_algebra::{ConflictPolicy, Operand, Predicate, ThetaOp, Threshold};
 use evirel_plan::reference::execute_reference;
 use evirel_plan::{
-    execute_plan, scan, Bindings, BufferPool, ExecContext, LogicalPlan, StoredRelation,
+    execute_plan, explain_plan, scan, Bindings, BufferPool, ExecContext, ExecStats, LogicalPlan,
+    StoredRelation,
 };
 use evirel_relation::{ExtendedRelation, Value};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
@@ -100,6 +104,149 @@ fn shaped_plan(shape: u8, val: u8) -> LogicalPlan {
     }
 }
 
+/// One σ̃ predicate per kind — is, θ (literal and attribute operands),
+/// ∧, ∨, ¬ — over the generated schema `(k, e0, e1, e2)`.
+fn predicate_of(kind: u8, attr: u8, val: u8) -> Predicate {
+    let e = |i: u8| format!("e{}", i % 3);
+    let label = |i: u8| Value::str(format!("v{}", i % 16));
+    let is = Predicate::is(e(attr), [label(val), label(val + 1), label(val + 5)]);
+    match kind % 6 {
+        0 => is,
+        1 => Predicate::theta(
+            Operand::attr(e(attr)),
+            ThetaOp::Ge,
+            Operand::Value(label(val)),
+        ),
+        2 => Predicate::theta(
+            Operand::attr(e(attr)),
+            ThetaOp::Le,
+            Operand::attr(e(attr + 1)),
+        ),
+        3 => is.and(Predicate::theta(
+            Operand::attr("k"),
+            ThetaOp::Ne,
+            Operand::Value(Value::str("shared-0")),
+        )),
+        4 => is.or(Predicate::is(e(attr + 1), [label(val + 3)])),
+        _ => is.negate(),
+    }
+}
+
+fn threshold_of(kind: u8) -> Threshold {
+    match kind % 4 {
+        0 => Threshold::POSITIVE,
+        1 => Threshold::SnAtLeast(0.3),
+        2 => Threshold::Definite,
+        _ => Threshold::SpAtLeastPositive(0.5),
+    }
+}
+
+proptest! {
+    // 6 predicate shapes × 4 thresholds: enough cases to draw each.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// σ̃ directly over a stored scan — evaluated inside the scan — is
+    /// the in-memory σ̃ bit for bit (values, `(sn, sp)`, order) at 1
+    /// and 4 threads, agrees with the reference, counts every stored
+    /// tuple as scanned, and skips exactly the records it drops.
+    #[test]
+    fn fused_selection_is_bit_identical_to_memory_and_reference(
+        seed in 0u64..1_000_000,
+        pred_kind in 0u8..6,
+        attr_val in 0u8..48, // attribute index × predicate value, combined
+        th in 0u8..4,
+        projected in 0u8..2,
+        threads in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        let (ga, _) = pair(seed, 120);
+        let pool = Arc::new(BufferPool::new(3 * PAGE));
+        let sa = store(&ga, &pool);
+        let mut stored_bindings = Bindings::new();
+        stored_bindings.bind_stored("sa", Arc::clone(&sa));
+        let mut mem_bindings = Bindings::new();
+        mem_bindings.bind("sa", ga);
+
+        let predicate = predicate_of(pred_kind, attr_val / 16, attr_val % 16);
+        let selected = scan("sa").select_where(predicate, threshold_of(th));
+        let plan = match projected {
+            0 => selected.build(),
+            _ => selected.project(["k", "e1"]).build(),
+        };
+
+        let run = |bindings: &Bindings| {
+            let mut ctx = ExecContext::with_options(options());
+            ctx.parallelism = threads;
+            let out = execute_plan(&plan, bindings, &mut ctx).expect("plan executes");
+            (out, ctx.stats)
+        };
+        let (mem, mem_stats) = run(&mem_bindings);
+        let (fused, fused_stats) = run(&stored_bindings);
+
+        prop_assert_eq!(mem.len(), fused.len(), "plan:\n{}", plan.render());
+        for (m, f) in mem.iter().zip(fused.iter()) {
+            prop_assert_eq!(m.values(), f.values());
+            prop_assert_eq!(m.membership().sn().to_bits(), f.membership().sn().to_bits());
+            prop_assert_eq!(m.membership().sp().to_bits(), f.membership().sp().to_bits());
+        }
+        let (reference, _) = execute_reference(&plan, &mem_bindings, &options())
+            .expect("reference executes");
+        if let Err(reason) = equivalent(&reference, &fused) {
+            prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
+        }
+
+        prop_assert_eq!(fused_stats.tuples_scanned, sa.len());
+        prop_assert_eq!(fused_stats.records_skipped, sa.len() - fused.len());
+        prop_assert_eq!(ExecStats { records_skipped: 0, ..fused_stats }, mem_stats);
+        prop_assert!(pool.stats().evictions > 0, "budget never forced an eviction");
+
+        let text = explain_plan(&plan, &stored_bindings, &mut ExecContext::new(), false)
+            .expect("explains");
+        prop_assert!(text.contains("] with ") && text.contains(" ⟵ scan sa [stored:"), "{text}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One flipped bit anywhere in the segment file — most land in an
+    /// attribute the fused scan skips, of a record it drops — and the
+    /// query fails with a typed error (the open's checksum chain or the
+    /// page CRC on the read): never a panic, never an answer.
+    #[test]
+    fn fused_scan_never_answers_from_a_flipped_segment(
+        seed in 0u64..1000,
+        pred_kind in 0u8..6,
+        pos_frac in 0.0f64..1.0,
+        bit in 0u32..8,
+    ) {
+        let (ga, _) = pair(seed, 60);
+        let path = evirel_store::spill_path("flip");
+        evirel_store::write_segment(&ga, &path, PAGE).expect("segment writes");
+        let mut bytes = std::fs::read(&path).expect("segment readable");
+        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+        bytes[pos] ^= 1u8 << bit;
+        std::fs::write(&path, &bytes).expect("segment rewritable");
+
+        let plan = scan("sa")
+            .select_where(predicate_of(pred_kind, 1, 3), Threshold::SnGreater(0.5))
+            .build();
+        let outcome = StoredRelation::open(&path, Arc::new(BufferPool::new(3 * PAGE)))
+            .map_err(|e| e.to_string())
+            .and_then(|stored| {
+                let mut bindings = Bindings::new();
+                bindings.bind_stored("sa", Arc::new(stored));
+                execute_plan(&plan, &bindings, &mut ExecContext::with_options(options()))
+                    .map_err(|e| e.to_string())
+            });
+        std::fs::remove_file(&path).ok();
+        prop_assert!(
+            outcome.is_err(),
+            "flip at byte {pos} bit {bit} answered with {} tuples",
+            outcome.map(|r| r.len()).unwrap_or(0)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -147,7 +294,12 @@ proptest! {
         for (m, s) in mem.iter().zip(streamed.iter()) {
             prop_assert_eq!(m.key(mem.schema()), s.key(streamed.schema()));
         }
-        prop_assert_eq!(mem_ctx.stats, ctx.stats, "stats diverged");
+        // Only a σ̃ fused into a stored scan skips records.
+        prop_assert_eq!(
+            mem_ctx.stats,
+            ExecStats { records_skipped: 0, ..ctx.stats },
+            "stats diverged"
+        );
         let stats = pool.stats();
         prop_assert!(stats.evictions > 0, "budget never forced an eviction: {stats:?}");
     }
@@ -225,4 +377,46 @@ fn stored_merge_indexes_segment_directly() {
     // EXPLAIN renders the stored scan with its page geometry.
     let text = evirel_plan::explain_plan(&plan, &bindings, &mut ExecContext::new(), false).unwrap();
     assert!(text.contains("[stored:"), "{text}");
+}
+
+/// A predicate that cannot be evaluated — an attribute the schema does
+/// not have, a value outside the attribute's domain — fails a stored
+/// query with the text it fails an in-memory one with.
+#[test]
+fn fused_selection_fails_with_the_in_memory_error_text() {
+    let (ga, _) = pair(11, 40);
+    let pool = Arc::new(BufferPool::new(4 * PAGE));
+    let mut stored_bindings = Bindings::new();
+    stored_bindings.bind_stored("sa", store(&ga, &pool));
+    let mut mem_bindings = Bindings::new();
+    mem_bindings.bind("sa", ga);
+    for predicate in [
+        Predicate::is("e9", [Value::str("v1")]),
+        Predicate::is("e1", [Value::str("not-a-label")]),
+        Predicate::theta(
+            Operand::attr("e0"),
+            ThetaOp::Ge,
+            Operand::Value(Value::int(3)),
+        ),
+        Predicate::is("e1", [Value::str("v1")])
+            .negate()
+            .or(Predicate::theta(
+                Operand::attr("e2"),
+                ThetaOp::Eq,
+                Operand::attr("nope"),
+            )),
+    ] {
+        let plan = scan("sa").select(predicate).build();
+        let fails = |bindings: &Bindings| {
+            execute_plan(&plan, bindings, &mut ExecContext::with_options(options()))
+                .expect_err("the predicate cannot be evaluated")
+                .to_string()
+        };
+        assert_eq!(
+            fails(&mem_bindings),
+            fails(&stored_bindings),
+            "{}",
+            plan.render()
+        );
+    }
 }

@@ -51,6 +51,7 @@ struct QueryMetrics {
     stage_lower_rewrite: Histogram,
     stage_execute: Histogram,
     tuples_scanned: Counter,
+    records_skipped: Counter,
     tuples_emitted: Counter,
     pairs_merged: Counter,
     conflicts: Counter,
@@ -88,6 +89,11 @@ impl QueryMetrics {
             tuples_scanned: registry.counter(
                 "evirel_exec_tuples_scanned_total",
                 "Tuples pulled out of scan leaves",
+                &[],
+            ),
+            records_skipped: registry.counter(
+                "evirel_exec_records_skipped_total",
+                "Stored records a fused selection dropped without decoding them in full",
                 &[],
             ),
             tuples_emitted: registry.counter(
@@ -305,6 +311,7 @@ impl Session {
         qm.total_seconds.observe(total);
         let stats = &outcome.outcome.stats;
         qm.tuples_scanned.add(stats.tuples_scanned as u64);
+        qm.records_skipped.add(stats.records_skipped as u64);
         qm.tuples_emitted.add(stats.tuples_emitted as u64);
         qm.pairs_merged.add(stats.pairs_merged as u64);
         qm.conflicts.add(stats.conflicts as u64);
@@ -633,6 +640,45 @@ mod tests {
             run(4),
             "registry totals diverged across parallelism"
         );
+    }
+
+    /// The same exactness for a σ̃ fused into a stored scan: the
+    /// registry's scanned and skipped totals are the query's own stats
+    /// — every stored record counted once as scanned, every dropped
+    /// one once as skipped, so scanned − skipped = emitted — at either
+    /// thread budget.
+    #[test]
+    fn fused_scan_stats_reach_registry_exactly_once_at_1_and_4_threads() {
+        let mut c = big_union_catalog();
+        let path = evirel_store::spill_path("session-fused");
+        c.store_segment("ga", &path).unwrap();
+        c.attach_stored("sa", &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let shared = Arc::new(SharedCatalog::new(c));
+        let run = |threads: usize| -> [u64; 3] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut s = Session::new(Arc::clone(&shared), Arc::new(PlanCache::default()));
+            s.budget.parallelism = Some(threads);
+            s.set_metrics(Arc::clone(&registry));
+            let out = s
+                .query("SELECT k FROM sa WHERE e1 IS {v3} WITH SN > 0.5")
+                .unwrap();
+            let value = |name: &str| registry.value(name, &[]).unwrap();
+            let totals = [
+                value("evirel_exec_tuples_scanned_total"),
+                value("evirel_exec_records_skipped_total"),
+                value("evirel_exec_tuples_emitted_total"),
+            ];
+            let stats = out.outcome.stats;
+            assert_eq!(totals[0], stats.tuples_scanned as u64);
+            assert_eq!(totals[1], stats.records_skipped as u64);
+            assert_eq!(totals[2], stats.tuples_emitted as u64);
+            assert_eq!(totals[0], 600, "every stored record is a tuple scanned");
+            assert!(totals[2] > 0 && totals[2] < 600);
+            assert_eq!(totals[0] - totals[1], totals[2]);
+            totals
+        };
+        assert_eq!(run(1), run(4));
     }
 
     /// A throttled query (threshold 0 = log everything) lands one

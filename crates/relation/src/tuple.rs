@@ -6,6 +6,7 @@ use crate::membership::SupportPair;
 use crate::schema::{AttrType, Schema};
 use crate::value::Value;
 use evirel_evidence::MassFunction;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -37,23 +38,26 @@ impl AttrValue {
         }
     }
 
-    /// Promote to an evidence set over `domain`: a definite value `v`
-    /// becomes the certain mass `m({v}) = 1` (the paper's observation
-    /// that definite values are evidence sets with one singleton focal
-    /// element).
+    /// View as an evidence set over `domain`: an evidence set is
+    /// borrowed as it stands; a definite value `v` becomes the certain
+    /// mass `m({v}) = 1` (the paper's observation that definite values
+    /// are evidence sets with one singleton focal element).
     ///
     /// # Errors
     /// [`RelationError::ValueNotInDomain`] if a definite value is not
     /// in `domain`.
-    pub fn to_evidence(&self, domain: &AttrDomain) -> Result<MassFunction<f64>, RelationError> {
+    pub fn to_evidence(
+        &self,
+        domain: &AttrDomain,
+    ) -> Result<Cow<'_, MassFunction<f64>>, RelationError> {
         match self {
-            AttrValue::Evidential(m) => Ok(m.clone()),
+            AttrValue::Evidential(m) => Ok(Cow::Borrowed(m)),
             AttrValue::Definite(v) => {
                 let idx = domain.index_of(v)?;
-                Ok(MassFunction::from_entries(
+                Ok(Cow::Owned(MassFunction::from_entries(
                     Arc::clone(domain.frame()),
                     [(evirel_evidence::FocalSet::singleton(idx), 1.0)],
-                )?)
+                )?))
             }
         }
     }

@@ -21,6 +21,17 @@
 //! (frame dictionary) is written once and evidential attributes
 //! reference it by index, so relations whose attributes share a
 //! domain share one dictionary on disk too.
+//!
+//! **One record decoder.** [`decode_record`] is the only function that
+//! reads a tuple record, and it takes a column mask. Every value is
+//! self-delimiting (a tag, then a fixed size or its own length/count
+//! fields), so a masked-out position is walked without being built:
+//! tags and bounds are checked exactly as for a masked-in one, but no
+//! string is UTF-8-checked, no mass function assembled, no tuple
+//! validated. A full scan passes the all-true mask; a selection fused
+//! into a stored scan passes the predicate's attributes and decodes in
+//! full only what it keeps; a merge's key index passes the key
+//! positions. Whatever the mask, a record must be consumed exactly.
 
 use crate::error::StoreError;
 use evirel_evidence::{FocalSet, MassFunction, Ratio, Weight};
@@ -447,41 +458,110 @@ pub fn record_len(tuple: &Tuple) -> usize {
         .sum::<usize>()
 }
 
-/// Decode one tuple record against `schema` (with the per-position
-/// evidential domains precomputed by the segment reader). The decoded
-/// tuple is revalidated by [`Tuple::new`], so a corrupt record cannot
-/// smuggle an ill-typed tuple into the executor.
+/// One decoded record: the membership pair and the values of the
+/// masked-in positions, dense, in schema order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// The stored `(sn, sp)`.
+    pub membership: SupportPair,
+    /// One value per masked-in position, in schema order.
+    pub values: Vec<AttrValue>,
+}
+
+impl Record {
+    /// The tuple a record decoded under the all-true mask holds,
+    /// revalidated by [`Tuple::new`] — a corrupt record cannot smuggle
+    /// an ill-typed tuple into the executor.
+    ///
+    /// # Errors
+    /// Relational validation errors on type mismatches (and on a
+    /// record decoded under a narrower mask: its arity is short).
+    pub fn into_tuple(self, schema: &Schema) -> Result<Tuple, StoreError> {
+        Tuple::new(schema, self.values, self.membership).map_err(StoreError::from)
+    }
+}
+
+/// Walk over one definite value without building it: tag checked,
+/// string bytes skipped by their length field.
+fn skip_value(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
+    match cur.u8()? {
+        VALUE_INT | VALUE_FLOAT => cur.bytes(8).map(|_| ()),
+        VALUE_STR => {
+            let len = cur.u32()? as usize;
+            cur.bytes(len).map(|_| ())
+        }
+        tag => Err(StoreError::corrupt(format!("unknown value tag {tag}"))),
+    }
+}
+
+/// Walk over one `f64` mass function without building it: weight tag
+/// checked, every entry skipped by its own word count.
+fn skip_mass(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
+    let tag = cur.u8()?;
+    if tag != <f64 as WeightCodec>::TAG {
+        return Err(StoreError::corrupt(format!(
+            "weight tag {tag} does not match the requested weight type"
+        )));
+    }
+    for _ in 0..cur.u32()? {
+        let words = cur.u16()? as usize;
+        cur.bytes(8 * words + 8)?;
+    }
+    Ok(())
+}
+
+/// Decode one tuple record — the one record decoder. `record` is
+/// exactly one record's bytes (a page's length prefix delimits it),
+/// `domains` the per-position evidential domains of its schema, and
+/// `mask[pos]` says whether position `pos` is materialized. Under the
+/// all-true mask every value is built (and [`Record::into_tuple`]
+/// revalidates the tuple); a masked-out position is walked by its own
+/// length fields through the same bounds-checked cursor with every tag
+/// still checked, but its string is not UTF-8-checked and its mass
+/// function is not assembled. Whatever the mask, the membership pair
+/// is validated and the record must be consumed exactly.
 ///
 /// # Errors
-/// [`StoreError::Corrupt`] on malformed bytes; relational validation
-/// errors on type mismatches.
+/// [`StoreError::Corrupt`] on malformed, truncated or over-long
+/// records; mass-function validation errors at masked-in positions.
 pub fn decode_record(
-    cur: &mut Cursor<'_>,
-    schema: &Arc<Schema>,
+    record: &[u8],
     domains: &[Option<Arc<AttrDomain>>],
-) -> Result<Tuple, StoreError> {
+    mask: &[bool],
+) -> Result<Record, StoreError> {
+    let mut cur = Cursor::new(record, "record");
+    let cur = &mut cur;
     let sn = f64::from_bits(cur.u64()?);
     let sp = f64::from_bits(cur.u64()?);
     let membership = SupportPair::new(sn, sp)?;
-    let mut values = Vec::with_capacity(schema.arity());
-    for pos in 0..schema.arity() {
+    debug_assert_eq!(mask.len(), domains.len(), "one mask entry per position");
+    let mut values = Vec::with_capacity(mask.iter().filter(|&&keep| keep).count());
+    for (pos, (domain, &keep)) in domains.iter().zip(mask).enumerate() {
         match cur.u8()? {
-            ATTR_DEFINITE => values.push(AttrValue::Definite(decode_value(cur)?)),
+            ATTR_DEFINITE if keep => values.push(AttrValue::Definite(decode_value(cur)?)),
+            ATTR_DEFINITE => skip_value(cur)?,
             ATTR_EVIDENTIAL => {
-                let domain = domains.get(pos).and_then(|d| d.as_ref()).ok_or_else(|| {
+                let domain = domain.as_ref().ok_or_else(|| {
                     StoreError::corrupt(format!(
                         "evidential value in definite attribute position {pos}"
                     ))
                 })?;
-                values.push(AttrValue::Evidential(decode_mass::<f64>(
-                    cur,
-                    domain.frame(),
-                )?));
+                if keep {
+                    values.push(AttrValue::Evidential(decode_mass::<f64>(
+                        cur,
+                        domain.frame(),
+                    )?));
+                } else {
+                    skip_mass(cur)?;
+                }
             }
             tag => return Err(StoreError::corrupt(format!("unknown attribute tag {tag}"))),
         }
     }
-    Tuple::new(schema, values, membership).map_err(StoreError::from)
+    if !cur.is_exhausted() {
+        return Err(cur.corrupt(&format!("{} trailing bytes", cur.remaining())));
+    }
+    Ok(Record { membership, values })
 }
 
 // ------------------------------------------------------- schema block
@@ -615,6 +695,7 @@ pub fn domains_of(schema: &Schema) -> Vec<Option<Arc<AttrDomain>>> {
 mod tests {
     use super::*;
     use evirel_evidence::Frame;
+    use proptest::prelude::*;
 
     fn frame() -> Arc<Frame> {
         Arc::new(Frame::new("f", ["a", "b", "c", "d"]))
@@ -710,6 +791,160 @@ mod tests {
             let mut cur = Cursor::new(&buf[..cut], "test");
             assert!(decode_value(&mut cur).is_err(), "cut at {cut}");
         }
+    }
+
+    /// Every kind of attribute value a record can hold: string key,
+    /// int/float/string definite, evidence over a small frame, over a
+    /// frame wide enough for boxed focal sets, and a definite value in
+    /// an evidential attribute.
+    fn record_schema() -> Arc<Schema> {
+        let small = Arc::new(AttrDomain::categorical("small", ["a", "b", "c", "d", "e"]).unwrap());
+        let wide = Arc::new(AttrDomain::integers("wide", 0, 199).unwrap());
+        Arc::new(
+            Schema::builder("T")
+                .key_str("k")
+                .definite("n", ValueKind::Int)
+                .definite("x", ValueKind::Float)
+                .definite("s", ValueKind::Str)
+                .evidential("e", Arc::clone(&small))
+                .evidential("w", wide)
+                .evidential("d", small)
+                .build()
+                .unwrap(),
+        )
+    }
+
+    /// Drawn `(indices, weight)` entries as a mass function (equal
+    /// focal sets pool their weight).
+    fn mass_of(domain: &AttrDomain, entries: &[(Vec<usize>, u32)]) -> AttrValue {
+        let mut pooled = std::collections::BTreeMap::new();
+        for (indices, w) in entries {
+            let set: std::collections::BTreeSet<usize> =
+                indices.iter().map(|i| i % domain.len()).collect();
+            *pooled.entry(set).or_insert(0u32) += w;
+        }
+        let total: u32 = pooled.values().sum();
+        let entries = pooled
+            .into_iter()
+            .map(|(set, w)| (FocalSet::from_indices(set), f64::from(w) / f64::from(total)));
+        AttrValue::Evidential(
+            MassFunction::from_entries(Arc::clone(domain.frame()), entries).unwrap(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The one decoder under every mask: masked-in positions equal
+        /// the full decode's values bit for bit, the record is consumed
+        /// to the same (final) offset — one byte more is corruption —
+        /// and a record cut short anywhere is `Corrupt`, whatever the
+        /// mask skips.
+        #[test]
+        fn every_mask_agrees_with_the_full_decode(
+            scalars in (0u32..100_000, -1_000_000i64..1_000_000, -1000i64..1000, 0usize..40),
+            e in proptest::collection::vec((proptest::collection::vec(0usize..5, 1..4), 1u32..50), 1..4),
+            w in proptest::collection::vec((proptest::collection::vec(0usize..200, 1..5), 1u32..50), 1..5),
+            d in 0usize..5,
+            membership in (0u32..=100, 0u32..=100),
+        ) {
+            let (key, n, x, s_len) = scalars;
+            let (sn, sp) = membership;
+            let schema = record_schema();
+            let domain = |pos: usize| schema.attr(pos).ty().domain().unwrap();
+            let (sn, sp) = (f64::from(sn.min(sp)) / 100.0, f64::from(sn.max(sp)) / 100.0);
+            let tuple = Tuple::new(
+                &schema,
+                vec![
+                    AttrValue::Definite(Value::str(format!("key-{key}"))),
+                    AttrValue::Definite(Value::int(n)),
+                    AttrValue::Definite(Value::float(x as f64 / 7.0)),
+                    AttrValue::Definite(Value::str("☃".repeat(s_len))),
+                    mass_of(domain(4), &e),
+                    mass_of(domain(5), &w),
+                    AttrValue::Definite(domain(6).value(d).unwrap().clone()),
+                ],
+                SupportPair::new(sn, sp).unwrap(),
+            )
+            .unwrap();
+            let mut buf = Vec::new();
+            encode_record(&tuple, &mut buf);
+            prop_assert_eq!(buf.len(), record_len(&tuple));
+
+            let domains = domains_of(&schema);
+            let arity = schema.arity();
+            let full = decode_record(&buf, &domains, &vec![true; arity]).unwrap();
+            prop_assert_eq!(&full.clone().into_tuple(&schema).unwrap(), &tuple);
+            let mut long = buf.clone();
+            long.push(0);
+
+            for bits in 0u32..1 << arity {
+                let mask: Vec<bool> = (0..arity).map(|pos| bits >> pos & 1 == 1).collect();
+                let got = decode_record(&buf, &domains, &mask).unwrap();
+                let want: Vec<AttrValue> = full
+                    .values
+                    .iter()
+                    .zip(&mask)
+                    .filter(|(_, &keep)| keep)
+                    .map(|(v, _)| v.clone())
+                    .collect();
+                prop_assert_eq!(&got.values, &want, "mask {:?}", &mask);
+                prop_assert_eq!(got.membership.sn().to_bits(), tuple.membership().sn().to_bits());
+                prop_assert_eq!(got.membership.sp().to_bits(), tuple.membership().sp().to_bits());
+                prop_assert!(
+                    matches!(decode_record(&long, &domains, &mask), Err(StoreError::Corrupt { .. })),
+                    "trailing byte accepted under mask {:?}", &mask
+                );
+                for cut in 0..buf.len() {
+                    prop_assert!(
+                        matches!(
+                            decode_record(&buf[..cut], &domains, &mask),
+                            Err(StoreError::Corrupt { .. })
+                        ),
+                        "cut at {} accepted under mask {:?}", cut, &mask
+                    );
+                }
+            }
+        }
+    }
+
+    /// A skipped position is still tag-checked: a bad attribute, value
+    /// or weight tag is `Corrupt` under the empty mask too.
+    #[test]
+    fn skipped_positions_are_tag_checked() {
+        let schema = record_schema();
+        let domains = domains_of(&schema);
+        let none = vec![false; schema.arity()];
+        let record = |values: &[&[u8]]| {
+            let mut buf = vec![0u8; 16];
+            buf[..8].copy_from_slice(&1f64.to_bits().to_le_bytes());
+            buf[8..16].copy_from_slice(&1f64.to_bits().to_le_bytes());
+            for v in values {
+                buf.extend_from_slice(v);
+            }
+            buf
+        };
+        for bad in [
+            &[7u8][..],                        // unknown attribute tag
+            &[ATTR_DEFINITE, 9],               // unknown value tag
+            &[ATTR_EVIDENTIAL, 0, 0, 0, 0, 0], // evidence in a definite position
+        ] {
+            assert!(matches!(
+                decode_record(&record(&[bad]), &domains, &none),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
+        // Position 4 is evidential: a Ratio weight tag there is refused.
+        let int = [ATTR_DEFINITE, VALUE_INT, 0, 0, 0, 0, 0, 0, 0, 0];
+        let bad_weight = [ATTR_EVIDENTIAL, 1, 0, 0, 0, 0];
+        assert!(matches!(
+            decode_record(
+                &record(&[&int, &int, &int, &int, &bad_weight]),
+                &domains,
+                &none
+            ),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -39,6 +39,17 @@
 //! mismatch as a typed [`StoreError::Corrupt`]. The previous v2
 //! format (no checksums) still loads via [`crate::compat`].
 //!
+//! **Decoding.** A verified page is framed by [`PageRecords`] — the
+//! one walk over `[u32 len ∣ record]*` — and each record goes through
+//! [`codec::decode_record`] under a column mask. [`Segment::decode_page`]
+//! and [`Segment::decode_record`] pass the all-true mask and validate
+//! every tuple with `Tuple::new`. A caller that passes a narrower mask
+//! (the plan layer's fused selection and key index) gets the masked-in
+//! values only; what it skips is length- and tag-checked and was
+//! covered by the page CRC when the page was read, but is not
+//! semantically validated unless the caller decodes that record again
+//! in full — which it does for every tuple it emits.
+//!
 //! **Statistics.** The writer folds every appended tuple into a
 //! [`crate::stats::StatsBuilder`] and, when the preamble's
 //! [`compat::FLAG_STATS`] bit is set, persists the finished
@@ -418,22 +429,61 @@ fn read_entry(file: &mut File, page: u64, entry: &PageEntry) -> Result<Vec<u8>, 
     Ok(buf)
 }
 
+/// The records of one page in slot order, each item one record's
+/// bytes exactly as [`codec::decode_record`] takes them — the page
+/// framing (`u32` record count, then `u32` length ∣ record), walked
+/// through the bounds-checked cursor.
+pub struct PageRecords<'a> {
+    cur: Cursor<'a>,
+    left: u32,
+}
+
+impl<'a> PageRecords<'a> {
+    /// Frame `bytes` (from [`Segment::read_page`] or the buffer pool).
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] when the page is shorter than its
+    /// record-count header.
+    pub fn new(bytes: &'a [u8]) -> Result<PageRecords<'a>, StoreError> {
+        let mut cur = Cursor::new(bytes, "page");
+        let left = cur.u32()?;
+        Ok(PageRecords { cur, left })
+    }
+}
+
+impl<'a> Iterator for PageRecords<'a> {
+    type Item = Result<&'a [u8], StoreError>;
+
+    fn next(&mut self) -> Option<Result<&'a [u8], StoreError>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let record = self.cur.u32().and_then(|len| self.cur.bytes(len as usize));
+        if record.is_err() {
+            self.left = 0;
+        }
+        Some(record)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        // A record costs at least its 4-byte length prefix — the cap
+        // keeps a corrupted count from sizing a gigabyte allocation.
+        (0, Some((self.left as usize).min(self.cur.remaining() / 4)))
+    }
+}
+
 /// Decode every record of a page into tuples, in slot order.
 fn decode_records(
     bytes: &[u8],
-    schema: &Arc<Schema>,
+    schema: &Schema,
     domains: &[Option<Arc<AttrDomain>>],
+    all_columns: &[bool],
 ) -> Result<Vec<Tuple>, StoreError> {
-    let mut cur = Cursor::new(bytes, "page");
-    let count = cur.u32()? as usize;
-    // A record costs at least its 4-byte length prefix — cap the
-    // pre-allocation so a corrupted count can't request gigabytes.
-    let mut out = Vec::with_capacity(count.min(bytes.len() / 4));
-    for _ in 0..count {
-        let len = cur.u32()? as usize;
-        let record = cur.bytes(len)?;
-        let mut rcur = Cursor::new(record, "record");
-        out.push(codec::decode_record(&mut rcur, schema, domains)?);
+    let records = PageRecords::new(bytes)?;
+    let mut out = Vec::with_capacity(records.size_hint().1.unwrap_or(0));
+    for record in records {
+        out.push(codec::decode_record(record?, domains, all_columns)?.into_tuple(schema)?);
     }
     Ok(out)
 }
@@ -450,6 +500,9 @@ pub struct Segment {
     file: Mutex<File>,
     schema: Arc<Schema>,
     domains: Vec<Option<Arc<AttrDomain>>>,
+    /// The all-true column mask — full decodes go through the one
+    /// masked record decoder with it.
+    all_columns: Vec<bool>,
     pages: Vec<PageEntry>,
     tuple_count: u64,
     page_size: usize,
@@ -520,6 +573,7 @@ impl Segment {
         };
 
         let pages = compat::read_page_table(&mut file, &header)?;
+        let all_columns = vec![true; schema.arity()];
 
         let stats = if header.flags & compat::FLAG_STATS != 0 {
             let table_len = (header.page_count * compat::TABLE_ENTRY_V3) as u64;
@@ -532,7 +586,7 @@ impl Segment {
             for (page, entry) in pages.iter().enumerate() {
                 let bytes = read_entry(&mut file, page as u64, entry)?;
                 verify_entry(page as u64, entry, &bytes)?;
-                for tuple in decode_records(&bytes, &schema, &domains)? {
+                for tuple in decode_records(&bytes, &schema, &domains, &all_columns)? {
                     builder.observe(&tuple);
                 }
             }
@@ -544,6 +598,7 @@ impl Segment {
             file: Mutex::new(file),
             schema,
             domains,
+            all_columns,
             pages,
             tuple_count: header.tuple_count,
             page_size: header.page_size,
@@ -562,6 +617,13 @@ impl Segment {
     /// The relation schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
+    }
+
+    /// The per-position evidential domains records decode against
+    /// (`None` at definite positions) — what [`codec::decode_record`]
+    /// takes beside a column mask.
+    pub fn domains(&self) -> &[Option<Arc<AttrDomain>>] {
+        &self.domains
     }
 
     /// Number of data pages.
@@ -647,7 +709,7 @@ impl Segment {
     /// [`StoreError::Corrupt`] on malformed pages; validation errors
     /// from tuple reconstruction.
     pub fn decode_page(&self, bytes: &[u8]) -> Result<Vec<Tuple>, StoreError> {
-        decode_records(bytes, &self.schema, &self.domains)
+        decode_records(bytes, &self.schema, &self.domains, &self.all_columns)
     }
 
     /// Decode only record `slot` of a page — the point-lookup path
@@ -658,21 +720,21 @@ impl Segment {
     /// [`StoreError::Corrupt`] for out-of-range slots or malformed
     /// pages.
     pub fn decode_record(&self, bytes: &[u8], slot: u32) -> Result<Tuple, StoreError> {
-        let mut cur = Cursor::new(bytes, "page");
-        let count = cur.u32()?;
-        if slot >= count {
-            return Err(StoreError::corrupt(format!(
+        let mut records = PageRecords::new(bytes)?;
+        let count = records.left;
+        let mut record = None;
+        for _ in 0..=slot {
+            record = records.next().transpose()?;
+            if record.is_none() {
+                break;
+            }
+        }
+        let record = record.ok_or_else(|| {
+            StoreError::corrupt(format!(
                 "slot {slot} out of range (page has {count} records)"
-            )));
-        }
-        for _ in 0..slot {
-            let len = cur.u32()? as usize;
-            cur.bytes(len)?;
-        }
-        let len = cur.u32()? as usize;
-        let record = cur.bytes(len)?;
-        let mut rcur = Cursor::new(record, "record");
-        codec::decode_record(&mut rcur, &self.schema, &self.domains)
+            ))
+        })?;
+        codec::decode_record(record, &self.domains, &self.all_columns)?.into_tuple(&self.schema)
     }
 }
 

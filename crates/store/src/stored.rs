@@ -12,7 +12,11 @@ use std::sync::Arc;
 /// one page at a time through the shared [`BufferPool`], so a stored
 /// relation can be arbitrarily larger than memory; the plan layer's
 /// `SpillScanOp` streams it through the same `Operator` interface as
-/// an in-memory scan, with bit-identical results.
+/// an in-memory scan, with bit-identical results — page by page via
+/// [`StoredRelation::page_tuples`], or, with a selection fused into
+/// the scan, record by record over the pinned page
+/// ([`crate::segment::PageRecords`]) so that only surviving records
+/// are decoded in full.
 #[derive(Debug)]
 pub struct StoredRelation {
     segment: Arc<Segment>,

@@ -2,8 +2,13 @@
 //! encoded segments must always surface as typed [`StoreError`]s —
 //! never a panic, never an abort-by-OOM from a corrupted count, and
 //! (for v3 segments, where every byte is under some checksum) never
-//! silently wrong data.
+//! silently wrong data. Every property also runs the filtered scan's
+//! access pattern — each record decoded under a narrow column mask,
+//! a few decoded in full — because a page is checksummed as it is
+//! read, whatever the decoder then skips.
 
+use evirel_store::codec::decode_record;
+use evirel_store::segment::PageRecords;
 use evirel_store::{Segment, StoreError};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
@@ -55,6 +60,37 @@ fn try_full_scan(path: &PathBuf) -> Result<u64, StoreError> {
     Ok(decoded)
 }
 
+/// The filtered scan's pattern over one page: every record decoded
+/// under a mask that reads the last attribute only (the rest is
+/// skipped by length fields), every third record "kept" and decoded in
+/// full. Returns how many were kept.
+fn filtered_page(seg: &Segment, bytes: &[u8]) -> Result<u64, StoreError> {
+    let arity = seg.schema().arity();
+    let mut reads = vec![false; arity];
+    reads[arity - 1] = true;
+    let all = vec![true; arity];
+    let mut kept = 0;
+    for (slot, record) in PageRecords::new(bytes)?.enumerate() {
+        let record = record?;
+        decode_record(record, seg.domains(), &reads)?;
+        if slot % 3 == 0 {
+            decode_record(record, seg.domains(), &all)?.into_tuple(seg.schema())?;
+            kept += 1;
+        }
+    }
+    Ok(kept)
+}
+
+/// [`try_full_scan`] with [`filtered_page`] as the per-page decode.
+fn try_filtered_scan(path: &PathBuf) -> Result<u64, StoreError> {
+    let seg = Segment::open(path)?;
+    let mut kept = 0u64;
+    for p in 0..seg.page_count() {
+        kept += filtered_page(&seg, &seg.read_page(p)?)?;
+    }
+    Ok(kept)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -74,11 +110,18 @@ proptest! {
         let path = tmp("flip");
         std::fs::write(&path, &bytes).unwrap();
         let outcome = try_full_scan(&path);
+        // Most flips land in an attribute the filtered scan skips, of
+        // a record it drops: the page CRC catches those on the read.
+        let filtered = try_filtered_scan(&path);
         std::fs::remove_file(&path).ok();
         prop_assert!(
             outcome.is_err(),
             "bit flip at byte {pos} bit {bit} scanned {} tuples undetected",
             outcome.unwrap_or(0)
+        );
+        prop_assert!(
+            filtered.is_err(),
+            "bit flip at byte {pos} bit {bit} passed the filtered scan"
         );
     }
 
@@ -95,8 +138,10 @@ proptest! {
         let path = tmp("trunc");
         std::fs::write(&path, &bytes[..keep]).unwrap();
         let outcome = try_full_scan(&path);
+        let filtered = try_filtered_scan(&path);
         std::fs::remove_file(&path).ok();
         prop_assert!(outcome.is_err(), "truncation to {keep} bytes undetected");
+        prop_assert!(filtered.is_err(), "truncation to {keep} bytes passed the filtered scan");
     }
 
     /// Heavier damage: corrupt a whole random window. Still typed.
@@ -119,8 +164,9 @@ proptest! {
         // Result may be Ok only if the window happened to rewrite
         // identical bytes; otherwise an error. Either way: no panic.
         let outcome = try_full_scan(&path);
+        let filtered = try_filtered_scan(&path);
         std::fs::remove_file(&path).ok();
-        if outcome.is_ok() {
+        if outcome.is_ok() || filtered.is_ok() {
             prop_assert!(
                 bytes == encoded_segment(seed, tuples),
                 "non-identical damage scanned successfully"
@@ -129,9 +175,10 @@ proptest! {
     }
 
     /// The decoder itself (below the checksum layer) must survive
-    /// arbitrary page bytes: `decode_page` / `decode_record` on
-    /// mutated pages return `Result`, never panic — this is what
-    /// protects v2 segments, which have no checksums.
+    /// arbitrary page bytes: `decode_page` / `decode_record` and the
+    /// masked decodes of the filtered scan, on mutated pages, return
+    /// `Result`, never panic — this is what protects v2 segments,
+    /// which have no checksums.
     #[test]
     fn decode_page_survives_arbitrary_bytes(
         seed in 0u64..1000,
@@ -160,6 +207,7 @@ proptest! {
         // Both full-page decode and point lookup: Result, no panic.
         let _ = seg.decode_page(&page);
         let _ = seg.decode_record(&page, slot);
+        let _ = filtered_page(&seg, &page);
         std::fs::remove_file(&path).ok();
     }
 }
