@@ -10,9 +10,17 @@
 //! according to a caller-chosen [`ConflictPolicy`]. The accumulated
 //! [`ConflictReport`] is the artifact handed to the data
 //! administrator.
+//!
+//! A merge of two large relations records an observation for most of
+//! its attribute pairs, so an observation is cheap to make and is
+//! never copied: its key and attribute name are shared handles
+//! ([`PairKey`] makes one key handle per matched pair, the schema
+//! already holds the name), and whoever owns the reports at the end of
+//! an execution takes them whole ([`ConflictReport::append`]).
 
 use evirel_relation::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// What to do when two matched tuples are in *total* conflict (κ = 1)
 /// on some attribute.
@@ -44,13 +52,41 @@ impl fmt::Display for ConflictPolicy {
     }
 }
 
+/// The key of the tuple pair being merged, as that pair's conflict
+/// observations record it: the shared handle is made on the pair's
+/// first conflict and every later observation of the pair clones it —
+/// a pair without conflict allocates nothing.
+#[derive(Debug)]
+pub struct PairKey<'a> {
+    key: &'a [Value],
+    shared: Option<Arc<[Value]>>,
+}
+
+impl<'a> PairKey<'a> {
+    /// The key of one matched pair.
+    pub fn new(key: &'a [Value]) -> PairKey<'a> {
+        PairKey { key, shared: None }
+    }
+
+    /// The key values.
+    pub fn values(&self) -> &'a [Value] {
+        self.key
+    }
+
+    /// The handle an [`AttributeConflict`] of this pair stores.
+    pub fn shared(&mut self) -> Arc<[Value]> {
+        Arc::clone(self.shared.get_or_insert_with(|| Arc::from(self.key)))
+    }
+}
+
 /// One attribute-level conflict observation from a tuple merge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeConflict {
-    /// Key of the matched tuple pair.
-    pub key: Vec<Value>,
-    /// Attribute that was merged.
-    pub attr: String,
+    /// Key of the matched tuple pair (one handle per pair, see
+    /// [`PairKey`]).
+    pub key: Arc<[Value]>,
+    /// Attribute that was merged (the schema's own handle).
+    pub attr: Arc<str>,
     /// Conflict mass κ of the Dempster combination (1.0 for total
     /// conflict).
     pub kappa: f64,
@@ -74,6 +110,11 @@ impl ConflictReport {
     /// Record an observation.
     pub fn record(&mut self, c: AttributeConflict) {
         self.conflicts.push(c);
+    }
+
+    /// Move every observation of `other` behind this report's own.
+    pub fn append(&mut self, mut other: ConflictReport) {
+        self.conflicts.append(&mut other.conflicts);
     }
 
     /// All observations in merge order.
@@ -147,7 +188,7 @@ mod tests {
 
     fn obs(kappa: f64, total: bool) -> AttributeConflict {
         AttributeConflict {
-            key: vec![Value::str("wok")],
+            key: vec![Value::str("wok")].into(),
             attr: "rating".into(),
             kappa,
             total,
@@ -177,6 +218,28 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("(wok)"));
         assert!(text.contains("TOTAL"));
+    }
+
+    #[test]
+    fn append_moves_observations_in_order() {
+        let mut first = ConflictReport::new();
+        first.record(obs(0.2, false));
+        let mut second = ConflictReport::new();
+        second.record(obs(0.6, false));
+        second.record(obs(1.0, true));
+        first.append(second);
+        let kappas: Vec<f64> = first.conflicts().iter().map(|c| c.kappa).collect();
+        assert_eq!(kappas, [0.2, 0.6, 1.0]);
+    }
+
+    #[test]
+    fn pair_key_is_made_once_and_shared() {
+        let key = [Value::str("wok")];
+        let mut pair = PairKey::new(&key);
+        assert_eq!(pair.values(), &key);
+        let (a, b) = (pair.shared(), pair.shared());
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(&*a, &key);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod support;
 pub mod threshold;
 pub mod union;
 
-pub use conflict::{AttributeConflict, ConflictPolicy, ConflictReport};
+pub use conflict::{AttributeConflict, ConflictPolicy, ConflictReport, PairKey};
 pub use error::AlgebraError;
 pub use join::join;
 pub use partition::Partitioner;

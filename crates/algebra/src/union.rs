@@ -17,7 +17,7 @@
 //! [`crate::conflict`]; total conflict on an attribute or on
 //! membership is resolved by the configured [`ConflictPolicy`].
 
-use crate::conflict::{AttributeConflict, ConflictPolicy, ConflictReport};
+use crate::conflict::{AttributeConflict, ConflictPolicy, ConflictReport, PairKey};
 use crate::error::AlgebraError;
 use evirel_evidence::{rules::CombinationRule, EvidenceError, MassFunction};
 use evirel_relation::{
@@ -158,6 +158,7 @@ pub fn merge_tuples_with(
     report: &mut ConflictReport,
     scratch: &mut MergeScratch,
 ) -> Result<Option<Tuple>, AlgebraError> {
+    let mut key = PairKey::new(key);
     let mut values: Vec<AttrValue> = Vec::with_capacity(schema.arity());
     for (pos, attr) in schema.attrs().iter().enumerate() {
         let lv = l.value(pos);
@@ -174,7 +175,12 @@ pub fn merge_tuples_with(
                 if lv == rv {
                     values.push(lv.clone());
                 } else {
-                    total_conflict(key, attr.name(), options.on_total_conflict, report)?;
+                    total_conflict(
+                        &mut key,
+                        attr.shared_name(),
+                        options.on_total_conflict,
+                        report,
+                    )?;
                     values.push(match options.on_total_conflict {
                         ConflictPolicy::KeepRight => rv.clone(),
                         // There is no vacuous definite value; keep left
@@ -184,9 +190,9 @@ pub fn merge_tuples_with(
                 }
             }
             AttrType::Evidential(domain) => values.push(combine_evidence(
-                attr.name(),
+                attr.shared_name(),
                 domain,
-                key,
+                &mut key,
                 lv,
                 rv,
                 options,
@@ -195,7 +201,7 @@ pub fn merge_tuples_with(
             )?),
         }
     }
-    match combine_membership(key, l, r, options.on_total_conflict, report)? {
+    match combine_membership(&mut key, l, r, options.on_total_conflict, report)? {
         Some(membership) => Ok(Some(Tuple::new(schema, values, membership)?)),
         None => Ok(None),
     }
@@ -204,21 +210,21 @@ pub fn merge_tuples_with(
 /// Record a total conflict (κ = 1) on `attr`; an error under
 /// [`ConflictPolicy::Error`], else the caller resolves it by `policy`.
 fn total_conflict(
-    key: &[Value],
-    attr: &str,
+    key: &mut PairKey<'_>,
+    attr: &Arc<str>,
     policy: ConflictPolicy,
     report: &mut ConflictReport,
 ) -> Result<(), AlgebraError> {
     report.record(AttributeConflict {
-        key: key.to_vec(),
-        attr: attr.to_owned(),
+        key: key.shared(),
+        attr: Arc::clone(attr),
         kappa: 1.0,
         total: true,
     });
     match policy {
         ConflictPolicy::Error => Err(AlgebraError::TotalConflict {
-            key: Value::render_key(key),
-            attr: attr.to_owned(),
+            key: Value::render_key(key.values()),
+            attr: attr.to_string(),
         }),
         _ => Ok(()),
     }
@@ -227,16 +233,18 @@ fn total_conflict(
 /// The per-pair kernel's evidential step — one implementation for ∪̃
 /// and the integration pipeline's registry merge: combine attribute
 /// `attr`'s two values under `options.rule`, record κ > 0 in `report`,
-/// and resolve a total conflict by `options.on_total_conflict`.
+/// and resolve a total conflict by `options.on_total_conflict`. `key`
+/// is the pair's, made once by the caller and passed to every step of
+/// the pair's merge so its observations share one handle.
 ///
 /// # Errors
 /// [`AlgebraError::TotalConflict`] under [`ConflictPolicy::Error`];
 /// values that are not evidence over `domain`.
 #[allow(clippy::too_many_arguments)]
 pub fn combine_evidence(
-    attr: &str,
+    attr: &Arc<str>,
     domain: &Arc<AttrDomain>,
-    key: &[Value],
+    key: &mut PairKey<'_>,
     lv: &AttrValue,
     rv: &AttrValue,
     options: &UnionOptions,
@@ -249,8 +257,8 @@ pub fn combine_evidence(
         Ok((mass, kappa)) => {
             if kappa > 0.0 {
                 report.record(AttributeConflict {
-                    key: key.to_vec(),
-                    attr: attr.to_owned(),
+                    key: key.shared(),
+                    attr: Arc::clone(attr),
                     kappa,
                     total: false,
                 });
@@ -285,7 +293,7 @@ pub fn combine_evidence(
 /// # Errors
 /// [`AlgebraError::TotalConflict`] under [`ConflictPolicy::Error`].
 pub fn combine_membership(
-    key: &[Value],
+    key: &mut PairKey<'_>,
     l: &Tuple,
     r: &Tuple,
     policy: ConflictPolicy,
@@ -294,7 +302,7 @@ pub fn combine_membership(
     let membership = match l.membership().combine_dempster(&r.membership()) {
         Ok(m) => m,
         Err(RelationError::Evidence(EvidenceError::TotalConflict)) => {
-            total_conflict(key, "(sn,sp)", policy, report)?;
+            total_conflict(key, &Arc::from("(sn,sp)"), policy, report)?;
             match policy {
                 ConflictPolicy::KeepRight => r.membership(),
                 ConflictPolicy::Vacuous => SupportPair::unknown(),

@@ -57,17 +57,21 @@ impl<W: Weight> MassFunction<W> {
     }
 
     /// Construct directly from `(set, mass)` pairs; validates all mass
-    /// function invariants. Used by the combination rules, which
-    /// produce already-aggregated maps.
+    /// function invariants, exactly as adding them one by one with
+    /// [`MassBuilder::add_set`] and building would. Used by the
+    /// combination rules, which produce already-aggregated maps, and
+    /// by the record decoder — once per stored evidence set — so the
+    /// entries are collected once (a `Vec` argument is taken over as
+    /// it stands) and become the focal list without another copy.
     pub fn from_entries(
         frame: Arc<Frame>,
         entries: impl IntoIterator<Item = (FocalSet, W)>,
     ) -> Result<Self, EvidenceError> {
-        let mut b = Self::builder(frame);
-        for (set, w) in entries {
-            b = b.add_set(set, w)?;
+        let entries: Vec<(FocalSet, W)> = entries.into_iter().collect();
+        for (set, _) in &entries {
+            check_in_frame(set, &frame)?;
         }
-        b.build()
+        MassBuilder { frame, entries }.build()
     }
 
     /// Trusted constructor for the combination engine's output: the
@@ -276,14 +280,7 @@ impl<W: Weight> MassBuilder<W> {
     /// [`EvidenceError::IndexOutOfBounds`] if the set has members
     /// outside the frame.
     pub fn add_set(mut self, set: FocalSet, mass: W) -> Result<Self, EvidenceError> {
-        if let Some(max) = set.max_index() {
-            if max >= self.frame.len() {
-                return Err(EvidenceError::IndexOutOfBounds {
-                    index: max,
-                    frame_size: self.frame.len(),
-                });
-            }
-        }
+        check_in_frame(&set, &self.frame)?;
         self.entries.push((set, mass));
         Ok(self)
     }
@@ -339,9 +336,9 @@ impl<W: Weight> MassBuilder<W> {
     ///   appeared twice;
     /// * [`EvidenceError::NotNormalized`] — masses do not sum to 1.
     pub fn build(self) -> Result<MassFunction<W>, EvidenceError> {
-        let mut focal: Vec<(FocalSet, W)> = Vec::with_capacity(self.entries.len());
+        let mut kept = 0usize;
         let mut sum = W::zero();
-        for (set, w) in self.entries {
+        for (set, w) in &self.entries {
             if !w.is_valid_mass() {
                 return Err(EvidenceError::InvalidMass {
                     mass: w.to_string(),
@@ -354,14 +351,27 @@ impl<W: Weight> MassBuilder<W> {
             if set.is_empty() {
                 return Err(EvidenceError::EmptyFocalElement);
             }
-            sum = sum.add(&w).expect("mass sum overflow");
-            focal.push((set, w));
+            sum = sum.add(w).expect("mass sum overflow");
+            kept += 1;
         }
-        if focal.is_empty() {
+        if kept == 0 {
             return Err(EvidenceError::NotNormalized {
                 sum: sum.to_string(),
             });
         }
+        // The focal list is always exactly sized. Entries that arrived
+        // that way (a decoded record's, pre-sized by its count) are the
+        // list as they stand; entries grown push by push are copied
+        // once into an exact allocation rather than kept with their
+        // slack — long-lived relations are built through `add_set`,
+        // and the slack of every evidence set they hold adds up.
+        let mut focal = if self.entries.capacity() == kept {
+            self.entries
+        } else {
+            let mut exact = Vec::with_capacity(kept);
+            exact.extend(self.entries.into_iter().filter(|(_, w)| !w.is_zero()));
+            exact
+        };
         if !sum.approx_eq(&W::one()) {
             if (sum.to_f64() - 1.0).abs() < Self::NORMALIZE_SLACK {
                 for (_, w) in &mut focal {
@@ -381,6 +391,17 @@ impl<W: Weight> MassBuilder<W> {
             frame: self.frame,
             focal,
         })
+    }
+}
+
+/// `set ⊆ frame`, by its largest member.
+fn check_in_frame(set: &FocalSet, frame: &Frame) -> Result<(), EvidenceError> {
+    match set.max_index() {
+        Some(max) if max >= frame.len() => Err(EvidenceError::IndexOutOfBounds {
+            index: max,
+            frame_size: frame.len(),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -564,6 +585,196 @@ mod tests {
     fn render_matches_paper_notation() {
         let m = es1();
         assert_eq!(m.render(), "[cantonese^1/2, {hunan, sichuan}^1/3, Ω^1/6]");
+    }
+
+    /// The parent's construction, kept as the oracle: `add_set` entry
+    /// by entry into a growing vector, then one validating pass that
+    /// pushes the kept entries into a second one.
+    fn entry_by_entry(
+        frame: &Arc<Frame>,
+        entries: &[(FocalSet, f64)],
+    ) -> Result<Vec<(FocalSet, f64)>, EvidenceError> {
+        let mut pushed = Vec::new();
+        for (set, w) in entries {
+            if let Some(max) = set.max_index() {
+                if max >= frame.len() {
+                    return Err(EvidenceError::IndexOutOfBounds {
+                        index: max,
+                        frame_size: frame.len(),
+                    });
+                }
+            }
+            pushed.push((set.clone(), *w));
+        }
+        let mut focal = Vec::new();
+        let mut sum = 0.0f64;
+        for (set, w) in pushed {
+            if !w.is_valid_mass() {
+                return Err(EvidenceError::InvalidMass {
+                    mass: w.to_string(),
+                });
+            }
+            if w.is_zero() {
+                continue;
+            }
+            if set.is_empty() {
+                return Err(EvidenceError::EmptyFocalElement);
+            }
+            sum = sum.add(&w).expect("mass sum overflow");
+            focal.push((set, w));
+        }
+        if focal.is_empty() {
+            return Err(EvidenceError::NotNormalized {
+                sum: sum.to_string(),
+            });
+        }
+        if !sum.approx_eq(&1.0) {
+            if (sum - 1.0).abs() < MassBuilder::<f64>::NORMALIZE_SLACK {
+                for (_, w) in &mut focal {
+                    *w = w.div(&sum)?;
+                }
+            } else {
+                return Err(EvidenceError::NotNormalized {
+                    sum: sum.to_string(),
+                });
+            }
+        }
+        focal.sort_by(|(a, _), (b, _)| a.cmp(b));
+        if focal.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(EvidenceError::DuplicateFocalElement);
+        }
+        Ok(focal)
+    }
+
+    /// `from_entries` (over an exactly sized `Vec`, an over-sized one,
+    /// and a lazy iterator) and the `add_set` builder against the
+    /// oracle: same focal list bit for bit, or the same error; and the
+    /// focal list never carries slack.
+    fn assert_matches_oracle(entries: &[(FocalSet, f64)]) {
+        let frame = speciality();
+        let expected = entry_by_entry(&frame, entries);
+        let exact = entries.to_vec();
+        let mut slack = Vec::with_capacity(entries.len() + 7);
+        slack.extend(entries.iter().cloned());
+        let built = MassFunction::<f64>::builder(Arc::clone(&frame));
+        let built = entries
+            .iter()
+            .try_fold(built, |b, (set, w)| b.add_set(set.clone(), *w))
+            .and_then(MassBuilder::build);
+        for (how, got) in [
+            ("vec", MassFunction::from_entries(Arc::clone(&frame), exact)),
+            (
+                "slack",
+                MassFunction::from_entries(Arc::clone(&frame), slack),
+            ),
+            (
+                "iter",
+                MassFunction::from_entries(Arc::clone(&frame), entries.iter().cloned()),
+            ),
+            ("builder", built),
+        ] {
+            match (&expected, got) {
+                (Ok(focal), Ok(m)) => {
+                    assert_eq!(focal.len(), m.focal.len(), "{how}: {entries:?}");
+                    for ((es, ew), (gs, gw)) in focal.iter().zip(&m.focal) {
+                        assert_eq!(es, gs, "{how}: {entries:?}");
+                        assert_eq!(ew.to_bits(), gw.to_bits(), "{how}: {entries:?}");
+                    }
+                    assert_eq!(m.focal.capacity(), m.focal.len(), "{how}: {entries:?}");
+                }
+                (Err(e), Err(g)) => assert_eq!(e, &g, "{how}: {entries:?}"),
+                (e, g) => panic!("{how}: oracle {e:?} vs {g:?} for {entries:?}"),
+            }
+        }
+    }
+
+    /// Every way an entry list can be invalid, alone and mixed: the
+    /// error is the one the entry-by-entry loop raised, and where two
+    /// apply the same one wins — an out-of-frame index anywhere before
+    /// any mass is looked at, then per entry invalid mass before ∅
+    /// (a zero mass excuses ∅), then the sum, then duplicates.
+    #[test]
+    fn invalid_entries_fail_as_the_entry_by_entry_loop_did() {
+        let s = |i: usize| FocalSet::singleton(i);
+        let (out, empty) = (FocalSet::singleton(17), FocalSet::empty());
+        let table: Vec<(Vec<(FocalSet, f64)>, &str)> = vec![
+            (vec![(s(0), f64::NAN), (s(1), 1.0)], "InvalidMass"),
+            (vec![(s(0), -0.5), (s(1), 1.5)], "InvalidMass"),
+            (vec![(s(0), f64::INFINITY)], "InvalidMass"),
+            (vec![(empty.clone(), 0.5), (s(1), 0.5)], "EmptyFocalElement"),
+            (vec![(s(1), 0.5), (s(1), 0.5)], "DuplicateFocalElement"),
+            (vec![(s(0), 0.5), (s(1), 0.5 + 2e-6)], "NotNormalized"),
+            (vec![(s(0), 0.5), (s(1), 0.5 - 2e-6)], "NotNormalized"),
+            (vec![(s(0), 0.0), (empty.clone(), 0.0)], "NotNormalized"),
+            (vec![], "NotNormalized"),
+            (vec![(out.clone(), 1.0)], "IndexOutOfBounds"),
+            // Mixed: the first error in the loop's order wins.
+            (
+                vec![(s(0), f64::NAN), (out.clone(), 1.0)],
+                "IndexOutOfBounds",
+            ),
+            (
+                vec![(empty.clone(), 0.5), (s(0), -1.0)],
+                "EmptyFocalElement",
+            ),
+            (vec![(empty.clone(), -1.0), (s(0), 1.0)], "InvalidMass"),
+            (vec![(s(1), 0.7), (s(1), 0.7)], "NotNormalized"),
+            (
+                vec![(s(1), 0.5), (s(1), 0.5), (empty, 1.0)],
+                "EmptyFocalElement",
+            ),
+        ];
+        for (entries, variant) in table {
+            let err = MassFunction::<f64>::from_entries(speciality(), entries.clone())
+                .expect_err("invalid by construction");
+            let name = format!("{err:?}");
+            assert!(name.starts_with(variant), "{entries:?}: {name}");
+            assert_matches_oracle(&entries);
+        }
+        // Valid: ∅ and a repeated set excused by zero mass, a sum
+        // inside the slack rescaled, zero entries dropped.
+        for entries in [
+            vec![(FocalSet::empty(), 0.0), (s(2), 1.0), (s(2), 0.0)],
+            vec![(s(3), 0.5), (s(0), 0.5 + 5e-7)],
+            vec![(s(1), 0.25), (s(0), 0.0), (s(4), 0.75)],
+        ] {
+            assert!(MassFunction::<f64>::from_entries(speciality(), entries.clone()).is_ok());
+            assert_matches_oracle(&entries);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `from_entries` ≡ `builder().add_set(..)*.build()` ≡ the
+        /// oracle, bit for bit or error for error, over entry lists
+        /// that are mostly valid and sometimes not: sets drawn from a
+        /// 7-bit mask (bit 6 is outside the 6-element frame, 0 is ∅),
+        /// weights normalized and then perturbed.
+        #[test]
+        fn from_entries_is_the_builder_bit_for_bit(
+            raw in proptest::collection::vec((0u32..128, 0u32..40), 1..=6),
+            perturb in 0u32..8,
+        ) {
+            let total: u32 = raw.iter().map(|(_, w)| *w).sum();
+            let entries: Vec<(FocalSet, f64)> = raw
+                .iter()
+                .enumerate()
+                .map(|(at, (bits, w))| {
+                    let set = FocalSet::from_indices((0..7).filter(|i| bits & (1 << i) != 0));
+                    let mass = f64::from(*w) / f64::from(total.max(1));
+                    let mass = match (at, perturb) {
+                        (0, 1) => mass + 5e-7, // inside the slack: rescaled
+                        (0, 2) => mass + 5e-6, // outside it: rejected
+                        (0, 3) => -mass,
+                        (0, 4) => f64::NAN,
+                        _ => mass,
+                    };
+                    (set, mass)
+                })
+                .collect();
+            assert_matches_oracle(&entries);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::entity_id::MatchOutcome;
 use crate::error::IntegrateError;
 use crate::methods::{IntegrationMethod, MethodRegistry};
 use evirel_algebra::union::{combine_evidence, combine_membership, UnionOptions};
-use evirel_algebra::{AlgebraError, ConflictReport};
+use evirel_algebra::{AlgebraError, ConflictReport, PairKey};
 use evirel_evidence::rules::CombinationRule;
 use evirel_plan::{
     execute_merge, BoundRelation, ExecContext, MergePairing, PlanError, TupleMerger,
@@ -73,7 +73,7 @@ pub fn merge_relations(
         execute_merge(left, right, pairing, &merger, &mut ctx).map_err(from_plan_error)?;
     Ok(MergeOutcome {
         relation,
-        report: ctx.conflict_report(),
+        report: ctx.into_conflict_report(),
     })
 }
 
@@ -195,33 +195,35 @@ impl TupleMerger for RegistryMerger {
     ) -> Result<Option<Tuple>, PlanError> {
         let registry = &self.registry;
         let scratch = &mut self.scratch;
+        let mut key = PairKey::new(key);
         let mismatch = |attr: &AttrDef, reason: String| PlanError::Merge {
             attr: attr.name().to_owned(),
             reason,
         };
-        let mut evidential = |attr: &AttrDef, lv, rv, rule, report: &mut ConflictReport| {
-            let AttrType::Evidential(domain) = attr.ty() else {
-                return Err(mismatch(
-                    attr,
-                    "evidential merge needs an evidential attribute".to_owned(),
-                ));
+        let mut evidential =
+            |attr: &AttrDef, key: &mut PairKey<'_>, lv, rv, rule, report: &mut ConflictReport| {
+                let AttrType::Evidential(domain) = attr.ty() else {
+                    return Err(mismatch(
+                        attr,
+                        "evidential merge needs an evidential attribute".to_owned(),
+                    ));
+                };
+                let options = UnionOptions {
+                    on_total_conflict: registry.on_total_conflict,
+                    rule,
+                    max_focal: None,
+                };
+                Ok(combine_evidence(
+                    attr.shared_name(),
+                    domain,
+                    key,
+                    lv,
+                    rv,
+                    &options,
+                    report,
+                    scratch,
+                )?)
             };
-            let options = UnionOptions {
-                on_total_conflict: registry.on_total_conflict,
-                rule,
-                max_focal: None,
-            };
-            Ok(combine_evidence(
-                attr.name(),
-                domain,
-                key,
-                lv,
-                rv,
-                &options,
-                report,
-                scratch,
-            )?)
-        };
         let mut values = Vec::with_capacity(schema.arity());
         for (pos, attr) in schema.attrs().iter().enumerate() {
             let lv = l.value(pos);
@@ -246,12 +248,14 @@ impl TupleMerger for RegistryMerger {
                     })?)
                 }
                 IntegrationMethod::Evidential => {
-                    evidential(attr, lv, rv, CombinationRule::Dempster, report)?
+                    evidential(attr, &mut key, lv, rv, CombinationRule::Dempster, report)?
                 }
-                IntegrationMethod::EvidentialWith(rule) => evidential(attr, lv, rv, rule, report)?,
+                IntegrationMethod::EvidentialWith(rule) => {
+                    evidential(attr, &mut key, lv, rv, rule, report)?
+                }
             });
         }
-        match combine_membership(key, l, r, registry.on_total_conflict, report)? {
+        match combine_membership(&mut key, l, r, registry.on_total_conflict, report)? {
             Some(membership) => Ok(Some(Tuple::new(schema, values, membership)?)),
             None => Ok(None),
         }

@@ -7,13 +7,24 @@
 //! [`DifferenceOp`], [`ProductOp`]) build their key index or buffer
 //! exactly once, at `open`, and stream probes against it.
 //!
+//! A build side is addressed by *ordinal* — a tuple's position in the
+//! right input's order: a probe hashes a key once and yields an
+//! ordinal, a fetch takes the ordinal, "consumed" is one flag per
+//! ordinal, and walking the ordinals *is* right insertion order. When
+//! the right input is a bare stored scan nothing is built at all: the
+//! segment is the build side under the key index its
+//! [`StoredRelation`] keeps ([`StoredRelation::key_index`]).
+//!
 //! Side outputs do not vanish: conflict reports and κ statistics from
 //! merging operators flow into the shared [`ExecContext`] instead of
 //! being discarded with the intermediate relation (the ∪̃ report the
-//! old `evirel-query` executor dropped).
+//! old `evirel-query` executor dropped). The caller that owns the
+//! context takes the reports out of it
+//! ([`ExecContext::into_conflict_report`]) — an observation is
+//! recorded once and moved, never copied.
 
 use crate::error::PlanError;
-use crate::spill::{index_stored, SpillBuild, SpilledRight};
+use crate::spill::{SpillBuild, SpilledRight};
 use evirel_algebra::conflict::ConflictReport;
 use evirel_algebra::predicate::Predicate;
 use evirel_algebra::support::BoundPredicate;
@@ -21,7 +32,7 @@ use evirel_algebra::threshold::Threshold;
 use evirel_algebra::union::{MergeScratch, UnionOptions};
 use evirel_algebra::AlgebraError;
 use evirel_relation::{ExtendedRelation, Schema, Tuple, Value};
-use evirel_store::{BufferPool, EnvKnob, StoredRelation};
+use evirel_store::{BufferPool, EnvKnob, KeyIndex, StoredRelation};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -34,6 +45,10 @@ pub struct ExecStats {
     /// Records a σ̃ fused into a stored scan dropped after decoding
     /// only the membership pair and the predicate's attributes.
     pub records_skipped: usize,
+    /// Key indexes this execution built over stored relations — 0 when
+    /// every stored build side it probed was already indexed (see
+    /// [`StoredRelation::key_index`]).
+    pub key_index_builds: usize,
     /// Tuples emitted by the plan root.
     pub tuples_emitted: usize,
     /// Matched pairs handed to a tuple merger.
@@ -144,16 +159,44 @@ impl ExecContext {
         &self.reports
     }
 
-    /// All observations merged into a single report — the artifact for
-    /// the data administrator.
+    /// A copy of all observations as a single report, for callers
+    /// that go on using the context (tests, mostly); the owner of a
+    /// finished context takes them with
+    /// [`ExecContext::into_conflict_report`] instead.
     pub fn conflict_report(&self) -> ConflictReport {
         let mut merged = ConflictReport::new();
         for report in &self.reports {
-            for c in report.conflicts() {
-                merged.record(c.clone());
-            }
+            merged.append(report.clone());
         }
         merged
+    }
+
+    /// All observations as a single report — the artifact for the data
+    /// administrator — moved out of the finished context: a single
+    /// report (the common case) is returned as it stands, several are
+    /// concatenated in operator-close order.
+    pub fn into_conflict_report(self) -> ConflictReport {
+        let mut reports = self.reports.into_iter();
+        let mut merged = reports.next().unwrap_or_default();
+        for report in reports {
+            merged.append(report);
+        }
+        merged
+    }
+
+    /// Resolve `stored`'s key index for an operator whose right input
+    /// is that bare stored scan. Building it visits every stored tuple
+    /// once, like draining the scan would have, and a cached index
+    /// stands for that same pass — so the scan counter moves exactly
+    /// as in-memory execution moves it, whichever it was.
+    fn stored_key_index(
+        &mut self,
+        stored: &StoredRelation,
+    ) -> Result<(Arc<KeyIndex>, bool), PlanError> {
+        let (index, built) = stored.key_index()?;
+        self.stats.tuples_scanned += stored.len();
+        self.stats.key_index_builds += usize::from(built);
+        Ok((index, built))
     }
 }
 
@@ -179,9 +222,10 @@ pub trait Operator: Send {
     /// Direct inputs, for `EXPLAIN` tree rendering.
     fn children(&self) -> Vec<&dyn Operator>;
     /// The stored relation this operator scans directly, if it is a
-    /// bare stored scan. [`MergeOp`] uses this to build its key index
-    /// from the on-disk segment in one pass — the segment *is* the
-    /// build side, with no materialized tuples and no re-spill.
+    /// bare stored scan. [`MergeOp`] and [`DifferenceOp`] use this to
+    /// take the relation's own key index instead of draining the scan
+    /// — for a merge the segment *is* the build side, with no
+    /// materialized tuples and no re-spill.
     fn stored_relation(&self) -> Option<&Arc<StoredRelation>> {
         None
     }
@@ -923,28 +967,47 @@ pub enum MergeEmit {
     Intersect,
 }
 
-/// The merge operator's right (build) side: fully in memory, or
-/// spilled to a temp segment with only a `key → record` index held.
+/// The merge operator's right (build) side, addressed by ordinal:
+/// fully in memory, or a segment with only its key index held.
 enum BuildSide {
-    /// In-memory index (the small-build-side fast path).
-    Mem(HashMap<Vec<Value>, Arc<Tuple>>),
-    /// Segment-backed index: probes pin one page through the buffer
-    /// pool and decode one record.
+    /// In-memory (the small-build-side fast path): `tuples` in right
+    /// insertion order, `by_key` their positions.
+    Mem {
+        by_key: HashMap<Vec<Value>, u32>,
+        tuples: Vec<Arc<Tuple>>,
+    },
+    /// Segment-backed — a spilled temp segment or a stored relation's
+    /// own: a fetch decodes one record through the buffer pool.
     Spilled(SpilledRight),
 }
 
 impl BuildSide {
-    fn contains(&self, key: &[Value]) -> bool {
-        match self {
-            BuildSide::Mem(m) => m.contains_key(key),
-            BuildSide::Spilled(s) => s.contains(key),
+    fn empty() -> BuildSide {
+        BuildSide::Mem {
+            by_key: HashMap::new(),
+            tuples: Vec::new(),
         }
     }
 
-    fn fetch(&self, key: &[Value]) -> Result<Option<Arc<Tuple>>, PlanError> {
+    fn len(&self) -> usize {
         match self {
-            BuildSide::Mem(m) => Ok(m.get(key).cloned()),
-            BuildSide::Spilled(s) => Ok(s.fetch(key)?.map(Arc::new)),
+            BuildSide::Mem { tuples, .. } => tuples.len(),
+            BuildSide::Spilled(s) => s.len(),
+        }
+    }
+
+    fn probe(&self, key: &[Value]) -> Option<u32> {
+        match self {
+            BuildSide::Mem { by_key, .. } => by_key.get(key).copied(),
+            BuildSide::Spilled(s) => s.probe(key),
+        }
+    }
+
+    fn fetch(&mut self, ordinal: u32) -> Result<Arc<Tuple>, PlanError> {
+        match self {
+            // Ordinals come from `probe` and from `0..len()`.
+            BuildSide::Mem { tuples, .. } => Ok(Arc::clone(&tuples[ordinal as usize])),
+            BuildSide::Spilled(s) => Ok(Arc::new(s.fetch(ordinal)?)),
         }
     }
 }
@@ -958,11 +1021,12 @@ impl BuildSide {
 /// The build side is spill-aware: while draining the right input the
 /// operator tracks the exact encoded size of what it has buffered,
 /// and past [`ExecContext::spill_threshold_bytes`] it migrates the
-/// buffer into a temp segment, keeping only a `key → (page, slot)`
-/// index in memory (probes page through [`ExecContext::pool`]). When
-/// the right child is a bare stored scan the on-disk segment itself
-/// becomes the build side: the key index is built in one pass over
-/// its pages, with no materialized tuples and no re-spill.
+/// buffer into a temp segment, keeping only that segment's key index
+/// in memory (fetches page through [`ExecContext::pool`]). When the
+/// right child is a bare stored scan the on-disk segment itself is
+/// the build side, under the key index the relation keeps — built by
+/// the first execution that needs it, reused by every later one —
+/// with no materialized tuples and no re-spill.
 pub struct MergeOp {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
@@ -971,8 +1035,11 @@ pub struct MergeOp {
     emit: MergeEmit,
     schema: Arc<Schema>,
     build: BuildSide,
-    right_order: Vec<Vec<Value>>,
-    consumed: HashSet<Vec<Value>>,
+    /// One flag per build-side ordinal: merged with a left tuple.
+    consumed: Vec<bool>,
+    /// `Some(built)` once `open` took a stored relation's key index
+    /// for the build side — `EXPLAIN ANALYZE` says which it was.
+    stored_index_built: Option<bool>,
     report: ConflictReport,
     right_pos: usize,
     left_done: bool,
@@ -1055,9 +1122,9 @@ impl MergeOp {
             pairing,
             emit,
             schema,
-            build: BuildSide::Mem(HashMap::new()),
-            right_order: Vec::new(),
-            consumed: HashSet::new(),
+            build: BuildSide::empty(),
+            consumed: Vec::new(),
+            stored_index_built: None,
             report: ConflictReport::new(),
             right_pos: 0,
             left_done: false,
@@ -1077,6 +1144,64 @@ impl MergeOp {
         self.build_estimate = Some((bytes, rows));
         self
     }
+
+    /// The build side of the (opened) right child.
+    fn open_build(&mut self, ctx: &mut ExecContext) -> Result<BuildSide, PlanError> {
+        // A bare stored scan on the right: its segment already *is*
+        // the build side, and the relation keeps the key index.
+        if let Some(stored) = self.right.stored_relation() {
+            let (index, built) = ctx.stored_key_index(stored)?;
+            let side = SpilledRight::over(stored, index);
+            self.stored_index_built = Some(built);
+            return Ok(BuildSide::Spilled(side));
+        }
+        let right_schema = Arc::clone(self.right.schema());
+        let mut by_key: HashMap<Vec<Value>, u32> = HashMap::new();
+        let mut tuples: Vec<Arc<Tuple>> = Vec::new();
+        let mut bytes = 0usize;
+        let mut spill: Option<SpillBuild> = None;
+        if let Some((est_bytes, est_rows)) = self.build_estimate {
+            if est_bytes as usize > ctx.spill_threshold_bytes {
+                spill = Some(SpillBuild::create(&right_schema)?);
+            } else {
+                // Cap the pre-size so a wild over-estimate cannot
+                // balloon the empty map.
+                let rows = est_rows.min(1 << 20) as usize;
+                by_key.reserve(rows);
+                tuples.reserve(rows);
+            }
+        }
+        while let Some(tuple) = self.right.next(ctx)? {
+            let key = tuple.key(&right_schema);
+            match &mut spill {
+                Some(build) => build.append(key, &tuple)?,
+                None => {
+                    let ordinal = u32::try_from(tuples.len()).map_err(|_| PlanError::Pairing {
+                        reason: "more right tuples than a build side addresses".to_owned(),
+                    })?;
+                    bytes += evirel_store::codec::record_len(&tuple);
+                    by_key.insert(key, ordinal);
+                    tuples.push(tuple);
+                    if bytes > ctx.spill_threshold_bytes {
+                        // The build side outgrew its budget: migrate
+                        // the buffered tuples to a temp segment (in
+                        // right insertion order) and keep indexing
+                        // there.
+                        by_key = HashMap::new();
+                        let mut build = SpillBuild::create(&right_schema)?;
+                        for t in tuples.drain(..) {
+                            build.append(t.key(&right_schema), &t)?;
+                        }
+                        spill = Some(build);
+                    }
+                }
+            }
+        }
+        Ok(match spill {
+            Some(build) => BuildSide::Spilled(build.finish(&ctx.pool)?),
+            None => BuildSide::Mem { by_key, tuples },
+        })
+    }
 }
 
 impl Operator for MergeOp {
@@ -1087,60 +1212,8 @@ impl Operator for MergeOp {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
         self.left.open(ctx)?;
         self.right.open(ctx)?;
-        // A bare stored scan on the right: its segment already *is*
-        // the build side — index keys in one pass over its pages.
-        if let Some(stored) = self.right.stored_relation() {
-            let stored = Arc::clone(stored);
-            let (spilled, order) = index_stored(&stored)?;
-            // The pass scans every stored tuple exactly once, like
-            // draining the scan would have — keep the counters
-            // identical to in-memory execution.
-            ctx.stats.tuples_scanned += stored.len();
-            self.right_order = order;
-            self.build = BuildSide::Spilled(spilled);
-            return Ok(());
-        }
-        let right_schema = Arc::clone(self.right.schema());
-        let mut mem: HashMap<Vec<Value>, Arc<Tuple>> = HashMap::new();
-        let mut bytes = 0usize;
-        let mut spill: Option<SpillBuild> = None;
-        if let Some((est_bytes, est_rows)) = self.build_estimate {
-            if est_bytes as usize > ctx.spill_threshold_bytes {
-                spill = Some(SpillBuild::create(&right_schema)?);
-            } else {
-                // Cap the pre-size so a wild over-estimate cannot
-                // balloon the empty map.
-                mem.reserve(est_rows.min(1 << 20) as usize);
-            }
-        }
-        while let Some(tuple) = self.right.next(ctx)? {
-            let key = tuple.key(&right_schema);
-            self.right_order.push(key.clone());
-            match &mut spill {
-                Some(build) => build.append(key, &tuple)?,
-                None => {
-                    bytes += evirel_store::codec::record_len(&tuple);
-                    mem.insert(key, tuple);
-                    if bytes > ctx.spill_threshold_bytes {
-                        // The build side outgrew its budget: migrate
-                        // the buffered tuples to a temp segment (in
-                        // right insertion order) and keep indexing
-                        // there.
-                        let mut build = SpillBuild::create(&right_schema)?;
-                        for key in &self.right_order {
-                            if let Some(t) = mem.remove(key) {
-                                build.append(key.clone(), &t)?;
-                            }
-                        }
-                        spill = Some(build);
-                    }
-                }
-            }
-        }
-        self.build = match spill {
-            Some(build) => BuildSide::Spilled(build.finish(&ctx.pool)?),
-            None => BuildSide::Mem(mem),
-        };
+        self.build = self.open_build(ctx)?;
+        self.consumed = vec![false; self.build.len()];
         Ok(())
     }
 
@@ -1154,16 +1227,19 @@ impl Operator for MergeOp {
                 break;
             };
             let key = l.key(self.left.schema());
-            let right_key = match &self.pairing {
-                Some(p) => p.matched.get(&key).cloned(),
-                None => self.build.contains(&key).then(|| key.clone()),
+            let ordinal = match &self.pairing {
+                Some(p) => match p.matched.get(&key) {
+                    Some(rk) => Some(self.build.probe(rk).ok_or_else(|| PlanError::Pairing {
+                        reason: format!("right key {} not found", Value::render_key(rk)),
+                    })?),
+                    None => None,
+                },
+                None => self.build.probe(&key),
             };
-            match right_key {
-                Some(rk) => {
-                    let r = self.build.fetch(&rk)?.ok_or_else(|| PlanError::Pairing {
-                        reason: format!("right key {} not found", Value::render_key(&rk)),
-                    })?;
-                    self.consumed.insert(rk);
+            match ordinal {
+                Some(ordinal) => {
+                    let r = self.build.fetch(ordinal)?;
+                    self.consumed[ordinal as usize] = true;
                     ctx.stats.pairs_merged += 1;
                     if let Some(merged) =
                         self.merger
@@ -1183,22 +1259,22 @@ impl Operator for MergeOp {
                 }
             }
         }
-        // Phase 2: unconsumed right tuples, in right insertion order.
+        // Phase 2: unconsumed right tuples, in right insertion order —
+        // which is ordinal order.
         if self.emit == MergeEmit::Union {
-            while self.right_pos < self.right_order.len() {
-                let key = &self.right_order[self.right_pos];
+            while self.right_pos < self.consumed.len() {
+                let ordinal = self.right_pos;
                 self.right_pos += 1;
-                if self.consumed.contains(key) {
+                if self.consumed[ordinal] {
                     continue;
                 }
+                // `consumed` has one flag per u32 ordinal.
+                let tuple = self.build.fetch(ordinal as u32)?;
                 if let Some(p) = &self.pairing {
-                    if !p.right_only.contains(key) {
+                    if !p.right_only.contains(&tuple.key(self.right.schema())) {
                         continue;
                     }
                 }
-                let tuple = self.build.fetch(key)?.ok_or_else(|| PlanError::Pairing {
-                    reason: format!("right key {} not indexed", Value::render_key(key)),
-                })?;
                 if tuple.membership().is_positive() {
                     return Ok(Some(tuple));
                 }
@@ -1209,8 +1285,9 @@ impl Operator for MergeOp {
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
         ctx.record_report(std::mem::take(&mut self.report));
-        self.build = BuildSide::Mem(HashMap::new());
-        self.right_order.clear();
+        // Drops a segment-backed side's page pin with it.
+        self.build = BuildSide::empty();
+        self.consumed = Vec::new();
         self.left.close(ctx)?;
         self.right.close(ctx)
     }
@@ -1224,8 +1301,13 @@ impl Operator for MergeOp {
             Some(p) => format!("{} matched pairs", p.matched.len()),
             None => "key equality".to_owned(),
         };
+        let build = match self.stored_index_built {
+            Some(true) => "; build: stored index (built)",
+            Some(false) => "; build: stored index (cached)",
+            None => "",
+        };
         format!(
-            "{symbol} (index right, stream left; pairing: {pairing}; merge: {})",
+            "{symbol} (index right, stream left; pairing: {pairing}; merge: {}{build})",
             self.merger.describe()
         )
     }
@@ -1238,12 +1320,30 @@ impl Operator for MergeOp {
 // ---------------------------------------------------------- difference
 
 /// Streaming −̃: index the right input's keys at `open`, emit left
-/// tuples whose key is absent.
+/// tuples whose key is absent. A right input that is a bare stored
+/// scan is not read at all — its relation's key index answers.
 pub struct DifferenceOp {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
     schema: Arc<Schema>,
-    right_keys: HashSet<Vec<Value>>,
+    right_keys: RightKeys,
+}
+
+/// The keys −̃ subtracts.
+enum RightKeys {
+    /// Collected by draining the right input.
+    Drained(HashSet<Vec<Value>>),
+    /// A stored relation's own key index.
+    Stored(Arc<KeyIndex>),
+}
+
+impl RightKeys {
+    fn contains(&self, key: &[Value]) -> bool {
+        match self {
+            RightKeys::Drained(keys) => keys.contains(key),
+            RightKeys::Stored(index) => index.ordinal(key).is_some(),
+        }
+    }
 }
 
 impl DifferenceOp {
@@ -1264,7 +1364,7 @@ impl DifferenceOp {
             left,
             right,
             schema,
-            right_keys: HashSet::new(),
+            right_keys: RightKeys::Drained(HashSet::new()),
         })
     }
 }
@@ -1277,10 +1377,16 @@ impl Operator for DifferenceOp {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
         self.left.open(ctx)?;
         self.right.open(ctx)?;
-        let right_schema = Arc::clone(self.right.schema());
-        while let Some(tuple) = self.right.next(ctx)? {
-            self.right_keys.insert(tuple.key(&right_schema));
+        if let Some(stored) = self.right.stored_relation() {
+            self.right_keys = RightKeys::Stored(ctx.stored_key_index(stored)?.0);
+            return Ok(());
         }
+        let right_schema = Arc::clone(self.right.schema());
+        let mut keys = HashSet::new();
+        while let Some(tuple) = self.right.next(ctx)? {
+            keys.insert(tuple.key(&right_schema));
+        }
+        self.right_keys = RightKeys::Drained(keys);
         Ok(())
     }
 
@@ -1295,7 +1401,7 @@ impl Operator for DifferenceOp {
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
-        self.right_keys.clear();
+        self.right_keys = RightKeys::Drained(HashSet::new());
         self.left.close(ctx)?;
         self.right.close(ctx)
     }

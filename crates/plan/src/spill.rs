@@ -26,13 +26,18 @@
 //!   [`crate::ops::MergeOp`]
 //!   tracks the *exact encoded size* of what it has buffered
 //!   (`codec::record_len`); past [`ExecContext::spill_threshold_bytes`]
-//!   it migrates the buffer into a temp segment and keeps only a
-//!   `key → (page, slot)` index in memory. Probes then pin one page
-//!   through the buffer pool and decode one record. Spill files are
+//!   it migrates the buffer into a temp segment and keeps only that
+//!   segment's [`KeyIndex`] (`key → ordinal → (page, slot)`) in
+//!   memory. A probe is one hash lookup that yields an ordinal; a
+//!   fetch decodes that ordinal's record from its page, which stays
+//!   pinned for the next fetch, so consecutive fetches on one page
+//!   cost one `pool.get`. Spill files are
 //!   unlinked as soon as the segment is open, so the kernel reclaims
 //!   them when the merge closes — nothing leaks even on panic. When
 //!   the right input is a bare stored scan its segment is the build
-//!   side as it stands, indexed by decoding the key positions only.
+//!   side as it stands, under the index the relation itself keeps
+//!   ([`StoredRelation::key_index`]: built by the first query that
+//!   needs it, shared by every later one).
 
 use crate::error::PlanError;
 use crate::ops::{check_threshold, ExecContext, ExecStats, Operator};
@@ -41,9 +46,8 @@ use evirel_algebra::support::{BoundPredicate, Row};
 use evirel_algebra::threshold::Threshold;
 use evirel_relation::{AttrValue, Schema, Tuple, Value};
 use evirel_store::codec::decode_record;
-use evirel_store::segment::{PageRecords, RecordId};
-use evirel_store::{BufferPool, Segment, SegmentWriter, StoreError, StoredRelation};
-use std::collections::HashMap;
+use evirel_store::segment::PageRecords;
+use evirel_store::{BufferPool, KeyIndex, PageGuard, Segment, SegmentWriter, StoredRelation};
 use std::sync::Arc;
 
 // ---------------------------------------------------------- spill scan
@@ -249,7 +253,7 @@ pub(crate) struct SpillBuild {
     writer: SegmentWriter,
     path: std::path::PathBuf,
     schema: Arc<Schema>,
-    index: HashMap<Vec<Value>, RecordId>,
+    index: KeyIndex,
 }
 
 impl SpillBuild {
@@ -261,15 +265,15 @@ impl SpillBuild {
             writer,
             path,
             schema: Arc::clone(schema),
-            index: HashMap::new(),
+            index: KeyIndex::default(),
         })
     }
 
-    /// Append one right tuple under its (routing) key.
+    /// Append the next right tuple (ordinal = tuples appended so far)
+    /// under its key.
     pub(crate) fn append(&mut self, key: Vec<Value>, tuple: &Tuple) -> Result<(), PlanError> {
         let id = self.writer.append(tuple)?;
-        self.index.insert(key, id);
-        Ok(())
+        Ok(self.index.insert(key, id)?)
     }
 
     /// Finish writing and open the segment for probing. The temp file
@@ -282,87 +286,73 @@ impl SpillBuild {
         // filesystems where unlink-while-open is not allowed the file
         // merely lingers until the OS temp cleaner runs.
         let _ = std::fs::remove_file(&self.path);
-        Ok(SpilledRight {
+        Ok(SpilledRight::new(
             segment,
-            pool: Arc::clone(pool),
-            index: self.index,
-        })
+            Arc::clone(pool),
+            Arc::new(self.index),
+        ))
     }
 }
 
-/// A finished spilled build side: the temp segment plus the
-/// `key → record` index probes go through.
+/// A segment-backed build side: a segment, its [`KeyIndex`], and the
+/// page the last fetch decoded from, still pinned — consecutive
+/// fetches on one page (a left input in the right side's order, and
+/// all of the unmatched-right phase) are one `pool.get`. One pinned
+/// page per build side; a pool smaller than that page overcommits
+/// rather than waits. The pin is released when the merge closes.
 pub(crate) struct SpilledRight {
     segment: Arc<Segment>,
     pool: Arc<BufferPool>,
-    index: HashMap<Vec<Value>, RecordId>,
+    index: Arc<KeyIndex>,
+    pinned: Option<(u64, PageGuard)>,
 }
 
 impl SpilledRight {
-    /// `true` when `key` is indexed.
-    pub(crate) fn contains(&self, key: &[Value]) -> bool {
-        self.index.contains_key(key)
-    }
-
-    /// Decode the tuple stored under `key`, pinning its page only for
-    /// the decode.
-    pub(crate) fn fetch(&self, key: &[Value]) -> Result<Option<Tuple>, PlanError> {
-        let Some(id) = self.index.get(key) else {
-            return Ok(None);
-        };
-        let guard = self.pool.get(&self.segment, id.page)?;
-        Ok(Some(self.segment.decode_record(&guard, id.slot)?))
-    }
-}
-
-/// Index a stored relation's keys in ONE pass over its pages —
-/// [`crate::ops::MergeOp`] uses this when its right child is a bare
-/// stored scan, so the build side needs no re-spill (the segment on
-/// disk *is* the build side) and no materialized tuples: each record
-/// is decoded under the key-positions mask only, and decoded in full
-/// when a probe fetches it.
-pub(crate) fn index_stored(
-    stored: &Arc<StoredRelation>,
-) -> Result<(SpilledRight, Vec<Vec<Value>>), PlanError> {
-    let segment = stored.segment();
-    let mut keys_only = vec![false; stored.schema().arity()];
-    for &pos in stored.schema().key_positions() {
-        keys_only[pos] = true;
-    }
-    let mut index = HashMap::with_capacity(stored.len());
-    let mut order = Vec::with_capacity(stored.len());
-    for page in 0..segment.page_count() {
-        let guard = stored.pool().get(segment, page)?;
-        for (slot, record) in PageRecords::new(&guard)?.enumerate() {
-            // Key positions ascend, so the masked values are the key.
-            let key = decode_record(record?, segment.domains(), &keys_only)?
-                .values
-                .into_iter()
-                .map(|value| match value {
-                    AttrValue::Definite(v) => Ok(v),
-                    AttrValue::Evidential(_) => {
-                        Err(StoreError::corrupt("evidential value in a key position"))
-                    }
-                })
-                .collect::<Result<Vec<Value>, StoreError>>()?;
-            order.push(key.clone());
-            index.insert(
-                key,
-                RecordId {
-                    page,
-                    slot: slot as u32,
-                },
-            );
+    fn new(segment: Arc<Segment>, pool: Arc<BufferPool>, index: Arc<KeyIndex>) -> SpilledRight {
+        SpilledRight {
+            segment,
+            pool,
+            index,
+            pinned: None,
         }
     }
-    Ok((
-        SpilledRight {
-            segment: Arc::clone(segment),
-            pool: Arc::clone(stored.pool()),
+
+    /// `stored`'s own segment as the build side, under the relation's
+    /// shared key index — no materialized tuples and no re-spill.
+    pub(crate) fn over(stored: &StoredRelation, index: Arc<KeyIndex>) -> SpilledRight {
+        SpilledRight::new(
+            Arc::clone(stored.segment()),
+            Arc::clone(stored.pool()),
             index,
-        },
-        order,
-    ))
+        )
+    }
+
+    /// Number of tuples on this side.
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The ordinal of the tuple stored under `key`.
+    pub(crate) fn probe(&self, key: &[Value]) -> Option<u32> {
+        self.index.ordinal(key)
+    }
+
+    /// Decode tuple `ordinal` in full.
+    pub(crate) fn fetch(&mut self, ordinal: u32) -> Result<Tuple, PlanError> {
+        let id = self
+            .index
+            .record(ordinal)
+            .ok_or_else(|| PlanError::Pairing {
+                reason: format!("right ordinal {ordinal} not indexed"),
+            })?;
+        if !matches!(&self.pinned, Some((page, _)) if *page == id.page) {
+            // Unpin the old page before pinning the next.
+            self.pinned = None;
+            self.pinned = Some((id.page, self.pool.get(&self.segment, id.page)?));
+        }
+        let (_, guard) = self.pinned.as_ref().expect("pinned just above");
+        Ok(self.segment.decode_record(guard, id.slot)?)
+    }
 }
 
 #[cfg(test)]
@@ -429,30 +419,61 @@ mod tests {
 
     #[test]
     fn spilled_build_side_fetches_exact_tuples() {
-        let r = rel(100);
-        let pool = Arc::new(BufferPool::new(2048));
+        let r = rel(600);
+        // A pool with room for every page, and one smaller than any
+        // page: holding the pin overcommits it, never wedges it.
+        for budget in [1 << 20, 1] {
+            let pool = Arc::new(BufferPool::new(budget));
+            let mut build = SpillBuild::create(r.schema()).unwrap();
+            for (key, tuple) in r.iter_keyed() {
+                build.append(key, tuple).unwrap();
+            }
+            let mut spilled = build.finish(&pool).unwrap();
+            assert_eq!(spilled.len(), 600);
+            assert!(spilled.segment.page_count() > 2);
+            // Ordinals are insertion positions.
+            for (ordinal, (key, tuple)) in r.iter_keyed().enumerate() {
+                assert_eq!(spilled.probe(&key), Some(ordinal as u32));
+                let fetched = spilled.fetch(ordinal as u32).unwrap();
+                assert_eq!(fetched.values(), tuple.values());
+            }
+            // Walking the ordinals pinned each page once: the page
+            // stays pinned from one fetch to the next.
+            let stats = pool.stats();
+            assert_eq!(stats.hits + stats.misses, spilled.segment.page_count());
+            assert_eq!(stats.overcommits > 0, budget == 1, "{stats:?}");
+            assert_eq!(spilled.probe(&[Value::str("nope")]), None);
+            assert!(spilled.fetch(600).is_err());
+            // The pin goes with the side.
+            drop(spilled);
+            assert!(pool.stats().bytes_cached <= budget);
+        }
+        // A key appended twice is refused, not shadowed.
         let mut build = SpillBuild::create(r.schema()).unwrap();
-        for (key, tuple) in r.iter_keyed() {
-            build.append(key, tuple).unwrap();
-        }
-        let spilled = build.finish(&pool).unwrap();
-        for (key, tuple) in r.iter_keyed() {
-            assert!(spilled.contains(&key));
-            let fetched = spilled.fetch(&key).unwrap().unwrap();
-            assert_eq!(fetched.values(), tuple.values());
-        }
-        assert!(spilled.fetch(&[Value::str("nope")]).unwrap().is_none());
+        let (key, tuple) = r.iter_keyed().next().unwrap();
+        build.append(key.clone(), tuple).unwrap();
+        assert!(matches!(
+            build.append(key, tuple),
+            Err(PlanError::Store(evirel_store::StoreError::Corrupt { .. }))
+        ));
     }
 
+    /// A stored relation's own segment as the build side: the shared
+    /// index, fetches by ordinal, out-of-order fetches repin.
     #[test]
-    fn index_stored_is_one_pass_and_ordered() {
+    fn stored_build_side_uses_the_relations_index() {
         let r = rel(80);
         let stored = store(&r, 4096);
-        let (spilled, order) = index_stored(&stored).unwrap();
-        assert_eq!(order, r.keys().collect::<Vec<_>>());
-        let key = vec![Value::str("k0042")];
-        let fetched = spilled.fetch(&key).unwrap().unwrap();
-        assert_eq!(fetched.values(), r.get_by_key(&key).unwrap().values());
+        let (index, built) = stored.key_index().unwrap();
+        assert!(built);
+        let mut side = SpilledRight::over(&stored, index);
+        assert_eq!(side.len(), 80);
+        for key in ["k0042", "k0003", "k0079", "k0042"] {
+            let key = vec![Value::str(key)];
+            let ordinal = side.probe(&key).unwrap();
+            let fetched = side.fetch(ordinal).unwrap();
+            assert_eq!(fetched.values(), r.get_by_key(&key).unwrap().values());
+        }
     }
 
     /// Values and `(sn, sp)` bits, tuple by tuple, in order.

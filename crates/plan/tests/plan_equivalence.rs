@@ -5,7 +5,8 @@
 //! `(sn, sp)` within 1e-12. The same plans then run over *stored*
 //! bindings (σ̃ directly over a stored scan is evaluated inside the
 //! scan) and must reproduce the in-memory streaming result bit for
-//! bit, in the same order.
+//! bit, in the same order — twice over the same stored relations, so
+//! that a ∪̃'s second run probes the key index its first run built.
 //!
 //! Total conflicts resolve vacuously here: the σ̃-under-∪̃
 //! distribution rule deliberately merges only entities that survive a
@@ -207,27 +208,37 @@ proptest! {
         let naive = execute_reference(&plan, &bindings, &options);
         let mut ctx = ExecContext::with_options(options.clone());
         let streaming = execute_plan(&plan, &bindings, &mut ctx);
-        // Stored bindings: same tuples, same order, same bits — or the
-        // same error.
-        let mut stored_ctx = ExecContext::with_options(options);
-        let stored = execute_plan(&plan, &stored_bindings(seed, 24), &mut stored_ctx);
-        match (&streaming, &stored) {
-            (Ok(s), Ok(d)) => {
-                prop_assert_eq!(s.len(), d.len(), "stored run\nplan:\n{}", plan.render());
-                for (st, dt) in s.iter().zip(d.iter()) {
-                    prop_assert_eq!(st.values(), dt.values(), "plan:\n{}", plan.render());
-                    prop_assert_eq!(st.membership().sn().to_bits(), dt.membership().sn().to_bits());
-                    prop_assert_eq!(st.membership().sp().to_bits(), dt.membership().sp().to_bits());
+        // Stored bindings: same tuples, same order, same bits, same
+        // conflict report — or the same error — on the run that builds
+        // the ∪̃'s right-side key index and on the one that reuses it.
+        let stored_bindings = stored_bindings(seed, 24);
+        for run in 0..2 {
+            let mut stored_ctx = ExecContext::with_options(options.clone());
+            let stored = execute_plan(&plan, &stored_bindings, &mut stored_ctx);
+            match (&streaming, &stored) {
+                (Ok(s), Ok(d)) => {
+                    prop_assert_eq!(s.len(), d.len(), "stored run\nplan:\n{}", plan.render());
+                    for (st, dt) in s.iter().zip(d.iter()) {
+                        prop_assert_eq!(st.values(), dt.values(), "plan:\n{}", plan.render());
+                        prop_assert_eq!(st.membership().sn().to_bits(), dt.membership().sn().to_bits());
+                        prop_assert_eq!(st.membership().sp().to_bits(), dt.membership().sp().to_bits());
+                    }
+                    prop_assert_eq!(
+                        ctx.conflict_report().conflicts(),
+                        stored_ctx.conflict_report().conflicts()
+                    );
+                    let builds = stored_ctx.stats.key_index_builds;
+                    prop_assert!(builds <= usize::from(run == 0), "run {run} built {builds}");
                 }
+                (Err(se), Err(de)) => prop_assert_eq!(se, de),
+                _ => prop_assert!(
+                    false,
+                    "memory {:?} vs stored {:?}\nplan:\n{}",
+                    streaming.as_ref().map(|_| "ok"),
+                    stored.as_ref().map(|_| "ok"),
+                    plan.render()
+                ),
             }
-            (Err(se), Err(de)) => prop_assert_eq!(se, de),
-            _ => prop_assert!(
-                false,
-                "memory {:?} vs stored {:?}\nplan:\n{}",
-                streaming.as_ref().map(|_| "ok"),
-                stored.as_ref().map(|_| "ok"),
-                plan.render()
-            ),
         }
         match (naive, streaming) {
             (Ok((n, _)), Ok(s)) => {

@@ -8,14 +8,18 @@
 //! output, the stats, or the conflict-report order. And the fused
 //! path: a σ̃ directly over a stored scan runs inside the scan, for
 //! every predicate and threshold kind, with output bit-identical to
-//! the in-memory run and to the reference.
+//! the in-memory run and to the reference. And the shared key index:
+//! every stored shape runs twice over the same `StoredRelation`s — the
+//! first run builds the right side's index, the second reuses it — and
+//! the two runs are indistinguishable except for `key_index_builds`.
 
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{ConflictPolicy, Operand, Predicate, ThetaOp, Threshold};
+use evirel_plan::ops::DempsterMerger;
 use evirel_plan::reference::execute_reference;
 use evirel_plan::{
-    execute_plan, explain_plan, scan, Bindings, BufferPool, ExecContext, ExecStats, LogicalPlan,
-    StoredRelation,
+    execute_merge, execute_plan, explain_plan, scan, Bindings, BoundRelation, BufferPool,
+    ExecContext, ExecStats, LogicalPlan, MergePairing, StoredRelation, TupleMerger,
 };
 use evirel_relation::{ExtendedRelation, Value};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
@@ -80,6 +84,32 @@ fn equivalent(expected: &ExtendedRelation, got: &ExtendedRelation) -> Result<(),
         }
     }
     Ok(())
+}
+
+/// Values and `(sn, sp)` bit for bit, tuple by tuple, in order.
+fn identical(expected: &ExtendedRelation, got: &ExtendedRelation) -> Result<(), String> {
+    if expected.len() != got.len() {
+        return Err(format!("sizes differ: {} vs {}", expected.len(), got.len()));
+    }
+    for (at, (e, g)) in expected.iter().zip(got.iter()).enumerate() {
+        let (em, gm) = (e.membership(), g.membership());
+        if e.values() != g.values()
+            || em.sn().to_bits() != gm.sn().to_bits()
+            || em.sp().to_bits() != gm.sp().to_bits()
+        {
+            return Err(format!("tuple {at} differs"));
+        }
+    }
+    Ok(())
+}
+
+/// The fields a stored run may differ from an in-memory one in.
+fn masked(stats: ExecStats) -> ExecStats {
+    ExecStats {
+        records_skipped: 0,
+        key_index_builds: 0,
+        ..stats
+    }
 }
 
 /// One plan shape per drawn discriminant: scan, filter, threshold,
@@ -182,11 +212,8 @@ proptest! {
         let (mem, mem_stats) = run(&mem_bindings);
         let (fused, fused_stats) = run(&stored_bindings);
 
-        prop_assert_eq!(mem.len(), fused.len(), "plan:\n{}", plan.render());
-        for (m, f) in mem.iter().zip(fused.iter()) {
-            prop_assert_eq!(m.values(), f.values());
-            prop_assert_eq!(m.membership().sn().to_bits(), f.membership().sn().to_bits());
-            prop_assert_eq!(m.membership().sp().to_bits(), f.membership().sp().to_bits());
+        if let Err(reason) = identical(&mem, &fused) {
+            prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
         }
         let (reference, _) = execute_reference(&plan, &mem_bindings, &options())
             .expect("reference executes");
@@ -196,7 +223,7 @@ proptest! {
 
         prop_assert_eq!(fused_stats.tuples_scanned, sa.len());
         prop_assert_eq!(fused_stats.records_skipped, sa.len() - fused.len());
-        prop_assert_eq!(ExecStats { records_skipped: 0, ..fused_stats }, mem_stats);
+        prop_assert_eq!(masked(fused_stats), mem_stats);
         prop_assert!(pool.stats().evictions > 0, "budget never forced an eviction");
 
         let text = explain_plan(&plan, &stored_bindings, &mut ExecContext::new(), false)
@@ -252,12 +279,17 @@ proptest! {
 
     /// THE acceptance property: stored relations bigger than the pool
     /// budget, streamed through scans/filters/merges, reproduce the
-    /// in-memory reference — and the pool really evicted.
+    /// in-memory run bit for bit — tuples, order, conflict-report
+    /// order, counters — and the reference, and the pool really
+    /// evicted. Each plan runs twice over the same stored relations:
+    /// a ∪̃/∩̃/−̃ builds its right side's key index on the first run
+    /// and finds it on the second, and nothing else tells them apart.
     #[test]
     fn stored_execution_matches_reference_under_tiny_budget(
         seed in 0u64..1_000_000,
         shape in 0u8..8,
         val in 0u8..8,
+        threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let (ga, gb) = pair(seed, 120);
         // ~3 pages of budget; each relation spans dozens of pages.
@@ -275,33 +307,96 @@ proptest! {
         mem_bindings.bind("sb", gb);
 
         let plan = shaped_plan(shape, val);
-        // Rename scans in the in-memory plan? Not needed: names match.
         let (reference, _) = execute_reference(&plan, &mem_bindings, &options())
             .expect("reference executes");
-
-        let mut ctx = ExecContext::with_options(options());
-        ctx.parallelism = 1;
-        let streamed = execute_plan(&plan, &stored_bindings, &mut ctx)
-            .expect("stored execution succeeds");
-
-        if let Err(reason) = equivalent(&reference, &streamed) {
-            prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
-        }
-        // Insertion order must equal the in-memory streaming order too.
         let mut mem_ctx = ExecContext::with_options(options());
-        mem_ctx.parallelism = 1;
+        mem_ctx.parallelism = threads;
         let mem = execute_plan(&plan, &mem_bindings, &mut mem_ctx).expect("in-memory executes");
-        for (m, s) in mem.iter().zip(streamed.iter()) {
-            prop_assert_eq!(m.key(mem.schema()), s.key(streamed.schema()));
+
+        // Shapes 4–7 put a bare stored scan on a merge's or a
+        // difference's right.
+        let indexed = usize::from(shape % 8 >= 4);
+        for builds in [indexed, 0] {
+            let mut ctx = ExecContext::with_options(options());
+            ctx.parallelism = threads;
+            let streamed = execute_plan(&plan, &stored_bindings, &mut ctx)
+                .expect("stored execution succeeds");
+            if let Err(reason) = equivalent(&reference, &streamed) {
+                prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
+            }
+            if let Err(reason) = identical(&mem, &streamed) {
+                prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
+            }
+            prop_assert_eq!(
+                mem_ctx.conflict_report().conflicts(),
+                ctx.conflict_report().conflicts()
+            );
+            prop_assert_eq!(ctx.stats.key_index_builds, builds, "plan:\n{}", plan.render());
+            prop_assert_eq!(mem_ctx.stats, masked(ctx.stats), "stats diverged");
         }
-        // Only a σ̃ fused into a stored scan skips records.
-        prop_assert_eq!(
-            mem_ctx.stats,
-            ExecStats { records_skipped: 0, ..ctx.stats },
-            "stats diverged"
-        );
+        prop_assert_eq!(sb.key_index().expect("indexes").1, indexed == 0);
+        prop_assert!(sa.key_index().expect("indexes").1, "a left side is never indexed");
         let stats = pool.stats();
         prop_assert!(stats.evictions > 0, "budget never forced an eviction: {stats:?}");
+    }
+
+    /// The integration pipeline's paired merge over stored sides: an
+    /// explicit pairing (equal and unequal keys matched, some right
+    /// keys claimed by neither list) runs through the same ordinal
+    /// build side — the unmatched-right phase asks the pairing about
+    /// the key of the tuple it fetched — twice, against the in-memory
+    /// run.
+    #[test]
+    fn paired_merge_over_stored_sides_matches_memory(
+        seed in 0u64..1_000_000,
+        threads in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        let (ga, gb) = pair(seed, 120);
+        let shared = |k: &[Value]| Value::render_key(k).starts_with("(shared-");
+        let (l_keys, r_keys): (Vec<_>, Vec<_>) = (ga.keys().collect(), gb.keys().collect());
+        let mut pairing = MergePairing::default();
+        for key in l_keys.iter().filter(|k| shared(k)) {
+            pairing.matched.insert(key.clone(), key.clone());
+        }
+        // Unequal keys: every fourth left-only key takes a right-only partner.
+        let mut l_rest = l_keys.iter().filter(|k| !shared(k));
+        let mut r_rest = r_keys.iter().filter(|k| !shared(k));
+        for (at, lk) in l_rest.by_ref().enumerate() {
+            match (at % 4, r_rest.next()) {
+                (0, Some(rk)) => { pairing.matched.insert(lk.clone(), rk.clone()); }
+                // Every other unmatched right key passes through; the
+                // rest are claimed by neither list and must be dropped.
+                (1, Some(rk)) => { pairing.right_only.insert(rk.clone()); }
+                _ => {}
+            }
+            pairing.left_only.insert(lk.clone());
+        }
+        prop_assert!(pairing.matched.iter().any(|(l, r)| l != r));
+
+        let pool = Arc::new(BufferPool::new(3 * PAGE));
+        let stored = (BoundRelation::Stored(store(&ga, &pool)), BoundRelation::Stored(store(&gb, &pool)));
+        let memory = (BoundRelation::Memory(Arc::new(ga)), BoundRelation::Memory(Arc::new(gb)));
+        let merger = || Box::new(DempsterMerger::new(options())) as Box<dyn TupleMerger>;
+        let run = |(l, r): &(BoundRelation, BoundRelation)| {
+            let mut ctx = ExecContext::with_options(options());
+            ctx.parallelism = threads;
+            let out = execute_merge(l, r, pairing.clone(), &merger, &mut ctx).expect("merges");
+            (out, ctx)
+        };
+        let (mem, mem_ctx) = run(&memory);
+        prop_assert!(mem_ctx.stats.pairs_merged > 0 && !mem_ctx.conflict_report().is_empty());
+        for builds in [1, 0] {
+            let (out, ctx) = run(&stored);
+            if let Err(reason) = identical(&mem, &out) {
+                prop_assert!(false, "{reason} (builds={builds}, threads={threads})");
+            }
+            prop_assert_eq!(
+                mem_ctx.conflict_report().conflicts(),
+                ctx.conflict_report().conflicts()
+            );
+            prop_assert_eq!(ctx.stats.key_index_builds, builds);
+            prop_assert_eq!(mem_ctx.stats, masked(ctx.stats));
+        }
     }
 
     /// Forcing the merge build side to spill (threshold 0) is
@@ -342,9 +437,11 @@ proptest! {
     }
 }
 
-/// The stored-scan merge builds its key index straight off the
-/// on-disk segment (one pass, no re-spill), and a query over stored
-/// relations still surfaces its ∪̃ conflict report.
+/// The stored-scan merge takes its build side straight off the
+/// on-disk segment (one keys-only pass, once per relation, no
+/// re-spill), a query over stored relations still surfaces its ∪̃
+/// conflict report, and `EXPLAIN ANALYZE` says whether the index was
+/// built or found.
 #[test]
 fn stored_merge_indexes_segment_directly() {
     let (ga, gb) = pair(7, 300);
@@ -353,7 +450,7 @@ fn stored_merge_indexes_segment_directly() {
     let sb = store(&gb, &pool);
     let mut bindings = Bindings::new();
     bindings.bind_stored("sa", sa);
-    bindings.bind_stored("sb", sb);
+    bindings.bind_stored("sb", Arc::clone(&sb));
 
     let plan = scan("sa").union(scan("sb")).build();
     let mut ctx = ExecContext::with_options(options());
@@ -368,15 +465,89 @@ fn stored_merge_indexes_segment_directly() {
     let mem = execute_plan(&plan, &mem_bindings, &mut mem_ctx).unwrap();
 
     assert!(mem.approx_eq(&out));
-    assert_eq!(mem_ctx.stats, ctx.stats);
+    assert_eq!(ctx.stats.key_index_builds, 1);
+    assert_eq!(mem_ctx.stats, masked(ctx.stats));
     assert!(
         !ctx.conflict_report().is_empty(),
         "κ reports must survive storage"
     );
     assert!(pool.stats().misses > misses_before);
-    // EXPLAIN renders the stored scan with its page geometry.
-    let text = evirel_plan::explain_plan(&plan, &bindings, &mut ExecContext::new(), false).unwrap();
+    // EXPLAIN renders the stored scan with its page geometry, and says
+    // nothing about an index it has not asked for.
+    let explain = |bindings: &Bindings, analyze: bool| {
+        let mut ctx = ExecContext::with_options(options());
+        explain_plan(&plan, bindings, &mut ctx, analyze).unwrap()
+    };
+    let text = explain(&bindings, false);
     assert!(text.contains("[stored:"), "{text}");
+    assert!(!text.contains("build: stored index"), "{text}");
+    // ANALYZE ran the ∪̃: the index the first query built is found.
+    let text = explain(&bindings, true);
+    assert!(
+        text.contains("merge: dempster, on κ=1: vacuous; build: stored index (cached)) [est≈"),
+        "{text}"
+    );
+    // A rebind is a new `StoredRelation`: its first query builds.
+    let path = evirel_store::spill_path("equiv-rebind");
+    evirel_store::write_segment(&sb.to_relation().unwrap(), &path, PAGE).unwrap();
+    let reopened = StoredRelation::open(&path, Arc::clone(&pool)).unwrap();
+    std::fs::remove_file(&path).ok();
+    bindings.bind_stored("sb", Arc::new(reopened));
+    let text = explain(&bindings, true);
+    assert!(
+        text.contains("build: stored index (built)) [est≈"),
+        "{text}"
+    );
+}
+
+/// A segment that stores one key twice (hand-built: no writer of a
+/// relation produces one) fails ∪̃, ∩̃ and −̃ over it with the typed
+/// corruption error of the index build — where the parent's index
+/// silently pointed both ordinals at the last record — and as a left
+/// side fails on the duplicate insert, as `to_relation` does.
+#[test]
+fn duplicate_stored_key_is_a_typed_error_from_every_setop() {
+    let (ga, gb) = pair(5, 40);
+    let pool = Arc::new(BufferPool::new(4 * PAGE));
+    let path = evirel_store::spill_path("equiv-dup");
+    let mut writer = evirel_store::SegmentWriter::create(&path, gb.schema(), PAGE).unwrap();
+    let first = gb.iter().next().unwrap();
+    for tuple in gb.iter().chain([first]) {
+        writer.append(tuple).unwrap();
+    }
+    writer.finish().unwrap();
+    let dup = Arc::new(StoredRelation::open(&path, Arc::clone(&pool)).unwrap());
+    std::fs::remove_file(&path).ok();
+    assert!(dup.to_relation().is_err());
+
+    let mut bindings = Bindings::new();
+    bindings.bind_stored("sa", store(&ga, &pool));
+    bindings.bind_stored("sb", dup);
+    for plan in [
+        scan("sa").union(scan("sb")).build(),
+        scan("sa").intersect(scan("sb")).build(),
+        scan("sa").difference(scan("sb")).build(),
+    ] {
+        for threads in [1, 4] {
+            let mut ctx = ExecContext::with_options(options());
+            ctx.parallelism = threads;
+            let err = execute_plan(&plan, &bindings, &mut ctx).expect_err("never a result");
+            let text = err.to_string();
+            assert!(
+                matches!(
+                    err,
+                    evirel_plan::PlanError::Store(evirel_store::StoreError::Corrupt { .. })
+                ) && text.contains("duplicate key (")
+                    && text.contains("page 0 slot 0 and page "),
+                "{text}\nplan:\n{}",
+                plan.render()
+            );
+            assert_eq!(
+                ctx.stats.key_index_builds, 0,
+                "a failed build is not a build"
+            );
+        }
+    }
 }
 
 /// A predicate that cannot be evaluated — an attribute the schema does

@@ -215,8 +215,8 @@ impl PreparedPlan {
             evirel_plan::execute_optimized_metered(&self.optimized, catalog, &mut ctx)?;
         let outcome = QueryOutcome {
             relation,
-            report: ctx.conflict_report(),
             stats: ctx.stats,
+            report: ctx.into_conflict_report(),
         };
         Ok((outcome, meters))
     }

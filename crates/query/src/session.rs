@@ -52,6 +52,7 @@ struct QueryMetrics {
     stage_execute: Histogram,
     tuples_scanned: Counter,
     records_skipped: Counter,
+    key_index_builds: Counter,
     tuples_emitted: Counter,
     pairs_merged: Counter,
     conflicts: Counter,
@@ -94,6 +95,11 @@ impl QueryMetrics {
             records_skipped: registry.counter(
                 "evirel_exec_records_skipped_total",
                 "Stored records a fused selection dropped without decoding them in full",
+                &[],
+            ),
+            key_index_builds: registry.counter(
+                "evirel_exec_key_index_builds_total",
+                "Key indexes built over stored relations (once per relation, by the first query that probes it)",
                 &[],
             ),
             tuples_emitted: registry.counter(
@@ -312,6 +318,7 @@ impl Session {
         let stats = &outcome.outcome.stats;
         qm.tuples_scanned.add(stats.tuples_scanned as u64);
         qm.records_skipped.add(stats.records_skipped as u64);
+        qm.key_index_builds.add(stats.key_index_builds as u64);
         qm.tuples_emitted.add(stats.tuples_emitted as u64);
         qm.pairs_merged.add(stats.pairs_merged as u64);
         qm.conflicts.add(stats.conflicts as u64);
@@ -679,6 +686,49 @@ mod tests {
             totals
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// The same exactness for the key index of a stored build side:
+    /// over K identical stored-union queries on one binding the
+    /// registry reads one build, not K — the index rides on the
+    /// relation — and every query still counts both sides as scanned,
+    /// at either thread budget.
+    #[test]
+    fn key_index_builds_reach_registry_once_per_binding_at_1_and_4_threads() {
+        let run = |threads: usize| -> [u64; 3] {
+            let mut c = big_union_catalog();
+            for (name, stored) in [("ga", "sa"), ("gb", "sb")] {
+                let path = evirel_store::spill_path("session-index");
+                c.store_segment(name, &path).unwrap();
+                c.attach_stored(stored, &path).unwrap();
+                std::fs::remove_file(&path).ok();
+            }
+            let shared = Arc::new(SharedCatalog::new(c));
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut s = Session::new(Arc::clone(&shared), Arc::new(PlanCache::default()));
+            s.budget.parallelism = Some(threads);
+            s.set_metrics(Arc::clone(&registry));
+            let value = |name: &str| registry.value(name, &[]).unwrap();
+            let mut builds = 0;
+            for k in 0..4u64 {
+                let out = s.query("SELECT * FROM sa UNION sb").unwrap();
+                let stats = out.outcome.stats;
+                assert_eq!(stats.key_index_builds, usize::from(k == 0));
+                assert_eq!(stats.tuples_scanned, 1200, "both sides, every query");
+                builds += stats.key_index_builds as u64;
+                assert_eq!(value("evirel_exec_key_index_builds_total"), builds);
+            }
+            [
+                value("evirel_exec_key_index_builds_total"),
+                value("evirel_exec_tuples_scanned_total"),
+                value("evirel_exec_pairs_merged_total"),
+            ]
+        };
+        let totals = run(1);
+        assert_eq!(totals[0], 1);
+        assert_eq!(totals[1], 4 * 1200);
+        assert!(totals[2] > 0);
+        assert_eq!(totals, run(4));
     }
 
     /// A throttled query (threshold 0 = log everything) lands one

@@ -66,6 +66,12 @@ impl AttrDef {
         &self.name
     }
 
+    /// The name as the shared handle the schema stores — for callers
+    /// that keep it (a conflict observation) without copying the text.
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// Attribute type.
     pub fn ty(&self) -> &AttrType {
         &self.ty

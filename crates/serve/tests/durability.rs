@@ -288,3 +288,49 @@ fn readers_beside_a_durable_writer_see_only_journalled_generations() {
     handle.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The key index of a stored build side rides on the relation, not on
+/// the name: QUERY `sa UNION sb`, MERGE a different extension over
+/// `sb`, QUERY again — the second reply is the union with the *new*
+/// `sb` (a stale index would still answer for the old keys), and the
+/// registry counts one index build per binding of `sb`, however many
+/// queries probe it.
+#[test]
+fn a_rebound_build_side_is_indexed_afresh() {
+    let dir = fresh_dir("reindex");
+    let handle = boot(&dir);
+    let metrics = std::sync::Arc::clone(handle.metrics());
+    let builds = || metrics.value("evirel_exec_key_index_builds_total", &[]);
+    let mut c = connect(&handle);
+    let mut tuples = |text: &str| {
+        let body = ok_body(roundtrip(&mut c, text));
+        reply_field(&body, "tuples")
+    };
+    // rb's keys are a subset of ra's: rb ∪̃ rb adds nothing, rb ∪̃ ra does.
+    let same_keys = tuples("QUERY\nSELECT * FROM rb UNION rb");
+    let more_keys = tuples("QUERY\nSELECT * FROM rb UNION ra");
+    assert!(same_keys < more_keys);
+
+    for name in ["sa", "sb"] {
+        tuples(&format!("MERGE {name}\nSELECT * FROM rb WITH SN > 0"));
+    }
+    let union = "QUERY\nSELECT * FROM sa UNION sb";
+    for _ in 0..3 {
+        assert_eq!(tuples(union), same_keys);
+    }
+    assert_eq!(builds(), Some(1), "three queries, one binding, one build");
+
+    tuples("MERGE sb\nSELECT * FROM ra WITH SN > 0");
+    for _ in 0..2 {
+        assert_eq!(
+            tuples(union),
+            more_keys,
+            "the reply must reflect the new sb"
+        );
+    }
+    assert_eq!(builds(), Some(2), "the new binding of sb is indexed once");
+
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}

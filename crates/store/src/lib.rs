@@ -57,7 +57,7 @@ pub use segment::{
     DEFAULT_PAGE_SIZE,
 };
 pub use stats::{compute_stats, AttrStats, DistinctSketch, KappaSummary, RelStats, StatsBuilder};
-pub use stored::{StoredIter, StoredRelation};
+pub use stored::{KeyIndex, StoredIter, StoredRelation};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, StoreError>;

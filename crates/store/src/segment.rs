@@ -44,7 +44,8 @@
 //! [`codec::decode_record`] under a column mask. [`Segment::decode_page`]
 //! and [`Segment::decode_record`] pass the all-true mask and validate
 //! every tuple with `Tuple::new`. A caller that passes a narrower mask
-//! (the plan layer's fused selection and key index) gets the masked-in
+//! (the plan layer's fused selection, and the key index in
+//! [`crate::stored`]) gets the masked-in
 //! values only; what it skips is length- and tag-checked and was
 //! covered by the page CRC when the page was read, but is not
 //! semantically validated unless the caller decodes that record again

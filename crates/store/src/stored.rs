@@ -1,12 +1,128 @@
-//! Disk-backed relations: a segment plus the buffer pool it pages
-//! through.
+//! Disk-backed relations: a segment, the buffer pool it pages
+//! through, and — once some operator has asked for it — the segment's
+//! key index.
+//!
+//! A segment is immutable and a rebind opens a new [`StoredRelation`],
+//! so whatever can be derived from the segment's bytes is derived at
+//! most once per relation. Today that is the [`KeyIndex`]: the
+//! `key → ordinal → record` map every ∪̃/∩̃ build side and every −̃
+//! right side over a bare stored scan needs. [`StoredRelation::key_index`]
+//! builds it on first use (one keys-only pass over the pages) and hands
+//! the same `Arc` to every later caller; it is freed with the relation,
+//! cannot go stale, and is never built for a relation that is only
+//! scanned. The residency this buys speed with: *a relation that has
+//! served as a build side keeps ≈ 100 B per key resident until it is
+//! rebound or dropped — what every query on it used to allocate and
+//! free*.
 
+use crate::codec::decode_record;
 use crate::error::StoreError;
 use crate::pool::BufferPool;
-use crate::segment::{write_segment, Segment, DEFAULT_PAGE_SIZE};
-use evirel_relation::{ExtendedRelation, Schema, Tuple};
+use crate::segment::{write_segment, PageRecords, RecordId, Segment, DEFAULT_PAGE_SIZE};
+use evirel_relation::{AttrValue, ExtendedRelation, Schema, Tuple, Value};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+/// The keys of a segment's records, addressed by *ordinal*: record
+/// `i` in insertion order is ordinal `i`, so ordinal order is the
+/// relation's iteration order and an ordinal identifies a record
+/// without hashing its key again. [`StoredRelation::key_index`] builds
+/// one per stored relation; the plan layer fills one per query for a
+/// build side it spilled to a temp segment.
+#[derive(Debug, Default)]
+pub struct KeyIndex {
+    by_key: HashMap<Vec<Value>, u32>,
+    records: Vec<RecordId>,
+}
+
+impl KeyIndex {
+    /// Index the next record (ordinal = records indexed so far).
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] when `key` is already indexed — a
+    /// relation holds a key once, so a repeat means the bytes are not a
+    /// relation's — naming the key and both records; or when the index
+    /// is full (`u32::MAX` records).
+    pub fn insert(&mut self, key: Vec<Value>, id: RecordId) -> Result<(), StoreError> {
+        let ordinal = u32::try_from(self.records.len())
+            .map_err(|_| StoreError::corrupt("more records than a key index addresses"))?;
+        match self.by_key.entry(key) {
+            Entry::Occupied(seen) => {
+                let first = self.records[*seen.get() as usize];
+                Err(StoreError::corrupt(format!(
+                    "duplicate key {}: page {} slot {} and page {} slot {}",
+                    Value::render_key(seen.key()),
+                    first.page,
+                    first.slot,
+                    id.page,
+                    id.slot
+                )))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(ordinal);
+                self.records.push(id);
+                Ok(())
+            }
+        }
+    }
+
+    /// The ordinal of the record stored under `key`.
+    pub fn ordinal(&self, key: &[Value]) -> Option<u32> {
+        self.by_key.get(key).copied()
+    }
+
+    /// Where record `ordinal` lives.
+    pub fn record(&self, ordinal: u32) -> Option<RecordId> {
+        self.records.get(ordinal as usize).copied()
+    }
+
+    /// Number of indexed records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// `true` when nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Index `segment`'s keys in one pass over its pages: each record
+    /// is decoded under the key-positions mask only (and decoded in
+    /// full when a probe fetches it).
+    fn build(segment: &Segment, pool: &Arc<BufferPool>) -> Result<KeyIndex, StoreError> {
+        let schema = segment.schema();
+        let mut keys_only = vec![false; schema.arity()];
+        for &pos in schema.key_positions() {
+            keys_only[pos] = true;
+        }
+        let records = segment.tuple_count() as usize;
+        let mut index = KeyIndex {
+            by_key: HashMap::with_capacity(records),
+            records: Vec::with_capacity(records),
+        };
+        for page in 0..segment.page_count() {
+            let guard = pool.get(segment, page)?;
+            for (slot, record) in PageRecords::new(&guard)?.enumerate() {
+                // Key positions ascend, so the masked values are the key.
+                let key = decode_record(record?, segment.domains(), &keys_only)?
+                    .values
+                    .into_iter()
+                    .map(|value| match value {
+                        AttrValue::Definite(v) => Ok(v),
+                        AttrValue::Evidential(_) => {
+                            Err(StoreError::corrupt("evidential value in a key position"))
+                        }
+                    })
+                    .collect::<Result<Vec<Value>, StoreError>>()?;
+                let slot = slot as u32; // a page's record count is a u32
+                index.insert(key, RecordId { page, slot })?;
+            }
+        }
+        Ok(index)
+    }
+}
 
 /// A relation whose extension lives in an on-disk segment. Scans pull
 /// one page at a time through the shared [`BufferPool`], so a stored
@@ -21,6 +137,11 @@ use std::sync::Arc;
 pub struct StoredRelation {
     segment: Arc<Segment>,
     pool: Arc<BufferPool>,
+    /// See [`StoredRelation::key_index`].
+    key_index: OnceLock<Arc<KeyIndex>>,
+    /// Held by the one caller building `key_index`, so racing first
+    /// uses wait for it instead of each paying the pass.
+    key_index_build: Mutex<()>,
 }
 
 impl StoredRelation {
@@ -32,10 +153,10 @@ impl StoredRelation {
         path: impl AsRef<Path>,
         pool: Arc<BufferPool>,
     ) -> Result<StoredRelation, StoreError> {
-        Ok(StoredRelation {
-            segment: Arc::new(Segment::open(path)?),
+        Ok(StoredRelation::from_segment(
+            Arc::new(Segment::open(path)?),
             pool,
-        })
+        ))
     }
 
     /// Write `rel` to a segment at `path` and open it.
@@ -53,7 +174,12 @@ impl StoredRelation {
 
     /// Wrap an already-open segment.
     pub fn from_segment(segment: Arc<Segment>, pool: Arc<BufferPool>) -> StoredRelation {
-        StoredRelation { segment, pool }
+        StoredRelation {
+            segment,
+            pool,
+            key_index: OnceLock::new(),
+            key_index_build: Mutex::new(()),
+        }
     }
 
     /// The relation schema.
@@ -84,6 +210,35 @@ impl StoredRelation {
     /// The segment's statistics (see [`Segment::stats`]).
     pub fn stats(&self) -> Arc<crate::stats::RelStats> {
         Arc::clone(self.segment.stats())
+    }
+
+    /// The segment's key index, and whether this call built it. The
+    /// first call pays one keys-only pass over the pages; every later
+    /// one — from any thread, for as long as the relation lives — gets
+    /// the same `Arc` back. Callers racing the first use wait for the
+    /// one that builds. A failed build is not remembered: the next
+    /// call tries again.
+    ///
+    /// # Errors
+    /// Page read/decode failures; [`StoreError::Corrupt`] for a key
+    /// stored twice.
+    pub fn key_index(&self) -> Result<(Arc<KeyIndex>, bool), StoreError> {
+        if let Some(index) = self.key_index.get() {
+            return Ok((Arc::clone(index), false));
+        }
+        // The guarded state is `()`: a builder that panicked left
+        // nothing half-written, so a poisoned lock is still usable.
+        let _building = self
+            .key_index_build
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(index) = self.key_index.get() {
+            return Ok((Arc::clone(index), false));
+        }
+        let index = Arc::new(KeyIndex::build(&self.segment, &self.pool)?);
+        // Only the holder of `key_index_build` sets the cell.
+        let _ = self.key_index.set(Arc::clone(&index));
+        Ok((index, true))
     }
 
     /// Decode all tuples of one page (pinning it only for the decode).
@@ -157,8 +312,7 @@ mod tests {
     use super::*;
     use evirel_relation::{AttrDomain, RelationBuilder};
 
-    #[test]
-    fn store_iter_materialize() {
+    fn relation(n: usize) -> ExtendedRelation {
         let d = Arc::new(AttrDomain::categorical("d", ["x", "y"]).unwrap());
         let schema = Arc::new(
             Schema::builder("S")
@@ -168,7 +322,7 @@ mod tests {
                 .unwrap(),
         );
         let mut b = RelationBuilder::new(schema);
-        for i in 0..64 {
+        for i in 0..n {
             b = b
                 .tuple(|t| {
                     t.set_str("k", format!("k{i}"))
@@ -177,7 +331,21 @@ mod tests {
                 })
                 .unwrap();
         }
-        let rel = b.build();
+        b.build()
+    }
+
+    /// Write `rel` with small pages and open it against a `budget`-byte pool.
+    fn stored(rel: &ExtendedRelation, budget: usize) -> StoredRelation {
+        let path = crate::spill_path("stored-test");
+        write_segment(rel, &path, 512).unwrap();
+        let stored = StoredRelation::open(&path, Arc::new(BufferPool::new(budget))).unwrap();
+        std::fs::remove_file(&path).ok();
+        stored
+    }
+
+    #[test]
+    fn store_iter_materialize() {
+        let rel = relation(64);
         let dir = std::env::temp_dir().join(format!("evirel-stored-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.evb");
@@ -192,6 +360,65 @@ mod tests {
         for (orig, dec) in rel.iter().zip(back.iter()) {
             assert_eq!(orig.values(), dec.values());
             assert_eq!(orig.membership().sn(), dec.membership().sn());
+        }
+    }
+
+    /// One pass over the pages, ordinals in insertion order, records
+    /// where the writer put them; the second call builds nothing and
+    /// reads no page.
+    #[test]
+    fn key_index_is_one_pass_and_ordered() {
+        let rel = relation(80);
+        let stored = stored(&rel, 1 << 20);
+        let pages = stored.segment().page_count();
+        assert!(pages > 1);
+        let (index, built) = stored.key_index().unwrap();
+        assert!(built);
+        let touched = stored.pool().stats();
+        assert_eq!(touched.hits + touched.misses, pages);
+        assert_eq!(index.len(), 80);
+        assert!(!index.is_empty());
+        for (ordinal, (key, tuple)) in rel.iter_keyed().enumerate() {
+            assert_eq!(index.ordinal(&key), Some(ordinal as u32));
+            let id = index.record(ordinal as u32).unwrap();
+            let page = stored.pool().get(stored.segment(), id.page).unwrap();
+            let back = stored.segment().decode_record(&page, id.slot).unwrap();
+            assert_eq!(back.values(), tuple.values());
+        }
+        assert_eq!(index.ordinal(&[Value::str("nope")]), None);
+        assert_eq!(index.record(80), None);
+
+        let before = stored.pool().stats();
+        let (again, built) = stored.key_index().unwrap();
+        assert!(!built);
+        assert!(Arc::ptr_eq(&index, &again));
+        assert_eq!(stored.pool().stats(), before);
+    }
+
+    /// Eight threads race the first use: exactly one builds, everyone
+    /// gets the same index, and so does every later caller.
+    #[test]
+    fn racing_first_uses_build_one_index() {
+        let rel = relation(200);
+        let stored = stored(&rel, 1 << 20);
+        let barrier = std::sync::Barrier::new(8);
+        let results: Vec<(Arc<KeyIndex>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        stored.key_index().unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results.iter().filter(|(_, built)| *built).count(), 1);
+        let (after, built) = stored.key_index().unwrap();
+        assert!(!built);
+        for (index, _) in &results {
+            assert!(Arc::ptr_eq(index, &after));
+            assert_eq!(index.len(), 200);
         }
     }
 }

@@ -4,12 +4,15 @@
 //! (for v3 segments, where every byte is under some checksum) never
 //! silently wrong data. Every property also runs the filtered scan's
 //! access pattern — each record decoded under a narrow column mask,
-//! a few decoded in full — because a page is checksummed as it is
-//! read, whatever the decoder then skips.
+//! a few decoded in full — and the key index's, keys only, through
+//! the buffer pool — because a page is checksummed as it is read,
+//! whatever the decoder then skips. And one corruption no checksum can
+//! see, because the bytes are exactly what was written: a key stored
+//! twice.
 
 use evirel_store::codec::decode_record;
 use evirel_store::segment::PageRecords;
-use evirel_store::{Segment, StoreError};
+use evirel_store::{BufferPool, Segment, SegmentWriter, StoreError, StoredRelation};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -91,6 +94,62 @@ fn try_filtered_scan(path: &PathBuf) -> Result<u64, StoreError> {
     Ok(kept)
 }
 
+/// Open + the key index's pass (every record decoded under the
+/// key-positions mask, paged through a pool). Returns the keys indexed.
+fn try_key_index(path: &PathBuf) -> Result<usize, StoreError> {
+    let stored = StoredRelation::open(path, std::sync::Arc::new(BufferPool::new(1024)))?;
+    Ok(stored.key_index()?.0.len())
+}
+
+/// A segment that stores one key twice — hand-built through
+/// `SegmentWriter::append`, since no relation holds one — is corrupt
+/// where the parent's index silently shadowed the first record: the
+/// index build names the key and both records, every time it is asked
+/// (a failure is not remembered as an index), and never panics.
+#[test]
+fn duplicate_key_is_corrupt_at_index_build() {
+    let rel = generate(
+        "K",
+        &GeneratorConfig {
+            tuples: 40,
+            seed: 9,
+            ..GeneratorConfig::default()
+        },
+    )
+    .expect("generator config is valid");
+    let path = tmp("dupkey");
+    let mut writer = SegmentWriter::create(&path, rel.schema(), 256).expect("segment creates");
+    let repeated = rel.iter().nth(3).expect("40 tuples");
+    let mut ids = Vec::new();
+    for tuple in rel.iter().chain([repeated]) {
+        ids.push(writer.append(tuple).expect("appends"));
+    }
+    writer.finish().expect("finishes");
+    let (first, second) = (ids[3], ids[40]);
+    assert!(second.page > first.page, "the repeat lands on a later page");
+
+    // Every byte is what the writer wrote: scans succeed.
+    assert_eq!(try_full_scan(&path).expect("scans"), 41);
+    let stored =
+        StoredRelation::open(&path, std::sync::Arc::new(BufferPool::new(1024))).expect("opens");
+    std::fs::remove_file(&path).ok();
+    let key = evirel_relation::Value::render_key(&repeated.key(rel.schema()));
+    for _ in 0..2 {
+        let err = stored.key_index().expect_err("never an index");
+        assert_eq!(
+            err,
+            StoreError::corrupt(format!(
+                "duplicate key {key}: page {} slot {} and page {} slot {}",
+                first.page, first.slot, second.page, second.slot
+            ))
+        );
+    }
+    assert!(
+        stored.to_relation().is_err(),
+        "materializing rejects it too"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -113,6 +172,7 @@ proptest! {
         // Most flips land in an attribute the filtered scan skips, of
         // a record it drops: the page CRC catches those on the read.
         let filtered = try_filtered_scan(&path);
+        let indexed = try_key_index(&path);
         std::fs::remove_file(&path).ok();
         prop_assert!(
             outcome.is_err(),
@@ -122,6 +182,10 @@ proptest! {
         prop_assert!(
             filtered.is_err(),
             "bit flip at byte {pos} bit {bit} passed the filtered scan"
+        );
+        prop_assert!(
+            indexed.is_err(),
+            "bit flip at byte {pos} bit {bit} passed the key index build"
         );
     }
 
@@ -139,9 +203,11 @@ proptest! {
         std::fs::write(&path, &bytes[..keep]).unwrap();
         let outcome = try_full_scan(&path);
         let filtered = try_filtered_scan(&path);
+        let indexed = try_key_index(&path);
         std::fs::remove_file(&path).ok();
         prop_assert!(outcome.is_err(), "truncation to {keep} bytes undetected");
         prop_assert!(filtered.is_err(), "truncation to {keep} bytes passed the filtered scan");
+        prop_assert!(indexed.is_err(), "truncation to {keep} bytes passed the key index build");
     }
 
     /// Heavier damage: corrupt a whole random window. Still typed.
@@ -165,8 +231,9 @@ proptest! {
         // identical bytes; otherwise an error. Either way: no panic.
         let outcome = try_full_scan(&path);
         let filtered = try_filtered_scan(&path);
+        let indexed = try_key_index(&path);
         std::fs::remove_file(&path).ok();
-        if outcome.is_ok() || filtered.is_ok() {
+        if outcome.is_ok() || filtered.is_ok() || indexed.is_ok() {
             prop_assert!(
                 bytes == encoded_segment(seed, tuples),
                 "non-identical damage scanned successfully"

@@ -56,12 +56,57 @@ fn conflict_report_names_garden_rating() {
         .report
         .conflicts()
         .iter()
-        .find(|c| c.key == vec![Value::str("garden")] && c.attr == "rating")
+        .find(|c| *c.key == [Value::str("garden")] && &*c.attr == "rating")
         .expect("garden/rating conflict reported");
     assert!((garden_rating.kappa - 0.534).abs() < 1e-9);
     assert!(!garden_rating.total);
     // No total conflicts anywhere in the paper's data.
     assert_eq!(out.report.total_conflicts().count(), 0);
+}
+
+/// The report reads as it always has — the text below is the parent
+/// commit's, byte for byte — whether ∪̃ or the Figure 1 pipeline made
+/// it, and the observations of one matched pair share one key handle
+/// while different pairs do not.
+#[test]
+fn conflict_report_text_is_pinned_and_pairs_share_their_key() {
+    const REPORT: &str = "\
+13 attribute conflict(s), max κ = 0.750, mean κ = 0.401
+  key (garden) attr \"speciality\": κ = 0.275
+  key (garden) attr \"best-dish\": κ = 0.500
+  key (garden) attr \"rating\": κ = 0.534
+  key (wok) attr \"speciality\": κ = 0.200
+  key (wok) attr \"best-dish\": κ = 0.667
+  key (wok) attr \"rating\": κ = 0.750
+  key (country) attr \"best-dish\": κ = 0.466
+  key (country) attr \"rating\": κ = 0.300
+  key (olive) attr \"best-dish\": κ = 0.200
+  key (olive) attr \"rating\": κ = 0.500
+  key (mehl) attr \"speciality\": κ = 0.200
+  key (mehl) attr \"best-dish\": κ = 0.420
+  key (mehl) attr \"rating\": κ = 0.200
+";
+    let ra = restaurant_db_a().restaurants;
+    let rb = restaurant_db_b().restaurants;
+    let via_union = union_extended(&ra, &rb).unwrap().report;
+    let via_pipeline = Integrator::new(Arc::clone(ra.schema()))
+        .run(&ra, &rb)
+        .unwrap()
+        .report;
+    for report in [&via_union, &via_pipeline] {
+        assert_eq!(report.to_string(), REPORT);
+        for pair in report.conflicts().windows(2) {
+            assert_eq!(
+                Arc::ptr_eq(&pair[0].key, &pair[1].key),
+                pair[0].key == pair[1].key,
+                "one key handle per matched pair"
+            );
+        }
+        // The attribute name is the schema's own handle.
+        let rating = ra.schema().attr(ra.schema().position("rating").unwrap());
+        let seen = report.conflicts().iter().find(|c| &*c.attr == "rating");
+        assert!(Arc::ptr_eq(&seen.unwrap().attr, rating.shared_name()));
+    }
 }
 
 #[test]

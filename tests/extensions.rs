@@ -91,7 +91,7 @@ fn weight_of_conflict_matches_paper_union() {
         .report
         .conflicts()
         .iter()
-        .find(|c| c.attr == "rating" && c.key == vec![Value::str("garden")])
+        .find(|c| &*c.attr == "rating" && *c.key == [Value::str("garden")])
         .unwrap();
     let w = weight_of_conflict(garden_rating.kappa);
     assert!(w > 0.0 && w.is_finite());
