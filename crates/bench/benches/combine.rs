@@ -2,12 +2,13 @@
 //!
 //! The 1994 paper reports no wall-clock numbers; these benches
 //! document the algorithmic cost profile of the combination engine:
-//! scaling in focal-element count and domain size, the relative cost
-//! of the alternative rules, and the effect of the summarization
-//! approximation on long combination chains.
+//! scaling in focal-element count and domain size, and what one
+//! scratch shared across a merge pass saves. Kept beside `benchmark/`
+//! because `evidence.dempster_ns_per_pair` there is one operand shape
+//! and this is the sweep (last recording: `crates/bench/BASELINES.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use evirel_evidence::{approx, combine, rules::CombinationRule, Frame, MassFunction};
+use evirel_evidence::{combine, Frame, MassFunction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -19,7 +20,7 @@ fn frame(size: usize) -> Arc<Frame> {
 
 /// A random normalized mass function with `focal` focal elements over
 /// a frame of `domain` values. `omega` reserves an ignorance floor,
-/// which guarantees κ < 1 in arbitrarily long combination chains.
+/// which guarantees κ < 1 for any pair.
 fn random_mass_with_omega(
     rng: &mut StdRng,
     frame: &Arc<Frame>,
@@ -80,29 +81,24 @@ fn random_bayesian(rng: &mut StdRng, frame: &Arc<Frame>, focal: usize) -> MassFu
 /// so BASELINES.md before/after comparisons line up.
 fn bench_focal_scaling(c: &mut Criterion) {
     let f = frame(64);
-    let mut group = c.benchmark_group("dempster/focal-count");
-    for focal in [2usize, 4, 8, 16, 32, 64] {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = random_mass(&mut rng, &f, focal);
-        let b = random_mass(&mut rng, &f, focal);
-        group.throughput(Throughput::Elements((focal * focal) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(focal), &focal, |bench, _| {
-            bench.iter(|| combine::dempster(black_box(&a), black_box(&b)));
-        });
+    type Operand = fn(&mut StdRng, &Arc<Frame>, usize) -> MassFunction<f64>;
+    let shapes: [(&str, Operand); 2] = [
+        ("dempster/focal-count", random_mass),
+        ("dempster/focal-count-singleton", random_bayesian),
+    ];
+    for (name, operand) in shapes {
+        let mut group = c.benchmark_group(name);
+        for focal in [2usize, 4, 8, 16, 32, 64] {
+            let mut rng = StdRng::seed_from_u64(1);
+            let a = operand(&mut rng, &f, focal);
+            let b = operand(&mut rng, &f, focal);
+            group.throughput(Throughput::Elements((focal * focal) as u64));
+            group.bench_with_input(BenchmarkId::from_parameter(focal), &focal, |bench, _| {
+                bench.iter(|| combine::dempster(black_box(&a), black_box(&b)));
+            });
+        }
+        group.finish();
     }
-    group.finish();
-
-    let mut group = c.benchmark_group("dempster/focal-count-singleton");
-    for focal in [2usize, 4, 8, 16, 32, 64] {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = random_bayesian(&mut rng, &f, focal);
-        let b = random_bayesian(&mut rng, &f, focal);
-        group.throughput(Throughput::Elements((focal * focal) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(focal), &focal, |bench, _| {
-            bench.iter(|| combine::dempster(black_box(&a), black_box(&b)));
-        });
-    }
-    group.finish();
 }
 
 fn bench_domain_scaling(c: &mut Criterion) {
@@ -114,76 +110,6 @@ fn bench_domain_scaling(c: &mut Criterion) {
         let b = random_mass(&mut rng, &f, 8);
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |bench, _| {
             bench.iter(|| combine::dempster(black_box(&a), black_box(&b)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_rules(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rules");
-    let f = frame(64);
-    let mut rng = StdRng::seed_from_u64(3);
-    let a = random_mass(&mut rng, &f, 8);
-    let b = random_mass(&mut rng, &f, 8);
-    for rule in CombinationRule::ALL {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(rule.name()),
-            &rule,
-            |bench, rule| {
-                bench.iter(|| rule.combine(black_box(&a), black_box(&b)));
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Chained combination of 16 sources, with and without focal-count
-/// capping — the ablation DESIGN.md calls out for the `max_focal`
-/// union option.
-fn bench_chain_with_summarization(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dempster/chain16");
-    let f = frame(32);
-    let mut rng = StdRng::seed_from_u64(4);
-    // Chained sources must genuinely overlap: focal elements all
-    // contain a common core element, plus an Ω floor, so κ stays
-    // bounded away from 1 over the whole chain.
-    let sources: Vec<MassFunction<f64>> = (0..16)
-        .map(|_| {
-            let mut sets = Vec::new();
-            while sets.len() < 6 {
-                let size = rng.gen_range(1..=2);
-                let mut members = vec![0usize]; // common core element
-                for _ in 0..size {
-                    members.push(rng.gen_range(0..f.len()));
-                }
-                let set = evirel_evidence::FocalSet::from_indices(members);
-                if !sets.contains(&set) {
-                    sets.push(set);
-                }
-            }
-            let weights: Vec<f64> = (0..sets.len()).map(|_| rng.gen_range(0.05..1.0)).collect();
-            let total: f64 = weights.iter().sum::<f64>() / 0.9;
-            let mut entries: Vec<(evirel_evidence::FocalSet, f64)> = sets
-                .into_iter()
-                .zip(weights.into_iter().map(|w| w / total))
-                .collect();
-            entries.push((evirel_evidence::FocalSet::full(f.len()), 0.1));
-            MassFunction::from_entries(Arc::clone(&f), entries).expect("normalized")
-        })
-        .collect();
-    for cap in [None, Some(4usize), Some(8), Some(16)] {
-        let name = cap.map_or("unbounded".to_owned(), |k| format!("cap{k}"));
-        group.bench_with_input(BenchmarkId::from_parameter(name), &cap, |bench, cap| {
-            bench.iter(|| {
-                let mut acc = sources[0].clone();
-                for s in &sources[1..] {
-                    acc = combine::dempster(&acc, s).expect("no total conflict").mass;
-                    if let Some(k) = cap {
-                        acc = approx::summarize(&acc, *k).expect("cap >= 1");
-                    }
-                }
-                black_box(acc)
-            });
         });
     }
     group.finish();
@@ -243,6 +169,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_focal_scaling, bench_domain_scaling, bench_rules, bench_chain_with_summarization, bench_merge_pass_scratch
+    targets = bench_focal_scaling, bench_domain_scaling, bench_merge_pass_scratch
 }
 criterion_main!(benches);

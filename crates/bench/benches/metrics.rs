@@ -1,47 +1,20 @@
-//! Observability-layer benchmark: what instrumentation costs.
+//! Observability-layer benchmark: what the instrumentation primitives
+//! cost (`metrics/hot-path`) — a registry counter increment vs a raw
+//! relaxed `AtomicU64` (the floor), a histogram observation, and a
+//! full exposition render of a populated registry (the scrape cost,
+//! paid by `METRICS` callers, not by queries).
 //!
-//! Two layers of measurement:
+//! Kept because `BENCHMARK.json` sees instrumentation only end to end
+//! (`trace.overhead_ratio`, and `read_warm` itself, which replaced the
+//! retired `metrics/instrumented` round-trips): these rows are the
+//! per-primitive side of the 2 % bar.
 //!
-//! * `metrics/hot-path` — the primitive costs: a registry counter
-//!   increment vs a raw relaxed `AtomicU64` (the floor), a histogram
-//!   observation, and a full exposition render of a populated
-//!   registry (the scrape cost, paid by `METRICS` callers, not by
-//!   queries).
-//! * `metrics/instrumented` — PING and warm-cached QUERY round-trips
-//!   through a live instrumented server, measured exactly like
-//!   `serve/roundtrip` measures them. Compare against the
-//!   pre-instrumentation `serve/roundtrip` rows in BASELINES.md: the
-//!   delta is the end-to-end overhead of per-verb counters, latency
-//!   histograms, spans, and metered execution, and must stay < 2%.
-//!
-//! The smoke pass (`cargo test --benches`, CI) additionally asserts a
-//! `METRICS` scrape round-trips and exposes the serve counters.
-//!
-//! Reference numbers live in `crates/bench/BASELINES.md`.
+//! Last recording: `crates/bench/BASELINES.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evirel_obs::{Histogram, MetricsRegistry};
-use evirel_query::Catalog;
-use evirel_serve::protocol::{read_frame, write_frame};
-use evirel_serve::{start, ServeConfig, ServerHandle};
-use evirel_workload::{restaurant_db_a, restaurant_db_b};
 use std::hint::black_box;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-fn server() -> ServerHandle {
-    let mut catalog = Catalog::new();
-    catalog.register("ra", restaurant_db_a().restaurants);
-    catalog.register("rb", restaurant_db_b().restaurants);
-    start(catalog, ServeConfig::default()).expect("server starts")
-}
-
-fn roundtrip(conn: &mut TcpStream, payload: &str) -> String {
-    write_frame(conn, payload).expect("request writes");
-    read_frame(conn)
-        .expect("response reads")
-        .expect("server replied")
-}
 
 fn bench_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics/hot-path");
@@ -92,48 +65,5 @@ fn bench_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Instrumented server round-trips, measured exactly as the
-/// pre-instrumentation `serve/roundtrip` bench measured them so the
-/// BASELINES.md before/after rows are apples to apples.
-fn bench_instrumented(c: &mut Criterion) {
-    let handle = server();
-    let mut conn = TcpStream::connect(handle.addr()).expect("connects");
-    conn.set_nodelay(true).expect("nodelay");
-    let query = "QUERY\nSELECT * FROM ra UNION rb WITH SN > 0.5";
-
-    // Sanity before timing: warm the plan cache, then prove the
-    // instrumentation is live — a METRICS scrape must expose the
-    // request counters this very connection just incremented.
-    let cold = roundtrip(&mut conn, query);
-    assert!(cold.starts_with("OK"), "{cold}");
-    let warm = roundtrip(&mut conn, query);
-    assert!(warm.contains("cached=1"), "cache must engage: {warm}");
-    let scrape = roundtrip(&mut conn, "METRICS");
-    assert!(scrape.starts_with("OK"), "{scrape}");
-    assert!(
-        scrape.contains("# TYPE evirel_serve_requests_total counter"),
-        "{scrape}"
-    );
-    assert!(
-        scrape.contains("evirel_serve_requests_total{verb=\"query\"} 2"),
-        "{scrape}"
-    );
-
-    let mut group = c.benchmark_group("metrics/instrumented");
-    group.bench_function("ping", |b| {
-        b.iter(|| black_box(roundtrip(&mut conn, "PING")))
-    });
-    group.bench_function("warm-query", |b| {
-        b.iter(|| black_box(roundtrip(&mut conn, query)))
-    });
-    group.finish();
-
-    drop(conn);
-    handle.shutdown();
-    let stats = handle.join();
-    assert_eq!(stats.panics, 0);
-    assert_eq!(stats.errors, 0);
-}
-
-criterion_group!(benches, bench_hot_path, bench_instrumented);
+criterion_group!(benches, bench_hot_path);
 criterion_main!(benches);

@@ -14,7 +14,9 @@
 //! `plan::reference` oracle. (The timed left-deep row is retired with
 //! the statistics-off switch that produced it.)
 //!
-//! Reference numbers live in `crates/bench/BASELINES.md`.
+//! Kept beside `benchmark/` because no workload text there joins, so
+//! nothing else measures `ChainOp`. Last recording:
+//! `crates/bench/BASELINES.md`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};

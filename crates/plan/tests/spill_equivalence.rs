@@ -422,6 +422,10 @@ proptest! {
         spill_ctx.spill_threshold_bytes = 0; // always spill
         spill_ctx.pool = Arc::new(BufferPool::new(2 * evirel_store::DEFAULT_PAGE_SIZE));
         let spilled = execute_plan(&plan, &b, &mut spill_ctx).expect("spilled merge");
+        prop_assert!(
+            spill_ctx.pool.stats().misses > 0,
+            "a spilled build side must page through the pool"
+        );
 
         if let Err(reason) = equivalent(&mem, &spilled) {
             prop_assert!(false, "{reason} (threads={threads})");

@@ -120,31 +120,10 @@ pub struct DurableMetrics {
 }
 
 /// How many journal records a [`DurableCatalog`] retains in memory
-/// for replication senders **by default**. A follower whose resume
-/// cursor falls below the retained window gets a full snapshot
-/// transfer instead of record replay. Override per process with the
-/// `EVIREL_RETAIN_RECORDS` environment variable, an integer in
-/// `1..=`[`MAX_RETAIN_RECORDS`].
+/// for replication senders. A follower whose resume cursor falls below
+/// the retained window gets a full snapshot transfer instead of record
+/// replay.
 pub const RETAINED_RECORDS_CAP: usize = 4096;
-
-/// Largest retained-window size `EVIREL_RETAIN_RECORDS` accepts.
-/// Each retained record is a small in-memory struct, but a window in
-/// the millions means someone fat-fingered a byte budget into a
-/// record count — reject it like garbage input.
-pub const MAX_RETAIN_RECORDS: usize = 1 << 20;
-
-/// The retained-window size a newly opened [`DurableCatalog`] uses:
-/// `EVIREL_RETAIN_RECORDS` when it is an integer in
-/// `1..=`[`MAX_RETAIN_RECORDS`], else [`RETAINED_RECORDS_CAP`] (an
-/// invalid value is rejected loudly, see
-/// [`evirel_store::EnvKnob::get`]). Small windows resync followers
-/// sooner; large windows let a long-offline standby catch up by
-/// record replay.
-const RETAIN_RECORDS: evirel_store::EnvKnob = evirel_store::EnvKnob {
-    var: "EVIREL_RETAIN_RECORDS",
-    range: 1..=MAX_RETAIN_RECORDS,
-    default: RETAINED_RECORDS_CAP,
-};
 
 /// What a replication sender should stream to a follower that has
 /// applied through some generation — computed by
@@ -187,8 +166,8 @@ pub struct DurableCatalog {
     /// still be able to resume a follower from before the
     /// checkpoint). Ascending generations; capped at `retained_cap`.
     retained: Vec<JournalRecord>,
-    /// Retained-window size, fixed at open time from
-    /// `EVIREL_RETAIN_RECORDS` (default [`RETAINED_RECORDS_CAP`]).
+    /// Retained-window size: [`RETAINED_RECORDS_CAP`], except in the
+    /// tests that overflow the window.
     retained_cap: usize,
     /// Followers resuming from a generation **below** this floor need
     /// a full resync — the records are no longer individually
@@ -208,7 +187,16 @@ impl DurableCatalog {
     /// directory, torn manifest, mid-journal damage, a missing or
     /// checksum-mismatched segment.
     pub fn open(dir: impl AsRef<Path>) -> Result<(DurableCatalog, Catalog), QueryError> {
-        let dir = dir.as_ref().to_path_buf();
+        DurableCatalog::open_retaining(dir.as_ref(), RETAINED_RECORDS_CAP)
+    }
+
+    /// [`DurableCatalog::open`] with a retained window of
+    /// `retained_cap` records.
+    fn open_retaining(
+        dir: &Path,
+        retained_cap: usize,
+    ) -> Result<(DurableCatalog, Catalog), QueryError> {
+        let dir = dir.to_path_buf();
         std::fs::create_dir_all(&dir).map_err(|e| QueryError::Execution {
             message: format!("create data dir {dir:?}: {e}"),
         })?;
@@ -255,13 +243,8 @@ impl DurableCatalog {
 
         // Apply the retained-window cap to the replayed tail too, so
         // a long journal does not pin unbounded memory at open.
-        let retained_cap = RETAIN_RECORDS.get();
         let mut retained_floor = manifest.generation;
-        if retained.len() > retained_cap {
-            let excess = retained.len() - retained_cap;
-            retained_floor = retained[excess - 1].generation();
-            retained.drain(..excess);
-        }
+        trim_window(&mut retained, &mut retained_floor, retained_cap);
 
         let next_segment = next_segment_number(&dir);
         Ok((
@@ -312,11 +295,11 @@ impl DurableCatalog {
         fold(&mut self.entries, &record);
         self.committed_generation = self.committed_generation.max(record.generation());
         self.retained.push(record);
-        if self.retained.len() > self.retained_cap {
-            let excess = self.retained.len() - self.retained_cap;
-            self.retained_floor = self.retained[excess - 1].generation();
-            self.retained.drain(..excess);
-        }
+        trim_window(
+            &mut self.retained,
+            &mut self.retained_floor,
+            self.retained_cap,
+        );
         self.publish_state();
         Ok(())
     }
@@ -726,6 +709,16 @@ fn fold(entries: &mut BTreeMap<String, ManifestEntry>, record: &JournalRecord) {
     }
 }
 
+/// Keep the newest `cap` retained records; the floor rises to the
+/// generation of the newest one dropped.
+fn trim_window(retained: &mut Vec<JournalRecord>, floor: &mut u64, cap: usize) {
+    if retained.len() > cap {
+        let excess = retained.len() - cap;
+        *floor = retained[excess - 1].generation();
+        retained.drain(..excess);
+    }
+}
+
 /// The highest existing `seg-NNNNNN` number in `dir` (0 when none) —
 /// `record_bind` pre-increments, so new segments never collide with
 /// survivors of earlier incarnations.
@@ -869,22 +862,40 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// The retained window overflowing, at commit time and again when
+    /// a reopen replays a journal longer than the window: the floor is
+    /// the newest generation dropped, a follower at it tails, one
+    /// below it is sent the whole state.
     #[test]
-    fn retain_records_parsing_rejects_invalid_values() {
-        assert_eq!(RETAIN_RECORDS.parse("1"), Some(1));
-        assert_eq!(RETAIN_RECORDS.parse(" 4096 "), Some(RETAINED_RECORDS_CAP));
-        assert_eq!(RETAIN_RECORDS.parse("1048576"), Some(MAX_RETAIN_RECORDS));
-        for invalid in [
-            "",
-            "0",
-            "-2",
-            "64.0",
-            "O4",
-            "lots",
-            "1048577",
-            "9999999999999999999999",
-        ] {
-            assert_eq!(RETAIN_RECORDS.parse(invalid), None, "{invalid:?}");
+    fn a_follower_below_the_retained_floor_is_resynced() {
+        let dir =
+            std::env::temp_dir().join(format!("evirel-durable-window-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (mut durable, recovered) = DurableCatalog::open_retaining(&dir, 2).unwrap();
+        let shared = SharedCatalog::new(recovered);
+        let ra = restaurant_db_a().restaurants;
+        for name in ["a", "b", "c"] {
+            durable.bind(&shared, name, &ra).unwrap();
         }
+        let overflowed = |durable: &DurableCatalog| {
+            assert_eq!(durable.retained_floor, 1);
+            let StreamPlan::Tail(tail) = durable.stream_plan(1) else {
+                panic!("a cursor at the floor tails");
+            };
+            let generations: Vec<u64> = tail.iter().map(JournalRecord::generation).collect();
+            assert_eq!(generations, [2, 3]);
+            let StreamPlan::Resync {
+                generation,
+                entries,
+            } = durable.stream_plan(0)
+            else {
+                panic!("a cursor below the floor resyncs");
+            };
+            assert_eq!((generation, entries.len()), (3, 3));
+        };
+        overflowed(&durable);
+        drop(durable);
+        overflowed(&DurableCatalog::open_retaining(&dir, 2).unwrap().0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

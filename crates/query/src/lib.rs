@@ -55,8 +55,7 @@ pub mod snapshot;
 
 pub use catalog::Catalog;
 pub use durable::{
-    DurabilityStats, DurableCatalog, DurableMetrics, StreamPlan, MAX_RETAIN_RECORDS,
-    RETAINED_RECORDS_CAP,
+    DurabilityStats, DurableCatalog, DurableMetrics, StreamPlan, RETAINED_RECORDS_CAP,
 };
 pub use error::QueryError;
 pub use exec::{execute, execute_with_report, QueryOutcome};

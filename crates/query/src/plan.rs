@@ -184,47 +184,6 @@ impl Plan {
         evirel_plan::validate_plan(&self.to_logical(), catalog)?;
         Ok(())
     }
-
-    /// Render the plan as an indented operator tree — the `EXPLAIN`
-    /// output:
-    ///
-    /// ```text
-    /// π̃[rname, rating]
-    ///   σ̃[rating is {ex}] with sn >= 0.5
-    ///     ∪̃
-    ///       scan ra
-    ///       scan rb
-    /// ```
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut depth = 0usize;
-        if let Some(attrs) = &self.projection {
-            out.push_str(&format!("π̃[{}]\n", attrs.join(", ")));
-            depth += 1;
-        }
-        match &self.predicate {
-            Some(pred) => {
-                out.push_str(&format!(
-                    "{}σ̃[{}] with {}\n",
-                    "  ".repeat(depth),
-                    pred,
-                    self.threshold
-                ));
-                depth += 1;
-            }
-            None if self.threshold != Threshold::POSITIVE => {
-                out.push_str(&format!(
-                    "{}σ̃[membership] with {}\n",
-                    "  ".repeat(depth),
-                    self.threshold
-                ));
-                depth += 1;
-            }
-            None => {}
-        }
-        render_source(&self.source, depth, &mut out);
-        out
-    }
 }
 
 fn source_logical(source: &SourcePlan) -> LogicalPlan {
@@ -243,31 +202,24 @@ fn source_logical(source: &SourcePlan) -> LogicalPlan {
     }
 }
 
-fn render_source(source: &SourcePlan, depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth);
-    match source {
-        SourcePlan::Scan(name) => out.push_str(&format!("{pad}scan {name}\n")),
-        SourcePlan::Union(l, r) => {
-            out.push_str(&format!("{pad}∪̃\n"));
-            render_source(l, depth + 1, out);
-            render_source(r, depth + 1, out);
-        }
-        SourcePlan::Join { left, right, on } => {
-            out.push_str(&format!("{pad}⋈̃[{on}]\n"));
-            render_source(left, depth + 1, out);
-            render_source(right, depth + 1, out);
-        }
-    }
-}
-
-/// Parse and lower a query, returning the rendered plan tree without
-/// executing it — the catalog-free `EXPLAIN` (no rewrites fire, since
-/// schema-aware rules need the catalog; see [`crate::explain_with`]).
+/// Parse and lower a query, returning the rendered logical plan tree
+/// without executing it — the catalog-free `EXPLAIN`, line for line
+/// the `logical:` section of [`crate::explain_with`] (no rewrites
+/// fire, since schema-aware rules need the catalog):
+///
+/// ```text
+/// π̃[rname, rating]
+///   σ̃[membership] with sn >= 0.5
+///     σ̃[rating is {ex}] with sn > 0
+///       ∪̃
+///         scan ra
+///         scan rb
+/// ```
 ///
 /// # Errors
 /// Lex/parse errors.
 pub fn explain(query: &str) -> Result<String, QueryError> {
-    Ok(lower(&crate::parser::parse(query)?)?.render())
+    Ok(lower(&crate::parser::parse(query)?)?.to_logical().render())
 }
 
 #[cfg(test)]
@@ -310,20 +262,33 @@ mod tests {
 
     #[test]
     fn explain_renders_plan_tree() {
-        let text =
-            explain("SELECT rname, rating FROM ra UNION rb WHERE rating IS {ex} WITH SN >= 0.5")
-                .unwrap();
-        assert!(text.contains("π̃[rname, rating]"), "{text}");
-        assert!(text.contains("σ̃[rating is {ex}] with sn >= 0.5"), "{text}");
-        assert!(text.contains("∪̃"), "{text}");
-        assert!(text.contains("scan ra"), "{text}");
-        // Indentation increases down the tree.
-        let union_line = text.lines().find(|l| l.trim_start() == "∪̃").unwrap();
-        let scan_line = text.lines().find(|l| l.contains("scan ra")).unwrap();
-        assert!(
-            scan_line.len() - scan_line.trim_start().len()
-                > union_line.len() - union_line.trim_start().len()
+        let query = "SELECT rname, rating FROM ra UNION rb WHERE rating IS {ex} WITH SN >= 0.5";
+        let text = explain(query).unwrap();
+        // WHERE and WITH are the two nodes the rewrite pass later
+        // fuses, not one.
+        assert_eq!(
+            text,
+            "π̃[rname, rating]\n\
+             \x20 σ̃[membership] with sn >= 0.5\n\
+             \x20   σ̃[rating is {ex}] with sn > 0\n\
+             \x20     ∪̃\n\
+             \x20       scan ra\n\
+             \x20       scan rb\n"
         );
+        // It is the `logical:` section of the full EXPLAIN, line for
+        // line.
+        let mut catalog = Catalog::new();
+        catalog.register("ra", evirel_workload::restaurant_db_a().restaurants);
+        catalog.register("rb", evirel_workload::restaurant_db_b().restaurants);
+        let full = crate::explain_with(&catalog, query, Default::default(), false).unwrap();
+        let logical: Vec<&str> = full
+            .lines()
+            .skip_while(|l| *l != "logical:")
+            .skip(1)
+            .take_while(|l| *l != "rewrites:")
+            .map(|l| l.strip_prefix("  ").expect("section lines are indented"))
+            .collect();
+        assert_eq!(logical, text.lines().collect::<Vec<_>>());
         // Bare WITH renders as a membership filter.
         let text = explain("SELECT * FROM r WITH SN >= 0.9").unwrap();
         assert!(text.contains("σ̃[membership]"), "{text}");

@@ -5,9 +5,10 @@
 //! incarnation shut down cleanly (checkpoint) or was dropped with
 //! only the journal on disk.
 
-use evirel_query::{Catalog, DurableCatalog};
+use evirel_query::{Catalog, DurableCatalog, SharedCatalog};
 use evirel_serve::protocol::{read_frame, write_frame, Response};
 use evirel_serve::{start_with_durability, ServeConfig, ServerHandle};
+use evirel_store::failpoint::FailpointFs;
 use evirel_workload::{restaurant_db_a, restaurant_db_b};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -35,7 +36,11 @@ fn seeded() -> Catalog {
 /// Boot a durable server over `dir`, overlaying seeds the way the
 /// binary does: recover first, recovered bindings win collisions.
 fn boot(dir: &PathBuf) -> ServerHandle {
-    let (durable, recovered) = DurableCatalog::open(dir).expect("data dir recovers");
+    serve(DurableCatalog::open(dir).expect("data dir recovers"))
+}
+
+/// [`boot`], from an already opened directory.
+fn serve((durable, recovered): (DurableCatalog, Catalog)) -> ServerHandle {
     let mut catalog = seeded();
     for name in recovered
         .names()
@@ -48,6 +53,16 @@ fn boot(dir: &PathBuf) -> ServerHandle {
         }
     }
     start_with_durability(catalog, ServeConfig::default(), Some(durable)).expect("server starts")
+}
+
+/// Stop the server WITHOUT the `join()` checkpoint — a crash, as far
+/// as the data directory can tell.
+fn crash(handle: ServerHandle) {
+    handle.shutdown();
+    std::mem::forget(handle);
+    // Give workers a moment to release the port/files (they hold
+    // nothing that blocks recovery; this just quiets the test).
+    std::thread::sleep(Duration::from_millis(200));
 }
 
 fn connect(handle: &ServerHandle) -> TcpStream {
@@ -167,13 +182,7 @@ fn merge_survives_unclean_drop_via_journal_alone() {
         let handle = boot(&dir);
         let mut c = connect(&handle);
         ok_body(roundtrip(&mut c, "MERGE crashy\nSELECT * FROM ra UNION rb"));
-        // Stop the server WITHOUT the join() checkpoint: simulate the
-        // crash by shutting down workers and forgetting the handle.
-        handle.shutdown();
-        std::mem::forget(handle);
-        // Give workers a moment to release the port/files (they hold
-        // nothing that blocks recovery; this just quiets the test).
-        std::thread::sleep(Duration::from_millis(200));
+        crash(handle);
     }
     // No checkpoint ran: the manifest is absent, the journal is not.
     assert!(!dir.join("MANIFEST.evm").exists());
@@ -194,6 +203,58 @@ fn merge_survives_unclean_drop_via_journal_alone() {
 /// The `key=value` field of a reply's first line, as u64.
 fn reply_field(body: &str, key: &str) -> u64 {
     stat(body.lines().next().unwrap_or_default(), key)
+}
+
+/// A MERGE whose journal fsync fails is told `ERR` and publishes
+/// nothing, so the next MERGE is handed the same generation — and a
+/// restart must find that one alone, not the record the first left in
+/// the file. The failpoint is thread-local, so the failing MERGE is
+/// `DurableCatalog::bind` (the call the MERGE handler makes) on this
+/// thread, before the server takes the handle.
+#[test]
+fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
+    let rel = restaurant_db_a().restaurants;
+    let bind = |durable: &mut DurableCatalog, name: &str| {
+        durable.bind(&SharedCatalog::new(Catalog::new()), name, &rel)
+    };
+    // A bind's last fsync is the journal's: count them on a scratch
+    // directory.
+    let journal_fsync = {
+        let probe = fresh_dir("fsync-probe");
+        let mut durable = DurableCatalog::open(&probe).expect("opens").0;
+        let fp = FailpointFs::observe();
+        bind(&mut durable, "probe").expect("binds");
+        std::fs::remove_dir_all(&probe).ok();
+        fp.fsyncs()
+    };
+
+    let dir = fresh_dir("fsync-fail");
+    let (mut durable, recovered) = DurableCatalog::open(&dir).expect("opens");
+    {
+        let _fp = FailpointFs::fail_fsync(journal_fsync);
+        bind(&mut durable, "lost").expect_err("the journal fsync fails");
+    }
+    {
+        let handle = serve((durable, recovered));
+        let mut c = connect(&handle);
+        let body = ok_body(roundtrip(&mut c, "MERGE kept\nSELECT * FROM ra UNION rb"));
+        assert_eq!(reply_field(&body, "generation"), 1, "{body}");
+        crash(handle);
+    }
+
+    let handle = boot(&dir);
+    let mut c = connect(&handle);
+    assert_eq!(stat(&ok_body(roundtrip(&mut c, "STATS")), "generation"), 1);
+    let kept = ok_body(roundtrip(&mut c, "QUERY\nSELECT * FROM kept WITH SN > 0"));
+    assert!(kept.starts_with("tuples=6"), "{kept}");
+    let lost = roundtrip(&mut c, "QUERY\nSELECT * FROM lost WITH SN > 0");
+    assert!(
+        matches!(lost, Response::Err { .. }),
+        "the failed MERGE came back: {lost:?}"
+    );
+    roundtrip(&mut c, "SHUTDOWN");
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Reads beside a durable writer: one connection issues MERGEs back

@@ -78,8 +78,11 @@ fn metrics_scrape_covers_every_subsystem() {
     // Traffic across verbs: a cold query, the same query warm (cache
     // hit), and a write.
     let query = "QUERY\nSELECT * FROM ra WHERE speciality IS {si} WITH SN > 0;";
-    assert!(matches!(roundtrip(&mut stream, query), Response::Ok { .. }));
-    assert!(matches!(roundtrip(&mut stream, query), Response::Ok { .. }));
+    for cached in ["cached=0", "cached=1"] {
+        let reply = ok_body(roundtrip(&mut stream, query));
+        let header = reply.lines().next().unwrap_or_default();
+        assert!(header.contains(cached), "expected {cached}: {header}");
+    }
     assert!(matches!(
         roundtrip(
             &mut stream,

@@ -16,6 +16,10 @@
 //! interleaving: before, inside, and after each write, fsync, and
 //! rename of the sequence.
 //!
+//! One plan is not a crash: [`FailpointFs::fail_fsync`] fails a single
+//! fsync and lets the process live, for the paths that must clean up
+//! after an error they survive (a journal append's rollback).
+//!
 //! State is **thread-local**: the arming test kills only its own
 //! writes, so unrelated tests (and their spill segments) in the same
 //! process are untouched, and no cross-test locking is needed.
@@ -49,6 +53,9 @@ enum Plan {
     KillAfter(u64),
     /// Fail the k-th fsync call (1-based) and everything after it.
     KillAtFsync(u64),
+    /// Fail the k-th fsync call (1-based) and nothing else: a
+    /// transient device error in a process that lives on.
+    FailFsync(u64),
 }
 
 #[derive(Debug)]
@@ -109,6 +116,14 @@ impl FailpointFs {
         FailpointFs::arm(Plan::KillAtFsync(k.max(1)))
     }
 
+    /// Arm a transient failure of the `k`-th fsync call (1-based):
+    /// only that call fails; every operation before and after it
+    /// proceeds, so the code under test keeps running on the same
+    /// file — what a crash plan cannot show.
+    pub fn fail_fsync(k: u64) -> FailpointFs {
+        FailpointFs::arm(Plan::FailFsync(k.max(1)))
+    }
+
     /// Cost units charged so far on this thread.
     pub fn units(&self) -> u64 {
         STATE.with(|s| s.borrow().as_ref().map_or(0, |s| s.units))
@@ -144,7 +159,7 @@ fn charge_write(n: u64) -> Option<u64> {
             return Some(0);
         }
         match state.plan {
-            Plan::Observe | Plan::KillAtFsync(_) => {
+            Plan::Observe | Plan::KillAtFsync(_) | Plan::FailFsync(_) => {
                 state.units += n;
                 None
             }
@@ -195,6 +210,14 @@ fn charge_unit(is_fsync: bool) -> io::Result<()> {
                 if is_fsync && state.fsyncs >= k {
                     state.dead = true;
                     return Err(killed());
+                }
+                Ok(())
+            }
+            Plan::FailFsync(k) => {
+                if is_fsync && state.fsyncs == k {
+                    return Err(io::Error::other(
+                        "failpoint: simulated transient fsync failure",
+                    ));
                 }
                 Ok(())
             }

@@ -20,6 +20,14 @@
 //! never acknowledged to any client. A record whose CRC matches but
 //! whose body does not decode is a typed [`StoreError::Corrupt`]
 //! (that is damage, not a torn write).
+//!
+//! **No acked record ever follows an un-acked one.** An append that
+//! fails while the process lives (a write or fsync error) is cut back
+//! out of the file before the error is returned; when even that fails
+//! the [`Journal`] refuses every later append until it is reopened.
+//! Otherwise the next writer — handed the same generation, since
+//! nothing was published — would append behind the failed frame and a
+//! later recovery would replay a mutation its client was told failed.
 
 use crate::codec::{self, Cursor};
 use crate::crc::crc32;
@@ -148,6 +156,10 @@ pub struct Journal {
     path: PathBuf,
     /// Committed records appended (or replayed) since open/truncate.
     records_since_checkpoint: u64,
+    /// A failed append could not be rolled back: the file may end in
+    /// an un-acked frame, so nothing may be appended behind it. Only
+    /// a reopen (which replays or truncates that tail) clears this.
+    poisoned: bool,
 }
 
 impl Journal {
@@ -191,6 +203,7 @@ impl Journal {
                     file,
                     path,
                     records_since_checkpoint: 0,
+                    poisoned: false,
                 },
                 Vec::new(),
             ));
@@ -274,6 +287,7 @@ impl Journal {
                 file,
                 path,
                 records_since_checkpoint: count,
+                poisoned: false,
             },
             records,
         ))
@@ -283,21 +297,47 @@ impl Journal {
     /// durable and may be published to readers.
     ///
     /// # Errors
-    /// [`StoreError::Io`] on write failures. After an error the
-    /// journal file may hold a torn frame; the next
-    /// [`Journal::open_or_create`] truncates it.
+    /// [`StoreError::Io`] on write or fsync failures; the frame is
+    /// then rolled back (the file is cut to its pre-append length and
+    /// fsync'd), so the next append starts where this one did. If the
+    /// rollback fails too, this and every later append on this handle
+    /// is refused with [`StoreError::Io`]: reopening the directory
+    /// ([`Journal::open_or_create`]) replays or truncates the tail.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), StoreError> {
+        if self.poisoned {
+            return Err(StoreError::Io {
+                context: "append journal record".to_owned(),
+                message: "journal poisoned: an earlier failed append could not be \
+                          rolled back; reopen the data directory"
+                    .to_owned(),
+            });
+        }
         let mut body = Vec::new();
         record.encode(&mut body);
         let mut frame = Vec::with_capacity(8 + body.len());
         codec::put_u32(&mut frame, body.len() as u32);
         codec::put_u32(&mut frame, crc32(&body));
         frame.extend_from_slice(&body);
-        fp_write_all(&mut self.file, &frame)
-            .map_err(|e| StoreError::io("append journal record", &e))?;
-        fp_sync(&self.file).map_err(|e| StoreError::io("fsync journal", &e))?;
+        let start = self
+            .file
+            .stream_position()
+            .map_err(|e| StoreError::io("locate journal end", &e))?;
+        let appended = fp_write_all(&mut self.file, &frame)
+            .map_err(|e| StoreError::io("append journal record", &e))
+            .and_then(|()| fp_sync(&self.file).map_err(|e| StoreError::io("fsync journal", &e)));
+        if let Err(e) = appended {
+            self.poisoned = self.cut_back_to(start).is_err();
+            return Err(e);
+        }
         self.records_since_checkpoint += 1;
         Ok(())
+    }
+
+    /// Durably shrink the file to `len` and position the cursor there.
+    fn cut_back_to(&mut self, len: u64) -> std::io::Result<()> {
+        fp_set_len(&self.file, len)?;
+        fp_sync(&self.file)?;
+        self.file.seek(SeekFrom::Start(len)).map(|_| ())
     }
 
     /// Truncate back to the header — the checkpoint's last step,
@@ -307,11 +347,8 @@ impl Journal {
     /// # Errors
     /// [`StoreError::Io`] on failures.
     pub fn truncate(&mut self) -> Result<(), StoreError> {
-        fp_set_len(&self.file, HEADER_LEN).map_err(|e| StoreError::io("truncate journal", &e))?;
-        fp_sync(&self.file).map_err(|e| StoreError::io("fsync truncated journal", &e))?;
-        self.file
-            .seek(SeekFrom::Start(HEADER_LEN))
-            .map_err(|e| StoreError::io("seek journal start", &e))?;
+        self.cut_back_to(HEADER_LEN)
+            .map_err(|e| StoreError::io("truncate journal", &e))?;
         self.records_since_checkpoint = 0;
         Ok(())
     }
@@ -426,6 +463,78 @@ mod tests {
         let (_, replayed) = Journal::open_or_create(&d).unwrap();
         assert_eq!(replayed, vec![bind(9)]);
         std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// On-disk bytes of one record's frame.
+    fn frame_len(record: &JournalRecord) -> u64 {
+        let mut body = Vec::new();
+        record.encode(&mut body);
+        8 + body.len() as u64
+    }
+
+    /// A MERGE whose journal fsync fails is told `ERR` and nothing is
+    /// published, so the next MERGE is handed the same generation: its
+    /// record must replace the failed frame, not follow it.
+    #[test]
+    fn failed_fsync_is_rolled_back_before_the_next_append() {
+        let d = dir("rollback");
+        let (mut j, _) = Journal::open_or_create(&d).unwrap();
+        let (a, b) = (bind(1), bind(2));
+        let c = JournalRecord::Drop {
+            name: "m1".into(),
+            generation: 2,
+        };
+        j.append(&a).unwrap();
+        {
+            let _fp = FailpointFs::fail_fsync(1);
+            assert!(matches!(j.append(&b), Err(StoreError::Io { .. })));
+        }
+        j.append(&c).unwrap();
+        assert_eq!(j.records_since_checkpoint(), 2);
+        drop(j);
+        assert_eq!(
+            std::fs::metadata(d.join(JOURNAL_FILE)).unwrap().len(),
+            HEADER_LEN + frame_len(&a) + frame_len(&c)
+        );
+        let (_, replayed) = Journal::open_or_create(&d).unwrap();
+        assert_eq!(replayed, vec![a, c]);
+        assert!(replayed
+            .windows(2)
+            .all(|w| w[0].generation() < w[1].generation()));
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// When the rollback fails too, the file may end in the un-acked
+    /// frame: the handle refuses every later append (typed, even with
+    /// the device healthy again), and a reopen sees what a crash at
+    /// that point would have left — never an acked record behind it.
+    #[test]
+    fn failed_rollback_poisons_the_journal_until_reopen() {
+        // The failing fsync finds b's frame whole on disk; the torn
+        // write leaves five bytes of it.
+        let arms: [(fn() -> FailpointFs, usize); 2] = [
+            (|| FailpointFs::kill_at_fsync(1), 2),
+            (|| FailpointFs::kill_after(5), 1),
+        ];
+        for (arm, survivors) in arms {
+            let d = dir("poison");
+            let (mut j, _) = Journal::open_or_create(&d).unwrap();
+            j.append(&bind(1)).unwrap();
+            {
+                let fp = arm();
+                assert!(j.append(&bind(2)).is_err());
+                assert!(fp.fired());
+            }
+            match j.append(&bind(3)) {
+                Err(StoreError::Io { message, .. }) => assert!(message.contains("poisoned")),
+                other => panic!("a poisoned journal accepted an append: {other:?}"),
+            }
+            drop(j);
+            let (mut j, replayed) = Journal::open_or_create(&d).unwrap();
+            assert_eq!(replayed, [bind(1), bind(2)][..survivors]);
+            j.append(&bind(3)).unwrap();
+            std::fs::remove_dir_all(&d).ok();
+        }
     }
 
     #[test]
