@@ -19,6 +19,7 @@
 
 use crate::conflict::{AttributeConflict, ConflictPolicy, ConflictReport, PairKey};
 use crate::error::AlgebraError;
+use crate::support::Row;
 use evirel_evidence::{rules::CombinationRule, EvidenceError, MassFunction};
 use evirel_relation::{
     AttrDomain, AttrType, AttrValue, ExtendedRelation, RelationError, SupportPair, Tuple, Value,
@@ -147,7 +148,8 @@ pub fn merge_tuples(
 
 /// [`merge_tuples`] reusing a caller-held [`MergeScratch`] across a
 /// whole merge pass — bit-for-bit the same result, minus one memo
-/// table allocation per attribute combination.
+/// table allocation per attribute combination. The kernel
+/// ([`merge_pair`]) with every position read and every pair kept.
 #[allow(clippy::too_many_arguments)]
 pub fn merge_tuples_with(
     schema: &evirel_relation::Schema,
@@ -158,53 +160,156 @@ pub fn merge_tuples_with(
     report: &mut ConflictReport,
     scratch: &mut MergeScratch,
 ) -> Result<Option<Tuple>, AlgebraError> {
+    merge_pair(schema, key, l, r, options, report, scratch, &KeepAll)
+}
+
+/// A σ̃ applied to a matched pair *inside* the kernel, between the
+/// pair's observations and its merged tuple: what a selection directly
+/// above a ∪̃/∩̃ is to the pairs that merge computes.
+pub trait PairSelection {
+    /// Does the predicate read schema position `pos`? A position it
+    /// does not read is only *observed* until the pair is known to be
+    /// kept.
+    fn reads(&self, pos: usize) -> bool;
+
+    /// `F_SS` of the predicate on `row` — the merged pair, holding the
+    /// positions [`PairSelection::reads`] names — then `F_TM` with the
+    /// pair's combined `membership`, then the threshold `Q`: the
+    /// revised membership of a kept pair, `None` for a rejected one.
+    ///
+    /// # Errors
+    /// As [`crate::support::BoundPredicate::support`].
+    fn decide(
+        &self,
+        row: &impl Row,
+        membership: SupportPair,
+    ) -> Result<Option<SupportPair>, AlgebraError>;
+}
+
+/// No selection: every position read, every pair kept.
+struct KeepAll;
+
+impl PairSelection for KeepAll {
+    fn reads(&self, _pos: usize) -> bool {
+        true
+    }
+
+    fn decide(
+        &self,
+        _row: &impl Row,
+        membership: SupportPair,
+    ) -> Result<Option<SupportPair>, AlgebraError> {
+        Ok(Some(membership))
+    }
+}
+
+/// A pair's merged values as far as the kernel has built them when it
+/// decides: `None` at the deferred positions, which the selection
+/// declared it does not read.
+struct Decided<'a>(&'a [Option<AttrValue>]);
+
+impl Row for Decided<'_> {
+    fn value(&self, pos: usize) -> &AttrValue {
+        self.0[pos]
+            .as_ref()
+            .expect("a selection reads only the positions it names")
+    }
+}
+
+/// The per-pair kernel: merge one matched pair under `selection`,
+/// deciding before materializing. The attributes are walked in schema
+/// order; keys and definite attributes are resolved as they stand, an
+/// evidential attribute the selection reads is combined *in full*, and
+/// any other evidential attribute is only *observed* — its κ and its
+/// total-conflict verdict, from the combination engine's own pass run
+/// without a sink. Every observation is recorded, and every total
+/// conflict raised under [`ConflictPolicy::Error`], exactly where the
+/// full combination would have; then the membership pairs are
+/// combined, the selection decides, and only a kept pair pays for the
+/// deferred attributes and its tuple. Under CWA_ER a pair with
+/// `sn = 0`, or one the selection rejects, is not stored — all it is
+/// owed is the decision and the report — so this is the σ̃ of the
+/// merged pair bit for bit: same tuples, same report, same errors.
+///
+/// # Errors
+/// As [`merge_tuples`], plus the selection's own.
+#[allow(clippy::too_many_arguments)]
+pub fn merge_pair(
+    schema: &evirel_relation::Schema,
+    key: &[Value],
+    l: &Tuple,
+    r: &Tuple,
+    options: &UnionOptions,
+    report: &mut ConflictReport,
+    scratch: &mut MergeScratch,
+    selection: &impl PairSelection,
+) -> Result<Option<Tuple>, AlgebraError> {
     let mut key = PairKey::new(key);
-    let mut values: Vec<AttrValue> = Vec::with_capacity(schema.arity());
+    let mut values: Vec<Option<AttrValue>> = Vec::with_capacity(schema.arity());
     for (pos, attr) in schema.attrs().iter().enumerate() {
         let lv = l.value(pos);
         let rv = r.value(pos);
         if attr.is_key() {
-            values.push(lv.clone());
+            values.push(Some(lv.clone()));
             continue;
         }
-        match attr.ty() {
+        let name = attr.shared_name();
+        values.push(match attr.ty() {
             AttrType::Definite(_) => {
                 // Open-domain definite attributes cannot be combined
                 // evidentially; equal values merge trivially, unequal
                 // values are a total conflict.
                 if lv == rv {
-                    values.push(lv.clone());
+                    Some(lv.clone())
                 } else {
-                    total_conflict(
-                        &mut key,
-                        attr.shared_name(),
-                        options.on_total_conflict,
-                        report,
-                    )?;
-                    values.push(match options.on_total_conflict {
+                    total_conflict(&mut key, name, options.on_total_conflict, report)?;
+                    Some(match options.on_total_conflict {
                         ConflictPolicy::KeepRight => rv.clone(),
                         // There is no vacuous definite value; keep left
                         // (documented behaviour for definite attrs).
                         _ => lv.clone(),
-                    });
+                    })
                 }
             }
-            AttrType::Evidential(domain) => values.push(combine_evidence(
+            AttrType::Evidential(domain) if selection.reads(pos) => Some(combine_evidence(
+                name, domain, &mut key, lv, rv, options, report, scratch,
+            )?),
+            AttrType::Evidential(domain) => {
+                observe_evidence(name, domain, &mut key, lv, rv, options, report, scratch)?;
+                None
+            }
+        });
+    }
+    let Some(membership) = combine_membership(&mut key, l, r, options.on_total_conflict, report)?
+    else {
+        return Ok(None);
+    };
+    let Some(membership) = selection.decide(&Decided(&values), membership)? else {
+        return Ok(None);
+    };
+    // Kept: the deferred positions are combined in full now. What they
+    // observe was reported above, so this pass reports to nobody.
+    let mut unheard = ConflictReport::new();
+    for (pos, attr) in schema.attrs().iter().enumerate() {
+        if let (None, AttrType::Evidential(domain)) = (&values[pos], attr.ty()) {
+            values[pos] = Some(combine_evidence(
                 attr.shared_name(),
                 domain,
                 &mut key,
-                lv,
-                rv,
+                l.value(pos),
+                r.value(pos),
                 options,
-                report,
+                &mut unheard,
                 scratch,
-            )?),
+            )?);
         }
     }
-    match combine_membership(&mut key, l, r, options.on_total_conflict, report)? {
-        Some(membership) => Ok(Some(Tuple::new(schema, values, membership)?)),
-        None => Ok(None),
-    }
+    // Same layout with and without the `Option`: collected in place.
+    let values = values
+        .into_iter()
+        .map(|value| value.expect("only evidence is deferred, and it is combined above"))
+        .collect();
+    Ok(Some(Tuple::new(schema, values, membership)?))
 }
 
 /// Record a total conflict (κ = 1) on `attr`; an error under
@@ -227,6 +332,38 @@ fn total_conflict(
             attr: attr.to_string(),
         }),
         _ => Ok(()),
+    }
+}
+
+/// Report what the rule's step saw of one attribute pair — κ > 0 as an
+/// observation, a total conflict as one (raised under
+/// [`ConflictPolicy::Error`]) — and hand back what the step built,
+/// `None` on a total conflict.
+#[inline]
+fn reported<T>(
+    step: Result<(T, f64), EvidenceError>,
+    attr: &Arc<str>,
+    key: &mut PairKey<'_>,
+    policy: ConflictPolicy,
+    report: &mut ConflictReport,
+) -> Result<Option<T>, AlgebraError> {
+    match step {
+        Ok((built, kappa)) => {
+            if kappa > 0.0 {
+                report.record(AttributeConflict {
+                    key: key.shared(),
+                    attr: Arc::clone(attr),
+                    kappa,
+                    total: false,
+                });
+            }
+            Ok(Some(built))
+        }
+        Err(EvidenceError::TotalConflict) => {
+            total_conflict(key, attr, policy, report)?;
+            Ok(None)
+        }
+        Err(e) => Err(AlgebraError::Evidence(e)),
     }
 }
 
@@ -253,35 +390,53 @@ pub fn combine_evidence(
 ) -> Result<AttrValue, AlgebraError> {
     let lm = lv.to_evidence(domain)?;
     let rm = rv.to_evidence(domain)?;
-    let mass = match options.rule.combine_reporting_with(&lm, &rm, scratch) {
-        Ok((mass, kappa)) => {
-            if kappa > 0.0 {
-                report.record(AttributeConflict {
-                    key: key.shared(),
-                    attr: Arc::clone(attr),
-                    kappa,
-                    total: false,
-                });
+    let step = options.rule.combine_reporting_with(&lm, &rm, scratch);
+    let mass = match reported(step, attr, key, options.on_total_conflict, report)? {
+        Some(mass) => match options.max_focal {
+            Some(k) => evirel_evidence::approx::summarize(&mass, k).map_err(RelationError::from)?,
+            None => mass,
+        },
+        None => match options.on_total_conflict {
+            ConflictPolicy::KeepRight => rm.into_owned(),
+            ConflictPolicy::Vacuous => {
+                MassFunction::vacuous(Arc::clone(domain.frame())).map_err(RelationError::from)?
             }
-            match options.max_focal {
-                Some(k) => {
-                    evirel_evidence::approx::summarize(&mass, k).map_err(RelationError::from)?
-                }
-                None => mass,
-            }
-        }
-        Err(EvidenceError::TotalConflict) => {
-            total_conflict(key, attr, options.on_total_conflict, report)?;
-            match options.on_total_conflict {
-                ConflictPolicy::KeepRight => rm.into_owned(),
-                ConflictPolicy::Vacuous => MassFunction::vacuous(Arc::clone(domain.frame()))
-                    .map_err(RelationError::from)?,
-                _ => lm.into_owned(),
-            }
-        }
-        Err(e) => return Err(AlgebraError::Evidence(e)),
+            _ => lm.into_owned(),
+        },
     };
     Ok(AttrValue::Evidential(mass))
+}
+
+/// [`combine_evidence`] for an attribute whose combined value nobody
+/// reads yet: the same observations into `report` and the same errors,
+/// from the rule's observing pass — no combined mass function.
+#[allow(clippy::too_many_arguments)]
+fn observe_evidence(
+    attr: &Arc<str>,
+    domain: &Arc<AttrDomain>,
+    key: &mut PairKey<'_>,
+    lv: &AttrValue,
+    rv: &AttrValue,
+    options: &UnionOptions,
+    report: &mut ConflictReport,
+    scratch: &mut MergeScratch,
+) -> Result<(), AlgebraError> {
+    let lm = lv.to_evidence(domain)?;
+    let rm = rv.to_evidence(domain)?;
+    let step = options.rule.observe_with(&lm, &rm, scratch);
+    let combinable = reported(
+        step.map(|kappa| ((), kappa)),
+        attr,
+        key,
+        options.on_total_conflict,
+        report,
+    )?;
+    // `summarize` refuses a cap of 0 whatever it is handed; so does the
+    // step that hands it nothing.
+    if combinable.is_some() && options.max_focal == Some(0) {
+        return Err(RelationError::from(EvidenceError::EmptyFocalElement).into());
+    }
+    Ok(())
 }
 
 /// The per-pair kernel's membership step, shared like

@@ -45,9 +45,15 @@
 //!
 //! All paths feed the trusted `MassFunction::from_combination`
 //! constructor, skipping the per-entry revalidation of the public
-//! builder. The retained [`crate::reference`] module implements the
-//! same rule over `BTreeSet<usize>` with none of these refinements;
-//! the property suite pits the two against each other.
+//! builder. The same dispatch also runs *without a sink*
+//! ([`observe_with`]): the walk and its accumulation order are
+//! unchanged, so κ and the total-conflict verdict are the ones the full
+//! rule reports, but no intersection product is accumulated and no
+//! mass function is built — what a merge pays for an attribute whose
+//! combined value is never read. The retained [`crate::reference`]
+//! module implements the same rule over `BTreeSet<usize>` with none of
+//! these refinements; the property suite pits the two against each
+//! other.
 
 use crate::error::EvidenceError;
 use crate::focal::FocalSet;
@@ -197,10 +203,10 @@ impl<W: Weight> Default for Scratch<W> {
     }
 }
 
-/// The focal list as inline bit patterns, or `None` if any focal
-/// element needs the boxed representation.
-fn inline_bits<W: Weight>(m: &MassFunction<W>) -> Option<Vec<(u128, &W)>> {
-    m.iter().map(|(s, w)| s.as_bits().map(|b| (b, w))).collect()
+/// Does every focal element have the inline bit-pattern
+/// representation? (Always, over a frame of ≤ 128 values.)
+fn is_inline<W: Weight>(m: &MassFunction<W>) -> bool {
+    m.iter().all(|(s, _)| s.as_bits().is_some())
 }
 
 fn check_frames<W: Weight>(a: &MassFunction<W>, b: &MassFunction<W>) -> Result<(), EvidenceError> {
@@ -224,47 +230,72 @@ fn one_minus<W: Weight>(diag: &W) -> Result<W, EvidenceError> {
     }
 }
 
+/// What one conjunctive pass yields. With `KEEP` the product mass of
+/// every non-empty intersection is accumulated into `entries`
+/// (distinct, non-empty focal sets); without it the pass is the same
+/// walk in the same order with nothing accumulated — `entries` stays
+/// empty and `agreed` is all that is known of them.
+struct Raw<W> {
+    entries: Vec<(FocalSet, W)>,
+    /// The conflict mass κ.
+    conflict: W,
+    /// Some product mass landed on a non-empty intersection.
+    agreed: bool,
+}
+
 /// Singleton-only (Bayesian × Bayesian) conjunction: intersections are
 /// non-empty exactly on equal singletons, so one dense-array pass over
 /// the shorter operand replaces the quadratic pairwise loop, and
 /// κ = 1 − Σᵢ m1({i})·m2({i}).
-fn bayesian_raw<W: Weight>(
+fn bayesian_raw<W: Weight, const KEEP: bool>(
     a: &MassFunction<W>,
     b: &MassFunction<W>,
-) -> Result<(Vec<(FocalSet, W)>, W), EvidenceError> {
+) -> Result<Raw<W>, EvidenceError> {
     let mut dense: Vec<Option<&W>> = vec![None; a.frame().len()];
     for (s, w) in b.iter() {
         dense[s.as_singleton().expect("bayesian operand")] = Some(w);
     }
-    let mut entries = Vec::with_capacity(a.focal_count().min(b.focal_count()));
+    let pushed = usize::from(KEEP) * a.focal_count().min(b.focal_count());
+    let mut entries = Vec::with_capacity(pushed);
     let mut diag = W::zero();
+    let mut agreed = false;
     for (s, w) in a.iter() {
         let i = s.as_singleton().expect("bayesian operand");
         if let Some(wb) = dense[i] {
             let product = w.mul(wb)?;
             if !product.is_zero() {
                 diag = diag.add(&product)?;
-                entries.push((s.clone(), product));
+                agreed = true;
+                if KEEP {
+                    entries.push((s.clone(), product));
+                }
             }
         }
     }
-    let conflict = one_minus(&diag)?;
-    Ok((entries, conflict))
+    Ok(Raw {
+        entries,
+        conflict: one_minus(&diag)?,
+        agreed,
+    })
 }
 
 /// Inline-bitset conjunction: word-AND intersections accumulated in
 /// `memo` (reset here, drained before returning — the caller only
-/// provides the allocations).
-fn inline_raw<W: Weight>(
-    av: &[(u128, &W)],
-    bv: &[(u128, &W)],
+/// provides the allocations; an observing pass leaves it alone).
+fn inline_raw<W: Weight, const KEEP: bool>(
+    a: &MassFunction<W>,
+    b: &MassFunction<W>,
     memo: &mut BitsMemo<W>,
-) -> Result<(Vec<(FocalSet, W)>, W), EvidenceError> {
-    memo.reset(av.len() * bv.len());
+) -> Result<Raw<W>, EvidenceError> {
+    if KEEP {
+        memo.reset(a.focal_count() * b.focal_count());
+    }
     let mut conflict = W::zero();
-    for (xa, wa) in av {
-        for (xb, wb) in bv {
-            let z = xa & xb;
+    let mut agreed = false;
+    for (sa, wa) in a.iter() {
+        let xa = sa.as_bits().expect("inline operand");
+        for (sb, wb) in b.iter() {
+            let z = xa & sb.as_bits().expect("inline operand");
             let product = wa.mul(wb)?;
             if product.is_zero() {
                 continue;
@@ -272,20 +303,34 @@ fn inline_raw<W: Weight>(
             if z == 0 {
                 conflict = conflict.add(&product)?;
             } else {
-                memo.add(z, product)?;
+                agreed = true;
+                if KEEP {
+                    memo.add(z, product)?;
+                }
             }
         }
     }
-    Ok((memo.drain_entries(), conflict))
+    let entries = if KEEP {
+        memo.drain_entries()
+    } else {
+        Vec::new()
+    };
+    Ok(Raw {
+        entries,
+        conflict,
+        agreed,
+    })
 }
 
 /// Boxed fallback for frames wider than 128 values.
-fn boxed_raw<W: Weight>(
+fn boxed_raw<W: Weight, const KEEP: bool>(
     a: &MassFunction<W>,
     b: &MassFunction<W>,
-) -> Result<(Vec<(FocalSet, W)>, W), EvidenceError> {
-    let mut acc: HashMap<FocalSet, W> = HashMap::with_capacity(a.focal_count() * b.focal_count());
+) -> Result<Raw<W>, EvidenceError> {
+    let inserted = usize::from(KEEP) * a.focal_count() * b.focal_count();
+    let mut acc: HashMap<FocalSet, W> = HashMap::with_capacity(inserted);
     let mut conflict = W::zero();
+    let mut agreed = false;
     for (x, wx) in a.iter() {
         for (y, wy) in b.iter() {
             let product = wx.mul(wy)?;
@@ -295,7 +340,10 @@ fn boxed_raw<W: Weight>(
             let z = x.intersect(y);
             if z.is_empty() {
                 conflict = conflict.add(&product)?;
-            } else {
+                continue;
+            }
+            agreed = true;
+            if KEEP {
                 match acc.get_mut(&z) {
                     Some(w) => *w = w.add(&product)?,
                     None => {
@@ -305,33 +353,43 @@ fn boxed_raw<W: Weight>(
             }
         }
     }
-    Ok((acc.into_iter().collect(), conflict))
+    Ok(Raw {
+        entries: acc.into_iter().collect(),
+        conflict,
+        agreed,
+    })
 }
 
-/// Accumulate the unnormalized conjunctive combination and the
-/// conflict mass. Shared by Dempster's rule and the alternative rules.
-/// The returned entries have distinct, non-empty focal sets.
+/// The one conjunctive dispatch — Bayesian, inline, boxed, cheapest
+/// first. `KEEP` accumulates the unnormalized conjunctive combination
+/// (Dempster's rule and the alternative rules normalize or repair it);
+/// without it the pass only observes, in the same accumulation order,
+/// so its κ is the same bits.
+fn conjunctive<W: Weight, const KEEP: bool>(
+    a: &MassFunction<W>,
+    b: &MassFunction<W>,
+    scratch: &mut Scratch<W>,
+) -> Result<Raw<W>, EvidenceError> {
+    check_frames(a, b)?;
+    if a.is_bayesian() && b.is_bayesian() {
+        return bayesian_raw::<W, KEEP>(a, b);
+    }
+    if is_inline(a) && is_inline(b) {
+        inline_raw::<W, KEEP>(a, b, &mut scratch.memo)
+    } else {
+        boxed_raw::<W, KEEP>(a, b)
+    }
+}
+
+/// The unnormalized conjunctive combination and the conflict mass, for
+/// the alternative rules. The returned entries have distinct,
+/// non-empty focal sets.
 pub(crate) fn conjunctive_raw<W: Weight>(
     a: &MassFunction<W>,
     b: &MassFunction<W>,
 ) -> Result<(Vec<(FocalSet, W)>, W), EvidenceError> {
-    conjunctive_raw_with(a, b, &mut Scratch::new())
-}
-
-/// [`conjunctive_raw`] reusing a caller-held [`Scratch`].
-pub(crate) fn conjunctive_raw_with<W: Weight>(
-    a: &MassFunction<W>,
-    b: &MassFunction<W>,
-    scratch: &mut Scratch<W>,
-) -> Result<(Vec<(FocalSet, W)>, W), EvidenceError> {
-    check_frames(a, b)?;
-    if a.is_bayesian() && b.is_bayesian() {
-        return bayesian_raw(a, b);
-    }
-    match (inline_bits(a), inline_bits(b)) {
-        (Some(av), Some(bv)) => inline_raw(&av, &bv, &mut scratch.memo),
-        _ => boxed_raw(a, b),
-    }
+    let raw = conjunctive::<W, true>(a, b, &mut Scratch::new())?;
+    Ok((raw.entries, raw.conflict))
 }
 
 /// Combine two mass functions with Dempster's rule.
@@ -385,8 +443,12 @@ pub fn dempster_with<W: Weight>(
     b: &MassFunction<W>,
     scratch: &mut Scratch<W>,
 ) -> Result<Combination<W>, EvidenceError> {
-    let (mut entries, conflict) = conjunctive_raw_with(a, b, scratch)?;
-    if entries.is_empty() || conflict.approx_eq(&W::one()) {
+    let Raw {
+        mut entries,
+        conflict,
+        agreed,
+    } = conjunctive::<W, true>(a, b, scratch)?;
+    if is_total(agreed, &conflict) {
         return Err(EvidenceError::TotalConflict);
     }
     if !conflict.is_zero() {
@@ -424,18 +486,51 @@ pub fn dempster_all<'a, W: Weight + 'a>(
     Ok(result)
 }
 
+/// Dempster's rule is undefined on a pair whose conjunctive pass found
+/// no agreement, or whose κ is 1 within the weight tolerance.
+fn is_total<W: Weight>(agreed: bool, conflict: &W) -> bool {
+    !agreed || conflict.approx_eq(&W::one())
+}
+
+/// What two sources show of each other *without* being combined.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Observation<W: Weight> {
+    /// The conflict mass κ — the bits [`dempster`] reports.
+    pub conflict: W,
+    /// The sources are in total conflict: [`dempster`] returns
+    /// [`EvidenceError::TotalConflict`] for them.
+    pub total: bool,
+}
+
+/// Observe two sources without combining them: κ and the
+/// total-conflict verdict of [`dempster_with`], from the same
+/// conjunctive dispatch run without a sink — same fast paths, same
+/// accumulation order, but no entry is accumulated, nothing is
+/// normalized and no mass function is built. What a merge owes a pair
+/// whose combined value nobody will read.
+///
+/// # Errors
+/// [`EvidenceError::FrameMismatch`] if the frames differ.
+pub fn observe_with<W: Weight>(
+    a: &MassFunction<W>,
+    b: &MassFunction<W>,
+    scratch: &mut Scratch<W>,
+) -> Result<Observation<W>, EvidenceError> {
+    let raw = conjunctive::<W, false>(a, b, scratch)?;
+    Ok(Observation {
+        total: is_total(raw.agreed, &raw.conflict),
+        conflict: raw.conflict,
+    })
+}
+
 /// The degree of conflict κ between two sources *without* combining
 /// them — useful for conflict analysis and the integration layer's
-/// diagnostics.
-///
-/// Cheaper than [`dempster`]: the conjunctive pass runs on the same
-/// fast paths, but normalization and mass-function construction are
-/// skipped.
+/// diagnostics. The κ of [`observe_with`].
 ///
 /// # Errors
 /// [`EvidenceError::FrameMismatch`] if the frames differ.
 pub fn conflict<W: Weight>(a: &MassFunction<W>, b: &MassFunction<W>) -> Result<W, EvidenceError> {
-    Ok(conjunctive_raw(a, b)?.1)
+    conflict_with(a, b, &mut Scratch::new())
 }
 
 /// [`conflict`] reusing a caller-held [`Scratch`].
@@ -447,7 +542,7 @@ pub fn conflict_with<W: Weight>(
     b: &MassFunction<W>,
     scratch: &mut Scratch<W>,
 ) -> Result<W, EvidenceError> {
-    Ok(conjunctive_raw_with(a, b, scratch)?.1)
+    Ok(observe_with(a, b, scratch)?.conflict)
 }
 
 #[cfg(test)]

@@ -103,6 +103,26 @@ impl CombinationRule {
         }
     }
 
+    /// What [`CombinationRule::combine_reporting_with`] reports of a
+    /// pair, without the combination: the κ it would return, or the
+    /// [`EvidenceError::TotalConflict`] it would fail with (Dempster's
+    /// rule only — the alternatives absorb any conflict).
+    ///
+    /// # Errors
+    /// As [`CombinationRule::combine`].
+    pub fn observe_with<W: Weight>(
+        &self,
+        a: &MassFunction<W>,
+        b: &MassFunction<W>,
+        scratch: &mut crate::combine::Scratch<W>,
+    ) -> Result<W, EvidenceError> {
+        let seen = crate::combine::observe_with(a, b, scratch)?;
+        if seen.total && *self == CombinationRule::Dempster {
+            return Err(EvidenceError::TotalConflict);
+        }
+        Ok(seen.conflict)
+    }
+
     /// All rules, for sweep-style benchmarks.
     pub const ALL: [CombinationRule; 4] = [
         CombinationRule::Dempster,

@@ -7,7 +7,7 @@
 //! are unchanged by the rework.
 
 use evirel_evidence::reference::{self, RefMass, RefSet};
-use evirel_evidence::{combine, FocalSet, Frame, MassFunction, Ratio};
+use evirel_evidence::{combine, EvidenceError, FocalSet, Frame, MassFunction, Ratio, Weight};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -26,36 +26,82 @@ fn subset(n: usize) -> impl Strategy<Value = FocalSet> {
     proptest::collection::vec(0usize..n, 1..=5).prop_map(FocalSet::from_indices)
 }
 
-/// A valid mass function with 1..=6 focal elements. `singleton_only`
-/// restricts focal elements to singletons so the Bayesian fast path is
-/// exercised deliberately, not by luck.
-fn mass(n: usize, singleton_only: bool) -> impl Strategy<Value = MassFunction<f64>> {
-    let max_card = if singleton_only { 1 } else { 5 };
+/// 1..=6 raw focal elements — up to five members each, drawn from the
+/// wide frame — with integer weights.
+fn raw_focal() -> impl Strategy<Value = Vec<(Vec<usize>, u32)>> {
     proptest::collection::vec(
-        (
-            proptest::collection::vec(0usize..n, 1..=max_card),
-            1u32..1000,
-        ),
+        (proptest::collection::vec(0usize..WIDE, 1..=5), 1u32..1000),
         1..=6,
     )
-    .prop_map(move |raw| {
-        let mut entries: Vec<(FocalSet, u64)> = Vec::new();
-        for (members, w) in raw {
-            let set = FocalSet::from_indices(members);
-            match entries.iter_mut().find(|(s, _)| *s == set) {
-                Some((_, acc)) => *acc += w as u64,
-                None => entries.push((set, w as u64)),
-            }
+}
+
+/// `raw` as distinct focal elements of `frame(n)` (members folded into
+/// the frame). `singleton_only` keeps one member per element, so the
+/// Bayesian fast path is exercised deliberately, not by luck.
+fn focal_of(raw: &[(Vec<usize>, u32)], n: usize, singleton_only: bool) -> Focal {
+    let mut entries = Focal::new();
+    for (members, w) in raw {
+        let kept = if singleton_only { 1 } else { members.len() };
+        let set = FocalSet::from_indices(members[..kept].iter().map(|m| m % n));
+        match entries.iter_mut().find(|(s, _)| *s == set) {
+            Some((_, acc)) => *acc += w,
+            None => entries.push((set, *w)),
         }
-        let total: u64 = entries.iter().map(|(_, w)| *w).sum();
-        MassFunction::from_entries(
-            frame(n),
-            entries
-                .into_iter()
-                .map(|(s, w)| (s, w as f64 / total as f64)),
-        )
-        .expect("normalized by construction")
-    })
+    }
+    entries
+}
+
+/// `entries` normalized into a mass function over `frame(n)`, in
+/// either weight type.
+fn normalized<W: Weight>(n: usize, entries: &[(FocalSet, u32)]) -> MassFunction<W> {
+    let total: u32 = entries.iter().map(|(_, w)| *w).sum();
+    MassFunction::from_entries(
+        frame(n),
+        entries
+            .iter()
+            .map(|(s, w)| (s.clone(), W::from_ratio(*w, total))),
+    )
+    .expect("normalized by construction")
+}
+
+/// A valid mass function with 1..=6 focal elements.
+fn mass(n: usize, singleton_only: bool) -> impl Strategy<Value = MassFunction<f64>> {
+    raw_focal().prop_map(move |raw| normalized(n, &focal_of(&raw, n, singleton_only)))
+}
+
+/// Focal elements over `frame(n)`, before normalization.
+type Focal = Vec<(FocalSet, u32)>;
+
+/// The observing pass against the full rule on the pair `(a, b)` over
+/// `frame(n)`, in weight type `W`, with a fresh scratch and with one
+/// that has served the full combination of `warm`: the `same` κ (bits
+/// for `f64`, exact for `Ratio`), and `total` exactly when the rule
+/// refuses the pair.
+fn check_observation<W: Weight + std::fmt::Debug>(
+    n: usize,
+    a: &Focal,
+    b: &Focal,
+    warm: &(Focal, Focal),
+    same: impl Fn(&W, &W) -> bool,
+) -> Result<(), String> {
+    let (a, b) = (&normalized::<W>(n, a), &normalized::<W>(n, b));
+    let mut shared = combine::Scratch::new();
+    let (x, y) = (normalized(NARROW, &warm.0), normalized(NARROW, &warm.1));
+    let _ = combine::dempster_with(&x, &y, &mut shared);
+    let full = combine::dempster_with(a, b, &mut combine::Scratch::new());
+    for scratch in [&mut combine::Scratch::new(), &mut shared] {
+        let seen = combine::observe_with(a, b, scratch).map_err(|e| e.to_string())?;
+        match &full {
+            Ok(c) if !seen.total && same(&c.conflict, &seen.conflict) => {}
+            Err(EvidenceError::TotalConflict) if seen.total => {}
+            _ => return Err(format!("observed {seen:?}, the rule says {full:?}")),
+        }
+        let kappa = combine::conflict_with(a, b, scratch).map_err(|e| e.to_string())?;
+        if !same(&kappa, &seen.conflict) {
+            return Err(format!("conflict_with {kappa:?} vs {seen:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// Core equivalence check: optimized vs reference Dempster.
@@ -154,6 +200,35 @@ proptest! {
     fn measures_match_reference_wide(m in mass(WIDE, false), s in subset(WIDE)) {
         prop_assert!(check_measures_equivalence(&m, &s).is_ok(),
             "{:?}", check_measures_equivalence(&m, &s));
+    }
+
+    /// The observing pass — the conjunctive dispatch without a sink —
+    /// reports the κ and the total-conflict verdict of the full rule on
+    /// every path of the dispatch (Bayesian × Bayesian, inline, boxed),
+    /// in both weight types, whether or not the scratch it is handed
+    /// has served other pairs (a full combination among them).
+    #[test]
+    fn observing_pass_reports_what_the_rule_does(
+        shape in 0usize..5,
+        raw_a in raw_focal(),
+        raw_b in raw_focal(),
+    ) {
+        let (n, single_a, single_b) = match shape {
+            0 => (NARROW, true, true),   // Bayesian × Bayesian
+            1 => (NARROW, false, false), // inline
+            2 => (NARROW, true, false),  // inline, one side Bayesian
+            3 => (WIDE, false, false),   // boxed
+            _ => (WIDE, true, true),     // Bayesian, boxed sets
+        };
+        let (a, b) = (&focal_of(&raw_a, n, single_a), &focal_of(&raw_b, n, single_b));
+        // The shared scratch arrives used, by a full inline combination.
+        let warm = (focal_of(&raw_a, NARROW, false), focal_of(&raw_b, NARROW, false));
+        let same_bits = |x: &f64, y: &f64| x.to_bits() == y.to_bits();
+        let checked = check_observation(n, a, b, &warm, same_bits);
+        prop_assert!(checked.is_ok(), "f64, shape {shape}: {checked:?}");
+        let exact = |x: &Ratio, y: &Ratio| x == y;
+        let checked = check_observation(n, a, b, &warm, exact);
+        prop_assert!(checked.is_ok(), "Ratio, shape {shape}: {checked:?}");
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //! becomes a [`HashJoinOp`] — the streaming ⋈̃ that builds its key
 //! index once and probes it per left tuple. A σ̃ directly above the
 //! scan of a stored relation becomes that scan with the selection
-//! inside it ([`SpillScanOp::filtered`]).
+//! inside it ([`SpillScanOp::filtered`]). A σ̃ directly above a ∪̃ or
+//! ∩̃ becomes that merge with the selection inside it
+//! ([`MergeOp::selecting`]) — sequentially and in an exchange shard,
+//! whatever the sides are bound as: the merge decides each candidate
+//! before it builds it, and no lowering puts a [`SelectOp`] directly
+//! over a [`MergeOp`].
 //!
 //! Parallelism: when [`ExecContext::parallelism`] > 1, the largest
 //! subtrees whose operators pair tuples by key equality (σ̃, member-
@@ -33,8 +38,8 @@ use crate::error::PlanError;
 use crate::exchange::{compute_slots, rank_keys, ExchangeOp, OrderMap, ShardScanOp};
 use crate::logical::{binding_of, BoundRelation, LogicalPlan, RelationSource};
 use crate::ops::{
-    run, DempsterMerger, DifferenceOp, HashJoinOp, MergeOp, MergePairing, MeteredOp, Operator,
-    ProductOp, ProjectOp, RenameOp, ScanOp, SelectOp, ThresholdOp, TupleMerger,
+    run, DempsterMerger, DifferenceOp, HashJoinOp, MergeEmit, MergeOp, MergePairing, MeteredOp,
+    Operator, ProductOp, ProjectOp, RenameOp, ScanOp, SelectOp, ThresholdOp, TupleMerger,
 };
 use crate::rewrite::optimize;
 use crate::spill::SpillScanOp;
@@ -229,6 +234,26 @@ fn physical_node(
                         *threshold,
                     )?));
                 }
+            }
+            // σ̃ directly over a ∪̃/∩̃ runs inside the merge — for every
+            // input size and side combination, sequentially and in a
+            // shard: one operator (and one meter, the σ̃'s) that
+            // decides each candidate before it materializes it.
+            let merge = match &**input {
+                LogicalPlan::Union { left, right } => Some((MergeEmit::Union, left, right)),
+                LogicalPlan::Intersect { left, right } => Some((MergeEmit::Intersect, left, right)),
+                _ => None,
+            };
+            if let Some((emit, left, right)) = merge {
+                let op = MergeOp::selecting(
+                    emit,
+                    lower(left, leaves)?,
+                    lower(right, leaves)?,
+                    options.clone(),
+                    predicate.clone(),
+                    *threshold,
+                )?;
+                return Ok(Box::new(sized(op, right, leaves)));
             }
             Box::new(SelectOp::new(
                 lower(input, leaves)?,
@@ -1206,6 +1231,59 @@ mod tests {
             .nth(1)
             .unwrap();
         assert!(root.contains("act=1"), "{root}");
+
+        // A stored scan whose segment its parent reads itself — no
+        // tuple is pulled through the scan's meter — still reports the
+        // records that parent visited: a ∪̃'s build side, both sides
+        // of a ∪̃ with a selection inside it, and a −̃'s right side,
+        // of which the key index is all that is read.
+        let BoundRelation::Memory(r) = &b.resolve("r").unwrap().relation else {
+            unreachable!("bound in memory");
+        };
+        let pool = Arc::new(evirel_store::BufferPool::new(4096));
+        let mut stored = Bindings::new();
+        for name in ["sa", "sb"] {
+            let path = evirel_store::spill_path("explain-merge");
+            evirel_store::write_segment(r, &path, 512).unwrap();
+            let rel = evirel_store::StoredRelation::open(&path, Arc::clone(&pool)).unwrap();
+            std::fs::remove_file(&path).ok();
+            stored.bind_stored(name, Arc::new(rel));
+        }
+        let scans = |plan: &LogicalPlan| {
+            let text = explain_plan(plan, &stored, &mut ExecContext::new(), true).unwrap();
+            let physical = text.lines().skip_while(|l| !l.starts_with("physical:"));
+            let scans = physical.filter(|l| l.trim_start().starts_with("scan s"));
+            scans.map(|l| l.trim().to_owned()).collect::<Vec<_>>()
+        };
+        let read = |name: &str, suffix: &str| {
+            format!("scan {name} [stored: 2 tuples, 1 pages × 512 B target]{suffix}")
+        };
+        let union = scan("sa").union(scan("sb"));
+        let both_read = [read("sa", " [est≈2 act=2]"), read("sb", " [est≈2 act=2]")];
+        assert_eq!(scans(&union.clone().build()), both_read);
+        let selected = union.select(Predicate::is("spec", ["it"])).build();
+        assert_eq!(scans(&selected), both_read);
+        // σ̃ and ∪̃ are one line, under the σ̃'s meter.
+        let text = explain_plan(&selected, &stored, &mut ExecContext::new(), true).unwrap();
+        let physical: Vec<&str> = text
+            .lines()
+            .skip_while(|l| !l.starts_with("physical:"))
+            .skip(1)
+            .collect();
+        assert_eq!(physical.len(), 3, "{text}");
+        assert!(
+            physical[0].starts_with(
+                "  σ̃[spec is {it}] with sn > 0 ⟵ ∪̃ (index right, stream left; pairing: key equality;"
+            ) && physical[0].ends_with("build: stored index (cached)) [est≈1 act=2]"),
+            "{text}"
+        );
+        assert_eq!(
+            scans(&scan("sa").difference(scan("sb")).build()),
+            [
+                read("sa", " [est≈2 act=2]"),
+                read("sb", " (key index only) [est≈2 act=0]")
+            ]
+        );
     }
 
     /// A σ̃ over a stored scan is one physical line naming both halves,

@@ -15,6 +15,14 @@
 //! segment is the build side under the key index its
 //! [`StoredRelation`] keeps ([`StoredRelation::key_index`]).
 //!
+//! A σ̃ directly above a ∪̃/∩̃ is part of the merge
+//! ([`MergeOp::selecting`]), not an operator over it: the merge decides
+//! each candidate from the least it needs — an unmatched stored record
+//! from a masked decode, an unmatched tuple where it stands, a matched
+//! pair inside the per-pair kernel, which combines in full only what
+//! the predicate reads — and materializes only what survives. Every
+//! other σ̃ is a [`SelectOp`].
+//!
 //! Side outputs do not vanish: conflict reports and κ statistics from
 //! merging operators flow into the shared [`ExecContext`] instead of
 //! being discarded with the intermediate relation (the ∪̃ report the
@@ -24,14 +32,15 @@
 //! recorded once and moved, never copied.
 
 use crate::error::PlanError;
-use crate::spill::{SpillBuild, SpilledRight};
+use crate::spill::{RecordCursor, ScanFilter, SpillBuild, SpilledRight};
 use evirel_algebra::conflict::ConflictReport;
 use evirel_algebra::predicate::Predicate;
 use evirel_algebra::support::BoundPredicate;
 use evirel_algebra::threshold::Threshold;
-use evirel_algebra::union::{MergeScratch, UnionOptions};
+use evirel_algebra::union::{MergeScratch, PairSelection, UnionOptions};
 use evirel_algebra::AlgebraError;
 use evirel_relation::{ExtendedRelation, Schema, Tuple, Value};
+use evirel_store::codec::decode_record;
 use evirel_store::{BufferPool, EnvKnob, KeyIndex, StoredRelation};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -42,8 +51,12 @@ pub struct ExecStats {
     /// Tuples produced by scan leaves — every record a stored scan
     /// visits counts, whether or not a fused σ̃ keeps it.
     pub tuples_scanned: usize,
-    /// Records a σ̃ fused into a stored scan dropped after decoding
-    /// only the membership pair and the predicate's attributes.
+    /// Records of *stored relations* — a bare stored scan, with a σ̃
+    /// fused into it or read by a merge with a σ̃ fused into that —
+    /// that were visited and never decoded in full. A temp segment a
+    /// merge spilled its build side to is an in-memory input's
+    /// implementation detail and counts nothing, so the counters do
+    /// not depend on the spill threshold or the thread count.
     pub records_skipped: usize,
     /// Key indexes this execution built over stored relations — 0 when
     /// every stored build side it probed was already indexed (see
@@ -236,6 +249,12 @@ pub trait Operator: Send {
     fn metered(&self) -> Option<(u64, u64)> {
         None
     }
+    /// Told by a parent that reads this operator's stored relation
+    /// itself ([`Operator::stored_relation`]) instead of pulling its
+    /// tuples: the parent visited `records` more of its records, so
+    /// the meter of a scan nobody pulls still says what was read of
+    /// it. `how` names a way of reading that visits no record at all.
+    fn read_directly(&mut self, _records: u64, _how: Option<&'static str>) {}
 }
 
 /// Drive an operator to completion, materializing the result.
@@ -279,11 +298,17 @@ pub(crate) fn render_physical(op: &dyn Operator, analyze: bool) -> String {
 /// estimate (read by `EXPLAIN ANALYZE` and the slow-query log).
 /// Delegates everything else — including `children()` (so it adds no level to the rendered tree)
 /// and `stored_relation()` (so [`MergeOp`]'s stored fast path still
-/// fires through the meter).
+/// fires through the meter). A parent that takes that fast path pulls
+/// no tuple through the meter; it reports the records it visited
+/// instead ([`Operator::read_directly`]), and they are this node's
+/// actual rows.
 pub struct MeteredOp {
     inner: Box<dyn Operator>,
     est: u64,
     emitted: u64,
+    /// How a parent read the stored relation without visiting a
+    /// record, appended to the node's line.
+    read_how: Option<&'static str>,
 }
 
 impl MeteredOp {
@@ -293,6 +318,7 @@ impl MeteredOp {
             inner,
             est: est.round().max(0.0) as u64,
             emitted: 0,
+            read_how: None,
         }
     }
 }
@@ -319,7 +345,10 @@ impl Operator for MeteredOp {
     }
 
     fn describe(&self) -> String {
-        self.inner.describe()
+        match self.read_how {
+            Some(how) => format!("{} ({how})", self.inner.describe()),
+            None => self.inner.describe(),
+        }
     }
 
     fn children(&self) -> Vec<&dyn Operator> {
@@ -332,6 +361,11 @@ impl Operator for MeteredOp {
 
     fn metered(&self) -> Option<(u64, u64)> {
         Some((self.est, self.emitted))
+    }
+
+    fn read_directly(&mut self, records: u64, how: Option<&'static str>) {
+        self.emitted += records;
+        self.read_how = how;
     }
 }
 
@@ -907,6 +941,10 @@ pub struct DempsterMerger {
     /// Conflict policy, combination rule, focal cap.
     pub options: UnionOptions,
     scratch: MergeScratch,
+    /// The σ̃ fused into the merge this merger serves
+    /// ([`MergeOp::selecting`]): the per-pair kernel decides each pair
+    /// by it before materializing the merged tuple.
+    select: Filter,
 }
 
 impl DempsterMerger {
@@ -915,6 +953,7 @@ impl DempsterMerger {
         DempsterMerger {
             options,
             scratch: MergeScratch::new(),
+            select: None,
         }
     }
 }
@@ -928,15 +967,21 @@ impl TupleMerger for DempsterMerger {
         right: &Tuple,
         report: &mut ConflictReport,
     ) -> Result<Option<Tuple>, PlanError> {
-        evirel_algebra::union::merge_tuples_with(
-            schema,
-            key,
-            left,
-            right,
-            &self.options,
-            report,
-            &mut self.scratch,
-        )
+        use evirel_algebra::union::{merge_pair, merge_tuples_with};
+        let (options, scratch) = (&self.options, &mut self.scratch);
+        match &self.select {
+            None => merge_tuples_with(schema, key, left, right, options, report, scratch),
+            Some(select) => merge_pair(
+                schema,
+                key,
+                left,
+                right,
+                options,
+                report,
+                scratch,
+                select.as_ref(),
+            ),
+        }
         .map_err(PlanError::Algebra)
     }
 
@@ -966,6 +1011,9 @@ pub enum MergeEmit {
     /// ∩̃: merged pairs only.
     Intersect,
 }
+
+/// The σ̃ fused into a merge, if any — see [`MergeOp::selecting`].
+type Filter = Option<Arc<ScanFilter>>;
 
 /// The merge operator's right (build) side, addressed by ordinal:
 /// fully in memory, or a segment with only its key index held.
@@ -1010,6 +1058,37 @@ impl BuildSide {
             BuildSide::Spilled(s) => Ok(Arc::new(s.fetch(ordinal)?)),
         }
     }
+
+    /// Tuple `ordinal` as an unmatched tuple under a fused selection:
+    /// `None` unless it has positive support and `select` keeps it. An
+    /// in-memory tuple is decided where it stands; a segment-backed one
+    /// from a masked decode, and built only if kept.
+    fn fetch_kept(
+        &mut self,
+        ordinal: u32,
+        select: &ScanFilter,
+    ) -> Result<Option<Arc<Tuple>>, PlanError> {
+        match self {
+            BuildSide::Mem { tuples, .. } => {
+                decide_unmatched(Arc::clone(&tuples[ordinal as usize]), select)
+            }
+            BuildSide::Spilled(s) => Ok(s.fetch_kept(ordinal, select)?.map(Arc::new)),
+        }
+    }
+}
+
+/// An unmatched in-memory tuple under a fused selection, decided where
+/// it stands — the ∪̃'s positive-support test, then `select` as
+/// [`SelectOp`] applies it.
+fn decide_unmatched(
+    tuple: Arc<Tuple>,
+    select: &ScanFilter,
+) -> Result<Option<Arc<Tuple>>, PlanError> {
+    if !tuple.membership().is_positive() {
+        return Ok(None);
+    }
+    let revised = select.decide(&*tuple, tuple.membership())?;
+    Ok(revised.map(|revised| with_membership_shared(tuple, revised)))
 }
 
 /// Streaming binary merge: index the right input by key once at
@@ -1027,6 +1106,20 @@ impl BuildSide {
 /// the build side, under the key index the relation keeps — built by
 /// the first execution that needs it, reused by every later one —
 /// with no materialized tuples and no re-spill.
+///
+/// A σ̃ directly above a ∪̃/∩̃ runs *inside* the merge
+/// ([`MergeOp::selecting`]): every candidate is decided from the least
+/// it needs, and only survivors are materialized. An unmatched tuple
+/// of a bare stored left input, or of a segment-backed build side, is
+/// decided from one masked decode of its record — membership pair, the
+/// predicate's attributes, plus the key on the left, where the key is
+/// what is probed — and decoded in full (and validated) only if kept;
+/// an unmatched in-memory tuple is decided where it stands; a matched
+/// pair is decoded in full on both sides and decided inside the
+/// per-pair kernel ([`evirel_algebra::union::merge_pair`]), which
+/// combines in full only what the predicate reads and observes κ for
+/// the rest. The emitted tuples, their order, the conflict report and
+/// every error are [`SelectOp`]'s over the unfused merge.
 pub struct MergeOp {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
@@ -1034,6 +1127,12 @@ pub struct MergeOp {
     pairing: Option<Arc<MergePairing>>,
     emit: MergeEmit,
     schema: Arc<Schema>,
+    /// The σ̃ fused into this merge; its matched pairs are decided by
+    /// the same filter inside `merger`.
+    select: Filter,
+    /// The left input's records, when a fused selection reads a bare
+    /// stored left side itself instead of pulling decoded tuples.
+    left_records: Option<RecordCursor>,
     build: BuildSide,
     /// One flag per build-side ordinal: merged with a left tuple.
     consumed: Vec<bool>,
@@ -1060,7 +1159,14 @@ impl MergeOp {
         merger: Box<dyn TupleMerger>,
     ) -> Result<MergeOp, PlanError> {
         let name = format!("{}∪{}", left.schema().name(), right.schema().name());
-        MergeOp::build(left, right, merger, None, MergeEmit::Union, name)
+        MergeOp::build(
+            left,
+            right,
+            |_| Ok((merger, None)),
+            None,
+            MergeEmit::Union,
+            name,
+        )
     }
 
     /// `left ∩̃ right` (key-equality pairing, matched merges only).
@@ -1073,7 +1179,40 @@ impl MergeOp {
         merger: Box<dyn TupleMerger>,
     ) -> Result<MergeOp, PlanError> {
         let name = format!("{}∩{}", left.schema().name(), right.schema().name());
-        MergeOp::build(left, right, merger, None, MergeEmit::Intersect, name)
+        let emit = MergeEmit::Intersect;
+        MergeOp::build(left, right, |_| Ok((merger, None)), None, emit, name)
+    }
+
+    /// `σ̃[predicate, threshold](left ∪̃ right)` — or of `∩̃`, by `emit`
+    /// — with the selection evaluated inside the merge (see the type's
+    /// docs), under Dempster's rule with `options`.
+    ///
+    /// # Errors
+    /// Union-incompatible schemas, then as [`SelectOp::new`].
+    pub fn selecting(
+        emit: MergeEmit,
+        left: Box<dyn Operator>,
+        right: Box<dyn Operator>,
+        options: UnionOptions,
+        predicate: Predicate,
+        threshold: Threshold,
+    ) -> Result<MergeOp, PlanError> {
+        let symbol = match emit {
+            MergeEmit::Union => '∪',
+            MergeEmit::Intersect => '∩',
+        };
+        let name = format!("{}{symbol}{}", left.schema().name(), right.schema().name());
+        // One filter, bound to the merge's output schema: the operator
+        // decides unmatched tuples by it, its merger matched pairs.
+        let filtered = |schema: &Schema| {
+            let select = Arc::new(ScanFilter::new(schema, predicate, threshold)?);
+            let merger = DempsterMerger {
+                select: Some(Arc::clone(&select)),
+                ..DempsterMerger::new(options)
+            };
+            Ok((Box::new(merger) as Box<dyn TupleMerger>, Some(select)))
+        };
+        MergeOp::build(left, right, filtered, None, emit, name)
     }
 
     /// A union-style merge driven by an explicit [`MergePairing`] —
@@ -1093,20 +1232,23 @@ impl MergeOp {
         pairing: Arc<MergePairing>,
         name: impl Into<String>,
     ) -> Result<MergeOp, PlanError> {
+        let (pairing, emit) = (Some(pairing), MergeEmit::Union);
         MergeOp::build(
             left,
             right,
-            merger,
-            Some(pairing),
-            MergeEmit::Union,
+            |_| Ok((merger, None)),
+            pairing,
+            emit,
             name.into(),
         )
     }
 
+    /// `merger` is made for the output schema: the merger, and the
+    /// selection it and the operator share, if there is one.
     fn build(
         left: Box<dyn Operator>,
         right: Box<dyn Operator>,
-        merger: Box<dyn TupleMerger>,
+        merger: impl FnOnce(&Schema) -> Result<(Box<dyn TupleMerger>, Filter), PlanError>,
         pairing: Option<Arc<MergePairing>>,
         emit: MergeEmit,
         name: String,
@@ -1115,6 +1257,7 @@ impl MergeOp {
             .check_union_compatible(right.schema())
             .map_err(|e| PlanError::Algebra(AlgebraError::Relation(e)))?;
         let schema = Arc::new(left.schema().renamed(name));
+        let (merger, select) = merger(&schema)?;
         Ok(MergeOp {
             left,
             right,
@@ -1122,6 +1265,8 @@ impl MergeOp {
             pairing,
             emit,
             schema,
+            select,
+            left_records: None,
             build: BuildSide::empty(),
             consumed: Vec::new(),
             stored_index_built: None,
@@ -1202,6 +1347,113 @@ impl MergeOp {
             None => BuildSide::Mem { by_key, tuples },
         })
     }
+    /// Merge left tuple `l` with its partner, build-side tuple
+    /// `ordinal`; `None` when the merger drops the pair.
+    fn merge_matched(
+        &mut self,
+        ctx: &mut ExecContext,
+        key: &[Value],
+        l: &Tuple,
+        ordinal: u32,
+    ) -> Result<Option<Arc<Tuple>>, PlanError> {
+        // Ordinals come from `probe`. A segment-backed partner is
+        // decoded for this merge only and never shared.
+        let fetched;
+        let r: &Tuple = match &mut self.build {
+            BuildSide::Mem { tuples, .. } => &tuples[ordinal as usize],
+            BuildSide::Spilled(s) => {
+                fetched = s.fetch(ordinal)?;
+                &fetched
+            }
+        };
+        if self.stored_index_built.is_some() {
+            self.right.read_directly(1, None);
+        }
+        self.consumed[ordinal as usize] = true;
+        ctx.stats.pairs_merged += 1;
+        let merged = self
+            .merger
+            .merge(&self.schema, key, l, r, &mut self.report)?;
+        Ok(merged.map(Arc::new))
+    }
+
+    /// Phase 1 over pulled left tuples: the next emitted tuple, `None`
+    /// when the left input is exhausted.
+    fn next_of_left_tuples(
+        &mut self,
+        ctx: &mut ExecContext,
+    ) -> Result<Option<Arc<Tuple>>, PlanError> {
+        while let Some(l) = self.left.next(ctx)? {
+            let key = l.key(self.left.schema());
+            let ordinal = match &self.pairing {
+                Some(p) => match p.matched.get(&key) {
+                    Some(rk) => Some(self.build.probe(rk).ok_or_else(|| PlanError::Pairing {
+                        reason: format!("right key {} not found", Value::render_key(rk)),
+                    })?),
+                    None => None,
+                },
+                None => self.build.probe(&key),
+            };
+            let emitted = match ordinal {
+                Some(ordinal) => self.merge_matched(ctx, &key, &l, ordinal)?,
+                None => {
+                    let passes = match &self.pairing {
+                        Some(p) => p.left_only.contains(&key),
+                        None => true,
+                    };
+                    match &self.select {
+                        _ if self.emit != MergeEmit::Union || !passes => None,
+                        Some(select) => decide_unmatched(l, select)?,
+                        None => Some(l).filter(|l| l.membership().is_positive()),
+                    }
+                }
+            };
+            if emitted.is_some() {
+                return Ok(emitted);
+            }
+        }
+        Ok(None)
+    }
+
+    /// Phase 1 over the records of a bare stored left side, under a
+    /// fused selection: each record is decoded under the filter's keyed
+    /// mask — enough to probe and to decide — and in full only when it
+    /// has a partner or is kept.
+    fn next_of_left_records(
+        &mut self,
+        ctx: &mut ExecContext,
+    ) -> Result<Option<Arc<Tuple>>, PlanError> {
+        let select = Arc::clone(self.select.as_ref().expect("a cursor serves a selection"));
+        loop {
+            let records = self.left_records.as_mut().expect("checked by `next`");
+            let Some((record, segment)) = records.next()? else {
+                return Ok(None);
+            };
+            ctx.stats.tuples_scanned += 1;
+            self.left.read_directly(1, None);
+            let partial = select.keyed_record(record, segment)?;
+            let key = select.key_of(&partial, segment.schema())?;
+            match self.build.probe(&key) {
+                Some(ordinal) => {
+                    let l = decode_record(record, segment.domains(), segment.all_columns())?
+                        .into_tuple(segment.schema())?;
+                    let merged = self.merge_matched(ctx, &key, &l, ordinal)?;
+                    if merged.is_some() {
+                        return Ok(merged);
+                    }
+                }
+                None => {
+                    if self.emit == MergeEmit::Union && partial.membership.is_positive() {
+                        let kept = select.keep(&select.keyed, &partial, record, segment)?;
+                        if let Some(tuple) = kept {
+                            return Ok(Some(Arc::new(tuple)));
+                        }
+                    }
+                    ctx.stats.records_skipped += 1;
+                }
+            }
+        }
+    }
 }
 
 impl Operator for MergeOp {
@@ -1214,6 +1466,12 @@ impl Operator for MergeOp {
         self.right.open(ctx)?;
         self.build = self.open_build(ctx)?;
         self.consumed = vec![false; self.build.len()];
+        // A fused selection reads a bare stored left side's records
+        // itself: it decides what to decode of each.
+        self.left_records = match (&self.select, self.left.stored_relation()) {
+            (Some(_), Some(stored)) => Some(RecordCursor::new(Arc::clone(stored))),
+            _ => None,
+        };
         Ok(())
     }
 
@@ -1221,43 +1479,15 @@ impl Operator for MergeOp {
         // Phase 1: stream the left input; merged and left-only tuples
         // interleave in left insertion order (exactly like ∪̃'s free
         // function).
-        while !self.left_done {
-            let Some(l) = self.left.next(ctx)? else {
-                self.left_done = true;
-                break;
+        if !self.left_done {
+            let emitted = match self.left_records {
+                Some(_) => self.next_of_left_records(ctx)?,
+                None => self.next_of_left_tuples(ctx)?,
             };
-            let key = l.key(self.left.schema());
-            let ordinal = match &self.pairing {
-                Some(p) => match p.matched.get(&key) {
-                    Some(rk) => Some(self.build.probe(rk).ok_or_else(|| PlanError::Pairing {
-                        reason: format!("right key {} not found", Value::render_key(rk)),
-                    })?),
-                    None => None,
-                },
-                None => self.build.probe(&key),
-            };
-            match ordinal {
-                Some(ordinal) => {
-                    let r = self.build.fetch(ordinal)?;
-                    self.consumed[ordinal as usize] = true;
-                    ctx.stats.pairs_merged += 1;
-                    if let Some(merged) =
-                        self.merger
-                            .merge(&self.schema, &key, &l, &r, &mut self.report)?
-                    {
-                        return Ok(Some(Arc::new(merged)));
-                    }
-                }
-                None => {
-                    let passes = match &self.pairing {
-                        Some(p) => p.left_only.contains(&key),
-                        None => true,
-                    };
-                    if self.emit == MergeEmit::Union && passes && l.membership().is_positive() {
-                        return Ok(Some(l));
-                    }
-                }
+            if emitted.is_some() {
+                return Ok(emitted);
             }
+            self.left_done = true;
         }
         // Phase 2: unconsumed right tuples, in right insertion order —
         // which is ordinal order.
@@ -1269,14 +1499,27 @@ impl Operator for MergeOp {
                     continue;
                 }
                 // `consumed` has one flag per u32 ordinal.
-                let tuple = self.build.fetch(ordinal as u32)?;
-                if let Some(p) = &self.pairing {
-                    if !p.right_only.contains(&tuple.key(self.right.schema())) {
-                        continue;
+                let kept = match &self.select {
+                    Some(select) => self.build.fetch_kept(ordinal as u32, select)?,
+                    None => {
+                        let tuple = self.build.fetch(ordinal as u32)?;
+                        let passes = match &self.pairing {
+                            Some(p) => p.right_only.contains(&tuple.key(self.right.schema())),
+                            None => true,
+                        };
+                        Some(tuple).filter(|t| passes && t.membership().is_positive())
+                    }
+                };
+                if self.stored_index_built.is_some() {
+                    self.right.read_directly(1, None);
+                    // Only a fused selection rejects a record without
+                    // decoding it in full.
+                    if self.select.is_some() && kept.is_none() {
+                        ctx.stats.records_skipped += 1;
                     }
                 }
-                if tuple.membership().is_positive() {
-                    return Ok(Some(tuple));
+                if kept.is_some() {
+                    return Ok(kept);
                 }
             }
         }
@@ -1287,6 +1530,7 @@ impl Operator for MergeOp {
         ctx.record_report(std::mem::take(&mut self.report));
         // Drops a segment-backed side's page pin with it.
         self.build = BuildSide::empty();
+        self.left_records = None;
         self.consumed = Vec::new();
         self.left.close(ctx)?;
         self.right.close(ctx)
@@ -1306,10 +1550,14 @@ impl Operator for MergeOp {
             Some(false) => "; build: stored index (cached)",
             None => "",
         };
-        format!(
+        let merge = format!(
             "{symbol} (index right, stream left; pairing: {pairing}; merge: {}{build})",
             self.merger.describe()
-        )
+        );
+        match &self.select {
+            Some(select) => select.describe(&merge),
+            None => merge,
+        }
     }
 
     fn children(&self) -> Vec<&dyn Operator> {
@@ -1379,6 +1627,7 @@ impl Operator for DifferenceOp {
         self.right.open(ctx)?;
         if let Some(stored) = self.right.stored_relation() {
             self.right_keys = RightKeys::Stored(ctx.stored_key_index(stored)?.0);
+            self.right.read_directly(0, Some("key index only"));
             return Ok(());
         }
         let right_schema = Arc::clone(self.right.schema());

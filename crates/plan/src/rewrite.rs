@@ -29,7 +29,10 @@
 //!   conflicts for) only the entities that survive the filter; the
 //!   result relation is identical, but conflict reports cover fewer
 //!   tuples and a total conflict on a filtered-out entity no longer
-//!   aborts.
+//!   aborts. (A σ̃ that stays *above* the ∪̃ is evaluated inside the
+//!   merge by the physical layer — `MergeOp::selecting` — which is a
+//!   different thing: every pair is still merged as far as its
+//!   observations need, so the report and the aborts are unchanged.)
 //! * **projection pruning** — nested π̃ collapse to the outermost
 //!   list; an identity π̃ disappears.
 

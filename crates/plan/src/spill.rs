@@ -1,7 +1,7 @@
 //! Spill-to-disk execution: stored-relation scans and segment-backed
 //! merge build sides.
 //!
-//! Two pieces let the streaming operators run over data that never
+//! Three pieces let the streaming operators run over data that never
 //! fully fits in memory:
 //!
 //! * [`SpillScanOp`] — the [`Operator`] for a disk-backed
@@ -37,17 +37,38 @@
 //!   the right input is a bare stored scan its segment is the build
 //!   side as it stands, under the index the relation itself keeps
 //!   ([`StoredRelation::key_index`]: built by the first query that
-//!   needs it, shared by every later one).
+//!   needs it, shared by every later one). A pinned page's records are
+//!   located once, when it is pinned, so a fetch — full or masked — is
+//!   served by slot without walking the length prefixes before it.
+//! * `ScanFilter` / `RecordCursor` (crate-private) — the record-level
+//!   σ̃ and the record-at-a-time read of a stored relation. The filter
+//!   is the one evaluator every fused selection decides with: the
+//!   scan above, and [`crate::ops::MergeOp`] with a selection inside
+//!   it, which reads a bare stored left side through the cursor —
+//!   membership pair, the predicate's attributes and the key decoded
+//!   per record, the rest only for a record that has a partner or is
+//!   kept — decides unmatched build-side records the same way, and
+//!   hands the same filter to the per-pair kernel for matched pairs.
+//!   What a rejected record's skipped attributes get is what the fused
+//!   scan gives them: length-, tag- and CRC-checked, not semantically
+//!   validated; every matched record and every emitted tuple is
+//!   decoded in full and validated by `Tuple::new`.
 
 use crate::error::PlanError;
 use crate::ops::{check_threshold, ExecContext, ExecStats, Operator};
 use evirel_algebra::predicate::Predicate;
 use evirel_algebra::support::{BoundPredicate, Row};
 use evirel_algebra::threshold::Threshold;
-use evirel_relation::{AttrValue, Schema, Tuple, Value};
-use evirel_store::codec::decode_record;
+use evirel_algebra::union::PairSelection;
+use evirel_algebra::AlgebraError;
+use evirel_relation::{AttrValue, Schema, SupportPair, Tuple, Value};
+use evirel_store::codec::{decode_record, Record};
 use evirel_store::segment::PageRecords;
-use evirel_store::{BufferPool, KeyIndex, PageGuard, Segment, SegmentWriter, StoredRelation};
+use evirel_store::{
+    BufferPool, KeyIndex, PageGuard, Segment, SegmentWriter, StoreError, StoredRelation,
+};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 // ---------------------------------------------------------- spill scan
@@ -63,22 +84,49 @@ pub struct SpillScanOp {
     buf: std::vec::IntoIter<Tuple>,
 }
 
-/// A σ̃ evaluated inside the scan.
-struct ScanFilter {
+/// A column mask for the one record decoder, with the way back from a
+/// schema position to a value of a record decoded under it.
+pub(crate) struct Mask {
+    /// `keep[pos]`: position `pos` is materialized.
+    keep: Vec<bool>,
+    /// Schema position → index into the decoded record's dense values.
+    slots: Vec<usize>,
+}
+
+impl Mask {
+    fn of(keep: Vec<bool>) -> Mask {
+        let slots = keep
+            .iter()
+            .scan(0, |kept, &read| {
+                let slot = if read { *kept } else { usize::MAX };
+                *kept += usize::from(read);
+                Some(slot)
+            })
+            .collect();
+        Mask { keep, slots }
+    }
+}
+
+/// The record-level σ̃ — the one evaluator every fused selection
+/// decides with: `predicate` bound once, `F_SS` over whatever [`Row`]
+/// holds the positions it reads (a tuple where it stands, a record
+/// decoded under [`ScanFilter::reads`], a merged pair as far as the
+/// per-pair kernel has built it), `F_TM`, then the threshold `Q` —
+/// the same three steps as `SelectOp::next`. A stored record is
+/// decoded in full, and validated as a tuple, only if it is kept.
+pub(crate) struct ScanFilter {
     predicate: Predicate,
-    /// `predicate` bound to the stored schema.
+    /// `predicate` bound to the schema of the rows it decides.
     bound: BoundPredicate,
     threshold: Threshold,
     /// The positions `predicate` reads.
-    reads: Vec<bool>,
-    /// Schema position → index into a record decoded under `reads`.
-    slots: Vec<usize>,
-    /// The all-true mask survivors are decoded under.
-    all: Vec<bool>,
+    pub(crate) reads: Mask,
+    /// [`ScanFilter::reads`] plus the key positions — what a merge's
+    /// left side decodes, where the key is what is probed.
+    pub(crate) keyed: Mask,
 }
 
-/// A record decoded under [`ScanFilter::reads`], as the row `F_SS`
-/// evaluates: it holds exactly the positions the predicate names.
+/// A record decoded under a [`Mask`], as the row `F_SS` evaluates.
 struct PartialRow<'a> {
     values: &'a [AttrValue],
     slots: &'a [usize],
@@ -91,10 +139,106 @@ impl Row for PartialRow<'_> {
 }
 
 impl ScanFilter {
+    /// σ̃ (`predicate`, `threshold`) over rows of `schema`.
+    ///
+    /// # Errors
+    /// As [`crate::ops::SelectOp::new`].
+    pub(crate) fn new(
+        schema: &Schema,
+        predicate: Predicate,
+        threshold: Threshold,
+    ) -> Result<ScanFilter, PlanError> {
+        check_threshold(&threshold)?;
+        let mut reads = vec![false; schema.arity()];
+        // An unknown name reads nothing: its error is the bound
+        // predicate's, raised at the first row like `SelectOp`'s.
+        for pos in predicate
+            .referenced_attrs()
+            .into_iter()
+            .filter_map(|attr| schema.position(attr).ok())
+        {
+            reads[pos] = true;
+        }
+        let mut keyed = reads.clone();
+        for &pos in schema.key_positions() {
+            keyed[pos] = true;
+        }
+        Ok(ScanFilter {
+            bound: BoundPredicate::bind(schema, &predicate),
+            predicate,
+            threshold,
+            reads: Mask::of(reads),
+            keyed: Mask::of(keyed),
+        })
+    }
+
+    /// `σ̃[…] with … ⟵ input`: the `EXPLAIN` line of a selection
+    /// evaluated inside `input`.
+    pub(crate) fn describe(&self, input: &str) -> String {
+        format!("σ̃[{}] with {} ⟵ {input}", self.predicate, self.threshold)
+    }
+
+    /// `record` — one of `segment`'s — decoded under
+    /// [`ScanFilter::keyed`]: what a merge's left side probes with
+    /// ([`ScanFilter::key_of`]) and, if nothing matches, decides from.
+    pub(crate) fn keyed_record(
+        &self,
+        record: &[u8],
+        segment: &Segment,
+    ) -> Result<Record, PlanError> {
+        Ok(decode_record(record, segment.domains(), &self.keyed.keep)?)
+    }
+
+    /// The key of `partial`, a record of `schema` from
+    /// [`ScanFilter::keyed_record`] — borrowed where it stands when the
+    /// key is one attribute, the common case.
+    pub(crate) fn key_of<'a>(
+        &self,
+        partial: &'a Record,
+        schema: &Schema,
+    ) -> Result<Cow<'a, [Value]>, PlanError> {
+        let value = |pos: usize| match &partial.values[self.keyed.slots[pos]] {
+            AttrValue::Definite(v) => Ok(v),
+            AttrValue::Evidential(_) => {
+                Err(StoreError::corrupt("evidential value in a key position"))
+            }
+        };
+        Ok(match *schema.key_positions() {
+            [pos] => Cow::Borrowed(std::slice::from_ref(value(pos)?)),
+            ref positions => Cow::Owned(
+                positions
+                    .iter()
+                    .map(|&pos| value(pos).cloned())
+                    .collect::<Result<Vec<Value>, StoreError>>()?,
+            ),
+        })
+    }
+
+    /// Decide `partial` — `record` decoded under `mask` — and decode
+    /// the record in full, as a tuple of `segment`'s schema with its
+    /// revised membership, only if it is kept. (Inlined: rejecting is
+    /// the hot path, and it returns nothing of a tuple's size.)
+    #[inline(always)]
+    pub(crate) fn keep(
+        &self,
+        mask: &Mask,
+        partial: &Record,
+        record: &[u8],
+        segment: &Segment,
+    ) -> Result<Option<Tuple>, PlanError> {
+        let row = PartialRow {
+            values: &partial.values,
+            slots: &mask.slots,
+        };
+        match self.decide(&row, partial.membership)? {
+            Some(revised) => Ok(Some(revised_tuple(record, segment, revised)?)),
+            None => Ok(None),
+        }
+    }
+
     /// Visit every record of `page`: count it, decide it from its
-    /// membership pair and the predicate's attributes, and decode the
-    /// survivors in full with their revised membership — the same
-    /// `F_SS`, `F_TM` and threshold test as `SelectOp::next`.
+    /// membership pair and the predicate's attributes, and keep the
+    /// survivors.
     fn survivors(
         &self,
         stored: &StoredRelation,
@@ -107,21 +251,42 @@ impl ScanFilter {
         for record in PageRecords::new(&guard)? {
             let record = record?;
             stats.tuples_scanned += 1;
-            let partial = decode_record(record, segment.domains(), &self.reads)?;
-            let fss = self.bound.support(&PartialRow {
-                values: &partial.values,
-                slots: &self.slots,
-            })?;
-            let revised = partial.membership.and_independent(&fss);
-            if self.threshold.admits(&revised) && revised.is_positive() {
-                let tuple = decode_record(record, segment.domains(), &self.all)?
-                    .into_tuple(stored.schema())?;
-                out.push(tuple.with_membership_owned(revised));
-            } else {
-                stats.records_skipped += 1;
+            let partial = decode_record(record, segment.domains(), &self.reads.keep)?;
+            match self.keep(&self.reads, &partial, record, segment)? {
+                Some(tuple) => out.push(tuple),
+                None => stats.records_skipped += 1,
             }
         }
         Ok(out)
+    }
+}
+
+/// A kept record decoded in full and validated, with its revised
+/// membership.
+fn revised_tuple(
+    record: &[u8],
+    segment: &Segment,
+    revised: SupportPair,
+) -> Result<Tuple, PlanError> {
+    let tuple = decode_record(record, segment.domains(), segment.all_columns())?
+        .into_tuple(segment.schema())?;
+    Ok(tuple.with_membership_owned(revised))
+}
+
+impl PairSelection for ScanFilter {
+    fn reads(&self, pos: usize) -> bool {
+        self.reads.keep[pos]
+    }
+
+    #[inline]
+    fn decide(
+        &self,
+        row: &impl Row,
+        membership: SupportPair,
+    ) -> Result<Option<SupportPair>, AlgebraError> {
+        let fss = self.bound.support(row)?;
+        let revised = membership.and_independent(&fss);
+        Ok((self.threshold.admits(&revised) && revised.is_positive()).then_some(revised))
     }
 }
 
@@ -148,34 +313,7 @@ impl SpillScanOp {
         predicate: Predicate,
         threshold: Threshold,
     ) -> Result<SpillScanOp, PlanError> {
-        check_threshold(&threshold)?;
-        let schema = stored.schema();
-        let mut reads = vec![false; schema.arity()];
-        // An unknown name reads nothing: its error is the bound
-        // predicate's, raised at the first record like `SelectOp`'s.
-        for pos in predicate
-            .referenced_attrs()
-            .into_iter()
-            .filter_map(|attr| schema.position(attr).ok())
-        {
-            reads[pos] = true;
-        }
-        let slots = reads
-            .iter()
-            .scan(0, |kept, &read| {
-                let slot = if read { *kept } else { usize::MAX };
-                *kept += usize::from(read);
-                Some(slot)
-            })
-            .collect();
-        let filter = ScanFilter {
-            bound: BoundPredicate::bind(schema, &predicate),
-            predicate,
-            threshold,
-            slots,
-            all: vec![true; reads.len()],
-            reads,
-        };
+        let filter = ScanFilter::new(stored.schema(), predicate, threshold)?;
         Ok(SpillScanOp {
             filter: Some(filter),
             ..SpillScanOp::new(name, stored)
@@ -232,7 +370,7 @@ impl Operator for SpillScanOp {
         );
         match &self.filter {
             None => scan,
-            Some(f) => format!("σ̃[{}] with {} ⟵ {scan}", f.predicate, f.threshold),
+            Some(filter) => filter.describe(&scan),
         }
     }
 
@@ -294,17 +432,102 @@ impl SpillBuild {
     }
 }
 
+/// One pinned page of a segment with its records located: the
+/// [`PageRecords`] walk, done once when the page is pinned, so a
+/// record is addressed by slot without re-walking the length prefixes
+/// before it. Unpins on drop.
+struct PinnedPage {
+    page: u64,
+    guard: PageGuard,
+    records: Vec<Range<usize>>,
+}
+
+impl PinnedPage {
+    fn pin(pool: &Arc<BufferPool>, segment: &Segment, page: u64) -> Result<PinnedPage, StoreError> {
+        let guard = pool.get(segment, page)?;
+        let records = PageRecords::ranges(&guard)?;
+        Ok(PinnedPage {
+            page,
+            guard,
+            records,
+        })
+    }
+
+    /// The bytes of record `slot`, as [`decode_record`] takes them.
+    fn record(&self, slot: usize) -> Result<&[u8], StoreError> {
+        let range = self.records.get(slot).ok_or_else(|| {
+            StoreError::corrupt(format!(
+                "slot {slot} out of range (page {} has {} records)",
+                self.page,
+                self.records.len()
+            ))
+        })?;
+        Ok(&self.guard[range.clone()])
+    }
+}
+
+/// A stored relation's records in insertion order, one pinned page at
+/// a time — what a merge with a fused selection reads its left side
+/// through instead of pulling decoded tuples, so that it decides what
+/// to decode of each record.
+pub(crate) struct RecordCursor {
+    stored: Arc<StoredRelation>,
+    /// The page being walked; `None` before the first and after the
+    /// last.
+    pinned: Option<PinnedPage>,
+    next_page: u64,
+    next_slot: usize,
+}
+
+impl RecordCursor {
+    pub(crate) fn new(stored: Arc<StoredRelation>) -> RecordCursor {
+        RecordCursor {
+            stored,
+            pinned: None,
+            next_page: 0,
+            next_slot: 0,
+        }
+    }
+
+    /// The next record's bytes, beside the segment they decode
+    /// against — or `None` past the last page (whose pin is dropped
+    /// with it).
+    pub(crate) fn next(&mut self) -> Result<Option<(&[u8], &Segment)>, PlanError> {
+        while !matches!(&self.pinned, Some(p) if self.next_slot < p.records.len()) {
+            // Unpin the walked page before pinning the next.
+            self.pinned = None;
+            if self.next_page >= self.stored.segment().page_count() {
+                return Ok(None);
+            }
+            self.pinned = Some(PinnedPage::pin(
+                self.stored.pool(),
+                self.stored.segment(),
+                self.next_page,
+            )?);
+            self.next_page += 1;
+            self.next_slot = 0;
+        }
+        let page = self.pinned.as_ref().expect("pinned just above");
+        self.next_slot += 1;
+        Ok(Some((
+            page.record(self.next_slot - 1)?,
+            self.stored.segment(),
+        )))
+    }
+}
+
 /// A segment-backed build side: a segment, its [`KeyIndex`], and the
-/// page the last fetch decoded from, still pinned — consecutive
-/// fetches on one page (a left input in the right side's order, and
-/// all of the unmatched-right phase) are one `pool.get`. One pinned
-/// page per build side; a pool smaller than that page overcommits
-/// rather than waits. The pin is released when the merge closes.
+/// page the last fetch decoded from, still pinned with its records
+/// located — consecutive fetches on one page (a left input in the
+/// right side's order, and all of the unmatched-right phase) are one
+/// `pool.get` and one walk of the page. One pinned page per build
+/// side; a pool smaller than that page overcommits rather than waits.
+/// The pin is released when the merge closes.
 pub(crate) struct SpilledRight {
     segment: Arc<Segment>,
     pool: Arc<BufferPool>,
     index: Arc<KeyIndex>,
-    pinned: Option<(u64, PageGuard)>,
+    pinned: Option<PinnedPage>,
 }
 
 impl SpilledRight {
@@ -337,21 +560,49 @@ impl SpilledRight {
         self.index.ordinal(key)
     }
 
-    /// Decode tuple `ordinal` in full.
-    pub(crate) fn fetch(&mut self, ordinal: u32) -> Result<Tuple, PlanError> {
+    /// The bytes of record `ordinal`, its page pinned (and left so),
+    /// beside the segment they decode against.
+    fn record(&mut self, ordinal: u32) -> Result<(&[u8], &Segment), PlanError> {
         let id = self
             .index
             .record(ordinal)
             .ok_or_else(|| PlanError::Pairing {
                 reason: format!("right ordinal {ordinal} not indexed"),
             })?;
-        if !matches!(&self.pinned, Some((page, _)) if *page == id.page) {
+        if !matches!(&self.pinned, Some(p) if p.page == id.page) {
             // Unpin the old page before pinning the next.
             self.pinned = None;
-            self.pinned = Some((id.page, self.pool.get(&self.segment, id.page)?));
+            self.pinned = Some(PinnedPage::pin(&self.pool, &self.segment, id.page)?);
         }
-        let (_, guard) = self.pinned.as_ref().expect("pinned just above");
-        Ok(self.segment.decode_record(guard, id.slot)?)
+        let page = self.pinned.as_ref().expect("pinned just above");
+        Ok((page.record(id.slot as usize)?, &self.segment))
+    }
+
+    /// Decode tuple `ordinal` in full.
+    pub(crate) fn fetch(&mut self, ordinal: u32) -> Result<Tuple, PlanError> {
+        let (record, segment) = self.record(ordinal)?;
+        Ok(
+            decode_record(record, segment.domains(), segment.all_columns())?
+                .into_tuple(segment.schema())?,
+        )
+    }
+
+    /// Tuple `ordinal` as an unmatched tuple under a fused selection:
+    /// decided from its membership pair and the predicate's attributes
+    /// — a tuple without positive support is dropped before the
+    /// predicate sees it, as the merge drops it — and decoded in full,
+    /// with its revised membership, only if `filter` keeps it.
+    pub(crate) fn fetch_kept(
+        &mut self,
+        ordinal: u32,
+        filter: &ScanFilter,
+    ) -> Result<Option<Tuple>, PlanError> {
+        let (record, segment) = self.record(ordinal)?;
+        let partial = decode_record(record, segment.domains(), &filter.reads.keep)?;
+        if !partial.membership.is_positive() {
+            return Ok(None);
+        }
+        filter.keep(&filter.reads, &partial, record, segment)
     }
 }
 

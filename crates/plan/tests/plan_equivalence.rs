@@ -4,9 +4,11 @@
 //! schema, same key set, attribute values approximately equal, and
 //! `(sn, sp)` within 1e-12. The same plans then run over *stored*
 //! bindings (σ̃ directly over a stored scan is evaluated inside the
-//! scan) and must reproduce the in-memory streaming result bit for
-//! bit, in the same order — twice over the same stored relations, so
-//! that a ∪̃'s second run probes the key index its first run built.
+//! scan, σ̃ directly over a ∪̃/∩̃ inside the merge — there reading both
+//! segments record by record) and must reproduce the in-memory
+//! streaming result bit for bit, in the same order — twice over the
+//! same stored relations, so that a ∪̃'s second run probes the key
+//! index its first run built.
 //!
 //! Total conflicts resolve vacuously here: the σ̃-under-∪̃
 //! distribution rule deliberately merges only entities that survive a
@@ -116,7 +118,7 @@ fn equivalent(naive: &ExtendedRelation, streaming: &ExtendedRelation) -> Result<
 /// sources (×̃/⋈̃ of GA and GB, which share every attribute name) need
 /// `GA.`-prefixed references.
 fn random_plan(source: u8, pred_kind: u8, attr_i: u8, val: u8, th: u8, proj: u8) -> LogicalPlan {
-    let qualified = source >= 3;
+    let qualified = matches!(source, 3 | 4);
     let q = |name: &str| {
         if qualified {
             format!("GA.{name}")
@@ -129,10 +131,11 @@ fn random_plan(source: u8, pred_kind: u8, attr_i: u8, val: u8, th: u8, proj: u8)
         1 => scan("gb"),
         2 => scan("ga").union(scan("gb")),
         3 => scan("ga").product(scan("gb")),
-        _ => scan("ga").join(
+        4 => scan("ga").join(
             scan("gb"),
             Predicate::theta(Operand::attr("GA.k"), ThetaOp::Eq, Operand::attr("GB.k")),
         ),
+        _ => scan("ga").intersect(scan("gb")),
     };
     let evidential = q(&format!("e{}", attr_i % 3));
     let label = |i: u8| Value::str(format!("v{}", i % 8));
@@ -193,7 +196,7 @@ proptest! {
     #[test]
     fn streaming_matches_naive_composition(
         seed in 0u64..1_000_000,
-        source in 0u8..5,
+        source in 0u8..6,
         pred_kind in 0u8..7,
         attr_val in 0u8..24, // attr index × predicate value, combined
         th in 0u8..5,
@@ -266,13 +269,15 @@ proptest! {
     /// identical to sequential streaming — relation, tuple insertion
     /// order, stats (κ included), and conflict-report observation
     /// order — and its relation/report must match the naive reference
-    /// too. Sources 0–2 exercise the shardable (∪̃) exchange; sources
-    /// 3–4 the ×̃/⋈̃ lowerings, where the equality join engages the
-    /// join-attribute-partitioned exchange when statistics are on.
+    /// too. Sources 0–2 and 5 exercise the shardable (∪̃, ∩̃) exchange —
+    /// with a σ̃ directly above the merge evaluated inside it, in every
+    /// shard; sources 3–4 the ×̃/⋈̃ lowerings, where the equality join
+    /// engages the join-attribute-partitioned exchange when statistics
+    /// are on.
     #[test]
     fn parallel_exchange_matches_sequential_and_reference(
         seed in 0u64..1_000_000,
-        source in 0u8..5,
+        source in 0u8..6,
         pred_threads in 0u8..21, // predicate kind × thread count, combined
         attr_val in 0u8..24,
         th in 0u8..5,

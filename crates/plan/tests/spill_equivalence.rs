@@ -12,16 +12,26 @@
 //! every stored shape runs twice over the same `StoredRelation`s — the
 //! first run builds the right side's index, the second reuses it — and
 //! the two runs are indistinguishable except for `key_index_builds`.
+//! And the third fusion: a σ̃ directly over a ∪̃/∩̃ runs inside the
+//! merge, and is `SelectOp` over `MergeOp` — and the reference — bit
+//! for bit, report and errors included, whichever side is in memory,
+//! stored or spilled.
 
 use evirel_algebra::union::UnionOptions;
-use evirel_algebra::{ConflictPolicy, Operand, Predicate, ThetaOp, Threshold};
-use evirel_plan::ops::DempsterMerger;
+use evirel_algebra::{ConflictPolicy, ConflictReport, Operand, Predicate, ThetaOp, Threshold};
+use evirel_evidence::rules::CombinationRule;
+use evirel_evidence::MassFunction;
+use evirel_plan::ops::{DempsterMerger, MergeEmit, MergeOp, Operator, ScanOp, SelectOp};
 use evirel_plan::reference::execute_reference;
+use evirel_plan::spill::SpillScanOp;
 use evirel_plan::{
     execute_merge, execute_plan, explain_plan, scan, Bindings, BoundRelation, BufferPool,
     ExecContext, ExecStats, LogicalPlan, MergePairing, StoredRelation, TupleMerger,
 };
-use evirel_relation::{ExtendedRelation, Value};
+use evirel_relation::cwa::CwaPolicy;
+use evirel_relation::{
+    AttrDomain, AttrValue, ExtendedRelation, Schema, SupportPair, Tuple, Value, ValueKind,
+};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -87,11 +97,16 @@ fn equivalent(expected: &ExtendedRelation, got: &ExtendedRelation) -> Result<(),
 }
 
 /// Values and `(sn, sp)` bit for bit, tuple by tuple, in order.
-fn identical(expected: &ExtendedRelation, got: &ExtendedRelation) -> Result<(), String> {
+fn same_tuples<'a>(
+    expected: impl IntoIterator<Item = &'a Tuple>,
+    got: impl IntoIterator<Item = &'a Tuple>,
+) -> Result<(), String> {
+    let (expected, got): (Vec<_>, Vec<_>) =
+        (expected.into_iter().collect(), got.into_iter().collect());
     if expected.len() != got.len() {
         return Err(format!("sizes differ: {} vs {}", expected.len(), got.len()));
     }
-    for (at, (e, g)) in expected.iter().zip(got.iter()).enumerate() {
+    for (at, (e, g)) in expected.into_iter().zip(got).enumerate() {
         let (em, gm) = (e.membership(), g.membership());
         if e.values() != g.values()
             || em.sn().to_bits() != gm.sn().to_bits()
@@ -101,6 +116,11 @@ fn identical(expected: &ExtendedRelation, got: &ExtendedRelation) -> Result<(), 
         }
     }
     Ok(())
+}
+
+/// [`same_tuples`] of two relations.
+fn identical(expected: &ExtendedRelation, got: &ExtendedRelation) -> Result<(), String> {
+    same_tuples(expected.iter(), got.iter())
 }
 
 /// The fields a stored run may differ from an in-memory one in.
@@ -593,5 +613,596 @@ fn fused_selection_fails_with_the_in_memory_error_text() {
             "{}",
             plan.render()
         );
+    }
+}
+
+// ------------------------------------------------- σ̃ inside the merge
+
+/// The generated pair plus hand-made tuples the generator never draws
+/// (its evidence always keeps mass on Ω, and its memberships are
+/// positive), appended in this order to both sides unless noted:
+/// a total conflict on `e0` alone, on `e2` alone, on every attribute;
+/// a total conflict on the membership pair — `(1, 1)` against
+/// `(0, 0)`; a weak pair no threshold admits; and one zero-support
+/// tuple on each side alone, which a ∪̃ drops before any σ̃ sees it.
+fn hazardous_pair(seed: u64, tuples: usize) -> (ExtendedRelation, ExtendedRelation) {
+    let (mut ga, mut gb) = pair(seed, tuples);
+    let frame = {
+        let domain = ga.schema().attr(1).ty().domain().expect("e0 is evidential");
+        Arc::clone(domain.frame())
+    };
+    let certain = |label: &str| {
+        AttrValue::Evidential(MassFunction::certain(Arc::clone(&frame), label).unwrap())
+    };
+    let vacuous = || AttrValue::Evidential(MassFunction::vacuous(Arc::clone(&frame)).unwrap());
+    let add = |rel: &mut ExtendedRelation, key: &str, e: [AttrValue; 3], sn: f64, sp: f64| {
+        let mut values = vec![AttrValue::Definite(Value::str(key))];
+        values.extend(e);
+        let tuple = Tuple::new(rel.schema(), values, SupportPair::new(sn, sp).unwrap()).unwrap();
+        rel.insert_with_policy(tuple, CwaPolicy::AllowZero).unwrap();
+    };
+    let agree = || [certain("v1"), certain("v2"), vacuous()];
+    add(
+        &mut ga,
+        "hz-e0",
+        [certain("v0"), certain("v2"), vacuous()],
+        1.0,
+        1.0,
+    );
+    add(
+        &mut gb,
+        "hz-e0",
+        [certain("v1"), certain("v2"), vacuous()],
+        1.0,
+        1.0,
+    );
+    add(
+        &mut ga,
+        "hz-e2",
+        [certain("v0"), vacuous(), certain("v4")],
+        1.0,
+        1.0,
+    );
+    add(
+        &mut gb,
+        "hz-e2",
+        [certain("v0"), vacuous(), certain("v5")],
+        0.9,
+        1.0,
+    );
+    add(
+        &mut ga,
+        "hz-all",
+        [certain("v1"), certain("v2"), certain("v3")],
+        1.0,
+        1.0,
+    );
+    add(
+        &mut gb,
+        "hz-all",
+        [certain("v2"), certain("v3"), certain("v1")],
+        1.0,
+        1.0,
+    );
+    add(&mut ga, "hz-member", agree(), 1.0, 1.0);
+    add(&mut gb, "hz-member", agree(), 0.0, 0.0);
+    add(&mut ga, "hz-weak", agree(), 0.05, 0.4);
+    add(&mut gb, "hz-weak", agree(), 0.05, 0.3);
+    add(&mut ga, "hz-zero-l", agree(), 0.0, 0.5);
+    add(&mut gb, "hz-zero-r", agree(), 0.0, 1.0);
+    (ga, gb)
+}
+
+/// How the two sides of the merge are bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sides {
+    Memory,
+    StoredLeft,
+    StoredRight,
+    StoredBoth,
+    /// In memory, the build side forced to a temp segment.
+    Spilled,
+}
+
+impl Sides {
+    fn stored_left(self) -> bool {
+        matches!(self, Sides::StoredLeft | Sides::StoredBoth)
+    }
+
+    fn stored_right(self) -> bool {
+        matches!(self, Sides::StoredRight | Sides::StoredBoth)
+    }
+}
+
+const SIDES: [Sides; 5] = [
+    Sides::Memory,
+    Sides::StoredLeft,
+    Sides::StoredRight,
+    Sides::StoredBoth,
+    Sides::Spilled,
+];
+
+fn bind_sides(
+    sides: Sides,
+    ga: &ExtendedRelation,
+    gb: &ExtendedRelation,
+    pool: &Arc<BufferPool>,
+) -> Bindings {
+    let mut b = Bindings::new();
+    match sides.stored_left() {
+        true => b.bind_stored("sa", store(ga, pool)),
+        false => b.bind("sa", ga.clone()),
+    };
+    match sides.stored_right() {
+        true => b.bind_stored("sb", store(gb, pool)),
+        false => b.bind("sb", gb.clone()),
+    };
+    b
+}
+
+/// [`predicate_of`]'s kinds, then the ones only a merge makes
+/// interesting: `is` on a definite attribute — the key, whose value a
+/// matched pair takes from the left — alone and under ∨, and two
+/// predicates that cannot be evaluated.
+fn merge_predicate_of(kind: u8, attr: u8, val: u8) -> Predicate {
+    let shared = |i: u8| Value::str(format!("shared-{}", i % 16));
+    let on_key = Predicate::is("k", [shared(val), shared(val + 1), Value::str("hz-e2")]);
+    match kind % 10 {
+        6 => on_key,
+        7 => on_key.or(predicate_of(0, attr, val)),
+        8 => Predicate::is("e9", [Value::str("v1")]),
+        9 => predicate_of(0, attr, val).and(Predicate::is("e1", [Value::str("not-a-label")])),
+        kind => predicate_of(kind, attr, val),
+    }
+}
+
+fn merge_plan(emit: MergeEmit, predicate: Predicate, threshold: Threshold) -> LogicalPlan {
+    let merged = match emit {
+        MergeEmit::Union => scan("sa").union(scan("sb")),
+        MergeEmit::Intersect => scan("sa").intersect(scan("sb")),
+    };
+    merged.select_where(predicate, threshold).build()
+}
+
+/// `SelectOp` over `MergeOp` over in-memory scans, built by hand — what
+/// the planner lowered a σ̃ over a ∪̃/∩̃ to before the selection moved
+/// inside the merge.
+fn unfused(
+    emit: MergeEmit,
+    ga: &ExtendedRelation,
+    gb: &ExtendedRelation,
+    options: &UnionOptions,
+    predicate: &Predicate,
+    threshold: Threshold,
+) -> Box<dyn Operator> {
+    let left = Box::new(ScanOp::new("sa", Arc::new(ga.clone())));
+    let right = Box::new(ScanOp::new("sb", Arc::new(gb.clone())));
+    let merger = Box::new(DempsterMerger::new(options.clone()));
+    let merge = match emit {
+        MergeEmit::Union => MergeOp::union(left, right, merger),
+        MergeEmit::Intersect => MergeOp::intersect(left, right, merger),
+    };
+    let merge = Box::new(merge.expect("union-compatible"));
+    Box::new(SelectOp::new(merge, predicate.clone(), threshold).expect("positive threshold"))
+}
+
+/// Drive `op` by hand: the tuples it emits — all of them, or the ones
+/// before it fails — the failure's text, and the report of a run that
+/// finished.
+fn drive(
+    op: &mut dyn Operator,
+    ctx: &mut ExecContext,
+) -> (Vec<Arc<Tuple>>, Option<String>, ConflictReport) {
+    let mut emitted = Vec::new();
+    let failure = (|| {
+        op.open(ctx)?;
+        while let Some(tuple) = op.next(ctx)? {
+            emitted.push(tuple);
+        }
+        op.close(ctx)
+    })()
+    .err()
+    .map(|e| e.to_string());
+    (emitted, failure, ctx.conflict_report())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// THE property of the third fusion: σ̃ over ∪̃/∩̃, evaluated inside
+    /// the merge, is `SelectOp` over `MergeOp` bit for bit — tuples,
+    /// `(sn, sp)`, order, the conflict report observation by
+    /// observation, the counters (but for what only a stored run
+    /// counts) or the error — for every side combination, predicate
+    /// kind, threshold kind, non-error policy, combination rule and
+    /// focal cap, at 1 and 4 threads, on data with total conflicts on
+    /// read and unread attributes and on the membership pair; and it
+    /// agrees with the reference, report included.
+    #[test]
+    fn fused_merge_is_select_over_merge_bit_for_bit(
+        seed in 0u64..1_000_000,
+        shape in 0u16..40,      // emit × sides × tuple count × threads
+        pred_kind in 0u8..10,
+        attr_val in 0u8..48,    // attribute index × predicate value
+        th in 0u8..4,
+        how in 0u8..24,         // policy × rule × focal cap
+    ) {
+        let emit = [MergeEmit::Union, MergeEmit::Intersect][usize::from(shape % 2)];
+        let sides = SIDES[usize::from(shape / 2 % 5)];
+        let threads = [1usize, 4][usize::from(shape / 10 % 2)];
+        // Empty inputs too: nothing is evaluated, so nothing fails.
+        let (ga, gb) = match shape / 20 {
+            0 => hazardous_pair(seed, 90),
+            _ => pair(seed, 0),
+        };
+        let options = UnionOptions {
+            on_total_conflict: [
+                ConflictPolicy::Vacuous,
+                ConflictPolicy::KeepLeft,
+                ConflictPolicy::KeepRight,
+            ][usize::from(how % 3)],
+            rule: CombinationRule::ALL[usize::from(how / 3 % 4)],
+            max_focal: [None, Some(2)][usize::from(how / 12)],
+        };
+        let predicate = merge_predicate_of(pred_kind, attr_val / 16, attr_val % 16);
+        // A key-only predicate under the default threshold is not a σ̃
+        // over the ∪̃ at all: the rewrite pass distributes it below
+        // (and the report then covers the surviving entities only).
+        let threshold = threshold_of(if pred_kind == 6 { th | 1 } else { th });
+        let plan = merge_plan(emit, predicate.clone(), threshold);
+
+        let mut oracle_ctx = ExecContext::with_options(options.clone());
+        let mut oracle = unfused(emit, &ga, &gb, &options, &predicate, threshold);
+        let (expected, failure, report) = drive(oracle.as_mut(), &mut oracle_ctx);
+        prop_assert_eq!(failure.is_some(), pred_kind >= 8 && !ga.is_empty());
+
+        let pool = Arc::new(BufferPool::new(3 * PAGE));
+        let bindings = bind_sides(sides, &ga, &gb, &pool);
+        let mut ctx = ExecContext::with_options(options.clone());
+        ctx.parallelism = threads;
+        if sides == Sides::Spilled {
+            ctx.spill_threshold_bytes = 0;
+        }
+        let fused = execute_plan(&plan, &bindings, &mut ctx);
+        let mut mem_bindings = Bindings::new();
+        mem_bindings.bind("sa", ga).bind("sb", gb);
+        let reference = execute_reference(&plan, &mem_bindings, &options);
+        let context = format!("{sides:?}, {threads} threads, {options:?}\nplan:\n{}", plan.render());
+        match (&failure, fused, reference) {
+            (None, Ok(fused), Ok((reference, reference_report))) => {
+                if let Err(reason) = same_tuples(expected.iter().map(|t| &**t), fused.iter()) {
+                    prop_assert!(false, "{reason}\n{context}");
+                }
+                if let Err(reason) = equivalent(&reference, &fused) {
+                    prop_assert!(false, "vs reference: {reason}\n{context}");
+                }
+                let observed = ctx.conflict_report();
+                prop_assert_eq!(report.conflicts(), observed.conflicts(), "{}", &context);
+                prop_assert_eq!(reference_report.conflicts(), observed.conflicts(), "{}", &context);
+                // `run` counts the root's tuples; the hand-driven oracle has none.
+                let stats = ExecStats { tuples_emitted: 0, ..masked(ctx.stats) };
+                prop_assert_eq!(oracle_ctx.stats, stats, "{}", &context);
+            }
+            (Some(expected), Err(fused), Err(reference)) => {
+                prop_assert_eq!(expected, &fused.to_string(), "{}", &context);
+                prop_assert_eq!(expected, &reference.to_string(), "{}", &context);
+            }
+            (failure, fused, reference) => prop_assert!(
+                false,
+                "unfused {:?}, fused {:?}, reference {:?}\n{context}",
+                failure,
+                fused.map(|r| r.len()),
+                reference.map(|(r, _)| r.len()),
+            ),
+        }
+
+        let text = explain_plan(&plan, &bindings, &mut ExecContext::new(), false).expect("explains");
+        let symbol = if emit == MergeEmit::Union { "∪̃" } else { "∩̃" };
+        let fused_line = format!("] with {threshold} ⟵ {symbol} (index right, stream left;");
+        prop_assert!(text.contains(&fused_line), "{text}");
+    }
+}
+
+/// A hand-made pair over `(k key, n definite, e0, e1)` whose matched
+/// pairs are, in order: `a` agreeing; `b` unequal on the *definite*
+/// `n`; `c` totally conflicting on `e0` (and partially on `e1`); `d`
+/// totally conflicting on `e1`; `m` on the membership pair. Each side
+/// also has one tuple of its own and one zero-support tuple of its own.
+/// `skip` drops that many of `b`, `c`, `d`, `m` from the front, so that
+/// under [`ConflictPolicy::Error`] each in turn is the first to abort.
+fn definite_pair(skip: usize) -> (ExtendedRelation, ExtendedRelation) {
+    let domain = Arc::new(AttrDomain::categorical("d", ["x", "y", "z"]).unwrap());
+    let schema = |name: &str| {
+        Arc::new(
+            Schema::builder(name)
+                .key_str("k")
+                .definite("n", ValueKind::Int)
+                .evidential("e0", Arc::clone(&domain))
+                .evidential("e1", Arc::clone(&domain))
+                .build()
+                .unwrap(),
+        )
+    };
+    let certain = |label: &str| {
+        AttrValue::Evidential(MassFunction::certain(Arc::clone(domain.frame()), label).unwrap())
+    };
+    let leaning = |label: &str, mass: f64| {
+        let m = MassFunction::<f64>::builder(Arc::clone(domain.frame()))
+            .add([label], mass)
+            .unwrap()
+            .add_omega(1.0 - mass)
+            .build()
+            .unwrap();
+        AttrValue::Evidential(m)
+    };
+    let (mut l, mut r) = (
+        ExtendedRelation::new(schema("L")),
+        ExtendedRelation::new(schema("R")),
+    );
+    let add = |rel: &mut ExtendedRelation,
+               k: &str,
+               n: i64,
+               e0: AttrValue,
+               e1: AttrValue,
+               m: (f64, f64)| {
+        let values = vec![
+            AttrValue::Definite(Value::str(k)),
+            AttrValue::Definite(Value::int(n)),
+            e0,
+            e1,
+        ];
+        let tuple = Tuple::new(rel.schema(), values, SupportPair::new(m.0, m.1).unwrap());
+        rel.insert_with_policy(tuple.unwrap(), CwaPolicy::AllowZero)
+            .unwrap();
+    };
+    add(&mut l, "l-zero", 7, certain("x"), certain("y"), (0.0, 0.5));
+    add(&mut r, "r-zero", 7, certain("x"), certain("y"), (0.0, 1.0));
+    add(&mut l, "a", 1, certain("x"), leaning("y", 0.7), (1.0, 1.0));
+    add(&mut r, "a", 1, leaning("x", 0.6), certain("y"), (0.9, 1.0));
+    if skip < 1 {
+        add(&mut l, "b", 1, certain("x"), certain("y"), (1.0, 1.0));
+        add(&mut r, "b", 2, certain("x"), certain("y"), (1.0, 1.0));
+    }
+    if skip < 2 {
+        add(&mut l, "c", 3, certain("x"), leaning("y", 0.6), (1.0, 1.0));
+        add(&mut r, "c", 3, certain("y"), leaning("z", 0.5), (1.0, 1.0));
+    }
+    if skip < 3 {
+        add(&mut l, "d", 4, leaning("x", 0.9), certain("x"), (1.0, 1.0));
+        add(&mut r, "d", 4, certain("x"), certain("z"), (1.0, 1.0));
+    }
+    if skip < 4 {
+        add(&mut l, "m", 1, certain("x"), certain("y"), (1.0, 1.0));
+        add(&mut r, "m", 1, certain("x"), certain("y"), (0.0, 0.0));
+    }
+    add(&mut l, "l-only", 4, certain("x"), certain("y"), (0.8, 1.0));
+    add(
+        &mut r,
+        "r-only",
+        1,
+        leaning("x", 0.9),
+        certain("y"),
+        (1.0, 1.0),
+    );
+    (l, r)
+}
+
+/// One scan leaf: in memory, or a bare stored scan.
+fn leaf(
+    name: &str,
+    rel: &ExtendedRelation,
+    stored: bool,
+    pool: &Arc<BufferPool>,
+) -> Box<dyn Operator> {
+    if stored {
+        Box::new(SpillScanOp::new(name, store(rel, pool)))
+    } else {
+        Box::new(ScanOp::new(name, Arc::new(rel.clone())))
+    }
+}
+
+/// One case of [`fused_merge_stops_where_select_over_merge_stops`]:
+/// returns the text the unfused run failed with, if it failed.
+fn stops_alike(
+    skip: usize,
+    predicate: &Predicate,
+    policy: ConflictPolicy,
+    emit: MergeEmit,
+    pool: &Arc<BufferPool>,
+) -> Option<String> {
+    let (l, r) = definite_pair(skip);
+    let options = UnionOptions {
+        on_total_conflict: policy,
+        ..Default::default()
+    };
+    let threshold = Threshold::SnAtLeast(0.3);
+    let mut oracle = unfused(emit, &l, &r, &options, predicate, threshold);
+    let mut oracle_ctx = ExecContext::with_options(options.clone());
+    let (expected, failure, report) = drive(oracle.as_mut(), &mut oracle_ctx);
+    assert_eq!(
+        failure.is_some(),
+        policy == ConflictPolicy::Error && skip < 4
+    );
+    for sides in &SIDES[..4] {
+        let context = format!("skip {skip}, σ̃[{predicate}], {policy}, {emit:?}, {sides:?}");
+        let mut fused = MergeOp::selecting(
+            emit,
+            leaf("sa", &l, sides.stored_left(), pool),
+            leaf("sb", &r, sides.stored_right(), pool),
+            options.clone(),
+            predicate.clone(),
+            threshold,
+        )
+        .expect("union-compatible, positive threshold");
+        let mut ctx = ExecContext::with_options(options.clone());
+        let (got, fused_failure, fused_report) = drive(&mut fused, &mut ctx);
+        same_tuples(expected.iter().map(|t| &**t), got.iter().map(|t| &**t))
+            .unwrap_or_else(|reason| panic!("{reason}: {context}"));
+        assert_eq!(failure, fused_failure, "{context}");
+        assert_eq!(report.conflicts(), fused_report.conflicts(), "{context}");
+        assert_eq!(oracle_ctx.stats, masked(ctx.stats), "{context}");
+
+        let bindings = bind_sides(*sides, &l, &r, pool);
+        let plan = merge_plan(emit, predicate.clone(), threshold);
+        let mut ctx = ExecContext::with_options(options.clone());
+        let planned = execute_plan(&plan, &bindings, &mut ctx).map(|rel| rel.len());
+        let whole = failure.clone().map_or(Ok(expected.len()), Err);
+        assert_eq!(whole, planned.map_err(|e| e.to_string()), "{context}");
+    }
+    failure
+}
+
+/// The fused merge against `SelectOp` over `MergeOp`, operator against
+/// operator, where a run may stop half way: under every policy —
+/// `Error` included, each kind of total conflict in turn the first to
+/// abort, on an attribute the predicate reads and on one it does not —
+/// the tuples emitted before the failure are identical, the failure
+/// has the same text, and a run that finishes leaves the same report.
+/// The planner's own lowering of the plan fails with that text too.
+#[test]
+fn fused_merge_stops_where_select_over_merge_stops() {
+    let pool = Arc::new(BufferPool::new(4 * PAGE));
+    let predicates = [
+        Predicate::is("e0", ["x"]),
+        Predicate::is("e1", ["y"]),
+        Predicate::is("n", [Value::int(1), Value::int(4)]),
+        Predicate::is("e0", ["x"]).and(Predicate::theta(
+            Operand::attr("n"),
+            ThetaOp::Lt,
+            Operand::Value(Value::int(4)),
+        )),
+    ];
+    let policies = [
+        ConflictPolicy::Error,
+        ConflictPolicy::Vacuous,
+        ConflictPolicy::KeepLeft,
+        ConflictPolicy::KeepRight,
+    ];
+    let mut aborted = std::collections::BTreeSet::new();
+    for skip in 0..5 {
+        for predicate in &predicates {
+            for policy in policies {
+                for emit in [MergeEmit::Union, MergeEmit::Intersect] {
+                    aborted.extend(stops_alike(skip, predicate, policy, emit, &pool));
+                }
+            }
+        }
+    }
+    // Each kind of total conflict aborted some run: the definite
+    // attribute, both evidential ones, and the membership pair.
+    assert_eq!(aborted.len(), 4, "{aborted:?}");
+
+    // A predicate that cannot be evaluated is not evaluated on a tuple
+    // the merge drops first: two sides holding zero-support tuples
+    // only yield an empty result, not the predicate's error.
+    let (l, r) = definite_pair(5);
+    let only_zero = |rel: &ExtendedRelation| {
+        let mut out = ExtendedRelation::new(Arc::clone(rel.schema()));
+        let zero = rel
+            .iter()
+            .next()
+            .expect("the zero-support tuple comes first");
+        out.insert_with_policy(zero.clone(), CwaPolicy::AllowZero)
+            .unwrap();
+        out
+    };
+    let (l, r) = (only_zero(&l), only_zero(&r));
+    for (stored_left, stored_right) in [(false, false), (true, true)] {
+        let mut fused = MergeOp::selecting(
+            MergeEmit::Union,
+            leaf("sa", &l, stored_left, &pool),
+            leaf("sb", &r, stored_right, &pool),
+            options(),
+            Predicate::is("nope", ["x"]),
+            Threshold::POSITIVE,
+        )
+        .unwrap();
+        let (got, failure, _) = drive(&mut fused, &mut ExecContext::with_options(options()));
+        assert!(got.is_empty() && failure.is_none(), "{failure:?}");
+    }
+}
+
+/// Make every checksum of a v3 segment agree with its (tampered)
+/// bytes again — page CRCs, then the table's, then the preamble's — as
+/// a writer that encoded rot would have sealed it. Layout per
+/// `evirel_store::segment`'s module docs.
+fn reseal(bytes: &mut [u8]) {
+    use evirel_store::crc::crc32;
+    let u64_at =
+        |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (table, pages) = (u64_at(bytes, 16) as usize, u64_at(bytes, 24) as usize);
+    for entry in (0..pages).map(|page| table + 16 * page) {
+        let offset = u64_at(bytes, entry) as usize;
+        let len = u32::from_le_bytes(bytes[entry + 8..entry + 12].try_into().unwrap()) as usize;
+        let crc = crc32(&bytes[offset..offset + len]);
+        bytes[entry + 12..entry + 16].copy_from_slice(&crc.to_le_bytes());
+    }
+    let table_crc = crc32(&bytes[table..table + 16 * pages]);
+    bytes[44..48].copy_from_slice(&table_crc.to_le_bytes());
+    let preamble_crc = crc32(&bytes[..48]);
+    bytes[48..52].copy_from_slice(&preamble_crc.to_le_bytes());
+}
+
+/// The PR 16 integrity case, reached through the merge: a record the
+/// fused selection rejects unmatched is never decoded in full, yet a
+/// rotted tag or length in an attribute it *skips* is still a typed
+/// corruption error — on either side of the merge. The rot is sealed
+/// under valid checksums, so nothing but the masked decode stands
+/// between it and an answer.
+#[test]
+fn fused_merge_refuses_rot_in_an_attribute_it_skips() {
+    let (ga, gb) = pair(3, 60);
+    // Reads `e2`, skips `e0`; admits nothing, the generator keeps mass on Ω.
+    let predicate = Predicate::is("e2", [Value::str("v0")]);
+    let plan = merge_plan(MergeEmit::Union, predicate, Threshold::SnAtLeast(0.99));
+    let run = |sa: &[u8], sb: &[u8]| {
+        let mut bindings = Bindings::new();
+        for (name, bytes) in [("sa", sa), ("sb", sb)] {
+            let path = evirel_store::spill_path("equiv-rot");
+            std::fs::write(&path, bytes).unwrap();
+            let stored = StoredRelation::open(&path, Arc::new(BufferPool::new(4 * PAGE)));
+            std::fs::remove_file(&path).ok();
+            // The stats section is intact, so the open reads no page.
+            bindings.bind_stored(name, Arc::new(stored.expect("sealed segments open")));
+        }
+        let mut ctx = ExecContext::with_options(options());
+        let out = execute_plan(&plan, &bindings, &mut ctx);
+        (out.map(|rel| rel.len()), ctx.stats)
+    };
+    let encoded = |rel: &ExtendedRelation| {
+        let path = evirel_store::spill_path("equiv-rot-src");
+        evirel_store::write_segment(rel, &path, PAGE).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    };
+    let (sa, sb) = (encoded(&ga), encoded(&gb));
+    let (answer, stats) = run(&sa, &sb);
+    assert_eq!(answer, Ok(0));
+    assert_eq!(stats.tuples_scanned, 120);
+    // 30 + 30 unmatched records, rejected without a full decode.
+    assert_eq!(stats.records_skipped, 60);
+
+    // `e0` follows the key: attribute tag, weight tag, u32 focal count.
+    for (rot, at, value) in [("tag", 0, 7u8), ("length", 5, 0x7F)] {
+        for (side, key) in [("sa", "left-45"), ("sb", "right-45")] {
+            let mut bytes = if side == "sa" { sa.clone() } else { sb.clone() };
+            let key_at = bytes.windows(key.len()).position(|w| w == key.as_bytes());
+            bytes[key_at.expect("an unmatched record") + key.len() + at] = value;
+            reseal(&mut bytes);
+            let (answer, _) = match side {
+                "sa" => run(&bytes, &sb),
+                _ => run(&sa, &bytes),
+            };
+            assert!(
+                matches!(
+                    answer,
+                    Err(evirel_plan::PlanError::Store(
+                        evirel_store::StoreError::Corrupt { .. }
+                    ))
+                ),
+                "rotted {rot} of e0 in {key}: {answer:?}"
+            );
+        }
     }
 }

@@ -94,7 +94,7 @@ impl QueryMetrics {
             ),
             records_skipped: registry.counter(
                 "evirel_exec_records_skipped_total",
-                "Stored records a fused selection dropped without decoding them in full",
+                "Records of stored relations visited and never decoded in full (a selection fused into the scan or the merge rejected them)",
                 &[],
             ),
             key_index_builds: registry.counter(
@@ -526,6 +526,19 @@ mod tests {
         c
     }
 
+    /// [`big_union_catalog`] with `ga`/`gb` also attached as the stored
+    /// relations `sa`/`sb`.
+    fn stored_union_catalog() -> Catalog {
+        let mut c = big_union_catalog();
+        for (name, stored) in [("ga", "sa"), ("gb", "sb")] {
+            let path = evirel_store::spill_path("session-stored");
+            c.store_segment(name, &path).unwrap();
+            c.attach_stored(stored, &path).unwrap();
+            std::fs::remove_file(&path).ok();
+        }
+        c
+    }
+
     #[test]
     fn query_results_match_direct_execution_and_cache_kicks_in() {
         let s = session();
@@ -653,15 +666,38 @@ mod tests {
     /// registry's scanned and skipped totals are the query's own stats
     /// — every stored record counted once as scanned, every dropped
     /// one once as skipped, so scanned − skipped = emitted — at either
-    /// thread budget.
+    /// thread budget. And for a σ̃ fused into a stored ∪̃, which skips
+    /// the unmatched records it rejects, on both sides.
     #[test]
     fn fused_scan_stats_reach_registry_exactly_once_at_1_and_4_threads() {
-        let mut c = big_union_catalog();
-        let path = evirel_store::spill_path("session-fused");
-        c.store_segment("ga", &path).unwrap();
-        c.attach_stored("sa", &path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let c = stored_union_catalog();
         let shared = Arc::new(SharedCatalog::new(c));
+        let merged = |threads: usize| -> [u64; 3] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut s = Session::new(Arc::clone(&shared), Arc::new(PlanCache::default()));
+            s.budget.parallelism = Some(threads);
+            s.set_metrics(Arc::clone(&registry));
+            let out = s
+                .query("SELECT k FROM sa UNION sb WHERE e1 IS {v3} WITH SN > 0.5")
+                .unwrap();
+            let value = |name: &str| registry.value(name, &[]).unwrap();
+            let totals = [
+                value("evirel_exec_tuples_scanned_total"),
+                value("evirel_exec_records_skipped_total"),
+                value("evirel_exec_tuples_emitted_total"),
+            ];
+            let stats = out.outcome.stats;
+            assert_eq!(totals[0], stats.tuples_scanned as u64);
+            assert_eq!(totals[1], stats.records_skipped as u64);
+            assert_eq!(totals[2], stats.tuples_emitted as u64);
+            assert_eq!(totals[0], 1200, "both sides, every record");
+            assert_eq!(stats.pairs_merged, 300);
+            // 300 unmatched records a side; a kept one is decoded in full.
+            assert!(totals[1] > 0 && totals[1] <= 600, "{totals:?}");
+            assert!(totals[2] > 0 && totals[1] + totals[2] >= 600, "{totals:?}");
+            totals
+        };
+        assert_eq!(merged(1), merged(4));
         let run = |threads: usize| -> [u64; 3] {
             let registry = Arc::new(MetricsRegistry::new());
             let mut s = Session::new(Arc::clone(&shared), Arc::new(PlanCache::default()));
@@ -696,14 +732,7 @@ mod tests {
     #[test]
     fn key_index_builds_reach_registry_once_per_binding_at_1_and_4_threads() {
         let run = |threads: usize| -> [u64; 3] {
-            let mut c = big_union_catalog();
-            for (name, stored) in [("ga", "sa"), ("gb", "sb")] {
-                let path = evirel_store::spill_path("session-index");
-                c.store_segment(name, &path).unwrap();
-                c.attach_stored(stored, &path).unwrap();
-                std::fs::remove_file(&path).ok();
-            }
-            let shared = Arc::new(SharedCatalog::new(c));
+            let shared = Arc::new(SharedCatalog::new(stored_union_catalog()));
             let registry = Arc::new(MetricsRegistry::new());
             let mut s = Session::new(Arc::clone(&shared), Arc::new(PlanCache::default()));
             s.budget.parallelism = Some(threads);
@@ -780,6 +809,30 @@ mod tests {
             .iter()
             .any(|(k, v)| k == "cached_plan" && v == "true"));
         assert!(!cached.fields.iter().any(|(k, _)| k == "lower_rewrite_us"));
+        // A stored ∪̃ reads both segments itself — a selection inside
+        // it decides what to decode of each record — and both scans'
+        // meters still say what was read of them.
+        let c = stored_union_catalog();
+        let mut s = Session::new(
+            Arc::new(SharedCatalog::new(c)),
+            Arc::new(PlanCache::default()),
+        );
+        let registry = Arc::new(MetricsRegistry::new());
+        s.set_metrics(Arc::clone(&registry));
+        s.set_slow_query_ms(0);
+        s.query("SELECT * FROM sa UNION sb WHERE e1 IS {v3} WITH SN > 0.5")
+            .unwrap();
+        let events = registry.events().snapshot();
+        let plan = events[0].fields.iter().find(|(key, _)| key == "plan");
+        let plan = &plan.expect("a plan field").1;
+        for scan in [
+            "scan sa [stored: 600 tuples, ",
+            "scan sb [stored: 600 tuples, ",
+        ] {
+            let meter = plan.split("; ").find(|m| m.starts_with(scan));
+            let meter = meter.unwrap_or_else(|| panic!("no meter for {scan}: {plan}"));
+            assert!(meter.ends_with(" est=600 act=600"), "{meter}");
+        }
         // Above-threshold sessions stay quiet for fast queries.
         let mut quiet = session();
         let registry = Arc::new(MetricsRegistry::new());

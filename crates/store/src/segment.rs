@@ -40,11 +40,13 @@
 //! format (no checksums) still loads via [`crate::compat`].
 //!
 //! **Decoding.** A verified page is framed by [`PageRecords`] — the
-//! one walk over `[u32 len ∣ record]*` — and each record goes through
+//! one walk over `[u32 len ∣ record]*`, as an iterator or, for a page
+//! that stays pinned while its records are addressed by slot, done
+//! once into [`PageRecords::ranges`] — and each record goes through
 //! [`codec::decode_record`] under a column mask. [`Segment::decode_page`]
-//! and [`Segment::decode_record`] pass the all-true mask and validate
+//! passes the all-true mask ([`Segment::all_columns`]) and validates
 //! every tuple with `Tuple::new`. A caller that passes a narrower mask
-//! (the plan layer's fused selection, and the key index in
+//! (the plan layer's fused selections, and the key index in
 //! [`crate::stored`]) gets the masked-in
 //! values only; what it skips is length- and tag-checked and was
 //! covered by the page CRC when the page was read, but is not
@@ -450,6 +452,23 @@ impl<'a> PageRecords<'a> {
         let left = cur.u32()?;
         Ok(PageRecords { cur, left })
     }
+
+    /// Where each record of `bytes` lies, in slot order: the walk done
+    /// once, for a page that stays pinned while its records are
+    /// addressed by slot (`&bytes[range]` is then what the walk would
+    /// have yielded).
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] on a malformed page, as the walk.
+    pub fn ranges(bytes: &'a [u8]) -> Result<Vec<std::ops::Range<usize>>, StoreError> {
+        let mut records = PageRecords::new(bytes)?;
+        let mut ranges = Vec::with_capacity(records.size_hint().1.unwrap_or(0));
+        while let Some(record) = records.next() {
+            let end = records.cur.pos();
+            ranges.push(end - record?.len()..end);
+        }
+        Ok(ranges)
+    }
 }
 
 impl<'a> Iterator for PageRecords<'a> {
@@ -627,6 +646,12 @@ impl Segment {
         &self.domains
     }
 
+    /// The all-true column mask: what [`codec::decode_record`] takes to
+    /// decode a record of this segment in full.
+    pub fn all_columns(&self) -> &[bool] {
+        &self.all_columns
+    }
+
     /// Number of data pages.
     pub fn page_count(&self) -> u64 {
         self.pages.len() as u64
@@ -712,31 +737,6 @@ impl Segment {
     pub fn decode_page(&self, bytes: &[u8]) -> Result<Vec<Tuple>, StoreError> {
         decode_records(bytes, &self.schema, &self.domains, &self.all_columns)
     }
-
-    /// Decode only record `slot` of a page — the point-lookup path
-    /// spilled merge probes use. Skips preceding records by their
-    /// length prefixes without decoding them.
-    ///
-    /// # Errors
-    /// [`StoreError::Corrupt`] for out-of-range slots or malformed
-    /// pages.
-    pub fn decode_record(&self, bytes: &[u8], slot: u32) -> Result<Tuple, StoreError> {
-        let mut records = PageRecords::new(bytes)?;
-        let count = records.left;
-        let mut record = None;
-        for _ in 0..=slot {
-            record = records.next().transpose()?;
-            if record.is_none() {
-                break;
-            }
-        }
-        let record = record.ok_or_else(|| {
-            StoreError::corrupt(format!(
-                "slot {slot} out of range (page has {count} records)"
-            ))
-        })?;
-        codec::decode_record(record, &self.domains, &self.all_columns)?.into_tuple(&self.schema)
-    }
 }
 
 #[cfg(test)]
@@ -813,14 +813,24 @@ mod tests {
         let ids: Vec<RecordId> = rel.iter().map(|t| writer.append(t).unwrap()).collect();
         writer.finish().unwrap();
         let seg = Segment::open(&path).unwrap();
-        for (tuple, id) in rel.iter().zip(&ids) {
+        let point = |id: RecordId| {
             let bytes = seg.read_page(id.page).unwrap();
-            let back = seg.decode_record(&bytes, id.slot).unwrap();
-            assert_eq!(back.values(), tuple.values());
+            let range = PageRecords::ranges(&bytes)
+                .unwrap()
+                .get(id.slot as usize)?
+                .clone();
+            let record = codec::decode_record(&bytes[range], seg.domains(), seg.all_columns());
+            Some(record.unwrap().into_tuple(seg.schema()).unwrap())
+        };
+        for (tuple, id) in rel.iter().zip(&ids) {
+            assert_eq!(point(*id).unwrap().values(), tuple.values());
         }
-        // Out-of-range slot is an error, not UB.
-        let bytes = seg.read_page(0).unwrap();
-        assert!(seg.decode_record(&bytes, 10_000).is_err());
+        // Out-of-range slot is absent, not UB.
+        assert!(point(RecordId {
+            page: 0,
+            slot: 10_000
+        })
+        .is_none());
         std::fs::remove_file(&path).ok();
     }
 

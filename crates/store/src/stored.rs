@@ -381,9 +381,11 @@ mod tests {
         for (ordinal, (key, tuple)) in rel.iter_keyed().enumerate() {
             assert_eq!(index.ordinal(&key), Some(ordinal as u32));
             let id = index.record(ordinal as u32).unwrap();
-            let page = stored.pool().get(stored.segment(), id.page).unwrap();
-            let back = stored.segment().decode_record(&page, id.slot).unwrap();
-            assert_eq!(back.values(), tuple.values());
+            let segment = stored.segment();
+            let page = stored.pool().get(segment, id.page).unwrap();
+            let range = PageRecords::ranges(&page).unwrap()[id.slot as usize].clone();
+            let back = decode_record(&page[range], segment.domains(), segment.all_columns());
+            assert_eq!(back.unwrap().values, tuple.values());
         }
         assert_eq!(index.ordinal(&[Value::str("nope")]), None);
         assert_eq!(index.record(80), None);

@@ -4,11 +4,15 @@
 //! (for v3 segments, where every byte is under some checksum) never
 //! silently wrong data. Every property also runs the filtered scan's
 //! access pattern — each record decoded under a narrow column mask,
-//! a few decoded in full — and the key index's, keys only, through
-//! the buffer pool — because a page is checksummed as it is read,
-//! whatever the decoder then skips. And one corruption no checksum can
-//! see, because the bytes are exactly what was written: a key stored
-//! twice.
+//! a few decoded in full — the key index's, keys only, through the
+//! buffer pool — and the fused merge's: its left side's keyed walk,
+//! and its build side's records located once and then addressed by
+//! slot — because a page is checksummed as it is read, whatever the
+//! decoder then skips. And two corruptions no checksum can see,
+//! because the checksums cover exactly what was written: a key stored
+//! twice, and a rotted tag or length sealed into a page — which the
+//! masked decode refuses in an attribute it skips, of a record it
+//! would have dropped.
 
 use evirel_store::codec::decode_record;
 use evirel_store::segment::PageRecords;
@@ -94,6 +98,112 @@ fn try_filtered_scan(path: &PathBuf) -> Result<u64, StoreError> {
     Ok(kept)
 }
 
+/// The fused merge's pattern over one page. Its left side: every
+/// record decoded under a mask that reads the key and the last
+/// attribute, every third — a "matched" one — in full as well. Its
+/// build side: the page's records located once
+/// ([`PageRecords::ranges`]), then addressed by slot, last to first —
+/// odd slots under the last-attribute mask (unmatched, decided), even
+/// ones in full (matched, fetched). Returns the full decodes.
+fn merged_page(seg: &Segment, bytes: &[u8]) -> Result<u64, StoreError> {
+    let arity = seg.schema().arity();
+    let mut reads = vec![false; arity];
+    reads[arity - 1] = true;
+    let mut keyed = reads.clone();
+    for &pos in seg.schema().key_positions() {
+        keyed[pos] = true;
+    }
+    let mut full = 0;
+    for (slot, record) in PageRecords::new(bytes)?.enumerate() {
+        let record = record?;
+        decode_record(record, seg.domains(), &keyed)?;
+        if slot % 3 == 0 {
+            decode_record(record, seg.domains(), seg.all_columns())?.into_tuple(seg.schema())?;
+            full += 1;
+        }
+    }
+    for (slot, range) in PageRecords::ranges(bytes)?.into_iter().enumerate().rev() {
+        let record = &bytes[range];
+        if slot % 2 == 1 {
+            decode_record(record, seg.domains(), &reads)?;
+        } else {
+            decode_record(record, seg.domains(), seg.all_columns())?.into_tuple(seg.schema())?;
+            full += 1;
+        }
+    }
+    Ok(full)
+}
+
+/// [`try_full_scan`] with [`merged_page`] as the per-page decode.
+fn try_merged_scan(path: &PathBuf) -> Result<u64, StoreError> {
+    let seg = Segment::open(path)?;
+    let mut full = 0u64;
+    for p in 0..seg.page_count() {
+        full += merged_page(&seg, &seg.read_page(p)?)?;
+    }
+    Ok(full)
+}
+
+/// Make every checksum of a v3 segment agree with its (tampered)
+/// bytes again — page CRCs, then the table's, then the preamble's — as
+/// a writer that encoded rot would have sealed it.
+fn reseal(bytes: &mut [u8]) {
+    use evirel_store::crc::crc32;
+    let u64_at =
+        |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (table, pages) = (u64_at(bytes, 16) as usize, u64_at(bytes, 24) as usize);
+    for entry in (0..pages).map(|page| table + 16 * page) {
+        let offset = u64_at(bytes, entry) as usize;
+        let len = u32::from_le_bytes(bytes[entry + 8..entry + 12].try_into().unwrap()) as usize;
+        let crc = crc32(&bytes[offset..offset + len]);
+        bytes[entry + 12..entry + 16].copy_from_slice(&crc.to_le_bytes());
+    }
+    let table_crc = crc32(&bytes[table..table + 16 * pages]);
+    bytes[44..48].copy_from_slice(&table_crc.to_le_bytes());
+    let preamble_crc = crc32(&bytes[..48]);
+    bytes[48..52].copy_from_slice(&preamble_crc.to_le_bytes());
+}
+
+/// Rot the checksums cannot see — sealed under recomputed CRCs, so the
+/// open and every page read succeed — in the *first* evidential
+/// attribute of one record: an unknown attribute tag, then a focal
+/// count that runs past the record. Every masked pattern skips that
+/// attribute (they read the last one, and the key), and every one of
+/// them still refuses the page: the selection fused into a scan, the
+/// key index, and both sides of the fused merge, for which that record
+/// is an unmatched one it rejects and never decodes in full.
+#[test]
+fn sealed_rot_in_a_skipped_attribute_is_corrupt_under_every_mask() {
+    let good = encoded_segment(21, 40);
+    for (rot, at, value) in [("tag", 0, 7u8), ("length", 5, 0x7F)] {
+        let mut bytes = good.clone();
+        let key = b"k17";
+        let key_at = bytes.windows(key.len()).position(|w| w == key);
+        // After the key: attribute tag, weight tag, u32 focal count.
+        bytes[key_at.expect("tuple 17 is stored") + key.len() + at] = value;
+        reseal(&mut bytes);
+        let path = tmp("sealed");
+        std::fs::write(&path, &bytes).unwrap();
+        let seg = Segment::open(&path).expect("sealed: the open succeeds");
+        for p in 0..seg.page_count() {
+            seg.read_page(p).expect("sealed: every page passes its CRC");
+        }
+        let outcomes = [
+            ("full scan", try_full_scan(&path).err()),
+            ("filtered scan", try_filtered_scan(&path).err()),
+            ("fused merge", try_merged_scan(&path).err()),
+            ("key index", try_key_index(&path).err()),
+        ];
+        std::fs::remove_file(&path).ok();
+        for (pattern, outcome) in outcomes {
+            assert!(
+                matches!(outcome, Some(StoreError::Corrupt { .. })),
+                "rotted {rot}, {pattern}: {outcome:?}"
+            );
+        }
+    }
+}
+
 /// Open + the key index's pass (every record decoded under the
 /// key-positions mask, paged through a pool). Returns the keys indexed.
 fn try_key_index(path: &PathBuf) -> Result<usize, StoreError> {
@@ -172,12 +282,17 @@ proptest! {
         // Most flips land in an attribute the filtered scan skips, of
         // a record it drops: the page CRC catches those on the read.
         let filtered = try_filtered_scan(&path);
+        let merged = try_merged_scan(&path);
         let indexed = try_key_index(&path);
         std::fs::remove_file(&path).ok();
         prop_assert!(
             outcome.is_err(),
             "bit flip at byte {pos} bit {bit} scanned {} tuples undetected",
             outcome.unwrap_or(0)
+        );
+        prop_assert!(
+            merged.is_err(),
+            "bit flip at byte {pos} bit {bit} passed the fused merge's reads"
         );
         prop_assert!(
             filtered.is_err(),
@@ -203,9 +318,11 @@ proptest! {
         std::fs::write(&path, &bytes[..keep]).unwrap();
         let outcome = try_full_scan(&path);
         let filtered = try_filtered_scan(&path);
+        let merged = try_merged_scan(&path);
         let indexed = try_key_index(&path);
         std::fs::remove_file(&path).ok();
         prop_assert!(outcome.is_err(), "truncation to {keep} bytes undetected");
+        prop_assert!(merged.is_err(), "truncation to {keep} bytes passed the fused merge's reads");
         prop_assert!(filtered.is_err(), "truncation to {keep} bytes passed the filtered scan");
         prop_assert!(indexed.is_err(), "truncation to {keep} bytes passed the key index build");
     }
@@ -231,9 +348,10 @@ proptest! {
         // identical bytes; otherwise an error. Either way: no panic.
         let outcome = try_full_scan(&path);
         let filtered = try_filtered_scan(&path);
+        let merged = try_merged_scan(&path);
         let indexed = try_key_index(&path);
         std::fs::remove_file(&path).ok();
-        if outcome.is_ok() || filtered.is_ok() || indexed.is_ok() {
+        if outcome.is_ok() || filtered.is_ok() || merged.is_ok() || indexed.is_ok() {
             prop_assert!(
                 bytes == encoded_segment(seed, tuples),
                 "non-identical damage scanned successfully"
@@ -242,8 +360,9 @@ proptest! {
     }
 
     /// The decoder itself (below the checksum layer) must survive
-    /// arbitrary page bytes: `decode_page` / `decode_record` and the
-    /// masked decodes of the filtered scan, on mutated pages, return
+    /// arbitrary page bytes: `decode_page`, a point lookup by slot, the
+    /// masked decodes of the filtered scan and the fused merge's walk
+    /// and slot addressing, on mutated pages, return
     /// `Result`, never panic — this is what protects v2 segments,
     /// which have no checksums.
     #[test]
@@ -273,8 +392,12 @@ proptest! {
         }
         // Both full-page decode and point lookup: Result, no panic.
         let _ = seg.decode_page(&page);
-        let _ = seg.decode_record(&page, slot);
+        let _ = PageRecords::ranges(&page).map(|ranges| {
+            let record = &page[ranges.get(slot as usize)?.clone()];
+            Some(decode_record(record, seg.domains(), seg.all_columns()))
+        });
         let _ = filtered_page(&seg, &page);
+        let _ = merged_page(&seg, &page);
         std::fs::remove_file(&path).ok();
     }
 }

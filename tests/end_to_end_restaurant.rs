@@ -189,3 +189,39 @@ fn parallel_union_agrees_on_paper_data() {
     .unwrap();
     assert!(seq.relation.approx_eq(&par));
 }
+
+/// Table 4's merged `garden` tuple under `WHERE rating IS {ex}`: the
+/// planner evaluates the σ̃ inside the ∪̃ — `rating` combined in full,
+/// the other attributes observed until garden is known to be kept —
+/// and the tuple it emits, bit for bit, and the report it leaves are
+/// those of `union_extended` followed by `select`.
+#[test]
+fn garden_under_a_selection_is_the_same_through_the_fused_merge() {
+    let ra = restaurant_db_a().restaurants;
+    let rb = restaurant_db_b().restaurants;
+    let predicate = Predicate::is("rating", ["ex"]);
+    let merged = union_extended(&ra, &rb).unwrap();
+    let selected = select(&merged.relation, &predicate, &Threshold::POSITIVE).unwrap();
+
+    let mut catalog = Bindings::new();
+    catalog.bind("ra", ra).bind("rb", rb);
+    let plan = scan("ra").union(scan("rb")).select(predicate).build();
+    let mut ctx = ExecContext::new();
+    let text = explain_plan(&plan, &catalog, &mut ctx, false).unwrap();
+    assert!(
+        text.contains("σ̃[rating is {ex}] with sn > 0 ⟵ ∪̃ ("),
+        "{text}"
+    );
+    let mut ctx = ExecContext::new();
+    let fused = execute_plan(&plan, &catalog, &mut ctx).unwrap();
+
+    assert_eq!(fused.len(), selected.len());
+    let garden = |rel: &ExtendedRelation| rel.get_by_key(&[Value::str("garden")]).cloned();
+    let (expected, got) = (garden(&selected).unwrap(), garden(&fused).unwrap());
+    assert_eq!(expected.values(), got.values());
+    // rating = [ex^0.143, gd^0.857], so sn = Bel({ex}) = 0.066 / 0.466.
+    assert!((got.membership().sn() - 0.066 / 0.466).abs() < 1e-9);
+    let bits = |t: &Tuple| (t.membership().sn().to_bits(), t.membership().sp().to_bits());
+    assert_eq!(bits(&expected), bits(&got));
+    assert_eq!(merged.report.conflicts(), ctx.conflict_report().conflicts());
+}
