@@ -18,7 +18,7 @@
 //! lexicographic order of their input insertion indices, which *is*
 //! the left-deep emission order (products stream the left side and
 //! replay the buffered right side per left tuple). The hash-equality
-//! pruning is sound for the same reason [`crate::ops::HashJoinOp`]'s
+//! pruning is sound for the same reason [`crate::ops::JoinOp`]'s
 //! is: a combination failing a top-level `=` conjunct gets predicate
 //! support `(0, 0)`, which zeroes the revised membership and can
 //! never pass a (positivity-ensuring) threshold.

@@ -15,7 +15,7 @@
 //!
 //! Physical fusion: a σ̃ directly above a ×̃ whose predicate carries an
 //! equality conjunct between definite attributes of opposite sides
-//! becomes a [`HashJoinOp`] — the streaming ⋈̃ that builds its key
+//! becomes a [`JoinOp`] — the streaming ⋈̃ that builds its key
 //! index once and probes it per left tuple. A σ̃ directly above the
 //! scan of a stored relation becomes that scan with the selection
 //! inside it ([`SpillScanOp::filtered`]). A σ̃ directly above a ∪̃ or
@@ -38,8 +38,8 @@ use crate::error::PlanError;
 use crate::exchange::{compute_slots, rank_keys, ExchangeOp, OrderMap, ShardScanOp};
 use crate::logical::{binding_of, BoundRelation, LogicalPlan, RelationSource};
 use crate::ops::{
-    run, DempsterMerger, DifferenceOp, HashJoinOp, MergeEmit, MergeOp, MergePairing, MeteredOp,
-    Operator, ProductOp, ProjectOp, RenameOp, ScanOp, SelectOp, ThresholdOp, TupleMerger,
+    run, DempsterMerger, DifferenceOp, JoinOp, MergeEmit, MergeOp, MergePairing, MeteredOp,
+    Operator, ProjectOp, RenameOp, ScanOp, SelectOp, ThresholdOp, TupleMerger,
 };
 use crate::rewrite::optimize;
 use crate::spill::SpillScanOp;
@@ -269,7 +269,10 @@ fn physical_node(
         }
         LogicalPlan::Product { left, right } => {
             leaves.parallelism()?;
-            Box::new(ProductOp::new(lower(left, leaves)?, lower(right, leaves)?)?)
+            Box::new(JoinOp::product(
+                lower(left, leaves)?,
+                lower(right, leaves)?,
+            )?)
         }
         LogicalPlan::Join {
             left,
@@ -519,13 +522,13 @@ fn build_join(
     let right_op = physical(right, source, options, parallelism)?;
     let product_schema =
         evirel_algebra::product::product_schema(left_op.schema(), right_op.schema())?;
-    match HashJoinOp::indexable_conjunct(
+    match JoinOp::indexable_conjunct(
         predicate,
         left_op.schema(),
         right_op.schema(),
         &product_schema,
     ) {
-        Some((lp, rp)) => Ok(Box::new(HashJoinOp::new(
+        Some((lp, rp)) => Ok(Box::new(JoinOp::new(
             left_op,
             right_op,
             predicate.clone(),
@@ -534,7 +537,7 @@ fn build_join(
             rp,
         )?)),
         None => Ok(Box::new(SelectOp::new(
-            Box::new(ProductOp::new(left_op, right_op)?),
+            Box::new(JoinOp::product(left_op, right_op)?),
             predicate.clone(),
             *threshold,
         )?)),
@@ -586,7 +589,7 @@ fn build_partitioned_join(
         &l_schema, &r_schema,
     )?);
     let Some((lp, rp)) =
-        HashJoinOp::indexable_conjunct(predicate, &l_schema, &r_schema, &product_schema)
+        JoinOp::indexable_conjunct(predicate, &l_schema, &r_schema, &product_schema)
     else {
         return Ok(None);
     };
@@ -656,7 +659,7 @@ fn build_partitioned_join(
                 };
                 physical_node(plan, source, options, &mut leaves)
             };
-            Ok(Box::new(HashJoinOp::new(
+            Ok(Box::new(JoinOp::new(
                 side(left, &mut l_slots)?,
                 side(right, &mut r_slots)?,
                 predicate.clone(),

@@ -3,16 +3,18 @@
 //! Every operator implements [`Operator`] — `open` / `next` / `close`
 //! over [`Tuple`]s — so composed queries stream tuple-at-a-time
 //! instead of materializing an [`ExtendedRelation`] between every
-//! algebra step. Stateful operators ([`MergeOp`], [`HashJoinOp`],
-//! [`DifferenceOp`], [`ProductOp`]) build their key index or buffer
-//! exactly once, at `open`, and stream probes against it.
+//! algebra step. The binary operators ([`MergeOp`], [`JoinOp`],
+//! [`DifferenceOp`]) keep their right input as one `BuildSide` each
+//! (`crate::spill`), built exactly once, at `open`, and stream the left
+//! input against it.
 //!
 //! A build side is addressed by *ordinal* — a tuple's position in the
 //! right input's order: a probe hashes a key once and yields an
 //! ordinal, a fetch takes the ordinal, "consumed" is one flag per
-//! ordinal, and walking the ordinals *is* right insertion order. When
-//! the right input is a bare stored scan nothing is built at all: the
-//! segment is the build side under the key index its
+//! ordinal, and walking the ordinals *is* right insertion order. It
+//! spills to a temp segment past [`ExecContext::spill_threshold_bytes`].
+//! When the right input of a ∪̃/∩̃/−̃ is a bare stored scan nothing is
+//! built at all: the segment is the build side under the key index its
 //! [`StoredRelation`] keeps ([`StoredRelation::key_index`]).
 //!
 //! A σ̃ directly above a ∪̃/∩̃ is part of the merge
@@ -32,7 +34,7 @@
 //! recorded once and moved, never copied.
 
 use crate::error::PlanError;
-use crate::spill::{RecordCursor, ScanFilter, SpillBuild, SpilledRight};
+use crate::spill::{BuildSide, RecordCursor, ScanFilter};
 use evirel_algebra::conflict::ConflictReport;
 use evirel_algebra::predicate::Predicate;
 use evirel_algebra::support::BoundPredicate;
@@ -41,7 +43,7 @@ use evirel_algebra::union::{MergeScratch, PairSelection, UnionOptions};
 use evirel_algebra::AlgebraError;
 use evirel_relation::{ExtendedRelation, Schema, Tuple, Value};
 use evirel_store::codec::decode_record;
-use evirel_store::{BufferPool, EnvKnob, KeyIndex, StoredRelation};
+use evirel_store::{BufferPool, EnvKnob, StoredRelation};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -87,16 +89,16 @@ pub struct ExecContext {
     /// execution single-threaded. Defaults to the `EVIREL_THREADS`
     /// environment variable when set — see [`default_parallelism`].
     pub parallelism: usize,
-    /// The buffer pool spilled merge build sides page through. One
+    /// The buffer pool spilled build sides page through. One
     /// pool is shared by a whole execution — the exchange operator
     /// hands the same `Arc` to every worker context, so N workers
     /// page under one `EVIREL_BUFFER_BYTES` budget. (Stored-relation
     /// scans use the pool their [`StoredRelation`] was opened with.)
     pub pool: Arc<BufferPool>,
-    /// A merge operator spills its right (build) side to a temp
+    /// A ∪̃, ∩̃, −̃, ×̃ or ⋈̃ spills its right (build) side to a temp
     /// segment once the side's exact encoded size exceeds this many
     /// bytes. Defaults to the pool budget, so under a tiny
-    /// `EVIREL_BUFFER_BYTES` every merge exercises the spill path.
+    /// `EVIREL_BUFFER_BYTES` every build side exercises the spill path.
     pub spill_threshold_bytes: usize,
     /// Execution counters.
     pub stats: ExecStats,
@@ -195,21 +197,6 @@ impl ExecContext {
             merged.append(report);
         }
         merged
-    }
-
-    /// Resolve `stored`'s key index for an operator whose right input
-    /// is that bare stored scan. Building it visits every stored tuple
-    /// once, like draining the scan would have, and a cached index
-    /// stands for that same pass — so the scan counter moves exactly
-    /// as in-memory execution moves it, whichever it was.
-    fn stored_key_index(
-        &mut self,
-        stored: &StoredRelation,
-    ) -> Result<(Arc<KeyIndex>, bool), PlanError> {
-        let (index, built) = stored.key_index()?;
-        self.stats.tuples_scanned += stored.len();
-        self.stats.key_index_builds += usize::from(built);
-        Ok((index, built))
     }
 }
 
@@ -627,129 +614,67 @@ impl Operator for ProjectOp {
     }
 }
 
-// ------------------------------------------------------------- product
+// ---------------------------------------------------------------- join
 
-/// Streaming ×̃: buffer the right input once at `open`, stream the
-/// left, emit concatenated pairs with multiplied memberships.
-pub struct ProductOp {
+/// Streaming ×̃ and ⋈̃: keep the right input as a `BuildSide` at
+/// `open`, stream the left, and pair each left tuple with right tuples
+/// in right insertion order — every one for ×̃ ([`JoinOp::product`]),
+/// for ⋈̃ ([`JoinOp::new`]) the ones under its equality value. A pair's
+/// membership is the product of its tuples' (`F_TM`), and ⋈̃ then
+/// decides it as σ̃ would. The right input is always drained, a bare
+/// stored scan too: read in place, a ×̃ would decode every right record
+/// once per left tuple.
+pub struct JoinOp {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
     schema: Arc<Schema>,
-    right_buf: Vec<Arc<Tuple>>,
+    /// ⋈̃'s predicate and its hashed equality; `None` for ×̃.
+    on: Option<JoinOn>,
+    build: BuildSide,
     current_left: Option<Arc<Tuple>>,
-    right_pos: usize,
+    /// ⋈̃: the ordinals under the current left tuple's equality value.
+    matches: Vec<u32>,
+    /// The next candidate: an ordinal for ×̃, an index into `matches`
+    /// for ⋈̃.
+    match_pos: usize,
 }
 
-impl ProductOp {
-    /// Build the product of two operators.
-    ///
-    /// # Errors
-    /// [`AlgebraError::AmbiguousAttribute`] when qualification cannot
-    /// disambiguate the combined schema.
-    pub fn new(left: Box<dyn Operator>, right: Box<dyn Operator>) -> Result<ProductOp, PlanError> {
-        let schema = Arc::new(evirel_algebra::product::product_schema(
-            left.schema(),
-            right.schema(),
-        )?);
-        Ok(ProductOp {
-            left,
-            right,
-            schema,
-            right_buf: Vec::new(),
-            current_left: None,
-            right_pos: 0,
-        })
-    }
-}
-
-impl Operator for ProductOp {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn open(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
-        self.left.open(ctx)?;
-        self.right.open(ctx)?;
-        while let Some(tuple) = self.right.next(ctx)? {
-            self.right_buf.push(tuple);
-        }
-        Ok(())
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Arc<Tuple>>, PlanError> {
-        loop {
-            if let Some(l) = &self.current_left {
-                while self.right_pos < self.right_buf.len() {
-                    let r = &self.right_buf[self.right_pos];
-                    self.right_pos += 1;
-                    // F_TM: memberships of independent tuples multiply.
-                    let membership = l.membership().and_independent(&r.membership());
-                    if !membership.is_positive() {
-                        continue; // CWA_ER: zero-support pairs are not stored.
-                    }
-                    let values = l.values().iter().chain(r.values()).cloned().collect();
-                    return Ok(Some(Arc::new(Tuple::new(
-                        &self.schema,
-                        values,
-                        membership,
-                    )?)));
-                }
-                self.current_left = None;
-            }
-            match self.left.next(ctx)? {
-                None => return Ok(None),
-                Some(l) => {
-                    self.current_left = Some(l);
-                    self.right_pos = 0;
-                }
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
-        self.right_buf.clear();
-        self.left.close(ctx)?;
-        self.right.close(ctx)
-    }
-
-    fn describe(&self) -> String {
-        "×̃ (buffer right, stream left)".to_owned()
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.left.as_ref(), self.right.as_ref()]
-    }
-}
-
-// ----------------------------------------------------------- hash join
-
-/// Streaming ⋈̃ ≡ σ̃(×̃) fused: when the join predicate contains an
-/// equality conjunct between *definite* attributes of opposite sides,
-/// the right input is indexed by that attribute's value once at
-/// `open` and each left tuple probes only its bucket. Sound because a
-/// non-matching pair gives the equality conjunct support `(0, 0)`,
-/// which zeroes the conjunction support and can never pass a legal
-/// threshold. The full predicate is still evaluated on every probed
-/// pair, so residual conjuncts and evidential conditions keep the
-/// paper's exact support semantics.
-pub struct HashJoinOp {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
+/// What makes a [`JoinOp`] a ⋈̃.
+struct JoinOn {
     predicate: Predicate,
     /// `predicate` bound to the product schema once, at construction.
     bound: BoundPredicate,
     threshold: Threshold,
-    schema: Arc<Schema>,
     left_eq_pos: usize,
     right_eq_pos: usize,
-    right_buf: Vec<Arc<Tuple>>,
-    index: HashMap<Value, Vec<usize>>,
-    current_left: Option<Arc<Tuple>>,
-    matches: Vec<usize>,
-    match_pos: usize,
+    /// Right ordinals by their `right_eq_pos` value, filled while the
+    /// build side drains.
+    index: HashMap<Value, Vec<u32>>,
 }
 
-impl HashJoinOp {
+impl JoinOp {
+    /// `left ×̃ right`.
+    ///
+    /// # Errors
+    /// [`AlgebraError::AmbiguousAttribute`] when qualification cannot
+    /// disambiguate the combined schema.
+    pub fn product(left: Box<dyn Operator>, right: Box<dyn Operator>) -> Result<JoinOp, PlanError> {
+        let schema = Arc::new(evirel_algebra::product::product_schema(
+            left.schema(),
+            right.schema(),
+        )?);
+        Ok(JoinOp {
+            left,
+            right,
+            schema,
+            on: None,
+            build: BuildSide::empty(),
+            current_left: None,
+            matches: Vec::new(),
+            match_pos: 0,
+        })
+    }
+
     /// The hashable equality conjunct of `predicate` over a product of
     /// `ls × rs`, as `(left position, right position)` — `None` when
     /// no conjunct qualifies (the caller falls back to σ̃ ∘ ×̃).
@@ -790,8 +715,14 @@ impl HashJoinOp {
         None
     }
 
-    /// Build a hash join over the `(left_eq_pos, right_eq_pos)`
-    /// equality found by [`HashJoinOp::indexable_conjunct`].
+    /// ⋈̃ ≡ σ̃(×̃) fused, over the `(left_eq_pos, right_eq_pos)`
+    /// equality found by [`JoinOp::indexable_conjunct`]: each left
+    /// tuple meets only the right tuples with its value there. Sound
+    /// because a non-matching pair gives the equality conjunct support
+    /// `(0, 0)`, which zeroes the conjunction support and can never
+    /// pass a legal threshold. The full predicate is still evaluated on
+    /// every candidate pair, so residual conjuncts and evidential
+    /// conditions keep the paper's exact support semantics.
     ///
     /// # Errors
     /// Product-schema and threshold validation, as σ̃ ∘ ×̃.
@@ -802,31 +733,30 @@ impl HashJoinOp {
         threshold: Threshold,
         left_eq_pos: usize,
         right_eq_pos: usize,
-    ) -> Result<HashJoinOp, PlanError> {
+    ) -> Result<JoinOp, PlanError> {
         check_threshold(&threshold)?;
-        let schema = Arc::new(evirel_algebra::product::product_schema(
-            left.schema(),
-            right.schema(),
-        )?);
-        Ok(HashJoinOp {
-            left,
-            right,
-            bound: BoundPredicate::bind(&schema, &predicate),
+        let mut op = JoinOp::product(left, right)?;
+        op.on = Some(JoinOn {
+            bound: BoundPredicate::bind(&op.schema, &predicate),
             predicate,
             threshold,
-            schema,
             left_eq_pos,
             right_eq_pos,
-            right_buf: Vec::new(),
             index: HashMap::new(),
-            current_left: None,
-            matches: Vec::new(),
-            match_pos: 0,
-        })
+        });
+        Ok(op)
+    }
+
+    /// The ordinal of the current left tuple's next candidate partner.
+    fn candidate(&self) -> Option<u32> {
+        match &self.on {
+            None => (self.match_pos < self.build.len()).then_some(self.match_pos as u32),
+            Some(_) => self.matches.get(self.match_pos).copied(),
+        }
     }
 }
 
-impl Operator for HashJoinOp {
+impl Operator for JoinOp {
     fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
@@ -834,69 +764,78 @@ impl Operator for HashJoinOp {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
         self.left.open(ctx)?;
         self.right.open(ctx)?;
-        while let Some(tuple) = self.right.next(ctx)? {
-            if let Some(v) = tuple.value(self.right_eq_pos).as_definite() {
-                self.index
-                    .entry(v.clone())
-                    .or_default()
-                    .push(self.right_buf.len());
+        let mut index = self.on.as_mut().map(|on| (on.right_eq_pos, &mut on.index));
+        (self.build, _) = BuildSide::open(self.right.as_mut(), ctx, false, None, |ordinal, r| {
+            if let Some((pos, index)) = &mut index {
+                if let Some(v) = r.value(*pos).as_definite() {
+                    index.entry(v.clone()).or_default().push(ordinal);
+                }
             }
-            self.right_buf.push(tuple);
-        }
+        })?;
         Ok(())
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Arc<Tuple>>, PlanError> {
         loop {
             if let Some(l) = &self.current_left {
-                while self.match_pos < self.matches.len() {
-                    let r = &self.right_buf[self.matches[self.match_pos]];
+                while let Some(ordinal) = self.candidate() {
                     self.match_pos += 1;
+                    let r = self.build.tuple(ordinal)?;
+                    // F_TM: memberships of independent tuples multiply.
                     let membership = l.membership().and_independent(&r.membership());
+                    if self.on.is_none() && !membership.is_positive() {
+                        continue; // CWA_ER: zero-support pairs are not stored.
+                    }
                     let values = l.values().iter().chain(r.values()).cloned().collect();
                     let pair = Tuple::new(&self.schema, values, membership)?;
-                    let fss = self.bound.support(&pair)?;
+                    let Some(on) = &self.on else {
+                        return Ok(Some(Arc::new(pair)));
+                    };
+                    let fss = on.bound.support(&pair)?;
                     let revised = pair.membership().and_independent(&fss);
-                    if self.threshold.admits(&revised) && revised.is_positive() {
+                    if on.threshold.admits(&revised) && revised.is_positive() {
                         return Ok(Some(Arc::new(pair.with_membership_owned(revised))));
                     }
                 }
                 self.current_left = None;
             }
-            match self.left.next(ctx)? {
-                None => return Ok(None),
-                Some(l) => {
-                    // Reuse the probe buffer — no per-tuple allocation.
-                    self.matches.clear();
-                    if let Some(bucket) = l
-                        .value(self.left_eq_pos)
-                        .as_definite()
-                        .and_then(|v| self.index.get(v))
-                    {
-                        self.matches.extend_from_slice(bucket);
-                    }
-                    self.match_pos = 0;
-                    self.current_left = Some(l);
+            let Some(l) = self.left.next(ctx)? else {
+                return Ok(None);
+            };
+            if let Some(on) = &self.on {
+                // Reuse the probe buffer — no per-tuple allocation.
+                self.matches.clear();
+                let value = l.value(on.left_eq_pos).as_definite();
+                if let Some(bucket) = value.and_then(|v| on.index.get(v)) {
+                    self.matches.extend_from_slice(bucket);
                 }
             }
+            self.match_pos = 0;
+            self.current_left = Some(l);
         }
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
-        self.right_buf.clear();
-        self.index.clear();
+        // Drops a segment-backed side's page pin with it.
+        self.build = BuildSide::empty();
+        if let Some(on) = &mut self.on {
+            on.index.clear();
+        }
         self.left.close(ctx)?;
         self.right.close(ctx)
     }
 
     fn describe(&self) -> String {
-        format!(
-            "⋈̃[{}] with {} (hash {} = {})",
-            self.predicate,
-            self.threshold,
-            self.left.schema().attr(self.left_eq_pos).name(),
-            self.right.schema().attr(self.right_eq_pos).name(),
-        )
+        match &self.on {
+            None => "×̃ (buffer right, stream left)".to_owned(),
+            Some(on) => format!(
+                "⋈̃[{}] with {} (hash {} = {})",
+                on.predicate,
+                on.threshold,
+                self.left.schema().attr(on.left_eq_pos).name(),
+                self.right.schema().attr(on.right_eq_pos).name(),
+            ),
+        }
     }
 
     fn children(&self) -> Vec<&dyn Operator> {
@@ -1015,72 +954,10 @@ pub enum MergeEmit {
 /// The σ̃ fused into a merge, if any — see [`MergeOp::selecting`].
 type Filter = Option<Arc<ScanFilter>>;
 
-/// The merge operator's right (build) side, addressed by ordinal:
-/// fully in memory, or a segment with only its key index held.
-enum BuildSide {
-    /// In-memory (the small-build-side fast path): `tuples` in right
-    /// insertion order, `by_key` their positions.
-    Mem {
-        by_key: HashMap<Vec<Value>, u32>,
-        tuples: Vec<Arc<Tuple>>,
-    },
-    /// Segment-backed — a spilled temp segment or a stored relation's
-    /// own: a fetch decodes one record through the buffer pool.
-    Spilled(SpilledRight),
-}
-
-impl BuildSide {
-    fn empty() -> BuildSide {
-        BuildSide::Mem {
-            by_key: HashMap::new(),
-            tuples: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            BuildSide::Mem { tuples, .. } => tuples.len(),
-            BuildSide::Spilled(s) => s.len(),
-        }
-    }
-
-    fn probe(&self, key: &[Value]) -> Option<u32> {
-        match self {
-            BuildSide::Mem { by_key, .. } => by_key.get(key).copied(),
-            BuildSide::Spilled(s) => s.probe(key),
-        }
-    }
-
-    fn fetch(&mut self, ordinal: u32) -> Result<Arc<Tuple>, PlanError> {
-        match self {
-            // Ordinals come from `probe` and from `0..len()`.
-            BuildSide::Mem { tuples, .. } => Ok(Arc::clone(&tuples[ordinal as usize])),
-            BuildSide::Spilled(s) => Ok(Arc::new(s.fetch(ordinal)?)),
-        }
-    }
-
-    /// Tuple `ordinal` as an unmatched tuple under a fused selection:
-    /// `None` unless it has positive support and `select` keeps it. An
-    /// in-memory tuple is decided where it stands; a segment-backed one
-    /// from a masked decode, and built only if kept.
-    fn fetch_kept(
-        &mut self,
-        ordinal: u32,
-        select: &ScanFilter,
-    ) -> Result<Option<Arc<Tuple>>, PlanError> {
-        match self {
-            BuildSide::Mem { tuples, .. } => {
-                decide_unmatched(Arc::clone(&tuples[ordinal as usize]), select)
-            }
-            BuildSide::Spilled(s) => Ok(s.fetch_kept(ordinal, select)?.map(Arc::new)),
-        }
-    }
-}
-
 /// An unmatched in-memory tuple under a fused selection, decided where
 /// it stands — the ∪̃'s positive-support test, then `select` as
 /// [`SelectOp`] applies it.
-fn decide_unmatched(
+pub(crate) fn decide_unmatched(
     tuple: Arc<Tuple>,
     select: &ScanFilter,
 ) -> Result<Option<Arc<Tuple>>, PlanError> {
@@ -1097,15 +974,11 @@ fn decide_unmatched(
 /// method-registry merge; the conflict report flows into the
 /// [`ExecContext`] at `close`.
 ///
-/// The build side is spill-aware: while draining the right input the
-/// operator tracks the exact encoded size of what it has buffered,
-/// and past [`ExecContext::spill_threshold_bytes`] it migrates the
-/// buffer into a temp segment, keeping only that segment's key index
-/// in memory (fetches page through [`ExecContext::pool`]). When the
-/// right child is a bare stored scan the on-disk segment itself is
-/// the build side, under the key index the relation keeps — built by
-/// the first execution that needs it, reused by every later one —
-/// with no materialized tuples and no re-spill.
+/// The right input is a `BuildSide`: spill-aware, and when the right
+/// child is a bare stored scan, the on-disk segment itself under the
+/// key index the relation keeps — built by the first execution that
+/// needs it, reused by every later one — with no materialized tuples
+/// and no re-spill.
 ///
 /// A σ̃ directly above a ∪̃/∩̃ runs *inside* the merge
 /// ([`MergeOp::selecting`]): every candidate is decided from the least
@@ -1290,63 +1163,6 @@ impl MergeOp {
         self
     }
 
-    /// The build side of the (opened) right child.
-    fn open_build(&mut self, ctx: &mut ExecContext) -> Result<BuildSide, PlanError> {
-        // A bare stored scan on the right: its segment already *is*
-        // the build side, and the relation keeps the key index.
-        if let Some(stored) = self.right.stored_relation() {
-            let (index, built) = ctx.stored_key_index(stored)?;
-            let side = SpilledRight::over(stored, index);
-            self.stored_index_built = Some(built);
-            return Ok(BuildSide::Spilled(side));
-        }
-        let right_schema = Arc::clone(self.right.schema());
-        let mut by_key: HashMap<Vec<Value>, u32> = HashMap::new();
-        let mut tuples: Vec<Arc<Tuple>> = Vec::new();
-        let mut bytes = 0usize;
-        let mut spill: Option<SpillBuild> = None;
-        if let Some((est_bytes, est_rows)) = self.build_estimate {
-            if est_bytes as usize > ctx.spill_threshold_bytes {
-                spill = Some(SpillBuild::create(&right_schema)?);
-            } else {
-                // Cap the pre-size so a wild over-estimate cannot
-                // balloon the empty map.
-                let rows = est_rows.min(1 << 20) as usize;
-                by_key.reserve(rows);
-                tuples.reserve(rows);
-            }
-        }
-        while let Some(tuple) = self.right.next(ctx)? {
-            let key = tuple.key(&right_schema);
-            match &mut spill {
-                Some(build) => build.append(key, &tuple)?,
-                None => {
-                    let ordinal = u32::try_from(tuples.len()).map_err(|_| PlanError::Pairing {
-                        reason: "more right tuples than a build side addresses".to_owned(),
-                    })?;
-                    bytes += evirel_store::codec::record_len(&tuple);
-                    by_key.insert(key, ordinal);
-                    tuples.push(tuple);
-                    if bytes > ctx.spill_threshold_bytes {
-                        // The build side outgrew its budget: migrate
-                        // the buffered tuples to a temp segment (in
-                        // right insertion order) and keep indexing
-                        // there.
-                        by_key = HashMap::new();
-                        let mut build = SpillBuild::create(&right_schema)?;
-                        for t in tuples.drain(..) {
-                            build.append(t.key(&right_schema), &t)?;
-                        }
-                        spill = Some(build);
-                    }
-                }
-            }
-        }
-        Ok(match spill {
-            Some(build) => BuildSide::Spilled(build.finish(&ctx.pool)?),
-            None => BuildSide::Mem { by_key, tuples },
-        })
-    }
     /// Merge left tuple `l` with its partner, build-side tuple
     /// `ordinal`; `None` when the merger drops the pair.
     fn merge_matched(
@@ -1358,14 +1174,7 @@ impl MergeOp {
     ) -> Result<Option<Arc<Tuple>>, PlanError> {
         // Ordinals come from `probe`. A segment-backed partner is
         // decoded for this merge only and never shared.
-        let fetched;
-        let r: &Tuple = match &mut self.build {
-            BuildSide::Mem { tuples, .. } => &tuples[ordinal as usize],
-            BuildSide::Spilled(s) => {
-                fetched = s.fetch(ordinal)?;
-                &fetched
-            }
-        };
+        let r = self.build.tuple(ordinal)?;
         if self.stored_index_built.is_some() {
             self.right.read_directly(1, None);
         }
@@ -1373,7 +1182,7 @@ impl MergeOp {
         ctx.stats.pairs_merged += 1;
         let merged = self
             .merger
-            .merge(&self.schema, key, l, r, &mut self.report)?;
+            .merge(&self.schema, key, l, &r, &mut self.report)?;
         Ok(merged.map(Arc::new))
     }
 
@@ -1464,7 +1273,9 @@ impl Operator for MergeOp {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
         self.left.open(ctx)?;
         self.right.open(ctx)?;
-        self.build = self.open_build(ctx)?;
+        let estimate = self.build_estimate;
+        (self.build, self.stored_index_built) =
+            BuildSide::open(self.right.as_mut(), ctx, true, estimate, |_, _| ())?;
         self.consumed = vec![false; self.build.len()];
         // A fused selection reads a bare stored left side's records
         // itself: it decides what to decode of each.
@@ -1567,31 +1378,15 @@ impl Operator for MergeOp {
 
 // ---------------------------------------------------------- difference
 
-/// Streaming −̃: index the right input's keys at `open`, emit left
-/// tuples whose key is absent. A right input that is a bare stored
-/// scan is not read at all — its relation's key index answers.
+/// Streaming −̃: keep the right input as a `BuildSide` at `open`,
+/// emit left tuples whose key it does not hold. The side is only
+/// probed: a right input that is a bare stored scan is not read at all
+/// — its relation's key index answers.
 pub struct DifferenceOp {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
     schema: Arc<Schema>,
-    right_keys: RightKeys,
-}
-
-/// The keys −̃ subtracts.
-enum RightKeys {
-    /// Collected by draining the right input.
-    Drained(HashSet<Vec<Value>>),
-    /// A stored relation's own key index.
-    Stored(Arc<KeyIndex>),
-}
-
-impl RightKeys {
-    fn contains(&self, key: &[Value]) -> bool {
-        match self {
-            RightKeys::Drained(keys) => keys.contains(key),
-            RightKeys::Stored(index) => index.ordinal(key).is_some(),
-        }
-    }
+    build: BuildSide,
 }
 
 impl DifferenceOp {
@@ -1612,7 +1407,7 @@ impl DifferenceOp {
             left,
             right,
             schema,
-            right_keys: RightKeys::Drained(HashSet::new()),
+            build: BuildSide::empty(),
         })
     }
 }
@@ -1625,24 +1420,18 @@ impl Operator for DifferenceOp {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
         self.left.open(ctx)?;
         self.right.open(ctx)?;
-        if let Some(stored) = self.right.stored_relation() {
-            self.right_keys = RightKeys::Stored(ctx.stored_key_index(stored)?.0);
+        let stored;
+        (self.build, stored) = BuildSide::open(self.right.as_mut(), ctx, true, None, |_, _| ())?;
+        if stored.is_some() {
             self.right.read_directly(0, Some("key index only"));
-            return Ok(());
         }
-        let right_schema = Arc::clone(self.right.schema());
-        let mut keys = HashSet::new();
-        while let Some(tuple) = self.right.next(ctx)? {
-            keys.insert(tuple.key(&right_schema));
-        }
-        self.right_keys = RightKeys::Drained(keys);
         Ok(())
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Arc<Tuple>>, PlanError> {
         while let Some(tuple) = self.left.next(ctx)? {
             let key = tuple.key(self.left.schema());
-            if !self.right_keys.contains(&key) && tuple.membership().is_positive() {
+            if self.build.probe(&key).is_none() && tuple.membership().is_positive() {
                 return Ok(Some(tuple));
             }
         }
@@ -1650,7 +1439,7 @@ impl Operator for DifferenceOp {
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
-        self.right_keys = RightKeys::Drained(HashSet::new());
+        self.build = BuildSide::empty();
         self.left.close(ctx)?;
         self.right.close(ctx)
     }

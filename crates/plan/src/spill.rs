@@ -1,5 +1,5 @@
-//! Spill-to-disk execution: stored-relation scans and segment-backed
-//! merge build sides.
+//! Spill-to-disk execution: stored-relation scans and the build side
+//! every binary operator keeps its right input in.
 //!
 //! Three pieces let the streaming operators run over data that never
 //! fully fits in memory:
@@ -21,9 +21,10 @@
 //!   ever sees it — so the emitted tuples, their order and their
 //!   memberships are exactly [`crate::ops::SelectOp`]'s over the bare
 //!   scan.
-//! * `SpillBuild` / `SpilledRight` (crate-private) — the merge
-//!   operator's build side on disk. While draining its right input,
-//!   [`crate::ops::MergeOp`]
+//! * `BuildSide` / `SpillBuild` / `SpilledRight` (crate-private) — the
+//!   one build side: the right input of [`crate::ops::MergeOp`] (∪̃/∩̃),
+//!   [`crate::ops::DifferenceOp`] (−̃) and [`crate::ops::JoinOp`]
+//!   (×̃/⋈̃), addressed by ordinal. While draining the right input it
 //!   tracks the *exact encoded size* of what it has buffered
 //!   (`codec::record_len`); past [`ExecContext::spill_threshold_bytes`]
 //!   it migrates the buffer into a temp segment and keeps only that
@@ -33,13 +34,16 @@
 //!   pinned for the next fetch, so consecutive fetches on one page
 //!   cost one `pool.get`. Spill files are
 //!   unlinked as soon as the segment is open, so the kernel reclaims
-//!   them when the merge closes — nothing leaks even on panic. When
-//!   the right input is a bare stored scan its segment is the build
-//!   side as it stands, under the index the relation itself keeps
-//!   ([`StoredRelation::key_index`]: built by the first query that
-//!   needs it, shared by every later one). A pinned page's records are
-//!   located once, when it is pinned, so a fetch — full or masked — is
-//!   served by slot without walking the length prefixes before it.
+//!   them when the operator closes — nothing leaks even on panic. When
+//!   the right input of a ∪̃/∩̃/−̃ is a bare stored scan its segment is
+//!   the build side as it stands, under the index the relation itself
+//!   keeps ([`StoredRelation::key_index`]: built by the first query
+//!   that needs it, shared by every later one); a ×̃/⋈̃ drains it —
+//!   read in place, a ×̃ would decode every record once per left
+//!   tuple. A pinned page's
+//!   records are located once, when it is pinned, so a fetch — full or
+//!   masked — is served by slot without walking the length prefixes
+//!   before it.
 //! * `ScanFilter` / `RecordCursor` (crate-private) — the record-level
 //!   σ̃ and the record-at-a-time read of a stored relation. The filter
 //!   is the one evaluator every fused selection decides with: the
@@ -55,7 +59,7 @@
 //!   decoded in full and validated by `Tuple::new`.
 
 use crate::error::PlanError;
-use crate::ops::{check_threshold, ExecContext, ExecStats, Operator};
+use crate::ops::{check_threshold, decide_unmatched, ExecContext, ExecStats, Operator};
 use evirel_algebra::predicate::Predicate;
 use evirel_algebra::support::{BoundPredicate, Row};
 use evirel_algebra::threshold::Threshold;
@@ -68,6 +72,7 @@ use evirel_store::{
     BufferPool, KeyIndex, PageGuard, Segment, SegmentWriter, StoreError, StoredRelation,
 };
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -384,9 +389,168 @@ impl Operator for SpillScanOp {
     }
 }
 
+// ---------------------------------------------------------- build side
+
+/// The right (build) input of a binary operator — ∪̃/∩̃, −̃, ×̃/⋈̃ —
+/// addressed by ordinal: fully in memory, or a segment with only its
+/// key index held.
+pub(crate) enum BuildSide {
+    /// In-memory (the small-build-side fast path): `tuples` in right
+    /// insertion order, `by_key` their positions.
+    Mem {
+        by_key: HashMap<Vec<Value>, u32>,
+        tuples: Vec<Arc<Tuple>>,
+    },
+    /// Segment-backed — a spilled temp segment or a stored relation's
+    /// own: a fetch decodes one record through the buffer pool.
+    Spilled(SpilledRight),
+}
+
+impl BuildSide {
+    pub(crate) fn empty() -> BuildSide {
+        BuildSide::Mem {
+            by_key: HashMap::new(),
+            tuples: Vec::new(),
+        }
+    }
+
+    /// The build side of the opened `right`, and — when it is a stored
+    /// relation's own segment — whether this call built its key index.
+    ///
+    /// With `in_place`, a bare stored scan is not drained: its segment
+    /// already *is* the build side, and the relation keeps the key
+    /// index. Otherwise the input is drained, `each` seeing every tuple
+    /// with its ordinal, while the exact encoded size of what is
+    /// buffered is tracked; past [`ExecContext::spill_threshold_bytes`]
+    /// the buffer migrates to a temp segment and only that segment's
+    /// key index stays in memory. A cost-model `estimate` of
+    /// `(bytes, rows)` picks the path up front — an eager spill, or a
+    /// pre-sized map — never the results.
+    pub(crate) fn open(
+        right: &mut dyn Operator,
+        ctx: &mut ExecContext,
+        in_place: bool,
+        estimate: Option<(u64, u64)>,
+        mut each: impl FnMut(u32, &Tuple),
+    ) -> Result<(BuildSide, Option<bool>), PlanError> {
+        if let Some(stored) = right.stored_relation().filter(|_| in_place) {
+            // Building the index visits every stored tuple once, like
+            // draining the scan would have, and a cached index stands
+            // for that same pass — so the scan counter moves exactly as
+            // in-memory execution moves it, whichever it was.
+            let (index, built) = stored.key_index()?;
+            ctx.stats.tuples_scanned += stored.len();
+            ctx.stats.key_index_builds += usize::from(built);
+            let side = SpilledRight::over(stored, index);
+            return Ok((BuildSide::Spilled(side), Some(built)));
+        }
+        let right_schema = Arc::clone(right.schema());
+        let mut by_key: HashMap<Vec<Value>, u32> = HashMap::new();
+        let mut tuples: Vec<Arc<Tuple>> = Vec::new();
+        let mut bytes = 0usize;
+        let mut spill: Option<SpillBuild> = None;
+        if let Some((est_bytes, est_rows)) = estimate {
+            if est_bytes as usize > ctx.spill_threshold_bytes {
+                spill = Some(SpillBuild::create(&right_schema)?);
+            } else {
+                // Cap the pre-size so a wild over-estimate cannot
+                // balloon the empty map.
+                let rows = est_rows.min(1 << 20) as usize;
+                by_key.reserve(rows);
+                tuples.reserve(rows);
+            }
+        }
+        let mut drained = 0usize;
+        while let Some(tuple) = right.next(ctx)? {
+            let ordinal = u32::try_from(drained).map_err(|_| PlanError::Pairing {
+                reason: "more right tuples than a build side addresses".to_owned(),
+            })?;
+            drained += 1;
+            each(ordinal, &tuple);
+            let key = tuple.key(&right_schema);
+            match &mut spill {
+                Some(build) => build.append(key, &tuple)?,
+                None => {
+                    bytes += evirel_store::codec::record_len(&tuple);
+                    by_key.insert(key, ordinal);
+                    tuples.push(tuple);
+                    if bytes > ctx.spill_threshold_bytes {
+                        // The build side outgrew its budget: migrate
+                        // the buffered tuples to a temp segment (in
+                        // right insertion order) and keep indexing
+                        // there.
+                        by_key = HashMap::new();
+                        let mut build = SpillBuild::create(&right_schema)?;
+                        for t in tuples.drain(..) {
+                            build.append(t.key(&right_schema), &t)?;
+                        }
+                        spill = Some(build);
+                    }
+                }
+            }
+        }
+        Ok((
+            match spill {
+                Some(build) => BuildSide::Spilled(build.finish(&ctx.pool)?),
+                None => BuildSide::Mem { by_key, tuples },
+            },
+            None,
+        ))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            BuildSide::Mem { tuples, .. } => tuples.len(),
+            BuildSide::Spilled(s) => s.len(),
+        }
+    }
+
+    pub(crate) fn probe(&self, key: &[Value]) -> Option<u32> {
+        match self {
+            BuildSide::Mem { by_key, .. } => by_key.get(key).copied(),
+            BuildSide::Spilled(s) => s.probe(key),
+        }
+    }
+
+    /// Tuple `ordinal` for the caller to read: an in-memory one
+    /// borrowed where it stands, a segment-backed one decoded.
+    pub(crate) fn tuple(&mut self, ordinal: u32) -> Result<Cow<'_, Tuple>, PlanError> {
+        // Ordinals come from `probe` and from `0..len()`.
+        Ok(match self {
+            BuildSide::Mem { tuples, .. } => Cow::Borrowed(&*tuples[ordinal as usize]),
+            BuildSide::Spilled(s) => Cow::Owned(s.fetch(ordinal)?),
+        })
+    }
+
+    /// Tuple `ordinal` for the caller to emit.
+    pub(crate) fn fetch(&mut self, ordinal: u32) -> Result<Arc<Tuple>, PlanError> {
+        match self {
+            BuildSide::Mem { tuples, .. } => Ok(Arc::clone(&tuples[ordinal as usize])),
+            BuildSide::Spilled(s) => Ok(Arc::new(s.fetch(ordinal)?)),
+        }
+    }
+
+    /// Tuple `ordinal` as an unmatched tuple under a fused selection:
+    /// `None` unless it has positive support and `select` keeps it. An
+    /// in-memory tuple is decided where it stands; a segment-backed one
+    /// from a masked decode, and built only if kept.
+    pub(crate) fn fetch_kept(
+        &mut self,
+        ordinal: u32,
+        select: &ScanFilter,
+    ) -> Result<Option<Arc<Tuple>>, PlanError> {
+        match self {
+            BuildSide::Mem { tuples, .. } => {
+                decide_unmatched(Arc::clone(&tuples[ordinal as usize]), select)
+            }
+            BuildSide::Spilled(s) => Ok(s.fetch_kept(ordinal, select)?.map(Arc::new)),
+        }
+    }
+}
+
 // --------------------------------------------------------- spill build
 
-/// A merge build side being written to a temp segment.
+/// A build side being written to a temp segment.
 pub(crate) struct SpillBuild {
     writer: SegmentWriter,
     path: std::path::PathBuf,
@@ -397,7 +561,7 @@ pub(crate) struct SpillBuild {
 impl SpillBuild {
     /// Start a temp-segment build side for tuples over `schema`.
     pub(crate) fn create(schema: &Arc<Schema>) -> Result<SpillBuild, PlanError> {
-        let path = evirel_store::spill_path("merge-right");
+        let path = evirel_store::spill_path("build-side");
         let writer = SegmentWriter::create(&path, schema, evirel_store::DEFAULT_PAGE_SIZE)?;
         Ok(SpillBuild {
             writer,
@@ -416,7 +580,7 @@ impl SpillBuild {
 
     /// Finish writing and open the segment for probing. The temp file
     /// is unlinked immediately — the open handle keeps the data alive
-    /// until the merge drops it.
+    /// until the operator drops it.
     pub(crate) fn finish(self, pool: &Arc<BufferPool>) -> Result<SpilledRight, PlanError> {
         let path = self.writer.finish()?;
         let segment = Arc::new(Segment::open_with_schema(&path, self.schema)?);
@@ -522,7 +686,7 @@ impl RecordCursor {
 /// right side's order, and all of the unmatched-right phase) are one
 /// `pool.get` and one walk of the page. One pinned page per build
 /// side; a pool smaller than that page overcommits rather than waits.
-/// The pin is released when the merge closes.
+/// The pin is released when the operator closes.
 pub(crate) struct SpilledRight {
     segment: Arc<Segment>,
     pool: Arc<BufferPool>,

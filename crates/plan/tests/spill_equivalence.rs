@@ -1,9 +1,9 @@
 //! The storage engine's acceptance property: a relation larger than
 //! the configured buffer budget (verified via pool stats — pages
-//! evicted > 0) scans, filters, and ∪̃-merges through the plan layer
-//! with results identical to the in-memory executor, proptest-checked
-//! against `plan::reference`. Also pins the spilled-build-side path:
-//! forcing every merge's right side to a temp segment
+//! evicted > 0) scans, filters, ∪̃/∩̃-merges and goes through −̃, ×̃ and
+//! ⋈̃ in the plan layer with results identical to the in-memory
+//! executor, proptest-checked against `plan::reference`. Also pins the
+//! spilled-build-side path: forcing every build side to a temp segment
 //! (`spill_threshold_bytes = 0`) must not change a single bit of the
 //! output, the stats, or the conflict-report order. And the fused
 //! path: a σ̃ directly over a stored scan runs inside the scan, for
@@ -133,10 +133,11 @@ fn masked(stats: ExecStats) -> ExecStats {
 }
 
 /// One plan shape per drawn discriminant: scan, filter, threshold,
-/// project, ∪̃, σ̃(∪̃), ∩̃, −̃.
+/// project, ∪̃, σ̃(∪̃), ∩̃, −̃, ×̃, and ⋈̃ — σ̃ over ×̃ with a definite `=`
+/// across the sides (`GA`, `GB`: the generated relations' names).
 fn shaped_plan(shape: u8, val: u8) -> LogicalPlan {
     let label = |i: u8| Value::str(format!("v{}", i % 8));
-    match shape % 8 {
+    match shape % 10 {
         0 => scan("sa").build(),
         1 => scan("sa")
             .select(Predicate::is("e0", [label(val), label(val + 1)]))
@@ -150,7 +151,15 @@ fn shaped_plan(shape: u8, val: u8) -> LogicalPlan {
             .project(["k", "e0"])
             .build(),
         6 => scan("sa").intersect(scan("sb")).build(),
-        _ => scan("sa").difference(scan("sb")).build(),
+        7 => scan("sa").difference(scan("sb")).build(),
+        8 => scan("sa").product(scan("sb")).build(),
+        _ => scan("sa")
+            .product(scan("sb"))
+            .select(
+                Predicate::theta(Operand::attr("GA.k"), ThetaOp::Eq, Operand::attr("GB.k"))
+                    .and(Predicate::is("GB.e1", [label(val), label(val + 1)]).negate()),
+            )
+            .build(),
     }
 }
 
@@ -303,11 +312,12 @@ proptest! {
     /// order, counters — and the reference, and the pool really
     /// evicted. Each plan runs twice over the same stored relations:
     /// a ∪̃/∩̃/−̃ builds its right side's key index on the first run
-    /// and finds it on the second, and nothing else tells them apart.
+    /// and finds it on the second, and nothing else tells them apart;
+    /// a ×̃/⋈̃ drains its stored right side and builds no index.
     #[test]
     fn stored_execution_matches_reference_under_tiny_budget(
         seed in 0u64..1_000_000,
-        shape in 0u8..8,
+        shape in 0u8..10,
         val in 0u8..8,
         threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
@@ -335,7 +345,7 @@ proptest! {
 
         // Shapes 4–7 put a bare stored scan on a merge's or a
         // difference's right.
-        let indexed = usize::from(shape % 8 >= 4);
+        let indexed = usize::from((4..8).contains(&shape));
         for builds in [indexed, 0] {
             let mut ctx = ExecContext::with_options(options());
             ctx.parallelism = threads;
@@ -419,18 +429,19 @@ proptest! {
         }
     }
 
-    /// Forcing the merge build side to spill (threshold 0) is
-    /// invisible: relation, insertion order, stats, and report order
-    /// all match the in-memory build side.
+    /// Forcing the build side of a ∪̃, ∩̃, −̃, ×̃ or ⋈̃ to spill
+    /// (threshold 0) is invisible: relation, insertion order, stats,
+    /// and report order all match the in-memory build side.
     #[test]
     fn spilled_build_side_is_bit_invisible(
         seed in 0u64..1_000_000,
+        shape in 0usize..5,
         threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let (ga, gb) = pair(seed, 160);
         let mut b = Bindings::new();
         b.bind("sa", ga).bind("sb", gb);
-        let plan = scan("sa").union(scan("sb")).build();
+        let plan = shaped_plan([4, 6, 7, 8, 9][shape], seed as u8);
 
         let mut mem_ctx = ExecContext::with_options(options());
         mem_ctx.parallelism = threads;
@@ -442,9 +453,13 @@ proptest! {
         spill_ctx.spill_threshold_bytes = 0; // always spill
         spill_ctx.pool = Arc::new(BufferPool::new(2 * evirel_store::DEFAULT_PAGE_SIZE));
         let spilled = execute_plan(&plan, &b, &mut spill_ctx).expect("spilled merge");
-        prop_assert!(
+        // A −̃ only probes: its spilled side's key index answers, and no
+        // record is read back.
+        prop_assert_eq!(
             spill_ctx.pool.stats().misses > 0,
-            "a spilled build side must page through the pool"
+            shape != 2,
+            "a spilled build side that is read must page through the pool\nplan:\n{}",
+            plan.render()
         );
 
         if let Err(reason) = equivalent(&mem, &spilled) {

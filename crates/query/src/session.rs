@@ -138,7 +138,7 @@ pub struct SessionBudget {
     /// Worker threads this session's queries may use (caps
     /// [`ExecContext::parallelism`]).
     pub parallelism: Option<usize>,
-    /// Spill threshold in bytes for this session's merge build sides
+    /// Spill threshold in bytes for this session's build sides
     /// (caps [`ExecContext::spill_threshold_bytes`]).
     pub spill_bytes: Option<usize>,
 }

@@ -363,6 +363,17 @@ impl Replication {
         }
     }
 
+    /// Signal promotion and wait up to 10 s for the follower loop to
+    /// release read-only mode; `true` once it has.
+    fn promote_and_wait(&self) -> bool {
+        self.promote.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.readonly.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        !self.readonly.load(Ordering::SeqCst)
+    }
+
     fn role(&self) -> &'static str {
         if !self.role_follower {
             "primary"
@@ -500,13 +511,8 @@ impl ServerHandle {
     /// a primary. Equivalent to the `PROMOTE` verb from loopback.
     pub fn promote(&self) {
         let repl = &self.shared.replication;
-        if !repl.role_follower {
-            return;
-        }
-        repl.promote.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while repl.readonly.load(Ordering::SeqCst) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        if repl.role_follower {
+            repl.promote_and_wait();
         }
     }
 
@@ -1083,25 +1089,20 @@ fn promote_response(shared: &Shared, allowed: bool) -> Response {
             body: format!("already primary generation={}", shared.shared.generation()),
         };
     }
-    repl.promote.store(true, Ordering::SeqCst);
     // The follower loop notices the flag within a poll interval,
     // finishes (or abandons) its in-flight frame, and releases
     // read-only mode; wait for that so the client's next MERGE after
     // an OK cannot race an ERR readonly.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while repl.readonly.load(Ordering::SeqCst) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    if repl.readonly.load(Ordering::SeqCst) {
+    if repl.promote_and_wait() {
+        Response::Ok {
+            body: format!("promoted generation={}", shared.shared.generation()),
+        }
+    } else {
         Response::error(
             "promote",
             "promotion signalled, but the follower loop has not released \
              read-only mode yet; retry PROMOTE",
         )
-    } else {
-        Response::Ok {
-            body: format!("promoted generation={}", shared.shared.generation()),
-        }
     }
 }
 

@@ -19,7 +19,8 @@
 //! * **Bounded memory.** Readers hold one pinned page at a time; the
 //!   pool keeps total cached bytes under `EVIREL_BUFFER_BYTES`
 //!   (pinned pages excepted, counted as overcommits), so relations
-//!   arbitrarily larger than memory scan, filter, and ∪̃-merge.
+//!   arbitrarily larger than memory scan, filter, and go through
+//!   ∪̃, ∩̃, −̃, ×̃ and ⋈̃ (whose right sides spill past the budget).
 //! * **No tuple is too large.** Pages target a fixed size but are
 //!   located through an explicit page table, so a jumbo record gets
 //!   its own oversized page instead of an error.
