@@ -5,8 +5,34 @@ use evirel_algebra::union::UnionOptions;
 use evirel_plan::{
     Binding, Bindings, BoundRelation, BufferPool, ExecContext, RelationSource, StoredRelation,
 };
-use evirel_relation::ExtendedRelation;
+use evirel_relation::{ExtendedRelation, Schema};
+use evirel_store::{Segment, SegmentSource};
+use std::path::Path;
 use std::sync::Arc;
+
+/// A segment for [`Catalog::attach_stored`]: a file or an inline
+/// segment's bytes, and — when the caller holds the schema the segment
+/// was encoded from, as [`crate::DurableCatalog::record_bind`] does —
+/// that schema, so the header's copy is not decoded again (its block
+/// is still checksummed). Every path converts into one.
+#[derive(Debug, Clone)]
+pub struct SegmentHandle {
+    source: SegmentSource,
+    schema: Option<Arc<Schema>>,
+}
+
+impl SegmentHandle {
+    /// `source`, to be attached under `schema` when it is given.
+    pub fn new(source: SegmentSource, schema: Option<Arc<Schema>>) -> SegmentHandle {
+        SegmentHandle { source, schema }
+    }
+}
+
+impl<P: AsRef<Path>> From<P> for SegmentHandle {
+    fn from(path: P) -> SegmentHandle {
+        SegmentHandle::new(SegmentSource::from(path), None)
+    }
+}
 
 /// A registry of queryable relations plus execution options.
 ///
@@ -95,7 +121,8 @@ impl Catalog {
             .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
     }
 
-    /// Attach `name` to an on-disk binary segment: queries scan it
+    /// Attach `name` to a binary segment — a file path, or what
+    /// [`crate::DurableCatalog::record_bind`] returns: queries scan it
     /// page-at-a-time through [`Catalog::pool`] instead of holding
     /// the extension in memory. Replaces an in-memory registration of
     /// the same name.
@@ -105,14 +132,20 @@ impl Catalog {
     pub fn attach_stored(
         &mut self,
         name: impl Into<String>,
-        path: impl AsRef<std::path::Path>,
+        segment: impl Into<SegmentHandle>,
     ) -> Result<(), QueryError> {
-        let stored = StoredRelation::open(path, Arc::clone(&self.pool)).map_err(|e| {
-            QueryError::Execution {
-                message: e.to_string(),
-            }
+        let SegmentHandle { source, schema } = segment.into();
+        let segment = match schema {
+            Some(schema) => Segment::open_with_schema(source, schema),
+            None => Segment::open(source),
+        }
+        .map_err(|e| QueryError::Execution {
+            message: e.to_string(),
         })?;
-        self.attach(name, stored);
+        self.attach(
+            name,
+            StoredRelation::from_segment(Arc::new(segment), Arc::clone(&self.pool)),
+        );
         Ok(())
     }
 

@@ -2,34 +2,46 @@
 //!
 //! [`DurableCatalog`] fronts a data directory holding the manifest
 //! ([`evirel_store::manifest`]), the write-ahead journal
-//! ([`evirel_store::journal`]), and one checksummed segment file per
-//! binding. The protocol, end to end:
+//! ([`evirel_store::journal`]), and the bindings' checksummed v3
+//! segments. A segment of at most [`evirel_store::INLINE_SEGMENT_MAX`]
+//! bytes travels inside the journal record that binds it (an *inline
+//! bind*) until a checkpoint folds it out to its own file; a larger one
+//! is written as its file before its record is appended. Size alone
+//! decides. The protocol, end to end:
 //!
 //! * **Recovery** ([`DurableCatalog::open`]): load the manifest (the
 //!   last checkpoint), replay journal records with `generation >
 //!   manifest.generation` (mutations since), attach every surviving
-//!   binding's segment — verifying its content checksum against the
-//!   recorded one — and report the recovered generation. The caller
-//!   seeds its [`crate::SharedCatalog`] with
+//!   binding's segment — from its inline record's bytes or from its
+//!   file — verifying its content checksum against the recorded one,
+//!   and report the recovered generation. The caller seeds its
+//!   [`crate::SharedCatalog`] with
 //!   [`crate::SharedCatalog::with_generation`] so the generation
-//!   stream continues monotonically across restarts.
-//! * **Checkpoint** ([`DurableCatalog::checkpoint`]): fold the
-//!   journal into a freshly-written manifest, truncate the journal,
-//!   GC unreferenced segments. Safe to crash out of at any point.
+//!   stream continues monotonically across restarts. Replay holds one
+//!   record at a time; afterwards only the live inline bindings' bytes
+//!   stay in memory.
+//! * **Checkpoint** ([`DurableCatalog::checkpoint`]): fold the live
+//!   inline segments out to their files (temp → fsync → rename each,
+//!   one directory fsync), then the journal into a freshly-written
+//!   manifest, truncate the journal, GC unreferenced segments. Safe to
+//!   crash out of at any point.
 //!
 //! ## The write path
 //!
 //! One rule governs every mutation: **durable first, published
 //! second** — no reader may pin a generation that a crash could lose.
 //! The five operations that change a served catalog implement it here
-//! and nowhere else; each takes the [`SharedCatalog`] it publishes to:
+//! and nowhere else; each takes the [`SharedCatalog`] it publishes to.
+//! Every byte this module makes durable goes through
+//! [`Journal::append`] or a [`SegmentWriter`] (whose
+//! [`SegmentWriter::fold_out`] the checkpoint runs):
 //!
-//! | operation | durable step | publish |
+//! | operation | durable step (fsyncs) | publish |
 //! |---|---|---|
-//! | [`DurableCatalog::bind`] | segment write, journal + fsync (in the closure) | [`SharedCatalog::update_at`], next generation |
-//! | [`DurableCatalog::unbind`] | journal + fsync (in the closure) | [`SharedCatalog::update_at`], next generation |
-//! | [`DurableCatalog::apply_record`] | verify staged segment, journal + fsync | [`SharedCatalog::update_stamped`], the primary's generation |
-//! | [`DurableCatalog::install`] | verify segments, manifest swap | [`SharedCatalog::update_stamped`], the snapshot's generation |
+//! | [`DurableCatalog::bind`] | small: journal the inline record (1); large: segment file, then journal (3) — in the closure | [`SharedCatalog::update_at`], next generation |
+//! | [`DurableCatalog::unbind`] | journal (1), in the closure | [`SharedCatalog::update_at`], next generation |
+//! | [`DurableCatalog::apply_record`] | verify the record's inline bytes or staged file, journal (1) | [`SharedCatalog::update_stamped`], the primary's generation |
+//! | [`DurableCatalog::install`] | fold out kept inline segments, verify segments, manifest swap | [`SharedCatalog::update_stamped`], the snapshot's generation |
 //! | [`DurableCatalog::reconcile`] | none (already durable) | [`SharedCatalog::update_stamped`], the committed generation |
 //!
 //! `bind`/`unbind` are the primary's side: the generation is the one
@@ -37,15 +49,16 @@
 //! *inside* the `update_at` closure — under that mutex, which orders
 //! writers (hence journal records) totally with strictly increasing
 //! generations, but under **no** guard on the published snapshot:
-//! readers keep pinning the previous generation while the segment is
-//! written and the journal fsync'd, and the new one is swapped in only
-//! after the closure has returned, i.e. strictly after the fsync.
+//! readers keep pinning the previous generation while the journal is
+//! fsync'd, and the new one is swapped in only after the closure has
+//! returned, i.e. strictly after the fsync. A small bind then attaches
+//! the very bytes it journalled; a large one its file.
 //! The other three are the follower's side: the primary already
 //! stamped the generation, so the durable step runs first and the
-//! `update_stamped` closure only opens the segment. A failure between
-//! the two steps leaves the durable state ahead of the published one,
-//! which is safe (nothing unrecoverable was served) and which
-//! `reconcile` repairs.
+//! `update_stamped` closure only attaches the verified segment. A
+//! failure between the two steps leaves the durable state ahead of the
+//! published one, which is safe (nothing unrecoverable was served) and
+//! which `reconcile` repairs.
 //!
 //! **Lock order**: exclusive access to the [`DurableCatalog`] first
 //! (the five are methods — in `evirel-serve`, called with the durable
@@ -58,14 +71,22 @@
 //! records the ones the writer mutex (primary) or the stream (follower)
 //! hands it, so the durable generation equals the published one after
 //! every successful call.
+//!
+//! **Memory.** The retained replication window holds records, and an
+//! inline bind there holds its position in the journal, not its bytes
+//! ([`evirel_store::InlineSegment::At`]); a sender reads them back
+//! ([`JournalRecord::loaded`]). Each live inline binding holds its
+//! bytes — at most `INLINE_SEGMENT_MAX`, shared with the segment the
+//! published catalog serves — until a checkpoint folds it out.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, SegmentHandle};
 use crate::error::QueryError;
 use crate::snapshot::SharedCatalog;
 use evirel_obs::{Counter, Gauge, Histogram};
 use evirel_store::checkpoint::{checkpoint, CheckpointOutcome};
 use evirel_store::{
-    Journal, JournalRecord, Manifest, ManifestEntry, Segment, StoreError, StoredRelation,
+    Finished, InlineSegment, Journal, JournalRecord, Manifest, ManifestEntry, Segment,
+    SegmentSource, SegmentWriter, StoreError, StoredRelation,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -112,10 +133,12 @@ pub struct DurableMetrics {
     /// Latency of one journal append + fsync — the commit point every
     /// mutation pays before its generation becomes observable.
     pub journal_append: Histogram,
-    /// Wall-clock duration of each checkpoint (manifest swap, journal
-    /// truncation, segment GC).
+    /// Wall-clock duration of each checkpoint (fold-out, manifest
+    /// swap, journal truncation, segment GC).
     pub checkpoint: Histogram,
-    /// Total segment-file bytes written by binds.
+    /// Segment-file bytes written: binds past the inline limit, and
+    /// the inline segments a checkpoint folds out. A small bind writes
+    /// none.
     pub segment_bytes: Counter,
 }
 
@@ -131,7 +154,9 @@ pub const RETAINED_RECORDS_CAP: usize = 4096;
 #[derive(Debug, Clone)]
 pub enum StreamPlan {
     /// The follower is within the retained window: replay exactly
-    /// these records (strictly increasing generations), in order.
+    /// these records (strictly increasing generations), in order. An
+    /// inline bind among them holds its journal position; the sender
+    /// reads its bytes back with [`JournalRecord::loaded`].
     Tail(Vec<JournalRecord>),
     /// The follower is too far behind (or the retained range is not
     /// strictly monotonic, e.g. a REPL `\checkpoint` bound several
@@ -146,6 +171,11 @@ pub enum StreamPlan {
         /// both sides because both replayed the same single-writer
         /// history.
         entries: Vec<ManifestEntry>,
+        /// The bytes of the entries whose segment is still inline in
+        /// the journal, by their reserved file name: they ship under
+        /// that name like a file. Every other entry is a file in the
+        /// data directory.
+        inline: BTreeMap<String, Arc<[u8]>>,
     },
 }
 
@@ -157,6 +187,10 @@ pub struct DurableCatalog {
     journal: Journal,
     /// The durable binding set (manifest ∪ journal effects).
     entries: BTreeMap<String, ManifestEntry>,
+    /// The segment bytes of the entries bound inline since the last
+    /// checkpoint, by binding name — the bytes their journal records
+    /// carry, and the ones the published catalog serves.
+    inline: BTreeMap<String, Arc<[u8]>>,
     committed_generation: u64,
     recovered_generation: u64,
     next_segment: u64,
@@ -165,6 +199,7 @@ pub struct DurableCatalog {
     /// (checkpoints truncate the on-disk journal, but a sender must
     /// still be able to resume a follower from before the
     /// checkpoint). Ascending generations; capped at `retained_cap`.
+    /// Inline binds hold their journal position, not their bytes.
     retained: Vec<JournalRecord>,
     /// Retained-window size: [`RETAINED_RECORDS_CAP`], except in the
     /// tests that overflow the window.
@@ -210,7 +245,16 @@ impl DurableCatalog {
             .collect();
         let mut committed = manifest.generation;
         let mut retained = Vec::new();
+        // Where the live inline bindings' bytes are: the journal frame
+        // of the record that bound each.
+        let mut inline_at: BTreeMap<String, u64> = BTreeMap::new();
+        // Numbering continues past every name a record reserved —
+        // an inline bind's file does not exist yet.
+        let mut next_segment = next_segment_number(&dir);
         for record in &replayed {
+            if let Some(n) = record.file().and_then(segment_number) {
+                next_segment = next_segment.max(n);
+            }
             // Records at or below the manifest generation were
             // absorbed by a checkpoint that crashed before its
             // journal truncation — skip them.
@@ -220,20 +264,38 @@ impl DurableCatalog {
             committed = committed.max(record.generation());
             retained.push(record.clone());
             fold(&mut entries, record);
+            match record {
+                JournalRecord::BindInline {
+                    segment: InlineSegment::At(frame),
+                    ..
+                } => inline_at.insert(record.name().to_owned(), *frame),
+                _ => inline_at.remove(record.name()),
+            };
+        }
+        let mut inline = BTreeMap::new();
+        for (name, frame) in inline_at {
+            let record = evirel_store::journal::read_record_at(&dir, frame).map_err(store_err)?;
+            if let JournalRecord::BindInline {
+                segment: InlineSegment::Bytes(bytes),
+                ..
+            } = record
+            {
+                inline.insert(name, bytes);
+            }
         }
 
         // Attach every surviving binding, verifying content checksums
         // (v3 segments; v2 entries record checksum 0 and skip it).
         let mut catalog = Catalog::new();
         for entry in entries.values() {
-            let path = dir.join(&entry.file);
-            let segment = Segment::open(&path).map_err(store_err)?;
+            let source = source_of(&dir, &inline, entry);
+            let segment = Segment::open(source).map_err(store_err)?;
             if let Some(actual) = segment.content_checksum() {
                 if actual != entry.checksum {
                     return Err(store_err(StoreError::corrupt(format!(
-                        "segment {path:?} checksum {actual:#010x} does not match \
+                        "segment {:?} checksum {actual:#010x} does not match \
                          the committed {:#010x} for binding {:?}",
-                        entry.checksum, entry.name
+                        entry.file, entry.checksum, entry.name
                     ))));
                 }
             }
@@ -246,12 +308,12 @@ impl DurableCatalog {
         let mut retained_floor = manifest.generation;
         trim_window(&mut retained, &mut retained_floor, retained_cap);
 
-        let next_segment = next_segment_number(&dir);
         Ok((
             DurableCatalog {
                 dir,
                 journal,
                 entries,
+                inline,
                 committed_generation: committed,
                 recovered_generation: committed,
                 next_segment,
@@ -288,13 +350,21 @@ impl DurableCatalog {
     /// in-memory durable state. Nothing changes on `Err`.
     fn commit(&mut self, record: JournalRecord) -> Result<(), QueryError> {
         let started = Instant::now();
-        self.journal.append(&record).map_err(store_err)?;
+        let frame = self.journal.append(&record).map_err(store_err)?;
         if let Some(m) = &self.metrics {
             m.journal_append.observe(started.elapsed());
         }
         fold(&mut self.entries, &record);
+        match &record {
+            JournalRecord::BindInline {
+                name,
+                segment: InlineSegment::Bytes(bytes),
+                ..
+            } => self.inline.insert(name.clone(), Arc::clone(bytes)),
+            _ => self.inline.remove(record.name()),
+        };
         self.committed_generation = self.committed_generation.max(record.generation());
-        self.retained.push(record);
+        self.retained.push(record.at(frame));
         trim_window(
             &mut self.retained,
             &mut self.retained_floor,
@@ -331,14 +401,14 @@ impl DurableCatalog {
     }
 
     /// Bind `name` to `rel` as the next generation of `shared`
-    /// (the serve layer's durable `MERGE`): segment write, journal +
-    /// fsync, then publish the binding re-attached from its segment —
-    /// the catalog serves the very bytes recovery would. Returns the
-    /// generation published.
+    /// (the serve layer's durable `MERGE`): the durable step of
+    /// [`DurableCatalog::record_bind`], then publish the binding
+    /// attached from what was made durable — the catalog serves the
+    /// very bytes recovery would. Returns the generation published.
     ///
     /// # Errors
     /// [`QueryError::Execution`] wrapping the store error; nothing
-    /// was published then (a written segment without its journal
+    /// was published then (a written segment file without its journal
     /// record is GC'd at the next checkpoint).
     pub fn bind(
         &mut self,
@@ -347,8 +417,8 @@ impl DurableCatalog {
         rel: &evirel_relation::ExtendedRelation,
     ) -> Result<u64, QueryError> {
         let ((), generation) = shared.update_at(|catalog, generation| {
-            let path = self.record_bind(name, rel, generation)?;
-            catalog.attach_stored(name, path)
+            let segment = self.record_bind(name, rel, generation)?;
+            catalog.attach_stored(name, segment)
         })?;
         Ok(generation)
     }
@@ -372,10 +442,12 @@ impl DurableCatalog {
     }
 
     /// Apply one replicated journal record on a **follower**: verify
-    /// the referenced segment (already staged into this directory by
-    /// [`evirel_store::replica`]) against the record's checksum and
-    /// tuple count, journal + fsync the record locally, then publish
-    /// it at the generation the *primary* stamped — so a follower
+    /// its segment against the record's checksum and tuple count — the
+    /// bytes an inline bind carries off the wire, or the file a large
+    /// bind's `SEG` frames staged into this directory
+    /// ([`evirel_store::replica`]) — journal + fsync the record
+    /// locally, then publish it at the generation the *primary*
+    /// stamped, attaching the segment just verified. A follower thus
     /// never serves a generation it could lose, and one killed between
     /// the two steps recovers the record from its own journal at
     /// reboot.
@@ -383,7 +455,8 @@ impl DurableCatalog {
     /// # Errors
     /// [`QueryError::Execution`] on a generation that does not
     /// strictly advance the committed one (a re-send the stream
-    /// contract forbids), a pre-v3 segment, or any verification /
+    /// contract forbids), a pre-v3 segment, an inline bind that holds
+    /// a journal position instead of its bytes, or any verification /
     /// journal / attach failure. Nothing is published then.
     pub fn apply_record(
         &mut self,
@@ -391,50 +464,82 @@ impl DurableCatalog {
         record: &JournalRecord,
     ) -> Result<(), QueryError> {
         self.must_advance("replicated record", record.generation())?;
-        if let JournalRecord::Bind {
-            name,
-            file,
-            format_version,
-            checksum,
-            tuple_count,
-            ..
-        } = record
-        {
-            if *format_version < 3 {
-                return Err(store_err(StoreError::corrupt(format!(
-                    "replicated binding {name:?} uses segment format v{format_version}; \
-                     replication requires checksummed v3 segments"
-                ))));
+        let segment = match record {
+            JournalRecord::Bind {
+                name,
+                file,
+                format_version,
+                checksum,
+                tuple_count,
+                ..
+            } => {
+                if *format_version < 3 {
+                    return Err(store_err(StoreError::corrupt(format!(
+                        "replicated binding {name:?} uses segment format v{format_version}; \
+                         replication requires checksummed v3 segments"
+                    ))));
+                }
+                let source = SegmentSource::File(self.dir.join(file));
+                Some(evirel_store::verify_segment(
+                    source,
+                    *checksum,
+                    *tuple_count,
+                ))
             }
-            evirel_store::verify_segment(&self.dir, file, *checksum, *tuple_count)
-                .map_err(store_err)?;
-            // Keep local segment numbering clear of replicated files,
-            // so a post-promotion bind never collides.
-            if let Some(n) = segment_number(file) {
-                self.next_segment = self.next_segment.max(n);
+            JournalRecord::BindInline {
+                name,
+                checksum,
+                tuple_count,
+                segment,
+                ..
+            } => {
+                let InlineSegment::Bytes(bytes) = segment else {
+                    return Err(store_err(StoreError::corrupt(format!(
+                        "replicated inline binding {name:?} carries no segment bytes"
+                    ))));
+                };
+                let source = SegmentSource::Bytes(Arc::clone(bytes));
+                Some(evirel_store::verify_segment(
+                    source,
+                    *checksum,
+                    *tuple_count,
+                ))
             }
+            JournalRecord::Drop { .. } => None,
+        }
+        .transpose()
+        .map_err(store_err)?;
+        // Keep local segment numbering clear of replicated names, so a
+        // post-promotion bind never collides.
+        if let Some(n) = record.file().and_then(segment_number) {
+            self.next_segment = self.next_segment.max(n);
         }
         self.commit(record.clone())?;
-        shared.update_stamped(record.generation(), |catalog| match record {
-            JournalRecord::Bind { name, file, .. } => {
-                catalog.attach_stored(name.as_str(), self.dir.join(file))
+        shared.update_stamped(record.generation(), |catalog| {
+            match segment {
+                Some(segment) => {
+                    let stored =
+                        StoredRelation::from_segment(Arc::new(segment), Arc::clone(&catalog.pool));
+                    catalog.attach(record.name(), stored);
+                }
+                None => {
+                    catalog.deregister(record.name());
+                }
             }
-            JournalRecord::Drop { name, .. } => {
-                catalog.deregister(name);
-                Ok(())
-            }
+            Ok(())
         })
     }
 
     /// Install a full durable state on a **follower** too far behind
-    /// for record replay: verify that every entry's segment is present
-    /// (entries newer than the follower's cursor were just staged by
-    /// the sender; older ones are byte-identical survivors of the
-    /// shared history), swap the manifest — write-temp → fsync →
-    /// rename, the checkpoint primitive — and truncate the journal,
-    /// then publish it ([`DurableCatalog::reconcile`]: one swap that
-    /// drops the bindings the snapshot no longer has and attaches the
-    /// new set).
+    /// for record replay: fold out this directory's own inline
+    /// segments the snapshot keeps (they have no file yet), verify
+    /// that every entry's segment is present (entries newer than the
+    /// follower's cursor were just staged by the sender; older ones
+    /// are byte-identical survivors of the shared history), swap the
+    /// manifest — write-temp → fsync → rename, the checkpoint
+    /// primitive — and truncate the journal, then publish it
+    /// ([`DurableCatalog::reconcile`]: one swap that drops the
+    /// bindings the snapshot no longer has and attaches the new set).
     /// A crash at any point leaves either the old complete state or
     /// the new one, never a mix; that atomicity is why resync is a
     /// manifest swap rather than a journal replay.
@@ -442,8 +547,8 @@ impl DurableCatalog {
     /// # Errors
     /// [`QueryError::Execution`] when `generation` does not advance
     /// the applied one, a segment is missing or fails verification,
-    /// or the manifest swap fails. The previous state remains intact
-    /// and nothing is published.
+    /// or the fold-out or manifest swap fails. The previous state
+    /// remains intact and nothing is published.
     pub fn install(
         &mut self,
         shared: &SharedCatalog,
@@ -451,11 +556,18 @@ impl DurableCatalog {
         entries: Vec<ManifestEntry>,
     ) -> Result<(), QueryError> {
         self.must_advance("snapshot", generation)?;
+        let kept: Vec<(&str, &[u8])> = entries
+            .iter()
+            .filter_map(|e| {
+                let local = self.entries.get(&e.name).filter(|l| l.file == e.file)?;
+                Some((local.file.as_str(), &self.inline.get(&e.name)?[..]))
+            })
+            .collect();
+        self.fold_out(&kept)?;
         for entry in &entries {
             if entry.format_version >= 3 {
                 evirel_store::verify_segment(
-                    &self.dir,
-                    &entry.file,
+                    self.dir.join(&entry.file),
                     entry.checksum,
                     entry.tuple_count,
                 )
@@ -481,11 +593,12 @@ impl DurableCatalog {
             .into_iter()
             .map(|e| (e.name.clone(), e))
             .collect();
+        self.inline.clear();
         self.committed_generation = generation;
         self.checkpoints += 1;
         self.retained.clear();
         self.retained_floor = generation;
-        self.next_segment = next_segment_number(&self.dir);
+        self.next_segment = self.next_segment.max(next_segment_number(&self.dir));
         self.publish_state();
         self.reconcile(shared)
     }
@@ -530,20 +643,34 @@ impl DurableCatalog {
                 catalog.deregister(&name);
             }
             for entry in self.entries.values() {
-                catalog.attach_stored(entry.name.as_str(), self.dir.join(&entry.file))?;
+                let source = source_of(&self.dir, &self.inline, entry);
+                catalog.attach_stored(entry.name.as_str(), SegmentHandle::new(source, None))?;
             }
             Ok(())
         })
     }
 
-    /// The durable half of [`DurableCatalog::bind`]: write a fresh
-    /// segment (atomic temp + fsync + rename), then journal + fsync
-    /// `{name, file, checksum, generation}`. Must run inside a
-    /// [`SharedCatalog::update_at`] closure with the generation it
-    /// received. Public only so a harness can time the durable step
-    /// apart from the publish; everything that serves calls `bind`.
+    /// Where durable binding `name`'s segment is: the bytes its inline
+    /// journal record carries, or its file in the data directory.
+    pub fn segment(&self, name: &str) -> Option<SegmentSource> {
+        let entry = self.entries.get(name)?;
+        Some(source_of(&self.dir, &self.inline, entry))
+    }
+
+    /// The durable half of [`DurableCatalog::bind`]: encode `rel` as a
+    /// v3 segment under the next `seg-NNNNNN.evb` name, then journal +
+    /// fsync the binding. A segment of at most
+    /// [`evirel_store::INLINE_SEGMENT_MAX`] bytes never touches a file:
+    /// it travels inside its journal record, whose fsync is the bind's
+    /// only one. A larger one is written to its file first (atomic
+    /// temp + fsync + rename + directory fsync) and the record names
+    /// it. Must run inside a [`SharedCatalog::update_at`] closure with
+    /// the generation it received. Public only so a harness can time
+    /// the durable step apart from the publish; everything that serves
+    /// calls `bind`.
     ///
-    /// Returns the segment path.
+    /// Returns the segment as made durable, with the schema it was
+    /// encoded from, for [`Catalog::attach_stored`].
     ///
     /// # Errors
     /// [`QueryError::Execution`] wrapping the store error.
@@ -552,34 +679,75 @@ impl DurableCatalog {
         name: &str,
         rel: &evirel_relation::ExtendedRelation,
         generation: u64,
-    ) -> Result<PathBuf, QueryError> {
+    ) -> Result<SegmentHandle, QueryError> {
         self.next_segment += 1;
         let file = format!("seg-{:06}.evb", self.next_segment);
-        let path = self.dir.join(&file);
-        let meta = evirel_store::write_segment_meta(rel, &path, evirel_store::DEFAULT_PAGE_SIZE)
-            .map_err(store_err)?;
-        if let Some(m) = &self.metrics {
-            m.segment_bytes
-                .add(std::fs::metadata(&meta.path).map_or(0, |f| f.len()));
+        let mut writer = SegmentWriter::create(
+            self.dir.join(&file),
+            rel.schema(),
+            evirel_store::DEFAULT_PAGE_SIZE,
+        )
+        .map_err(store_err)?;
+        for tuple in rel.iter() {
+            writer.append(tuple).map_err(store_err)?;
         }
-        self.commit(JournalRecord::Bind {
-            name: name.to_owned(),
-            file,
-            format_version: 3,
-            checksum: meta.checksum,
-            tuple_count: meta.tuple_count,
-            generation,
-        })?;
-        Ok(path)
+        let name = name.to_owned();
+        let (record, segment) = match writer.finish_inline().map_err(store_err)? {
+            Finished::Inline {
+                bytes,
+                checksum,
+                tuple_count,
+            } => (
+                JournalRecord::BindInline {
+                    name,
+                    file,
+                    checksum,
+                    tuple_count,
+                    generation,
+                    segment: InlineSegment::Bytes(Arc::clone(&bytes)),
+                },
+                SegmentSource::Bytes(bytes),
+            ),
+            Finished::File(meta) => {
+                if let Some(m) = &self.metrics {
+                    m.segment_bytes.add(meta.bytes);
+                }
+                (
+                    JournalRecord::Bind {
+                        name,
+                        file,
+                        format_version: 3,
+                        checksum: meta.checksum,
+                        tuple_count: meta.tuple_count,
+                        generation,
+                    },
+                    SegmentSource::File(meta.path),
+                )
+            }
+        };
+        self.commit(record)?;
+        Ok(SegmentHandle::new(segment, Some(Arc::clone(rel.schema()))))
     }
 
-    /// Checkpoint: write the manifest from the current durable
-    /// binding set, truncate the journal, GC unreferenced segments.
+    /// Write `segments` — inline bytes under their reserved names — to
+    /// their files ([`SegmentWriter::fold_out`]), counting the bytes.
+    fn fold_out(&self, segments: &[(&str, &[u8])]) -> Result<(), QueryError> {
+        let written = SegmentWriter::fold_out(&self.dir, segments).map_err(store_err)?;
+        if let Some(m) = &self.metrics {
+            m.segment_bytes.add(written);
+        }
+        Ok(())
+    }
+
+    /// Checkpoint: fold every live inline segment out to its file,
+    /// write the manifest from the current durable binding set,
+    /// truncate the journal, GC unreferenced segments.
     ///
     /// The retained replication window is dropped with the journal:
     /// the GC may have deleted segment files that superseded `Bind`
-    /// records reference, so offering those records to a lagging
-    /// follower would stream dangling file names forever. Raising
+    /// records reference, and the journal no longer holds the bytes
+    /// of the inline binds, so offering those records to a lagging
+    /// follower would stream dangling names forever. Raising
     /// the retained floor to the checkpointed generation instead
     /// routes any follower still below it onto the resync path (a
     /// follower already at the floor keeps tailing — its next plan is
@@ -594,10 +762,17 @@ impl DurableCatalog {
             entries: self.entries.values().cloned().collect(),
         };
         let started = Instant::now();
+        let live: Vec<(&str, &[u8])> = self
+            .inline
+            .iter()
+            .map(|(name, bytes)| (self.entries[name].file.as_str(), &bytes[..]))
+            .collect();
+        self.fold_out(&live)?;
         let outcome = checkpoint(&self.dir, &manifest, &mut self.journal).map_err(store_err)?;
         if let Some(m) = &self.metrics {
             m.checkpoint.observe(started.elapsed());
         }
+        self.inline.clear();
         self.checkpoints += 1;
         self.retained.clear();
         self.retained_floor = self.committed_generation;
@@ -629,6 +804,11 @@ impl DurableCatalog {
         StreamPlan::Resync {
             generation: self.committed_generation,
             entries: self.entries.values().cloned().collect(),
+            inline: self
+                .inline
+                .iter()
+                .map(|(name, bytes)| (self.entries[name].file.clone(), Arc::clone(bytes)))
+                .collect(),
         }
     }
 
@@ -678,35 +858,52 @@ impl DurableCatalog {
     }
 }
 
+/// Where `entry`'s segment is: its inline bytes, else its file.
+fn source_of(
+    dir: &Path,
+    inline: &BTreeMap<String, Arc<[u8]>>,
+    entry: &ManifestEntry,
+) -> SegmentSource {
+    match inline.get(&entry.name) {
+        Some(bytes) => SegmentSource::Bytes(Arc::clone(bytes)),
+        None => SegmentSource::File(dir.join(&entry.file)),
+    }
+}
+
 /// Fold one journal record into a durable binding set — the one
 /// definition of what a record means, shared by recovery's replay and
 /// the live commit.
 fn fold(entries: &mut BTreeMap<String, ManifestEntry>, record: &JournalRecord) {
-    match record {
+    let (file, format_version, checksum, tuple_count) = match record {
         JournalRecord::Bind {
-            name,
             file,
             format_version,
             checksum,
             tuple_count,
-            generation,
-        } => {
-            entries.insert(
-                name.clone(),
-                ManifestEntry {
-                    name: name.clone(),
-                    file: file.clone(),
-                    format_version: *format_version,
-                    checksum: *checksum,
-                    tuple_count: *tuple_count,
-                    generation: *generation,
-                },
-            );
-        }
+            ..
+        } => (file, *format_version, *checksum, *tuple_count),
+        JournalRecord::BindInline {
+            file,
+            checksum,
+            tuple_count,
+            ..
+        } => (file, 3, *checksum, *tuple_count),
         JournalRecord::Drop { name, .. } => {
             entries.remove(name);
+            return;
         }
-    }
+    };
+    entries.insert(
+        record.name().to_owned(),
+        ManifestEntry {
+            name: record.name().to_owned(),
+            file: file.clone(),
+            format_version,
+            checksum,
+            tuple_count,
+            generation: record.generation(),
+        },
+    );
 }
 
 /// Keep the newest `cap` retained records; the floor rises to the
@@ -773,6 +970,18 @@ mod tests {
         names(&DurableCatalog::open(dir).unwrap().1)
     }
 
+    /// A relation whose segment is past `INLINE_SEGMENT_MAX`: bound as
+    /// a file.
+    fn large() -> evirel_relation::ExtendedRelation {
+        use evirel_workload::generator::{generate, GeneratorConfig};
+        let config = GeneratorConfig {
+            tuples: 1500,
+            seed: 3,
+            ..GeneratorConfig::default()
+        };
+        generate("G", &config).unwrap()
+    }
+
     #[test]
     fn a_failed_write_path_operation_publishes_nothing() {
         let root = std::env::temp_dir().join(format!("evirel-durable-test-{}", std::process::id()));
@@ -783,81 +992,111 @@ mod tests {
             (dir, durable, SharedCatalog::new(recovered))
         };
         let rb = restaurant_db_b().restaurants;
-        let only_a = vec!["a".to_owned()];
-        let a_and_b = vec!["a".to_owned(), "b".to_owned()];
+        let big = large();
+        let set = |names: &[&str]| names.iter().map(|n| (*n).to_owned()).collect::<Vec<_>>();
 
-        // A primary whose history is bind a (1), bind b (2), and a way
-        // to make nodes that published `a` at generation 1 by applying
-        // record 1 (every segment already shipped).
+        // A primary whose history is bind a (1, inline), bind b (2,
+        // inline), bind big (3, a file), and a way to make nodes that
+        // published `a` at generation 1 by applying record 1 — the
+        // records as a sender ships them, inline bytes read back.
         let (pdir, mut primary, pshared) = node("primary");
         let ra = restaurant_db_a().restaurants;
         primary.bind(&pshared, "a", &ra).unwrap();
         primary.bind(&pshared, "b", &rb).unwrap();
+        primary.bind(&pshared, "big", &big).unwrap();
         let StreamPlan::Tail(records) = primary.stream_plan(0) else {
             panic!("an uncheckpointed primary tails");
         };
+        let records: Vec<JournalRecord> =
+            records.iter().map(|r| r.loaded(&pdir).unwrap()).collect();
+        assert!(matches!(records[1], JournalRecord::BindInline { .. }));
+        let JournalRecord::Bind { file: big_file, .. } = &records[2] else {
+            panic!("a segment past the inline limit is bound as a file");
+        };
         let replica = |label: &str| {
             let (dir, mut durable, shared) = node(label);
-            for entry in primary.entries() {
-                std::fs::copy(pdir.join(&entry.file), dir.join(&entry.file)).unwrap();
-            }
             durable.apply_record(&shared, &records[0]).unwrap();
             (dir, durable, shared)
         };
 
-        // bind and install die before their commit point (the segment
-        // fsync precedes the journal record, the manifest temp file's
-        // fsync precedes its rename): recovery is the last publish.
-        let (dir, durable, shared) = replica("bind");
+        // A small bind's one fsync is the journal's, its commit point:
+        // the record's bytes were written before it, so a process
+        // killed there recovers the whole record (never a torn one),
+        // as for unbind and apply_record — and still nothing was
+        // published before the kill.
+        let (dir, durable, shared) = replica("bind-small");
         let recovered = killed_at_first_fsync((&dir, durable, &shared), |d, s| {
             d.bind(s, "b", &rb).map(|_| ())
         });
-        assert_eq!(recovered, only_a);
+        assert_eq!(recovered, set(&["a", "b"]));
 
-        // unbind and apply_record have one fsync — the journal's, their
-        // commit point. The record's bytes were written before it, so a
-        // process killed there recovers the whole record (never a torn
-        // one), and still nothing was published before the kill.
+        // A large bind and install die before their commit point (the
+        // segment file's fsync precedes the journal record; install's
+        // fold-out and the manifest temp file's fsync precede its
+        // rename): recovery is the last publish.
+        let (dir, durable, shared) = replica("bind-large");
+        let recovered = killed_at_first_fsync((&dir, durable, &shared), |d, s| {
+            d.bind(s, "big", &big).map(|_| ())
+        });
+        assert_eq!(recovered, set(&["a"]));
+
         let (dir, durable, shared) = replica("unbind");
         let recovered = killed_at_first_fsync((&dir, durable, &shared), |d, s| {
             d.unbind(s, "a").map(|_| ())
         });
-        assert_eq!(recovered, Vec::<String>::new());
+        assert_eq!(recovered, set(&[]));
 
-        let (fdir, durable, fshared) = replica("apply");
-        let recovered = killed_at_first_fsync((&fdir, durable, &fshared), |d, s| {
+        let (dir, durable, shared) = replica("apply-small");
+        let recovered = killed_at_first_fsync((&dir, durable, &shared), |d, s| {
             d.apply_record(s, &records[1])
         });
-        assert_eq!(recovered, a_and_b);
+        assert_eq!(recovered, set(&["a", "b"]));
+
+        // A large record's segment file was staged before its REC.
+        let (fdir, durable, fshared) = replica("apply-large");
+        std::fs::copy(pdir.join(big_file), fdir.join(big_file)).unwrap();
+        let recovered = killed_at_first_fsync((&fdir, durable, &fshared), |d, s| {
+            d.apply_record(s, &records[2])
+        });
+        assert_eq!(recovered, set(&["a", "big"]));
 
         let (dir, durable, shared) = replica("install");
         primary.checkpoint().unwrap();
         let StreamPlan::Resync {
             generation,
             entries,
+            inline,
         } = primary.stream_plan(1)
         else {
             panic!("a cursor below the checkpoint floor resyncs");
         };
+        assert!(
+            inline.is_empty(),
+            "a checkpoint folds every inline segment out"
+        );
+        for entry in entries.iter().filter(|e| e.generation > 1) {
+            std::fs::copy(pdir.join(&entry.file), dir.join(&entry.file)).unwrap();
+        }
         let recovered = killed_at_first_fsync((&dir, durable, &shared), |d, s| {
             d.install(s, generation, entries)
         });
-        assert_eq!(recovered, only_a);
+        assert_eq!(recovered, set(&["a"]));
 
-        // The killed apply left its directory ahead of what `fshared`
-        // serves — the skew reconcile repairs. It performs no durable
-        // write, so its one failure is an unreadable segment.
+        // The killed large apply left its directory ahead of what
+        // `fshared` serves — the skew reconcile repairs. It performs
+        // no durable write, so its one failure is an unreadable
+        // segment.
         let (durable, _) = DurableCatalog::open(&fdir).unwrap();
-        let segment = fdir.join(&durable.entries["b"].file);
+        let segment = fdir.join(big_file);
         let hidden = fdir.join("hidden");
         std::fs::rename(&segment, &hidden).unwrap();
         durable
             .reconcile(&fshared)
             .expect_err("a missing segment fails");
-        assert_eq!(published(&fshared), (1, only_a));
+        assert_eq!(published(&fshared), (1, set(&["a"])));
         std::fs::rename(&hidden, &segment).unwrap();
         durable.reconcile(&fshared).unwrap();
-        assert_eq!(published(&fshared), (2, a_and_b));
+        assert_eq!(published(&fshared), (3, set(&["a", "big"])));
 
         std::fs::remove_dir_all(&root).ok();
     }
@@ -887,6 +1126,7 @@ mod tests {
             let StreamPlan::Resync {
                 generation,
                 entries,
+                ..
             } = durable.stream_plan(0)
             else {
                 panic!("a cursor below the floor resyncs");

@@ -53,7 +53,7 @@ pub mod prepare;
 pub mod session;
 pub mod snapshot;
 
-pub use catalog::Catalog;
+pub use catalog::{Catalog, SegmentHandle};
 pub use durable::{
     DurabilityStats, DurableCatalog, DurableMetrics, StreamPlan, RETAINED_RECORDS_CAP,
 };

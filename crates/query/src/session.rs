@@ -412,11 +412,11 @@ impl Session {
     }
 }
 
-/// Register the query-level collectors — plan cache and buffer pool /
-/// catalog generation — into `metrics`. Both the `evirel-serve`
-/// server (per-server registry) and the `eql` REPL (process-global
-/// registry) call this, so `STATS`, `METRICS`, `\cache` and `\pool`
-/// all read the same series names.
+/// Register the query-level collectors — plan cache, buffer pool /
+/// catalog generation, and the store's process-wide fsync count — into
+/// `metrics`. Both the `evirel-serve` server (per-server registry) and
+/// the `eql` REPL (process-global registry) call this, so `STATS`,
+/// `METRICS`, `\cache` and `\pool` all read the same series names.
 ///
 /// The closures capture only the narrow `Arc`s passed in — safe to
 /// call with a registry owned by a struct that also owns these Arcs
@@ -479,7 +479,13 @@ pub fn register_query_collectors(
         );
         let bytes = metrics.gauge("evirel_store_pool_cached_bytes", "Bytes cached", &[]);
         let pages = metrics.gauge("evirel_store_pool_cached_pages", "Pages cached", &[]);
+        let fsyncs = metrics.counter(
+            "evirel_store_fsyncs_total",
+            "File and directory fsyncs issued by the durability layer, process-wide",
+            &[],
+        );
         metrics.register_collector("store.pool", move || {
+            fsyncs.set_at_least(evirel_store::failpoint::fsyncs_total());
             let snapshot = catalog.pin();
             generation.set(snapshot.generation());
             let s = snapshot.catalog().pool.stats();

@@ -41,12 +41,22 @@ enum Op {
     Restart,
 }
 
+/// Tuples of a large bind: its segment is past the inline limit, so
+/// it is written as a file (`recovered_bindings_are_queryable_and_gc_prunes`
+/// pins this).
+const LARGE: usize = 1200;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..40, 1usize..10).prop_map(|(seed, tuples)| Op::Bind {
             name: format!("r{}", seed % 4),
             seed,
             tuples,
+        }),
+        (0u64..40).prop_map(|seed| Op::Bind {
+            name: format!("r{}", seed % 4),
+            seed,
+            tuples: LARGE,
         }),
         (0u64..40, 2usize..12).prop_map(|(seed, tuples)| Op::Bind {
             name: format!("r{}", seed % 4),
@@ -220,28 +230,34 @@ fn open_bind_checkpoint_reopen_roundtrip() {
 }
 
 /// A recovered stored binding is queryable through the normal session
-/// path, and checkpoint GC leaves exactly the referenced segments.
+/// path, and checkpoint GC leaves exactly the referenced segments: two
+/// large binds leave files the third, small, bind supersedes; the
+/// checkpoint folds that one out to its file and removes the two.
 #[test]
 fn recovered_bindings_are_queryable_and_gc_prunes() {
     let dir = fresh_dir("query");
+    let evb_files = || -> Vec<String> {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter_map(|e| e.file_name().to_str().map(str::to_owned))
+            .filter(|n| n.ends_with(".evb"))
+            .collect()
+    };
     {
         let (mut durable, recovered) = DurableCatalog::open(&dir).unwrap();
         let shared = SharedCatalog::with_generation(recovered, 0);
-        // Rebind the same name three times: two segments become
+        // Rebind the same name three times: two segment files become
         // garbage for the checkpoint to collect.
-        for seed in [1u64, 2, 3] {
-            durable.bind(&shared, "g", &rel(seed, 5)).unwrap();
+        for (seed, tuples) in [(1u64, LARGE), (2, LARGE), (3, 5)] {
+            durable.bind(&shared, "g", &rel(seed, tuples)).unwrap();
         }
+        assert_eq!(evb_files().len(), 2, "the small bind wrote no file");
         let outcome = durable.checkpoint().unwrap();
         assert_eq!(outcome.files_removed, 2, "two superseded segments GC'd");
     }
     let (_durable, catalog) = DurableCatalog::open(&dir).unwrap();
-    let segs: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .filter_map(|e| e.file_name().to_str().map(str::to_owned))
-        .filter(|n| n.ends_with(".evb"))
-        .collect();
+    let segs = evb_files();
     assert_eq!(segs.len(), 1, "exactly the live segment survives: {segs:?}");
     let got = evirel_query::execute(&catalog, "SELECT * FROM g WITH SN > 0").unwrap();
     let want = evirel_query::execute(
@@ -254,5 +270,76 @@ fn recovered_bindings_are_queryable_and_gc_prunes() {
     )
     .unwrap();
     assert!(got.approx_eq(&want));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory in the one-file-per-bind layout — a segment file per
+/// binding, a version-1 journal of `Bind` records naming them, as a
+/// build without inline binds leaves it — recovers tuple for tuple,
+/// takes small binds on top, and recovers again.
+#[test]
+fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
+    use evirel_store::{Journal, JournalRecord, JOURNAL_FILE};
+    let dir = fresh_dir("file-layout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut journal, _) = Journal::open_or_create(&dir).unwrap();
+    for (generation, (name, seed)) in [("ra", 7u64), ("rb", 9), ("ra", 11)]
+        .into_iter()
+        .enumerate()
+    {
+        let file = format!("seg-{:06}.evb", generation + 1);
+        let meta = evirel_store::write_segment_meta(
+            &rel(seed, 6),
+            dir.join(&file),
+            evirel_store::DEFAULT_PAGE_SIZE,
+        )
+        .unwrap();
+        journal
+            .append(&JournalRecord::Bind {
+                name: name.to_owned(),
+                file,
+                format_version: 3,
+                checksum: meta.checksum,
+                tuple_count: meta.tuple_count,
+                generation: generation as u64 + 1,
+            })
+            .unwrap();
+    }
+    drop(journal);
+    let path = dir.join(JOURNAL_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut oracle = Catalog::new();
+    oracle.register("ra", rel(11, 6));
+    oracle.register("rb", rel(9, 6));
+    let check = |oracle: &Catalog, durable: &DurableCatalog, catalog: &Catalog, generation| {
+        assert_eq!(durable.recovered_generation(), generation);
+        assert_eq!(catalog.names(), oracle.names());
+        for name in oracle.names() {
+            let want = oracle.materialize(name).unwrap();
+            assert_rel_eq(name, &want, &catalog.materialize(name).unwrap());
+        }
+    };
+    let (mut durable, catalog) = DurableCatalog::open(&dir).unwrap();
+    check(&oracle, &durable, &catalog, 3);
+
+    let shared = SharedCatalog::with_generation(catalog, 3);
+    durable.bind(&shared, "rc", &rel(13, 4)).unwrap();
+    durable.bind(&shared, "ra", &rel(15, 5)).unwrap();
+    assert!(matches!(
+        durable.segment("ra"),
+        Some(evirel_store::SegmentSource::Bytes(_))
+    ));
+    assert!(
+        !dir.join("seg-000005.evb").exists(),
+        "a small bind reserves its name and writes no file"
+    );
+    drop(durable);
+    oracle.register("rc", rel(13, 4));
+    oracle.register("ra", rel(15, 5));
+    let (durable, catalog) = DurableCatalog::open(&dir).unwrap();
+    check(&oracle, &durable, &catalog, 5);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,12 +11,16 @@
 //! drives [`DurableCatalog::stream_plan`] on the primary and
 //! [`DurableCatalog::apply_record`] / [`DurableCatalog::install`] on
 //! the follower — the functions `evirel-serve`'s replication module
-//! calls. The socket framing, torn-frame, and kill-mid-apply variants
-//! live in the serve crate's `replication_faults` suite.
+//! calls — over scripts that mix small binds (their segment inside
+//! the journal record) and large ones (a segment file). The socket
+//! framing, torn-frame, and kill-mid-apply variants live in the serve
+//! crate's `replication_faults` suite; here a follower is also killed
+//! at every byte of an inline record's apply.
 
 use evirel_query::{DurableCatalog, SharedCatalog, StreamPlan};
 use evirel_relation::ExtendedRelation;
-use evirel_store::JournalRecord;
+use evirel_store::failpoint::FailpointFs;
+use evirel_store::{JournalRecord, SegmentSource};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -46,9 +50,13 @@ enum Op {
     Checkpoint,
 }
 
+/// Tuples of a large bind: its segment is past the inline limit.
+const LARGE: usize = 1200;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     // The vendored prop_oneof! is unweighted; bias toward binds by
-    // listing the strategy twice.
+    // listing the strategy twice, and toward small ones by listing
+    // the large bind once.
     prop_oneof![
         (0u64..40, 1usize..10).prop_map(|(seed, tuples)| Op::Bind {
             name: format!("r{}", seed % 4),
@@ -59,6 +67,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             name: format!("r{}", seed % 4),
             seed,
             tuples,
+        }),
+        (0u64..40).prop_map(|seed| Op::Bind {
+            name: format!("r{}", seed % 4),
+            seed,
+            tuples: LARGE,
         }),
         (0u64..4).prop_map(|n| Op::Drop {
             name: format!("r{n}")
@@ -110,14 +123,16 @@ impl Follower {
         Follower::open(dir)
     }
 
-    /// Ship the record's segment, then apply it through the write
-    /// path.
+    /// Ship the record's segment — a file bind's file, an inline
+    /// bind's bytes read back from the primary's journal, as a sender
+    /// does — then apply it through the write path.
     fn apply(&mut self, primary_dir: &Path, record: &JournalRecord) {
         if let JournalRecord::Bind { file, .. } = record {
             std::fs::copy(primary_dir.join(file), self.dir.join(file)).expect("segment ships");
         }
+        let record = record.loaded(primary_dir).expect("inline bytes read back");
         self.durable
-            .apply_record(&self.shared, record)
+            .apply_record(&self.shared, &record)
             .expect("replicated record applies and publishes");
     }
 
@@ -136,11 +151,16 @@ impl Follower {
             StreamPlan::Resync {
                 generation,
                 entries,
+                inline,
             } => {
-                for entry in &entries {
-                    if entry.generation > cursor {
-                        std::fs::copy(primary_dir.join(&entry.file), self.dir.join(&entry.file))
-                            .expect("resync segment ships");
+                for entry in entries.iter().filter(|e| e.generation > cursor) {
+                    let to = self.dir.join(&entry.file);
+                    match inline.get(&entry.file) {
+                        Some(bytes) => std::fs::write(to, bytes).expect("resync segment ships"),
+                        None => {
+                            std::fs::copy(primary_dir.join(&entry.file), to)
+                                .expect("resync segment ships");
+                        }
                     }
                 }
                 self.durable
@@ -151,15 +171,18 @@ impl Follower {
     }
 }
 
+/// The bytes of durable binding `name`'s segment, inline or a file.
+fn segment_bytes(durable: &DurableCatalog, name: &str) -> Vec<u8> {
+    match durable.segment(name).expect("a durable binding") {
+        SegmentSource::Bytes(bytes) => bytes.to_vec(),
+        SegmentSource::File(path) => std::fs::read(path).expect("segment reads"),
+    }
+}
+
 /// Bit-for-bit equality of primary and follower: committed
 /// generation, manifest entries, raw segment bytes, published
 /// catalog generation, and materialized tuples.
-fn assert_converged(
-    primary: &DurableCatalog,
-    primary_dir: &Path,
-    primary_shared: &SharedCatalog,
-    follower: &Follower,
-) {
+fn assert_converged(primary: &DurableCatalog, primary_shared: &SharedCatalog, follower: &Follower) {
     assert_eq!(
         follower.durable.committed_generation(),
         primary.committed_generation(),
@@ -169,9 +192,9 @@ fn assert_converged(
     let f_entries: Vec<_> = follower.durable.entries().cloned().collect();
     assert_eq!(p_entries, f_entries, "manifest entries diverge");
     for entry in &p_entries {
-        let want = std::fs::read(primary_dir.join(&entry.file)).expect("primary segment reads");
-        let got = std::fs::read(follower.dir.join(&entry.file)).expect("follower segment reads");
-        assert_eq!(want, got, "segment {} bytes diverge", entry.file);
+        let want = segment_bytes(primary, &entry.name);
+        let got = segment_bytes(&follower.durable, &entry.name);
+        assert!(want == got, "segment {} bytes diverge", entry.file);
     }
     assert_eq!(
         follower.shared.generation(),
@@ -252,14 +275,14 @@ proptest! {
             if sync_bits >> (i % 10) & 1 == 1 {
                 let f = follower.as_mut().unwrap();
                 f.sync(&primary, &pdir, None);
-                assert_converged(&primary, &pdir, &primary_shared, f);
+                assert_converged(&primary, &primary_shared, f);
             }
         }
 
         // Whatever the cadence left behind, one final round converges.
         let f = follower.as_mut().unwrap();
         f.sync(&primary, &pdir, None);
-        assert_converged(&primary, &pdir, &primary_shared, f);
+        assert_converged(&primary, &primary_shared, f);
 
         std::fs::remove_dir_all(&pdir).ok();
         std::fs::remove_dir_all(follower.unwrap().dir).ok();
@@ -288,17 +311,80 @@ fn checkpoint_floor_forces_resync_then_tailing_resumes() {
         "a cursor below the checkpoint floor must resync"
     );
     follower.sync(&primary, &pdir, None);
-    assert_converged(&primary, &pdir, &primary_shared, &follower);
+    assert_converged(&primary, &primary_shared, &follower);
 
-    // Post-resync the follower tails.
+    // Post-resync the follower tails: a small bind inline, a large
+    // one (a file, shipped before its record).
     primary.bind(&primary_shared, "c", &rel(9, 6)).unwrap();
+    primary.bind(&primary_shared, "d", &rel(9, LARGE)).unwrap();
+    assert!(matches!(
+        primary.segment("c"),
+        Some(SegmentSource::Bytes(_))
+    ));
+    assert!(matches!(primary.segment("d"), Some(SegmentSource::File(_))));
     assert!(matches!(
         primary.stream_plan(follower.durable.committed_generation()),
         StreamPlan::Tail(_)
     ));
     follower.sync(&primary, &pdir, None);
-    assert_converged(&primary, &pdir, &primary_shared, &follower);
+    assert_converged(&primary, &primary_shared, &follower);
 
     std::fs::remove_dir_all(&pdir).ok();
     std::fs::remove_dir_all(&follower.dir).ok();
+}
+
+/// A follower killed at every byte of an inline record's apply — every
+/// prefix of its one journal append, then its fsync — recovers either
+/// without the record or with all of it, never a torn one, and the
+/// next round converges.
+#[test]
+fn a_follower_killed_at_every_byte_of_an_inline_apply_converges() {
+    let pdir = fresh_dir("bytes-p");
+    let (mut primary, recovered) = DurableCatalog::open(&pdir).unwrap();
+    let primary_shared = SharedCatalog::with_generation(recovered, 0);
+    primary.bind(&primary_shared, "a", &rel(1, 3)).unwrap();
+    primary.bind(&primary_shared, "b", &rel(2, 1)).unwrap();
+    let StreamPlan::Tail(records) = primary.stream_plan(0) else {
+        panic!("an uncheckpointed primary tails");
+    };
+    let inline = records[1].loaded(&pdir).unwrap();
+    assert!(matches!(inline, JournalRecord::BindInline { .. }));
+
+    let units = {
+        let mut follower = Follower::open(fresh_dir("bytes-observe"));
+        follower.apply(&pdir, &records[0]);
+        let fp = FailpointFs::observe();
+        follower.apply(&pdir, &records[1]);
+        let (units, fsyncs) = (fp.units(), fp.fsyncs());
+        drop(fp);
+        assert_eq!(fsyncs, 1, "an inline apply's one fsync is the journal's");
+        std::fs::remove_dir_all(&follower.dir).ok();
+        units
+    };
+    for kill_at in 0..units {
+        let mut follower = Follower::open(fresh_dir("bytes-f"));
+        follower.apply(&pdir, &records[0]);
+        {
+            let _fp = FailpointFs::kill_after(kill_at);
+            follower
+                .durable
+                .apply_record(&follower.shared, &inline)
+                .expect_err("the killed apply fails");
+        }
+        assert_eq!(
+            follower.shared.generation(),
+            1,
+            "kill at {kill_at}: published"
+        );
+        let mut follower = follower.crash_and_reopen();
+        let applied = follower.durable.committed_generation();
+        assert!(
+            applied == 1 || applied == 2,
+            "kill at {kill_at}: applied {applied}"
+        );
+        follower.sync(&primary, &pdir, None);
+        assert_converged(&primary, &primary_shared, &follower);
+        std::fs::remove_dir_all(&follower.dir).ok();
+    }
+    std::fs::remove_dir_all(&pdir).ok();
 }

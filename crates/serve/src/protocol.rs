@@ -517,11 +517,19 @@ pub const SEG_CHUNK_BYTES: usize = 1 << 20;
 /// ```text
 /// SEG <file> <offset> <total_len>\n<hex bytes>   one segment chunk
 /// REC BIND <name> <file> <fv> <crc> <tuples> <gen>   a journal record
+/// REC BIND <name> <file> 3 <crc> <tuples> <gen>\n<hex bytes>
+///                                                an inline bind
 /// REC DROP <name> <gen>
 /// SNAP <gen> <n>\n<n metadata lines>             full-state header
 /// SNAPEND <gen>                                  full-state commit
 /// GEN <gen>                                      idle heartbeat
 /// ```
+///
+/// A `REC BIND` with a body is an inline bind: the body is its whole
+/// v3 segment (at most `evirel_store::INLINE_SEGMENT_MAX` bytes,
+/// hex-encoded), which the follower verifies against `<crc>` and
+/// `<tuples>` and journals with the record — no `SEG` frame precedes
+/// it. Without a body the record names a file shipped by `SEG` frames.
 ///
 /// Ordering contract: every `SEG` chunk of a file precedes the `REC
 /// BIND` (or `SNAPEND`) that makes it live; `REC` generations are
@@ -541,7 +549,10 @@ pub enum StreamFrame {
         /// The raw bytes (decoded from hex).
         chunk: Vec<u8>,
     },
-    /// One journal record to apply (tail mode).
+    /// One journal record to apply (tail mode). An inline bind is sent
+    /// with its bytes: one still holding its journal position
+    /// ([`evirel_store::InlineSegment::At`]) has no wire form, and the
+    /// sender loads it first ([`evirel_store::JournalRecord::loaded`]).
     Rec(evirel_store::JournalRecord),
     /// Full-state transfer header: the complete durable entry set at
     /// `generation`. Segment payloads for entries the follower lacks
@@ -568,7 +579,7 @@ pub enum StreamFrame {
 impl StreamFrame {
     /// Encode as a frame payload.
     pub fn encode(&self) -> String {
-        use evirel_store::JournalRecord;
+        use evirel_store::{InlineSegment, JournalRecord};
         match self {
             StreamFrame::Seg {
                 file,
@@ -586,6 +597,24 @@ impl StreamFrame {
             }) => format!(
                 "REC BIND {name} {file} {format_version} {checksum} {tuple_count} {generation}"
             ),
+            StreamFrame::Rec(JournalRecord::BindInline {
+                name,
+                file,
+                checksum,
+                tuple_count,
+                generation,
+                segment,
+            }) => {
+                let mut out =
+                    format!("REC BIND {name} {file} 3 {checksum} {tuple_count} {generation}\n");
+                // A position has no bytes to send: without a body the
+                // follower looks for a file that is not there, and the
+                // record fails verification instead of binding.
+                if let InlineSegment::Bytes(bytes) = segment {
+                    out.push_str(&to_hex(bytes));
+                }
+                out
+            }
             StreamFrame::Rec(JournalRecord::Drop { name, generation }) => {
                 format!("REC DROP {name} {generation}")
             }
@@ -614,7 +643,7 @@ impl StreamFrame {
     /// a poisoned link: drop the connection and resume from its own
     /// applied generation.
     pub fn parse(payload: &str) -> Result<StreamFrame, String> {
-        use evirel_store::JournalRecord;
+        use evirel_store::{InlineSegment, JournalRecord};
         let (head, body) = match payload.split_once('\n') {
             Some((h, b)) => (h, b),
             None => (payload, ""),
@@ -633,14 +662,38 @@ impl StreamFrame {
                 }
             }
             "REC" => match words.next() {
-                Some("BIND") => StreamFrame::Rec(JournalRecord::Bind {
-                    name: identifier(words.next(), "REC BIND name")?,
-                    file: segment_file(words.next())?,
-                    format_version: num(words.next(), "REC BIND format version")? as u16,
-                    checksum: num(words.next(), "REC BIND checksum")? as u32,
-                    tuple_count: num(words.next(), "REC BIND tuple count")?,
-                    generation: num(words.next(), "REC BIND generation")?,
-                }),
+                Some("BIND") => {
+                    let name = identifier(words.next(), "REC BIND name")?;
+                    let file = segment_file(words.next())?;
+                    let format_version = num(words.next(), "REC BIND format version")? as u16;
+                    let checksum = num(words.next(), "REC BIND checksum")? as u32;
+                    let tuple_count = num(words.next(), "REC BIND tuple count")?;
+                    let generation = num(words.next(), "REC BIND generation")?;
+                    if body.is_empty() {
+                        StreamFrame::Rec(JournalRecord::Bind {
+                            name,
+                            file,
+                            format_version,
+                            checksum,
+                            tuple_count,
+                            generation,
+                        })
+                    } else if format_version != 3 {
+                        return Err(format!(
+                            "an inline REC BIND carries a v3 segment, not format version \
+                             {format_version}"
+                        ));
+                    } else {
+                        StreamFrame::Rec(JournalRecord::BindInline {
+                            name,
+                            file,
+                            checksum,
+                            tuple_count,
+                            generation,
+                            segment: InlineSegment::Bytes(from_hex(body)?.into()),
+                        })
+                    }
+                }
                 Some("DROP") => StreamFrame::Rec(JournalRecord::Drop {
                     name: identifier(words.next(), "REC DROP name")?,
                     generation: num(words.next(), "REC DROP generation")?,
@@ -999,7 +1052,7 @@ mod tests {
 
     #[test]
     fn stream_frames_round_trip() {
-        use evirel_store::{JournalRecord, ManifestEntry};
+        use evirel_store::{InlineSegment, JournalRecord, ManifestEntry};
         for frame in [
             StreamFrame::Seg {
                 file: "seg-000007.evb".into(),
@@ -1024,6 +1077,14 @@ mod tests {
             StreamFrame::Rec(JournalRecord::Drop {
                 name: "m3".into(),
                 generation: 8,
+            }),
+            StreamFrame::Rec(JournalRecord::BindInline {
+                name: "m4".into(),
+                file: "seg-000009.evb".into(),
+                checksum: 0x0BAD_F00D,
+                tuple_count: 6,
+                generation: 9,
+                segment: InlineSegment::Bytes(vec![0, 1, 0xfe, 0xff, 0x45].into()),
             }),
             StreamFrame::Snap {
                 generation: 12,
@@ -1074,6 +1135,10 @@ mod tests {
             "REC BIND m1 nope.evb 3 1 2 3",
             "REC UPSERT m1 4",
             "REC DROP m1",
+            // An inline bind's body must be hex, of a v3 segment.
+            "REC BIND m1 seg-000001.evb 3 1 2 3\nabc",
+            "REC BIND m1 seg-000001.evb 3 1 2 3\nzz",
+            "REC BIND m1 seg-000001.evb 2 1 2 3\nabcd",
             "SNAP 3 2\na seg-000001.evb 3 1 2 3",
             "SNAP 3 1\na seg-000001.evb 3 1 2 3 junk",
             "SNAPEND",

@@ -8,16 +8,19 @@
 //! streams [`StreamFrame`]s one-way:
 //!
 //! * **Tail mode** (the follower is inside the primary's retained
-//!   record window): every journal record after `g`, in order, each
-//!   `REC BIND` preceded by the `SEG` chunks of its segment file.
-//!   Generations are strictly increasing — the serve layer journals
-//!   exactly one record per published generation.
+//!   record window): every journal record after `g`, in order. An
+//!   inline bind's `REC BIND` carries its segment bytes as its body,
+//!   read back from the primary's journal; any other `REC BIND` is
+//!   preceded by the `SEG` chunks of its segment file. Generations are
+//!   strictly increasing — the serve layer journals exactly one record
+//!   per published generation.
 //! * **Resync mode** (the follower is too far behind): a `SNAP`
 //!   frame carrying the full durable entry set, `SEG` payloads for
-//!   entries newer than `g` (older entries are byte-identical on both
-//!   sides — the follower replayed the same single-writer history),
-//!   and a `SNAPEND` commit point. The follower installs the snapshot
-//!   atomically via a manifest swap.
+//!   entries newer than `g` — an entry still inline in the primary's
+//!   journal ships under its reserved file name like a file (older
+//!   entries are byte-identical on both sides — the follower replayed
+//!   the same single-writer history), and a `SNAPEND` commit point.
+//!   The follower installs the snapshot atomically via a manifest swap.
 //! * **Heartbeats**: `GEN <committed>` whenever the stream idles, so
 //!   a follower can distinguish "no writes" from "dead link".
 //!
@@ -70,6 +73,10 @@ fn to_io(e: evirel_query::QueryError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
+fn store_io(e: evirel_store::StoreError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
 fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -100,9 +107,10 @@ pub struct SenderCtx<'a> {
 /// then stream until the peer drops, the server stops, or an error.
 ///
 /// # Errors
-/// I/O failures writing frames or reading segment files (a segment
-/// GC'd mid-ship surfaces here; the follower reconnects and the new
-/// plan no longer references it).
+/// I/O failures writing frames or reading segment files or retained
+/// inline records (a segment GC'd, or a record a checkpoint truncated,
+/// mid-ship surfaces here; the follower reconnects and the new plan —
+/// a resync — no longer references it).
 pub fn serve_follow(w: &mut impl Write, ctx: &SenderCtx<'_>, from: u64) -> io::Result<()> {
     let (dir, committed) = {
         let durable = lock(ctx.durable);
@@ -145,9 +153,13 @@ pub fn serve_follow(w: &mut impl Write, ctx: &SenderCtx<'_>, from: u64) -> io::R
                     if ctx.stop.load(Ordering::SeqCst) {
                         return Ok(());
                     }
-                    if let JournalRecord::Bind { file, .. } = &record {
-                        send_file(w, &dir, file)?;
-                    }
+                    let record = match record {
+                        JournalRecord::Bind { ref file, .. } => {
+                            send_file(w, &dir, file)?;
+                            record
+                        }
+                        record => record.loaded(&dir).map_err(store_io)?,
+                    };
                     let generation = record.generation();
                     write_frame(w, &StreamFrame::Rec(record).encode())?;
                     ctx.records_sent.fetch_add(1, Ordering::Relaxed);
@@ -157,6 +169,7 @@ pub fn serve_follow(w: &mut impl Write, ctx: &SenderCtx<'_>, from: u64) -> io::R
             StreamPlan::Resync {
                 generation,
                 entries,
+                inline,
             } => {
                 write_frame(
                     w,
@@ -166,9 +179,10 @@ pub fn serve_follow(w: &mut impl Write, ctx: &SenderCtx<'_>, from: u64) -> io::R
                     }
                     .encode(),
                 )?;
-                for entry in &entries {
-                    if entry.generation > cursor {
-                        send_file(w, &dir, &entry.file)?;
+                for entry in entries.iter().filter(|e| e.generation > cursor) {
+                    match inline.get(&entry.file) {
+                        Some(bytes) => send_segment(w, &entry.file, &mut &bytes[..], bytes.len())?,
+                        None => send_file(w, &dir, &entry.file)?,
                     }
                 }
                 write_frame(w, &StreamFrame::SnapEnd { generation }.encode())?;
@@ -180,34 +194,41 @@ pub fn serve_follow(w: &mut impl Write, ctx: &SenderCtx<'_>, from: u64) -> io::R
     Ok(())
 }
 
-/// Ship one segment file as ordered `SEG` chunks.
+/// Ship one segment file as ordered `SEG` chunks, read a chunk at a
+/// time.
 fn send_file(w: &mut impl Write, dir: &Path, file: &str) -> io::Result<()> {
-    let bytes = std::fs::read(dir.join(file))?;
-    let total_len = bytes.len() as u64;
-    let mut offset = 0u64;
-    let mut chunks = bytes.chunks(SEG_CHUNK_BYTES).peekable();
-    // Degenerate empty file: still announce it so the receiver
-    // creates (and renames) it. Real segments are never empty.
-    if chunks.peek().is_none() {
+    let mut source = std::fs::File::open(dir.join(file))?;
+    let total_len = source.metadata()?.len() as usize;
+    send_segment(w, file, &mut source, total_len)
+}
+
+/// Ship `total_len` segment bytes from `source` as ordered `SEG`
+/// chunks of at most [`SEG_CHUNK_BYTES`], holding one chunk at a time.
+/// An empty segment is still announced by one empty chunk, so the
+/// receiver creates (and renames) it; real segments are never empty.
+fn send_segment(
+    w: &mut impl Write,
+    file: &str,
+    source: &mut impl Read,
+    total_len: usize,
+) -> io::Result<()> {
+    let mut offset = 0;
+    loop {
+        let mut chunk = vec![0; (total_len - offset).min(SEG_CHUNK_BYTES)];
+        source.read_exact(&mut chunk)?;
+        let len = chunk.len();
         let frame = StreamFrame::Seg {
             file: file.to_owned(),
-            offset: 0,
-            total_len,
-            chunk: Vec::new(),
-        };
-        return write_frame(w, &frame.encode());
-    }
-    for chunk in chunks {
-        let frame = StreamFrame::Seg {
-            file: file.to_owned(),
-            offset,
-            total_len,
-            chunk: chunk.to_vec(),
+            offset: offset as u64,
+            total_len: total_len as u64,
+            chunk,
         };
         write_frame(w, &frame.encode())?;
-        offset += chunk.len() as u64;
+        offset += len;
+        if offset == total_len {
+            return Ok(());
+        }
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------- apply
@@ -301,7 +322,7 @@ fn apply_frames(
                 chunk,
             } => {
                 evirel_store::stage_chunk(&dir, &file, offset, &chunk, total_len)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                    .map_err(store_io)?;
             }
             StreamFrame::Rec(record) => {
                 let generation = record.generation();
@@ -528,5 +549,54 @@ fn sleep_unless_stopped(total: Duration, stop: &dyn Fn() -> bool) {
         let nap = left.min(slice);
         std::thread::sleep(nap);
         left = left.saturating_sub(nap);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A segment past two chunks, read one chunk at a time, ships as
+    /// the frames that cutting the whole file into `SEG_CHUNK_BYTES`
+    /// pieces gives: same chunks, offsets and total.
+    #[test]
+    fn a_segment_ships_in_the_same_frames_read_a_chunk_at_a_time() {
+        let dir = std::env::temp_dir().join(format!("evirel-send-file-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = "seg-000001.evb";
+        let bytes: Vec<u8> = (0..2 * SEG_CHUNK_BYTES + 777)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        std::fs::write(dir.join(file), &bytes).unwrap();
+
+        let mut sent = Vec::new();
+        send_file(&mut sent, &dir, file).unwrap();
+        let mut expected = Vec::new();
+        for (i, chunk) in bytes.chunks(SEG_CHUNK_BYTES).enumerate() {
+            let frame = StreamFrame::Seg {
+                file: file.to_owned(),
+                offset: (i * SEG_CHUNK_BYTES) as u64,
+                total_len: bytes.len() as u64,
+                chunk: chunk.to_vec(),
+            };
+            write_frame(&mut expected, &frame.encode()).unwrap();
+        }
+        assert_eq!(bytes.chunks(SEG_CHUNK_BYTES).count(), 3);
+        assert!(sent == expected, "the frame sequence changed");
+
+        // An empty file is still announced, by one empty chunk.
+        std::fs::write(dir.join(file), b"").unwrap();
+        let mut sent = Vec::new();
+        send_file(&mut sent, &dir, file).unwrap();
+        let mut expected = Vec::new();
+        let empty = StreamFrame::Seg {
+            file: file.to_owned(),
+            offset: 0,
+            total_len: 0,
+            chunk: Vec::new(),
+        };
+        write_frame(&mut expected, &empty.encode()).unwrap();
+        assert_eq!(sent, expected);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

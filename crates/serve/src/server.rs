@@ -27,7 +27,8 @@
 //! one write path, or in memory through [`SharedCatalog::update_at`]
 //! when there is no data directory. Writers queue on the durable
 //! mutex (then the catalog's writer mutex) for the whole of their
-//! segment write and journal fsync — `evirel_catalog_writer_wait_seconds`
+//! durable step (a small result's one journal fsync, a large one's
+//! segment file first) — `evirel_catalog_writer_wait_seconds`
 //! is that queue — and a reader that arrives meanwhile is served from
 //! the generation before; it sees the whole new generation once the
 //! fsync'd result is swapped in, or none of it. A `MERGE` into one
@@ -634,7 +635,7 @@ pub fn start_with_durability(
             ),
             segment_bytes: metrics.counter(
                 "evirel_store_segment_bytes_total",
-                "Segment-file bytes written by binds",
+                "Segment-file bytes written (binds past the inline limit, checkpoint fold-outs)",
                 &[],
             ),
         });
@@ -1283,8 +1284,8 @@ mod tests {
     }
 
     /// `STATS` and `METRICS` answer while another thread holds the
-    /// durable mutex, as a MERGE does across its segment write and
-    /// fsync: the durability series are pushed into the registry by
+    /// durable mutex, as a MERGE does across its fsync: the
+    /// durability series are pushed into the registry by
     /// the `DurableCatalog`, not read under its lock at scrape time.
     #[test]
     fn stats_and_metrics_answer_while_the_durable_mutex_is_held() {

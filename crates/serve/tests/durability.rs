@@ -5,10 +5,14 @@
 //! incarnation shut down cleanly (checkpoint) or was dropped with
 //! only the journal on disk.
 
-use evirel_query::{Catalog, DurableCatalog, SharedCatalog};
-use evirel_serve::protocol::{read_frame, write_frame, Response};
+use evirel_obs::{EventLog, MetricsRegistry};
+use evirel_query::{Catalog, DurableCatalog, DurableMetrics, SharedCatalog, StreamPlan};
+use evirel_serve::protocol::{read_frame, write_frame, Response, StreamFrame};
+use evirel_serve::replicate::{apply_stream, ApplyCtx};
 use evirel_serve::{start_with_durability, ServeConfig, ServerHandle};
 use evirel_store::failpoint::FailpointFs;
+use evirel_store::JournalRecord;
+use evirel_workload::generator::{generate, GeneratorConfig};
 use evirel_workload::{restaurant_db_a, restaurant_db_b};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -255,6 +259,104 @@ fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
     roundtrip(&mut c, "SHUTDOWN");
     handle.join();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fsyncs each write-path operation pays, counted on this thread
+/// by the failpoint (the process-wide `evirel_store_fsyncs_total`
+/// counts every thread of the test process). A small bind's one fsync
+/// is its journal record's and it writes no segment-file byte; a large
+/// bind still writes its file (file, directory, then journal); an
+/// unbind journals once, and so does a follower applying a small
+/// bind's `REC BIND` with its segment as the body.
+#[test]
+fn fsyncs_per_write_path_operation() {
+    let registry = MetricsRegistry::new();
+    let dir = fresh_dir("fsyncs");
+    let (mut durable, recovered) = DurableCatalog::open(&dir).expect("opens");
+    durable.set_metrics(DurableMetrics {
+        committed_generation: registry.gauge("evirel_store_committed_generation", "", &[]),
+        journal_records: registry.gauge("evirel_store_journal_records", "", &[]),
+        checkpoints: registry.counter("evirel_store_checkpoints_total", "", &[]),
+        bindings: registry.gauge("evirel_store_bindings", "", &[]),
+        journal_append: registry.histogram("evirel_store_journal_append_seconds", "", &[]),
+        checkpoint: registry.histogram("evirel_store_checkpoint_seconds", "", &[]),
+        segment_bytes: registry.counter("evirel_store_segment_bytes_total", "", &[]),
+    });
+    let segment_bytes = || registry.value("evirel_store_segment_bytes_total", &[]);
+    let shared = SharedCatalog::new(recovered);
+    let fsyncs = |op: &mut dyn FnMut()| {
+        let fp = FailpointFs::observe();
+        op();
+        fp.fsyncs()
+    };
+    let small = restaurant_db_a().restaurants;
+    let large = generate(
+        "G",
+        &GeneratorConfig {
+            tuples: 1500,
+            seed: 3,
+            ..GeneratorConfig::default()
+        },
+    )
+    .unwrap();
+
+    let n = fsyncs(&mut || {
+        durable.bind(&shared, "small", &small).expect("binds");
+    });
+    assert_eq!(n, 1, "a small bind");
+    assert_eq!(
+        segment_bytes(),
+        Some(0),
+        "a small bind wrote segment-file bytes"
+    );
+    let n = fsyncs(&mut || {
+        durable.bind(&shared, "large", &large).expect("binds");
+    });
+    assert_eq!(n, 3, "a large bind");
+    let written = segment_bytes().expect("counted");
+    let file = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .find(|e| e.file_name().to_string_lossy().ends_with(".evb"))
+        .expect("the large bind's file");
+    assert_eq!(written, file.metadata().unwrap().len());
+    let n = fsyncs(&mut || {
+        durable.unbind(&shared, "large").expect("unbinds");
+    });
+    assert_eq!(n, 1, "an unbind");
+
+    // A follower applies the small bind off the wire.
+    let StreamPlan::Tail(records) = durable.stream_plan(0) else {
+        panic!("an uncheckpointed primary tails");
+    };
+    let record = records[0].loaded(&dir).expect("reads back");
+    assert!(matches!(record, JournalRecord::BindInline { .. }));
+    let mut stream = Vec::new();
+    write_frame(&mut stream, &StreamFrame::Rec(record).encode()).unwrap();
+    let fdir = fresh_dir("fsyncs-f");
+    let (follower, frecovered) = DurableCatalog::open(&fdir).expect("opens");
+    let (follower, fshared) = (
+        std::sync::Mutex::new(follower),
+        SharedCatalog::new(frecovered),
+    );
+    let (applied, resyncs, primary, heartbeat) = Default::default();
+    let events = EventLog::default();
+    let ctx = ApplyCtx {
+        catalog: &fshared,
+        durable: &follower,
+        stop: &|| false,
+        records_applied: &applied,
+        resyncs: &resyncs,
+        primary_generation: &primary,
+        heartbeat_unix_ms: &heartbeat,
+        events: &events,
+    };
+    let n = fsyncs(&mut || apply_stream(&mut &stream[..], &ctx).expect("applies"));
+    assert_eq!(n, 1, "a follower's small apply");
+    assert_eq!(fshared.generation(), 1);
+    for d in [&dir, &fdir] {
+        std::fs::remove_dir_all(d).ok();
+    }
 }
 
 /// Reads beside a durable writer: one connection issues MERGEs back

@@ -103,6 +103,7 @@ fn metrics_scrape_covers_every_subsystem() {
         "# TYPE evirel_query_cache_hits_total counter",
         "# TYPE evirel_query_seconds histogram",
         "# TYPE evirel_store_pool_hits_total counter",
+        "# TYPE evirel_store_fsyncs_total counter",
         "# TYPE evirel_catalog_generation gauge",
         "# TYPE evirel_repl_generation_lag gauge",
     ] {

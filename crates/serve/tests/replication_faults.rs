@@ -13,6 +13,10 @@
 //!   follower recovers from its own directory, resumes, and must
 //!   converge.
 //!
+//! The primary's history mixes small binds, whose segment rides in
+//! the `REC BIND` body, and a large one shipped as `SEG` chunks; the
+//! stream is also cut at every byte of one `REC BIND` with a body.
+//!
 //! Convergence means: same committed generation, same manifest
 //! entries, same raw segment bytes as the primary.
 //!
@@ -25,7 +29,7 @@ use evirel_query::{DurableCatalog, SharedCatalog};
 use evirel_serve::replicate::{apply_stream, serve_follow, ApplyCtx, SenderCtx};
 use evirel_serve::{read_frame, write_frame, StreamFrame};
 use evirel_store::failpoint::FailpointFs;
-use evirel_store::JournalRecord;
+use evirel_store::{JournalRecord, SegmentSource};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -61,16 +65,18 @@ fn rel(seed: u64, tuples: usize) -> evirel_relation::ExtendedRelation {
     .expect("generator config is valid")
 }
 
-/// A primary with a short history: five binds (two names rebound)
-/// and one drop — six generations, several segment payloads.
+/// A primary with a short history: six binds (two names rebound) and
+/// one drop — seven generations. `rd` is past the inline limit, so its
+/// segment is a file; every other bind's rides in its record.
 fn build_primary(dir: &Path) -> (Mutex<DurableCatalog>, SharedCatalog) {
     let (durable, recovered) = DurableCatalog::open(dir).expect("primary dir opens");
     let shared = SharedCatalog::with_generation(recovered, 0);
     let durable = Mutex::new(durable);
     for (name, seed, tuples) in [
         ("ra", 1u64, 6usize),
-        ("rb", 2, 3),
+        ("rb", 2, 1),
         ("ra", 3, 4),
+        ("rd", 6, 1200),
         ("rc", 4, 5),
         ("rb", 5, 2),
     ] {
@@ -200,9 +206,17 @@ impl Follower {
     }
 }
 
+/// The bytes of durable binding `name`'s segment, inline or a file.
+fn segment_bytes(durable: &DurableCatalog, name: &str) -> Vec<u8> {
+    match durable.segment(name).expect("a durable binding") {
+        SegmentSource::Bytes(bytes) => bytes.to_vec(),
+        SegmentSource::File(path) => std::fs::read(path).expect("segment reads"),
+    }
+}
+
 /// Bit-for-bit convergence: committed generation, manifest entries,
 /// raw segment bytes.
-fn assert_converged(primary: &Mutex<DurableCatalog>, pdir: &Path, follower: &Follower) {
+fn assert_converged(primary: &Mutex<DurableCatalog>, follower: &Follower) {
     let p = primary.lock().unwrap();
     let f = follower.durable.lock().unwrap();
     assert_eq!(
@@ -214,9 +228,11 @@ fn assert_converged(primary: &Mutex<DurableCatalog>, pdir: &Path, follower: &Fol
     let f_entries: Vec<_> = f.entries().cloned().collect();
     assert_eq!(p_entries, f_entries, "manifest entries diverge");
     for entry in &p_entries {
-        let want = std::fs::read(pdir.join(&entry.file)).expect("primary segment reads");
-        let got = std::fs::read(follower.dir.join(&entry.file)).expect("follower segment reads");
-        assert_eq!(want, got, "segment {} bytes diverge", entry.file);
+        let (want, got) = (
+            segment_bytes(&p, &entry.name),
+            segment_bytes(&f, &entry.name),
+        );
+        assert!(want == got, "segment {} bytes diverge", entry.file);
     }
     assert_eq!(
         follower.shared.generation(),
@@ -258,9 +274,52 @@ fn primary_killed_at_every_send_boundary_converges_after_resume() {
         follower
             .apply(&resume)
             .unwrap_or_else(|e| panic!("resume after cut {cut} (applied {applied}): {e}"));
-        assert_converged(&durable, &pdir, &follower);
+        assert_converged(&durable, &follower);
         std::fs::remove_dir_all(&follower.dir).ok();
     }
+    std::fs::remove_dir_all(&pdir).ok();
+}
+
+/// The stream cut at every byte of a `REC BIND` that carries its
+/// segment — its length prefix, head line, and every hex digit of its
+/// body: the follower never applies a torn record, and resuming from
+/// what it applied converges.
+#[test]
+fn an_inline_rec_bind_cut_at_every_byte_resumes_and_converges() {
+    let pdir = fresh_dir("byte-p");
+    let (durable, recovered) = DurableCatalog::open(&pdir).expect("primary dir opens");
+    let shared = SharedCatalog::with_generation(recovered, 0);
+    let durable = Mutex::new(durable);
+    for (name, seed, tuples) in [("rb", 2u64, 1usize), ("ra", 1, 3)] {
+        let r = rel(seed, tuples);
+        durable.lock().unwrap().bind(&shared, name, &r).unwrap();
+    }
+    let full = capture(&durable, &shared, 0);
+    let first = frame_boundaries(&full)[1];
+    assert!(
+        full[4..first].starts_with(b"REC BIND rb ") && full[4..first].contains(&b'\n'),
+        "the first frame is rb's inline bind"
+    );
+    // A torn frame applies nothing, so one follower takes every cut
+    // short of the whole frame; it must stay at generation 0, durably.
+    let fdir = fresh_dir("byte-f");
+    let follower = Follower::open(fdir.clone());
+    for cut in 0..first {
+        let _ = follower.apply(&full[..cut]);
+        assert_eq!(follower.committed(), 0, "cut {cut} applied a torn record");
+        assert_eq!(follower.shared.generation(), 0, "cut {cut} published");
+    }
+    drop(follower);
+    let follower = Follower::open(fdir.clone());
+    assert_eq!(follower.committed(), 0, "a torn record was journalled");
+    follower
+        .apply(&full[..first])
+        .expect("the whole frame applies");
+    assert_eq!(follower.committed(), 1);
+    let resume = capture(&durable, &shared, 1);
+    follower.apply(&resume).expect("resume applies");
+    assert_converged(&durable, &follower);
+    std::fs::remove_dir_all(&fdir).ok();
     std::fs::remove_dir_all(&pdir).ok();
 }
 
@@ -278,7 +337,7 @@ fn follower_killed_at_every_fsync_and_write_stride_recovers_and_converges() {
         let follower = Follower::open(fdir.clone());
         let fp = FailpointFs::observe();
         follower.apply(&full).expect("observed apply succeeds");
-        assert_converged(&durable, &pdir, &follower);
+        assert_converged(&durable, &follower);
         let counts = (fp.fsyncs(), fp.units());
         drop(fp);
         std::fs::remove_dir_all(&fdir).ok();
@@ -318,7 +377,7 @@ fn follower_killed_at_every_fsync_and_write_stride_recovers_and_converges() {
         follower
             .apply(&resume)
             .unwrap_or_else(|e| panic!("resume after {mode} kill {at}: {e}"));
-        assert_converged(&durable, &pdir, &follower);
+        assert_converged(&durable, &follower);
         std::fs::remove_dir_all(&fdir).ok();
     }
     std::fs::remove_dir_all(&pdir).ok();
@@ -352,7 +411,7 @@ fn resync_stream_survives_the_same_fault_matrix() {
         follower
             .apply(&resume)
             .unwrap_or_else(|e| panic!("resync resume after cut {cut}: {e}"));
-        assert_converged(&durable, &pdir, &follower);
+        assert_converged(&durable, &follower);
         std::fs::remove_dir_all(&follower.dir).ok();
     }
 
@@ -380,7 +439,7 @@ fn resync_stream_survives_the_same_fault_matrix() {
         follower
             .apply(&resume)
             .unwrap_or_else(|e| panic!("resync resume after fsync kill {k}: {e}"));
-        assert_converged(&durable, &pdir, &follower);
+        assert_converged(&durable, &follower);
         std::fs::remove_dir_all(&fdir).ok();
     }
     std::fs::remove_dir_all(&pdir).ok();
@@ -393,13 +452,16 @@ fn record_failing_verification_logs_one_event_and_publishes_nothing() {
     let full = capture(&durable, &shared, 0);
 
     // Re-frame the stream with one bit of every bind's checksum
-    // flipped: the segments arrive intact but no longer verify, so
-    // the apply dies at the first record.
+    // flipped — inline or a file: the segments arrive intact but no
+    // longer verify, so the apply dies at the first record.
     let mut tampered = Vec::new();
     let mut frames = &full[..];
     while let Some(payload) = read_frame(&mut frames).expect("captured stream re-reads") {
         let mut frame = StreamFrame::parse(&payload).expect("captured frame parses");
-        if let StreamFrame::Rec(JournalRecord::Bind { checksum, .. }) = &mut frame {
+        if let StreamFrame::Rec(
+            JournalRecord::Bind { checksum, .. } | JournalRecord::BindInline { checksum, .. },
+        ) = &mut frame
+        {
             *checksum ^= 1;
         }
         write_frame(&mut tampered, &frame.encode()).expect("re-frame");
@@ -424,7 +486,7 @@ fn record_failing_verification_logs_one_event_and_publishes_nothing() {
 
     // The failure is not sticky: the intact stream converges.
     follower.apply(&full).expect("intact stream applies");
-    assert_converged(&durable, &pdir, &follower);
+    assert_converged(&durable, &follower);
     std::fs::remove_dir_all(&follower.dir).ok();
     std::fs::remove_dir_all(&pdir).ok();
 }

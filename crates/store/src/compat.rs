@@ -24,7 +24,6 @@
 
 use crate::crc::crc32;
 use crate::error::StoreError;
-use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 
 /// Segment magic: "EVRS".
@@ -109,7 +108,8 @@ fn corrupt(what: impl Into<String>) -> StoreError {
     StoreError::corrupt(what)
 }
 
-/// Read and validate the preamble of an open segment file.
+/// Read and validate the preamble of an open segment (a file or an
+/// inline segment's bytes).
 ///
 /// Dispatches on the version field: v2 and v3 parse (v3 additionally
 /// verifies `preamble_crc`); anything else is a typed error naming
@@ -120,7 +120,10 @@ fn corrupt(what: impl Into<String>) -> StoreError {
 /// [`StoreError::Io`] on read failures; [`StoreError::Corrupt`] on
 /// bad magic, unknown versions, checksum mismatches, or fields
 /// inconsistent with the file length.
-pub fn read_header(file: &mut File, file_len: u64) -> Result<SegmentHeader, StoreError> {
+pub fn read_header(
+    file: &mut (impl Read + Seek),
+    file_len: u64,
+) -> Result<SegmentHeader, StoreError> {
     if file_len < PREAMBLE_V2 as u64 {
         return Err(corrupt(format!(
             "truncated segment: {file_len} bytes is shorter than any preamble"
@@ -231,7 +234,7 @@ pub fn read_header(file: &mut File, file_len: u64) -> Result<SegmentHeader, Stor
 /// [`StoreError::Io`] on read failures; [`StoreError::Corrupt`] on
 /// checksum mismatch or out-of-range entries.
 pub fn read_page_table(
-    file: &mut File,
+    file: &mut (impl Read + Seek),
     header: &SegmentHeader,
 ) -> Result<Vec<PageEntry>, StoreError> {
     let entry = header.table_entry_len();

@@ -24,6 +24,12 @@
 //! writes, so unrelated tests (and their spill segments) in the same
 //! process are untouched, and no cross-test locking is needed.
 //!
+//! The one process-wide number here is [`fsyncs_total`]: every file or
+//! directory fsync the helpers issue, armed or not — the
+//! `evirel_store_fsyncs_total` series. It counts every thread of the
+//! process, so exact per-operation counts are read from an armed
+//! [`FailpointFs::fsyncs`] instead.
+//!
 //! ```
 //! use evirel_store::failpoint::FailpointFs;
 //!
@@ -43,6 +49,16 @@ use std::cell::RefCell;
 use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// See [`fsyncs_total`].
+static FSYNCS: AtomicU64 = AtomicU64::new(0);
+
+/// File and directory fsyncs the durability layer has issued in this
+/// process, on every thread (`evirel_store_fsyncs_total`).
+pub fn fsyncs_total() -> u64 {
+    FSYNCS.load(Ordering::Relaxed)
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Plan {
@@ -242,6 +258,7 @@ pub(crate) fn fp_write_all(file: &mut File, buf: &[u8]) -> io::Result<()> {
 /// Failpoint-aware `sync_all`.
 pub(crate) fn fp_sync(file: &File) -> io::Result<()> {
     charge_unit(true)?;
+    FSYNCS.fetch_add(1, Ordering::Relaxed);
     file.sync_all()
 }
 
@@ -280,7 +297,10 @@ pub(crate) fn fp_sync_parent_dir(path: &Path) -> io::Result<()> {
         return Ok(());
     };
     match File::open(parent) {
-        Ok(dir) => dir.sync_all(),
+        Ok(dir) => {
+            FSYNCS.fetch_add(1, Ordering::Relaxed);
+            dir.sync_all()
+        }
         Err(_) => Ok(()),
     }
 }

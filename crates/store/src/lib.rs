@@ -47,15 +47,15 @@ pub mod stored;
 pub use checkpoint::CheckpointOutcome;
 pub use env::EnvKnob;
 pub use error::StoreError;
-pub use journal::{Journal, JournalRecord, JOURNAL_FILE};
+pub use journal::{InlineSegment, Journal, JournalRecord, JOURNAL_FILE};
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_FILE};
 pub use pool::{
     BufferPool, PageGuard, PoolStats, BUFFER_BYTES_ENV, DEFAULT_BUFFER_BYTES, PARANOID_ENV,
 };
 pub use replica::{stage_chunk, valid_segment_file_name, verify_segment};
 pub use segment::{
-    write_segment, write_segment_meta, RecordId, Segment, SegmentMeta, SegmentWriter,
-    DEFAULT_PAGE_SIZE,
+    write_segment, write_segment_meta, Finished, RecordId, Segment, SegmentMeta, SegmentSource,
+    SegmentWriter, DEFAULT_PAGE_SIZE, INLINE_SEGMENT_MAX,
 };
 pub use stats::{compute_stats, AttrStats, DistinctSketch, KappaSummary, RelStats, StatsBuilder};
 pub use stored::{KeyIndex, StoredIter, StoredRelation};

@@ -23,7 +23,7 @@ use crate::error::StoreError;
 use crate::failpoint::{
     fp_create, fp_open_append, fp_rename, fp_sync, fp_sync_parent_dir, fp_write_all,
 };
-use crate::segment::Segment;
+use crate::segment::{Segment, SegmentSource};
 use std::path::{Path, PathBuf};
 
 /// Suffix appended to a segment's name while its chunks are being
@@ -119,45 +119,49 @@ pub fn stage_chunk(
     Ok(true)
 }
 
-/// Open the replicated segment `file` in `dir` and check it against
-/// what the primary's journal record promised: the v3 content
-/// checksum and the tuple count. A follower runs this **before**
-/// journaling the binding — a segment that fails verification must
-/// never become part of the standby's durable state.
+/// Open a replicated segment — a staged file, or the bytes of an
+/// inline bind off the wire — and check it against what the primary's
+/// journal record promised: the v3 content checksum and the tuple
+/// count. A follower runs this **before** journaling the binding — a
+/// segment that fails verification must never become part of the
+/// standby's durable state. Returns the open segment.
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] when the segment lacks a content checksum
 /// (pre-v3 format) or either field disagrees; [`StoreError::Io`] /
 /// [`StoreError::Corrupt`] from opening the segment itself.
 pub fn verify_segment(
-    dir: &Path,
-    file: &str,
+    source: impl Into<SegmentSource>,
     expected_checksum: u32,
     expected_tuples: u64,
-) -> Result<(), StoreError> {
-    let path = dir.join(file);
-    let segment = Segment::open(&path)?;
+) -> Result<Segment, StoreError> {
+    let source = source.into();
+    let what = match &source {
+        SegmentSource::File(path) => format!("{:?}", path.file_name().unwrap_or_default()),
+        SegmentSource::Bytes(bytes) => format!("(inline, {} bytes)", bytes.len()),
+    };
+    let segment = Segment::open(source)?;
     let Some(checksum) = segment.content_checksum() else {
         return Err(StoreError::corrupt(format!(
-            "replicated segment {file:?} carries no content checksum \
+            "replicated segment {what} carries no content checksum \
              (format v{}); replication requires v3 segments",
             segment.version()
         )));
     };
     if checksum != expected_checksum {
         return Err(StoreError::corrupt(format!(
-            "replicated segment {file:?} checksum mismatch \
-             (journal promises {expected_checksum:#010x}, file has {checksum:#010x})"
+            "replicated segment {what} checksum mismatch \
+             (journal promises {expected_checksum:#010x}, segment has {checksum:#010x})"
         )));
     }
     if segment.tuple_count() != expected_tuples {
         return Err(StoreError::corrupt(format!(
-            "replicated segment {file:?} tuple count mismatch \
-             (journal promises {expected_tuples}, file has {})",
+            "replicated segment {what} tuple count mismatch \
+             (journal promises {expected_tuples}, segment has {})",
             segment.tuple_count()
         )));
     }
-    Ok(())
+    Ok(segment)
 }
 
 #[cfg(test)]
@@ -234,14 +238,22 @@ mod tests {
         assert!(stage_chunk(&d, "seg-000001.evb", cut2 as u64, &bytes[cut2..], total).unwrap());
         assert!(!staging_path(&d, "seg-000001.evb").exists());
         assert!(d.join("seg-000001.evb").exists());
-        verify_segment(&d, "seg-000001.evb", meta.checksum, meta.tuple_count).unwrap();
+        verify_segment(d.join("seg-000001.evb"), meta.checksum, meta.tuple_count).unwrap();
         // Wrong expectations are typed corruption, not acceptance.
         assert!(matches!(
-            verify_segment(&d, "seg-000001.evb", meta.checksum ^ 1, meta.tuple_count),
+            verify_segment(
+                d.join("seg-000001.evb"),
+                meta.checksum ^ 1,
+                meta.tuple_count
+            ),
             Err(StoreError::Corrupt { .. })
         ));
         assert!(matches!(
-            verify_segment(&d, "seg-000001.evb", meta.checksum, meta.tuple_count + 1),
+            verify_segment(
+                d.join("seg-000001.evb"),
+                meta.checksum,
+                meta.tuple_count + 1
+            ),
             Err(StoreError::Corrupt { .. })
         ));
         for p in [&d, &src] {
@@ -305,7 +317,7 @@ mod tests {
             // checkpoint will GC) or the final name verifies clean.
             match result {
                 Ok(true) => {
-                    verify_segment(&d, "seg-000002.evb", meta.checksum, meta.tuple_count)
+                    verify_segment(d.join("seg-000002.evb"), meta.checksum, meta.tuple_count)
                         .unwrap_or_else(|e| panic!("kill at {kill_at}: {e}"));
                 }
                 Ok(false) => unreachable!("ship always sends the final chunk"),
@@ -314,7 +326,7 @@ mod tests {
                     // exists despite the error, the rename itself
                     // succeeded, so the content is complete and synced.
                     if d.join("seg-000002.evb").exists() {
-                        verify_segment(&d, "seg-000002.evb", meta.checksum, meta.tuple_count)
+                        verify_segment(d.join("seg-000002.evb"), meta.checksum, meta.tuple_count)
                             .unwrap_or_else(|e| panic!("kill at {kill_at}: {e}"));
                     }
                 }

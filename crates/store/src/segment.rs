@@ -30,13 +30,20 @@
 //! temporary file and only *renamed* into place after its final bytes
 //! (page table + backpatched preamble) are written and fsync'd — an
 //! interrupted write leaves at worst an orphaned `*.tmp-*` file,
-//! never a torn `.evb`. The checksums chain: `preamble_crc` covers
+//! never a torn `.evb`. The writer holds a segment in memory until it
+//! passes [`INLINE_SEGMENT_MAX`]; a caller that finishes one below
+//! that with [`SegmentWriter::finish_inline`] gets the bytes instead
+//! of a file (the durable catalog journals them), and
+//! [`SegmentWriter::fold_out`] later writes such bytes to their file
+//! with the same
+//! temp → fsync → rename. The checksums chain: `preamble_crc` covers
 //! the preamble (which records `schema_crc` and `table_crc`), the
 //! table covers per-page CRCs, and each page CRC covers its bytes —
 //! so the single `preamble_crc` (the segment's *content checksum*,
 //! recorded in the catalog manifest) commits to the entire file.
-//! Readers verify page checksums on every disk read and surface any
-//! mismatch as a typed [`StoreError::Corrupt`]. The previous v2
+//! Readers verify page checksums on every read and surface any
+//! mismatch as a typed [`StoreError::Corrupt`], whether the segment is
+//! a file or bytes in memory ([`SegmentSource`]). The previous v2
 //! format (no checksums) still loads via [`crate::compat`].
 //!
 //! **Decoding.** A verified page is framed by [`PageRecords`] — the
@@ -85,6 +92,23 @@ const PAGE_HEADER: usize = 4;
 /// Default target page size (bytes).
 pub const DEFAULT_PAGE_SIZE: usize = 8192;
 
+/// The largest segment that travels inside its journal record instead
+/// of as a file of its own (and the most a [`SegmentWriter`] holds in
+/// memory before it moves to its temp file).
+///
+/// A file costs two fsyncs beyond the journal's (the file, then its
+/// directory after the rename), a few hundred microseconds on a
+/// virtual disk, whatever the size. Inline bytes cost their size
+/// twice — written into the journal now and again when a checkpoint
+/// folds them out to their file — and are held in memory while the
+/// binding lives, re-read at recovery and hex-encoded on the
+/// replication wire. At 64 KiB the extra write is about one fsync's
+/// worth of sequential bandwidth, so inlining still wins, and a live
+/// binding or a `REC` frame (128 KiB of hex) stays small next to the
+/// buffer pool and the 16 MiB frame ceiling; past it the saving is
+/// fixed while the costs keep growing.
+pub const INLINE_SEGMENT_MAX: usize = 64 * 1024;
+
 /// The location of one record inside a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordId {
@@ -113,7 +137,7 @@ fn temp_sibling(path: &Path) -> PathBuf {
 // ------------------------------------------------------------- writer
 
 /// What [`SegmentWriter::finish_meta`] reports about a completed
-/// segment — everything the catalog manifest records per binding.
+/// segment file — everything the catalog manifest records per binding.
 #[derive(Debug, Clone)]
 pub struct SegmentMeta {
     /// Final path the segment was renamed to.
@@ -123,23 +147,55 @@ pub struct SegmentMeta {
     pub checksum: u32,
     /// Number of stored tuples.
     pub tuple_count: u64,
+    /// Bytes written to the file.
+    pub bytes: u64,
 }
 
-/// Streams tuples into a new segment file. Records accumulate in one
-/// in-memory page buffer; full pages flush to disk, so peak writer
-/// memory is a single page regardless of relation size.
+/// Where [`SegmentWriter::finish_inline`] left a finished segment.
+#[derive(Debug, Clone)]
+pub enum Finished {
+    /// At most [`INLINE_SEGMENT_MAX`] bytes: the segment itself, byte
+    /// for byte what its file would hold (the same content checksum).
+    /// Nothing was written to disk.
+    Inline {
+        /// The segment's bytes.
+        bytes: Arc<[u8]>,
+        /// The content checksum, as [`SegmentMeta::checksum`].
+        checksum: u32,
+        /// Number of stored tuples.
+        tuple_count: u64,
+    },
+    /// Larger: a file at the writer's path, as
+    /// [`SegmentWriter::finish_meta`] leaves it.
+    File(SegmentMeta),
+}
+
+/// Streams tuples into a new segment. Records accumulate in one
+/// in-memory page buffer and full pages are appended to the output;
+/// the output stays in memory up to [`INLINE_SEGMENT_MAX`] and then
+/// moves to the sibling temp file, which the rest streams into — so
+/// peak writer memory is bounded by that limit plus a page, whatever
+/// the relation's size.
 ///
-/// The writer targets a sibling `*.tmp-*` file and atomically renames
-/// it to the requested path in [`SegmentWriter::finish`] (after an
-/// fsync), so the destination either keeps its old contents or gains
-/// a complete, checksummed segment — never a torn intermediate. An
-/// unfinished writer removes its temp file on drop.
+/// [`SegmentWriter::finish`] lands the segment at the requested path
+/// by atomically renaming the temp file into place (after an fsync),
+/// so the destination either keeps its old contents or gains a
+/// complete, checksummed segment — never a torn intermediate.
+/// [`SegmentWriter::finish_inline`] hands a small segment back as
+/// bytes instead. An unfinished writer removes its temp file on drop.
 pub struct SegmentWriter {
-    file: File,
+    /// The output so far while it fits [`INLINE_SEGMENT_MAX`] (`file`
+    /// is `None`); empty once it moved to the temp file.
+    held: Vec<u8>,
+    /// The sibling temp file, once the output outgrew `held`.
+    file: Option<File>,
     /// The requested destination.
     path: PathBuf,
-    /// The sibling temp file actually being written.
+    /// The sibling temp file's path.
     tmp_path: PathBuf,
+    /// Bytes of output so far.
+    len: u64,
+    /// Renamed into place, or handed back inline: nothing to remove.
     finished: bool,
     page_size: usize,
     schema_len: usize,
@@ -159,12 +215,14 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Create a segment that will land at `path` once finished, for
+    /// Start a segment that will land at `path` once finished, for
     /// relations over `schema`, with the given target page size
     /// (≥ 64 bytes enforced).
     ///
     /// # Errors
-    /// [`StoreError::Io`] on file-creation failures.
+    /// Does not fail: nothing touches the disk until the output
+    /// outgrows [`INLINE_SEGMENT_MAX`]. The `Result` keeps callers on
+    /// one error path with the writes that follow.
     pub fn create(
         path: impl AsRef<Path>,
         schema: &Schema,
@@ -172,20 +230,15 @@ impl SegmentWriter {
     ) -> Result<SegmentWriter, StoreError> {
         let path = path.as_ref().to_path_buf();
         let tmp_path = temp_sibling(&path);
-        let mut file =
-            fp_create(&tmp_path).map_err(|e| StoreError::io(format!("create {tmp_path:?}"), &e))?;
-        let mut header = vec![0u8; PREAMBLE_V3];
-        codec::encode_schema(schema, &mut header);
-        let schema_len = header.len() - PREAMBLE_V3;
-        let schema_crc = crc32(&header[PREAMBLE_V3..]);
-        if let Err(e) = fp_write_all(&mut file, &header) {
-            // No writer exists yet to clean up on drop.
-            std::fs::remove_file(&tmp_path).ok();
-            return Err(StoreError::io("write segment header", &e));
-        }
+        let mut held = vec![0u8; PREAMBLE_V3];
+        codec::encode_schema(schema, &mut held);
+        let schema_len = held.len() - PREAMBLE_V3;
+        let schema_crc = crc32(&held[PREAMBLE_V3..]);
         let page_size = page_size.max(64);
         Ok(SegmentWriter {
-            file,
+            len: held.len() as u64,
+            held,
+            file: None,
             path,
             tmp_path,
             finished: false,
@@ -232,18 +285,45 @@ impl SegmentWriter {
         Ok(id)
     }
 
+    /// The temp file, created (with the output held so far) on first
+    /// use.
+    fn file(&mut self) -> Result<&mut File, StoreError> {
+        if self.file.is_none() {
+            let file = fp_create(&self.tmp_path)
+                .map_err(|e| StoreError::io(format!("create {:?}", self.tmp_path), &e))?;
+            // Kept before the first write, so that drop removes the
+            // temp file even if that write fails.
+            let file = self.file.insert(file);
+            fp_write_all(file, &std::mem::take(&mut self.held))
+                .map_err(|e| StoreError::io("write segment", &e))?;
+        }
+        Ok(self.file.as_mut().expect("created above"))
+    }
+
+    /// Append `bytes` to the output: in memory while it stays within
+    /// [`INLINE_SEGMENT_MAX`], in the temp file past it.
+    fn write(&mut self, bytes: &[u8], what: &str) -> Result<(), StoreError> {
+        self.len += bytes.len() as u64;
+        if self.file.is_none() && self.held.len() + bytes.len() <= INLINE_SEGMENT_MAX {
+            self.held.extend_from_slice(bytes);
+            return Ok(());
+        }
+        fp_write_all(self.file()?, bytes).map_err(|e| StoreError::io(what, &e))
+    }
+
     fn flush_page(&mut self) -> Result<(), StoreError> {
         if self.page_buf.is_empty() {
             return Ok(());
         }
-        self.page_out.clear();
-        self.page_out
-            .extend_from_slice(&self.page_records.to_le_bytes());
-        self.page_out.extend_from_slice(&self.page_buf);
-        let len = self.page_out.len() as u32;
-        let crc = crc32(&self.page_out);
-        fp_write_all(&mut self.file, &self.page_out)
-            .map_err(|e| StoreError::io("write page", &e))?;
+        let mut page = std::mem::take(&mut self.page_out);
+        page.clear();
+        page.extend_from_slice(&self.page_records.to_le_bytes());
+        page.extend_from_slice(&self.page_buf);
+        let len = page.len() as u32;
+        let crc = crc32(&page);
+        let written = self.write(&page, "write page");
+        self.page_out = page;
+        written?;
         self.pages.push(PageEntry {
             offset: self.next_offset,
             len,
@@ -255,22 +335,10 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Flush the final page, write the checksummed page table, patch
-    /// the preamble, fsync, and atomically rename the temp file to
-    /// the destination path (returned).
-    ///
-    /// # Errors
-    /// [`StoreError::Io`] on write failures.
-    pub fn finish(self) -> Result<PathBuf, StoreError> {
-        Ok(self.finish_meta()?.path)
-    }
-
-    /// As [`SegmentWriter::finish`], additionally reporting the
-    /// content checksum and tuple count the catalog manifest records.
-    ///
-    /// # Errors
-    /// [`StoreError::Io`] on write failures.
-    pub fn finish_meta(mut self) -> Result<SegmentMeta, StoreError> {
+    /// Flush the final page, write the checksummed page table and the
+    /// stats section, and patch the preamble — in memory or in the
+    /// temp file, wherever the output is. Returns the content checksum.
+    fn seal(&mut self) -> Result<u32, StoreError> {
         self.flush_page()?;
         let table_offset = self.next_offset;
         let mut table = Vec::with_capacity(self.pages.len() * compat::TABLE_ENTRY_V3);
@@ -280,7 +348,7 @@ impl SegmentWriter {
             codec::put_u32(&mut table, entry.crc.unwrap_or(0));
         }
         let table_crc = crc32(&table);
-        fp_write_all(&mut self.file, &table).map_err(|e| StoreError::io("write page table", &e))?;
+        self.write(&table, "write page table")?;
         // Stats section: [u32 len | RelStats payload | u32 crc],
         // after the page table (readers locate it from table_end).
         let rel_stats = self.stats.clone().finish();
@@ -290,8 +358,7 @@ impl SegmentWriter {
         codec::put_u32(&mut section, self.scratch.len() as u32);
         section.extend_from_slice(&self.scratch);
         codec::put_u32(&mut section, crc32(&self.scratch));
-        fp_write_all(&mut self.file, &section)
-            .map_err(|e| StoreError::io("write stats section", &e))?;
+        self.write(&section, "write stats section")?;
         let mut preamble = Vec::with_capacity(PREAMBLE_V3);
         codec::put_u32(&mut preamble, MAGIC);
         codec::put_u16(&mut preamble, VERSION_V3);
@@ -305,12 +372,61 @@ impl SegmentWriter {
         codec::put_u32(&mut preamble, table_crc);
         let preamble_crc = crc32(&preamble);
         codec::put_u32(&mut preamble, preamble_crc);
-        self.file
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| StoreError::io("seek preamble", &e))?;
-        fp_write_all(&mut self.file, &preamble)
-            .map_err(|e| StoreError::io("patch preamble", &e))?;
-        fp_sync(&self.file).map_err(|e| StoreError::io("fsync segment", &e))?;
+        match &mut self.file {
+            None => self.held[..PREAMBLE_V3].copy_from_slice(&preamble),
+            Some(file) => {
+                file.seek(SeekFrom::Start(0))
+                    .map_err(|e| StoreError::io("seek preamble", &e))?;
+                fp_write_all(file, &preamble).map_err(|e| StoreError::io("patch preamble", &e))?;
+            }
+        }
+        Ok(preamble_crc)
+    }
+
+    /// Finish the segment and fsync + atomically rename the temp file
+    /// to the destination path (returned).
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] on write failures.
+    pub fn finish(self) -> Result<PathBuf, StoreError> {
+        Ok(self.finish_meta()?.path)
+    }
+
+    /// As [`SegmentWriter::finish`], additionally reporting the
+    /// content checksum and tuple count the catalog manifest records.
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] on write failures.
+    pub fn finish_meta(mut self) -> Result<SegmentMeta, StoreError> {
+        let checksum = self.seal()?;
+        self.land(checksum)
+    }
+
+    /// Finish the segment: one of at most [`INLINE_SEGMENT_MAX`] bytes
+    /// comes back as those bytes and touches no disk; a larger one
+    /// lands at the destination path as [`SegmentWriter::finish_meta`]
+    /// lands it. Size alone decides.
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] on write failures.
+    pub fn finish_inline(mut self) -> Result<Finished, StoreError> {
+        let checksum = self.seal()?;
+        if self.file.is_some() {
+            return self.land(checksum).map(Finished::File);
+        }
+        self.finished = true;
+        Ok(Finished::Inline {
+            bytes: Arc::from(std::mem::take(&mut self.held)),
+            checksum,
+            tuple_count: self.tuple_count,
+        })
+    }
+
+    /// Land the sealed output at the destination: fsync the temp file,
+    /// rename it into place, fsync the directory.
+    fn land(mut self, checksum: u32) -> Result<SegmentMeta, StoreError> {
+        let file = self.file()?;
+        fp_sync(file).map_err(|e| StoreError::io("fsync segment", &e))?;
         fp_rename(&self.tmp_path, &self.path)
             .map_err(|e| StoreError::io(format!("rename into {:?}", self.path), &e))?;
         self.finished = true;
@@ -318,15 +434,49 @@ impl SegmentWriter {
             .map_err(|e| StoreError::io("fsync segment directory", &e))?;
         Ok(SegmentMeta {
             path: self.path.clone(),
-            checksum: preamble_crc,
+            checksum,
             tuple_count: self.tuple_count,
+            bytes: self.len,
         })
+    }
+
+    /// Fold inline segments out to their files in `dir`: each `(file,
+    /// bytes)` — [`Finished::Inline`] bytes, exactly what the file holds —
+    /// goes to a sibling temp file that is fsync'd and renamed into place,
+    /// then `dir` is fsync'd once for the batch. Returns the bytes written.
+    /// A checkpoint runs this before its manifest names the files.
+    ///
+    /// # Errors
+    /// [`StoreError::Io`]; the temp file of the failed segment is removed,
+    /// and files already renamed stay (unreferenced until a manifest names
+    /// them, and rewritten whole by the next fold-out).
+    pub fn fold_out(dir: &Path, segments: &[(&str, &[u8])]) -> Result<u64, StoreError> {
+        let mut written = 0;
+        for (file, bytes) in segments {
+            let path = dir.join(file);
+            let tmp = temp_sibling(&path);
+            let landed = fp_create(&tmp).and_then(|mut f| {
+                fp_write_all(&mut f, bytes)?;
+                fp_sync(&f)?;
+                fp_rename(&tmp, &path)
+            });
+            if let Err(e) = landed {
+                std::fs::remove_file(&tmp).ok();
+                return Err(StoreError::io(format!("fold out {path:?}"), &e));
+            }
+            written += bytes.len() as u64;
+        }
+        if let Some((file, _)) = segments.first() {
+            fp_sync_parent_dir(&dir.join(file))
+                .map_err(|e| StoreError::io("fsync segment directory", &e))?;
+        }
+        Ok(written)
     }
 }
 
 impl Drop for SegmentWriter {
     fn drop(&mut self) {
-        if !self.finished {
+        if !self.finished && self.file.is_some() {
             // Abandoned mid-write (error or crash-injection): the
             // destination was never touched, only the temp file.
             std::fs::remove_file(&self.tmp_path).ok();
@@ -366,7 +516,11 @@ pub fn write_segment_meta(
 /// Read and verify the stats section at `offset`: `[u32 len |
 /// payload | u32 crc]`. The flag promised a section, so truncation
 /// or a checksum mismatch here is corruption, not absence.
-fn read_stats_section(file: &mut File, offset: u64, file_len: u64) -> Result<RelStats, StoreError> {
+fn read_stats_section(
+    file: &mut (impl Read + Seek),
+    offset: u64,
+    file_len: u64,
+) -> Result<RelStats, StoreError> {
     let mut len_buf = [0u8; 4];
     let min_end = offset
         .checked_add(8)
@@ -424,7 +578,11 @@ fn verify_entry(page: u64, entry: &PageEntry, bytes: &[u8]) -> Result<(), StoreE
 }
 
 /// Read one page's bytes (unverified — see [`verify_entry`]).
-fn read_entry(file: &mut File, page: u64, entry: &PageEntry) -> Result<Vec<u8>, StoreError> {
+fn read_entry(
+    file: &mut (impl Read + Seek),
+    page: u64,
+    entry: &PageEntry,
+) -> Result<Vec<u8>, StoreError> {
     let mut buf = vec![0u8; entry.len as usize];
     file.seek(SeekFrom::Start(entry.offset))
         .and_then(|_| file.read_exact(&mut buf))
@@ -510,14 +668,59 @@ fn decode_records(
 
 // ------------------------------------------------------------- reader
 
+/// Where a [`Segment`] reads its bytes from. Every path converts into
+/// one, so an API that takes `impl Into<SegmentSource>` takes a path
+/// as before.
+#[derive(Debug, Clone)]
+pub enum SegmentSource {
+    /// A segment file.
+    File(PathBuf),
+    /// A segment held in memory — an inline bind's bytes
+    /// ([`Finished::Inline`]), byte for byte what its file would hold.
+    Bytes(Arc<[u8]>),
+}
+
+impl<P: AsRef<Path>> From<P> for SegmentSource {
+    fn from(path: P) -> SegmentSource {
+        SegmentSource::File(path.as_ref().to_path_buf())
+    }
+}
+
+/// The open [`SegmentSource`]: one `Read + Seek` stream that the
+/// header, page table, stats section and every page are read through.
+#[derive(Debug)]
+enum Reader {
+    File(File),
+    Bytes(std::io::Cursor<Arc<[u8]>>),
+}
+
+impl Read for Reader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Reader::File(file) => file.read(buf),
+            Reader::Bytes(bytes) => bytes.read(buf),
+        }
+    }
+}
+
+impl Seek for Reader {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        match self {
+            Reader::File(file) => file.seek(pos),
+            Reader::Bytes(bytes) => bytes.seek(pos),
+        }
+    }
+}
+
 /// An open segment: the parsed header (schema + domains + page table)
-/// plus the file handle pages are read through. Cheap to share behind
-/// an [`Arc`]; all reads are interior-mutex, so exchange workers can
-/// page through one segment concurrently.
+/// plus the source pages are read through — a file, or an inline
+/// segment's bytes. Cheap to share behind an [`Arc`]; all reads are
+/// interior-mutex, so exchange workers can page through one segment
+/// concurrently.
 #[derive(Debug)]
 pub struct Segment {
     id: u64,
-    file: Mutex<File>,
+    source: Mutex<Reader>,
     schema: Arc<Schema>,
     domains: Vec<Option<Arc<AttrDomain>>>,
     /// The all-true column mask — full decodes go through the one
@@ -534,14 +737,14 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Open a segment, rebuilding its schema (and interned domain
-    /// dictionary) from the header.
+    /// Open a segment — a file, or bytes in memory — rebuilding its
+    /// schema (and interned domain dictionary) from the header.
     ///
     /// # Errors
     /// [`StoreError::Io`] / [`StoreError::Corrupt`] on unreadable or
-    /// malformed files.
-    pub fn open(path: impl AsRef<Path>) -> Result<Segment, StoreError> {
-        Segment::open_impl(path.as_ref(), None)
+    /// malformed segments.
+    pub fn open(source: impl Into<SegmentSource>) -> Result<Segment, StoreError> {
+        Segment::open_impl(source.into(), None)
     }
 
     /// Open a segment using a caller-supplied schema instead of
@@ -553,19 +756,31 @@ impl Segment {
     /// # Errors
     /// As [`Segment::open`].
     pub fn open_with_schema(
-        path: impl AsRef<Path>,
+        source: impl Into<SegmentSource>,
         schema: Arc<Schema>,
     ) -> Result<Segment, StoreError> {
-        Segment::open_impl(path.as_ref(), Some(schema))
+        Segment::open_impl(source.into(), Some(schema))
     }
 
-    fn open_impl(path: &Path, schema: Option<Arc<Schema>>) -> Result<Segment, StoreError> {
-        let mut file =
-            File::open(path).map_err(|e| StoreError::io(format!("open {path:?}"), &e))?;
-        let file_len = file
-            .metadata()
-            .map_err(|e| StoreError::io(format!("stat {path:?}"), &e))?
-            .len();
+    fn open_impl(
+        source: SegmentSource,
+        schema: Option<Arc<Schema>>,
+    ) -> Result<Segment, StoreError> {
+        let (mut file, file_len) = match source {
+            SegmentSource::File(path) => {
+                let file =
+                    File::open(&path).map_err(|e| StoreError::io(format!("open {path:?}"), &e))?;
+                let len = file
+                    .metadata()
+                    .map_err(|e| StoreError::io(format!("stat {path:?}"), &e))?
+                    .len();
+                (Reader::File(file), len)
+            }
+            SegmentSource::Bytes(bytes) => {
+                let len = bytes.len() as u64;
+                (Reader::Bytes(std::io::Cursor::new(bytes)), len)
+            }
+        };
         let header = compat::read_header(&mut file, file_len)?;
 
         let mut schema_bytes = vec![0u8; header.schema_len];
@@ -615,7 +830,7 @@ impl Segment {
 
         Ok(Segment {
             id: NEXT_SEGMENT_ID.fetch_add(1, Ordering::Relaxed),
-            file: Mutex::new(file),
+            source: Mutex::new(file),
             schema,
             domains,
             all_columns,
@@ -710,17 +925,17 @@ impl Segment {
         verify_entry(page, self.entry(page)?, bytes)
     }
 
-    /// Read raw page bytes from disk, verifying the page checksum —
-    /// the buffer pool's fill path. Prefer
+    /// Read raw page bytes from the source, verifying the page
+    /// checksum — the buffer pool's fill path. Prefer
     /// [`crate::pool::BufferPool::get`], which caches.
     ///
     /// # Errors
     /// [`StoreError::Io`] / [`StoreError::Corrupt`].
     pub fn read_page(&self, page: u64) -> Result<Vec<u8>, StoreError> {
         let entry = self.entry(page)?;
-        // The file lock covers the read only, not the checksum.
+        // The source lock covers the read only, not the checksum.
         let buf = read_entry(
-            &mut self.file.lock().expect("segment file lock"),
+            &mut *self.source.lock().expect("segment source lock"),
             page,
             entry,
         )?;

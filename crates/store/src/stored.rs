@@ -18,7 +18,9 @@
 use crate::codec::decode_record;
 use crate::error::StoreError;
 use crate::pool::BufferPool;
-use crate::segment::{write_segment, PageRecords, RecordId, Segment, DEFAULT_PAGE_SIZE};
+use crate::segment::{
+    write_segment, PageRecords, RecordId, Segment, SegmentSource, DEFAULT_PAGE_SIZE,
+};
 use evirel_relation::{AttrValue, ExtendedRelation, Schema, Tuple, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -145,16 +147,17 @@ pub struct StoredRelation {
 }
 
 impl StoredRelation {
-    /// Open a stored relation, paging through `pool`.
+    /// Open a stored relation — a segment file or an inline segment's
+    /// bytes — paging through `pool`.
     ///
     /// # Errors
     /// As [`Segment::open`].
     pub fn open(
-        path: impl AsRef<Path>,
+        source: impl Into<SegmentSource>,
         pool: Arc<BufferPool>,
     ) -> Result<StoredRelation, StoreError> {
         Ok(StoredRelation::from_segment(
-            Arc::new(Segment::open(path)?),
+            Arc::new(Segment::open(source)?),
             pool,
         ))
     }
@@ -169,7 +172,7 @@ impl StoredRelation {
         pool: Arc<BufferPool>,
     ) -> Result<StoredRelation, StoreError> {
         write_segment(rel, path.as_ref(), DEFAULT_PAGE_SIZE)?;
-        StoredRelation::open(path, pool)
+        StoredRelation::open(path.as_ref(), pool)
     }
 
     /// Wrap an already-open segment.
