@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
 use evirel_plan::reference::execute_reference;
-use evirel_plan::{execute_plan, scan, Bindings, ExecContext, LogicalPlan};
+use evirel_plan::{execute_plan, scan, Bindings, Config, ExecContext, LogicalPlan};
 use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, ValueKind};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -103,7 +103,10 @@ fn chain_plan() -> LogicalPlan {
 }
 
 fn run(bindings: &Bindings, plan: &LogicalPlan, threads: usize) -> ExtendedRelation {
-    let mut ctx = ExecContext::with_parallelism(threads);
+    let mut ctx = ExecContext::new(&Config {
+        threads,
+        ..Config::default()
+    });
     execute_plan(plan, bindings, &mut ctx).expect("plan executes")
 }
 

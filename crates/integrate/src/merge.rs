@@ -24,7 +24,7 @@ use evirel_algebra::union::{combine_evidence, combine_membership, UnionOptions};
 use evirel_algebra::{AlgebraError, ConflictReport, PairKey};
 use evirel_evidence::rules::CombinationRule;
 use evirel_plan::{
-    execute_merge, BoundRelation, ExecContext, MergePairing, PlanError, TupleMerger,
+    execute_merge, BoundRelation, Config, ExecContext, MergePairing, PlanError, TupleMerger,
 };
 use evirel_relation::{AttrDef, AttrType, AttrValue, ExtendedRelation, Schema, Tuple, Value};
 use std::collections::{HashMap, HashSet};
@@ -39,7 +39,8 @@ pub struct MergeOutcome {
 }
 
 /// Merge two preprocessed relations — in memory or stored — according
-/// to `matching` and `registry`, on up to `threads` worker threads.
+/// to `matching` and `registry`, under `config`: its worker threads and
+/// a pool of its buffer budget for spilled build sides.
 /// The result, its tuple order and the conflict report are the same
 /// bit for bit at every thread count and for stored and in-memory
 /// copies of the same inputs.
@@ -59,7 +60,7 @@ pub fn merge_relations(
     right: &BoundRelation,
     matching: &MatchOutcome,
     registry: &MethodRegistry,
-    threads: usize,
+    config: &Config,
 ) -> Result<MergeOutcome, IntegrateError> {
     let schema = left.schema();
     schema
@@ -67,7 +68,7 @@ pub fn merge_relations(
         .map_err(IntegrateError::Relation)?;
     registry.validate(schema)?;
     let pairing = validated_pairing(matching, &*key_probe(left)?, &*key_probe(right)?)?;
-    let mut ctx = ExecContext::with_parallelism(threads);
+    let mut ctx = ExecContext::new(config);
     let merger = || Box::new(RegistryMerger::new(registry.clone())) as Box<dyn TupleMerger>;
     let relation =
         execute_merge(left, right, pairing, &merger, &mut ctx).map_err(from_plan_error)?;
@@ -292,6 +293,14 @@ mod tests {
     use evirel_relation::{AttrDomain, RelationBuilder, ValueKind};
     use std::sync::Arc;
 
+    /// The suite's config (CI's buffer budget) at `threads` threads.
+    fn config(threads: usize) -> Config {
+        Config {
+            threads,
+            ..Config::from_env()
+        }
+    }
+
     fn domain() -> Arc<AttrDomain> {
         Arc::new(AttrDomain::categorical("rating", ["avg", "gd", "ex"]).unwrap())
     }
@@ -352,7 +361,7 @@ mod tests {
         matching: &MatchOutcome,
         registry: &MethodRegistry,
     ) -> Result<MergeOutcome, IntegrateError> {
-        merge_relations(&memory(l), &memory(r), matching, registry, 1)
+        merge_relations(&memory(l), &memory(r), matching, registry, &config(1))
     }
 
     fn registry() -> MethodRegistry {
@@ -382,7 +391,7 @@ mod tests {
         };
         let (sl, sr) = (store(&l), store(&r));
         for threads in [1usize, 4] {
-            let out = merge_relations(&sl, &sr, &matching, &registry(), threads).unwrap();
+            let out = merge_relations(&sl, &sr, &matching, &registry(), &config(threads)).unwrap();
             assert!(mem.relation.approx_eq(&out.relation));
             assert_eq!(
                 mem.relation.keys().collect::<Vec<_>>(),
@@ -398,7 +407,7 @@ mod tests {
             right_only: Vec::new(),
         };
         assert!(matches!(
-            merge_relations(&sl, &sr, &bad, &registry(), 1),
+            merge_relations(&sl, &sr, &bad, &registry(), &config(1)),
             Err(IntegrateError::BadMatch { .. })
         ));
     }
@@ -514,9 +523,9 @@ mod tests {
                 .collect(),
         };
         let reg = registry().with_conflict_policy(ConflictPolicy::Vacuous);
-        let seq = merge_relations(&l, &r, &matching, &reg, 1).unwrap();
+        let seq = merge_relations(&l, &r, &matching, &reg, &config(1)).unwrap();
         for threads in [2usize, 4, 8] {
-            let par = merge_relations(&l, &r, &matching, &reg, threads).unwrap();
+            let par = merge_relations(&l, &r, &matching, &reg, &config(threads)).unwrap();
             assert_eq!(seq.relation.len(), par.relation.len());
             for (s, p) in seq.relation.iter().zip(par.relation.iter()) {
                 assert_eq!(

@@ -12,7 +12,7 @@ use crate::merge::{merge_relations, MergeOutcome};
 use crate::methods::MethodRegistry;
 use crate::preprocess::Preprocessor;
 use evirel_algebra::ConflictReport;
-use evirel_plan::BoundRelation;
+use evirel_plan::{BoundRelation, Config};
 use evirel_relation::{ExtendedRelation, Schema};
 use std::fmt;
 use std::sync::Arc;
@@ -83,11 +83,13 @@ pub struct Integrator {
     right_pre: Preprocessor,
     matcher: Box<dyn EntityMatcher>,
     registry: MethodRegistry,
+    config: Config,
 }
 
 impl Integrator {
     /// An integrator targeting `global_schema`, with identity
-    /// preprocessing, key matching, and evidential-by-default merging.
+    /// preprocessing, key matching, and evidential-by-default merging
+    /// under [`Config::default`].
     pub fn new(global_schema: Arc<Schema>) -> Integrator {
         Integrator {
             global_schema,
@@ -95,7 +97,15 @@ impl Integrator {
             right_pre: Preprocessor::new(),
             matcher: Box::new(KeyMatcher),
             registry: MethodRegistry::new(),
+            config: Config::default(),
         }
+    }
+
+    /// Set the configuration the merge stage runs under (its worker
+    /// threads and buffer budget).
+    pub fn with_config(mut self, config: Config) -> Self {
+        self.config = config;
+        self
     }
 
     /// Set the left source's preprocessor.
@@ -243,14 +253,13 @@ impl Integrator {
         // Stage 2: entity identification.
         let matching = self.matcher.match_tuples(&left_pre, &right_pre)?;
 
-        // Stage 3: tuple merging — streamed, no input copies, on the
-        // process's thread budget (`EVIREL_THREADS`).
+        // Stage 3: tuple merging — streamed, no input copies.
         let MergeOutcome { relation, report } = merge_relations(
             &BoundRelation::Memory(Arc::clone(&left_pre)),
             &BoundRelation::Memory(Arc::clone(&right_pre)),
             &matching,
             &self.registry,
-            evirel_plan::default_parallelism(),
+            &self.config,
         )?;
 
         let trace = StageTrace {
@@ -328,6 +337,7 @@ mod tests {
             .build();
 
         let integrator = Integrator::new(Arc::clone(&global))
+            .with_config(Config::from_env())
             .with_right_preprocessor(
                 Preprocessor::new()
                     .with_schema_mapping(
@@ -394,7 +404,7 @@ mod tests {
                 .build()
         };
         let (s1, s2, s3) = (mk("x", 0.5), mk("x", 0.4), mk("y", 0.3));
-        let integrator = Integrator::new(Arc::clone(&global));
+        let integrator = Integrator::new(Arc::clone(&global)).with_config(Config::from_env());
         let abc = integrator.run_many(&[&s1, &s2, &s3]).unwrap();
         let cba = integrator.run_many(&[&s3, &s2, &s1]).unwrap();
         assert!(abc.relation.approx_eq(&cba.relation));
@@ -425,6 +435,7 @@ mod tests {
                 .build()
         };
         let integrator = Integrator::new(Arc::clone(&global))
+            .with_config(Config::from_env())
             .with_left_preprocessor(Preprocessor::new().with_reliability(0.8))
             .with_right_preprocessor(Preprocessor::new().with_reliability(0.8));
         // Three fully-conflicting certain sources survive because each
@@ -462,6 +473,7 @@ mod tests {
                 .build()
         };
         let out = Integrator::new(Arc::clone(&global))
+            .with_config(Config::from_env())
             .run(&mk(0.5), &mk(0.5))
             .unwrap();
         assert_eq!(out.relation.len(), 1);

@@ -43,6 +43,12 @@ pub enum PlanError {
     /// A storage-engine failure from a stored scan or a spilled merge
     /// build side.
     Store(evirel_store::StoreError),
+    /// An exchange worker panicked while driving its shard plan (the
+    /// panic message went to stderr).
+    ShardPanicked {
+        /// The shard whose worker panicked.
+        shard: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -63,6 +69,7 @@ impl fmt::Display for PlanError {
             }
             Self::Pairing { reason } => write!(f, "invalid merge pairing: {reason}"),
             Self::Store(e) => write!(f, "storage error: {e}"),
+            Self::ShardPanicked { shard } => write!(f, "exchange shard {shard} panicked"),
         }
     }
 }

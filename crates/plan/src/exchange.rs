@@ -282,9 +282,6 @@ impl Operator for ExchangeOp {
     }
 
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), PlanError> {
-        let options = ctx.union_options.clone();
-        let pool = Arc::clone(&ctx.pool);
-        let spill_threshold = ctx.spill_threshold_bytes;
         // Drive every shard plan to completion, one scoped thread per
         // shard, each with a private context for side outputs — but
         // ONE shared buffer pool, so N workers spill and page under a
@@ -295,10 +292,9 @@ impl Operator for ExchangeOp {
                 .shards
                 .iter_mut()
                 .map(|shard| {
-                    let mut wctx = ExecContext::with_options(options.clone());
-                    wctx.parallelism = 1;
-                    wctx.pool = Arc::clone(&pool);
-                    wctx.spill_threshold_bytes = spill_threshold;
+                    let mut wctx =
+                        ExecContext::with_pool(Arc::clone(&ctx.pool), 1, ctx.union_options.clone());
+                    wctx.spill_threshold_bytes = ctx.spill_threshold_bytes;
                     scope.spawn(move || {
                         let mut out = Vec::new();
                         shard.open(&mut wctx)?;
@@ -310,9 +306,12 @@ impl Operator for ExchangeOp {
                     })
                 })
                 .collect();
+            // A shard that panicked is this query's typed failure, not
+            // the caller's panic.
             handles
                 .into_iter()
-                .map(|h| h.join().expect("exchange worker panicked"))
+                .enumerate()
+                .map(|(shard, h)| h.join().unwrap_or(Err(PlanError::ShardPanicked { shard })))
                 .collect()
         });
 
@@ -407,6 +406,10 @@ mod tests {
     use evirel_algebra::union::UnionOptions;
     use evirel_relation::{AttrDomain, RelationBuilder};
 
+    fn config() -> crate::Config {
+        crate::Config::from_env()
+    }
+
     fn pair(n: usize) -> (Arc<ExtendedRelation>, Arc<ExtendedRelation>) {
         let domain = Arc::new(AttrDomain::categorical("d", ["x", "y", "z"]).unwrap());
         let schema = |name: &str| {
@@ -470,7 +473,7 @@ mod tests {
     #[test]
     fn exchange_union_matches_sequential_merge() {
         let (a, b) = pair(256);
-        let mut seq_ctx = ExecContext::new();
+        let mut seq_ctx = ExecContext::new(&config());
         let mut seq_op = MergeOp::union(
             Box::new(crate::ops::ScanOp::new("a", Arc::clone(&a))),
             Box::new(crate::ops::ScanOp::new("b", Arc::clone(&b))),
@@ -480,7 +483,7 @@ mod tests {
         let seq = run(&mut seq_op, &mut seq_ctx).unwrap();
 
         for threads in [2usize, 4] {
-            let mut par_ctx = ExecContext::new();
+            let mut par_ctx = ExecContext::new(&config());
             let mut exchange = union_over_shards(&a, &b, threads);
             let par = run(&mut exchange, &mut par_ctx).unwrap();
             assert!(seq.approx_eq(&par));
@@ -504,7 +507,7 @@ mod tests {
         let mut seen = 0usize;
         for s in 0..4 {
             let mut op = ShardScanOp::new("a", Arc::clone(&a), partitioner, s);
-            let mut ctx = ExecContext::new();
+            let mut ctx = ExecContext::new(&config());
             op.open(&mut ctx).unwrap();
             let mut shard_count = 0usize;
             while op.next(&mut ctx).unwrap().is_some() {
@@ -515,6 +518,46 @@ mod tests {
             seen += shard_count;
         }
         assert_eq!(seen, a.len());
+    }
+
+    /// A shard plan whose `next` panics, as a bug in an operator would.
+    struct Panics(Arc<Schema>);
+
+    impl Operator for Panics {
+        fn schema(&self) -> &Arc<Schema> {
+            &self.0
+        }
+        fn open(&mut self, _ctx: &mut ExecContext) -> Result<(), PlanError> {
+            Ok(())
+        }
+        fn next(&mut self, _ctx: &mut ExecContext) -> Result<Option<Arc<Tuple>>, PlanError> {
+            panic!("shard bug")
+        }
+        fn close(&mut self, _ctx: &mut ExecContext) -> Result<(), PlanError> {
+            Ok(())
+        }
+        fn describe(&self) -> String {
+            "panics".to_owned()
+        }
+        fn children(&self) -> Vec<&dyn Operator> {
+            Vec::new()
+        }
+    }
+
+    /// A worker that panics fails the query with an error naming its
+    /// shard; the thread driving the exchange does not panic.
+    #[test]
+    fn a_panicking_shard_is_a_typed_error() {
+        let (a, _) = pair(16);
+        let partitioner = Partitioner::new(2);
+        let shards: Vec<Box<dyn Operator>> = vec![
+            Box::new(ShardScanOp::new("a", Arc::clone(&a), partitioner, 0)),
+            Box::new(Panics(Arc::clone(a.schema()))),
+        ];
+        let mut exchange = ExchangeOp::new(shards, OrderMap::new()).unwrap();
+        let err = run(&mut exchange, &mut ExecContext::new(&config())).unwrap_err();
+        assert_eq!(err, PlanError::ShardPanicked { shard: 1 });
+        assert!(err.to_string().contains("shard 1"), "{err}");
     }
 
     #[test]

@@ -905,9 +905,27 @@ fn push_indented(out: &mut String, text: &str) {
 mod tests {
     use super::*;
     use crate::logical::{scan, Bindings};
+    use crate::Config;
     use evirel_algebra::{Operand, ThetaOp};
     use evirel_relation::{AttrDomain, RelationBuilder, Schema, Value, ValueKind};
     use std::sync::Arc;
+
+    fn config() -> Config {
+        Config::from_env()
+    }
+
+    fn context_at(threads: usize) -> ExecContext {
+        ExecContext::new(&Config {
+            threads,
+            ..config()
+        })
+    }
+
+    fn exec_context(options: UnionOptions) -> ExecContext {
+        let mut ctx = ExecContext::new(&config());
+        ctx.union_options = options;
+        ctx
+    }
 
     /// Plain `EXPLAIN` of `plan` at an explicit thread budget.
     fn explain(
@@ -916,7 +934,7 @@ mod tests {
         options: &UnionOptions,
         parallelism: usize,
     ) -> String {
-        let mut ctx = ExecContext::with_options(options.clone());
+        let mut ctx = exec_context(options.clone());
         ctx.parallelism = parallelism;
         explain_plan(plan, b, &mut ctx, false).unwrap()
     }
@@ -976,7 +994,7 @@ mod tests {
         let text = explain(&plan, &b, &UnionOptions::default(), 1);
         assert!(text.contains("hash rname = rname"), "{text}");
         assert!(text.contains("join-expansion"), "{text}");
-        let mut ctx = ExecContext::new();
+        let mut ctx = ExecContext::new(&config());
         let out = execute_plan(&plan, &b, &mut ctx).unwrap();
         assert_eq!(out.len(), 1);
         let t = out
@@ -997,7 +1015,7 @@ mod tests {
         let text = explain(&plan, &b, &UnionOptions::default(), 1);
         assert!(!text.contains("hash"), "{text}");
         assert!(text.contains("×̃"), "{text}");
-        let mut ctx = ExecContext::new();
+        let mut ctx = ExecContext::new(&config());
         let out = execute_plan(&plan, &b, &mut ctx).unwrap();
         // mehl–wok, olive–mehl, olive–wok survive the ≠ predicate.
         assert_eq!(out.len(), 3);
@@ -1040,12 +1058,12 @@ mod tests {
         let text = explain(&plan, &b, &options, 1);
         assert!(!text.contains("exchange"), "{text}");
 
-        let mut seq_ctx = ExecContext::with_options(options.clone());
+        let mut seq_ctx = exec_context(options.clone());
         seq_ctx.parallelism = 1;
         let seq = execute_plan(&plan, &b, &mut seq_ctx).unwrap();
         assert!(!seq_ctx.conflict_report().is_empty());
         for threads in [2usize, 4, 8] {
-            let mut ctx = ExecContext::with_options(options.clone());
+            let mut ctx = exec_context(options.clone());
             ctx.parallelism = threads;
             let par = execute_plan(&plan, &b, &mut ctx).unwrap();
             assert!(
@@ -1098,9 +1116,9 @@ mod tests {
         let text = explain(&left_filtered, &b, &options, 4);
         assert!(!text.contains("exchange"), "{text}");
         // Parallel execution (sequential fallback) still matches.
-        let mut seq_ctx = ExecContext::with_parallelism(1);
+        let mut seq_ctx = context_at(1);
         let seq = execute_plan(&left_filtered, &b, &mut seq_ctx).unwrap();
-        let mut par_ctx = ExecContext::with_parallelism(4);
+        let mut par_ctx = context_at(4);
         let par = execute_plan(&left_filtered, &b, &mut par_ctx).unwrap();
         assert!(seq.approx_eq(&par));
         for (s, p) in seq.iter().zip(par.iter()) {
@@ -1114,9 +1132,9 @@ mod tests {
             .build();
         let text = explain(&right_filtered, &b, &options, 4);
         assert!(text.contains("⇄ exchange (4 threads"), "{text}");
-        let mut seq_ctx = ExecContext::with_parallelism(1);
+        let mut seq_ctx = context_at(1);
         let seq = execute_plan(&right_filtered, &b, &mut seq_ctx).unwrap();
-        let mut par_ctx = ExecContext::with_parallelism(4);
+        let mut par_ctx = context_at(4);
         let par = execute_plan(&right_filtered, &b, &mut par_ctx).unwrap();
         assert!(seq.approx_eq(&par));
         for (s, p) in seq.iter().zip(par.iter()) {
@@ -1177,9 +1195,9 @@ mod tests {
             .position(|l| l.contains("⇄ exchange"))
             .expect("exchange still built below the projection");
         assert!(ex_line > pi_line, "{text}");
-        let mut seq_ctx = ExecContext::with_parallelism(1);
+        let mut seq_ctx = context_at(1);
         let seq = execute_plan(&plan, &bindings, &mut seq_ctx).unwrap();
-        let mut par_ctx = ExecContext::with_parallelism(4);
+        let mut par_ctx = context_at(4);
         let par = execute_plan(&plan, &bindings, &mut par_ctx).unwrap();
         assert!(seq.approx_eq(&par));
         for (s, p) in seq.iter().zip(par.iter()) {
@@ -1214,10 +1232,10 @@ mod tests {
             text.contains("⇄ exchange (4 threads, hash(k = k) partition"),
             "{text}"
         );
-        let mut seq_ctx = ExecContext::with_parallelism(1);
+        let mut seq_ctx = context_at(1);
         let seq = execute_plan(&plan, &b, &mut seq_ctx).unwrap();
         assert!(!seq.is_empty());
-        let mut par_ctx = ExecContext::with_parallelism(4);
+        let mut par_ctx = context_at(4);
         let par = execute_plan(&plan, &b, &mut par_ctx).unwrap();
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(par.iter()) {
@@ -1236,7 +1254,7 @@ mod tests {
             .select(Predicate::is("spec", ["mu"]))
             .project(["rname", "spec"])
             .build();
-        let mut ctx = ExecContext::new();
+        let mut ctx = ExecContext::new(&config());
         let text = explain_plan(&plan, &b, &mut ctx, true).unwrap();
         assert!(text.contains("physical:"), "{text}");
         assert!(text.contains("act="), "{text}");
@@ -1269,7 +1287,7 @@ mod tests {
             stored.bind_stored(name, Arc::new(rel));
         }
         let scans = |plan: &LogicalPlan| {
-            let text = explain_plan(plan, &stored, &mut ExecContext::new(), true).unwrap();
+            let text = explain_plan(plan, &stored, &mut ExecContext::new(&config()), true).unwrap();
             let physical = text.lines().skip_while(|l| !l.starts_with("physical:"));
             let scans = physical.filter(|l| l.trim_start().starts_with("scan s"));
             scans.map(|l| l.trim().to_owned()).collect::<Vec<_>>()
@@ -1283,7 +1301,8 @@ mod tests {
         let selected = union.select(Predicate::is("spec", ["it"])).build();
         assert_eq!(scans(&selected), both_read);
         // σ̃ and ∪̃ are one line, under the σ̃'s meter.
-        let text = explain_plan(&selected, &stored, &mut ExecContext::new(), true).unwrap();
+        let text =
+            explain_plan(&selected, &stored, &mut ExecContext::new(&config()), true).unwrap();
         let physical: Vec<&str> = text
             .lines()
             .skip_while(|l| !l.starts_with("physical:"))
@@ -1327,7 +1346,7 @@ mod tests {
             .project(["rname"])
             .build();
         let physical = |b: &Bindings, plan: &LogicalPlan| {
-            let text = explain_plan(plan, b, &mut ExecContext::new(), true).unwrap();
+            let text = explain_plan(plan, b, &mut ExecContext::new(&config()), true).unwrap();
             let lines = text.lines().skip_while(|l| !l.starts_with("physical:"));
             lines.skip(1).map(str::to_owned).collect::<Vec<_>>()
         };
@@ -1376,8 +1395,11 @@ mod tests {
             scan("sa").product(scan("sb").rename("t")).build(),
         ] {
             let context = || {
-                let mut ctx = ExecContext::new();
-                ctx.pool = Arc::clone(&pool);
+                let mut ctx = ExecContext::with_pool(
+                    Arc::clone(&pool),
+                    config().threads,
+                    UnionOptions::default(),
+                );
                 ctx.spill_threshold_bytes = 0;
                 ctx
             };

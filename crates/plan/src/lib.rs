@@ -32,7 +32,7 @@
 //! with its method-registry merger.
 //!
 //! ```
-//! use evirel_plan::{scan, execute_plan, Bindings, ExecContext};
+//! use evirel_plan::{scan, execute_plan, Bindings, Config, ExecContext};
 //! use evirel_algebra::{Predicate, Threshold};
 //! use evirel_workload::restaurant_db_a;
 //!
@@ -42,12 +42,13 @@
 //!     .select(Predicate::is("speciality", ["si"]))
 //!     .project(["rname", "speciality"])
 //!     .build();
-//! let mut ctx = ExecContext::new();
+//! let mut ctx = ExecContext::new(&Config::default());
 //! let result = execute_plan(&plan, &bindings, &mut ctx).unwrap();
 //! assert_eq!(result.len(), 2); // the paper's Table 2, streamed
 //! ```
 
 pub mod chain;
+mod config;
 pub mod cost;
 pub mod error;
 pub mod exchange;
@@ -58,6 +59,7 @@ pub mod reference;
 pub mod rewrite;
 pub mod spill;
 
+pub use config::{Config, DEFAULT_SLOW_QUERY_MS, MAX_PARALLELISM};
 pub use cost::CostModel;
 pub use error::PlanError;
 pub use exec::{
@@ -67,9 +69,7 @@ pub use logical::{
     scan, schema_of, validate_plan, Binding, Bindings, BoundRelation, LogicalPlan, PlanBuilder,
     RelationSource,
 };
-pub use ops::{
-    default_parallelism, ExecContext, ExecStats, MergePairing, TupleMerger, MAX_PARALLELISM,
-};
+pub use ops::{ExecContext, ExecStats, MergePairing, TupleMerger};
 pub use rewrite::optimize;
 // The storage-engine types that appear in this crate's public API
 // (`BoundRelation::Stored`, `ExecContext::pool`), re-exported so

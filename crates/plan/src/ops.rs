@@ -33,6 +33,7 @@
 //! ([`ExecContext::into_conflict_report`]) — an observation is
 //! recorded once and moved, never copied.
 
+use crate::config::Config;
 use crate::error::PlanError;
 use crate::spill::{BuildSide, RecordCursor, ScanFilter};
 use evirel_algebra::conflict::ConflictReport;
@@ -43,7 +44,7 @@ use evirel_algebra::union::{MergeScratch, PairSelection, UnionOptions};
 use evirel_algebra::AlgebraError;
 use evirel_relation::{ExtendedRelation, Schema, Tuple, Value};
 use evirel_store::codec::decode_record;
-use evirel_store::{BufferPool, EnvKnob, StoredRelation};
+use evirel_store::{BufferPool, StoredRelation};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -85,81 +86,59 @@ pub struct ExecContext {
     /// Worker threads available to physical planning: subtrees whose
     /// operators pair tuples by key equality are wrapped in a
     /// [`crate::exchange::ExchangeOp`] over this many hash shards
-    /// when the inputs are large enough. `1` (the default) keeps
-    /// execution single-threaded. Defaults to the `EVIREL_THREADS`
-    /// environment variable when set — see [`default_parallelism`].
+    /// when the inputs are large enough. `1` keeps execution
+    /// single-threaded.
     pub parallelism: usize,
     /// The buffer pool spilled build sides page through. One
     /// pool is shared by a whole execution — the exchange operator
     /// hands the same `Arc` to every worker context, so N workers
-    /// page under one `EVIREL_BUFFER_BYTES` budget. (Stored-relation
-    /// scans use the pool their [`StoredRelation`] was opened with.)
+    /// page under one budget. (Stored-relation scans use the pool
+    /// their [`StoredRelation`] was opened with.)
     pub pool: Arc<BufferPool>,
     /// A ∪̃, ∩̃, −̃, ×̃ or ⋈̃ spills its right (build) side to a temp
     /// segment once the side's exact encoded size exceeds this many
-    /// bytes. Defaults to the pool budget, so under a tiny
-    /// `EVIREL_BUFFER_BYTES` every build side exercises the spill path.
+    /// bytes. Starts at the pool budget, so under a tiny pool every
+    /// build side exercises the spill path.
     pub spill_threshold_bytes: usize,
     /// Execution counters.
     pub stats: ExecStats,
     reports: Vec<ConflictReport>,
 }
 
-impl Default for ExecContext {
-    fn default() -> ExecContext {
-        let pool = Arc::new(BufferPool::from_env());
-        let spill_threshold_bytes = pool.budget_bytes();
+impl ExecContext {
+    /// A context under `config`: its thread count, a fresh pool of its
+    /// buffer budget, and default union options.
+    pub fn new(config: &Config) -> ExecContext {
+        let pool = Arc::new(BufferPool::new(config.buffer_bytes));
+        ExecContext::with_pool(pool, config.threads, UnionOptions::default())
+    }
+
+    /// A context over an existing `pool` — build sides spill once they
+    /// outgrow its whole budget — with `parallelism` threads (at least
+    /// one). What a catalog derives per query and an exchange per
+    /// worker: it reads nothing and allocates no pool.
+    pub fn with_pool(
+        pool: Arc<BufferPool>,
+        parallelism: usize,
+        union_options: UnionOptions,
+    ) -> ExecContext {
         ExecContext {
-            union_options: UnionOptions::default(),
-            parallelism: default_parallelism(),
+            union_options,
+            parallelism: parallelism.max(1),
+            spill_threshold_bytes: pool.budget_bytes(),
             pool,
-            spill_threshold_bytes,
             stats: ExecStats::default(),
             reports: Vec::new(),
         }
     }
-}
 
-/// Largest worker-thread count `EVIREL_THREADS` accepts. Anything
-/// above this is almost certainly a typo (and would oversubscribe any
-/// real machine), so it is rejected like garbage input.
-pub const MAX_PARALLELISM: usize = 1024;
-
-const THREADS: EnvKnob = EnvKnob {
-    var: "EVIREL_THREADS",
-    range: 1..=MAX_PARALLELISM,
-    default: 1,
-};
-
-/// The process-wide default for [`ExecContext::parallelism`]: the
-/// `EVIREL_THREADS` environment variable when it parses to an integer
-/// in `1..=1024`, else 1 (sequential) — an invalid value is rejected
-/// loudly, see [`EnvKnob::get`]. CI runs the whole suite under
-/// `EVIREL_THREADS=4` to exercise the parallel paths.
-pub fn default_parallelism() -> usize {
-    THREADS.get()
-}
-
-impl ExecContext {
-    /// A context with default union options.
-    pub fn new() -> ExecContext {
-        ExecContext::default()
-    }
-
-    /// A context with explicit parallelism.
-    pub fn with_parallelism(parallelism: usize) -> ExecContext {
-        ExecContext {
-            parallelism: parallelism.max(1),
-            ..ExecContext::default()
-        }
-    }
-
-    /// A context with explicit union options.
+    /// A context with explicit union options under
+    /// [`Config::default`] — for a caller that sets the pool, the
+    /// thread count and the spill threshold itself.
     pub fn with_options(union_options: UnionOptions) -> ExecContext {
-        ExecContext {
-            union_options,
-            ..ExecContext::default()
-        }
+        let config = Config::default();
+        let pool = Arc::new(BufferPool::new(config.buffer_bytes));
+        ExecContext::with_pool(pool, config.threads, union_options)
     }
 
     /// Record one merging operator's conflict report.
@@ -1529,6 +1508,10 @@ mod tests {
     use super::*;
     use evirel_relation::{AttrDomain, RelationBuilder};
 
+    fn config() -> Config {
+        Config::from_env()
+    }
+
     fn rel(name: &str, rows: &[(&str, &str, f64)]) -> Arc<ExtendedRelation> {
         let d = Arc::new(AttrDomain::categorical("d", ["x", "y", "z"]).unwrap());
         let schema = Arc::new(
@@ -1554,7 +1537,7 @@ mod tests {
     #[test]
     fn scan_select_project_stream() {
         let r = rel("R", &[("a", "x", 1.0), ("b", "y", 0.5), ("c", "x", 0.9)]);
-        let mut ctx = ExecContext::new();
+        let mut ctx = ExecContext::new(&config());
         let scan = Box::new(ScanOp::new("r", Arc::clone(&r)));
         let select =
             Box::new(SelectOp::new(scan, Predicate::is("d", ["x"]), Threshold::POSITIVE).unwrap());
@@ -1577,7 +1560,7 @@ mod tests {
     #[test]
     fn threshold_filters_stored_membership() {
         let r = rel("R", &[("a", "x", 1.0), ("b", "y", 0.5)]);
-        let mut ctx = ExecContext::new();
+        let mut ctx = ExecContext::new(&config());
         let scan = Box::new(ScanOp::new("r", r));
         let mut op = ThresholdOp::new(scan, Threshold::SnAtLeast(0.9)).unwrap();
         let out = run(&mut op, &mut ctx).unwrap();
@@ -1589,10 +1572,8 @@ mod tests {
     fn union_merge_streams_and_reports() {
         let a = rel("A", &[("a", "x", 1.0), ("solo-a", "z", 1.0)]);
         let b = rel("B", &[("a", "y", 1.0), ("solo-b", "z", 1.0)]);
-        let mut ctx = ExecContext::with_options(UnionOptions {
-            on_total_conflict: evirel_algebra::ConflictPolicy::Vacuous,
-            ..Default::default()
-        });
+        let mut ctx = ExecContext::new(&config());
+        ctx.union_options.on_total_conflict = evirel_algebra::ConflictPolicy::Vacuous;
         let merger = Box::new(DempsterMerger::new(ctx.union_options.clone()));
         let mut op = MergeOp::union(
             Box::new(ScanOp::new("a", Arc::clone(&a))),
@@ -1611,7 +1592,7 @@ mod tests {
         assert!(ctx.stats.max_kappa >= 1.0);
 
         // Intersection keeps only the matched merge.
-        let mut ctx2 = ExecContext::new();
+        let mut ctx2 = ExecContext::new(&config());
         let merger = Box::new(DempsterMerger::new(UnionOptions {
             on_total_conflict: evirel_algebra::ConflictPolicy::Vacuous,
             ..Default::default()
@@ -1631,22 +1612,9 @@ mod tests {
         let mut op =
             DifferenceOp::new(Box::new(ScanOp::new("a", a)), Box::new(ScanOp::new("c", c)))
                 .unwrap();
-        let out = run(&mut op, &mut ExecContext::new()).unwrap();
+        let out = run(&mut op, &mut ExecContext::new(&config())).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains_key(&[Value::str("solo-a")]));
-    }
-
-    /// The accepted `EVIREL_THREADS` range is 1..=1024; garbage, 0,
-    /// negatives, floats, and absurd counts are all invalid (and make
-    /// `default_parallelism` warn once and run sequentially).
-    #[test]
-    fn parallelism_parsing_rejects_invalid_values() {
-        assert_eq!(THREADS.parse("1"), Some(1));
-        assert_eq!(THREADS.parse(" 4 "), Some(4));
-        assert_eq!(THREADS.parse("1024"), Some(crate::MAX_PARALLELISM));
-        for invalid in ["", "0", "-2", "4.0", "O4", "four", "1025", "9999999999"] {
-            assert_eq!(THREADS.parse(invalid), None, "{invalid:?}");
-        }
     }
 
     #[test]
@@ -1654,11 +1622,11 @@ mod tests {
         let r = rel("R", &[("a", "x", 1.0)]);
         let op = Box::new(ScanOp::new("r", Arc::clone(&r)));
         let mut op = RenameOp::relation(op, "T");
-        let out = run(&mut op, &mut ExecContext::new()).unwrap();
+        let out = run(&mut op, &mut ExecContext::new(&config())).unwrap();
         assert_eq!(out.schema().name(), "T");
         let op = Box::new(ScanOp::new("r", r));
         let mut op = RenameOp::attribute(op, "d", "e").unwrap();
-        let out = run(&mut op, &mut ExecContext::new()).unwrap();
+        let out = run(&mut op, &mut ExecContext::new(&config())).unwrap();
         assert!(out.schema().position("e").is_ok());
     }
 }

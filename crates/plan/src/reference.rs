@@ -175,7 +175,7 @@ mod tests {
             .build();
         let options = UnionOptions::default();
         let (naive, naive_report) = execute_reference(&plan, &bindings, &options).unwrap();
-        let mut ctx = ExecContext::with_options(options);
+        let mut ctx = ExecContext::new(&crate::Config::from_env());
         let streaming = execute_plan(&plan, &bindings, &mut ctx).unwrap();
         assert!(naive.approx_eq(&streaming));
         // Both paths saw the same (non-total) conflict observations.

@@ -777,6 +777,10 @@ mod tests {
     use evirel_algebra::{Operand, ThetaOp};
     use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder};
 
+    fn config() -> crate::Config {
+        crate::Config::from_env()
+    }
+
     fn rel(n: usize) -> ExtendedRelation {
         let d = Arc::new(AttrDomain::categorical("d", ["x", "y", "z"]).unwrap());
         let schema = Arc::new(
@@ -812,9 +816,9 @@ mod tests {
     fn spill_scan_matches_in_memory_scan_bit_for_bit() {
         let r = rel(300);
         let stored = store(&r, 1024); // ~2 pages of budget
-        let mut mem_ctx = ExecContext::new();
+        let mut mem_ctx = ExecContext::new(&config());
         let mem = run(&mut ScanOp::new("r", Arc::new(r.clone())), &mut mem_ctx).unwrap();
-        let mut disk_ctx = ExecContext::new();
+        let mut disk_ctx = ExecContext::new(&config());
         let disk = run(
             &mut SpillScanOp::new("r", Arc::clone(&stored)),
             &mut disk_ctx,
@@ -923,16 +927,16 @@ mod tests {
         ];
         for predicate in predicates {
             for threshold in [Threshold::POSITIVE, Threshold::SnAtLeast(0.3)] {
-                let mut mem_ctx = ExecContext::new();
+                let mut mem_ctx = ExecContext::new(&config());
                 let mem_scan = Box::new(ScanOp::new("r", Arc::new(r.clone())));
                 let mut mem_op = SelectOp::new(mem_scan, predicate.clone(), threshold).unwrap();
                 let mem = run(&mut mem_op, &mut mem_ctx).unwrap();
 
                 let bare = Box::new(SpillScanOp::new("r", Arc::clone(&stored)));
                 let mut bare_op = SelectOp::new(bare, predicate.clone(), threshold).unwrap();
-                let unfused = run(&mut bare_op, &mut ExecContext::new()).unwrap();
+                let unfused = run(&mut bare_op, &mut ExecContext::new(&config())).unwrap();
 
-                let mut fused_ctx = ExecContext::new();
+                let mut fused_ctx = ExecContext::new(&config());
                 let mut fused_op =
                     SpillScanOp::filtered("r", Arc::clone(&stored), predicate.clone(), threshold)
                         .unwrap();
@@ -983,14 +987,14 @@ mod tests {
             for predicate in &bad {
                 let scan = Box::new(ScanOp::new("r", Arc::new(r.clone())));
                 let mem = SelectOp::new(scan, predicate.clone(), Threshold::POSITIVE)
-                    .and_then(|mut op| run(&mut op, &mut ExecContext::new()));
+                    .and_then(|mut op| run(&mut op, &mut ExecContext::new(&config())));
                 let fused = SpillScanOp::filtered(
                     "r",
                     Arc::clone(&stored),
                     predicate.clone(),
                     Threshold::POSITIVE,
                 )
-                .and_then(|mut op| run(&mut op, &mut ExecContext::new()));
+                .and_then(|mut op| run(&mut op, &mut ExecContext::new(&config())));
                 assert_eq!(mem.is_ok(), n == 0, "{predicate}");
                 assert_eq!(
                     mem.map(|r| r.len()).map_err(|e| e.to_string()),

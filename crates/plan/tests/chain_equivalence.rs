@@ -8,10 +8,23 @@
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
 use evirel_plan::reference::execute_reference;
+use evirel_plan::Config;
 use evirel_plan::{execute_plan, explain_plan, scan, Bindings, ExecContext, LogicalPlan};
 use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, ValueKind};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
+
+/// A context under [`config`] with `options`.
+fn exec_context(options: UnionOptions) -> ExecContext {
+    let mut ctx = ExecContext::new(&config());
+    ctx.union_options = options;
+    ctx
+}
 
 /// A relation with a string key, an integer join attribute `j{name}`
 /// drawn from `0..spread` (smaller spread ⇒ more matches, more skew),
@@ -99,10 +112,10 @@ proptest! {
         let (naive, _) =
             execute_reference(&plan, &bindings, &options).expect("reference succeeds");
 
-        let mut seq_ctx = ExecContext::with_options(options.clone());
+        let mut seq_ctx = exec_context(options.clone());
         seq_ctx.parallelism = 1;
         let seq = execute_plan(&plan, &bindings, &mut seq_ctx).expect("sequential succeeds");
-        let mut par_ctx = ExecContext::with_options(options);
+        let mut par_ctx = exec_context(options);
         par_ctx.parallelism = 4;
         let par = execute_plan(&plan, &bindings, &mut par_ctx).expect("parallel succeeds");
 
@@ -138,7 +151,7 @@ proptest! {
 fn explain_shows_chain() {
     let bindings = bind(7, (12, 8, 3), 4);
     let plan = chain_plan(0);
-    let text = explain_plan(&plan, &bindings, &mut ExecContext::new(), false).unwrap();
+    let text = explain_plan(&plan, &bindings, &mut ExecContext::new(&config()), false).unwrap();
     assert!(text.contains("⋈̃ chain (3 inputs"), "{text}");
     assert!(text.contains("cost-ordered:"), "{text}");
 }

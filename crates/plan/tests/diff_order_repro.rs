@@ -5,8 +5,22 @@
 // planner still exchanges the ∪̃ below it), keeping parallel output
 // order sequential-exact.
 use evirel_algebra::predicate::Predicate;
+use evirel_plan::Config;
 use evirel_plan::{execute_plan, explain_plan, scan, Bindings, ExecContext};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
+
+/// A context under [`config`] at `threads` threads.
+fn context_at(threads: usize) -> ExecContext {
+    ExecContext::new(&Config {
+        threads,
+        ..config()
+    })
+}
 
 #[test]
 fn difference_with_filtered_right_order() {
@@ -36,7 +50,7 @@ fn difference_with_filtered_right_order() {
         .union(scan("gb"))
         .difference(scan("gc").select(Predicate::is("e0", ["v0"])))
         .build();
-    let text = explain_plan(&plan, &b, &mut ExecContext::with_parallelism(4), false).unwrap();
+    let text = explain_plan(&plan, &b, &mut context_at(4), false).unwrap();
     eprintln!("{text}");
     // The −̃ itself is not exchanged; its shardable ∪̃ subtree is.
     let diff_line = text.lines().position(|l| l.contains("physical:")).unwrap();
@@ -54,9 +68,9 @@ fn difference_with_filtered_right_order() {
         ex_line > minus_line,
         "exchange must sit below the −̃:\n{text}"
     );
-    let mut seq_ctx = ExecContext::with_parallelism(1);
+    let mut seq_ctx = context_at(1);
     let seq = execute_plan(&plan, &b, &mut seq_ctx).unwrap();
-    let mut par_ctx = ExecContext::with_parallelism(4);
+    let mut par_ctx = context_at(4);
     let par = execute_plan(&plan, &b, &mut par_ctx).unwrap();
     assert_eq!(seq.len(), par.len(), "content diverged");
     for (i, (s, p)) in seq.iter().zip(par.iter()).enumerate() {

@@ -20,6 +20,7 @@
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{ConflictPolicy, Operand, Predicate, ThetaOp, Threshold};
 use evirel_plan::reference::execute_reference;
+use evirel_plan::Config;
 use evirel_plan::{
     execute_plan, scan, Bindings, BufferPool, ExecContext, LogicalPlan, PlanBuilder, StoredRelation,
 };
@@ -27,6 +28,18 @@ use evirel_relation::{ExtendedRelation, Value};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
+
+/// A context under [`config`] with `options`.
+fn exec_context(options: UnionOptions) -> ExecContext {
+    let mut ctx = ExecContext::new(&config());
+    ctx.union_options = options;
+    ctx
+}
 
 fn relations(seed: u64, tuples: usize) -> (ExtendedRelation, ExtendedRelation) {
     generate_pair(&PairConfig {
@@ -209,14 +222,14 @@ proptest! {
             ..Default::default()
         };
         let naive = execute_reference(&plan, &bindings, &options);
-        let mut ctx = ExecContext::with_options(options.clone());
+        let mut ctx = exec_context(options.clone());
         let streaming = execute_plan(&plan, &bindings, &mut ctx);
         // Stored bindings: same tuples, same order, same bits, same
         // conflict report — or the same error — on the run that builds
         // the ∪̃'s right-side key index and on the one that reuses it.
         let stored_bindings = stored_bindings(seed, 24);
         for run in 0..2 {
-            let mut stored_ctx = ExecContext::with_options(options.clone());
+            let mut stored_ctx = exec_context(options.clone());
             let stored = execute_plan(&plan, &stored_bindings, &mut stored_ctx);
             match (&streaming, &stored) {
                 (Ok(s), Ok(d)) => {
@@ -292,10 +305,10 @@ proptest! {
             ..Default::default()
         };
 
-        let mut seq_ctx = ExecContext::with_options(options.clone());
+        let mut seq_ctx = exec_context(options.clone());
         seq_ctx.parallelism = 1;
         let seq = execute_plan(&plan, &bindings, &mut seq_ctx);
-        let mut par_ctx = ExecContext::with_options(options.clone());
+        let mut par_ctx = exec_context(options.clone());
         par_ctx.parallelism = threads;
         let par = execute_plan(&plan, &bindings, &mut par_ctx);
 

@@ -24,6 +24,7 @@ use evirel_evidence::MassFunction;
 use evirel_plan::ops::{DempsterMerger, MergeEmit, MergeOp, Operator, ScanOp, SelectOp};
 use evirel_plan::reference::execute_reference;
 use evirel_plan::spill::SpillScanOp;
+use evirel_plan::Config;
 use evirel_plan::{
     execute_merge, execute_plan, explain_plan, scan, Bindings, BoundRelation, BufferPool,
     ExecContext, ExecStats, LogicalPlan, MergePairing, StoredRelation, TupleMerger,
@@ -35,6 +36,18 @@ use evirel_relation::{
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
+
+/// A context under [`config`] with `options`.
+fn exec_context(options: UnionOptions) -> ExecContext {
+    let mut ctx = ExecContext::new(&config());
+    ctx.union_options = options;
+    ctx
+}
 
 const PAGE: usize = 512;
 
@@ -233,7 +246,7 @@ proptest! {
         };
 
         let run = |bindings: &Bindings| {
-            let mut ctx = ExecContext::with_options(options());
+            let mut ctx = exec_context(options());
             ctx.parallelism = threads;
             let out = execute_plan(&plan, bindings, &mut ctx).expect("plan executes");
             (out, ctx.stats)
@@ -255,7 +268,7 @@ proptest! {
         prop_assert_eq!(masked(fused_stats), mem_stats);
         prop_assert!(pool.stats().evictions > 0, "budget never forced an eviction");
 
-        let text = explain_plan(&plan, &stored_bindings, &mut ExecContext::new(), false)
+        let text = explain_plan(&plan, &stored_bindings, &mut ExecContext::new(&config()), false)
             .expect("explains");
         prop_assert!(text.contains("] with ") && text.contains(" ⟵ scan sa [stored:"), "{text}");
     }
@@ -291,7 +304,7 @@ proptest! {
             .and_then(|stored| {
                 let mut bindings = Bindings::new();
                 bindings.bind_stored("sa", Arc::new(stored));
-                execute_plan(&plan, &bindings, &mut ExecContext::with_options(options()))
+                execute_plan(&plan, &bindings, &mut exec_context(options()))
                     .map_err(|e| e.to_string())
             });
         std::fs::remove_file(&path).ok();
@@ -339,7 +352,7 @@ proptest! {
         let plan = shaped_plan(shape, val);
         let (reference, _) = execute_reference(&plan, &mem_bindings, &options())
             .expect("reference executes");
-        let mut mem_ctx = ExecContext::with_options(options());
+        let mut mem_ctx = exec_context(options());
         mem_ctx.parallelism = threads;
         let mem = execute_plan(&plan, &mem_bindings, &mut mem_ctx).expect("in-memory executes");
 
@@ -347,7 +360,7 @@ proptest! {
         // difference's right.
         let indexed = usize::from((4..8).contains(&shape));
         for builds in [indexed, 0] {
-            let mut ctx = ExecContext::with_options(options());
+            let mut ctx = exec_context(options());
             ctx.parallelism = threads;
             let streamed = execute_plan(&plan, &stored_bindings, &mut ctx)
                 .expect("stored execution succeeds");
@@ -408,7 +421,7 @@ proptest! {
         let memory = (BoundRelation::Memory(Arc::new(ga)), BoundRelation::Memory(Arc::new(gb)));
         let merger = || Box::new(DempsterMerger::new(options())) as Box<dyn TupleMerger>;
         let run = |(l, r): &(BoundRelation, BoundRelation)| {
-            let mut ctx = ExecContext::with_options(options());
+            let mut ctx = exec_context(options());
             ctx.parallelism = threads;
             let out = execute_merge(l, r, pairing.clone(), &merger, &mut ctx).expect("merges");
             (out, ctx)
@@ -443,12 +456,12 @@ proptest! {
         b.bind("sa", ga).bind("sb", gb);
         let plan = shaped_plan([4, 6, 7, 8, 9][shape], seed as u8);
 
-        let mut mem_ctx = ExecContext::with_options(options());
+        let mut mem_ctx = exec_context(options());
         mem_ctx.parallelism = threads;
         mem_ctx.spill_threshold_bytes = usize::MAX; // never spill
         let mem = execute_plan(&plan, &b, &mut mem_ctx).expect("in-memory merge");
 
-        let mut spill_ctx = ExecContext::with_options(options());
+        let mut spill_ctx = exec_context(options());
         spill_ctx.parallelism = threads;
         spill_ctx.spill_threshold_bytes = 0; // always spill
         spill_ctx.pool = Arc::new(BufferPool::new(2 * evirel_store::DEFAULT_PAGE_SIZE));
@@ -492,7 +505,7 @@ fn stored_merge_indexes_segment_directly() {
     bindings.bind_stored("sb", Arc::clone(&sb));
 
     let plan = scan("sa").union(scan("sb")).build();
-    let mut ctx = ExecContext::with_options(options());
+    let mut ctx = exec_context(options());
     ctx.parallelism = 1;
     let misses_before = pool.stats().misses;
     let out = execute_plan(&plan, &bindings, &mut ctx).unwrap();
@@ -500,7 +513,7 @@ fn stored_merge_indexes_segment_directly() {
     let mut mem_bindings = Bindings::new();
     mem_bindings.bind("sa", ga);
     mem_bindings.bind("sb", gb);
-    let mut mem_ctx = ExecContext::with_options(options());
+    let mut mem_ctx = exec_context(options());
     let mem = execute_plan(&plan, &mem_bindings, &mut mem_ctx).unwrap();
 
     assert!(mem.approx_eq(&out));
@@ -514,7 +527,7 @@ fn stored_merge_indexes_segment_directly() {
     // EXPLAIN renders the stored scan with its page geometry, and says
     // nothing about an index it has not asked for.
     let explain = |bindings: &Bindings, analyze: bool| {
-        let mut ctx = ExecContext::with_options(options());
+        let mut ctx = exec_context(options());
         explain_plan(&plan, bindings, &mut ctx, analyze).unwrap()
     };
     let text = explain(&bindings, false);
@@ -568,7 +581,7 @@ fn duplicate_stored_key_is_a_typed_error_from_every_setop() {
         scan("sa").difference(scan("sb")).build(),
     ] {
         for threads in [1, 4] {
-            let mut ctx = ExecContext::with_options(options());
+            let mut ctx = exec_context(options());
             ctx.parallelism = threads;
             let err = execute_plan(&plan, &bindings, &mut ctx).expect_err("never a result");
             let text = err.to_string();
@@ -618,7 +631,7 @@ fn fused_selection_fails_with_the_in_memory_error_text() {
     ] {
         let plan = scan("sa").select(predicate).build();
         let fails = |bindings: &Bindings| {
-            execute_plan(&plan, bindings, &mut ExecContext::with_options(options()))
+            execute_plan(&plan, bindings, &mut exec_context(options()))
                 .expect_err("the predicate cannot be evaluated")
                 .to_string()
         };
@@ -866,14 +879,14 @@ proptest! {
         let threshold = threshold_of(if pred_kind == 6 { th | 1 } else { th });
         let plan = merge_plan(emit, predicate.clone(), threshold);
 
-        let mut oracle_ctx = ExecContext::with_options(options.clone());
+        let mut oracle_ctx = exec_context(options.clone());
         let mut oracle = unfused(emit, &ga, &gb, &options, &predicate, threshold);
         let (expected, failure, report) = drive(oracle.as_mut(), &mut oracle_ctx);
         prop_assert_eq!(failure.is_some(), pred_kind >= 8 && !ga.is_empty());
 
         let pool = Arc::new(BufferPool::new(3 * PAGE));
         let bindings = bind_sides(sides, &ga, &gb, &pool);
-        let mut ctx = ExecContext::with_options(options.clone());
+        let mut ctx = exec_context(options.clone());
         ctx.parallelism = threads;
         if sides == Sides::Spilled {
             ctx.spill_threshold_bytes = 0;
@@ -911,7 +924,7 @@ proptest! {
             ),
         }
 
-        let text = explain_plan(&plan, &bindings, &mut ExecContext::new(), false).expect("explains");
+        let text = explain_plan(&plan, &bindings, &mut ExecContext::new(&config()), false).expect("explains");
         let symbol = if emit == MergeEmit::Union { "∪̃" } else { "∩̃" };
         let fused_line = format!("] with {threshold} ⟵ {symbol} (index right, stream left;");
         prop_assert!(text.contains(&fused_line), "{text}");
@@ -1032,7 +1045,7 @@ fn stops_alike(
     };
     let threshold = Threshold::SnAtLeast(0.3);
     let mut oracle = unfused(emit, &l, &r, &options, predicate, threshold);
-    let mut oracle_ctx = ExecContext::with_options(options.clone());
+    let mut oracle_ctx = exec_context(options.clone());
     let (expected, failure, report) = drive(oracle.as_mut(), &mut oracle_ctx);
     assert_eq!(
         failure.is_some(),
@@ -1049,7 +1062,7 @@ fn stops_alike(
             threshold,
         )
         .expect("union-compatible, positive threshold");
-        let mut ctx = ExecContext::with_options(options.clone());
+        let mut ctx = exec_context(options.clone());
         let (got, fused_failure, fused_report) = drive(&mut fused, &mut ctx);
         same_tuples(expected.iter().map(|t| &**t), got.iter().map(|t| &**t))
             .unwrap_or_else(|reason| panic!("{reason}: {context}"));
@@ -1059,7 +1072,7 @@ fn stops_alike(
 
         let bindings = bind_sides(*sides, &l, &r, pool);
         let plan = merge_plan(emit, predicate.clone(), threshold);
-        let mut ctx = ExecContext::with_options(options.clone());
+        let mut ctx = exec_context(options.clone());
         let planned = execute_plan(&plan, &bindings, &mut ctx).map(|rel| rel.len());
         let whole = failure.clone().map_or(Ok(expected.len()), Err);
         assert_eq!(whole, planned.map_err(|e| e.to_string()), "{context}");
@@ -1132,7 +1145,7 @@ fn fused_merge_stops_where_select_over_merge_stops() {
             Threshold::POSITIVE,
         )
         .unwrap();
-        let (got, failure, _) = drive(&mut fused, &mut ExecContext::with_options(options()));
+        let (got, failure, _) = drive(&mut fused, &mut exec_context(options()));
         assert!(got.is_empty() && failure.is_none(), "{failure:?}");
     }
 }
@@ -1180,7 +1193,7 @@ fn fused_merge_refuses_rot_in_an_attribute_it_skips() {
             // The stats section is intact, so the open reads no page.
             bindings.bind_stored(name, Arc::new(stored.expect("sealed segments open")));
         }
-        let mut ctx = ExecContext::with_options(options());
+        let mut ctx = exec_context(options());
         let out = execute_plan(&plan, &bindings, &mut ctx);
         (out.map(|rel| rel.len()), ctx.stats)
     };

@@ -24,7 +24,7 @@
 //! * `\rank` — render the next query's result ranked by `sn`;
 //! * `\set threads <N>` — worker threads for query execution (plan
 //!   fragments run through the parallel exchange operator when > 1;
-//!   the initial value comes from `EVIREL_THREADS`, default 1);
+//!   the initial value is `EVIREL_THREADS`, default 1);
 //! * `\save <name> <path>` — write a relation back to disk (text
 //!   notation);
 //! * `\store <name> <path>` — write a relation to a paged binary
@@ -54,15 +54,20 @@
 //!
 //! Files ending in `.evb` on the command line are attached as stored
 //! relations; anything else is parsed as the text notation.
+//!
+//! `EVIREL_THREADS`, `EVIREL_BUFFER_BYTES` and `EVIREL_SLOW_QUERY_MS`
+//! are read once, at startup ([`Config::from_env`]).
 
 use evirel_algebra::ConflictReport;
+use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog, PlanCache, QueryError, Session, SharedCatalog};
 use evirel_relation::Value;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 fn main() {
-    let mut catalog = Catalog::new();
+    let config = Config::from_env();
+    let mut catalog = Catalog::with_config(&config);
     let mut inline_query: Option<String> = None;
     let mut args = std::env::args().skip(1).peekable();
     let mut loaded = Vec::new();
@@ -96,7 +101,8 @@ fn main() {
     // process-global registry: `\pool`, `\cache` and `\metrics` read
     // the exact series the `METRICS` verb would expose.
     evirel_query::register_query_collectors(evirel_obs::global(), &shared, &cache);
-    let session = Session::new(shared, cache);
+    let mut session = Session::new(shared, cache);
+    session.set_slow_query_ms(config.slow_query_ms);
 
     if let Some(q) = inline_query {
         run_query(&session, &q, false);
@@ -255,39 +261,31 @@ fn main() {
                     _ => println!("usage: \\load <name> <path>"),
                 },
                 Some("open") => match parts.next() {
-                    Some(dir) => match DurableCatalog::open(dir) {
-                        Ok((d, recovered)) => {
-                            // Publish every recovered binding into the
-                            // live catalog as one new generation; the
-                            // attachments were checksum-verified during
-                            // recovery, so republish the open handles
-                            // instead of reopening the files.
-                            let names: Vec<String> =
-                                recovered.names().iter().map(|s| (*s).to_owned()).collect();
-                            let published = session.update(|c| {
-                                for name in &names {
-                                    if let Some(stored) = recovered.get_stored(name) {
-                                        c.attach(name.clone(), stored);
-                                    }
-                                }
-                                Ok(())
-                            });
-                            match published {
-                                Ok(()) => {
-                                    println!(
-                                        "opened {dir}: recovered generation {}, {} binding(s){}{}",
-                                        d.recovered_generation(),
-                                        names.len(),
-                                        if names.is_empty() { "" } else { ": " },
-                                        names.join(", "),
-                                    );
-                                    durable = Some(d);
-                                }
-                                Err(e) => println!("open failed: {e}"),
+                    Some(dir) => {
+                        // Recover into the live catalog — its pool, its
+                        // budget — and publish the recovered bindings
+                        // as one new generation.
+                        let opened = session.update(|c| {
+                            let (d, recovered) = DurableCatalog::open_into(dir, c.clone())?;
+                            *c = recovered;
+                            let names = c.names().into_iter().filter(|n| d.segment(n).is_some());
+                            let names: Vec<String> = names.map(str::to_owned).collect();
+                            Ok((d, names))
+                        });
+                        match opened {
+                            Ok((d, names)) => {
+                                println!(
+                                    "opened {dir}: recovered generation {}, {} binding(s){}{}",
+                                    d.recovered_generation(),
+                                    names.len(),
+                                    if names.is_empty() { "" } else { ": " },
+                                    names.join(", "),
+                                );
+                                durable = Some(d);
                             }
+                            Err(e) => println!("open failed: {e}"),
                         }
-                        Err(e) => println!("open failed: {e}"),
-                    },
+                    }
                     None => println!("usage: \\open <dir>"),
                 },
                 Some("checkpoint") => match durable.as_mut() {

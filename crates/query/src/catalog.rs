@@ -3,7 +3,8 @@
 use crate::error::QueryError;
 use evirel_algebra::union::UnionOptions;
 use evirel_plan::{
-    Binding, Bindings, BoundRelation, BufferPool, ExecContext, RelationSource, StoredRelation,
+    Binding, Bindings, BoundRelation, BufferPool, Config, ExecContext, RelationSource,
+    StoredRelation,
 };
 use evirel_relation::{ExtendedRelation, Schema};
 use evirel_store::{Segment, SegmentSource};
@@ -61,33 +62,34 @@ pub struct Catalog {
     bindings: Bindings,
     /// The buffer pool stored relations (and spilled merge build
     /// sides) page through — one pool per catalog, shared by every
-    /// query and exchange worker, budgeted by `EVIREL_BUFFER_BYTES`.
+    /// query and exchange worker.
     pub pool: Arc<BufferPool>,
     /// Options applied to `UNION` sources (conflict policy,
     /// combination rule, focal cap).
     pub union_options: UnionOptions,
     /// Worker threads for query execution: shardable plan fragments
-    /// run through the plan layer's exchange operator when > 1.
-    /// Defaults to the `EVIREL_THREADS` environment variable (else
-    /// 1); the eql shell sets it with `\set threads N`.
+    /// run through the plan layer's exchange operator when > 1. The
+    /// eql shell sets it with `\set threads N`.
     pub parallelism: usize,
 }
 
-impl Default for Catalog {
-    fn default() -> Catalog {
+impl Catalog {
+    /// An empty catalog under [`Config::default`].
+    // No `Default`: a catalog is built from a `Config` (`with_config`).
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Catalog {
+        Catalog::with_config(&Config::default())
+    }
+
+    /// An empty catalog under `config`: a pool of its buffer budget,
+    /// its thread count, and default union options.
+    pub fn with_config(config: &Config) -> Catalog {
         Catalog {
             bindings: Bindings::new(),
-            pool: Arc::new(BufferPool::from_env()),
+            pool: Arc::new(BufferPool::new(config.buffer_bytes)),
             union_options: UnionOptions::default(),
-            parallelism: evirel_plan::default_parallelism(),
+            parallelism: config.threads,
         }
-    }
-}
-
-impl Catalog {
-    /// An empty catalog with default union options.
-    pub fn new() -> Catalog {
-        Catalog::default()
     }
 
     /// The execution context queries against this catalog run under
@@ -96,13 +98,13 @@ impl Catalog {
     /// one place a context is derived from a catalog; a
     /// [`crate::Session`] then caps it with its own budget.
     pub fn exec_context(&self) -> ExecContext {
-        let mut ctx = ExecContext::with_options(self.union_options.clone());
-        ctx.parallelism = self.parallelism.max(1);
         // One pool per catalog: stored scans and spilled merge build
         // sides of every query page under a single byte budget.
-        ctx.pool = Arc::clone(&self.pool);
-        ctx.spill_threshold_bytes = self.pool.budget_bytes();
-        ctx
+        ExecContext::with_pool(
+            Arc::clone(&self.pool),
+            self.parallelism,
+            self.union_options.clone(),
+        )
     }
 
     /// Register (or replace) a relation under `name`. Lookup is by the
@@ -142,22 +144,22 @@ impl Catalog {
         .map_err(|e| QueryError::Execution {
             message: e.to_string(),
         })?;
-        self.attach(
-            name,
-            StoredRelation::from_segment(Arc::new(segment), Arc::clone(&self.pool)),
-        );
+        self.attach(name, segment);
         Ok(())
     }
 
-    /// Attach `name` to an already-open stored relation. The durable
-    /// recovery path ([`crate::durable::DurableCatalog::open`]) uses
-    /// this after verifying the segment's content checksum against
-    /// the committed manifest/journal record — going through
+    /// Attach `name` to an already-open segment, paging through
+    /// [`Catalog::pool`] — every stored binding of a catalog does, so
+    /// its queries share one budget and its pool counters see every
+    /// page they read. The durable recovery and replication paths use
+    /// this after verifying the segment's content checksum against the
+    /// committed manifest/journal record — going through
     /// [`Catalog::attach_stored`] would reopen the file and lose that
     /// verification. Replaces an in-memory registration of the same
     /// name.
-    pub fn attach(&mut self, name: impl Into<String>, stored: impl Into<Arc<StoredRelation>>) {
-        self.bindings.bind_stored(name, stored.into());
+    pub(crate) fn attach(&mut self, name: impl Into<String>, segment: Segment) {
+        let stored = StoredRelation::from_segment(Arc::new(segment), Arc::clone(&self.pool));
+        self.bindings.bind_stored(name, Arc::new(stored));
     }
 
     /// Write the relation registered under `name` to a binary segment
@@ -290,6 +292,10 @@ mod tests {
     use evirel_relation::{AttrDomain, RelationBuilder, Schema};
     use std::sync::Arc;
 
+    fn config() -> evirel_plan::Config {
+        evirel_plan::Config::from_env()
+    }
+
     fn rel() -> ExtendedRelation {
         let d = Arc::new(AttrDomain::categorical("d", ["x"]).unwrap());
         let schema = Arc::new(
@@ -307,7 +313,7 @@ mod tests {
 
     #[test]
     fn register_and_lookup() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::with_config(&config());
         assert!(c.is_empty());
         c.register("ra", rel());
         c.register("rb", rel());
@@ -322,7 +328,7 @@ mod tests {
 
     #[test]
     fn registration_replaces() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::with_config(&config());
         c.register("r", rel());
         c.register("r", rel());
         assert_eq!(c.len(), 1);
@@ -330,7 +336,7 @@ mod tests {
 
     #[test]
     fn stored_attachments_register_and_replace() {
-        let mut c = Catalog::new();
+        let mut c = Catalog::with_config(&config());
         c.register("r", rel());
         let path = evirel_store::spill_path("catalog");
         c.store_segment("r", &path).unwrap();
@@ -346,7 +352,7 @@ mod tests {
         // segment copy) and materialized for \save.
         let copy = evirel_store::spill_path("catalog-copy");
         c.store_segment("r", &copy).unwrap();
-        let mut c2 = Catalog::new();
+        let mut c2 = Catalog::with_config(&config());
         c2.attach_stored("r2", &copy).unwrap();
         std::fs::remove_file(&copy).ok();
         assert_eq!(c2.get_stored("r2").unwrap().len(), 1);
@@ -375,9 +381,9 @@ mod tests {
             },
         )
         .unwrap();
-        let mut mem = Catalog::new();
+        let mut mem = Catalog::with_config(&config());
         mem.register("g", big.clone());
-        let mut disk = Catalog::new();
+        let mut disk = Catalog::with_config(&config());
         disk.pool = Arc::new(evirel_plan::BufferPool::new(2048)); // tiny
         disk.register("g", big);
         let path = evirel_store::spill_path("catalog-query");

@@ -86,7 +86,7 @@ use evirel_obs::{Counter, Gauge, Histogram};
 use evirel_store::checkpoint::{checkpoint, CheckpointOutcome};
 use evirel_store::{
     Finished, InlineSegment, Journal, JournalRecord, Manifest, ManifestEntry, Segment,
-    SegmentSource, SegmentWriter, StoreError, StoredRelation,
+    SegmentSource, SegmentWriter, StoreError,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -213,22 +213,35 @@ pub struct DurableCatalog {
 }
 
 impl DurableCatalog {
+    /// [`DurableCatalog::open_into`] an empty [`Catalog::new`].
+    ///
+    /// # Errors
+    /// As [`DurableCatalog::open_into`].
+    pub fn open(dir: impl AsRef<Path>) -> Result<(DurableCatalog, Catalog), QueryError> {
+        DurableCatalog::open_into(dir, Catalog::new())
+    }
+
     /// Open (creating if needed) the data directory, recover its
-    /// committed state, and return the handle plus a [`Catalog`]
-    /// holding every recovered binding as a stored attachment.
+    /// committed state, and return the handle plus `catalog` with every
+    /// recovered binding attached as a stored relation — paging through
+    /// `catalog`'s own pool, and replacing a binding of the same name.
     ///
     /// # Errors
     /// [`QueryError::Execution`] wrapping the store error: unreadable
     /// directory, torn manifest, mid-journal damage, a missing or
     /// checksum-mismatched segment.
-    pub fn open(dir: impl AsRef<Path>) -> Result<(DurableCatalog, Catalog), QueryError> {
-        DurableCatalog::open_retaining(dir.as_ref(), RETAINED_RECORDS_CAP)
+    pub fn open_into(
+        dir: impl AsRef<Path>,
+        catalog: Catalog,
+    ) -> Result<(DurableCatalog, Catalog), QueryError> {
+        DurableCatalog::open_retaining(dir.as_ref(), catalog, RETAINED_RECORDS_CAP)
     }
 
-    /// [`DurableCatalog::open`] with a retained window of
+    /// [`DurableCatalog::open_into`] with a retained window of
     /// `retained_cap` records.
     fn open_retaining(
         dir: &Path,
+        mut catalog: Catalog,
         retained_cap: usize,
     ) -> Result<(DurableCatalog, Catalog), QueryError> {
         let dir = dir.to_path_buf();
@@ -286,7 +299,6 @@ impl DurableCatalog {
 
         // Attach every surviving binding, verifying content checksums
         // (v3 segments; v2 entries record checksum 0 and skip it).
-        let mut catalog = Catalog::new();
         for entry in entries.values() {
             let source = source_of(&dir, &inline, entry);
             let segment = Segment::open(source).map_err(store_err)?;
@@ -299,8 +311,7 @@ impl DurableCatalog {
                     ))));
                 }
             }
-            let stored = StoredRelation::from_segment(Arc::new(segment), Arc::clone(&catalog.pool));
-            catalog.attach(entry.name.clone(), stored);
+            catalog.attach(entry.name.clone(), segment);
         }
 
         // Apply the retained-window cap to the replayed tail too, so
@@ -517,11 +528,7 @@ impl DurableCatalog {
         self.commit(record.clone())?;
         shared.update_stamped(record.generation(), |catalog| {
             match segment {
-                Some(segment) => {
-                    let stored =
-                        StoredRelation::from_segment(Arc::new(segment), Arc::clone(&catalog.pool));
-                    catalog.attach(record.name(), stored);
-                }
+                Some(segment) => catalog.attach(record.name(), segment),
                 None => {
                     catalog.deregister(record.name());
                 }
@@ -944,6 +951,10 @@ mod tests {
     use evirel_store::failpoint::FailpointFs;
     use evirel_workload::{restaurant_db_a, restaurant_db_b};
 
+    fn catalog() -> Catalog {
+        Catalog::with_config(&evirel_plan::Config::from_env())
+    }
+
     fn names(catalog: &Catalog) -> Vec<String> {
         catalog.names().into_iter().map(str::to_owned).collect()
     }
@@ -967,7 +978,7 @@ mod tests {
         drop(fp);
         assert_eq!(published(shared), before, "a failed operation published");
         drop(durable);
-        names(&DurableCatalog::open(dir).unwrap().1)
+        names(&DurableCatalog::open_into(dir, catalog()).unwrap().1)
     }
 
     /// A relation whose segment is past `INLINE_SEGMENT_MAX`: bound as
@@ -988,7 +999,7 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
         let node = |label: &str| {
             let dir = root.join(label);
-            let (durable, recovered) = DurableCatalog::open(&dir).unwrap();
+            let (durable, recovered) = DurableCatalog::open_into(&dir, catalog()).unwrap();
             (dir, durable, SharedCatalog::new(recovered))
         };
         let rb = restaurant_db_b().restaurants;
@@ -1086,7 +1097,7 @@ mod tests {
         // `fshared` serves — the skew reconcile repairs. It performs
         // no durable write, so its one failure is an unreadable
         // segment.
-        let (durable, _) = DurableCatalog::open(&fdir).unwrap();
+        let (durable, _) = DurableCatalog::open_into(&fdir, catalog()).unwrap();
         let segment = fdir.join(big_file);
         let hidden = fdir.join("hidden");
         std::fs::rename(&segment, &hidden).unwrap();
@@ -1110,7 +1121,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("evirel-durable-window-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let (mut durable, recovered) = DurableCatalog::open_retaining(&dir, 2).unwrap();
+        let (mut durable, recovered) = DurableCatalog::open_retaining(&dir, catalog(), 2).unwrap();
         let shared = SharedCatalog::new(recovered);
         let ra = restaurant_db_a().restaurants;
         for name in ["a", "b", "c"] {
@@ -1135,7 +1146,11 @@ mod tests {
         };
         overflowed(&durable);
         drop(durable);
-        overflowed(&DurableCatalog::open_retaining(&dir, 2).unwrap().0);
+        overflowed(
+            &DurableCatalog::open_retaining(&dir, catalog(), 2)
+                .unwrap()
+                .0,
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -56,8 +56,12 @@ mod tests {
     use evirel_relation::{SupportPair, Value};
     use evirel_workload::{restaurant_db_a, restaurant_db_b};
 
+    fn config() -> evirel_plan::Config {
+        evirel_plan::Config::from_env()
+    }
+
     fn catalog() -> Catalog {
-        let mut c = Catalog::new();
+        let mut c = Catalog::with_config(&config());
         c.register("ra", restaurant_db_a().restaurants);
         c.register("rb", restaurant_db_b().restaurants);
         c.register("rma", restaurant_db_a().managed_by);

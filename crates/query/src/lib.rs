@@ -62,10 +62,7 @@ pub use exec::{execute, execute_with_report, QueryOutcome};
 pub use parser::parse;
 pub use plan::explain;
 pub use prepare::{explain_with, normalize_eql, CacheStats, PlanCache, PreparedPlan};
-pub use session::{
-    register_query_collectors, Session, SessionBudget, SessionOutcome, DEFAULT_SLOW_QUERY_MS,
-    SLOW_QUERY_ENV,
-};
+pub use session::{register_query_collectors, Session, SessionBudget, SessionOutcome};
 pub use snapshot::{CatalogSnapshot, SharedCatalog};
 
 /// Result alias used across the crate.

@@ -227,6 +227,10 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
+    fn config() -> evirel_plan::Config {
+        evirel_plan::Config::from_env()
+    }
+
     #[test]
     fn lowers_paper_query() {
         let plan =
@@ -277,10 +281,10 @@ mod tests {
         );
         // It is the `logical:` section of the full EXPLAIN, line for
         // line.
-        let mut catalog = Catalog::new();
+        let mut catalog = Catalog::with_config(&config());
         catalog.register("ra", evirel_workload::restaurant_db_a().restaurants);
         catalog.register("rb", evirel_workload::restaurant_db_b().restaurants);
-        let full = crate::explain_with(&catalog, query, Default::default(), false).unwrap();
+        let full = crate::explain_with(&catalog, query, catalog.exec_context(), false).unwrap();
         let logical: Vec<&str> = full
             .lines()
             .skip_while(|l| *l != "logical:")

@@ -446,8 +446,12 @@ mod tests {
     use crate::snapshot::SharedCatalog;
     use evirel_workload::{restaurant_db_a, restaurant_db_b};
 
+    fn config() -> evirel_plan::Config {
+        evirel_plan::Config::from_env()
+    }
+
     fn shared() -> SharedCatalog {
-        let mut c = Catalog::new();
+        let mut c = Catalog::with_config(&config());
         c.register("ra", restaurant_db_a().restaurants);
         c.register("rb", restaurant_db_b().restaurants);
         SharedCatalog::new(c)

@@ -6,9 +6,8 @@
 //! ([`crate::snapshot::SharedCatalog::pin`]), resolves its plan
 //! through the shared [`crate::prepare::PlanCache`], and executes
 //! under this session's slice of the process-wide resources: the
-//! thread budget (`EVIREL_THREADS`) and spill budget
-//! (`EVIREL_BUFFER_BYTES`) are carved per session so N concurrent
-//! sessions cannot multiply them by N.
+//! catalog's thread budget and spill budget are carved per session so
+//! N concurrent sessions cannot multiply them by N.
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
@@ -16,27 +15,9 @@ use crate::exec::QueryOutcome;
 use crate::prepare::{PlanCache, PreparedPlan};
 use crate::snapshot::{CatalogSnapshot, SharedCatalog};
 use evirel_obs::{Counter, Event, Histogram, MetricsRegistry, Trace};
-use evirel_plan::{ExecContext, Meters};
+use evirel_plan::{ExecContext, Meters, DEFAULT_SLOW_QUERY_MS};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Environment knob: queries whose wall-clock time meets or exceeds
-/// this many milliseconds emit one structured `slow_query` event (to
-/// the registry's event log and stderr) with per-stage span timings
-/// and the plan's est-vs-actual row counts. `0` logs every query —
-/// useful for smoke tests and load drills. Invalid values warn once
-/// on stderr and fall back to [`DEFAULT_SLOW_QUERY_MS`] (see
-/// [`evirel_store::EnvKnob::get`]).
-pub const SLOW_QUERY_ENV: &str = "EVIREL_SLOW_QUERY_MS";
-
-/// Default slow-query threshold when [`SLOW_QUERY_ENV`] is unset.
-pub const DEFAULT_SLOW_QUERY_MS: u64 = 500;
-
-const SLOW_QUERY_MS: evirel_store::EnvKnob = evirel_store::EnvKnob {
-    var: SLOW_QUERY_ENV,
-    range: 0..=usize::MAX,
-    default: DEFAULT_SLOW_QUERY_MS as usize,
-};
 
 /// Pre-registered handles for the per-query hot path, so executing a
 /// query touches only atomics — the registry's map lock is paid once
@@ -206,7 +187,7 @@ impl Session {
             budget,
             metrics,
             qm,
-            slow_query_ms: SLOW_QUERY_MS.get() as u64,
+            slow_query_ms: DEFAULT_SLOW_QUERY_MS,
         }
     }
 
@@ -224,9 +205,10 @@ impl Session {
         &self.metrics
     }
 
-    /// Override the slow-query threshold (milliseconds; 0 logs every
-    /// query) for this session — tests and drills use this instead of
-    /// mutating the process environment.
+    /// Set the slow-query threshold (ms, default [`DEFAULT_SLOW_QUERY_MS`];
+    /// `0` logs every query): a query at or over it emits one structured
+    /// `slow_query` event (to the registry's event log and stderr) with
+    /// per-stage span timings and the plan's est-vs-actual row counts.
     pub fn set_slow_query_ms(&mut self, ms: u64) {
         self.slow_query_ms = ms;
     }
@@ -504,8 +486,12 @@ mod tests {
     use super::*;
     use evirel_workload::{restaurant_db_a, restaurant_db_b};
 
+    fn config() -> evirel_plan::Config {
+        evirel_plan::Config::from_env()
+    }
+
     fn session() -> Session {
-        let mut c = Catalog::new();
+        let mut c = Catalog::with_config(&config());
         c.register("ra", restaurant_db_a().restaurants);
         c.register("rb", restaurant_db_b().restaurants);
         Session::new(
@@ -529,7 +515,7 @@ mod tests {
             conflict_bias: 0.0,
         })
         .unwrap();
-        let mut c = Catalog::new();
+        let mut c = Catalog::with_config(&config());
         c.register("ga", ga);
         c.register("gb", gb);
         c

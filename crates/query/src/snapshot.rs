@@ -300,6 +300,10 @@ mod tests {
     use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema};
     use std::sync::Arc;
 
+    fn config() -> evirel_plan::Config {
+        evirel_plan::Config::from_env()
+    }
+
     fn rel(mass: f64) -> ExtendedRelation {
         let d = Arc::new(AttrDomain::categorical("d", ["x", "y"]).unwrap());
         let schema = Arc::new(
@@ -321,7 +325,7 @@ mod tests {
     #[test]
     fn pinned_snapshot_survives_updates() {
         let shared = SharedCatalog::new({
-            let mut c = Catalog::new();
+            let mut c = Catalog::with_config(&config());
             c.register("r", rel(0.25));
             c
         });
@@ -347,7 +351,7 @@ mod tests {
 
     #[test]
     fn failed_update_publishes_nothing() {
-        let shared = SharedCatalog::new(Catalog::new());
+        let shared = SharedCatalog::new(Catalog::with_config(&config()));
         let err = shared.update(|c| {
             c.register("ghost", rel(0.5));
             Err::<(), _>(QueryError::Execution {
@@ -361,7 +365,7 @@ mod tests {
 
     #[test]
     fn updates_serialize_and_bump_generations() {
-        let shared = Arc::new(SharedCatalog::new(Catalog::new()));
+        let shared = Arc::new(SharedCatalog::new(Catalog::with_config(&config())));
         std::thread::scope(|s| {
             for i in 0..8 {
                 let shared = Arc::clone(&shared);
@@ -381,7 +385,7 @@ mod tests {
 
     #[test]
     fn stamped_publish_carries_explicit_generations() {
-        let shared = SharedCatalog::new(Catalog::new());
+        let shared = SharedCatalog::new(Catalog::with_config(&config()));
         shared
             .update_stamped(7, |c| {
                 c.register("r", rel(0.5));
@@ -412,7 +416,7 @@ mod tests {
     #[test]
     fn wait_newer_wakes_on_publish_and_times_out_without_one() {
         use std::time::Duration;
-        let shared = Arc::new(SharedCatalog::new(Catalog::new()));
+        let shared = Arc::new(SharedCatalog::new(Catalog::with_config(&config())));
         // No publish: times out empty-handed.
         assert!(shared.wait_newer(0, Duration::from_millis(20)).is_none());
         // Already-newer generation: returns immediately.
@@ -434,7 +438,7 @@ mod tests {
 
     #[test]
     fn each_writer_learns_its_own_published_generation() {
-        let shared = Arc::new(SharedCatalog::new(Catalog::new()));
+        let shared = Arc::new(SharedCatalog::new(Catalog::with_config(&config())));
         let published = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for i in 0..8 {
@@ -470,7 +474,7 @@ mod tests {
     ) {
         use std::sync::mpsc::channel;
         let patience = Duration::from_secs(20);
-        let shared = &SharedCatalog::new(Catalog::new());
+        let shared = &SharedCatalog::new(Catalog::with_config(&config()));
         let (parked_tx, parked_rx) = channel();
         let (release_tx, release_rx) = channel::<()>();
         let (pinned_tx, pinned_rx) = channel();
@@ -551,7 +555,7 @@ mod tests {
     /// publishing to: it sees the generation it builds on.
     #[test]
     fn a_publish_closure_may_pin() {
-        let shared = Arc::new(SharedCatalog::new(Catalog::new()));
+        let shared = Arc::new(SharedCatalog::new(Catalog::with_config(&config())));
         let (tx, rx) = std::sync::mpsc::channel();
         let writer = {
             let shared = Arc::clone(&shared);

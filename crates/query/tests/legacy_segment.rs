@@ -4,8 +4,14 @@
 //! `EXPLAIN ANALYZE` estimates its scan, and `STATS` / `\stats` has
 //! nothing special to say about it.
 
+use evirel_plan::Config;
 use evirel_query::Catalog;
 use std::path::PathBuf;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
 
 fn v2_fixture() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures/v2-restaurants.evb")
@@ -13,9 +19,9 @@ fn v2_fixture() -> PathBuf {
 
 #[test]
 fn v2_segment_attaches_with_computed_statistics() {
-    let mut disk = Catalog::new();
+    let mut disk = Catalog::with_config(&config());
     disk.attach_stored("ra", v2_fixture()).unwrap();
-    let mut mem = Catalog::new();
+    let mut mem = Catalog::with_config(&config());
     mem.register("ra", disk.materialize("ra").unwrap());
 
     // The block computed at open is the one `register` computes for

@@ -5,12 +5,18 @@
 //! bit, same generation counter — including when the sequence is
 //! interrupted by a simulated restart (close + reopen) mid-way.
 
+use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog, SharedCatalog};
 use evirel_relation::ExtendedRelation;
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
 
 fn fresh_dir(label: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -119,11 +125,11 @@ proptest! {
 
         // Durable side: a SharedCatalog + DurableCatalog pair driven
         // through the write path evirel-serve calls.
-        let (mut durable, recovered) = DurableCatalog::open(&dir).unwrap();
+        let (mut durable, recovered) = DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
         let mut shared = SharedCatalog::with_generation(recovered, 0);
 
         // Oracle side: a plain in-memory catalog + generation counter.
-        let mut oracle = Catalog::new();
+        let mut oracle = Catalog::with_config(&config());
         let mut oracle_generation = 0u64;
 
         for op in &script {
@@ -145,7 +151,7 @@ proptest! {
                 Op::Restart => {
                     // Close everything and recover purely from disk.
                     drop(durable);
-                    let (d2, catalog) = DurableCatalog::open(&dir).unwrap();
+                    let (d2, catalog) = DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
                     prop_assert_eq!(
                         d2.recovered_generation(),
                         oracle_generation,
@@ -169,7 +175,7 @@ proptest! {
         // Final restart: the recovered catalog equals the oracle bit
         // for bit.
         drop(durable);
-        let (durable, catalog) = DurableCatalog::open(&dir).unwrap();
+        let (durable, catalog) = DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
         prop_assert_eq!(durable.recovered_generation(), oracle_generation);
         prop_assert_eq!(catalog.names(), oracle.names());
         for name in oracle.names() {
@@ -189,7 +195,8 @@ proptest! {
 fn open_bind_checkpoint_reopen_roundtrip() {
     let dir = fresh_dir("roundtrip");
     {
-        let (mut durable, recovered) = DurableCatalog::open(&dir).unwrap();
+        let (mut durable, recovered) =
+            DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
         assert_eq!(durable.recovered_generation(), 0);
         assert!(recovered.is_empty());
         let shared = SharedCatalog::with_generation(recovered, 0);
@@ -206,7 +213,8 @@ fn open_bind_checkpoint_reopen_roundtrip() {
     }
     // "Crash" (drop without checkpoint) and recover: the manifest has
     // generation 1, the journal supplies generation 2.
-    let (durable, catalog) = DurableCatalog::open(&dir).unwrap();
+    let (durable, catalog) =
+        DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
     assert_eq!(durable.recovered_generation(), 2);
     assert_eq!(catalog.names(), vec!["ra", "rb"]);
     assert_eq!(catalog.materialize("ra").unwrap().len(), 6);
@@ -245,7 +253,8 @@ fn recovered_bindings_are_queryable_and_gc_prunes() {
             .collect()
     };
     {
-        let (mut durable, recovered) = DurableCatalog::open(&dir).unwrap();
+        let (mut durable, recovered) =
+            DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
         let shared = SharedCatalog::with_generation(recovered, 0);
         // Rebind the same name three times: two segment files become
         // garbage for the checkpoint to collect.
@@ -256,13 +265,14 @@ fn recovered_bindings_are_queryable_and_gc_prunes() {
         let outcome = durable.checkpoint().unwrap();
         assert_eq!(outcome.files_removed, 2, "two superseded segments GC'd");
     }
-    let (_durable, catalog) = DurableCatalog::open(&dir).unwrap();
+    let (_durable, catalog) =
+        DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
     let segs = evb_files();
     assert_eq!(segs.len(), 1, "exactly the live segment survives: {segs:?}");
     let got = evirel_query::execute(&catalog, "SELECT * FROM g WITH SN > 0").unwrap();
     let want = evirel_query::execute(
         &{
-            let mut c = Catalog::new();
+            let mut c = Catalog::with_config(&config());
             c.register("g", rel(3, 5));
             c
         },
@@ -311,7 +321,7 @@ fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
     bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
-    let mut oracle = Catalog::new();
+    let mut oracle = Catalog::with_config(&config());
     oracle.register("ra", rel(11, 6));
     oracle.register("rb", rel(9, 6));
     let check = |oracle: &Catalog, durable: &DurableCatalog, catalog: &Catalog, generation| {
@@ -322,7 +332,8 @@ fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
             assert_rel_eq(name, &want, &catalog.materialize(name).unwrap());
         }
     };
-    let (mut durable, catalog) = DurableCatalog::open(&dir).unwrap();
+    let (mut durable, catalog) =
+        DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
     check(&oracle, &durable, &catalog, 3);
 
     let shared = SharedCatalog::with_generation(catalog, 3);
@@ -339,7 +350,8 @@ fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
     drop(durable);
     oracle.register("rc", rel(13, 4));
     oracle.register("ra", rel(15, 5));
-    let (durable, catalog) = DurableCatalog::open(&dir).unwrap();
+    let (durable, catalog) =
+        DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
     check(&oracle, &durable, &catalog, 5);
     std::fs::remove_dir_all(&dir).ok();
 }

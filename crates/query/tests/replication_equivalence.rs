@@ -17,7 +17,8 @@
 //! crate's `replication_faults` suite; here a follower is also killed
 //! at every byte of an inline record's apply.
 
-use evirel_query::{DurableCatalog, SharedCatalog, StreamPlan};
+use evirel_plan::Config;
+use evirel_query::{Catalog, DurableCatalog, SharedCatalog, StreamPlan};
 use evirel_relation::ExtendedRelation;
 use evirel_store::failpoint::FailpointFs;
 use evirel_store::{JournalRecord, SegmentSource};
@@ -25,6 +26,11 @@ use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
 
 fn fresh_dir(label: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -107,7 +113,8 @@ struct Follower {
 
 impl Follower {
     fn open(dir: PathBuf) -> Follower {
-        let (durable, recovered) = DurableCatalog::open(&dir).expect("follower dir recovers");
+        let (durable, recovered) = DurableCatalog::open_into(&dir, Catalog::with_config(&config()))
+            .expect("follower dir recovers");
         let generation = durable.recovered_generation();
         Follower {
             dir,
@@ -246,7 +253,7 @@ proptest! {
     ) {
         let pdir = fresh_dir("primary");
         let fdir = fresh_dir("follower");
-        let (mut primary, recovered) = DurableCatalog::open(&pdir).unwrap();
+        let (mut primary, recovered) = DurableCatalog::open_into(&pdir, Catalog::with_config(&config())).unwrap();
         let primary_shared = SharedCatalog::with_generation(recovered, 0);
         let mut follower = Some(Follower::open(fdir));
 
@@ -297,7 +304,8 @@ proptest! {
 fn checkpoint_floor_forces_resync_then_tailing_resumes() {
     let pdir = fresh_dir("floor-p");
     let fdir = fresh_dir("floor-f");
-    let (mut primary, recovered) = DurableCatalog::open(&pdir).unwrap();
+    let (mut primary, recovered) =
+        DurableCatalog::open_into(&pdir, Catalog::with_config(&config())).unwrap();
     let primary_shared = SharedCatalog::with_generation(recovered, 0);
 
     for (name, seed) in [("a", 1u64), ("b", 2), ("a", 3)] {
@@ -340,7 +348,8 @@ fn checkpoint_floor_forces_resync_then_tailing_resumes() {
 #[test]
 fn a_follower_killed_at_every_byte_of_an_inline_apply_converges() {
     let pdir = fresh_dir("bytes-p");
-    let (mut primary, recovered) = DurableCatalog::open(&pdir).unwrap();
+    let (mut primary, recovered) =
+        DurableCatalog::open_into(&pdir, Catalog::with_config(&config())).unwrap();
     let primary_shared = SharedCatalog::with_generation(recovered, 0);
     primary.bind(&primary_shared, "a", &rel(1, 3)).unwrap();
     primary.bind(&primary_shared, "b", &rel(2, 1)).unwrap();

@@ -12,6 +12,7 @@
 //!    every session's result must bit-match the sequential reference
 //!    no matter how the (tiny) pool thrashes underneath them.
 
+use evirel_plan::Config;
 use evirel_query::{Catalog, PlanCache, Session, SessionBudget, SharedCatalog};
 use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema};
 use evirel_store::BufferPool;
@@ -20,6 +21,11 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
 
 /// One side of a versioned binding pair. Keys are `v<version>-<side>-<i>`
 /// so a result's version set is readable straight off its keys.
@@ -70,7 +76,7 @@ proptest! {
         readers in 2usize..6,
         reads_per_reader in 4usize..12,
     ) {
-        let mut catalog = Catalog::new();
+        let mut catalog = Catalog::with_config(&config());
         catalog.register("left", versioned(0, "l"));
         catalog.register("right", versioned(0, "r"));
         let shared = Arc::new(SharedCatalog::new(catalog));
@@ -150,11 +156,11 @@ proptest! {
         readers in 2usize..5,
         reads_per_reader in 6usize..16,
     ) {
-        let mut primary_catalog = Catalog::new();
+        let mut primary_catalog = Catalog::with_config(&config());
         primary_catalog.register("left", versioned(0, "l"));
         primary_catalog.register("right", versioned(0, "r"));
         let primary = Arc::new(SharedCatalog::new(primary_catalog));
-        let mut follower_catalog = Catalog::new();
+        let mut follower_catalog = Catalog::with_config(&config());
         follower_catalog.register("left", versioned(0, "l"));
         follower_catalog.register("right", versioned(0, "r"));
         let follower = Arc::new(SharedCatalog::new(follower_catalog));
@@ -254,7 +260,7 @@ fn eight_sessions_share_one_4k_buffer_pool() {
     // Disk-backed bindings over a deliberately starved pool: the
     // segments are far bigger than 4 KiB, so concurrent scans evict
     // each other's pages constantly.
-    let mut catalog = Catalog::new();
+    let mut catalog = Catalog::with_config(&config());
     catalog.pool = Arc::new(BufferPool::new(POOL_BYTES));
     let rel_a = generate(
         "SA",

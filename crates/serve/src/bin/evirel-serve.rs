@@ -37,15 +37,15 @@
 //! reconnects when `--promote-on-disconnect` is given — stops
 //! following and makes the server writable.
 //!
-//! The process budgets come from the environment: `EVIREL_THREADS`
-//! (total worker threads for query execution, carved across the
-//! session pool) and `EVIREL_BUFFER_BYTES` (buffer-pool/spill
-//! budget, likewise carved). `EVIREL_SLOW_QUERY_MS` sets the
-//! slow-query threshold: queries at or above it emit one structured
-//! `slow_query` event (normalized EQL, per-stage span timings,
-//! est-vs-actual rows) to stderr and the in-process event ring —
-//! default 500, `0` logs every query, junk values warn once and fall
-//! back. Every counter the server keeps is scrapable over the
+//! `main` reads the configuration once ([`Config::from_env`]) and
+//! passes it down: `EVIREL_THREADS` (worker threads for query
+//! execution) and `EVIREL_BUFFER_BYTES` (buffer-pool/spill budget),
+//! both carved across the session pool. `EVIREL_SLOW_QUERY_MS` sets
+//! the slow-query threshold: queries at or above it emit one
+//! structured `slow_query` event (normalized EQL, per-stage span
+//! timings, est-vs-actual rows) to stderr and the in-process event
+//! ring — default 500, `0` logs every query, junk values warn once and
+//! fall back. Every counter the server keeps is scrapable over the
 //! `METRICS` verb in Prometheus text form; `STATS` renders the same
 //! registry human-readably. The server prints one line —
 //! `evirel-serve listening on <addr>` — to stdout once the socket is
@@ -54,13 +54,16 @@
 //! (anyone who can connect to a public `--addr` could otherwise stop
 //! the server).
 
+use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog};
 use evirel_serve::{start_with_durability, FollowConfig, ServeConfig};
 use std::io::Write;
 
 fn main() {
+    let env = Config::from_env();
     let mut config = ServeConfig {
         addr: "127.0.0.1:4643".into(),
+        slow_query_ms: env.slow_query_ms,
         ..ServeConfig::default()
     };
     let mut seed_tuples: Option<usize> = None;
@@ -121,7 +124,7 @@ fn main() {
     }
     config.follow = follow;
 
-    let mut catalog = Catalog::new();
+    let mut catalog = Catalog::with_config(&env);
     for path in &files {
         if let Err(e) = load(&mut catalog, path) {
             eprintln!("error loading {path}: {e}");
@@ -138,17 +141,15 @@ fn main() {
     // Recover the data directory last and overlay its committed
     // bindings on top of the seeds/files: the durable state is the
     // authority on name collisions.
-    let durable = match data_dir {
-        None => None,
-        Some(dir) => match DurableCatalog::open(&dir) {
-            Ok((durable, recovered)) => {
-                let names: Vec<String> =
-                    recovered.names().iter().map(|s| (*s).to_owned()).collect();
-                for name in &names {
-                    if let Some(stored) = recovered.get_stored(name) {
-                        catalog.attach(name.clone(), stored);
-                    }
-                }
+    let (catalog, durable) = match data_dir {
+        None => (catalog, None),
+        Some(dir) => match DurableCatalog::open_into(&dir, catalog) {
+            Ok((durable, catalog)) => {
+                let names: Vec<&str> = catalog
+                    .names()
+                    .into_iter()
+                    .filter(|name| durable.segment(name).is_some())
+                    .collect();
                 eprintln!(
                     "evirel-serve: recovered {dir} at generation {} ({} binding(s){}{})",
                     durable.recovered_generation(),
@@ -156,7 +157,7 @@ fn main() {
                     if names.is_empty() { "" } else { ": " },
                     names.join(", "),
                 );
-                Some(durable)
+                (catalog, Some(durable))
             }
             Err(e) => {
                 eprintln!("error recovering {dir}: {e}");

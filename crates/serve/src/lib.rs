@@ -18,8 +18,8 @@
 //! * **Admission control** — a bounded worker pool serves sessions;
 //!   connections beyond the pending-queue bound get a typed `BUSY`
 //!   frame instead of an unbounded thread pile. Each worker session
-//!   runs under a [`evirel_query::SessionBudget`] carving
-//!   `EVIREL_THREADS` / `EVIREL_BUFFER_BYTES` across the pool.
+//!   runs under a [`evirel_query::SessionBudget`] carving the
+//!   catalog's thread count and pool budget across the pool.
 //! * **Length-prefixed wire protocol** — see [`protocol`]; small
 //!   enough to re-implement from the doc comment (the
 //!   `evirel-bombard` load driver in `evirel-workload` does exactly
@@ -37,8 +37,9 @@
 //!   durable catalog, and replication state. The `METRICS` verb
 //!   scrapes it as Prometheus text; `STATS` renders the same
 //!   registry human-readably, so the two can never disagree. Queries
-//!   at or above `EVIREL_SLOW_QUERY_MS` emit structured `slow_query`
-//!   events with per-stage span timings.
+//!   at or above [`ServeConfig::slow_query_ms`] emit structured
+//!   `slow_query` events with per-stage span timings.
+
 //!
 //! ```no_run
 //! use evirel_query::Catalog;

@@ -12,9 +12,10 @@
 //! one to completion (a connection is a session: many requests,
 //! serial). Every worker session holds a [`Session`] over the one
 //! shared [`SharedCatalog`] + [`PlanCache`], with a
-//! [`SessionBudget`] carving `EVIREL_THREADS` / `EVIREL_BUFFER_BYTES`
+//! [`SessionBudget`] carving the catalog's thread count and pool budget
 //! evenly across the workers — W concurrent sessions cannot multiply
-//! the process budgets by W.
+//! the process budgets by W. The server reads no environment variable;
+//! the slow-query threshold is [`ServeConfig::slow_query_ms`].
 //!
 //! ## Concurrency contract
 //!
@@ -42,6 +43,7 @@ use crate::replicate::{
     follower_loop, serve_follow, ApplyCtx, FollowerExit, RetryPolicy, SenderCtx,
 };
 use evirel_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use evirel_plan::DEFAULT_SLOW_QUERY_MS;
 use evirel_query::format::write_table;
 use evirel_query::{
     register_query_collectors, Catalog, DurableCatalog, DurableMetrics, PlanCache, QueryError,
@@ -119,6 +121,10 @@ pub struct ServeConfig {
     /// primary journals its merges. While following, the server is
     /// read-only (`MERGE` → `ERR readonly`) until promoted.
     pub follow: Option<FollowConfig>,
+    /// Queries at or over this many milliseconds emit one structured
+    /// `slow_query` event; `0` logs every query. Every session's
+    /// threshold ([`Session::set_slow_query_ms`]).
+    pub slow_query_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -130,6 +136,7 @@ impl Default for ServeConfig {
             poll_interval: Duration::from_millis(100),
             allow_remote_shutdown: false,
             follow: None,
+            slow_query_ms: DEFAULT_SLOW_QUERY_MS,
         }
     }
 }
@@ -571,9 +578,9 @@ pub fn start(catalog: Catalog, config: ServeConfig) -> io::Result<ServerHandle> 
 /// generation numbers stay monotonic across restarts), every `MERGE`
 /// is journaled + fsync'd before its generation becomes observable,
 /// and [`ServerHandle::join`] checkpoints after the workers drain.
-/// The caller opens the directory ([`DurableCatalog::open`]) and
-/// overlays/merges the recovered bindings into `catalog` itself —
-/// this function does not reconcile them.
+/// The caller recovers the directory into `catalog`
+/// ([`DurableCatalog::open_into`]) — this function does not reconcile
+/// them.
 ///
 /// # Errors
 /// Bind failures.
@@ -592,10 +599,9 @@ pub fn start_with_durability(
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
-    // Carve the process budgets across the worker pool: each of the
+    // Carve the catalog's budgets across the worker pool: each of the
     // W concurrent sessions gets threads/W and pool-bytes/W, so total
-    // usage stays within EVIREL_THREADS / EVIREL_BUFFER_BYTES no
-    // matter how many sessions run at once.
+    // usage stays within them no matter how many sessions run at once.
     let budget = SessionBudget::share_of(catalog.parallelism, catalog.pool.budget_bytes(), workers);
     let generation = durable
         .as_ref()
@@ -902,6 +908,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     // Query spans, slow-query events, and execution-stat counters all
     // land in *this server's* registry, not the process-global one.
     session.set_metrics(Arc::clone(&shared.metrics));
+    session.set_slow_query_ms(shared.config.slow_query_ms);
     // The connection's one frame buffer: each request is read into it,
     // and its reply is written into it and sent from it.
     let mut frame = FrameBuf::default();
@@ -1292,7 +1299,9 @@ mod tests {
         use crate::protocol::{read_frame, write_frame};
         let dir = std::env::temp_dir().join(format!("evirel-serve-scrape-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let (durable, recovered) = DurableCatalog::open(&dir).unwrap();
+        let config = evirel_plan::Config::from_env();
+        let (durable, recovered) =
+            DurableCatalog::open_into(&dir, Catalog::with_config(&config)).unwrap();
         let handle = start_with_durability(recovered, ServeConfig::default(), Some(durable))
             .expect("server starts");
 

@@ -6,6 +6,7 @@
 //! only the journal on disk.
 
 use evirel_obs::{EventLog, MetricsRegistry};
+use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog, DurableMetrics, SharedCatalog, StreamPlan};
 use evirel_serve::protocol::{read_frame, write_frame, Response, StreamFrame};
 use evirel_serve::replicate::{apply_stream, ApplyCtx};
@@ -19,6 +20,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
+
 fn fresh_dir(label: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let d = std::env::temp_dir().join(format!(
@@ -31,31 +37,20 @@ fn fresh_dir(label: &str) -> PathBuf {
 }
 
 fn seeded() -> Catalog {
-    let mut catalog = Catalog::new();
+    let mut catalog = Catalog::with_config(&config());
     catalog.register("ra", restaurant_db_a().restaurants);
     catalog.register("rb", restaurant_db_b().restaurants);
     catalog
 }
 
 /// Boot a durable server over `dir`, overlaying seeds the way the
-/// binary does: recover first, recovered bindings win collisions.
+/// binary does: recovered bindings win collisions.
 fn boot(dir: &PathBuf) -> ServerHandle {
-    serve(DurableCatalog::open(dir).expect("data dir recovers"))
+    serve(DurableCatalog::open_into(dir, seeded()).expect("data dir recovers"))
 }
 
 /// [`boot`], from an already opened directory.
-fn serve((durable, recovered): (DurableCatalog, Catalog)) -> ServerHandle {
-    let mut catalog = seeded();
-    for name in recovered
-        .names()
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect::<Vec<_>>()
-    {
-        if let Some(stored) = recovered.get_stored(&name) {
-            catalog.attach(name, stored);
-        }
-    }
+fn serve((durable, catalog): (DurableCatalog, Catalog)) -> ServerHandle {
     start_with_durability(catalog, ServeConfig::default(), Some(durable)).expect("server starts")
 }
 
@@ -204,6 +199,47 @@ fn merge_survives_unclean_drop_via_journal_alone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A restarted server serves its recovered bindings through the one
+/// pool its sessions are budgeted from, so `METRICS` counts the pages
+/// a query over them reads (a recovered binding used to keep the pool
+/// of the catalog recovery built: a second full budget, invisible to
+/// the pool series).
+#[test]
+fn a_recovered_binding_pages_through_the_serving_pool() {
+    let dir = fresh_dir("pool");
+    {
+        let handle = boot(&dir);
+        let mut c = connect(&handle);
+        ok_body(roundtrip(&mut c, "MERGE m1\nSELECT * FROM ra UNION rb"));
+        roundtrip(&mut c, "SHUTDOWN");
+        handle.join();
+    }
+    let handle = boot(&dir);
+    let mut c = connect(&handle);
+    let q = ok_body(roundtrip(&mut c, "QUERY\nSELECT * FROM m1 WITH SN > 0"));
+    assert!(q.starts_with("tuples=6"), "{q}");
+    {
+        let snapshot = handle.catalog().pin();
+        let catalog = snapshot.catalog();
+        let stored = catalog.get_stored("m1").expect("m1 recovered as stored");
+        assert!(
+            std::sync::Arc::ptr_eq(stored.pool(), &catalog.pool),
+            "a recovered binding pages through a pool of its own"
+        );
+    }
+    let metrics = ok_body(roundtrip(&mut c, "METRICS"));
+    let misses: u64 = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("evirel_store_pool_misses_total "))
+        .expect("METRICS exports the pool misses")
+        .parse()
+        .expect("a count");
+    assert!(misses > 0, "the query's page reads were not counted");
+    roundtrip(&mut c, "SHUTDOWN");
+    handle.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `key=value` field of a reply's first line, as u64.
 fn reply_field(body: &str, key: &str) -> u64 {
     stat(body.lines().next().unwrap_or_default(), key)
@@ -219,13 +255,19 @@ fn reply_field(body: &str, key: &str) -> u64 {
 fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
     let rel = restaurant_db_a().restaurants;
     let bind = |durable: &mut DurableCatalog, name: &str| {
-        durable.bind(&SharedCatalog::new(Catalog::new()), name, &rel)
+        durable.bind(
+            &SharedCatalog::new(Catalog::with_config(&config())),
+            name,
+            &rel,
+        )
     };
     // A bind's last fsync is the journal's: count them on a scratch
     // directory.
     let journal_fsync = {
         let probe = fresh_dir("fsync-probe");
-        let mut durable = DurableCatalog::open(&probe).expect("opens").0;
+        let mut durable = DurableCatalog::open_into(&probe, Catalog::with_config(&config()))
+            .expect("opens")
+            .0;
         let fp = FailpointFs::observe();
         bind(&mut durable, "probe").expect("binds");
         std::fs::remove_dir_all(&probe).ok();
@@ -233,13 +275,13 @@ fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
     };
 
     let dir = fresh_dir("fsync-fail");
-    let (mut durable, recovered) = DurableCatalog::open(&dir).expect("opens");
+    let (mut durable, catalog) = DurableCatalog::open_into(&dir, seeded()).expect("opens");
     {
         let _fp = FailpointFs::fail_fsync(journal_fsync);
         bind(&mut durable, "lost").expect_err("the journal fsync fails");
     }
     {
-        let handle = serve((durable, recovered));
+        let handle = serve((durable, catalog));
         let mut c = connect(&handle);
         let body = ok_body(roundtrip(&mut c, "MERGE kept\nSELECT * FROM ra UNION rb"));
         assert_eq!(reply_field(&body, "generation"), 1, "{body}");
@@ -272,7 +314,8 @@ fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
 fn fsyncs_per_write_path_operation() {
     let registry = MetricsRegistry::new();
     let dir = fresh_dir("fsyncs");
-    let (mut durable, recovered) = DurableCatalog::open(&dir).expect("opens");
+    let (mut durable, recovered) =
+        DurableCatalog::open_into(&dir, Catalog::with_config(&config())).expect("opens");
     durable.set_metrics(DurableMetrics {
         committed_generation: registry.gauge("evirel_store_committed_generation", "", &[]),
         journal_records: registry.gauge("evirel_store_journal_records", "", &[]),
@@ -334,7 +377,8 @@ fn fsyncs_per_write_path_operation() {
     let mut stream = Vec::new();
     write_frame(&mut stream, &StreamFrame::Rec(record).encode()).unwrap();
     let fdir = fresh_dir("fsyncs-f");
-    let (follower, frecovered) = DurableCatalog::open(&fdir).expect("opens");
+    let (follower, frecovered) =
+        DurableCatalog::open_into(&fdir, Catalog::with_config(&config())).expect("opens");
     let (follower, fshared) = (
         std::sync::Mutex::new(follower),
         SharedCatalog::new(frecovered),

@@ -4,6 +4,7 @@
 //! restarts, and promotes into a writable primary — by verb, and
 //! automatically when the primary dies.
 
+use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog};
 use evirel_serve::protocol::{read_frame, write_frame, Response};
 use evirel_serve::{start_with_durability, FollowConfig, ServeConfig, ServerHandle};
@@ -25,13 +26,18 @@ fn fresh_dir(label: &str) -> PathBuf {
 }
 
 fn seeded() -> Catalog {
-    let mut catalog = Catalog::new();
+    let mut catalog = Catalog::with_config(&config());
     catalog.register("ra", restaurant_db_a().restaurants);
     catalog.register("rb", restaurant_db_b().restaurants);
     catalog
 }
 
-fn config() -> ServeConfig {
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
+
+fn serve_config() -> ServeConfig {
     ServeConfig {
         poll_interval: Duration::from_millis(25),
         ..ServeConfig::default()
@@ -39,25 +45,14 @@ fn config() -> ServeConfig {
 }
 
 /// Boot a durable server over `dir` the way the binary does: recover
-/// first, recovered bindings win collisions with the seeds.
-fn boot_with(dir: &PathBuf, config: ServeConfig) -> ServerHandle {
-    let (durable, recovered) = DurableCatalog::open(dir).expect("data dir recovers");
-    let mut catalog = seeded();
-    for name in recovered
-        .names()
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect::<Vec<_>>()
-    {
-        if let Some(stored) = recovered.get_stored(&name) {
-            catalog.attach(name, stored);
-        }
-    }
-    start_with_durability(catalog, config, Some(durable)).expect("server starts")
+/// into the seeded catalog, recovered bindings win collisions.
+fn boot_with(dir: &PathBuf, serve: ServeConfig) -> ServerHandle {
+    let (durable, catalog) = DurableCatalog::open_into(dir, seeded()).expect("data dir recovers");
+    start_with_durability(catalog, serve, Some(durable)).expect("server starts")
 }
 
 fn boot_primary(dir: &PathBuf) -> ServerHandle {
-    boot_with(dir, config())
+    boot_with(dir, serve_config())
 }
 
 /// Boot a primary on a *fixed* address (so a reborn incarnation is
@@ -67,7 +62,7 @@ fn boot_primary_at(dir: &PathBuf, addr: &str) -> ServerHandle {
         dir,
         ServeConfig {
             addr: addr.to_owned(),
-            ..config()
+            ..serve_config()
         },
     )
 }
@@ -90,7 +85,7 @@ fn boot_follower_of(dir: &PathBuf, primary_addr: &str) -> ServerHandle {
         dir,
         ServeConfig {
             follow: Some(follow),
-            ..config()
+            ..serve_config()
         },
     )
 }
@@ -110,7 +105,7 @@ fn boot_follower_with(dir: &PathBuf, primary: &ServerHandle, follow: FollowConfi
         dir,
         ServeConfig {
             follow: Some(follow),
-            ..config()
+            ..serve_config()
         },
     )
 }
@@ -471,7 +466,7 @@ fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
 #[test]
 fn follow_without_durability_is_a_typed_error_both_ways() {
     // A server without a data dir refuses FOLLOW...
-    let handle = evirel_serve::start(seeded(), config()).expect("server starts");
+    let handle = evirel_serve::start(seeded(), serve_config()).expect("server starts");
     let mut c = connect(&handle);
     write_frame(&mut c, "FOLLOW 0").expect("writes");
     let reply = read_frame(&mut c).expect("reads").expect("replied");
@@ -487,7 +482,7 @@ fn follow_without_durability_is_a_typed_error_both_ways() {
         seeded(),
         ServeConfig {
             follow: Some(FollowConfig::new("127.0.0.1:1")),
-            ..config()
+            ..serve_config()
         },
         None,
     ) {

@@ -25,7 +25,8 @@
 //! follower applies through [`apply_stream`].
 
 use evirel_obs::EventLog;
-use evirel_query::{DurableCatalog, SharedCatalog};
+use evirel_plan::Config;
+use evirel_query::{Catalog, DurableCatalog, SharedCatalog};
 use evirel_serve::replicate::{apply_stream, serve_follow, ApplyCtx, SenderCtx};
 use evirel_serve::{read_frame, write_frame, StreamFrame};
 use evirel_store::failpoint::FailpointFs;
@@ -36,6 +37,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
 
 fn fresh_dir(label: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -69,7 +75,8 @@ fn rel(seed: u64, tuples: usize) -> evirel_relation::ExtendedRelation {
 /// one drop — seven generations. `rd` is past the inline limit, so its
 /// segment is a file; every other bind's rides in its record.
 fn build_primary(dir: &Path) -> (Mutex<DurableCatalog>, SharedCatalog) {
-    let (durable, recovered) = DurableCatalog::open(dir).expect("primary dir opens");
+    let (durable, recovered) =
+        DurableCatalog::open_into(dir, Catalog::with_config(&config())).expect("primary dir opens");
     let shared = SharedCatalog::with_generation(recovered, 0);
     let durable = Mutex::new(durable);
     for (name, seed, tuples) in [
@@ -168,7 +175,8 @@ struct Follower {
 
 impl Follower {
     fn open(dir: PathBuf) -> Follower {
-        let (durable, recovered) = DurableCatalog::open(&dir).expect("follower dir recovers");
+        let (durable, recovered) = DurableCatalog::open_into(&dir, Catalog::with_config(&config()))
+            .expect("follower dir recovers");
         let generation = durable.recovered_generation();
         Follower {
             dir,
@@ -287,7 +295,8 @@ fn primary_killed_at_every_send_boundary_converges_after_resume() {
 #[test]
 fn an_inline_rec_bind_cut_at_every_byte_resumes_and_converges() {
     let pdir = fresh_dir("byte-p");
-    let (durable, recovered) = DurableCatalog::open(&pdir).expect("primary dir opens");
+    let (durable, recovered) = DurableCatalog::open_into(&pdir, Catalog::with_config(&config()))
+        .expect("primary dir opens");
     let shared = SharedCatalog::with_generation(recovered, 0);
     let durable = Mutex::new(durable);
     for (name, seed, tuples) in [("rb", 2u64, 1usize), ("ra", 1, 3)] {

@@ -5,6 +5,7 @@
 //! or these tests fail), plus targeted admission-control and
 //! robustness probes.
 
+use evirel_plan::Config;
 use evirel_query::Catalog;
 use evirel_serve::protocol::{read_frame, write_frame, Response};
 use evirel_serve::{start, ServeConfig};
@@ -14,8 +15,13 @@ use evirel_workload::{restaurant_db_a, restaurant_db_b};
 use std::net::TcpStream;
 use std::time::Duration;
 
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
+
 fn seeded_catalog() -> Catalog {
-    let mut catalog = Catalog::new();
+    let mut catalog = Catalog::with_config(&config());
     catalog.register("ra", restaurant_db_a().restaurants);
     catalog.register("rb", restaurant_db_b().restaurants);
     let (ga, gb) = generate_pair(&PairConfig {

@@ -17,8 +17,8 @@
 //!   property suite checks stored execution against the in-memory
 //!   reference oracle.
 //! * **Bounded memory.** Readers hold one pinned page at a time; the
-//!   pool keeps total cached bytes under `EVIREL_BUFFER_BYTES`
-//!   (pinned pages excepted, counted as overcommits), so relations
+//!   pool keeps total cached bytes under the budget its owner gives
+//!   it (pinned pages excepted, counted as overcommits), so relations
 //!   arbitrarily larger than memory scan, filter, and go through
 //!   ∪̃, ∩̃, −̃, ×̃ and ⋈̃ (whose right sides spill past the budget).
 //! * **No tuple is too large.** Pages target a fixed size but are
@@ -28,12 +28,12 @@
 //! The sibling `evirel-storage` crate remains the *text* notation
 //! (the paper's own syntax, for humans and examples); this crate is
 //! the binary engine for data that outgrows memory.
+//! It reads no environment variable: a pool's budget is its caller's.
 
 pub mod checkpoint;
 pub mod codec;
 pub mod compat;
 pub mod crc;
-pub mod env;
 pub mod error;
 pub mod failpoint;
 pub mod journal;
@@ -45,13 +45,10 @@ pub mod stats;
 pub mod stored;
 
 pub use checkpoint::CheckpointOutcome;
-pub use env::EnvKnob;
 pub use error::StoreError;
 pub use journal::{InlineSegment, Journal, JournalRecord, JOURNAL_FILE};
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_FILE};
-pub use pool::{
-    BufferPool, PageGuard, PoolStats, BUFFER_BYTES_ENV, DEFAULT_BUFFER_BYTES, PARANOID_ENV,
-};
+pub use pool::{BufferPool, PageGuard, PoolStats, DEFAULT_BUFFER_BYTES};
 pub use replica::{stage_chunk, valid_segment_file_name, verify_segment};
 pub use segment::{
     write_segment, write_segment_meta, Finished, RecordId, Segment, SegmentMeta, SegmentSource,
@@ -63,19 +60,16 @@ pub use stored::{KeyIndex, StoredIter, StoredRelation};
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, StoreError>;
 
-/// A process-unique temporary file path for spill segments, under
-/// `EVIREL_SPILL_DIR` when set (else the system temp directory). The
-/// caller owns deletion; the plan layer's spill path unlinks the file
-/// as soon as the segment is open, so the kernel reclaims it when the
-/// last handle drops.
+/// A process-unique temporary file path for spill segments, under the
+/// system temp directory (`TMPDIR` moves it). The caller owns
+/// deletion; the plan layer's spill path unlinks the file as soon as
+/// the segment is open, so the kernel reclaims it when the last handle
+/// drops.
 pub fn spill_path(label: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::var_os("EVIREL_SPILL_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!(
+    std::env::temp_dir().join(format!(
         "evirel-spill-{}-{n}-{label}.evb",
         std::process::id()
     ))

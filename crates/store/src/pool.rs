@@ -13,49 +13,21 @@
 //! overshoots its budget rather than deadlocking (counted in
 //! [`PoolStats::overcommits`]).
 //!
-//! The budget comes from the `EVIREL_BUFFER_BYTES` environment
-//! variable via [`BufferPool::from_env`] (default 64 MiB). CI runs
-//! the plan/query/integrate suites under a tiny budget so the
-//! eviction and spill paths are exercised end to end every build.
+//! The budget is its owner's ([`BufferPool::new`]; `EVIREL_BUFFER_BYTES`
+//! to the binaries). CI runs the suites under a tiny budget so the
+//! eviction and spill paths are exercised end to end every build. A
+//! debug build re-verifies the checksum of every cache *hit* too (a miss
+//! verifies on the disk read), so every test run checks that no path
+//! serves cached bytes that diverge from their checksum.
 
-use crate::env::EnvKnob;
 use crate::error::StoreError;
 use crate::segment::Segment;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
-/// Default byte budget when `EVIREL_BUFFER_BYTES` is unset: 64 MiB.
+/// Default byte budget: 64 MiB.
 pub const DEFAULT_BUFFER_BYTES: usize = 64 * 1024 * 1024;
-
-/// Environment variable naming the pool byte budget.
-pub const BUFFER_BYTES_ENV: &str = "EVIREL_BUFFER_BYTES";
-
-const BUFFER_BYTES: EnvKnob = EnvKnob {
-    var: BUFFER_BYTES_ENV,
-    range: 1..=usize::MAX,
-    default: DEFAULT_BUFFER_BYTES,
-};
-
-/// Environment variable that, set to `1`, makes the pool re-verify
-/// page checksums on every cache *hit* (misses always verify on the
-/// disk read). CI runs the store suites with this forced on;
-/// production leaves it off because a page in cache was already
-/// verified when it was read.
-pub const PARANOID_ENV: &str = "EVIREL_PARANOID_CHECKSUMS";
-
-/// `0` (the default) or `1`; anything else is rejected loudly, see
-/// [`EnvKnob::get`].
-const PARANOID: EnvKnob = EnvKnob {
-    var: PARANOID_ENV,
-    range: 0..=1,
-    default: 0,
-};
-
-fn paranoid_checksums() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| PARANOID.get() == 1)
-}
 
 type PageKey = (u64, u64);
 
@@ -112,15 +84,6 @@ impl BufferPool {
         }
     }
 
-    /// A pool budgeted from the `EVIREL_BUFFER_BYTES` environment
-    /// variable (bytes; default [`DEFAULT_BUFFER_BYTES`]). The
-    /// accepted range is `1..=usize::MAX`; `0` would turn every page
-    /// access into an overcommit, so it is invalid like garbage text
-    /// (see [`EnvKnob::get`] for how invalid values are handled).
-    pub fn from_env() -> BufferPool {
-        BufferPool::new(BUFFER_BYTES.get())
-    }
-
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> usize {
         self.budget
@@ -152,9 +115,8 @@ impl BufferPool {
             }
         };
         if let Some(data) = cached {
-            // Paranoid mode re-verifies even in-memory pages — CI
-            // uses it to prove no path trusts unverified bytes.
-            if paranoid_checksums() {
+            // See the module docs: debug builds re-verify hits.
+            if cfg!(debug_assertions) {
                 if let Err(e) = segment.verify_page(page, &data) {
                     self.unpin(key);
                     return Err(e);
@@ -363,38 +325,5 @@ mod tests {
         drop(guards);
         let _ = pool.get(&seg, 0).unwrap();
         assert!(pool.stats().bytes_cached <= pool.budget_bytes().max(seg.page_len(0).unwrap()));
-    }
-
-    #[test]
-    fn from_env_parses_budget() {
-        // Not set in the test environment by default → default budget
-        // (the CI tiny-budget run overrides this process-wide, so
-        // only assert consistency with the variable).
-        let pool = BufferPool::from_env();
-        match std::env::var(BUFFER_BYTES_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(n) => assert_eq!(pool.budget_bytes(), n.max(1)),
-            None => assert_eq!(pool.budget_bytes(), DEFAULT_BUFFER_BYTES),
-        }
-    }
-
-    /// A `0` budget would make every pool access an overcommit, so it
-    /// is invalid like garbage text — `from_env` warns once and
-    /// falls back to the default instead of silently accepting it.
-    #[test]
-    fn budget_parsing_rejects_invalid_values() {
-        assert_eq!(BUFFER_BYTES.parse("4096"), Some(4096));
-        assert_eq!(BUFFER_BYTES.parse(" 1 "), Some(1));
-        for invalid in ["", "0", "-4096", "64MiB", "1e6", "lots"] {
-            assert_eq!(BUFFER_BYTES.parse(invalid), None, "{invalid:?}");
-        }
-        // The boolean knobs share the policy: 0 or 1, nothing else.
-        assert_eq!(PARANOID.parse("0"), Some(0));
-        assert_eq!(PARANOID.parse(" 1 "), Some(1));
-        for invalid in ["", "2", "-1", "yes", "off", "true", "1.0"] {
-            assert_eq!(PARANOID.parse(invalid), None, "{invalid:?}");
-        }
     }
 }

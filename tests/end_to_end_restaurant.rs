@@ -4,7 +4,13 @@
 
 use evirel::prelude::*;
 use evirel::workload::{restaurant_db_a, restaurant_db_b};
+use evirel_plan::Config;
 use std::sync::Arc;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
 
 #[test]
 fn figure1_pipeline_trace() {
@@ -114,7 +120,7 @@ fn queries_over_integrated_relation() {
     let ra = restaurant_db_a().restaurants;
     let rb = restaurant_db_b().restaurants;
     let merged = union_extended(&ra, &rb).unwrap().relation;
-    let mut catalog = Catalog::new();
+    let mut catalog = Catalog::with_config(&config());
     catalog.register(
         "merged",
         evirel::algebra::rename_relation(&merged, "merged"),
@@ -147,7 +153,7 @@ fn integrated_relation_roundtrips_through_storage() {
     let back = read_relation(&text).unwrap();
     assert!(back.approx_eq(&merged));
     // And the reloaded relation still answers queries identically.
-    let mut catalog = Catalog::new();
+    let mut catalog = Catalog::with_config(&config());
     catalog.register("m", back);
     catalog.register("orig", merged);
     let q = "SELECT rname, rating FROM m WHERE rating >= 'gd' WITH SN >= 0.5;";
@@ -184,7 +190,10 @@ fn parallel_union_agrees_on_paper_data() {
     let par = execute_plan(
         &scan("ra").union(scan("rb")).build(),
         &catalog,
-        &mut ExecContext::with_parallelism(4),
+        &mut ExecContext::new(&Config {
+            threads: 4,
+            ..config()
+        }),
     )
     .unwrap();
     assert!(seq.relation.approx_eq(&par));
@@ -206,13 +215,13 @@ fn garden_under_a_selection_is_the_same_through_the_fused_merge() {
     let mut catalog = Bindings::new();
     catalog.bind("ra", ra).bind("rb", rb);
     let plan = scan("ra").union(scan("rb")).select(predicate).build();
-    let mut ctx = ExecContext::new();
+    let mut ctx = ExecContext::new(&config());
     let text = explain_plan(&plan, &catalog, &mut ctx, false).unwrap();
     assert!(
         text.contains("σ̃[rating is {ex}] with sn > 0 ⟵ ∪̃ ("),
         "{text}"
     );
-    let mut ctx = ExecContext::new();
+    let mut ctx = ExecContext::new(&config());
     let fused = execute_plan(&plan, &catalog, &mut ctx).unwrap();
 
     assert_eq!(fused.len(), selected.len());

@@ -6,7 +6,13 @@ use evirel::evidence::{combine, condition, measures, weight_of_conflict};
 use evirel::prelude::*;
 use evirel::workload::restaurant::rating_domain;
 use evirel::workload::{restaurant_db_a, restaurant_db_b};
+use evirel_plan::Config;
 use std::sync::Arc;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
 
 fn garden_speciality(rel: &ExtendedRelation) -> evirel::evidence::MassFunction<f64> {
     let t = rel.get_by_key(&[Value::str("garden")]).unwrap();
@@ -138,7 +144,7 @@ fn explain_matches_execution_shape() {
     assert!(plan.contains("π̃[rname, rating]"));
     assert!(plan.contains("∪̃"));
     // The same query executes to the known Table 4-derived answer.
-    let mut catalog = Catalog::new();
+    let mut catalog = Catalog::with_config(&config());
     catalog.register("ra", restaurant_db_a().restaurants);
     catalog.register("rb", restaurant_db_b().restaurants);
     let out = execute(

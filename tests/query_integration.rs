@@ -4,9 +4,15 @@
 use evirel::prelude::*;
 use evirel::query::QueryError;
 use evirel::workload::{restaurant_db_a, restaurant_db_b};
+use evirel_plan::Config;
+
+/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
+fn config() -> Config {
+    Config::from_env()
+}
 
 fn catalog() -> Catalog {
-    let mut c = Catalog::new();
+    let mut c = Catalog::with_config(&config());
     c.register("ra", restaurant_db_a().restaurants);
     c.register("rb", restaurant_db_b().restaurants);
     c
