@@ -6,23 +6,30 @@
 //! domain on both big relations (A⋈B is a near-quadratic blowup),
 //! while `y` is unique per B tuple and C is a handful of tuples — so
 //! exploring from C touches a few hundred combinations where the
-//! left-deep order materializes hundreds of thousands of intermediate
+//! left-deep order streams hundreds of thousands of intermediate
 //! pairs. The chain operator starts from C (cheapest, connected).
-//! Before timing, results are asserted **bit-identical** (tuples,
-//! insertion order, membership bits) at 1 and 4 threads and, at the
-//! sizes where materializing A×B is affordable, against the left-deep
-//! `plan::reference` oracle. (The timed left-deep row is retired with
-//! the statistics-off switch that produced it.)
+//!
+//! Two rows: `cost-ordered` is the planner's `ChainOp`; `left-deep` is
+//! the same chain as two `JoinOp`s built by hand from public operators
+//! — each hash-probing its right input on its equality — which is what
+//! the planner would run without `ChainOp`. Before timing, `ChainOp`
+//! at 1 and 4 threads is asserted **bit-identical** (tuples, insertion
+//! order, membership bits) to the left-deep join at every size, and
+//! the left-deep join to the `plan::reference` oracle at the sizes
+//! where the oracle's materialized A×B is affordable.
 //!
 //! Kept beside `benchmark/` because no workload text there joins, so
 //! nothing else measures `ChainOp`. Last recording:
 //! `crates/bench/BASELINES.md`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use evirel_algebra::product::product_schema;
 use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
+use evirel_plan::ops::{run, JoinOp, Operator, ScanOp};
 use evirel_plan::reference::execute_reference;
-use evirel_plan::{execute_plan, scan, Bindings, Config, ExecContext, LogicalPlan};
+use evirel_plan::{execute_plan, scan, Bindings, LogicalPlan};
 use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, ValueKind};
+use evirel_testkit::{context_at, identical, OrFail};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -40,7 +47,7 @@ fn relation(
     attrs: [&str; 2],
     first_of: impl Fn(u64) -> i64,
     second_of: impl Fn(u64) -> i64,
-) -> ExtendedRelation {
+) -> Arc<ExtendedRelation> {
     let domain = Arc::new(AttrDomain::categorical("d", ["p", "q", "r"]).unwrap());
     let schema = Arc::new(
         Schema::builder(name)
@@ -65,25 +72,32 @@ fn relation(
             })
             .unwrap();
     }
-    builder.build()
+    Arc::new(builder.build())
 }
 
-/// The skewed inputs: A and B share a dense 4-value `ax`/`bx`; B's
-/// `by` is unique per tuple; C is `c_tuples` rows whose `cy` hits
-/// distinct B tuples.
-fn bindings(big: usize, c_tuples: usize) -> Bindings {
-    let a = relation("A", big, ["ax", "az"], |i| (i % 4) as i64, |i| i as i64);
-    let b = relation("B", big, ["bx", "by"], |i| (i * 7 % 4) as i64, |i| i as i64);
-    let c = relation(
-        "C",
-        c_tuples,
-        ["cy", "cz"],
-        // Spread C's matches across B so no single x-class dominates.
-        |i| (i * 37 % 512) as i64,
-        |_| 0,
-    );
+/// The skewed inputs `a`, `b`, `c`: A and B share a dense 4-value
+/// `ax`/`bx`; B's `by` is unique per tuple; C is `c_tuples` rows whose
+/// `cy` hits distinct B tuples.
+fn inputs(big: usize, c_tuples: usize) -> [Arc<ExtendedRelation>; 3] {
+    [
+        relation("A", big, ["ax", "az"], |i| (i % 4) as i64, |i| i as i64),
+        relation("B", big, ["bx", "by"], |i| (i * 7 % 4) as i64, |i| i as i64),
+        relation(
+            "C",
+            c_tuples,
+            ["cy", "cz"],
+            // Spread C's matches across B so no single x-class dominates.
+            |i| (i * 37 % 512) as i64,
+            |_| 0,
+        ),
+    ]
+}
+
+fn bindings(inputs: &[Arc<ExtendedRelation>; 3]) -> Bindings {
     let mut bindings = Bindings::new();
-    bindings.bind("a", a).bind("b", b).bind("c", c);
+    for (name, rel) in ["a", "b", "c"].into_iter().zip(inputs) {
+        bindings.bind(name, ExtendedRelation::clone(rel));
+    }
     bindings
 }
 
@@ -102,21 +116,31 @@ fn chain_plan() -> LogicalPlan {
         .build()
 }
 
-fn run(bindings: &Bindings, plan: &LogicalPlan, threads: usize) -> ExtendedRelation {
-    let mut ctx = ExecContext::new(&Config {
-        threads,
-        ..Config::default()
-    });
-    execute_plan(plan, bindings, &mut ctx).expect("plan executes")
+/// [`chain_plan`] as the planner runs it: `ChainOp`, cost-ordered.
+fn cost_ordered(bindings: &Bindings, plan: &LogicalPlan, threads: usize) -> ExtendedRelation {
+    execute_plan(plan, bindings, &mut context_at(threads)).expect("plan executes")
 }
 
-fn assert_identical(a: &ExtendedRelation, b: &ExtendedRelation) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b.iter()) {
-        assert_eq!(x.values(), y.values());
-        assert_eq!(x.membership().sn().to_bits(), y.membership().sn().to_bits());
-        assert_eq!(x.membership().sp().to_bits(), y.membership().sp().to_bits());
-    }
+/// [`chain_plan`] left-deep, `(a ⋈ b) ⋈ c`, on one thread: two
+/// `JoinOp`s over scans, each on the equality
+/// [`JoinOp::indexable_conjunct`] finds.
+fn left_deep(inputs: &[Arc<ExtendedRelation>; 3]) -> ExtendedRelation {
+    let join = |left: Box<dyn Operator>, right: Box<dyn Operator>, on: [&str; 2]| {
+        let predicate = Predicate::theta(Operand::attr(on[0]), ThetaOp::Eq, Operand::attr(on[1]));
+        let (ls, rs) = (left.schema(), right.schema());
+        let product = product_schema(ls, rs).expect("prefixed names never clash");
+        let (lp, rp) = JoinOp::indexable_conjunct(&predicate, ls, rs, &product)
+            .expect("a definite equality across the sides");
+        let op = JoinOp::new(left, right, predicate, Threshold::POSITIVE, lp, rp);
+        Box::new(op.expect("a positive threshold")) as Box<dyn Operator>
+    };
+    let leaf = |name: &str, rel: &Arc<ExtendedRelation>| {
+        Box::new(ScanOp::new(name, Arc::clone(rel))) as Box<dyn Operator>
+    };
+    let [a, b, c] = inputs;
+    let ab = join(leaf("a", a), leaf("b", b), ["ax", "bx"]);
+    let mut abc = join(ab, leaf("c", c), ["by", "cy"]);
+    run(abc.as_mut(), &mut context_at(1)).expect("joins")
 }
 
 fn bench_planner(c: &mut Criterion) {
@@ -125,23 +149,32 @@ fn bench_planner(c: &mut Criterion) {
     // measurement sweeps the sizes BASELINES.md reports.
     let sizes: &[usize] = if measured() { &[500, 1_500] } else { &[160] };
     for &big in sizes {
-        let bindings = bindings(big, 6);
+        let inputs = inputs(big, 6);
+        let bindings = bindings(&inputs);
         let plan = chain_plan();
-        // Sanity before timing: 1 and 4 threads agree bit for bit,
-        // the output is non-trivial, and it is the left-deep oracle's
-        // (which materializes all of A×B, so only the small sizes).
-        let cost_ordered = run(&bindings, &plan, 1);
-        assert!(!cost_ordered.is_empty(), "skew produced an empty join");
-        assert_identical(&cost_ordered, &run(&bindings, &plan, 4));
+        // Sanity before timing: the output is non-trivial, the chain
+        // at 1 and 4 threads is the left-deep join bit for bit, and so
+        // is the reference (which materializes all of A×B, so only at
+        // the small sizes).
+        let expected = left_deep(&inputs);
+        assert!(!expected.is_empty(), "skew produced an empty join");
+        for threads in [1, 4] {
+            identical(&expected, &cost_ordered(&bindings, &plan, threads)).or_fail(format_args!(
+                "cost-ordered at {threads} threads, {big} tuples"
+            ));
+        }
         if big <= 500 {
-            let (left_deep, _) = execute_reference(&plan, &bindings, &Default::default())
+            let (reference, _) = execute_reference(&plan, &bindings, &Default::default())
                 .expect("reference executes");
-            assert_identical(&cost_ordered, &left_deep);
+            identical(&reference, &expected).or_fail("left-deep against the reference");
         }
 
         group.throughput(Throughput::Elements(2 * big as u64 + 6));
         group.bench_with_input(BenchmarkId::new("cost-ordered", big), &big, |bench, _| {
-            bench.iter(|| run(black_box(&bindings), black_box(&plan), 1))
+            bench.iter(|| cost_ordered(black_box(&bindings), black_box(&plan), 1))
+        });
+        group.bench_with_input(BenchmarkId::new("left-deep", big), &big, |bench, _| {
+            bench.iter(|| left_deep(black_box(&inputs)))
         });
     }
     group.finish();

@@ -15,23 +15,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evirel_query::DurableCatalog;
-use evirel_serve::protocol::{read_frame, write_frame};
+use evirel_serve::protocol::Response;
 use evirel_serve::{start_with_durability, FollowConfig, ServeConfig, ServerHandle};
-use evirel_workload::{restaurant_db_a, restaurant_db_b};
+use evirel_testkit::{connect, ok_body, roundtrip, seeded, stat, TempDir};
 use std::hint::black_box;
-use std::net::TcpStream;
-
-fn roundtrip(conn: &mut TcpStream, payload: &str) -> String {
-    write_frame(conn, payload).expect("request writes");
-    read_frame(conn)
-        .expect("response reads")
-        .expect("server replied")
-}
 
 fn durable_server(dir: &std::path::Path, follow: Option<String>) -> ServerHandle {
-    let (durable, mut catalog) = DurableCatalog::open(dir).expect("durable dir opens");
-    catalog.register("ra", restaurant_db_a().restaurants);
-    catalog.register("rb", restaurant_db_b().restaurants);
+    let (durable, catalog) = DurableCatalog::open_into(dir, seeded()).expect("durable dir opens");
     let config = ServeConfig {
         follow: follow.map(|addr| FollowConfig {
             initial_backoff: std::time::Duration::from_millis(10),
@@ -43,27 +33,18 @@ fn durable_server(dir: &std::path::Path, follow: Option<String>) -> ServerHandle
     start_with_durability(catalog, config, Some(durable)).expect("server starts")
 }
 
-fn merge_generation(resp: &str) -> u64 {
-    resp.split_whitespace()
-        .find_map(|t| t.strip_prefix("generation="))
-        .and_then(|v| v.parse().ok())
-        .expect("merge response carries its generation")
-}
-
 /// Replication overhead: durable MERGE round-trip latency with no
 /// follower vs with one attached `FOLLOW` subscriber (the asynchronous
 /// sender must not sit on the write path), plus the end-to-end
 /// replication lag — merge acknowledged on the primary until the same
 /// generation is published on the standby.
 fn bench_replication(c: &mut Criterion) {
-    let base = std::env::temp_dir().join(format!("evirel-bench-repl-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
+    let base = TempDir::new("bench-repl");
     let primary = durable_server(&base.join("primary"), None);
-    let mut conn = TcpStream::connect(primary.addr()).expect("connects");
+    let mut conn = connect(primary.addr());
     conn.set_nodelay(true).expect("nodelay");
     let merge = "MERGE bm\nSELECT * FROM ra UNION rb";
-    let first = roundtrip(&mut conn, merge);
-    assert!(first.starts_with("OK"), "{first}");
+    ok_body(roundtrip(&mut conn, merge));
 
     let mut group = c.benchmark_group("serve/replication");
     group.sample_size(10);
@@ -78,18 +59,20 @@ fn bench_replication(c: &mut Criterion) {
     while follower.catalog().generation() < target {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    let mut fconn = TcpStream::connect(follower.addr()).expect("connects");
+    let mut fconn = connect(follower.addr());
     fconn.set_nodelay(true).expect("nodelay");
     let denied = roundtrip(&mut fconn, merge);
-    assert!(denied.starts_with("ERR readonly"), "{denied}");
+    assert!(
+        matches!(&denied, Response::Err { kind, .. } if kind == "readonly"),
+        "{denied:?}"
+    );
 
     group.bench_function("merge/one-follower", |b| {
         b.iter(|| black_box(roundtrip(&mut conn, merge)))
     });
     group.bench_function("merge/visible-on-follower", |b| {
         b.iter(|| {
-            let resp = roundtrip(&mut conn, merge);
-            let generation = merge_generation(&resp);
+            let generation = stat(&ok_body(roundtrip(&mut conn, merge)), "generation");
             while follower.catalog().generation() < generation {
                 std::thread::yield_now();
             }
@@ -111,7 +94,6 @@ fn bench_replication(c: &mut Criterion) {
     primary.shutdown();
     let stats = primary.join();
     assert_eq!(stats.panics, 0, "{stats:?}");
-    std::fs::remove_dir_all(&base).ok();
 }
 
 criterion_group!(benches, bench_replication);

@@ -7,7 +7,8 @@
 //! repro_tables --worked     # the §2.1 / §2.2 / §3.1.1 inline examples
 //! ```
 //!
-//! Exit code 0 iff every check passes.
+//! Exit code 0 iff every check passes and at least one ran; 2 on an
+//! argument it does not understand, a table number outside 1–5 included.
 
 use evirel_algebra::support::theta_support_with_domain;
 use evirel_algebra::ThetaOp;
@@ -16,7 +17,16 @@ use evirel_evidence::{combine, Frame, MassFunction, Ratio};
 use evirel_relation::display::render_table;
 use evirel_relation::{AttrDomain, Value};
 use evirel_workload::{restaurant_db_a, restaurant_db_b};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Checks [`report`]ed so far, passed or failed.
+static CHECKS: AtomicUsize = AtomicUsize::new(0);
+
+fn usage(message: &str) -> ! {
+    eprintln!("{message}\nusage: repro_tables [--table 1..5] [--worked]");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,17 +37,18 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--table" => {
-                which_table = args.get(i + 1).and_then(|s| s.parse().ok());
+                let value = args.get(i + 1);
+                match value.and_then(|s| s.parse().ok()) {
+                    Some(n @ 1..=5) => which_table = Some(n),
+                    _ => usage(&format!("--table takes a table number 1–5, got {value:?}")),
+                }
                 i += 2;
             }
             "--worked" => {
                 worked_only = true;
                 i += 1;
             }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown argument {other:?}")),
         }
     }
 
@@ -86,7 +97,11 @@ fn main() {
         failures += worked_examples();
     }
 
-    if failures == 0 {
+    let checks = CHECKS.load(Ordering::Relaxed);
+    if checks == 0 {
+        println!("\nNO CHECKS RAN");
+        std::process::exit(1);
+    } else if failures == 0 {
         println!("\nALL CHECKS PASSED");
     } else {
         println!("\n{failures} CHECK(S) FAILED");
@@ -245,5 +260,6 @@ fn worked_examples() -> usize {
 }
 
 fn report(label: &str, ok: bool) {
+    CHECKS.fetch_add(1, Ordering::Relaxed);
     println!("[{}] {label}", if ok { "PASS" } else { "FAIL" });
 }

@@ -8,23 +8,11 @@
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
 use evirel_plan::reference::execute_reference;
-use evirel_plan::Config;
 use evirel_plan::{execute_plan, explain_plan, scan, Bindings, ExecContext, LogicalPlan};
 use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, ValueKind};
+use evirel_testkit::{config, exec_context, identical, OrFail};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-/// A context under [`config`] with `options`.
-fn exec_context(options: UnionOptions) -> ExecContext {
-    let mut ctx = ExecContext::new(&config());
-    ctx.union_options = options;
-    ctx
-}
 
 /// A relation with a string key, an integer join attribute `j{name}`
 /// drawn from `0..spread` (smaller spread ⇒ more matches, more skew),
@@ -119,27 +107,9 @@ proptest! {
         par_ctx.parallelism = 4;
         let par = execute_plan(&plan, &bindings, &mut par_ctx).expect("parallel succeeds");
 
+        // Bit-exact, in the naive (= left-deep) emission order.
         for (label, streamed) in [("sequential", &seq), ("parallel", &par)] {
-            prop_assert_eq!(
-                naive.len(), streamed.len(),
-                "{} size diverged\nplan:\n{}", label, plan.render()
-            );
-            // Bit-exact, in the naive (= left-deep) emission order.
-            for (nt, st) in naive.iter().zip(streamed.iter()) {
-                prop_assert_eq!(
-                    nt.values(), st.values(),
-                    "{} values diverged\nplan:\n{}", label, plan.render()
-                );
-                prop_assert!(
-                    nt.membership().sn().to_bits() == st.membership().sn().to_bits()
-                        && nt.membership().sp().to_bits() == st.membership().sp().to_bits(),
-                    "{} membership diverged: ({}, {}) vs ({}, {})\nplan:\n{}",
-                    label,
-                    nt.membership().sn(), nt.membership().sp(),
-                    st.membership().sn(), st.membership().sp(),
-                    plan.render()
-                );
-            }
+            identical(&naive, streamed).or_fail(format_args!("{label}\nplan:\n{}", plan.render()));
         }
         prop_assert_eq!(seq_ctx.stats, par_ctx.stats);
     }

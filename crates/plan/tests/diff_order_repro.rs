@@ -5,22 +5,9 @@
 // planner still exchanges the ∪̃ below it), keeping parallel output
 // order sequential-exact.
 use evirel_algebra::predicate::Predicate;
-use evirel_plan::Config;
-use evirel_plan::{execute_plan, explain_plan, scan, Bindings, ExecContext};
+use evirel_plan::{execute_plan, explain_plan, scan, Bindings};
+use evirel_testkit::context_at;
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-/// A context under [`config`] at `threads` threads.
-fn context_at(threads: usize) -> ExecContext {
-    ExecContext::new(&Config {
-        threads,
-        ..config()
-    })
-}
 
 #[test]
 fn difference_with_filtered_right_order() {

@@ -17,45 +17,18 @@
 //! *relation* outputs are identical whenever both paths succeed,
 //! which is the property under test.
 
-use evirel_algebra::union::UnionOptions;
-use evirel_algebra::{ConflictPolicy, Operand, Predicate, ThetaOp, Threshold};
+use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
 use evirel_plan::reference::execute_reference;
-use evirel_plan::Config;
-use evirel_plan::{
-    execute_plan, scan, Bindings, BufferPool, ExecContext, LogicalPlan, PlanBuilder, StoredRelation,
+use evirel_plan::{execute_plan, scan, Bindings, BufferPool, LogicalPlan, PlanBuilder};
+use evirel_relation::Value;
+use evirel_testkit::{
+    equivalent, exec_context, identical, pair, same_report, store, vacuous, OrFail, PAGE,
 };
-use evirel_relation::{ExtendedRelation, Value};
-use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-/// A context under [`config`] with `options`.
-fn exec_context(options: UnionOptions) -> ExecContext {
-    let mut ctx = ExecContext::new(&config());
-    ctx.union_options = options;
-    ctx
-}
-
-fn relations(seed: u64, tuples: usize) -> (ExtendedRelation, ExtendedRelation) {
-    generate_pair(&PairConfig {
-        base: GeneratorConfig {
-            tuples,
-            seed,
-            ..Default::default()
-        },
-        key_overlap: 0.5,
-        conflict_bias: 0.3,
-    })
-    .expect("generator config is valid")
-}
-
 fn bindings(seed: u64, tuples: usize) -> Bindings {
-    let (ga, gb) = relations(seed, tuples);
+    let (ga, gb) = pair(seed, tuples);
     let mut b = Bindings::new();
     b.bind("ga", ga).bind("gb", gb);
     b
@@ -64,67 +37,12 @@ fn bindings(seed: u64, tuples: usize) -> Bindings {
 /// The same pair as [`bindings`], each written to a 512-byte-page
 /// segment and bound stored, paging through a three-page pool.
 fn stored_bindings(seed: u64, tuples: usize) -> Bindings {
-    let (ga, gb) = relations(seed, tuples);
-    let pool = Arc::new(BufferPool::new(3 * 512));
+    let (ga, gb) = pair(seed, tuples);
+    let pool = Arc::new(BufferPool::new(3 * PAGE));
     let mut b = Bindings::new();
-    for (name, rel) in [("ga", ga), ("gb", gb)] {
-        let path = evirel_store::spill_path("plan-equiv");
-        evirel_store::write_segment(&rel, &path, 512).expect("segment writes");
-        let stored = StoredRelation::open(&path, Arc::clone(&pool)).expect("segment opens");
-        std::fs::remove_file(&path).ok();
-        b.bind_stored(name, Arc::new(stored));
-    }
+    b.bind_stored("ga", store(&ga, &pool))
+        .bind_stored("gb", store(&gb, &pool));
     b
-}
-
-/// `(sn, sp)` within 1e-12, attribute values within the model's
-/// tolerance, same key sets and schema attribute names.
-fn equivalent(naive: &ExtendedRelation, streaming: &ExtendedRelation) -> Result<(), String> {
-    let nn: Vec<&str> = naive.schema().attrs().iter().map(|a| a.name()).collect();
-    let sn: Vec<&str> = streaming
-        .schema()
-        .attrs()
-        .iter()
-        .map(|a| a.name())
-        .collect();
-    if nn != sn {
-        return Err(format!("schemas differ: {nn:?} vs {sn:?}"));
-    }
-    if naive.len() != streaming.len() {
-        return Err(format!(
-            "sizes differ: {} vs {}",
-            naive.len(),
-            streaming.len()
-        ));
-    }
-    for (key, nt) in naive.iter_keyed() {
-        let st = streaming.get_by_key(&key).ok_or_else(|| {
-            format!(
-                "key {} missing from streaming result",
-                Value::render_key(&key)
-            )
-        })?;
-        let (nm, sm) = (nt.membership(), st.membership());
-        if (nm.sn() - sm.sn()).abs() > 1e-12 || (nm.sp() - sm.sp()).abs() > 1e-12 {
-            return Err(format!(
-                "membership differs at {}: ({}, {}) vs ({}, {})",
-                Value::render_key(&key),
-                nm.sn(),
-                nm.sp(),
-                sm.sn(),
-                sm.sp()
-            ));
-        }
-        for (pos, (nv, sv)) in nt.values().iter().zip(st.values().iter()).enumerate() {
-            if !nv.approx_eq(sv) {
-                return Err(format!(
-                    "value differs at {} position {pos}",
-                    Value::render_key(&key)
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Build one random plan from the drawn shape parameters. `qualified`
@@ -217,10 +135,8 @@ proptest! {
     ) {
         let bindings = bindings(seed, 24);
         let plan = random_plan(source, pred_kind, attr_val / 8, attr_val % 8, th, proj);
-        let options = UnionOptions {
-            on_total_conflict: ConflictPolicy::Vacuous,
-            ..Default::default()
-        };
+        let context = format!("plan:\n{}", plan.render());
+        let options = vacuous();
         let naive = execute_reference(&plan, &bindings, &options);
         let mut ctx = exec_context(options.clone());
         let streaming = execute_plan(&plan, &bindings, &mut ctx);
@@ -233,16 +149,9 @@ proptest! {
             let stored = execute_plan(&plan, &stored_bindings, &mut stored_ctx);
             match (&streaming, &stored) {
                 (Ok(s), Ok(d)) => {
-                    prop_assert_eq!(s.len(), d.len(), "stored run\nplan:\n{}", plan.render());
-                    for (st, dt) in s.iter().zip(d.iter()) {
-                        prop_assert_eq!(st.values(), dt.values(), "plan:\n{}", plan.render());
-                        prop_assert_eq!(st.membership().sn().to_bits(), dt.membership().sn().to_bits());
-                        prop_assert_eq!(st.membership().sp().to_bits(), dt.membership().sp().to_bits());
-                    }
-                    prop_assert_eq!(
-                        ctx.conflict_report().conflicts(),
-                        stored_ctx.conflict_report().conflicts()
-                    );
+                    identical(s, d).or_fail(format_args!("stored run\n{context}"));
+                    same_report(&ctx.conflict_report(), &stored_ctx.conflict_report())
+                        .or_fail(&context);
                     let builds = stored_ctx.stats.key_index_builds;
                     prop_assert!(builds <= usize::from(run == 0), "run {run} built {builds}");
                 }
@@ -257,11 +166,7 @@ proptest! {
             }
         }
         match (naive, streaming) {
-            (Ok((n, _)), Ok(s)) => {
-                if let Err(reason) = equivalent(&n, &s) {
-                    prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
-                }
-            }
+            (Ok((n, _)), Ok(s)) => equivalent(&n, &s).or_fail(&context),
             (Err(ne), Err(se)) => {
                 // Both paths reject the plan — must be the same error.
                 prop_assert_eq!(ne, se);
@@ -300,10 +205,8 @@ proptest! {
         let threads = [2usize, 4, 8][usize::from(pred_threads / 7)];
         let bindings = bindings(seed, 280);
         let plan = random_plan(source, pred_kind, attr_val / 8, attr_val % 8, th, proj);
-        let options = UnionOptions {
-            on_total_conflict: ConflictPolicy::Vacuous,
-            ..Default::default()
-        };
+        let context = format!("{threads} threads\nplan:\n{}", plan.render());
+        let options = vacuous();
 
         let mut seq_ctx = exec_context(options.clone());
         seq_ctx.parallelism = 1;
@@ -314,9 +217,7 @@ proptest! {
 
         match (seq, par) {
             (Ok(s), Ok(p)) => {
-                if let Err(reason) = equivalent(&s, &p) {
-                    prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
-                }
+                equivalent(&s, &p).or_fail(&context);
                 for (st, pt) in s.iter().zip(p.iter()) {
                     prop_assert_eq!(
                         st.key(s.schema()), pt.key(p.schema()),
@@ -325,10 +226,8 @@ proptest! {
                     );
                 }
                 prop_assert_eq!(seq_ctx.stats, par_ctx.stats);
-                prop_assert_eq!(
-                    seq_ctx.conflict_report().conflicts(),
-                    par_ctx.conflict_report().conflicts()
-                );
+                same_report(&seq_ctx.conflict_report(), &par_ctx.conflict_report())
+                    .or_fail(&context);
                 // And the relation agrees with the independent oracle
                 // (reports are only comparable between the two
                 // streaming paths: σ̃-under-∪̃ distribution means the
@@ -337,9 +236,7 @@ proptest! {
                 // module comment explains).
                 let (naive, _) =
                     execute_reference(&plan, &bindings, &options).expect("reference succeeds");
-                if let Err(reason) = equivalent(&naive, &p) {
-                    prop_assert!(false, "vs reference: {reason}\nplan:\n{}", plan.render());
-                }
+                equivalent(&naive, &p).or_fail(format_args!("vs reference\n{context}"));
             }
             (Err(se), Err(pe)) => prop_assert_eq!(se, pe),
             (s, p) => {

@@ -20,130 +20,21 @@
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{ConflictPolicy, ConflictReport, Operand, Predicate, ThetaOp, Threshold};
 use evirel_evidence::rules::CombinationRule;
-use evirel_evidence::MassFunction;
 use evirel_plan::ops::{DempsterMerger, MergeEmit, MergeOp, Operator, ScanOp, SelectOp};
 use evirel_plan::reference::execute_reference;
 use evirel_plan::spill::SpillScanOp;
-use evirel_plan::Config;
 use evirel_plan::{
     execute_merge, execute_plan, explain_plan, scan, Bindings, BoundRelation, BufferPool,
     ExecContext, ExecStats, LogicalPlan, MergePairing, StoredRelation, TupleMerger,
 };
 use evirel_relation::cwa::CwaPolicy;
-use evirel_relation::{
-    AttrDomain, AttrValue, ExtendedRelation, Schema, SupportPair, Tuple, Value, ValueKind,
+use evirel_relation::{ExtendedRelation, Tuple, Value};
+use evirel_testkit::{
+    config, definite_pair, encode, equivalent, exec_context, hazardous_pair, identical, masked,
+    pair, reseal, same_report, same_tuples, store, vacuous, OrFail, Sides, TempDir, PAGE,
 };
-use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-/// A context under [`config`] with `options`.
-fn exec_context(options: UnionOptions) -> ExecContext {
-    let mut ctx = ExecContext::new(&config());
-    ctx.union_options = options;
-    ctx
-}
-
-const PAGE: usize = 512;
-
-fn pair(seed: u64, tuples: usize) -> (ExtendedRelation, ExtendedRelation) {
-    generate_pair(&PairConfig {
-        base: GeneratorConfig {
-            tuples,
-            seed,
-            ..Default::default()
-        },
-        key_overlap: 0.5,
-        conflict_bias: 0.3,
-    })
-    .expect("generator config is valid")
-}
-
-/// Write a relation to a temp segment and open it against `pool`.
-fn store(rel: &ExtendedRelation, pool: &Arc<BufferPool>) -> Arc<StoredRelation> {
-    let path = evirel_store::spill_path("equiv");
-    evirel_store::write_segment(rel, &path, PAGE).expect("segment writes");
-    let stored = StoredRelation::open(&path, Arc::clone(pool)).expect("segment opens");
-    std::fs::remove_file(&path).ok();
-    Arc::new(stored)
-}
-
-fn options() -> UnionOptions {
-    UnionOptions {
-        on_total_conflict: ConflictPolicy::Vacuous,
-        ..Default::default()
-    }
-}
-
-/// Same schema names, same size, per-key bit-identical membership and
-/// approx-equal values (the reference composes the same float ops, so
-/// equality is in fact exact; approx on values covers the documented
-/// model tolerance).
-fn equivalent(expected: &ExtendedRelation, got: &ExtendedRelation) -> Result<(), String> {
-    if expected.len() != got.len() {
-        return Err(format!("sizes differ: {} vs {}", expected.len(), got.len()));
-    }
-    for (key, e) in expected.iter_keyed() {
-        let g = got
-            .get_by_key(&key)
-            .ok_or_else(|| format!("missing key {}", Value::render_key(&key)))?;
-        if (e.membership().sn() - g.membership().sn()).abs() > 1e-12
-            || (e.membership().sp() - g.membership().sp()).abs() > 1e-12
-        {
-            return Err(format!("membership differs at {}", Value::render_key(&key)));
-        }
-        for (pos, (ev, gv)) in e.values().iter().zip(g.values().iter()).enumerate() {
-            if !ev.approx_eq(gv) {
-                return Err(format!(
-                    "value differs at {} position {pos}",
-                    Value::render_key(&key)
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Values and `(sn, sp)` bit for bit, tuple by tuple, in order.
-fn same_tuples<'a>(
-    expected: impl IntoIterator<Item = &'a Tuple>,
-    got: impl IntoIterator<Item = &'a Tuple>,
-) -> Result<(), String> {
-    let (expected, got): (Vec<_>, Vec<_>) =
-        (expected.into_iter().collect(), got.into_iter().collect());
-    if expected.len() != got.len() {
-        return Err(format!("sizes differ: {} vs {}", expected.len(), got.len()));
-    }
-    for (at, (e, g)) in expected.into_iter().zip(got).enumerate() {
-        let (em, gm) = (e.membership(), g.membership());
-        if e.values() != g.values()
-            || em.sn().to_bits() != gm.sn().to_bits()
-            || em.sp().to_bits() != gm.sp().to_bits()
-        {
-            return Err(format!("tuple {at} differs"));
-        }
-    }
-    Ok(())
-}
-
-/// [`same_tuples`] of two relations.
-fn identical(expected: &ExtendedRelation, got: &ExtendedRelation) -> Result<(), String> {
-    same_tuples(expected.iter(), got.iter())
-}
-
-/// The fields a stored run may differ from an in-memory one in.
-fn masked(stats: ExecStats) -> ExecStats {
-    ExecStats {
-        records_skipped: 0,
-        key_index_builds: 0,
-        ..stats
-    }
-}
 
 /// One plan shape per drawn discriminant: scan, filter, threshold,
 /// project, ∪̃, σ̃(∪̃), ∩̃, −̃, ×̃, and ⋈̃ — σ̃ over ×̃ with a definite `=`
@@ -246,7 +137,7 @@ proptest! {
         };
 
         let run = |bindings: &Bindings| {
-            let mut ctx = exec_context(options());
+            let mut ctx = exec_context(vacuous());
             ctx.parallelism = threads;
             let out = execute_plan(&plan, bindings, &mut ctx).expect("plan executes");
             (out, ctx.stats)
@@ -254,14 +145,11 @@ proptest! {
         let (mem, mem_stats) = run(&mem_bindings);
         let (fused, fused_stats) = run(&stored_bindings);
 
-        if let Err(reason) = identical(&mem, &fused) {
-            prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
-        }
-        let (reference, _) = execute_reference(&plan, &mem_bindings, &options())
+        let context = format!("plan:\n{}", plan.render());
+        identical(&mem, &fused).or_fail(&context);
+        let (reference, _) = execute_reference(&plan, &mem_bindings, &vacuous())
             .expect("reference executes");
-        if let Err(reason) = equivalent(&reference, &fused) {
-            prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
-        }
+        equivalent(&reference, &fused).or_fail(&context);
 
         prop_assert_eq!(fused_stats.tuples_scanned, sa.len());
         prop_assert_eq!(fused_stats.records_skipped, sa.len() - fused.len());
@@ -288,13 +176,12 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         bit in 0u32..8,
     ) {
-        let (ga, _) = pair(seed, 60);
-        let path = evirel_store::spill_path("flip");
-        evirel_store::write_segment(&ga, &path, PAGE).expect("segment writes");
-        let mut bytes = std::fs::read(&path).expect("segment readable");
+        let mut bytes = encode(&pair(seed, 60).0, PAGE);
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1u8 << bit;
-        std::fs::write(&path, &bytes).expect("segment rewritable");
+        let dir = TempDir::new("flip");
+        let path = dir.join("sa.evb");
+        std::fs::write(&path, &bytes).expect("segment writes");
 
         let plan = scan("sa")
             .select_where(predicate_of(pred_kind, 1, 3), Threshold::SnGreater(0.5))
@@ -304,10 +191,9 @@ proptest! {
             .and_then(|stored| {
                 let mut bindings = Bindings::new();
                 bindings.bind_stored("sa", Arc::new(stored));
-                execute_plan(&plan, &bindings, &mut exec_context(options()))
+                execute_plan(&plan, &bindings, &mut exec_context(vacuous()))
                     .map_err(|e| e.to_string())
             });
-        std::fs::remove_file(&path).ok();
         prop_assert!(
             outcome.is_err(),
             "flip at byte {pos} bit {bit} answered with {} tuples",
@@ -343,16 +229,15 @@ proptest! {
             "relation must outgrow the buffer budget");
 
         let mut stored_bindings = Bindings::new();
-        stored_bindings.bind_stored("sa", Arc::clone(&sa));
-        stored_bindings.bind_stored("sb", Arc::clone(&sb));
+        stored_bindings.bind_stored("sa", Arc::clone(&sa)).bind_stored("sb", Arc::clone(&sb));
         let mut mem_bindings = Bindings::new();
-        mem_bindings.bind("sa", ga);
-        mem_bindings.bind("sb", gb);
+        mem_bindings.bind("sa", ga).bind("sb", gb);
 
         let plan = shaped_plan(shape, val);
-        let (reference, _) = execute_reference(&plan, &mem_bindings, &options())
+        let context = format!("plan:\n{}", plan.render());
+        let (reference, _) = execute_reference(&plan, &mem_bindings, &vacuous())
             .expect("reference executes");
-        let mut mem_ctx = exec_context(options());
+        let mut mem_ctx = exec_context(vacuous());
         mem_ctx.parallelism = threads;
         let mem = execute_plan(&plan, &mem_bindings, &mut mem_ctx).expect("in-memory executes");
 
@@ -360,21 +245,14 @@ proptest! {
         // difference's right.
         let indexed = usize::from((4..8).contains(&shape));
         for builds in [indexed, 0] {
-            let mut ctx = exec_context(options());
+            let mut ctx = exec_context(vacuous());
             ctx.parallelism = threads;
             let streamed = execute_plan(&plan, &stored_bindings, &mut ctx)
                 .expect("stored execution succeeds");
-            if let Err(reason) = equivalent(&reference, &streamed) {
-                prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
-            }
-            if let Err(reason) = identical(&mem, &streamed) {
-                prop_assert!(false, "{reason}\nplan:\n{}", plan.render());
-            }
-            prop_assert_eq!(
-                mem_ctx.conflict_report().conflicts(),
-                ctx.conflict_report().conflicts()
-            );
-            prop_assert_eq!(ctx.stats.key_index_builds, builds, "plan:\n{}", plan.render());
+            equivalent(&reference, &streamed).or_fail(&context);
+            identical(&mem, &streamed).or_fail(&context);
+            same_report(&mem_ctx.conflict_report(), &ctx.conflict_report()).or_fail(&context);
+            prop_assert_eq!(ctx.stats.key_index_builds, builds, "{}", context);
             prop_assert_eq!(mem_ctx.stats, masked(ctx.stats), "stats diverged");
         }
         prop_assert_eq!(sb.key_index().expect("indexes").1, indexed == 0);
@@ -419,9 +297,9 @@ proptest! {
         let pool = Arc::new(BufferPool::new(3 * PAGE));
         let stored = (BoundRelation::Stored(store(&ga, &pool)), BoundRelation::Stored(store(&gb, &pool)));
         let memory = (BoundRelation::Memory(Arc::new(ga)), BoundRelation::Memory(Arc::new(gb)));
-        let merger = || Box::new(DempsterMerger::new(options())) as Box<dyn TupleMerger>;
+        let merger = || Box::new(DempsterMerger::new(vacuous())) as Box<dyn TupleMerger>;
         let run = |(l, r): &(BoundRelation, BoundRelation)| {
-            let mut ctx = exec_context(options());
+            let mut ctx = exec_context(vacuous());
             ctx.parallelism = threads;
             let out = execute_merge(l, r, pairing.clone(), &merger, &mut ctx).expect("merges");
             (out, ctx)
@@ -430,13 +308,9 @@ proptest! {
         prop_assert!(mem_ctx.stats.pairs_merged > 0 && !mem_ctx.conflict_report().is_empty());
         for builds in [1, 0] {
             let (out, ctx) = run(&stored);
-            if let Err(reason) = identical(&mem, &out) {
-                prop_assert!(false, "{reason} (builds={builds}, threads={threads})");
-            }
-            prop_assert_eq!(
-                mem_ctx.conflict_report().conflicts(),
-                ctx.conflict_report().conflicts()
-            );
+            let context = format!("builds={builds}, threads={threads}");
+            identical(&mem, &out).or_fail(&context);
+            same_report(&mem_ctx.conflict_report(), &ctx.conflict_report()).or_fail(&context);
             prop_assert_eq!(ctx.stats.key_index_builds, builds);
             prop_assert_eq!(mem_ctx.stats, masked(ctx.stats));
         }
@@ -456,12 +330,12 @@ proptest! {
         b.bind("sa", ga).bind("sb", gb);
         let plan = shaped_plan([4, 6, 7, 8, 9][shape], seed as u8);
 
-        let mut mem_ctx = exec_context(options());
+        let mut mem_ctx = exec_context(vacuous());
         mem_ctx.parallelism = threads;
         mem_ctx.spill_threshold_bytes = usize::MAX; // never spill
         let mem = execute_plan(&plan, &b, &mut mem_ctx).expect("in-memory merge");
 
-        let mut spill_ctx = exec_context(options());
+        let mut spill_ctx = exec_context(vacuous());
         spill_ctx.parallelism = threads;
         spill_ctx.spill_threshold_bytes = 0; // always spill
         spill_ctx.pool = Arc::new(BufferPool::new(2 * evirel_store::DEFAULT_PAGE_SIZE));
@@ -475,17 +349,13 @@ proptest! {
             plan.render()
         );
 
-        if let Err(reason) = equivalent(&mem, &spilled) {
-            prop_assert!(false, "{reason} (threads={threads})");
-        }
+        let context = format!("threads={threads}\nplan:\n{}", plan.render());
+        equivalent(&mem, &spilled).or_fail(&context);
         for (m, s) in mem.iter().zip(spilled.iter()) {
             prop_assert_eq!(m.key(mem.schema()), s.key(spilled.schema()));
         }
         prop_assert_eq!(mem_ctx.stats, spill_ctx.stats);
-        prop_assert_eq!(
-            mem_ctx.conflict_report().conflicts(),
-            spill_ctx.conflict_report().conflicts()
-        );
+        same_report(&mem_ctx.conflict_report(), &spill_ctx.conflict_report()).or_fail(&context);
     }
 }
 
@@ -501,19 +371,19 @@ fn stored_merge_indexes_segment_directly() {
     let sa = store(&ga, &pool);
     let sb = store(&gb, &pool);
     let mut bindings = Bindings::new();
-    bindings.bind_stored("sa", sa);
-    bindings.bind_stored("sb", Arc::clone(&sb));
+    bindings
+        .bind_stored("sa", sa)
+        .bind_stored("sb", Arc::clone(&sb));
 
     let plan = scan("sa").union(scan("sb")).build();
-    let mut ctx = exec_context(options());
+    let mut ctx = exec_context(vacuous());
     ctx.parallelism = 1;
     let misses_before = pool.stats().misses;
     let out = execute_plan(&plan, &bindings, &mut ctx).unwrap();
 
     let mut mem_bindings = Bindings::new();
-    mem_bindings.bind("sa", ga);
-    mem_bindings.bind("sb", gb);
-    let mut mem_ctx = exec_context(options());
+    mem_bindings.bind("sa", ga).bind("sb", gb);
+    let mut mem_ctx = exec_context(vacuous());
     let mem = execute_plan(&plan, &mem_bindings, &mut mem_ctx).unwrap();
 
     assert!(mem.approx_eq(&out));
@@ -527,7 +397,7 @@ fn stored_merge_indexes_segment_directly() {
     // EXPLAIN renders the stored scan with its page geometry, and says
     // nothing about an index it has not asked for.
     let explain = |bindings: &Bindings, analyze: bool| {
-        let mut ctx = exec_context(options());
+        let mut ctx = exec_context(vacuous());
         explain_plan(&plan, bindings, &mut ctx, analyze).unwrap()
     };
     let text = explain(&bindings, false);
@@ -540,11 +410,7 @@ fn stored_merge_indexes_segment_directly() {
         "{text}"
     );
     // A rebind is a new `StoredRelation`: its first query builds.
-    let path = evirel_store::spill_path("equiv-rebind");
-    evirel_store::write_segment(&sb.to_relation().unwrap(), &path, PAGE).unwrap();
-    let reopened = StoredRelation::open(&path, Arc::clone(&pool)).unwrap();
-    std::fs::remove_file(&path).ok();
-    bindings.bind_stored("sb", Arc::new(reopened));
+    bindings.bind_stored("sb", store(&sb.to_relation().unwrap(), &pool));
     let text = explain(&bindings, true);
     assert!(
         text.contains("build: stored index (built)) [est≈"),
@@ -581,7 +447,7 @@ fn duplicate_stored_key_is_a_typed_error_from_every_setop() {
         scan("sa").difference(scan("sb")).build(),
     ] {
         for threads in [1, 4] {
-            let mut ctx = exec_context(options());
+            let mut ctx = exec_context(vacuous());
             ctx.parallelism = threads;
             let err = execute_plan(&plan, &bindings, &mut ctx).expect_err("never a result");
             let text = err.to_string();
@@ -631,7 +497,7 @@ fn fused_selection_fails_with_the_in_memory_error_text() {
     ] {
         let plan = scan("sa").select(predicate).build();
         let fails = |bindings: &Bindings| {
-            execute_plan(&plan, bindings, &mut exec_context(options()))
+            execute_plan(&plan, bindings, &mut exec_context(vacuous()))
                 .expect_err("the predicate cannot be evaluated")
                 .to_string()
         };
@@ -645,128 +511,6 @@ fn fused_selection_fails_with_the_in_memory_error_text() {
 }
 
 // ------------------------------------------------- σ̃ inside the merge
-
-/// The generated pair plus hand-made tuples the generator never draws
-/// (its evidence always keeps mass on Ω, and its memberships are
-/// positive), appended in this order to both sides unless noted:
-/// a total conflict on `e0` alone, on `e2` alone, on every attribute;
-/// a total conflict on the membership pair — `(1, 1)` against
-/// `(0, 0)`; a weak pair no threshold admits; and one zero-support
-/// tuple on each side alone, which a ∪̃ drops before any σ̃ sees it.
-fn hazardous_pair(seed: u64, tuples: usize) -> (ExtendedRelation, ExtendedRelation) {
-    let (mut ga, mut gb) = pair(seed, tuples);
-    let frame = {
-        let domain = ga.schema().attr(1).ty().domain().expect("e0 is evidential");
-        Arc::clone(domain.frame())
-    };
-    let certain = |label: &str| {
-        AttrValue::Evidential(MassFunction::certain(Arc::clone(&frame), label).unwrap())
-    };
-    let vacuous = || AttrValue::Evidential(MassFunction::vacuous(Arc::clone(&frame)).unwrap());
-    let add = |rel: &mut ExtendedRelation, key: &str, e: [AttrValue; 3], sn: f64, sp: f64| {
-        let mut values = vec![AttrValue::Definite(Value::str(key))];
-        values.extend(e);
-        let tuple = Tuple::new(rel.schema(), values, SupportPair::new(sn, sp).unwrap()).unwrap();
-        rel.insert_with_policy(tuple, CwaPolicy::AllowZero).unwrap();
-    };
-    let agree = || [certain("v1"), certain("v2"), vacuous()];
-    add(
-        &mut ga,
-        "hz-e0",
-        [certain("v0"), certain("v2"), vacuous()],
-        1.0,
-        1.0,
-    );
-    add(
-        &mut gb,
-        "hz-e0",
-        [certain("v1"), certain("v2"), vacuous()],
-        1.0,
-        1.0,
-    );
-    add(
-        &mut ga,
-        "hz-e2",
-        [certain("v0"), vacuous(), certain("v4")],
-        1.0,
-        1.0,
-    );
-    add(
-        &mut gb,
-        "hz-e2",
-        [certain("v0"), vacuous(), certain("v5")],
-        0.9,
-        1.0,
-    );
-    add(
-        &mut ga,
-        "hz-all",
-        [certain("v1"), certain("v2"), certain("v3")],
-        1.0,
-        1.0,
-    );
-    add(
-        &mut gb,
-        "hz-all",
-        [certain("v2"), certain("v3"), certain("v1")],
-        1.0,
-        1.0,
-    );
-    add(&mut ga, "hz-member", agree(), 1.0, 1.0);
-    add(&mut gb, "hz-member", agree(), 0.0, 0.0);
-    add(&mut ga, "hz-weak", agree(), 0.05, 0.4);
-    add(&mut gb, "hz-weak", agree(), 0.05, 0.3);
-    add(&mut ga, "hz-zero-l", agree(), 0.0, 0.5);
-    add(&mut gb, "hz-zero-r", agree(), 0.0, 1.0);
-    (ga, gb)
-}
-
-/// How the two sides of the merge are bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Sides {
-    Memory,
-    StoredLeft,
-    StoredRight,
-    StoredBoth,
-    /// In memory, the build side forced to a temp segment.
-    Spilled,
-}
-
-impl Sides {
-    fn stored_left(self) -> bool {
-        matches!(self, Sides::StoredLeft | Sides::StoredBoth)
-    }
-
-    fn stored_right(self) -> bool {
-        matches!(self, Sides::StoredRight | Sides::StoredBoth)
-    }
-}
-
-const SIDES: [Sides; 5] = [
-    Sides::Memory,
-    Sides::StoredLeft,
-    Sides::StoredRight,
-    Sides::StoredBoth,
-    Sides::Spilled,
-];
-
-fn bind_sides(
-    sides: Sides,
-    ga: &ExtendedRelation,
-    gb: &ExtendedRelation,
-    pool: &Arc<BufferPool>,
-) -> Bindings {
-    let mut b = Bindings::new();
-    match sides.stored_left() {
-        true => b.bind_stored("sa", store(ga, pool)),
-        false => b.bind("sa", ga.clone()),
-    };
-    match sides.stored_right() {
-        true => b.bind_stored("sb", store(gb, pool)),
-        false => b.bind("sb", gb.clone()),
-    };
-    b
-}
 
 /// [`predicate_of`]'s kinds, then the ones only a merge makes
 /// interesting: `is` on a definite attribute — the key, whose value a
@@ -792,6 +536,26 @@ fn merge_plan(emit: MergeEmit, predicate: Predicate, threshold: Threshold) -> Lo
     merged.select_where(predicate, threshold).build()
 }
 
+/// Drive `op` by hand: the tuples it emits — all of them, or the ones
+/// before it fails — the failure's text, and the report of a run that
+/// finished.
+fn drive(
+    op: &mut dyn Operator,
+    ctx: &mut ExecContext,
+) -> (Vec<Arc<Tuple>>, Option<String>, ConflictReport) {
+    let mut emitted = Vec::new();
+    let failure = (|| {
+        op.open(ctx)?;
+        while let Some(tuple) = op.next(ctx)? {
+            emitted.push(tuple);
+        }
+        op.close(ctx)
+    })()
+    .err()
+    .map(|e| e.to_string());
+    (emitted, failure, ctx.conflict_report())
+}
+
 /// `SelectOp` over `MergeOp` over in-memory scans, built by hand — what
 /// the planner lowered a σ̃ over a ∪̃/∩̃ to before the selection moved
 /// inside the merge.
@@ -812,26 +576,6 @@ fn unfused(
     };
     let merge = Box::new(merge.expect("union-compatible"));
     Box::new(SelectOp::new(merge, predicate.clone(), threshold).expect("positive threshold"))
-}
-
-/// Drive `op` by hand: the tuples it emits — all of them, or the ones
-/// before it fails — the failure's text, and the report of a run that
-/// finished.
-fn drive(
-    op: &mut dyn Operator,
-    ctx: &mut ExecContext,
-) -> (Vec<Arc<Tuple>>, Option<String>, ConflictReport) {
-    let mut emitted = Vec::new();
-    let failure = (|| {
-        op.open(ctx)?;
-        while let Some(tuple) = op.next(ctx)? {
-            emitted.push(tuple);
-        }
-        op.close(ctx)
-    })()
-    .err()
-    .map(|e| e.to_string());
-    (emitted, failure, ctx.conflict_report())
 }
 
 proptest! {
@@ -856,7 +600,7 @@ proptest! {
         how in 0u8..24,         // policy × rule × focal cap
     ) {
         let emit = [MergeEmit::Union, MergeEmit::Intersect][usize::from(shape % 2)];
-        let sides = SIDES[usize::from(shape / 2 % 5)];
+        let sides = Sides::ALL[usize::from(shape / 2 % 5)];
         let threads = [1usize, 4][usize::from(shape / 10 % 2)];
         // Empty inputs too: nothing is evaluated, so nothing fails.
         let (ga, gb) = match shape / 20 {
@@ -885,7 +629,7 @@ proptest! {
         prop_assert_eq!(failure.is_some(), pred_kind >= 8 && !ga.is_empty());
 
         let pool = Arc::new(BufferPool::new(3 * PAGE));
-        let bindings = bind_sides(sides, &ga, &gb, &pool);
+        let bindings = sides.bind(&ga, &gb, &pool);
         let mut ctx = exec_context(options.clone());
         ctx.parallelism = threads;
         if sides == Sides::Spilled {
@@ -898,15 +642,11 @@ proptest! {
         let context = format!("{sides:?}, {threads} threads, {options:?}\nplan:\n{}", plan.render());
         match (&failure, fused, reference) {
             (None, Ok(fused), Ok((reference, reference_report))) => {
-                if let Err(reason) = same_tuples(expected.iter().map(|t| &**t), fused.iter()) {
-                    prop_assert!(false, "{reason}\n{context}");
-                }
-                if let Err(reason) = equivalent(&reference, &fused) {
-                    prop_assert!(false, "vs reference: {reason}\n{context}");
-                }
+                same_tuples(expected.iter().map(|t| &**t), fused.iter()).or_fail(&context);
+                equivalent(&reference, &fused).or_fail(format_args!("vs reference\n{context}"));
                 let observed = ctx.conflict_report();
-                prop_assert_eq!(report.conflicts(), observed.conflicts(), "{}", &context);
-                prop_assert_eq!(reference_report.conflicts(), observed.conflicts(), "{}", &context);
+                same_report(&report, &observed).or_fail(&context);
+                same_report(&reference_report, &observed).or_fail(&context);
                 // `run` counts the root's tuples; the hand-driven oracle has none.
                 let stats = ExecStats { tuples_emitted: 0, ..masked(ctx.stats) };
                 prop_assert_eq!(oracle_ctx.stats, stats, "{}", &context);
@@ -929,90 +669,6 @@ proptest! {
         let fused_line = format!("] with {threshold} ⟵ {symbol} (index right, stream left;");
         prop_assert!(text.contains(&fused_line), "{text}");
     }
-}
-
-/// A hand-made pair over `(k key, n definite, e0, e1)` whose matched
-/// pairs are, in order: `a` agreeing; `b` unequal on the *definite*
-/// `n`; `c` totally conflicting on `e0` (and partially on `e1`); `d`
-/// totally conflicting on `e1`; `m` on the membership pair. Each side
-/// also has one tuple of its own and one zero-support tuple of its own.
-/// `skip` drops that many of `b`, `c`, `d`, `m` from the front, so that
-/// under [`ConflictPolicy::Error`] each in turn is the first to abort.
-fn definite_pair(skip: usize) -> (ExtendedRelation, ExtendedRelation) {
-    let domain = Arc::new(AttrDomain::categorical("d", ["x", "y", "z"]).unwrap());
-    let schema = |name: &str| {
-        Arc::new(
-            Schema::builder(name)
-                .key_str("k")
-                .definite("n", ValueKind::Int)
-                .evidential("e0", Arc::clone(&domain))
-                .evidential("e1", Arc::clone(&domain))
-                .build()
-                .unwrap(),
-        )
-    };
-    let certain = |label: &str| {
-        AttrValue::Evidential(MassFunction::certain(Arc::clone(domain.frame()), label).unwrap())
-    };
-    let leaning = |label: &str, mass: f64| {
-        let m = MassFunction::<f64>::builder(Arc::clone(domain.frame()))
-            .add([label], mass)
-            .unwrap()
-            .add_omega(1.0 - mass)
-            .build()
-            .unwrap();
-        AttrValue::Evidential(m)
-    };
-    let (mut l, mut r) = (
-        ExtendedRelation::new(schema("L")),
-        ExtendedRelation::new(schema("R")),
-    );
-    let add = |rel: &mut ExtendedRelation,
-               k: &str,
-               n: i64,
-               e0: AttrValue,
-               e1: AttrValue,
-               m: (f64, f64)| {
-        let values = vec![
-            AttrValue::Definite(Value::str(k)),
-            AttrValue::Definite(Value::int(n)),
-            e0,
-            e1,
-        ];
-        let tuple = Tuple::new(rel.schema(), values, SupportPair::new(m.0, m.1).unwrap());
-        rel.insert_with_policy(tuple.unwrap(), CwaPolicy::AllowZero)
-            .unwrap();
-    };
-    add(&mut l, "l-zero", 7, certain("x"), certain("y"), (0.0, 0.5));
-    add(&mut r, "r-zero", 7, certain("x"), certain("y"), (0.0, 1.0));
-    add(&mut l, "a", 1, certain("x"), leaning("y", 0.7), (1.0, 1.0));
-    add(&mut r, "a", 1, leaning("x", 0.6), certain("y"), (0.9, 1.0));
-    if skip < 1 {
-        add(&mut l, "b", 1, certain("x"), certain("y"), (1.0, 1.0));
-        add(&mut r, "b", 2, certain("x"), certain("y"), (1.0, 1.0));
-    }
-    if skip < 2 {
-        add(&mut l, "c", 3, certain("x"), leaning("y", 0.6), (1.0, 1.0));
-        add(&mut r, "c", 3, certain("y"), leaning("z", 0.5), (1.0, 1.0));
-    }
-    if skip < 3 {
-        add(&mut l, "d", 4, leaning("x", 0.9), certain("x"), (1.0, 1.0));
-        add(&mut r, "d", 4, certain("x"), certain("z"), (1.0, 1.0));
-    }
-    if skip < 4 {
-        add(&mut l, "m", 1, certain("x"), certain("y"), (1.0, 1.0));
-        add(&mut r, "m", 1, certain("x"), certain("y"), (0.0, 0.0));
-    }
-    add(&mut l, "l-only", 4, certain("x"), certain("y"), (0.8, 1.0));
-    add(
-        &mut r,
-        "r-only",
-        1,
-        leaning("x", 0.9),
-        certain("y"),
-        (1.0, 1.0),
-    );
-    (l, r)
 }
 
 /// One scan leaf: in memory, or a bare stored scan.
@@ -1051,7 +707,7 @@ fn stops_alike(
         failure.is_some(),
         policy == ConflictPolicy::Error && skip < 4
     );
-    for sides in &SIDES[..4] {
+    for sides in &Sides::ALL[..4] {
         let context = format!("skip {skip}, σ̃[{predicate}], {policy}, {emit:?}, {sides:?}");
         let mut fused = MergeOp::selecting(
             emit,
@@ -1064,13 +720,12 @@ fn stops_alike(
         .expect("union-compatible, positive threshold");
         let mut ctx = exec_context(options.clone());
         let (got, fused_failure, fused_report) = drive(&mut fused, &mut ctx);
-        same_tuples(expected.iter().map(|t| &**t), got.iter().map(|t| &**t))
-            .unwrap_or_else(|reason| panic!("{reason}: {context}"));
+        same_tuples(expected.iter().map(|t| &**t), got.iter().map(|t| &**t)).or_fail(&context);
         assert_eq!(failure, fused_failure, "{context}");
-        assert_eq!(report.conflicts(), fused_report.conflicts(), "{context}");
+        same_report(&report, &fused_report).or_fail(&context);
         assert_eq!(oracle_ctx.stats, masked(ctx.stats), "{context}");
 
-        let bindings = bind_sides(*sides, &l, &r, pool);
+        let bindings = sides.bind(&l, &r, pool);
         let plan = merge_plan(emit, predicate.clone(), threshold);
         let mut ctx = exec_context(options.clone());
         let planned = execute_plan(&plan, &bindings, &mut ctx).map(|rel| rel.len());
@@ -1140,35 +795,14 @@ fn fused_merge_stops_where_select_over_merge_stops() {
             MergeEmit::Union,
             leaf("sa", &l, stored_left, &pool),
             leaf("sb", &r, stored_right, &pool),
-            options(),
+            vacuous(),
             Predicate::is("nope", ["x"]),
             Threshold::POSITIVE,
         )
         .unwrap();
-        let (got, failure, _) = drive(&mut fused, &mut exec_context(options()));
+        let (got, failure, _) = drive(&mut fused, &mut exec_context(vacuous()));
         assert!(got.is_empty() && failure.is_none(), "{failure:?}");
     }
-}
-
-/// Make every checksum of a v3 segment agree with its (tampered)
-/// bytes again — page CRCs, then the table's, then the preamble's — as
-/// a writer that encoded rot would have sealed it. Layout per
-/// `evirel_store::segment`'s module docs.
-fn reseal(bytes: &mut [u8]) {
-    use evirel_store::crc::crc32;
-    let u64_at =
-        |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    let (table, pages) = (u64_at(bytes, 16) as usize, u64_at(bytes, 24) as usize);
-    for entry in (0..pages).map(|page| table + 16 * page) {
-        let offset = u64_at(bytes, entry) as usize;
-        let len = u32::from_le_bytes(bytes[entry + 8..entry + 12].try_into().unwrap()) as usize;
-        let crc = crc32(&bytes[offset..offset + len]);
-        bytes[entry + 12..entry + 16].copy_from_slice(&crc.to_le_bytes());
-    }
-    let table_crc = crc32(&bytes[table..table + 16 * pages]);
-    bytes[44..48].copy_from_slice(&table_crc.to_le_bytes());
-    let preamble_crc = crc32(&bytes[..48]);
-    bytes[48..52].copy_from_slice(&preamble_crc.to_le_bytes());
 }
 
 /// The PR 16 integrity case, reached through the merge: a record the
@@ -1184,27 +818,19 @@ fn fused_merge_refuses_rot_in_an_attribute_it_skips() {
     let predicate = Predicate::is("e2", [Value::str("v0")]);
     let plan = merge_plan(MergeEmit::Union, predicate, Threshold::SnAtLeast(0.99));
     let run = |sa: &[u8], sb: &[u8]| {
+        let dir = TempDir::new("equiv-rot");
         let mut bindings = Bindings::new();
         for (name, bytes) in [("sa", sa), ("sb", sb)] {
-            let path = evirel_store::spill_path("equiv-rot");
-            std::fs::write(&path, bytes).unwrap();
-            let stored = StoredRelation::open(&path, Arc::new(BufferPool::new(4 * PAGE)));
-            std::fs::remove_file(&path).ok();
+            std::fs::write(dir.join(name), bytes).unwrap();
+            let stored = StoredRelation::open(dir.join(name), Arc::new(BufferPool::new(4 * PAGE)));
             // The stats section is intact, so the open reads no page.
             bindings.bind_stored(name, Arc::new(stored.expect("sealed segments open")));
         }
-        let mut ctx = exec_context(options());
+        let mut ctx = exec_context(vacuous());
         let out = execute_plan(&plan, &bindings, &mut ctx);
         (out.map(|rel| rel.len()), ctx.stats)
     };
-    let encoded = |rel: &ExtendedRelation| {
-        let path = evirel_store::spill_path("equiv-rot-src");
-        evirel_store::write_segment(rel, &path, PAGE).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        bytes
-    };
-    let (sa, sb) = (encoded(&ga), encoded(&gb));
+    let (sa, sb) = (encode(&ga, PAGE), encode(&gb, PAGE));
     let (answer, stats) = run(&sa, &sb);
     assert_eq!(answer, Ok(0));
     assert_eq!(stats.tuples_scanned, 120);

@@ -4,14 +4,9 @@
 //! `EXPLAIN ANALYZE` estimates its scan, and `STATS` / `\stats` has
 //! nothing special to say about it.
 
-use evirel_plan::Config;
 use evirel_query::Catalog;
+use evirel_testkit::config;
 use std::path::PathBuf;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
 
 fn v2_fixture() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../store/tests/fixtures/v2-restaurants.evb")

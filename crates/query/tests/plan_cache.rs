@@ -14,19 +14,14 @@
 //! is pinned here too: a publish that touches none of the plan's
 //! relations keeps the entry, and a kept entry pins no old extension.
 
-use evirel_plan::Config;
 use evirel_plan::{BoundRelation, RelationSource};
 use evirel_query::{
     execute_with_report, Catalog, PlanCache, QueryError, QueryOutcome, Session, SharedCatalog,
 };
-use evirel_workload::generator::{generate, generate_pair, GeneratorConfig, PairConfig};
+use evirel_testkit::{config, pair};
+use evirel_workload::generator::{generate, GeneratorConfig};
 use evirel_workload::restaurant_db_a;
 use std::sync::Arc;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
 
 const QUERY_OLD_SCHEMA: &str = "SELECT rname, speciality FROM t WITH SN > 0";
 const QUERY_NEW_SCHEMA: &str = "SELECT k, e0 FROM t WITH SN > 0";
@@ -42,16 +37,7 @@ const QUERY_UNION: &str = "SELECT k, e0 FROM ga UNION gb WHERE e0 IS {v0, v1} WI
 fn session_and_segment() -> (Session, std::path::PathBuf) {
     let mut catalog = Catalog::with_config(&config());
     catalog.register("t", restaurant_db_a().restaurants);
-    let (ga, gb) = generate_pair(&PairConfig {
-        base: GeneratorConfig {
-            tuples: 600,
-            seed: 7,
-            ..GeneratorConfig::default()
-        },
-        key_overlap: 0.5,
-        conflict_bias: 0.3,
-    })
-    .expect("generator config is valid");
+    let (ga, gb) = pair(7, 600);
     catalog.register("ga", ga);
     catalog.register("gb", gb);
     catalog.union_options.on_total_conflict = evirel_algebra::ConflictPolicy::Vacuous;

@@ -5,29 +5,9 @@
 //! bit, same generation counter — including when the sequence is
 //! interrupted by a simulated restart (close + reopen) mid-way.
 
-use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog, SharedCatalog};
-use evirel_relation::ExtendedRelation;
-use evirel_workload::generator::{generate, GeneratorConfig};
+use evirel_testkit::{config, identical, relation, OrFail, TempDir};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-fn fresh_dir(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "evirel-recoveq-{}-{label}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
 
 /// One scripted mutation. `Restart` closes the durable handle and
 /// shared catalog and reopens both from disk — the crash/reboot
@@ -77,41 +57,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn rel(seed: u64, tuples: usize) -> ExtendedRelation {
-    generate(
-        "R",
-        &GeneratorConfig {
-            tuples,
-            domain_size: 5,
-            evidential_attrs: 1,
-            max_focal: 2,
-            max_focal_size: 2,
-            omega_mass: 0.2,
-            uncertain_membership: 0.25,
-            seed,
-        },
-    )
-    .expect("generator config is valid")
-}
-
-/// Bit-for-bit relation equality: values plus raw membership bits.
-fn assert_rel_eq(name: &str, a: &ExtendedRelation, b: &ExtendedRelation) {
-    assert_eq!(a.len(), b.len(), "{name}: tuple count");
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        assert_eq!(x.values(), y.values(), "{name}[{i}]: values");
-        assert_eq!(
-            x.membership().sn().to_bits(),
-            y.membership().sn().to_bits(),
-            "{name}[{i}]: sn bits"
-        );
-        assert_eq!(
-            x.membership().sp().to_bits(),
-            y.membership().sp().to_bits(),
-            "{name}[{i}]: sp bits"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -121,7 +66,7 @@ proptest! {
     fn disk_replay_equals_in_memory_catalog(
         script in proptest::collection::vec(op_strategy(), 1..10),
     ) {
-        let dir = fresh_dir("script");
+        let dir = TempDir::new("recoveq-script");
 
         // Durable side: a SharedCatalog + DurableCatalog pair driven
         // through the write path evirel-serve calls.
@@ -135,7 +80,7 @@ proptest! {
         for op in &script {
             match op {
                 Op::Bind { name, seed, tuples } => {
-                    let r = rel(*seed, *tuples);
+                    let r = relation(*seed, *tuples);
                     durable.bind(&shared, name, &r).unwrap();
                     oracle.register(name.clone(), r);
                     oracle_generation += 1;
@@ -181,10 +126,8 @@ proptest! {
         for name in oracle.names() {
             let got = catalog.materialize(name).unwrap();
             let want = oracle.materialize(name).unwrap();
-            assert_rel_eq(name, &want, &got);
+            identical(&want, &got).or_fail(name);
         }
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -193,7 +136,7 @@ proptest! {
 /// exact generation, and stats counters move.
 #[test]
 fn open_bind_checkpoint_reopen_roundtrip() {
-    let dir = fresh_dir("roundtrip");
+    let dir = TempDir::new("recoveq-roundtrip");
     {
         let (mut durable, recovered) =
             DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
@@ -201,14 +144,14 @@ fn open_bind_checkpoint_reopen_roundtrip() {
         assert!(recovered.is_empty());
         let shared = SharedCatalog::with_generation(recovered, 0);
 
-        durable.bind(&shared, "ra", &rel(7, 6)).unwrap();
+        durable.bind(&shared, "ra", &relation(7, 6)).unwrap();
         assert_eq!(durable.stats().journal_records, 1);
 
         durable.checkpoint().unwrap();
         assert_eq!(durable.stats().journal_records, 0);
         assert_eq!(durable.stats().checkpoints, 1);
 
-        durable.bind(&shared, "rb", &rel(9, 4)).unwrap();
+        durable.bind(&shared, "rb", &relation(9, 4)).unwrap();
         assert_eq!(durable.committed_generation(), 2);
     }
     // "Crash" (drop without checkpoint) and recover: the manifest has
@@ -234,7 +177,6 @@ fn open_bind_checkpoint_reopen_roundtrip() {
         recomputed.encode(&mut b);
         assert_eq!(a, b, "{name}: recovered stats diverge from recomputed");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A recovered stored binding is queryable through the normal session
@@ -243,7 +185,7 @@ fn open_bind_checkpoint_reopen_roundtrip() {
 /// checkpoint folds that one out to its file and removes the two.
 #[test]
 fn recovered_bindings_are_queryable_and_gc_prunes() {
-    let dir = fresh_dir("query");
+    let dir = TempDir::new("recoveq-query");
     let evb_files = || -> Vec<String> {
         std::fs::read_dir(&dir)
             .unwrap()
@@ -259,7 +201,7 @@ fn recovered_bindings_are_queryable_and_gc_prunes() {
         // Rebind the same name three times: two segment files become
         // garbage for the checkpoint to collect.
         for (seed, tuples) in [(1u64, LARGE), (2, LARGE), (3, 5)] {
-            durable.bind(&shared, "g", &rel(seed, tuples)).unwrap();
+            durable.bind(&shared, "g", &relation(seed, tuples)).unwrap();
         }
         assert_eq!(evb_files().len(), 2, "the small bind wrote no file");
         let outcome = durable.checkpoint().unwrap();
@@ -273,14 +215,13 @@ fn recovered_bindings_are_queryable_and_gc_prunes() {
     let want = evirel_query::execute(
         &{
             let mut c = Catalog::with_config(&config());
-            c.register("g", rel(3, 5));
+            c.register("g", relation(3, 5));
             c
         },
         "SELECT * FROM g WITH SN > 0",
     )
     .unwrap();
     assert!(got.approx_eq(&want));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A directory in the one-file-per-bind layout — a segment file per
@@ -290,8 +231,7 @@ fn recovered_bindings_are_queryable_and_gc_prunes() {
 #[test]
 fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
     use evirel_store::{Journal, JournalRecord, JOURNAL_FILE};
-    let dir = fresh_dir("file-layout");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("recoveq-file-layout");
     let (mut journal, _) = Journal::open_or_create(&dir).unwrap();
     for (generation, (name, seed)) in [("ra", 7u64), ("rb", 9), ("ra", 11)]
         .into_iter()
@@ -299,7 +239,7 @@ fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
     {
         let file = format!("seg-{:06}.evb", generation + 1);
         let meta = evirel_store::write_segment_meta(
-            &rel(seed, 6),
+            &relation(seed, 6),
             dir.join(&file),
             evirel_store::DEFAULT_PAGE_SIZE,
         )
@@ -322,14 +262,14 @@ fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
     std::fs::write(&path, &bytes).unwrap();
 
     let mut oracle = Catalog::with_config(&config());
-    oracle.register("ra", rel(11, 6));
-    oracle.register("rb", rel(9, 6));
+    oracle.register("ra", relation(11, 6));
+    oracle.register("rb", relation(9, 6));
     let check = |oracle: &Catalog, durable: &DurableCatalog, catalog: &Catalog, generation| {
         assert_eq!(durable.recovered_generation(), generation);
         assert_eq!(catalog.names(), oracle.names());
         for name in oracle.names() {
             let want = oracle.materialize(name).unwrap();
-            assert_rel_eq(name, &want, &catalog.materialize(name).unwrap());
+            identical(&want, &catalog.materialize(name).unwrap()).or_fail(name);
         }
     };
     let (mut durable, catalog) =
@@ -337,8 +277,8 @@ fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
     check(&oracle, &durable, &catalog, 3);
 
     let shared = SharedCatalog::with_generation(catalog, 3);
-    durable.bind(&shared, "rc", &rel(13, 4)).unwrap();
-    durable.bind(&shared, "ra", &rel(15, 5)).unwrap();
+    durable.bind(&shared, "rc", &relation(13, 4)).unwrap();
+    durable.bind(&shared, "ra", &relation(15, 5)).unwrap();
     assert!(matches!(
         durable.segment("ra"),
         Some(evirel_store::SegmentSource::Bytes(_))
@@ -348,10 +288,9 @@ fn a_file_per_bind_directory_recovers_tuple_for_tuple() {
         "a small bind reserves its name and writes no file"
     );
     drop(durable);
-    oracle.register("rc", rel(13, 4));
-    oracle.register("ra", rel(15, 5));
+    oracle.register("rc", relation(13, 4));
+    oracle.register("ra", relation(15, 5));
     let (durable, catalog) =
         DurableCatalog::open_into(&dir, Catalog::with_config(&config())).unwrap();
     check(&oracle, &durable, &catalog, 5);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -17,31 +17,12 @@
 //! crate's `replication_faults` suite; here a follower is also killed
 //! at every byte of an inline record's apply.
 
-use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog, SharedCatalog, StreamPlan};
-use evirel_relation::ExtendedRelation;
 use evirel_store::failpoint::FailpointFs;
 use evirel_store::{JournalRecord, SegmentSource};
-use evirel_workload::generator::{generate, GeneratorConfig};
+use evirel_testkit::{assert_converged, config, identical, relation, OrFail, TempDir};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-fn fresh_dir(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "evirel-repleq-{}-{label}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
+use std::path::Path;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -86,33 +67,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn rel(seed: u64, tuples: usize) -> ExtendedRelation {
-    generate(
-        "R",
-        &GeneratorConfig {
-            tuples,
-            domain_size: 5,
-            evidential_attrs: 1,
-            max_focal: 2,
-            max_focal_size: 2,
-            omega_mass: 0.2,
-            uncertain_membership: 0.25,
-            seed,
-        },
-    )
-    .expect("generator config is valid")
-}
-
 /// The follower half: its own directory, durable catalog, and
 /// published catalog.
 struct Follower {
-    dir: PathBuf,
+    dir: TempDir,
     durable: DurableCatalog,
     shared: SharedCatalog,
 }
 
 impl Follower {
-    fn open(dir: PathBuf) -> Follower {
+    fn open(dir: TempDir) -> Follower {
         let (durable, recovered) = DurableCatalog::open_into(&dir, Catalog::with_config(&config()))
             .expect("follower dir recovers");
         let generation = durable.recovered_generation();
@@ -125,9 +89,8 @@ impl Follower {
 
     /// Crash (drop everything in memory) and reboot from disk alone.
     fn crash_and_reopen(self) -> Follower {
-        let dir = self.dir.clone();
-        drop(self);
-        Follower::open(dir)
+        drop((self.durable, self.shared));
+        Follower::open(self.dir)
     }
 
     /// Ship the record's segment — a file bind's file, an inline
@@ -176,64 +139,28 @@ impl Follower {
             }
         }
     }
-}
 
-/// The bytes of durable binding `name`'s segment, inline or a file.
-fn segment_bytes(durable: &DurableCatalog, name: &str) -> Vec<u8> {
-    match durable.segment(name).expect("a durable binding") {
-        SegmentSource::Bytes(bytes) => bytes.to_vec(),
-        SegmentSource::File(path) => std::fs::read(path).expect("segment reads"),
-    }
-}
-
-/// Bit-for-bit equality of primary and follower: committed
-/// generation, manifest entries, raw segment bytes, published
-/// catalog generation, and materialized tuples.
-fn assert_converged(primary: &DurableCatalog, primary_shared: &SharedCatalog, follower: &Follower) {
-    assert_eq!(
-        follower.durable.committed_generation(),
-        primary.committed_generation(),
-        "committed generations diverge"
-    );
-    let p_entries: Vec<_> = primary.entries().cloned().collect();
-    let f_entries: Vec<_> = follower.durable.entries().cloned().collect();
-    assert_eq!(p_entries, f_entries, "manifest entries diverge");
-    for entry in &p_entries {
-        let want = segment_bytes(primary, &entry.name);
-        let got = segment_bytes(&follower.durable, &entry.name);
-        assert!(want == got, "segment {} bytes diverge", entry.file);
-    }
-    assert_eq!(
-        follower.shared.generation(),
-        primary_shared.generation(),
-        "published generations diverge"
-    );
-    let p_pin = primary_shared.pin();
-    let f_pin = follower.shared.pin();
-    for entry in &p_entries {
-        let want = p_pin
-            .catalog()
-            .materialize(&entry.name)
-            .expect("primary materializes");
-        let got = f_pin
-            .catalog()
-            .materialize(&entry.name)
-            .expect("follower materializes");
-        assert_eq!(want.len(), got.len(), "{}: tuple count", entry.name);
-        for (i, (x, y)) in want.iter().zip(got.iter()).enumerate() {
-            assert_eq!(x.values(), y.values(), "{}[{i}]: values", entry.name);
-            assert_eq!(
-                x.membership().sn().to_bits(),
-                y.membership().sn().to_bits(),
-                "{}[{i}]: sn bits",
-                entry.name
-            );
-            assert_eq!(
-                x.membership().sp().to_bits(),
-                y.membership().sp().to_bits(),
-                "{}[{i}]: sp bits",
-                entry.name
-            );
+    /// Converged with the primary: durably bit for bit
+    /// ([`assert_converged`]), and published at the primary's
+    /// generation with its tuples, bit for bit.
+    fn assert_converged_to(&self, primary: &DurableCatalog, primary_shared: &SharedCatalog) {
+        assert_converged(primary, &self.durable);
+        assert_eq!(
+            self.shared.generation(),
+            primary_shared.generation(),
+            "published generations diverge"
+        );
+        let (p_pin, f_pin) = (primary_shared.pin(), self.shared.pin());
+        for entry in primary.entries() {
+            let want = p_pin
+                .catalog()
+                .materialize(&entry.name)
+                .expect("primary materializes");
+            let got = f_pin
+                .catalog()
+                .materialize(&entry.name)
+                .expect("follower materializes");
+            identical(&want, &got).or_fail(&entry.name);
         }
     }
 }
@@ -251,8 +178,8 @@ proptest! {
         cut in 0usize..10,
         partial in 0usize..3,
     ) {
-        let pdir = fresh_dir("primary");
-        let fdir = fresh_dir("follower");
+        let pdir = TempDir::new("repleq-primary");
+        let fdir = TempDir::new("repleq-follower");
         let (mut primary, recovered) = DurableCatalog::open_into(&pdir, Catalog::with_config(&config())).unwrap();
         let primary_shared = SharedCatalog::with_generation(recovered, 0);
         let mut follower = Some(Follower::open(fdir));
@@ -260,7 +187,7 @@ proptest! {
         for (i, op) in script.iter().enumerate() {
             match op {
                 Op::Bind { name, seed, tuples } => {
-                    let r = rel(*seed, *tuples);
+                    let r = relation(*seed, *tuples);
                     primary.bind(&primary_shared, name, &r).unwrap();
                 }
                 Op::Drop { name } => {
@@ -282,17 +209,14 @@ proptest! {
             if sync_bits >> (i % 10) & 1 == 1 {
                 let f = follower.as_mut().unwrap();
                 f.sync(&primary, &pdir, None);
-                assert_converged(&primary, &primary_shared, f);
+                f.assert_converged_to(&primary, &primary_shared);
             }
         }
 
         // Whatever the cadence left behind, one final round converges.
         let f = follower.as_mut().unwrap();
         f.sync(&primary, &pdir, None);
-        assert_converged(&primary, &primary_shared, f);
-
-        std::fs::remove_dir_all(&pdir).ok();
-        std::fs::remove_dir_all(follower.unwrap().dir).ok();
+        f.assert_converged_to(&primary, &primary_shared);
     }
 }
 
@@ -302,14 +226,16 @@ proptest! {
 /// subsequent rounds degrade to ordinary tailing.
 #[test]
 fn checkpoint_floor_forces_resync_then_tailing_resumes() {
-    let pdir = fresh_dir("floor-p");
-    let fdir = fresh_dir("floor-f");
+    let pdir = TempDir::new("repleq-floor-p");
+    let fdir = TempDir::new("repleq-floor-f");
     let (mut primary, recovered) =
         DurableCatalog::open_into(&pdir, Catalog::with_config(&config())).unwrap();
     let primary_shared = SharedCatalog::with_generation(recovered, 0);
 
     for (name, seed) in [("a", 1u64), ("b", 2), ("a", 3)] {
-        primary.bind(&primary_shared, name, &rel(seed, 4)).unwrap();
+        primary
+            .bind(&primary_shared, name, &relation(seed, 4))
+            .unwrap();
     }
     primary.checkpoint().unwrap();
 
@@ -319,12 +245,14 @@ fn checkpoint_floor_forces_resync_then_tailing_resumes() {
         "a cursor below the checkpoint floor must resync"
     );
     follower.sync(&primary, &pdir, None);
-    assert_converged(&primary, &primary_shared, &follower);
+    follower.assert_converged_to(&primary, &primary_shared);
 
     // Post-resync the follower tails: a small bind inline, a large
     // one (a file, shipped before its record).
-    primary.bind(&primary_shared, "c", &rel(9, 6)).unwrap();
-    primary.bind(&primary_shared, "d", &rel(9, LARGE)).unwrap();
+    primary.bind(&primary_shared, "c", &relation(9, 6)).unwrap();
+    primary
+        .bind(&primary_shared, "d", &relation(9, LARGE))
+        .unwrap();
     assert!(matches!(
         primary.segment("c"),
         Some(SegmentSource::Bytes(_))
@@ -335,10 +263,7 @@ fn checkpoint_floor_forces_resync_then_tailing_resumes() {
         StreamPlan::Tail(_)
     ));
     follower.sync(&primary, &pdir, None);
-    assert_converged(&primary, &primary_shared, &follower);
-
-    std::fs::remove_dir_all(&pdir).ok();
-    std::fs::remove_dir_all(&follower.dir).ok();
+    follower.assert_converged_to(&primary, &primary_shared);
 }
 
 /// A follower killed at every byte of an inline record's apply — every
@@ -347,12 +272,12 @@ fn checkpoint_floor_forces_resync_then_tailing_resumes() {
 /// next round converges.
 #[test]
 fn a_follower_killed_at_every_byte_of_an_inline_apply_converges() {
-    let pdir = fresh_dir("bytes-p");
+    let pdir = TempDir::new("repleq-bytes-p");
     let (mut primary, recovered) =
         DurableCatalog::open_into(&pdir, Catalog::with_config(&config())).unwrap();
     let primary_shared = SharedCatalog::with_generation(recovered, 0);
-    primary.bind(&primary_shared, "a", &rel(1, 3)).unwrap();
-    primary.bind(&primary_shared, "b", &rel(2, 1)).unwrap();
+    primary.bind(&primary_shared, "a", &relation(1, 3)).unwrap();
+    primary.bind(&primary_shared, "b", &relation(2, 1)).unwrap();
     let StreamPlan::Tail(records) = primary.stream_plan(0) else {
         panic!("an uncheckpointed primary tails");
     };
@@ -360,18 +285,17 @@ fn a_follower_killed_at_every_byte_of_an_inline_apply_converges() {
     assert!(matches!(inline, JournalRecord::BindInline { .. }));
 
     let units = {
-        let mut follower = Follower::open(fresh_dir("bytes-observe"));
+        let mut follower = Follower::open(TempDir::new("repleq-bytes-observe"));
         follower.apply(&pdir, &records[0]);
         let fp = FailpointFs::observe();
         follower.apply(&pdir, &records[1]);
         let (units, fsyncs) = (fp.units(), fp.fsyncs());
         drop(fp);
         assert_eq!(fsyncs, 1, "an inline apply's one fsync is the journal's");
-        std::fs::remove_dir_all(&follower.dir).ok();
         units
     };
     for kill_at in 0..units {
-        let mut follower = Follower::open(fresh_dir("bytes-f"));
+        let mut follower = Follower::open(TempDir::new("repleq-bytes-f"));
         follower.apply(&pdir, &records[0]);
         {
             let _fp = FailpointFs::kill_after(kill_at);
@@ -392,8 +316,6 @@ fn a_follower_killed_at_every_byte_of_an_inline_apply_converges() {
             "kill at {kill_at}: applied {applied}"
         );
         follower.sync(&primary, &pdir, None);
-        assert_converged(&primary, &primary_shared, &follower);
-        std::fs::remove_dir_all(&follower.dir).ok();
+        follower.assert_converged_to(&primary, &primary_shared);
     }
-    std::fs::remove_dir_all(&pdir).ok();
 }

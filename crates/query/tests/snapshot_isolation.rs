@@ -12,20 +12,15 @@
 //!    every session's result must bit-match the sequential reference
 //!    no matter how the (tiny) pool thrashes underneath them.
 
-use evirel_plan::Config;
 use evirel_query::{Catalog, PlanCache, Session, SessionBudget, SharedCatalog};
 use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema};
 use evirel_store::BufferPool;
+use evirel_testkit::config;
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
 
 /// One side of a versioned binding pair. Keys are `v<version>-<side>-<i>`
 /// so a result's version set is readable straight off its keys.

@@ -6,46 +6,22 @@
 //! only the journal on disk.
 
 use evirel_obs::{EventLog, MetricsRegistry};
-use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog, DurableMetrics, SharedCatalog, StreamPlan};
-use evirel_serve::protocol::{read_frame, write_frame, Response, StreamFrame};
+use evirel_serve::protocol::{write_frame, Response, StreamFrame};
 use evirel_serve::replicate::{apply_stream, ApplyCtx};
 use evirel_serve::{start_with_durability, ServeConfig, ServerHandle};
 use evirel_store::failpoint::FailpointFs;
 use evirel_store::JournalRecord;
+use evirel_testkit::{config, connect, ok_body, roundtrip, seeded, stat, TempDir};
 use evirel_workload::generator::{generate, GeneratorConfig};
-use evirel_workload::{restaurant_db_a, restaurant_db_b};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use evirel_workload::restaurant_db_a;
+use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-fn fresh_dir(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "evirel-serve-dur-{}-{label}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-fn seeded() -> Catalog {
-    let mut catalog = Catalog::with_config(&config());
-    catalog.register("ra", restaurant_db_a().restaurants);
-    catalog.register("rb", restaurant_db_b().restaurants);
-    catalog
-}
 
 /// Boot a durable server over `dir`, overlaying seeds the way the
 /// binary does: recovered bindings win collisions.
-fn boot(dir: &PathBuf) -> ServerHandle {
+fn boot(dir: &Path) -> ServerHandle {
     serve(DurableCatalog::open_into(dir, seeded()).expect("data dir recovers"))
 }
 
@@ -64,46 +40,16 @@ fn crash(handle: ServerHandle) {
     std::thread::sleep(Duration::from_millis(200));
 }
 
-fn connect(handle: &ServerHandle) -> TcpStream {
-    let s = TcpStream::connect(handle.addr()).expect("connects");
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    s
-}
-
-fn roundtrip(stream: &mut TcpStream, payload: &str) -> Response {
-    write_frame(stream, payload).expect("request frame writes");
-    let reply = read_frame(stream)
-        .expect("response frame reads")
-        .expect("server replied");
-    Response::parse(&reply).expect("response parses")
-}
-
-fn ok_body(r: Response) -> String {
-    match r {
-        Response::Ok { body } => body,
-        other => panic!("expected OK, got {other:?}"),
-    }
-}
-
-/// Extract `key=value` as u64 from a STATS body.
-fn stat(body: &str, key: &str) -> u64 {
-    body.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("no {key}= in {body:?}"))
-        .parse()
-        .unwrap_or_else(|e| panic!("{key} not a number: {e}"))
-}
-
 #[test]
 fn merge_survives_clean_shutdown_and_restart() {
-    let dir = fresh_dir("clean");
+    let dir = TempDir::new("serve-dur-clean");
 
     // Incarnation 1: merge, confirm the STATS durability line, clean
     // shutdown (join checkpoints).
     let gen_after_merge;
     {
         let handle = boot(&dir);
-        let mut c = connect(&handle);
+        let mut c = connect(handle.addr());
         let body = ok_body(roundtrip(&mut c, "MERGE m1\nSELECT * FROM ra UNION rb"));
         assert!(body.starts_with("merged m1"), "{body}");
         let stats = ok_body(roundtrip(&mut c, "STATS"));
@@ -131,7 +77,7 @@ fn merge_survives_clean_shutdown_and_restart() {
     // the recovered one, and a further merge also persists.
     {
         let handle = boot(&dir);
-        let mut c = connect(&handle);
+        let mut c = connect(handle.addr());
         let stats = ok_body(roundtrip(&mut c, "STATS"));
         assert_eq!(
             stat(&stats, "generation"),
@@ -152,7 +98,7 @@ fn merge_survives_clean_shutdown_and_restart() {
     // Incarnation 3: both merges recovered.
     {
         let handle = boot(&dir);
-        let mut c = connect(&handle);
+        let mut c = connect(handle.addr());
         let stats = ok_body(roundtrip(&mut c, "STATS"));
         assert_eq!(stat(&stats, "generation"), 2);
         for name in ["m1", "m2"] {
@@ -165,12 +111,11 @@ fn merge_survives_clean_shutdown_and_restart() {
         roundtrip(&mut c, "SHUTDOWN");
         handle.join();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn merge_survives_unclean_drop_via_journal_alone() {
-    let dir = fresh_dir("unclean");
+    let dir = TempDir::new("serve-dur-unclean");
 
     // Incarnation 1: merge, then *abandon* the server without
     // SHUTDOWN/join — no checkpoint happens; only the fsync'd journal
@@ -179,7 +124,7 @@ fn merge_survives_unclean_drop_via_journal_alone() {
     // the next incarnation on the directory after the workers exit.)
     {
         let handle = boot(&dir);
-        let mut c = connect(&handle);
+        let mut c = connect(handle.addr());
         ok_body(roundtrip(&mut c, "MERGE crashy\nSELECT * FROM ra UNION rb"));
         crash(handle);
     }
@@ -189,14 +134,13 @@ fn merge_survives_unclean_drop_via_journal_alone() {
 
     // Incarnation 2: journal replay alone recovers the merge.
     let handle = boot(&dir);
-    let mut c = connect(&handle);
+    let mut c = connect(handle.addr());
     let stats = ok_body(roundtrip(&mut c, "STATS"));
     assert_eq!(stat(&stats, "generation"), 1);
     let q = ok_body(roundtrip(&mut c, "QUERY\nSELECT * FROM crashy WITH SN > 0"));
     assert!(q.starts_with("tuples=6"), "{q}");
     roundtrip(&mut c, "SHUTDOWN");
     handle.join();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A restarted server serves its recovered bindings through the one
@@ -206,16 +150,16 @@ fn merge_survives_unclean_drop_via_journal_alone() {
 /// the pool series).
 #[test]
 fn a_recovered_binding_pages_through_the_serving_pool() {
-    let dir = fresh_dir("pool");
+    let dir = TempDir::new("serve-dur-pool");
     {
         let handle = boot(&dir);
-        let mut c = connect(&handle);
+        let mut c = connect(handle.addr());
         ok_body(roundtrip(&mut c, "MERGE m1\nSELECT * FROM ra UNION rb"));
         roundtrip(&mut c, "SHUTDOWN");
         handle.join();
     }
     let handle = boot(&dir);
-    let mut c = connect(&handle);
+    let mut c = connect(handle.addr());
     let q = ok_body(roundtrip(&mut c, "QUERY\nSELECT * FROM m1 WITH SN > 0"));
     assert!(q.starts_with("tuples=6"), "{q}");
     {
@@ -237,7 +181,6 @@ fn a_recovered_binding_pages_through_the_serving_pool() {
     assert!(misses > 0, "the query's page reads were not counted");
     roundtrip(&mut c, "SHUTDOWN");
     handle.join();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The `key=value` field of a reply's first line, as u64.
@@ -264,17 +207,16 @@ fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
     // A bind's last fsync is the journal's: count them on a scratch
     // directory.
     let journal_fsync = {
-        let probe = fresh_dir("fsync-probe");
+        let probe = TempDir::new("serve-dur-fsync-probe");
         let mut durable = DurableCatalog::open_into(&probe, Catalog::with_config(&config()))
             .expect("opens")
             .0;
         let fp = FailpointFs::observe();
         bind(&mut durable, "probe").expect("binds");
-        std::fs::remove_dir_all(&probe).ok();
         fp.fsyncs()
     };
 
-    let dir = fresh_dir("fsync-fail");
+    let dir = TempDir::new("serve-dur-fsync-fail");
     let (mut durable, catalog) = DurableCatalog::open_into(&dir, seeded()).expect("opens");
     {
         let _fp = FailpointFs::fail_fsync(journal_fsync);
@@ -282,14 +224,14 @@ fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
     }
     {
         let handle = serve((durable, catalog));
-        let mut c = connect(&handle);
+        let mut c = connect(handle.addr());
         let body = ok_body(roundtrip(&mut c, "MERGE kept\nSELECT * FROM ra UNION rb"));
         assert_eq!(reply_field(&body, "generation"), 1, "{body}");
         crash(handle);
     }
 
     let handle = boot(&dir);
-    let mut c = connect(&handle);
+    let mut c = connect(handle.addr());
     assert_eq!(stat(&ok_body(roundtrip(&mut c, "STATS")), "generation"), 1);
     let kept = ok_body(roundtrip(&mut c, "QUERY\nSELECT * FROM kept WITH SN > 0"));
     assert!(kept.starts_with("tuples=6"), "{kept}");
@@ -300,7 +242,6 @@ fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
     );
     roundtrip(&mut c, "SHUTDOWN");
     handle.join();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The fsyncs each write-path operation pays, counted on this thread
@@ -313,7 +254,7 @@ fn a_merge_whose_journal_fsync_failed_is_absent_after_restart() {
 #[test]
 fn fsyncs_per_write_path_operation() {
     let registry = MetricsRegistry::new();
-    let dir = fresh_dir("fsyncs");
+    let dir = TempDir::new("serve-dur-fsyncs");
     let (mut durable, recovered) =
         DurableCatalog::open_into(&dir, Catalog::with_config(&config())).expect("opens");
     durable.set_metrics(DurableMetrics {
@@ -376,7 +317,7 @@ fn fsyncs_per_write_path_operation() {
     assert!(matches!(record, JournalRecord::BindInline { .. }));
     let mut stream = Vec::new();
     write_frame(&mut stream, &StreamFrame::Rec(record).encode()).unwrap();
-    let fdir = fresh_dir("fsyncs-f");
+    let fdir = TempDir::new("serve-dur-fsyncs-f");
     let (follower, frecovered) =
         DurableCatalog::open_into(&fdir, Catalog::with_config(&config())).expect("opens");
     let (follower, fshared) = (
@@ -398,9 +339,6 @@ fn fsyncs_per_write_path_operation() {
     let n = fsyncs(&mut || apply_stream(&mut &stream[..], &ctx).expect("applies"));
     assert_eq!(n, 1, "a follower's small apply");
     assert_eq!(fshared.generation(), 1);
-    for d in [&dir, &fdir] {
-        std::fs::remove_dir_all(d).ok();
-    }
 }
 
 /// Reads beside a durable writer: one connection issues MERGEs back
@@ -414,7 +352,7 @@ fn readers_beside_a_durable_writer_see_only_journalled_generations() {
     use std::sync::atomic::AtomicBool;
     const MERGES: u64 = 150;
     const MIN_READS: u64 = 150;
-    let dir = fresh_dir("beside");
+    let dir = TempDir::new("serve-dur-beside");
     let handle = boot(&dir);
     let metrics = std::sync::Arc::clone(handle.metrics());
     let committed = || {
@@ -435,7 +373,7 @@ fn readers_beside_a_durable_writer_see_only_journalled_generations() {
     let (reads, cached) = std::thread::scope(|s| {
         let writer = s.spawn(|| {
             let _done = Done(&writer_done);
-            let mut c = connect(&handle);
+            let mut c = connect(handle.addr());
             let mut last = 0;
             for i in 0..MERGES {
                 let request = format!("MERGE m{}\nSELECT * FROM ra UNION rb", i % 4);
@@ -455,7 +393,7 @@ fn readers_beside_a_durable_writer_see_only_journalled_generations() {
                 let (handle, writer_done, committed) = (&handle, &writer_done, &committed);
                 s.spawn(move || {
                     let request = format!("QUERY\nSELECT * FROM {name} WITH SN > 0");
-                    let mut c = connect(handle);
+                    let mut c = connect(handle.addr());
                     let (mut reads, mut cached, mut last) = (0u64, 0u64, 0u64);
                     loop {
                         // Sampled first: the read after the writer's
@@ -493,7 +431,6 @@ fn readers_beside_a_durable_writer_see_only_journalled_generations() {
 
     handle.shutdown();
     handle.join();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The key index of a stored build side rides on the relation, not on
@@ -504,11 +441,11 @@ fn readers_beside_a_durable_writer_see_only_journalled_generations() {
 /// queries probe it.
 #[test]
 fn a_rebound_build_side_is_indexed_afresh() {
-    let dir = fresh_dir("reindex");
+    let dir = TempDir::new("serve-dur-reindex");
     let handle = boot(&dir);
     let metrics = std::sync::Arc::clone(handle.metrics());
     let builds = || metrics.value("evirel_exec_key_index_builds_total", &[]);
-    let mut c = connect(&handle);
+    let mut c = connect(handle.addr());
     let mut tuples = |text: &str| {
         let body = ok_body(roundtrip(&mut c, text));
         reply_field(&body, "tuples")
@@ -539,5 +476,4 @@ fn a_rebound_build_side_is_indexed_afresh() {
 
     handle.shutdown();
     handle.join();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,48 +3,9 @@
 //! that `STATS` and `METRICS` read the *same* registry — the two
 //! renderings can never disagree on a number.
 
-use evirel_plan::Config;
-use evirel_query::Catalog;
-use evirel_serve::protocol::{read_frame, write_frame, Response};
+use evirel_serve::protocol::Response;
 use evirel_serve::{start, ServeConfig};
-use evirel_workload::{restaurant_db_a, restaurant_db_b};
-use std::net::TcpStream;
-use std::time::Duration;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-fn seeded_catalog() -> Catalog {
-    let mut catalog = Catalog::with_config(&config());
-    catalog.register("ra", restaurant_db_a().restaurants);
-    catalog.register("rb", restaurant_db_b().restaurants);
-    catalog
-}
-
-fn connect(addr: std::net::SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connects");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-}
-
-fn roundtrip(stream: &mut TcpStream, payload: &str) -> Response {
-    write_frame(stream, payload).expect("request frame writes");
-    let reply = read_frame(stream)
-        .expect("response frame reads")
-        .expect("server replied");
-    Response::parse(&reply).expect("response parses")
-}
-
-fn ok_body(response: Response) -> String {
-    match response {
-        Response::Ok { body } => body,
-        other => panic!("expected OK, got {other:?}"),
-    }
-}
+use evirel_testkit::{connect, ok_body, roundtrip, seeded, stat};
 
 /// The value of an exact series (name including labels, if any) in a
 /// Prometheus text exposition.
@@ -63,22 +24,16 @@ fn series(exposition: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("series {name} missing from exposition:\n{exposition}"))
 }
 
-/// The value of `key=` on the `STATS` line starting with `prefix`.
-fn stat(body: &str, prefix: &str, key: &str) -> u64 {
-    let line = body
-        .lines()
+/// The `STATS` line starting with `prefix`.
+fn line<'a>(body: &'a str, prefix: &str) -> &'a str {
+    body.lines()
         .find(|line| line.starts_with(prefix))
-        .unwrap_or_else(|| panic!("no line starting with {prefix:?} in:\n{body}"));
-    line.split_whitespace()
-        .find_map(|token| token.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("no {key}= on {line:?}"))
-        .parse()
-        .unwrap_or_else(|e| panic!("{key} on {line:?}: {e}"))
+        .unwrap_or_else(|| panic!("no line starting with {prefix:?} in:\n{body}"))
 }
 
 #[test]
 fn metrics_scrape_covers_every_subsystem() {
-    let handle = start(seeded_catalog(), ServeConfig::default()).expect("server starts");
+    let handle = start(seeded(), ServeConfig::default()).expect("server starts");
     let mut stream = connect(handle.addr());
 
     // Traffic across verbs: a cold query, the same query warm (cache
@@ -161,7 +116,7 @@ fn metrics_scrape_covers_every_subsystem() {
 
 #[test]
 fn stats_and_metrics_read_the_same_registry() {
-    let handle = start(seeded_catalog(), ServeConfig::default()).expect("server starts");
+    let handle = start(seeded(), ServeConfig::default()).expect("server starts");
     let mut stream = connect(handle.addr());
 
     let query = "QUERY\nSELECT * FROM rb WHERE rating >= 'gd' WITH SN > 0;";
@@ -185,7 +140,7 @@ fn stats_and_metrics_read_the_same_registry() {
     // for the METRICS request itself.
     assert_eq!(
         series(&exposition, "evirel_serve_requests_handled_total"),
-        stat(&stats, "server ", "requests") + 1
+        stat(line(&stats, "server "), "requests") + 1
     );
     for (series_name, prefix, key) in [
         (
@@ -212,7 +167,7 @@ fn stats_and_metrics_read_the_same_registry() {
     ] {
         assert_eq!(
             series(&exposition, series_name),
-            stat(&stats, prefix, key),
+            stat(line(&stats, prefix), key),
             "{series_name} disagrees with STATS {key}"
         );
     }

@@ -4,38 +4,12 @@
 //! restarts, and promotes into a writable primary — by verb, and
 //! automatically when the primary dies.
 
-use evirel_plan::Config;
-use evirel_query::{Catalog, DurableCatalog};
+use evirel_query::DurableCatalog;
 use evirel_serve::protocol::{read_frame, write_frame, Response};
 use evirel_serve::{start_with_durability, FollowConfig, ServeConfig, ServerHandle};
-use evirel_workload::{restaurant_db_a, restaurant_db_b};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use evirel_testkit::{connect, ok_body, roundtrip, seeded, TempDir};
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-fn fresh_dir(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "evirel-serve-repl-{}-{label}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-fn seeded() -> Catalog {
-    let mut catalog = Catalog::with_config(&config());
-    catalog.register("ra", restaurant_db_a().restaurants);
-    catalog.register("rb", restaurant_db_b().restaurants);
-    catalog
-}
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
@@ -46,18 +20,18 @@ fn serve_config() -> ServeConfig {
 
 /// Boot a durable server over `dir` the way the binary does: recover
 /// into the seeded catalog, recovered bindings win collisions.
-fn boot_with(dir: &PathBuf, serve: ServeConfig) -> ServerHandle {
+fn boot_with(dir: &Path, serve: ServeConfig) -> ServerHandle {
     let (durable, catalog) = DurableCatalog::open_into(dir, seeded()).expect("data dir recovers");
     start_with_durability(catalog, serve, Some(durable)).expect("server starts")
 }
 
-fn boot_primary(dir: &PathBuf) -> ServerHandle {
+fn boot_primary(dir: &Path) -> ServerHandle {
     boot_with(dir, serve_config())
 }
 
 /// Boot a primary on a *fixed* address (so a reborn incarnation is
 /// reachable where the follower keeps dialing).
-fn boot_primary_at(dir: &PathBuf, addr: &str) -> ServerHandle {
+fn boot_primary_at(dir: &Path, addr: &str) -> ServerHandle {
     boot_with(
         dir,
         ServeConfig {
@@ -75,7 +49,7 @@ fn reserved_addr() -> String {
     addr
 }
 
-fn boot_follower_of(dir: &PathBuf, primary_addr: &str) -> ServerHandle {
+fn boot_follower_of(dir: &Path, primary_addr: &str) -> ServerHandle {
     let follow = FollowConfig {
         initial_backoff: Duration::from_millis(25),
         max_backoff: Duration::from_millis(100),
@@ -90,11 +64,11 @@ fn boot_follower_of(dir: &PathBuf, primary_addr: &str) -> ServerHandle {
     )
 }
 
-fn boot_follower(dir: &PathBuf, primary: &ServerHandle) -> ServerHandle {
+fn boot_follower(dir: &Path, primary: &ServerHandle) -> ServerHandle {
     boot_follower_with(dir, primary, FollowConfig::new(primary.addr().to_string()))
 }
 
-fn boot_follower_with(dir: &PathBuf, primary: &ServerHandle, follow: FollowConfig) -> ServerHandle {
+fn boot_follower_with(dir: &Path, primary: &ServerHandle, follow: FollowConfig) -> ServerHandle {
     let follow = FollowConfig {
         primary: primary.addr().to_string(),
         initial_backoff: Duration::from_millis(25),
@@ -108,27 +82,6 @@ fn boot_follower_with(dir: &PathBuf, primary: &ServerHandle, follow: FollowConfi
             ..serve_config()
         },
     )
-}
-
-fn connect(handle: &ServerHandle) -> TcpStream {
-    let s = TcpStream::connect(handle.addr()).expect("connects");
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    s
-}
-
-fn roundtrip(stream: &mut TcpStream, payload: &str) -> Response {
-    write_frame(stream, payload).expect("request frame writes");
-    let reply = read_frame(stream)
-        .expect("response frame reads")
-        .expect("server replied");
-    Response::parse(&reply).expect("response parses")
-}
-
-fn ok_body(r: Response) -> String {
-    match r {
-        Response::Ok { body } => body,
-        other => panic!("expected OK, got {other:?}"),
-    }
 }
 
 /// Block until `cond` holds (polling), or panic after 10 s.
@@ -151,18 +104,18 @@ fn wait_applied(follower: &ServerHandle, generation: u64) {
 
 #[test]
 fn follower_applies_merges_and_serves_reads_but_rejects_writes() {
-    let pdir = fresh_dir("p-basic");
-    let fdir = fresh_dir("f-basic");
+    let pdir = TempDir::new("serve-repl-p-basic");
+    let fdir = TempDir::new("serve-repl-f-basic");
     let primary = boot_primary(&pdir);
     let follower = boot_follower(&fdir, &primary);
 
     // Replicated state flows: merge on the primary, read on the
     // follower at the very generation the primary published.
-    let mut pc = connect(&primary);
+    let mut pc = connect(primary.addr());
     let body = ok_body(roundtrip(&mut pc, "MERGE m1\nSELECT * FROM ra UNION rb"));
     assert!(body.contains("generation=1"), "{body}");
     wait_applied(&follower, 1);
-    let mut fc = connect(&follower);
+    let mut fc = connect(follower.addr());
     let q = ok_body(roundtrip(&mut fc, "QUERY\nSELECT * FROM m1 WITH SN > 0"));
     assert!(q.starts_with("tuples=6"), "follower must serve m1: {q}");
     assert!(q.contains("generation=1"), "{q}");
@@ -204,22 +157,20 @@ fn follower_applies_merges_and_serves_reads_but_rejects_writes() {
     follower.shutdown();
     assert_eq!(follower.join().panics, 0);
     assert_eq!(primary.join().panics, 0);
-    std::fs::remove_dir_all(&pdir).ok();
-    std::fs::remove_dir_all(&fdir).ok();
 }
 
 #[test]
 fn promote_verb_flips_a_follower_into_a_writable_server() {
-    let pdir = fresh_dir("p-promote");
-    let fdir = fresh_dir("f-promote");
+    let pdir = TempDir::new("serve-repl-p-promote");
+    let fdir = TempDir::new("serve-repl-f-promote");
     let primary = boot_primary(&pdir);
     let follower = boot_follower(&fdir, &primary);
 
-    let mut pc = connect(&primary);
+    let mut pc = connect(primary.addr());
     ok_body(roundtrip(&mut pc, "MERGE base\nSELECT * FROM ra UNION rb"));
     wait_applied(&follower, 1);
 
-    let mut fc = connect(&follower);
+    let mut fc = connect(follower.addr());
     let body = ok_body(roundtrip(&mut fc, "PROMOTE"));
     assert!(body.starts_with("promoted generation=1"), "{body}");
     // Idempotent: a second PROMOTE still succeeds.
@@ -245,21 +196,19 @@ fn promote_verb_flips_a_follower_into_a_writable_server() {
     roundtrip(&mut fc, "SHUTDOWN");
     primary.join();
     follower.join();
-    std::fs::remove_dir_all(&pdir).ok();
-    std::fs::remove_dir_all(&fdir).ok();
 }
 
 #[test]
 fn fresh_follower_resyncs_past_a_checkpointed_primary_history() {
-    let pdir = fresh_dir("p-resync");
-    let fdir = fresh_dir("f-resync");
+    let pdir = TempDir::new("serve-repl-p-resync");
+    let fdir = TempDir::new("serve-repl-f-resync");
 
     // Incarnation 1 of the primary: two merges, clean shutdown — the
     // join() checkpoint folds the journal into the manifest, so the
     // reborn primary has *no* retained records below generation 2.
     {
         let primary = boot_primary(&pdir);
-        let mut pc = connect(&primary);
+        let mut pc = connect(primary.addr());
         ok_body(roundtrip(&mut pc, "MERGE m1\nSELECT * FROM ra UNION rb"));
         ok_body(roundtrip(
             &mut pc,
@@ -280,7 +229,7 @@ fn fresh_follower_resyncs_past_a_checkpointed_primary_history() {
         "a fresh follower behind the checkpoint floor must resync, got {:?}",
         follower.replication()
     );
-    let mut fc = connect(&follower);
+    let mut fc = connect(follower.addr());
     for (name, tuples) in [("m1", "tuples=6"), ("m2", "tuples=")] {
         let q = ok_body(roundtrip(
             &mut fc,
@@ -289,7 +238,7 @@ fn fresh_follower_resyncs_past_a_checkpointed_primary_history() {
         assert!(q.starts_with(tuples), "{name} after resync: {q}");
     }
     // Post-resync, the stream degrades to ordinary tailing.
-    let mut pc = connect(&primary);
+    let mut pc = connect(primary.addr());
     ok_body(roundtrip(&mut pc, "MERGE m3\nSELECT * FROM m1 WITH SN > 0"));
     wait_applied(&follower, 3);
 
@@ -297,16 +246,14 @@ fn fresh_follower_resyncs_past_a_checkpointed_primary_history() {
     follower.shutdown();
     follower.join();
     primary.join();
-    std::fs::remove_dir_all(&pdir).ok();
-    std::fs::remove_dir_all(&fdir).ok();
 }
 
 #[test]
 fn restarted_follower_resumes_from_its_applied_generation() {
-    let pdir = fresh_dir("p-resume");
-    let fdir = fresh_dir("f-resume");
+    let pdir = TempDir::new("serve-repl-p-resume");
+    let fdir = TempDir::new("serve-repl-f-resume");
     let primary = boot_primary(&pdir);
-    let mut pc = connect(&primary);
+    let mut pc = connect(primary.addr());
 
     // Follower incarnation 1 applies generation 1, then shuts down
     // cleanly (checkpointing its own directory).
@@ -328,7 +275,7 @@ fn restarted_follower_resumes_from_its_applied_generation() {
     // resumes the stream from there — applying only the missed merge.
     let follower = boot_follower(&fdir, &primary);
     wait_applied(&follower, 2);
-    let mut fc = connect(&follower);
+    let mut fc = connect(follower.addr());
     for name in ["m1", "m2"] {
         let q = ok_body(roundtrip(
             &mut fc,
@@ -341,14 +288,12 @@ fn restarted_follower_resumes_from_its_applied_generation() {
     follower.shutdown();
     follower.join();
     primary.join();
-    std::fs::remove_dir_all(&pdir).ok();
-    std::fs::remove_dir_all(&fdir).ok();
 }
 
 #[test]
 fn promote_on_disconnect_fails_over_when_the_primary_dies() {
-    let pdir = fresh_dir("p-failover");
-    let fdir = fresh_dir("f-failover");
+    let pdir = TempDir::new("serve-repl-p-failover");
+    let fdir = TempDir::new("serve-repl-f-failover");
     let primary = boot_primary(&pdir);
     let follower = boot_follower_with(
         &fdir,
@@ -360,7 +305,7 @@ fn promote_on_disconnect_fails_over_when_the_primary_dies() {
         },
     );
 
-    let mut pc = connect(&primary);
+    let mut pc = connect(primary.addr());
     ok_body(roundtrip(
         &mut pc,
         "MERGE committed\nSELECT * FROM ra UNION rb",
@@ -377,7 +322,7 @@ fn promote_on_disconnect_fails_over_when_the_primary_dies() {
     });
 
     // Zero committed merges lost, and the survivor accepts writes.
-    let mut fc = connect(&follower);
+    let mut fc = connect(follower.addr());
     let q = ok_body(roundtrip(
         &mut fc,
         "QUERY\nSELECT * FROM committed WITH SN > 0",
@@ -391,8 +336,6 @@ fn promote_on_disconnect_fails_over_when_the_primary_dies() {
 
     roundtrip(&mut fc, "SHUTDOWN");
     follower.join();
-    std::fs::remove_dir_all(&pdir).ok();
-    std::fs::remove_dir_all(&fdir).ok();
 }
 
 /// Regression: a FOLLOW stream dropped by an **unclean** primary
@@ -408,8 +351,8 @@ fn promote_on_disconnect_fails_over_when_the_primary_dies() {
 /// at every reconnect.
 #[test]
 fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
-    let pdir = fresh_dir("p-torn");
-    let fdir = fresh_dir("f-torn");
+    let pdir = TempDir::new("serve-repl-p-torn");
+    let fdir = TempDir::new("serve-repl-f-torn");
     let addr = reserved_addr();
 
     // Incarnation 1: the follower applies generation 1, then the
@@ -418,7 +361,7 @@ fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
     // generation 1).
     let primary = boot_primary_at(&pdir, &addr);
     let follower = boot_follower_of(&fdir, &addr);
-    let mut pc = connect(&primary);
+    let mut pc = connect(primary.addr());
     ok_body(roundtrip(&mut pc, "MERGE m1\nSELECT * FROM ra UNION rb"));
     wait_applied(&follower, 1);
     assert_eq!(follower.replication().records_applied, 1);
@@ -428,7 +371,7 @@ fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
 
     // Incarnation 2 on the same port advances the history by one.
     let primary = boot_primary_at(&pdir, &addr);
-    let mut pc = connect(&primary);
+    let mut pc = connect(primary.addr());
     ok_body(roundtrip(
         &mut pc,
         "MERGE m2\nSELECT * FROM m1 WITH SN > 0.4",
@@ -451,7 +394,7 @@ fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
         "{:?}",
         follower.replication()
     );
-    let mut fc = connect(&follower);
+    let mut fc = connect(follower.addr());
     let q = ok_body(roundtrip(&mut fc, "QUERY\nSELECT * FROM m2 WITH SN > 0"));
     assert!(q.starts_with("tuples="), "{q}");
 
@@ -459,15 +402,13 @@ fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
     follower.shutdown();
     follower.join();
     primary.join();
-    std::fs::remove_dir_all(&pdir).ok();
-    std::fs::remove_dir_all(&fdir).ok();
 }
 
 #[test]
 fn follow_without_durability_is_a_typed_error_both_ways() {
     // A server without a data dir refuses FOLLOW...
     let handle = evirel_serve::start(seeded(), serve_config()).expect("server starts");
-    let mut c = connect(&handle);
+    let mut c = connect(handle.addr());
     write_frame(&mut c, "FOLLOW 0").expect("writes");
     let reply = read_frame(&mut c).expect("reads").expect("replied");
     match Response::parse(&reply).expect("parses") {
@@ -495,9 +436,9 @@ fn follow_without_durability_is_a_typed_error_both_ways() {
 fn diverged_follower_is_refused() {
     // A subscriber claiming a generation ahead of the primary's
     // committed history gets ERR diverged, not an idle stream.
-    let pdir = fresh_dir("p-diverged");
+    let pdir = TempDir::new("serve-repl-p-diverged");
     let primary = boot_primary(&pdir);
-    let mut c = connect(&primary);
+    let mut c = connect(primary.addr());
     ok_body(roundtrip(&mut c, "MERGE m1\nSELECT * FROM ra UNION rb"));
     write_frame(&mut c, "FOLLOW 99").expect("writes");
     let reply = read_frame(&mut c).expect("reads").expect("replied");
@@ -508,8 +449,7 @@ fn diverged_follower_is_refused() {
         }
         other => panic!("expected ERR diverged, got {other:?}"),
     }
-    let mut c2 = connect(&primary);
+    let mut c2 = connect(primary.addr());
     roundtrip(&mut c2, "SHUTDOWN");
     primary.join();
-    std::fs::remove_dir_all(&pdir).ok();
 }

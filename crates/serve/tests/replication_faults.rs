@@ -25,50 +25,26 @@
 //! follower applies through [`apply_stream`].
 
 use evirel_obs::EventLog;
-use evirel_plan::Config;
 use evirel_query::{Catalog, DurableCatalog, SharedCatalog};
 use evirel_serve::replicate::{apply_stream, serve_follow, ApplyCtx, SenderCtx};
 use evirel_serve::{read_frame, write_frame, StreamFrame};
 use evirel_store::failpoint::FailpointFs;
-use evirel_store::{JournalRecord, SegmentSource};
+use evirel_store::JournalRecord;
+use evirel_testkit::{assert_converged, config, small_domain, TempDir};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-fn fresh_dir(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "evirel-replfault-{}-{label}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
+/// [`small_domain`] over four values.
 fn rel(seed: u64, tuples: usize) -> evirel_relation::ExtendedRelation {
-    generate(
-        "R",
-        &GeneratorConfig {
-            tuples,
-            domain_size: 4,
-            evidential_attrs: 1,
-            max_focal: 2,
-            max_focal_size: 2,
-            omega_mass: 0.2,
-            uncertain_membership: 0.25,
-            seed,
-        },
-    )
-    .expect("generator config is valid")
+    let config = GeneratorConfig {
+        domain_size: 4,
+        ..small_domain(seed, tuples)
+    };
+    generate("R", &config).expect("generator config is valid")
 }
 
 /// A primary with a short history: six binds (two names rebound) and
@@ -163,7 +139,6 @@ fn frame_boundaries(stream: &[u8]) -> Vec<usize> {
 
 /// The follower half, rebuilt after every simulated crash.
 struct Follower {
-    dir: PathBuf,
     durable: Mutex<DurableCatalog>,
     shared: SharedCatalog,
     applied: AtomicU64,
@@ -174,12 +149,11 @@ struct Follower {
 }
 
 impl Follower {
-    fn open(dir: PathBuf) -> Follower {
-        let (durable, recovered) = DurableCatalog::open_into(&dir, Catalog::with_config(&config()))
+    fn open(dir: &Path) -> Follower {
+        let (durable, recovered) = DurableCatalog::open_into(dir, Catalog::with_config(&config()))
             .expect("follower dir recovers");
         let generation = durable.recovered_generation();
         Follower {
-            dir,
             durable: Mutex::new(durable),
             shared: SharedCatalog::with_generation(recovered, generation),
             applied: AtomicU64::new(0),
@@ -212,46 +186,23 @@ impl Follower {
         let mut r = stream;
         apply_stream(&mut r, &ctx)
     }
-}
 
-/// The bytes of durable binding `name`'s segment, inline or a file.
-fn segment_bytes(durable: &DurableCatalog, name: &str) -> Vec<u8> {
-    match durable.segment(name).expect("a durable binding") {
-        SegmentSource::Bytes(bytes) => bytes.to_vec(),
-        SegmentSource::File(path) => std::fs::read(path).expect("segment reads"),
-    }
-}
-
-/// Bit-for-bit convergence: committed generation, manifest entries,
-/// raw segment bytes.
-fn assert_converged(primary: &Mutex<DurableCatalog>, follower: &Follower) {
-    let p = primary.lock().unwrap();
-    let f = follower.durable.lock().unwrap();
-    assert_eq!(
-        f.committed_generation(),
-        p.committed_generation(),
-        "committed generations diverge"
-    );
-    let p_entries: Vec<_> = p.entries().cloned().collect();
-    let f_entries: Vec<_> = f.entries().cloned().collect();
-    assert_eq!(p_entries, f_entries, "manifest entries diverge");
-    for entry in &p_entries {
-        let (want, got) = (
-            segment_bytes(&p, &entry.name),
-            segment_bytes(&f, &entry.name),
+    /// Converged with `primary` bit for bit ([`assert_converged`]), and
+    /// published at its generation.
+    fn assert_converged_to(&self, primary: &Mutex<DurableCatalog>) {
+        let primary = primary.lock().unwrap();
+        assert_converged(&primary, &self.durable.lock().unwrap());
+        assert_eq!(
+            self.shared.generation(),
+            primary.committed_generation(),
+            "published generation lags the durable one"
         );
-        assert!(want == got, "segment {} bytes diverge", entry.file);
     }
-    assert_eq!(
-        follower.shared.generation(),
-        p.committed_generation(),
-        "published generation lags the durable one"
-    );
 }
 
 #[test]
 fn primary_killed_at_every_send_boundary_converges_after_resume() {
-    let pdir = fresh_dir("send-p");
+    let pdir = TempDir::new("replfault-send-p");
     let (durable, shared) = build_primary(&pdir);
     let full = capture(&durable, &shared, 0);
     assert!(!full.is_empty());
@@ -269,7 +220,8 @@ fn primary_killed_at_every_send_boundary_converges_after_resume() {
     cuts.dedup();
 
     for cut in cuts {
-        let follower = Follower::open(fresh_dir("send-f"));
+        let fdir = TempDir::new("replfault-send-f");
+        let follower = Follower::open(&fdir);
         // The wire dies mid-stream: apply whatever arrived. A torn
         // frame is an error; a cut between frames is a clean EOF.
         let _ = follower.apply(&full[..cut]);
@@ -282,10 +234,8 @@ fn primary_killed_at_every_send_boundary_converges_after_resume() {
         follower
             .apply(&resume)
             .unwrap_or_else(|e| panic!("resume after cut {cut} (applied {applied}): {e}"));
-        assert_converged(&durable, &follower);
-        std::fs::remove_dir_all(&follower.dir).ok();
+        follower.assert_converged_to(&durable);
     }
-    std::fs::remove_dir_all(&pdir).ok();
 }
 
 /// The stream cut at every byte of a `REC BIND` that carries its
@@ -294,7 +244,7 @@ fn primary_killed_at_every_send_boundary_converges_after_resume() {
 /// what it applied converges.
 #[test]
 fn an_inline_rec_bind_cut_at_every_byte_resumes_and_converges() {
-    let pdir = fresh_dir("byte-p");
+    let pdir = TempDir::new("replfault-byte-p");
     let (durable, recovered) = DurableCatalog::open_into(&pdir, Catalog::with_config(&config()))
         .expect("primary dir opens");
     let shared = SharedCatalog::with_generation(recovered, 0);
@@ -311,15 +261,15 @@ fn an_inline_rec_bind_cut_at_every_byte_resumes_and_converges() {
     );
     // A torn frame applies nothing, so one follower takes every cut
     // short of the whole frame; it must stay at generation 0, durably.
-    let fdir = fresh_dir("byte-f");
-    let follower = Follower::open(fdir.clone());
+    let fdir = TempDir::new("replfault-byte-f");
+    let follower = Follower::open(&fdir);
     for cut in 0..first {
         let _ = follower.apply(&full[..cut]);
         assert_eq!(follower.committed(), 0, "cut {cut} applied a torn record");
         assert_eq!(follower.shared.generation(), 0, "cut {cut} published");
     }
     drop(follower);
-    let follower = Follower::open(fdir.clone());
+    let follower = Follower::open(&fdir);
     assert_eq!(follower.committed(), 0, "a torn record was journalled");
     follower
         .apply(&full[..first])
@@ -327,14 +277,12 @@ fn an_inline_rec_bind_cut_at_every_byte_resumes_and_converges() {
     assert_eq!(follower.committed(), 1);
     let resume = capture(&durable, &shared, 1);
     follower.apply(&resume).expect("resume applies");
-    assert_converged(&durable, &follower);
-    std::fs::remove_dir_all(&fdir).ok();
-    std::fs::remove_dir_all(&pdir).ok();
+    follower.assert_converged_to(&durable);
 }
 
 #[test]
 fn follower_killed_at_every_fsync_and_write_stride_recovers_and_converges() {
-    let pdir = fresh_dir("kill-p");
+    let pdir = TempDir::new("replfault-kill-p");
     let (durable, shared) = build_primary(&pdir);
     let full = capture(&durable, &shared, 0);
 
@@ -342,14 +290,13 @@ fn follower_killed_at_every_fsync_and_write_stride_recovers_and_converges() {
     // *before* arming, matching the kill pass — the directory open
     // itself is the boot sequence, not the apply path under test.
     let (fsyncs, units) = {
-        let fdir = fresh_dir("kill-observe");
-        let follower = Follower::open(fdir.clone());
+        let fdir = TempDir::new("replfault-kill-observe");
+        let follower = Follower::open(&fdir);
         let fp = FailpointFs::observe();
         follower.apply(&full).expect("observed apply succeeds");
-        assert_converged(&durable, &follower);
+        follower.assert_converged_to(&durable);
         let counts = (fp.fsyncs(), fp.units());
         drop(fp);
-        std::fs::remove_dir_all(&fdir).ok();
         counts
     };
     assert!(fsyncs > 0, "the apply path must fsync");
@@ -362,9 +309,9 @@ fn follower_killed_at_every_fsync_and_write_stride_recovers_and_converges() {
     kill_points.extend((0..=units).step_by(stride as usize).map(|b| ("budget", b)));
 
     for (mode, at) in kill_points {
-        let fdir = fresh_dir("kill-f");
+        let fdir = TempDir::new("replfault-kill-f");
         {
-            let follower = Follower::open(fdir.clone());
+            let follower = Follower::open(&fdir);
             let fp = match mode {
                 "fsync" => FailpointFs::kill_at_fsync(at),
                 _ => FailpointFs::kill_after(at),
@@ -381,22 +328,20 @@ fn follower_killed_at_every_fsync_and_write_stride_recovers_and_converges() {
         }
         // Reboot from disk alone, resume from the recovered applied
         // generation, converge.
-        let follower = Follower::open(fdir.clone());
+        let follower = Follower::open(&fdir);
         let resume = capture(&durable, &shared, follower.committed());
         follower
             .apply(&resume)
             .unwrap_or_else(|e| panic!("resume after {mode} kill {at}: {e}"));
-        assert_converged(&durable, &follower);
-        std::fs::remove_dir_all(&fdir).ok();
+        follower.assert_converged_to(&durable);
     }
-    std::fs::remove_dir_all(&pdir).ok();
 }
 
 #[test]
 fn resync_stream_survives_the_same_fault_matrix() {
     // Same two sweeps, but over a RESYNC stream: checkpoint the
     // primary so a cursor-0 follower is below the retained floor.
-    let pdir = fresh_dir("resync-p");
+    let pdir = TempDir::new("replfault-resync-p");
     let (durable, shared) = build_primary(&pdir);
     durable.lock().unwrap().checkpoint().expect("checkpoint");
     let full = capture(&durable, &shared, 0);
@@ -407,7 +352,8 @@ fn resync_stream_survives_the_same_fault_matrix() {
         .flat_map(|b| [b.saturating_sub(1), b, b + 3])
         .filter(|&c| c <= full.len())
     {
-        let follower = Follower::open(fresh_dir("resync-cut-f"));
+        let fdir = TempDir::new("replfault-resync-cut-f");
+        let follower = Follower::open(&fdir);
         let _ = follower.apply(&full[..cut]);
         // A torn snapshot must be invisible: either nothing was
         // installed (committed 0) or the whole snapshot was.
@@ -420,43 +366,39 @@ fn resync_stream_survives_the_same_fault_matrix() {
         follower
             .apply(&resume)
             .unwrap_or_else(|e| panic!("resync resume after cut {cut}: {e}"));
-        assert_converged(&durable, &follower);
-        std::fs::remove_dir_all(&follower.dir).ok();
+        follower.assert_converged_to(&durable);
     }
 
     // Fsync sweep over the install path.
     let fsyncs = {
-        let fdir = fresh_dir("resync-observe");
-        let follower = Follower::open(fdir.clone());
+        let fdir = TempDir::new("replfault-resync-observe");
+        let follower = Follower::open(&fdir);
         let fp = FailpointFs::observe();
         follower.apply(&full).expect("observed resync succeeds");
         let n = fp.fsyncs();
         drop(fp);
-        std::fs::remove_dir_all(&fdir).ok();
         n
     };
     for k in 1..=fsyncs {
-        let fdir = fresh_dir("resync-kill-f");
+        let fdir = TempDir::new("replfault-resync-kill-f");
         {
-            let follower = Follower::open(fdir.clone());
+            let follower = Follower::open(&fdir);
             let fp = FailpointFs::kill_at_fsync(k);
             let _ = follower.apply(&full);
             drop(fp);
         }
-        let follower = Follower::open(fdir.clone());
+        let follower = Follower::open(&fdir);
         let resume = capture(&durable, &shared, follower.committed());
         follower
             .apply(&resume)
             .unwrap_or_else(|e| panic!("resync resume after fsync kill {k}: {e}"));
-        assert_converged(&durable, &follower);
-        std::fs::remove_dir_all(&fdir).ok();
+        follower.assert_converged_to(&durable);
     }
-    std::fs::remove_dir_all(&pdir).ok();
 }
 
 #[test]
 fn record_failing_verification_logs_one_event_and_publishes_nothing() {
-    let pdir = fresh_dir("verify-p");
+    let pdir = TempDir::new("replfault-verify-p");
     let (durable, shared) = build_primary(&pdir);
     let full = capture(&durable, &shared, 0);
 
@@ -476,7 +418,9 @@ fn record_failing_verification_logs_one_event_and_publishes_nothing() {
         write_frame(&mut tampered, &frame.encode()).expect("re-frame");
     }
 
-    let follower = Follower::open(fresh_dir("verify-f"));
+    let fdir = TempDir::new("replfault-verify-f");
+
+    let follower = Follower::open(&fdir);
     let err = follower
         .apply(&tampered)
         .expect_err("a record whose segment fails verification must not apply");
@@ -495,7 +439,5 @@ fn record_failing_verification_logs_one_event_and_publishes_nothing() {
 
     // The failure is not sticky: the intact stream converges.
     follower.apply(&full).expect("intact stream applies");
-    assert_converged(&durable, &follower);
-    std::fs::remove_dir_all(&follower.dir).ok();
-    std::fs::remove_dir_all(&pdir).ok();
+    follower.assert_converged_to(&durable);
 }

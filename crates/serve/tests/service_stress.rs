@@ -5,25 +5,17 @@
 //! or these tests fail), plus targeted admission-control and
 //! robustness probes.
 
-use evirel_plan::Config;
 use evirel_query::Catalog;
-use evirel_serve::protocol::{read_frame, write_frame, Response};
+use evirel_serve::protocol::{read_frame, Response};
 use evirel_serve::{start, ServeConfig};
+use evirel_testkit::{connect, roundtrip, seeded};
 use evirel_workload::driver::{run_load, LoadConfig};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
-use evirel_workload::{restaurant_db_a, restaurant_db_b};
-use std::net::TcpStream;
 use std::time::Duration;
 
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
+/// [`seeded`], plus a generated pair `ga`, `gb`.
 fn seeded_catalog() -> Catalog {
-    let mut catalog = Catalog::with_config(&config());
-    catalog.register("ra", restaurant_db_a().restaurants);
-    catalog.register("rb", restaurant_db_b().restaurants);
+    let mut catalog = seeded();
     let (ga, gb) = generate_pair(&PairConfig {
         base: GeneratorConfig {
             tuples: 128,
@@ -37,15 +29,6 @@ fn seeded_catalog() -> Catalog {
     catalog.register("ga", ga);
     catalog.register("gb", gb);
     catalog
-}
-
-/// One frame round-trip on an existing connection.
-fn roundtrip(stream: &mut TcpStream, payload: &str) -> Response {
-    write_frame(stream, payload).expect("request frame writes");
-    let reply = read_frame(stream)
-        .expect("response frame reads")
-        .expect("server replied");
-    Response::parse(&reply).expect("response parses")
 }
 
 #[test]
@@ -107,10 +90,7 @@ fn overload_is_a_typed_busy_never_a_hang() {
     let addr = handle.addr();
 
     // Occupy the single worker (round-trip proves it picked us up).
-    let mut occupant = TcpStream::connect(addr).expect("connects");
-    occupant
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut occupant = connect(addr);
     assert!(matches!(
         roundtrip(&mut occupant, "PING"),
         Response::Ok { .. }
@@ -118,14 +98,11 @@ fn overload_is_a_typed_busy_never_a_hang() {
 
     // Fill the one queue slot (never served while the occupant
     // holds the worker), then overflow it.
-    let _queued = TcpStream::connect(addr).expect("connects");
+    let _queued = connect(addr);
     // The queued connection is admitted asynchronously; give the
     // accept thread a moment before probing the full queue.
     std::thread::sleep(Duration::from_millis(200));
-    let mut rejected = TcpStream::connect(addr).expect("connects");
-    rejected
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut rejected = connect(addr);
     let frame = read_frame(&mut rejected)
         .expect("BUSY frame reads")
         .expect("BUSY frame present");
@@ -143,9 +120,7 @@ fn overload_is_a_typed_busy_never_a_hang() {
 #[test]
 fn malformed_requests_round_trip_as_typed_errors() {
     let handle = start(seeded_catalog(), ServeConfig::default()).expect("server starts");
-    let mut conn = TcpStream::connect(handle.addr()).expect("connects");
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut conn = connect(handle.addr());
 
     let cases: &[(&str, &str)] = &[
         ("FROBNICATE", "protocol"),
@@ -180,9 +155,7 @@ fn malformed_requests_round_trip_as_typed_errors() {
 #[test]
 fn merge_publishes_a_new_generation_and_is_queryable() {
     let handle = start(seeded_catalog(), ServeConfig::default()).expect("server starts");
-    let mut conn = TcpStream::connect(handle.addr()).expect("connects");
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut conn = connect(handle.addr());
 
     let merged = roundtrip(&mut conn, "MERGE m0\nSELECT * FROM ra UNION rb");
     let Response::Ok { body } = merged else {
@@ -207,9 +180,7 @@ fn merge_publishes_a_new_generation_and_is_queryable() {
 #[test]
 fn explain_reports_cache_hits_after_execution() {
     let handle = start(seeded_catalog(), ServeConfig::default()).expect("server starts");
-    let mut conn = TcpStream::connect(handle.addr()).expect("connects");
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut conn = connect(handle.addr());
 
     let q = "EXPLAIN\nSELECT * FROM ra UNION rb WITH SN > 0.5";
     let Response::Ok { body } = roundtrip(&mut conn, q) else {

@@ -308,21 +308,17 @@ pub(crate) fn fp_sync_parent_dir(path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use std::io::Read;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("evirel-fp-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     #[test]
     fn disarmed_helpers_are_plain_io() {
-        let path = tmp("plain.bin");
+        let dir = TestDir::new("fp");
+        let path = dir.join("plain.bin");
         let mut f = fp_create(&path).unwrap();
         fp_write_all(&mut f, b"hello").unwrap();
         fp_sync(&f).unwrap();
-        let renamed = tmp("plain2.bin");
+        let renamed = dir.join("plain2.bin");
         fp_rename(&path, &renamed).unwrap();
         let mut back = String::new();
         File::open(&renamed)
@@ -330,12 +326,12 @@ mod tests {
             .read_to_string(&mut back)
             .unwrap();
         assert_eq!(back, "hello");
-        std::fs::remove_file(&renamed).ok();
     }
 
     #[test]
     fn observe_counts_costs() {
-        let path = tmp("count.bin");
+        let dir = TestDir::new("fp");
+        let path = dir.join("count.bin");
         let fp = FailpointFs::observe();
         let mut f = fp_create(&path).unwrap();
         fp_write_all(&mut f, b"0123456789").unwrap();
@@ -345,12 +341,12 @@ mod tests {
         assert_eq!(fp.fsyncs(), 1);
         assert!(!fp.fired());
         drop(fp);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn budget_kill_tears_the_write_and_stays_dead() {
-        let path = tmp("torn.bin");
+        let dir = TestDir::new("fp");
+        let path = dir.join("torn.bin");
         {
             let fp = FailpointFs::kill_after(1 + 4); // create + 4 bytes
             let mut f = fp_create(&path).unwrap();
@@ -360,16 +356,16 @@ mod tests {
             // Everything after the kill fails too.
             assert!(fp_sync(&f).is_err());
             assert!(fp_write_all(&mut f, b"more").is_err());
-            assert!(fp_rename(&path, &tmp("never.bin")).is_err());
+            assert!(fp_rename(&path, &dir.join("never.bin")).is_err());
         }
         // Exactly the affordable prefix landed — a torn write.
         assert_eq!(std::fs::read(&path).unwrap(), b"0123");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn fsync_boundary_kill() {
-        let path = tmp("fsync.bin");
+        let dir = TestDir::new("fp");
+        let path = dir.join("fsync.bin");
         let fp = FailpointFs::kill_at_fsync(2);
         let mut f = fp_create(&path).unwrap();
         fp_write_all(&mut f, b"aa").unwrap();
@@ -382,12 +378,12 @@ mod tests {
         // may or may not have persisted them across a real crash —
         // recovery must tolerate both, which the sweep tests assert).
         assert_eq!(std::fs::read(&path).unwrap(), b"aabb");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn zero_budget_fails_everything_from_the_start() {
+        let dir = TestDir::new("fp");
         let _fp = FailpointFs::kill_after(0);
-        assert!(fp_create(&tmp("zero.bin")).is_err());
+        assert!(fp_create(&dir.join("zero.bin")).is_err());
     }
 }

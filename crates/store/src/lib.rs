@@ -74,3 +74,42 @@ pub fn spill_path(label: &str) -> std::path::PathBuf {
         std::process::id()
     ))
 }
+
+/// The unit tests' temp directories. Integration suites take
+/// `evirel-testkit`'s `TempDir`; unit tests cannot, since the kit links
+/// this crate as a copy whose types are not theirs.
+#[cfg(test)]
+pub(crate) mod test_dir {
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A directory of one test's own under the system temp directory,
+    /// removed with everything in it when dropped: parallel tests never
+    /// share one, and a run leaves none behind.
+    pub(crate) struct TestDir(PathBuf);
+
+    impl TestDir {
+        pub(crate) fn new(label: &str) -> TestDir {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir()
+                .join(format!("evirel-{label}-test-{}-{n}", std::process::id()));
+            std::fs::create_dir_all(&path).unwrap();
+            TestDir(path)
+        }
+    }
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+}

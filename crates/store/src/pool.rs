@@ -237,14 +237,8 @@ impl Drop for PageGuard {
 mod tests {
     use super::*;
     use crate::segment::{write_segment, Segment};
+    use crate::test_dir::TestDir;
     use evirel_relation::{AttrDomain, RelationBuilder, Schema};
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("evirel-pool-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     fn segment(name: &str, tuples: usize, page_size: usize) -> Arc<Segment> {
         let d = Arc::new(AttrDomain::categorical("d", ["x", "y"]).unwrap());
@@ -264,11 +258,10 @@ mod tests {
                 })
                 .unwrap();
         }
-        let path = tmp(name);
+        let dir = TestDir::new("pool");
+        let path = dir.join(name);
         write_segment(&b.build(), &path, page_size).unwrap();
-        let seg = Arc::new(Segment::open(&path).unwrap());
-        std::fs::remove_file(&path).ok();
-        seg
+        Arc::new(Segment::open(&path).unwrap())
     }
 
     #[test]

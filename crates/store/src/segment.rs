@@ -958,6 +958,7 @@ impl Segment {
 mod tests {
     use super::*;
     use crate::failpoint::FailpointFs;
+    use crate::test_dir::TestDir;
     use evirel_relation::{RelationBuilder, Value};
 
     fn sample(n: usize) -> ExtendedRelation {
@@ -988,16 +989,11 @@ mod tests {
         b.build()
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("evirel-store-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
     #[test]
     fn write_read_roundtrip_exact() {
         let rel = sample(100);
-        let path = tmp("roundtrip.evb");
+        let dir = TestDir::new("segment");
+        let path = dir.join("roundtrip.evb");
         write_segment(&rel, &path, 512).unwrap();
         let seg = Segment::open(&path).unwrap();
         assert_eq!(seg.tuple_count(), 100);
@@ -1017,13 +1013,13 @@ mod tests {
             assert_eq!(orig.membership().sn(), back.membership().sn());
             assert_eq!(orig.membership().sp(), back.membership().sp());
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn record_ids_and_point_lookup() {
         let rel = sample(50);
-        let path = tmp("points.evb");
+        let dir = TestDir::new("segment");
+        let path = dir.join("points.evb");
         let mut writer = SegmentWriter::create(&path, rel.schema(), 256).unwrap();
         let ids: Vec<RecordId> = rel.iter().map(|t| writer.append(t).unwrap()).collect();
         writer.finish().unwrap();
@@ -1046,7 +1042,6 @@ mod tests {
             slot: 10_000
         })
         .is_none());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1072,7 +1067,8 @@ mod tests {
             })
             .unwrap()
             .build();
-        let path = tmp("jumbo.evb");
+        let dir = TestDir::new("segment");
+        let path = dir.join("jumbo.evb");
         write_segment(&rel, &path, 64).unwrap();
         let seg = Segment::open(&path).unwrap();
         assert_eq!(seg.tuple_count(), 2);
@@ -1082,13 +1078,13 @@ mod tests {
             first.value(0).as_definite().unwrap(),
             &Value::str(big_key.clone())
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn open_with_live_schema_shares_domain_arcs() {
         let rel = sample(5);
-        let path = tmp("live.evb");
+        let dir = TestDir::new("segment");
+        let path = dir.join("live.evb");
         write_segment(&rel, &path, 512).unwrap();
         let seg = Segment::open_with_schema(&path, Arc::clone(rel.schema())).unwrap();
         assert!(Arc::ptr_eq(seg.schema(), rel.schema()));
@@ -1097,12 +1093,12 @@ mod tests {
         let live = rel.schema().attr(2).ty().domain().unwrap();
         let m = decoded[0].value(2).as_evidential().unwrap();
         assert!(Arc::ptr_eq(m.frame(), live.frame()));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corrupt_inputs_rejected() {
-        let path = tmp("corrupt.evb");
+        let dir = TestDir::new("segment");
+        let path = dir.join("corrupt.evb");
         std::fs::write(&path, b"this is not a segment file at all!!!!!!!!").unwrap();
         assert!(matches!(
             Segment::open(&path),
@@ -1116,13 +1112,13 @@ mod tests {
             Err(StoreError::Corrupt { .. })
         ));
         assert!(Segment::open("/nonexistent/nope.evb").is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn page_checksum_catches_bit_rot() {
         let rel = sample(30);
-        let path = tmp("bitrot.evb");
+        let dir = TestDir::new("segment");
+        let path = dir.join("bitrot.evb");
         write_segment(&rel, &path, 512).unwrap();
         // Flip one bit in the middle of page 0's data region.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1145,7 +1141,6 @@ mod tests {
             }
             assert!(saw_corrupt, "bit flip must surface as Corrupt");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// A segment that carries its stats section opens from the
@@ -1156,7 +1151,8 @@ mod tests {
     #[test]
     fn open_with_stats_section_reads_no_data_page() {
         let rel = sample(30);
-        let path = tmp("noscan.evb");
+        let dir = TestDir::new("segment");
+        let path = dir.join("noscan.evb");
         write_segment(&rel, &path, 512).unwrap();
         let mut schema_block = Vec::new();
         codec::encode_schema(rel.schema(), &mut schema_block);
@@ -1166,13 +1162,13 @@ mod tests {
         let seg = Segment::open(&path).expect("open touches no data page");
         assert_eq!(seg.stats().tuples, 30);
         assert!(matches!(seg.read_page(0), Err(StoreError::Corrupt { .. })));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn interrupted_write_leaves_existing_segment_readable() {
         let rel = sample(20);
-        let path = tmp("atomic.evb");
+        let dir = TestDir::new("segment");
+        let path = dir.join("atomic.evb");
         write_segment(&rel, &path, 512).unwrap();
         let original = std::fs::read(&path).unwrap();
 
@@ -1212,6 +1208,5 @@ mod tests {
                 "leaked temp file {name}"
             );
         }
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -313,6 +313,7 @@ impl Iterator for StoredIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use evirel_relation::{AttrDomain, RelationBuilder};
 
     fn relation(n: usize) -> ExtendedRelation {
@@ -349,8 +350,7 @@ mod tests {
     #[test]
     fn store_iter_materialize() {
         let rel = relation(64);
-        let dir = std::env::temp_dir().join(format!("evirel-stored-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("stored");
         let path = dir.join("s.evb");
         let pool = Arc::new(BufferPool::new(1024));
         let stored = StoredRelation::store(&rel, &path, pool).unwrap();

@@ -4,16 +4,11 @@
 //! the compatibility policy ARCHITECTURE.md documents.
 
 use evirel_store::{Segment, StoreError};
+use evirel_testkit::TempDir;
 use std::path::PathBuf;
 
 fn fixture() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2-restaurants.evb")
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("evirel-compat-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 /// The fixture was generated with the v2 writer before the format
@@ -72,9 +67,10 @@ fn v2_fixture_attaches_as_stored_relation() {
 #[test]
 fn unknown_versions_rejected_with_typed_error() {
     let mut bytes = std::fs::read(fixture()).unwrap();
+    let dir = TempDir::new("compat-test");
     for bad_version in [0u16, 1, 4, 9, u16::MAX] {
         bytes[4..6].copy_from_slice(&bad_version.to_le_bytes());
-        let path = tmp(&format!("v{bad_version}.evb"));
+        let path = dir.join(format!("v{bad_version}.evb"));
         std::fs::write(&path, &bytes).unwrap();
         match Segment::open(&path) {
             Err(StoreError::Corrupt { context }) => {
@@ -89,7 +85,6 @@ fn unknown_versions_rejected_with_typed_error() {
             }
             other => panic!("expected Corrupt for version {bad_version}, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -102,8 +97,8 @@ fn current_writer_produces_checksummed_v3() {
     let stored = evirel_store::StoredRelation::open(fixture(), pool).unwrap();
     let rel = stored.to_relation().unwrap();
 
-    let a = tmp("rewrite-a.evb");
-    let b = tmp("rewrite-b.evb");
+    let dir = TempDir::new("compat-test");
+    let (a, b) = (dir.join("rewrite-a.evb"), dir.join("rewrite-b.evb"));
     let meta_a = evirel_store::write_segment_meta(&rel, &a, 512).unwrap();
     let meta_b = evirel_store::write_segment_meta(&rel, &b, 512).unwrap();
     assert_eq!(meta_a.checksum, meta_b.checksum, "deterministic checksum");
@@ -112,6 +107,4 @@ fn current_writer_produces_checksummed_v3() {
     let seg = Segment::open(&a).unwrap();
     assert_eq!(seg.version(), 3);
     assert_eq!(seg.content_checksum(), Some(meta_a.checksum));
-    std::fs::remove_file(&a).ok();
-    std::fs::remove_file(&b).ok();
 }

@@ -17,20 +17,10 @@
 use evirel_store::codec::decode_record;
 use evirel_store::segment::PageRecords;
 use evirel_store::{BufferPool, Segment, SegmentWriter, StoreError, StoredRelation};
+use evirel_testkit::{encode, reseal, TempDir};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn tmp(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("evirel-corrupt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{label}-{}.evb",
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
+use std::path::Path;
 
 /// Encode one deterministic segment, returning its bytes.
 fn encoded_segment(seed: u64, tuples: usize) -> Vec<u8> {
@@ -48,16 +38,12 @@ fn encoded_segment(seed: u64, tuples: usize) -> Vec<u8> {
         },
     )
     .expect("generator config is valid");
-    let path = tmp("base");
-    evirel_store::write_segment(&rel, &path, 256).expect("segment writes");
-    let bytes = std::fs::read(&path).expect("segment readable");
-    std::fs::remove_file(&path).ok();
-    bytes
+    encode(&rel, 256)
 }
 
 /// Open + full scan; any `Err` is fine (it is typed by construction),
 /// a panic fails the property. Returns whether everything succeeded.
-fn try_full_scan(path: &PathBuf) -> Result<u64, StoreError> {
+fn try_full_scan(path: &Path) -> Result<u64, StoreError> {
     let seg = Segment::open(path)?;
     let mut decoded = 0u64;
     for p in 0..seg.page_count() {
@@ -89,7 +75,7 @@ fn filtered_page(seg: &Segment, bytes: &[u8]) -> Result<u64, StoreError> {
 }
 
 /// [`try_full_scan`] with [`filtered_page`] as the per-page decode.
-fn try_filtered_scan(path: &PathBuf) -> Result<u64, StoreError> {
+fn try_filtered_scan(path: &Path) -> Result<u64, StoreError> {
     let seg = Segment::open(path)?;
     let mut kept = 0u64;
     for p in 0..seg.page_count() {
@@ -135,33 +121,13 @@ fn merged_page(seg: &Segment, bytes: &[u8]) -> Result<u64, StoreError> {
 }
 
 /// [`try_full_scan`] with [`merged_page`] as the per-page decode.
-fn try_merged_scan(path: &PathBuf) -> Result<u64, StoreError> {
+fn try_merged_scan(path: &Path) -> Result<u64, StoreError> {
     let seg = Segment::open(path)?;
     let mut full = 0u64;
     for p in 0..seg.page_count() {
         full += merged_page(&seg, &seg.read_page(p)?)?;
     }
     Ok(full)
-}
-
-/// Make every checksum of a v3 segment agree with its (tampered)
-/// bytes again — page CRCs, then the table's, then the preamble's — as
-/// a writer that encoded rot would have sealed it.
-fn reseal(bytes: &mut [u8]) {
-    use evirel_store::crc::crc32;
-    let u64_at =
-        |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    let (table, pages) = (u64_at(bytes, 16) as usize, u64_at(bytes, 24) as usize);
-    for entry in (0..pages).map(|page| table + 16 * page) {
-        let offset = u64_at(bytes, entry) as usize;
-        let len = u32::from_le_bytes(bytes[entry + 8..entry + 12].try_into().unwrap()) as usize;
-        let crc = crc32(&bytes[offset..offset + len]);
-        bytes[entry + 12..entry + 16].copy_from_slice(&crc.to_le_bytes());
-    }
-    let table_crc = crc32(&bytes[table..table + 16 * pages]);
-    bytes[44..48].copy_from_slice(&table_crc.to_le_bytes());
-    let preamble_crc = crc32(&bytes[..48]);
-    bytes[48..52].copy_from_slice(&preamble_crc.to_le_bytes());
 }
 
 /// Rot the checksums cannot see — sealed under recomputed CRCs, so the
@@ -182,7 +148,8 @@ fn sealed_rot_in_a_skipped_attribute_is_corrupt_under_every_mask() {
         // After the key: attribute tag, weight tag, u32 focal count.
         bytes[key_at.expect("tuple 17 is stored") + key.len() + at] = value;
         reseal(&mut bytes);
-        let path = tmp("sealed");
+        let dir = TempDir::new("corrupt");
+        let path = dir.join("sealed.evb");
         std::fs::write(&path, &bytes).unwrap();
         let seg = Segment::open(&path).expect("sealed: the open succeeds");
         for p in 0..seg.page_count() {
@@ -194,7 +161,6 @@ fn sealed_rot_in_a_skipped_attribute_is_corrupt_under_every_mask() {
             ("fused merge", try_merged_scan(&path).err()),
             ("key index", try_key_index(&path).err()),
         ];
-        std::fs::remove_file(&path).ok();
         for (pattern, outcome) in outcomes {
             assert!(
                 matches!(outcome, Some(StoreError::Corrupt { .. })),
@@ -206,7 +172,7 @@ fn sealed_rot_in_a_skipped_attribute_is_corrupt_under_every_mask() {
 
 /// Open + the key index's pass (every record decoded under the
 /// key-positions mask, paged through a pool). Returns the keys indexed.
-fn try_key_index(path: &PathBuf) -> Result<usize, StoreError> {
+fn try_key_index(path: &Path) -> Result<usize, StoreError> {
     let stored = StoredRelation::open(path, std::sync::Arc::new(BufferPool::new(1024)))?;
     Ok(stored.key_index()?.0.len())
 }
@@ -227,7 +193,8 @@ fn duplicate_key_is_corrupt_at_index_build() {
         },
     )
     .expect("generator config is valid");
-    let path = tmp("dupkey");
+    let dir = TempDir::new("corrupt");
+    let path = dir.join("dupkey.evb");
     let mut writer = SegmentWriter::create(&path, rel.schema(), 256).expect("segment creates");
     let repeated = rel.iter().nth(3).expect("40 tuples");
     let mut ids = Vec::new();
@@ -242,7 +209,6 @@ fn duplicate_key_is_corrupt_at_index_build() {
     assert_eq!(try_full_scan(&path).expect("scans"), 41);
     let stored =
         StoredRelation::open(&path, std::sync::Arc::new(BufferPool::new(1024))).expect("opens");
-    std::fs::remove_file(&path).ok();
     let key = evirel_relation::Value::render_key(&repeated.key(rel.schema()));
     for _ in 0..2 {
         let err = stored.key_index().expect_err("never an index");
@@ -276,7 +242,8 @@ proptest! {
         let mut bytes = encoded_segment(seed, tuples);
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1u8 << bit;
-        let path = tmp("flip");
+        let dir = TempDir::new("corrupt");
+        let path = dir.join("flip.evb");
         std::fs::write(&path, &bytes).unwrap();
         let outcome = try_full_scan(&path);
         // Most flips land in an attribute the filtered scan skips, of
@@ -284,7 +251,6 @@ proptest! {
         let filtered = try_filtered_scan(&path);
         let merged = try_merged_scan(&path);
         let indexed = try_key_index(&path);
-        std::fs::remove_file(&path).ok();
         prop_assert!(
             outcome.is_err(),
             "bit flip at byte {pos} bit {bit} scanned {} tuples undetected",
@@ -314,13 +280,13 @@ proptest! {
     ) {
         let bytes = encoded_segment(seed, tuples);
         let keep = ((bytes.len() - 1) as f64 * keep_frac) as usize;
-        let path = tmp("trunc");
+        let dir = TempDir::new("corrupt");
+        let path = dir.join("trunc.evb");
         std::fs::write(&path, &bytes[..keep]).unwrap();
         let outcome = try_full_scan(&path);
         let filtered = try_filtered_scan(&path);
         let merged = try_merged_scan(&path);
         let indexed = try_key_index(&path);
-        std::fs::remove_file(&path).ok();
         prop_assert!(outcome.is_err(), "truncation to {keep} bytes undetected");
         prop_assert!(merged.is_err(), "truncation to {keep} bytes passed the fused merge's reads");
         prop_assert!(filtered.is_err(), "truncation to {keep} bytes passed the filtered scan");
@@ -342,7 +308,8 @@ proptest! {
         for b in &mut bytes[start..end] {
             *b = fill;
         }
-        let path = tmp("window");
+        let dir = TempDir::new("corrupt");
+        let path = dir.join("window.evb");
         std::fs::write(&path, &bytes).unwrap();
         // Result may be Ok only if the window happened to rewrite
         // identical bytes; otherwise an error. Either way: no panic.
@@ -350,7 +317,6 @@ proptest! {
         let filtered = try_filtered_scan(&path);
         let merged = try_merged_scan(&path);
         let indexed = try_key_index(&path);
-        std::fs::remove_file(&path).ok();
         if outcome.is_ok() || filtered.is_ok() || merged.is_ok() || indexed.is_ok() {
             prop_assert!(
                 bytes == encoded_segment(seed, tuples),
@@ -382,7 +348,8 @@ proptest! {
             uncertain_membership: 0.3,
             seed,
         }).expect("generator config is valid");
-        let path = tmp("decode");
+        let dir = TempDir::new("corrupt");
+        let path = dir.join("decode.evb");
         evirel_store::write_segment(&rel, &path, 256).expect("segment writes");
         let seg = Segment::open(&path).expect("segment opens");
         let mut page = seg.read_page(0).expect("page reads");
@@ -398,6 +365,5 @@ proptest! {
         });
         let _ = filtered_page(&seg, &page);
         let _ = merged_page(&seg, &page);
-        std::fs::remove_file(&path).ok();
     }
 }

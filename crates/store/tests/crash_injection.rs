@@ -23,24 +23,12 @@ use evirel_store::{
     Finished, InlineSegment, Journal, JournalRecord, Manifest, ManifestEntry, Segment,
     SegmentSource, SegmentWriter, StoredRelation, INLINE_SEGMENT_MAX,
 };
+use evirel_testkit::{identical, small_domain, OrFail, TempDir};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
-
-fn fresh_dir(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "evirel-crash-{}-{label}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&d).ok();
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
 
 /// Tuples of a large bind: its segment is past
 /// [`INLINE_SEGMENT_MAX`], so it is written as a file
@@ -102,21 +90,14 @@ fn gen_relation(seed: u64, tuples: usize) -> evirel_relation::ExtendedRelation {
     })
 }
 
+/// [`small_domain`] over four values, with more uncertain memberships.
 fn generate_relation(seed: u64, tuples: usize) -> evirel_relation::ExtendedRelation {
-    generate(
-        "R",
-        &GeneratorConfig {
-            tuples,
-            domain_size: 4,
-            evidential_attrs: 1,
-            max_focal: 2,
-            max_focal_size: 2,
-            omega_mass: 0.2,
-            uncertain_membership: 0.3,
-            seed,
-        },
-    )
-    .expect("generator config is valid")
+    let config = GeneratorConfig {
+        domain_size: 4,
+        uncertain_membership: 0.3,
+        ..small_domain(seed, tuples)
+    };
+    generate("R", &config).expect("generator config is valid")
 }
 
 /// The durable binding set a directory's primitives track: manifest
@@ -363,23 +344,7 @@ fn assert_matches_oracle(
         "recovered binding set differs from oracle"
     );
     for (name, (seed, tuples)) in state {
-        let expected = gen_relation(*seed, *tuples);
-        let got = &recovered[name];
-        assert_eq!(got.len(), expected.len(), "{name}: tuple count");
-        for (i, (a, b)) in expected.iter().zip(got.iter()).enumerate() {
-            // Bit-for-bit: values and raw membership bits.
-            assert_eq!(a.values(), b.values(), "{name}[{i}]: values");
-            assert_eq!(
-                a.membership().sn().to_bits(),
-                b.membership().sn().to_bits(),
-                "{name}[{i}]: sn bits"
-            );
-            assert_eq!(
-                a.membership().sp().to_bits(),
-                b.membership().sp().to_bits(),
-                "{name}[{i}]: sp bits"
-            );
-        }
+        identical(&gen_relation(*seed, *tuples), &recovered[name]).or_fail(name);
     }
 }
 
@@ -416,15 +381,12 @@ proptest! {
         ),
     ) {
         // Pass 1: total cost of the full script, no kills.
-        let dir = fresh_dir("observe");
         let total = {
+            let dir = TempDir::new("crash-observe");
             let fp = FailpointFs::observe();
             run_script(&dir, &script);
-            let t = fp.units();
-            drop(fp);
-            t
+            fp.units()
         };
-        std::fs::remove_dir_all(&dir).ok();
         let history = oracle_history(&script);
 
         // Pass 2: kill everywhere. Stride keeps the sweep dense at
@@ -436,7 +398,7 @@ proptest! {
             kill_points.push(total);
         }
         for kill_at in kill_points {
-            let dir = fresh_dir("kill");
+            let dir = TempDir::new("crash-kill");
             let acked = {
                 let fp = FailpointFs::kill_after(kill_at);
                 let acked = run_script(&dir, &script);
@@ -453,7 +415,6 @@ proptest! {
                 "kill at {kill_at}/{total}: acked {acked}, recovered generation {generation}"
             );
             assert_matches_oracle(&history[generation as usize], &recovered);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -463,7 +424,7 @@ proptest! {
 /// inline — the bytes a file would have held, under the same checksum.
 #[test]
 fn large_binds_are_files_and_small_ones_are_inline() {
-    let dir = fresh_dir("split");
+    let dir = TempDir::new("crash-split");
     let finish = |tuples: usize, file: &str| {
         let rel = gen_relation(7, tuples);
         let mut writer = SegmentWriter::create(dir.join(file), rel.schema(), 256).unwrap();
@@ -488,14 +449,13 @@ fn large_binds_are_files_and_small_ones_are_inline() {
         evirel_store::write_segment_meta(&gen_relation(7, 11), dir.join("f.evb"), 256).unwrap();
     assert_eq!(std::fs::read(&file.path).unwrap(), &bytes[..]);
     assert_eq!(file.checksum, checksum);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Crash *during recovery* (while truncating a torn tail) must also
 /// be recoverable: recovery is idempotent.
 #[test]
 fn recovery_is_idempotent_after_torn_tail() {
-    let dir = fresh_dir("idempotent");
+    let dir = TempDir::new("crash-idempotent");
     let ops = vec![
         Op::Bind {
             name: "a".into(),
@@ -530,5 +490,4 @@ fn recovery_is_idempotent_after_torn_tail() {
         first.1.keys().collect::<Vec<_>>(),
         second.1.keys().collect::<Vec<_>>()
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

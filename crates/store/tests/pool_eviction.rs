@@ -5,13 +5,13 @@
 //! issue calls out.
 
 use evirel_store::{BufferPool, Segment, StoredRelation};
+use evirel_testkit::{identical, OrFail, TempDir};
 use evirel_workload::generator::{generate, GeneratorConfig};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const PAGE: usize = 512;
 
-fn make_stored(tuples: usize, budget: usize, label: &str) -> StoredRelation {
+fn make_stored(tuples: usize, budget: usize) -> StoredRelation {
     let rel = generate(
         "P",
         &GeneratorConfig {
@@ -21,18 +21,15 @@ fn make_stored(tuples: usize, budget: usize, label: &str) -> StoredRelation {
         },
     )
     .unwrap();
-    let dir: PathBuf = std::env::temp_dir().join(format!("evirel-evict-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{label}.evb"));
+    let dir = TempDir::new("evict");
+    let path = dir.join("p.evb");
     evirel_store::write_segment(&rel, &path, PAGE).unwrap();
-    let stored = StoredRelation::open(&path, Arc::new(BufferPool::new(budget))).unwrap();
-    std::fs::remove_file(&path).ok();
-    stored
+    StoredRelation::open(&path, Arc::new(BufferPool::new(budget))).unwrap()
 }
 
 #[test]
 fn pinned_pages_never_evicted_under_flood() {
-    let stored = make_stored(400, 2 * PAGE, "pinflood");
+    let stored = make_stored(400, 2 * PAGE);
     let seg = Arc::clone(stored.segment());
     let pool = Arc::clone(stored.pool());
     assert!(seg.page_count() > 10);
@@ -64,7 +61,7 @@ fn pinned_pages_never_evicted_under_flood() {
 
 #[test]
 fn budget_respected_under_concurrent_workers() {
-    let stored = Arc::new(make_stored(1200, 4 * PAGE, "workers"));
+    let stored = Arc::new(make_stored(1200, 4 * PAGE));
     let baseline = stored.to_relation().unwrap();
 
     // 8 exchange-style workers scan interleaved page ranges through
@@ -106,7 +103,7 @@ fn budget_respected_under_concurrent_workers() {
 #[test]
 fn two_page_budget_scan_is_still_correct() {
     // Budget ≈ 2 pages — nearly every page fill evicts another.
-    let stored = make_stored(600, 2 * PAGE, "tiny");
+    let stored = make_stored(600, 2 * PAGE);
     let seg = stored.segment();
     assert!(seg.page_count() > 10);
 
@@ -116,11 +113,7 @@ fn two_page_budget_scan_is_still_correct() {
             .to_relation()
             .unwrap();
     let tiny = stored.to_relation().unwrap();
-    assert_eq!(tiny.len(), reference.len());
-    for (a, b) in tiny.iter().zip(reference.iter()) {
-        assert_eq!(a.values(), b.values());
-        assert_eq!(a.membership().sn().to_bits(), b.membership().sn().to_bits());
-    }
+    identical(&reference, &tiny).or_fail("a two-page budget");
     let stats = stored.pool().stats();
     assert!(stats.evictions > 0, "tiny budget must evict: {stats:?}");
     assert!(
@@ -135,7 +128,7 @@ fn two_page_budget_scan_is_still_correct() {
 
 #[test]
 fn repeated_scans_with_ample_budget_hit_cache() {
-    let stored = make_stored(300, 1 << 22, "warm");
+    let stored = make_stored(300, 1 << 22);
     let first = stored.to_relation().unwrap();
     let misses_after_first = stored.pool().stats().misses;
     let second = stored.to_relation().unwrap();
@@ -154,7 +147,7 @@ fn repeated_scans_with_ample_budget_hit_cache() {
 /// namespace being per segment id, not per path).
 #[test]
 fn segment_identity_keys_the_cache() {
-    let stored = make_stored(100, 1 << 20, "ident");
+    let stored = make_stored(100, 1 << 20);
     let seg = Arc::clone(stored.segment());
     let other_pool = Arc::new(BufferPool::new(1 << 20));
     let _a = stored.pool().get(&seg, 0).unwrap();
@@ -165,13 +158,11 @@ fn segment_identity_keys_the_cache() {
     // Re-opening the same bytes as a fresh Segment gets a fresh id —
     // no stale cross-talk even within one pool.
     let reopened = {
-        let dir = std::env::temp_dir().join(format!("evirel-evict-{}", std::process::id()));
+        let dir = TempDir::new("evict");
         let path = dir.join("ident2.evb");
         let rel = stored.to_relation().unwrap();
         evirel_store::write_segment(&rel, &path, PAGE).unwrap();
-        let seg2 = Arc::new(Segment::open(&path).unwrap());
-        std::fs::remove_file(&path).ok();
-        seg2
+        Arc::new(Segment::open(&path).unwrap())
     };
     assert_ne!(reopened.id(), seg.id());
 }

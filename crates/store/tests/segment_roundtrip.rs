@@ -7,52 +7,20 @@
 //! words).
 
 use evirel_store::{BufferPool, Segment, StoredRelation};
+use evirel_testkit::{same_tuples, OrFail, TempDir};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn tmp(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("evirel-roundtrip-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{label}-{}.evb",
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 /// Exact comparison: same schema, same insertion order, bitwise-equal
 /// values and membership.
-fn assert_exact(
-    original: &evirel_relation::ExtendedRelation,
-    stored: &StoredRelation,
-) -> Result<(), String> {
+fn assert_exact(original: &evirel_relation::ExtendedRelation, stored: &StoredRelation) {
     original
         .schema()
         .check_union_compatible(stored.schema())
-        .map_err(|e| format!("schemas incompatible after round-trip: {e}"))?;
-    let decoded: Result<Vec<_>, _> = stored.iter().collect();
-    let decoded = decoded.map_err(|e| format!("decode failed: {e}"))?;
-    if decoded.len() != original.len() {
-        return Err(format!(
-            "tuple count: {} stored vs {} original",
-            decoded.len(),
-            original.len()
-        ));
-    }
-    for (i, (orig, back)) in original.iter().zip(decoded.iter()).enumerate() {
-        if orig.values() != back.values() {
-            return Err(format!("values differ at insertion position {i}"));
-        }
-        if orig.membership().sn().to_bits() != back.membership().sn().to_bits()
-            || orig.membership().sp().to_bits() != back.membership().sp().to_bits()
-        {
-            return Err(format!("membership bits differ at position {i}"));
-        }
-    }
-    Ok(())
+        .expect("schemas compatible after round-trip");
+    let decoded: Vec<_> = stored.iter().collect::<Result<_, _>>().expect("decodes");
+    same_tuples(original.iter(), &decoded).or_fail("after round-trip");
 }
 
 proptest! {
@@ -77,14 +45,12 @@ proptest! {
             uncertain_membership: 0.4,
             seed,
         }).expect("generator config is valid");
-        let path = tmp("gen");
+        let dir = TempDir::new("roundtrip");
+        let path = dir.join("gen.evb");
         evirel_store::write_segment(&rel, &path, 1usize << page_shift)
             .expect("segment writes");
         let pool = Arc::new(BufferPool::new(4096));
-        let stored = StoredRelation::open(&path, pool).expect("segment opens");
-        let outcome = assert_exact(&rel, &stored);
-        std::fs::remove_file(&path).ok();
-        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        assert_exact(&rel, &StoredRelation::open(&path, pool).expect("segment opens"));
     }
 
     /// Frames wider than 128 values exercise the boxed-word focal
@@ -104,13 +70,11 @@ proptest! {
             uncertain_membership: 0.2,
             seed,
         }).expect("generator config is valid");
-        let path = tmp("wide");
+        let dir = TempDir::new("roundtrip");
+        let path = dir.join("wide.evb");
         evirel_store::write_segment(&rel, &path, 1024).expect("segment writes");
         let pool = Arc::new(BufferPool::new(8192));
-        let stored = StoredRelation::open(&path, pool).expect("segment opens");
-        let outcome = assert_exact(&rel, &stored);
-        std::fs::remove_file(&path).ok();
-        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        assert_exact(&rel, &StoredRelation::open(&path, pool).expect("segment opens"));
     }
 }
 
@@ -126,11 +90,11 @@ fn to_relation_round_trips() {
         },
     )
     .unwrap();
-    let path = tmp("mat");
+    let dir = TempDir::new("roundtrip");
+    let path = dir.join("mat.evb");
     evirel_store::write_segment(&rel, &path, 2048).unwrap();
     let stored = StoredRelation::open(&path, Arc::new(BufferPool::new(4096))).unwrap();
     let back = stored.to_relation().unwrap();
-    std::fs::remove_file(&path).ok();
     assert!(rel.approx_eq(&back));
     assert_eq!(
         rel.keys().collect::<Vec<_>>(),
@@ -152,11 +116,11 @@ fn cold_reopen_is_identical() {
         },
     )
     .unwrap();
-    let path = tmp("cold");
+    let dir = TempDir::new("roundtrip");
+    let path = dir.join("cold.evb");
     evirel_store::write_segment(&rel, &path, 512).unwrap();
     let a = Arc::new(Segment::open(&path).unwrap());
     let b = Arc::new(Segment::open(&path).unwrap());
-    std::fs::remove_file(&path).ok();
     for page in 0..a.page_count() {
         let pa = a.read_page(page).unwrap();
         let pb = b.read_page(page).unwrap();

@@ -8,21 +8,11 @@
 //! the same numbers, so they build the same plan.
 
 use evirel_store::{compute_stats, BufferPool, StoredRelation};
+use evirel_testkit::TempDir;
 use evirel_workload::generator::{generate, GeneratorConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn tmp(label: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("evirel-statsrt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{label}-{}.evb",
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 /// Write `rel` to a segment, reopen it, and compare the persisted
 /// stats block against stats recomputed from the decoded relation —
@@ -32,13 +22,13 @@ fn assert_stats_roundtrip(
     rel: &evirel_relation::ExtendedRelation,
     page_size: usize,
 ) -> Result<(), String> {
-    let path = tmp("rt");
+    let dir = TempDir::new("statsrt");
+    let path = dir.join("rt.evb");
     evirel_store::write_segment(rel, &path, page_size).map_err(|e| format!("write: {e}"))?;
     let pool = Arc::new(BufferPool::new(8192));
     let stored = StoredRelation::open(&path, pool).map_err(|e| format!("open: {e}"))?;
     let persisted = stored.stats();
     let decoded = stored.to_relation().map_err(|e| format!("decode: {e}"))?;
-    std::fs::remove_file(&path).ok();
     let recomputed = compute_stats(&decoded);
     let mut a = Vec::new();
     let mut b = Vec::new();

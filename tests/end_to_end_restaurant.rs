@@ -4,13 +4,8 @@
 
 use evirel::prelude::*;
 use evirel::workload::{restaurant_db_a, restaurant_db_b};
-use evirel_plan::Config;
+use evirel_testkit::{config, context_at};
 use std::sync::Arc;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
 
 #[test]
 fn figure1_pipeline_trace() {
@@ -190,10 +185,7 @@ fn parallel_union_agrees_on_paper_data() {
     let par = execute_plan(
         &scan("ra").union(scan("rb")).build(),
         &catalog,
-        &mut ExecContext::new(&Config {
-            threads: 4,
-            ..config()
-        }),
+        &mut context_at(4),
     )
     .unwrap();
     assert!(seq.relation.approx_eq(&par));

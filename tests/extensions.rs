@@ -6,13 +6,8 @@ use evirel::evidence::{combine, condition, measures, weight_of_conflict};
 use evirel::prelude::*;
 use evirel::workload::restaurant::rating_domain;
 use evirel::workload::{restaurant_db_a, restaurant_db_b};
-use evirel_plan::Config;
+use evirel_testkit::config;
 use std::sync::Arc;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
 
 fn garden_speciality(rel: &ExtendedRelation) -> evirel::evidence::MassFunction<f64> {
     let t = rel.get_by_key(&[Value::str("garden")]).unwrap();

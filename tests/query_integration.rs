@@ -4,23 +4,11 @@
 use evirel::prelude::*;
 use evirel::query::QueryError;
 use evirel::workload::{restaurant_db_a, restaurant_db_b};
-use evirel_plan::Config;
-
-/// What this suite runs under: CI's `EVIREL_*` modes reach it here.
-fn config() -> Config {
-    Config::from_env()
-}
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::with_config(&config());
-    c.register("ra", restaurant_db_a().restaurants);
-    c.register("rb", restaurant_db_b().restaurants);
-    c
-}
+use evirel_testkit::seeded;
 
 #[test]
 fn union_is_commutative_through_the_language() {
-    let c = catalog();
+    let c = seeded();
     let ab = execute(&c, "SELECT * FROM ra UNION rb").unwrap();
     let ba = execute(&c, "SELECT * FROM rb UNION ra").unwrap();
     assert!(ab.approx_eq(&ba));
@@ -28,7 +16,7 @@ fn union_is_commutative_through_the_language() {
 
 #[test]
 fn where_after_union_equals_algebra_composition() {
-    let c = catalog();
+    let c = seeded();
     let via_language = execute(
         &c,
         "SELECT * FROM ra UNION rb WHERE rating IS {ex} WITH SN >= 0.5",
@@ -52,7 +40,7 @@ fn where_after_union_equals_algebra_composition() {
 #[test]
 fn is_predicate_with_multiple_values() {
     let out = execute(
-        &catalog(),
+        &seeded(),
         "SELECT rname, speciality FROM ra WHERE speciality IS {mu, ta} WITH SN >= 0.9",
     )
     .unwrap();
@@ -67,7 +55,7 @@ fn theta_with_evidence_literal() {
     // Restaurants whose rating dominates a 50/50 good-excellent
     // reference.
     let out = execute(
-        &catalog(),
+        &seeded(),
         "SELECT rname, rating FROM ra WHERE rating >= [gd^0.5, ex^0.5] WITH SN >= 0.4",
     )
     .unwrap();
@@ -82,7 +70,7 @@ fn theta_with_evidence_literal() {
 #[test]
 fn not_and_or_extensions() {
     let out = execute(
-        &catalog(),
+        &seeded(),
         "SELECT rname, rating FROM ra WHERE NOT rating IS {avg} WITH SN >= 0.9",
     )
     .unwrap();
@@ -94,7 +82,7 @@ fn not_and_or_extensions() {
 #[test]
 fn numeric_theta_on_definite_attribute() {
     let out = execute(
-        &catalog(),
+        &seeded(),
         "SELECT rname, bldg-no FROM ra WHERE bldg-no <= 600 WITH SN = 1",
     )
     .unwrap();
@@ -104,7 +92,7 @@ fn numeric_theta_on_definite_attribute() {
 
 #[test]
 fn parse_errors_carry_offsets() {
-    match execute(&catalog(), "SELECT * FROM") {
+    match execute(&seeded(), "SELECT * FROM") {
         Err(QueryError::Parse { offset, .. }) => assert!(offset >= 13),
         other => panic!("expected parse error, got {other:?}"),
     }
@@ -113,18 +101,18 @@ fn parse_errors_carry_offsets() {
 #[test]
 fn execution_errors_surface() {
     assert!(matches!(
-        execute(&catalog(), "SELECT * FROM missing"),
+        execute(&seeded(), "SELECT * FROM missing"),
         Err(QueryError::UnknownRelation { .. })
     ));
     // Unknown attribute in predicate.
-    assert!(execute(&catalog(), "SELECT * FROM ra WHERE nope IS {x}").is_err());
+    assert!(execute(&seeded(), "SELECT * FROM ra WHERE nope IS {x}").is_err());
     // Out-of-domain value in IS-set.
-    assert!(execute(&catalog(), "SELECT * FROM ra WHERE speciality IS {thai}").is_err());
+    assert!(execute(&seeded(), "SELECT * FROM ra WHERE speciality IS {thai}").is_err());
 }
 
 #[test]
 fn chained_unions() {
-    let mut c = catalog();
+    let mut c = seeded();
     // A third source with one more restaurant.
     let third = RelationBuilder::new(std::sync::Arc::new(
         restaurant_db_a().restaurants.schema().renamed("rc"),
@@ -149,7 +137,7 @@ fn chained_unions() {
 #[test]
 fn ranked_rendering_is_ordered() {
     let out = execute(
-        &catalog(),
+        &seeded(),
         "SELECT rname, rating FROM ra WHERE rating >= 'gd' WITH SN > 0",
     )
     .unwrap();
