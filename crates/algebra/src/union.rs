@@ -20,10 +20,11 @@
 use crate::conflict::{AttributeConflict, ConflictPolicy, ConflictReport, PairKey};
 use crate::error::AlgebraError;
 use crate::support::Row;
-use evirel_evidence::{rules::CombinationRule, EvidenceError, MassFunction};
+use evirel_evidence::{rules::CombinationRule, Entries, EvidenceError, MassFunction};
 use evirel_relation::{
     AttrDomain, AttrType, AttrValue, ExtendedRelation, RelationError, SupportPair, Tuple, Value,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Options for the extended union.
@@ -203,6 +204,71 @@ impl PairSelection for KeepAll {
     }
 }
 
+/// One side of a matched pair, as far as it is decoded when the kernel
+/// decides: a [`Tuple`], or a stored record the plan layer decoded under
+/// a column mask — the positions the selection reads built, the rest
+/// checked and borrowed where they lie.
+pub trait PairSide {
+    /// What an evidential attribute the selection does not read is
+    /// observed through.
+    type Evidence<'a>: Entries<f64>
+    where
+        Self: 'a;
+    /// What building the side in full can fail with.
+    type Error: From<AlgebraError>;
+    /// The side's `(sn, sp)`.
+    fn membership(&self) -> SupportPair;
+    /// The value at `pos`, a position the selection reads.
+    fn value(&self, pos: usize) -> &AttrValue;
+    /// Do `self` and `other` hold equal definite values at `pos`?
+    fn same(&self, other: &Self, pos: usize) -> bool;
+    /// The evidence at `pos`, an evidential position the selection does
+    /// not read, over `domain`.
+    ///
+    /// # Errors
+    /// A value that is not evidence over `domain`.
+    fn evidence(
+        &self,
+        pos: usize,
+        domain: &Arc<AttrDomain>,
+    ) -> Result<Self::Evidence<'_>, AlgebraError>;
+    /// The side in full, validated as a tuple — what a kept pair is
+    /// built from.
+    ///
+    /// # Errors
+    /// What the full decode and [`Tuple::new`] refuse.
+    fn tuple(&self) -> Result<Cow<'_, Tuple>, Self::Error>;
+}
+
+impl PairSide for Tuple {
+    type Evidence<'a> = Cow<'a, MassFunction<f64>>;
+    type Error = AlgebraError;
+
+    fn membership(&self) -> SupportPair {
+        Tuple::membership(self)
+    }
+
+    fn value(&self, pos: usize) -> &AttrValue {
+        Tuple::value(self, pos)
+    }
+
+    fn same(&self, other: &Tuple, pos: usize) -> bool {
+        self.value(pos) == other.value(pos)
+    }
+
+    fn evidence(
+        &self,
+        pos: usize,
+        domain: &Arc<AttrDomain>,
+    ) -> Result<Cow<'_, MassFunction<f64>>, AlgebraError> {
+        Ok(self.value(pos).to_evidence(domain)?)
+    }
+
+    fn tuple(&self) -> Result<Cow<'_, Tuple>, AlgebraError> {
+        Ok(Cow::Borrowed(self))
+    }
+}
+
 /// A pair's merged values as far as the kernel has built them when it
 /// decides: `None` at the deferred positions, which the selection
 /// declared it does not read.
@@ -216,100 +282,118 @@ impl Row for Decided<'_> {
     }
 }
 
+/// The value a definite attribute merges to: the common value, or on a
+/// total conflict the side `policy` keeps (left when there is no
+/// vacuous definite value).
+fn definite(lv: &AttrValue, rv: &AttrValue, policy: ConflictPolicy) -> AttrValue {
+    match policy {
+        ConflictPolicy::KeepRight if lv != rv => rv.clone(),
+        _ => lv.clone(),
+    }
+}
+
 /// The per-pair kernel: merge one matched pair under `selection`,
 /// deciding before materializing. The attributes are walked in schema
-/// order; keys and definite attributes are resolved as they stand, an
-/// evidential attribute the selection reads is combined *in full*, and
-/// any other evidential attribute is only *observed* — its κ and its
-/// total-conflict verdict, from the combination engine's own pass run
-/// without a sink. Every observation is recorded, and every total
-/// conflict raised under [`ConflictPolicy::Error`], exactly where the
-/// full combination would have; then the membership pairs are
-/// combined, the selection decides, and only a kept pair pays for the
-/// deferred attributes and its tuple. Under CWA_ER a pair with
-/// `sn = 0`, or one the selection rejects, is not stored — all it is
-/// owed is the decision and the report — so this is the σ̃ of the
-/// merged pair bit for bit: same tuples, same report, same errors.
+/// order. Definite attributes are compared where they stand — unequal
+/// values are a total conflict — and an evidential attribute the
+/// selection reads is combined *in full*; any other evidential attribute
+/// is only *observed* — its κ and its total-conflict verdict, from the
+/// combination engine's own pass run without a sink. Every observation
+/// is recorded, and every total conflict raised under
+/// [`ConflictPolicy::Error`], exactly where the full combination would
+/// have; then the membership pairs are combined, the selection decides,
+/// and only a kept pair pays for its sides in full, the deferred
+/// positions and its tuple. Under CWA_ER a pair with `sn = 0`, or one
+/// the selection rejects, is not stored — all it is owed is the decision
+/// and the report — so this is the σ̃ of the merged pair bit for bit:
+/// same tuples, same report, same errors. A side is a [`Tuple`] or a
+/// partly decoded stored record ([`PairSide`]); the walk is the same.
 ///
 /// # Errors
-/// As [`merge_tuples`], plus the selection's own.
+/// As [`merge_tuples`], plus the selection's own and a side's.
 #[allow(clippy::too_many_arguments)]
-pub fn merge_pair(
+pub fn merge_pair<S: PairSide>(
     schema: &evirel_relation::Schema,
     key: &[Value],
-    l: &Tuple,
-    r: &Tuple,
+    l: &S,
+    r: &S,
     options: &UnionOptions,
     report: &mut ConflictReport,
     scratch: &mut MergeScratch,
     selection: &impl PairSelection,
-) -> Result<Option<Tuple>, AlgebraError> {
+) -> Result<Option<Tuple>, S::Error> {
     let mut key = PairKey::new(key);
+    let policy = options.on_total_conflict;
     let mut values: Vec<Option<AttrValue>> = Vec::with_capacity(schema.arity());
     for (pos, attr) in schema.attrs().iter().enumerate() {
-        let lv = l.value(pos);
-        let rv = r.value(pos);
-        if attr.is_key() {
-            values.push(Some(lv.clone()));
-            continue;
-        }
+        let read = selection.reads(pos);
         let name = attr.shared_name();
         values.push(match attr.ty() {
+            _ if attr.is_key() => read.then(|| l.value(pos).clone()),
+            // Open-domain definite attributes cannot be combined
+            // evidentially; equal values merge trivially, unequal
+            // values are a total conflict.
             AttrType::Definite(_) => {
-                // Open-domain definite attributes cannot be combined
-                // evidentially; equal values merge trivially, unequal
-                // values are a total conflict.
-                if lv == rv {
-                    Some(lv.clone())
-                } else {
-                    total_conflict(&mut key, name, options.on_total_conflict, report)?;
-                    Some(match options.on_total_conflict {
-                        ConflictPolicy::KeepRight => rv.clone(),
-                        // There is no vacuous definite value; keep left
-                        // (documented behaviour for definite attrs).
-                        _ => lv.clone(),
-                    })
+                if !l.same(r, pos) {
+                    total_conflict(&mut key, name, policy, report)?;
                 }
+                read.then(|| definite(l.value(pos), r.value(pos), policy))
             }
-            AttrType::Evidential(domain) if selection.reads(pos) => Some(combine_evidence(
-                name, domain, &mut key, lv, rv, options, report, scratch,
-            )?),
-            AttrType::Evidential(domain) => {
-                observe_evidence(name, domain, &mut key, lv, rv, options, report, scratch)?;
-                None
-            }
-        });
-    }
-    let Some(membership) = combine_membership(&mut key, l, r, options.on_total_conflict, report)?
-    else {
-        return Ok(None);
-    };
-    let Some(membership) = selection.decide(&Decided(&values), membership)? else {
-        return Ok(None);
-    };
-    // Kept: the deferred positions are combined in full now. What they
-    // observe was reported above, so this pass reports to nobody.
-    let mut unheard = ConflictReport::new();
-    for (pos, attr) in schema.attrs().iter().enumerate() {
-        if let (None, AttrType::Evidential(domain)) = (&values[pos], attr.ty()) {
-            values[pos] = Some(combine_evidence(
-                attr.shared_name(),
+            AttrType::Evidential(domain) if read => Some(combine_evidence(
+                name,
                 domain,
                 &mut key,
                 l.value(pos),
                 r.value(pos),
                 options,
+                report,
+                scratch,
+            )?),
+            AttrType::Evidential(domain) => {
+                let (lm, rm) = (l.evidence(pos, domain)?, r.evidence(pos, domain)?);
+                observe_evidence(name, &mut key, &lm, &rm, options, report, scratch)?;
+                None
+            }
+        });
+    }
+    let Some(membership) = combine_membership(&mut key, l, r, policy, report)? else {
+        return Ok(None);
+    };
+    let Some(membership) = selection.decide(&Decided(&values), membership)? else {
+        return Ok(None);
+    };
+    // Kept: the deferred positions are merged in full now. What they
+    // observe was reported above, so this pass reports to nobody.
+    let (l, r) = (l.tuple()?, r.tuple()?);
+    let mut unheard = ConflictReport::new();
+    for (pos, attr) in schema.attrs().iter().enumerate() {
+        if values[pos].is_some() {
+            continue;
+        }
+        let (lv, rv) = (l.value(pos), r.value(pos));
+        values[pos] = Some(match attr.ty() {
+            _ if attr.is_key() => lv.clone(),
+            AttrType::Definite(_) => definite(lv, rv, policy),
+            AttrType::Evidential(domain) => combine_evidence(
+                attr.shared_name(),
+                domain,
+                &mut key,
+                lv,
+                rv,
+                options,
                 &mut unheard,
                 scratch,
-            )?);
-        }
+            )?,
+        });
     }
     // Same layout with and without the `Option`: collected in place.
     let values = values
         .into_iter()
-        .map(|value| value.expect("only evidence is deferred, and it is combined above"))
+        .map(|value| value.expect("every deferred position is merged above"))
         .collect();
-    Ok(Some(Tuple::new(schema, values, membership)?))
+    Ok(Some(
+        Tuple::new(schema, values, membership).map_err(AlgebraError::from)?,
+    ))
 }
 
 /// Record a total conflict (κ = 1) on `attr`; an error under
@@ -409,21 +493,18 @@ pub fn combine_evidence(
 
 /// [`combine_evidence`] for an attribute whose combined value nobody
 /// reads yet: the same observations into `report` and the same errors,
-/// from the rule's observing pass — no combined mass function.
-#[allow(clippy::too_many_arguments)]
-fn observe_evidence(
+/// from the rule's observing pass over the two sides' evidence — no
+/// combined mass function.
+fn observe_evidence<E: Entries<f64>>(
     attr: &Arc<str>,
-    domain: &Arc<AttrDomain>,
     key: &mut PairKey<'_>,
-    lv: &AttrValue,
-    rv: &AttrValue,
+    lm: &E,
+    rm: &E,
     options: &UnionOptions,
     report: &mut ConflictReport,
     scratch: &mut MergeScratch,
 ) -> Result<(), AlgebraError> {
-    let lm = lv.to_evidence(domain)?;
-    let rm = rv.to_evidence(domain)?;
-    let step = options.rule.observe_with(&lm, &rm, scratch);
+    let step = options.rule.observe_with(lm, rm, scratch);
     let combinable = reported(
         step.map(|kappa| ((), kappa)),
         attr,
@@ -449,8 +530,8 @@ fn observe_evidence(
 /// [`AlgebraError::TotalConflict`] under [`ConflictPolicy::Error`].
 pub fn combine_membership(
     key: &mut PairKey<'_>,
-    l: &Tuple,
-    r: &Tuple,
+    l: &impl PairSide,
+    r: &impl PairSide,
     policy: ConflictPolicy,
     report: &mut ConflictReport,
 ) -> Result<Option<SupportPair>, AlgebraError> {

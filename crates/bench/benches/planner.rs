@@ -19,17 +19,30 @@
 //! where the oracle's materialized A×B is affordable.
 //!
 //! Kept beside `benchmark/` because no workload text there joins, so
-//! nothing else measures `ChainOp`. Last recording:
+//! nothing else measures `ChainOp`.
+//!
+//! One more row, `stored-union-select`, is `union_stored`'s query in
+//! process: `sa` and `sb` stored as that workload stores them, and its
+//! 48 texts `SELECT k FROM sa UNION sb WHERE e<a> IS {v<i>} WITH SN >
+//! 0.8` run one after another on one thread. The σ̃ runs inside the ∪̃,
+//! where a matched pair of stored records is decided from its bytes;
+//! before timing, each text's selection is asserted bit-identical to
+//! `SelectOp` over the unfused `MergeOp` over the same stored scans. It
+//! repeats the merge-kernel work `union_stored` measures through a
+//! server, without the server's noise. Last recording:
 //! `crates/bench/BASELINES.md`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evirel_algebra::product::product_schema;
+use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
-use evirel_plan::ops::{run, JoinOp, Operator, ScanOp};
+use evirel_plan::ops::{run, DempsterMerger, JoinOp, MergeOp, Operator, ScanOp, SelectOp};
 use evirel_plan::reference::execute_reference;
-use evirel_plan::{execute_plan, scan, Bindings, LogicalPlan};
-use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, ValueKind};
-use evirel_testkit::{context_at, identical, OrFail};
+use evirel_plan::spill::SpillScanOp;
+use evirel_plan::{execute_plan, scan, Bindings, BufferPool, LogicalPlan, StoredRelation};
+use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, Value, ValueKind};
+use evirel_testkit::{context_at, identical, OrFail, TempDir};
+use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -180,6 +193,93 @@ fn bench_planner(c: &mut Criterion) {
     group.finish();
 }
 
+/// `union_stored`'s data: `sa` and `sb`, `tuples` generated tuples each
+/// — half their keys shared, a quarter of the shared pairs drawn to
+/// conflict — written with the default page size into `dir` and read
+/// through one 64 MiB pool, as the server's set-up `MERGE`s store them.
+fn stored_pair(tuples: usize, dir: &TempDir) -> [Arc<StoredRelation>; 2] {
+    let (ga, gb) = generate_pair(&PairConfig {
+        base: GeneratorConfig {
+            tuples,
+            ..Default::default()
+        },
+        key_overlap: 0.5,
+        conflict_bias: 0.25,
+    })
+    .expect("generator config is valid");
+    let pool = Arc::new(BufferPool::new(64 << 20));
+    [("sa", ga), ("sb", gb)].map(|(name, rel)| {
+        let stored = StoredRelation::store(&rel, dir.join(name), Arc::clone(&pool));
+        Arc::new(stored.expect("segment writes"))
+    })
+}
+
+/// The first `texts` of `union_stored`'s 48 selections, `e<a> IS {v<i>}`
+/// with `SN > 0.8`.
+fn union_selections(texts: usize) -> Vec<Predicate> {
+    (0..3)
+        .flat_map(|attr| (0..16).map(move |label| (attr, label)))
+        .take(texts)
+        .map(|(attr, label)| Predicate::is(format!("e{attr}"), [Value::str(format!("v{label}"))]))
+        .collect()
+}
+
+const ABOVE_08: Threshold = Threshold::SnGreater(0.8);
+
+/// σ̃ over ∪̃ as the planner ran it before the selection moved into the
+/// merge: `SelectOp` over `MergeOp` over the two stored scans.
+fn unfused_union(stored: &[Arc<StoredRelation>; 2], predicate: &Predicate) -> ExtendedRelation {
+    let [sa, sb] = stored
+        .clone()
+        .map(|s| Box::new(SpillScanOp::new("s", s)) as Box<dyn Operator>);
+    let merger = Box::new(DempsterMerger::new(UnionOptions::default()));
+    let merge = MergeOp::union(sa, sb, merger).expect("union-compatible");
+    let select = SelectOp::new(Box::new(merge), predicate.clone(), ABOVE_08);
+    run(
+        &mut select.expect("a positive threshold"),
+        &mut context_at(1),
+    )
+    .expect("merges")
+}
+
+fn bench_stored_union(c: &mut Criterion) {
+    let mut group = c.benchmark_group("planner/stored-union-select");
+    let (tuples, texts) = if measured() { (10_000, 48) } else { (400, 3) };
+    let dir = TempDir::new("planner-union");
+    let stored = stored_pair(tuples, &dir);
+    let mut bindings = Bindings::new();
+    for (name, relation) in ["sa", "sb"].into_iter().zip(&stored) {
+        bindings.bind_stored(name, Arc::clone(relation));
+    }
+    let selected = |predicate: &Predicate| {
+        scan("sa")
+            .union(scan("sb"))
+            .select_where(predicate.clone(), ABOVE_08)
+    };
+    let plans: Vec<LogicalPlan> = union_selections(texts)
+        .iter()
+        .map(|predicate| {
+            let fused = execute_plan(&selected(predicate).build(), &bindings, &mut context_at(1));
+            identical(
+                &unfused_union(&stored, predicate),
+                &fused.expect("plan executes"),
+            )
+            .or_fail(format_args!("σ̃[{predicate}] over {tuples} tuples a side"));
+            selected(predicate).project(["k"]).build()
+        })
+        .collect();
+    group.throughput(Throughput::Elements(texts as u64));
+    group.bench_with_input(BenchmarkId::new("fused", tuples), &tuples, |bench, _| {
+        bench.iter(|| {
+            for plan in &plans {
+                let out = execute_plan(black_box(plan), &bindings, &mut context_at(1));
+                black_box(out.expect("plan executes"));
+            }
+        })
+    });
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -190,6 +290,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_planner
+    targets = bench_planner, bench_stored_union
 }
 criterion_main!(benches);

@@ -19,26 +19,51 @@
 //! repro_sweeps            # all series
 //! repro_sweeps conflict   # one series
 //! ```
+//!
+//! Exit code 0 once the series asked for are written, or once the
+//! reader stops taking them (as `| head` does); 2 on an argument that
+//! names no series.
 
 use evirel_baselines::compare_merge;
 use evirel_evidence::{combine, discount, measures, MassFunction};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let which: Option<String> = std::env::args().nth(1);
-    let run = |name: &str| which.as_deref().is_none_or(|w| w == name);
-    if run("conflict") {
-        conflict_sweep();
+/// A series' name, and what writes it.
+type Series = (&'static str, fn(&mut dyn Write) -> io::Result<()>);
+
+const SERIES: [Series; 4] = [
+    ("conflict", conflict_sweep),
+    ("sharpening", sharpening_sweep),
+    ("overlap", overlap_sweep),
+    ("discount", discount_sweep),
+];
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let chosen: Vec<&Series> = match args.as_slice() {
+        [] => SERIES.iter().collect(),
+        [name] => SERIES.iter().filter(|(series, _)| series == name).collect(),
+        _ => Vec::new(),
+    };
+    if chosen.is_empty() {
+        eprintln!("usage: repro_sweeps [conflict|sharpening|overlap|discount]");
+        return ExitCode::from(2);
     }
-    if run("sharpening") {
-        sharpening_sweep();
-    }
-    if run("overlap") {
-        overlap_sweep();
-    }
-    if run("discount") {
-        discount_sweep();
+    let mut out = io::stdout().lock();
+    let written = chosen
+        .into_iter()
+        .try_for_each(|(_, write)| write(&mut out));
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader stopped taking rows: what it took was written.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro_sweeps: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -69,9 +94,12 @@ fn matched_evidence(bias: f64, tuples: usize) -> Vec<(MassFunction<f64>, MassFun
 }
 
 /// Series: conflict bias → mean κ, survival rates.
-fn conflict_sweep() {
-    println!("# series: conflict");
-    println!("bias,mean_kappa,evidential_survival,partial_survival,bayes_survival");
+fn conflict_sweep(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "# series: conflict")?;
+    writeln!(
+        out,
+        "bias,mean_kappa,evidential_survival,partial_survival,bayes_survival"
+    )?;
     for step in 0..=10 {
         let bias = step as f64 / 10.0;
         let pairs = matched_evidence(bias, 400);
@@ -85,20 +113,22 @@ fn conflict_sweep() {
             by += usize::from(cmp.prob_bayes_entropy.is_some());
         }
         let n = pairs.len() as f64;
-        println!(
+        writeln!(
+            out,
             "{bias:.1},{:.4},{:.4},{:.4},{:.4}",
             kappa / n,
             ev as f64 / n,
             pv as f64 / n,
             by as f64 / n
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Series: number of combined sources → mean nonspecificity (bits).
-fn sharpening_sweep() {
-    println!("# series: sharpening");
-    println!("sources,mean_nonspecificity_bits,mean_specificity");
+fn sharpening_sweep(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "# series: sharpening")?;
+    writeln!(out, "sources,mean_nonspecificity_bits,mean_specificity")?;
     // Independent overlapping surveys of the same ground truth.
     let domain = evirel_workload::generator::generated_domain(8);
     let mut surveys = Vec::new();
@@ -140,14 +170,18 @@ fn sharpening_sweep() {
                 Err(_) => continue,
             }
         }
-        println!("{k},{:.4},{:.4}", nonspec / n as f64, spec / n as f64);
+        writeln!(out, "{k},{:.4},{:.4}", nonspec / n as f64, spec / n as f64)?;
     }
+    Ok(())
 }
 
 /// Series: key overlap → integrated size, matched count, conflicts.
-fn overlap_sweep() {
-    println!("# series: overlap");
-    println!("overlap,integrated_tuples,matched,conflicts,mean_kappa");
+fn overlap_sweep(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "# series: overlap")?;
+    writeln!(
+        out,
+        "overlap,integrated_tuples,matched,conflicts,mean_kappa"
+    )?;
     for step in 0..=10 {
         let overlap = step as f64 / 10.0;
         let (a, b) = generate_pair(&PairConfig {
@@ -159,23 +193,26 @@ fn overlap_sweep() {
             conflict_bias: 0.0,
         })
         .expect("valid generator config");
-        let out = evirel_algebra::union_extended(&a, &b).expect("Ω floor prevents total conflict");
+        let merged =
+            evirel_algebra::union_extended(&a, &b).expect("Ω floor prevents total conflict");
         let matched = a.keys().filter(|k| b.contains_key(k)).count();
-        println!(
+        writeln!(
+            out,
             "{overlap:.1},{},{},{},{:.4}",
-            out.relation.len(),
+            merged.relation.len(),
             matched,
-            out.report.len(),
-            out.report.mean_kappa()
-        );
+            merged.report.len(),
+            merged.report.mean_kappa()
+        )?;
     }
+    Ok(())
 }
 
 /// Series: reliability α → κ between two discounted contradicting
 /// sources, and the resulting belief in the left source's value.
-fn discount_sweep() {
-    println!("# series: discount");
-    println!("alpha,kappa,bel_left_value");
+fn discount_sweep(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "# series: discount")?;
+    writeln!(out, "alpha,kappa,bel_left_value")?;
     let frame = Arc::new(evirel_evidence::Frame::new("d", ["x", "y", "z"]));
     let a = MassFunction::<f64>::certain(Arc::clone(&frame), "x").expect("label in frame");
     let b = MassFunction::<f64>::certain(Arc::clone(&frame), "y").expect("label in frame");
@@ -185,8 +222,9 @@ fn discount_sweep() {
         let da = discount::discount(&a, &alpha).expect("alpha in range");
         let db = discount::discount(&b, &alpha).expect("alpha in range");
         match combine::dempster(&da, &db) {
-            Ok(c) => println!("{alpha:.1},{:.4},{:.4}", c.conflict, c.mass.bel(&x)),
-            Err(_) => println!("{alpha:.1},1.0000,NaN"),
+            Ok(c) => writeln!(out, "{alpha:.1},{:.4},{:.4}", c.conflict, c.mass.bel(&x))?,
+            Err(_) => writeln!(out, "{alpha:.1},1.0000,NaN")?,
         }
     }
+    Ok(())
 }

@@ -56,9 +56,11 @@
 //! other.
 
 use crate::error::EvidenceError;
-use crate::focal::FocalSet;
+use crate::focal::{canonical_cmp, FocalSet};
+use crate::frame::Frame;
 use crate::mass::MassFunction;
 use crate::weight::Weight;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The result of a combination: the normalized mass function and the
@@ -203,20 +205,162 @@ impl<W: Weight> Default for Scratch<W> {
     }
 }
 
-/// Does every focal element have the inline bit-pattern
-/// representation? (Always, over a frame of ≤ 128 values.)
-fn is_inline<W: Weight>(m: &MassFunction<W>) -> bool {
-    m.iter().all(|(s, _)| s.as_bits().is_some())
+/// What the conjunctive pass reads of one operand: its focal elements
+/// and their weights, in canonical order — a [`MassFunction`], or a
+/// [`FocalView`] of a stored one. The pass walks either in the same
+/// order, so over views it observes the decoded mass functions' κ bits.
+pub trait Entries<W: Weight> {
+    /// [`EvidenceError::FrameMismatch`] unless both are over one frame
+    /// (nothing to check for operands whose frames were checked once,
+    /// up front).
+    ///
+    /// # Errors
+    /// As above.
+    fn check_frames(&self, _other: &Self) -> Result<(), EvidenceError> {
+        Ok(())
+    }
+    /// Number of values in the frame.
+    fn frame_len(&self) -> usize;
+    /// Every focal element is a singleton.
+    fn is_bayesian(&self) -> bool;
+    /// `(focal element, weight)` per focal element.
+    fn sets(&self) -> impl Iterator<Item = (Cow<'_, FocalSet>, W)> + '_;
+    /// `(bit pattern, weight)` per focal element of an inline operand.
+    fn bits(&self) -> impl Iterator<Item = (u128, W)> + '_ {
+        self.sets()
+            .map(|(s, w)| (s.as_bits().expect("inline operand"), w))
+    }
+    /// Every focal element has the inline bit-pattern representation.
+    fn is_inline(&self) -> bool {
+        self.sets().all(|(s, _)| s.as_bits().is_some())
+    }
 }
 
-fn check_frames<W: Weight>(a: &MassFunction<W>, b: &MassFunction<W>) -> Result<(), EvidenceError> {
-    if a.frame() != b.frame() {
-        return Err(EvidenceError::FrameMismatch {
-            left: a.frame().name().to_owned(),
-            right: b.frame().name().to_owned(),
-        });
+impl<W: Weight> Entries<W> for MassFunction<W> {
+    fn check_frames(&self, other: &Self) -> Result<(), EvidenceError> {
+        if self.frame() != other.frame() {
+            return Err(EvidenceError::FrameMismatch {
+                left: self.frame().name().to_owned(),
+                right: other.frame().name().to_owned(),
+            });
+        }
+        Ok(())
     }
-    Ok(())
+
+    fn frame_len(&self) -> usize {
+        self.frame().len()
+    }
+
+    fn is_bayesian(&self) -> bool {
+        MassFunction::is_bayesian(self)
+    }
+
+    fn sets(&self) -> impl Iterator<Item = (Cow<'_, FocalSet>, W)> + '_ {
+        self.iter().map(|(s, w)| (Cow::Borrowed(s), w.clone()))
+    }
+}
+
+/// A mass function borrowed where it stands or converted for the pass.
+impl<W: Weight> Entries<W> for Cow<'_, MassFunction<W>> {
+    fn check_frames(&self, other: &Self) -> Result<(), EvidenceError> {
+        (**self).check_frames(other)
+    }
+
+    fn frame_len(&self) -> usize {
+        self.frame().len()
+    }
+
+    fn is_bayesian(&self) -> bool {
+        MassFunction::is_bayesian(self)
+    }
+
+    fn sets(&self) -> impl Iterator<Item = (Cow<'_, FocalSet>, W)> + '_ {
+        Entries::sets(&**self)
+    }
+}
+
+/// A stored `f64` mass function's focal entries, read in place: per
+/// entry a little-endian `u16` word count, that many little-endian
+/// `u64` words of the set's bit pattern, the weight's IEEE-754 bits.
+/// Its frame is its segment's, checked once per pair of segments by
+/// the reader, so a pass over two views checks none.
+#[derive(Debug, Clone, Copy)]
+pub struct FocalView<'a> {
+    entries: &'a [u8],
+    count: usize,
+    frame_len: usize,
+    bayesian: bool,
+}
+
+impl<'a> FocalView<'a> {
+    /// The `count` entries `entries` holds, over `frame` — or `None`
+    /// unless [`MassFunction::from_entries`] would keep every one as it
+    /// stands: a frame of at most 128 values, sets of at most two words,
+    /// non-empty and in the frame, valid non-zero weights, the sets in
+    /// strictly ascending canonical order, a total `approx_eq` 1, and
+    /// no byte short or over.
+    pub fn new(frame: &Frame, count: usize, entries: &'a [u8]) -> Option<FocalView<'a>> {
+        let frame_len = frame.len();
+        if frame_len > 128 || count == 0 {
+            return None;
+        }
+        let outside = u128::MAX.checked_shl(frame_len as u32).unwrap_or(0);
+        let (mut rest, mut sum, mut last) = (entries, 0.0, 0u128);
+        for _ in 0..count {
+            let (bits, w) = next_entry(&mut rest)?;
+            let ascends = last == 0 || canonical_cmp(last, bits).is_lt();
+            if bits == 0 || bits & outside != 0 || !ascends || !w.is_valid_mass() || w.is_zero() {
+                return None;
+            }
+            sum += w;
+            last = bits;
+        }
+        (rest.is_empty() && sum.approx_eq(&1.0)).then_some(FocalView {
+            entries,
+            count,
+            frame_len,
+            bayesian: last.count_ones() == 1,
+        })
+    }
+}
+
+/// The entry at the front of `rest`, which moves past it; `None` for a
+/// set of more than two words or bytes that end early.
+fn next_entry(rest: &mut &[u8]) -> Option<(u128, f64)> {
+    let (count, tail) = rest.split_first_chunk::<2>()?;
+    let words = usize::from(u16::from_le_bytes(*count));
+    if words > 2 {
+        return None;
+    }
+    let (body, tail) = tail.split_at_checked(8 * words + 8)?;
+    let word = |i: usize| u64::from_le_bytes(body[8 * i..8 * i + 8].try_into().unwrap());
+    let bits = (0..words).fold(0u128, |bits, i| bits | u128::from(word(i)) << (64 * i));
+    *rest = tail;
+    Some((bits, f64::from_bits(word(words))))
+}
+
+impl Entries<f64> for FocalView<'_> {
+    fn frame_len(&self) -> usize {
+        self.frame_len
+    }
+
+    fn is_bayesian(&self) -> bool {
+        self.bayesian
+    }
+
+    fn sets(&self) -> impl Iterator<Item = (Cow<'_, FocalSet>, f64)> + '_ {
+        self.bits()
+            .map(|(bits, w)| (Cow::Owned(FocalSet::from_bits(bits)), w))
+    }
+
+    fn bits(&self) -> impl Iterator<Item = (u128, f64)> + '_ {
+        let mut rest = self.entries;
+        (0..self.count).map(move |_| next_entry(&mut rest).expect("checked by FocalView::new"))
+    }
+
+    fn is_inline(&self) -> bool {
+        true
+    }
 }
 
 /// `1 − diag`, clamped to exact zero when it lands within the weight
@@ -247,27 +391,31 @@ struct Raw<W> {
 /// non-empty exactly on equal singletons, so one dense-array pass over
 /// the shorter operand replaces the quadratic pairwise loop, and
 /// κ = 1 − Σᵢ m1({i})·m2({i}).
-fn bayesian_raw<W: Weight, const KEEP: bool>(
-    a: &MassFunction<W>,
-    b: &MassFunction<W>,
+fn bayesian_raw<W: Weight, E: Entries<W>, const KEEP: bool>(
+    a: &E,
+    b: &E,
 ) -> Result<Raw<W>, EvidenceError> {
-    let mut dense: Vec<Option<&W>> = vec![None; a.frame().len()];
-    for (s, w) in b.iter() {
+    let mut dense: Vec<Option<W>> = vec![None; a.frame_len()];
+    for (s, w) in b.sets() {
         dense[s.as_singleton().expect("bayesian operand")] = Some(w);
     }
-    let pushed = usize::from(KEEP) * a.focal_count().min(b.focal_count());
+    let pushed = if KEEP {
+        a.sets().count().min(b.sets().count())
+    } else {
+        0
+    };
     let mut entries = Vec::with_capacity(pushed);
     let mut diag = W::zero();
     let mut agreed = false;
-    for (s, w) in a.iter() {
+    for (s, w) in a.sets() {
         let i = s.as_singleton().expect("bayesian operand");
-        if let Some(wb) = dense[i] {
+        if let Some(wb) = &dense[i] {
             let product = w.mul(wb)?;
             if !product.is_zero() {
                 diag = diag.add(&product)?;
                 agreed = true;
                 if KEEP {
-                    entries.push((s.clone(), product));
+                    entries.push((s.into_owned(), product));
                 }
             }
         }
@@ -282,21 +430,20 @@ fn bayesian_raw<W: Weight, const KEEP: bool>(
 /// Inline-bitset conjunction: word-AND intersections accumulated in
 /// `memo` (reset here, drained before returning — the caller only
 /// provides the allocations; an observing pass leaves it alone).
-fn inline_raw<W: Weight, const KEEP: bool>(
-    a: &MassFunction<W>,
-    b: &MassFunction<W>,
+fn inline_raw<W: Weight, E: Entries<W>, const KEEP: bool>(
+    a: &E,
+    b: &E,
     memo: &mut BitsMemo<W>,
 ) -> Result<Raw<W>, EvidenceError> {
     if KEEP {
-        memo.reset(a.focal_count() * b.focal_count());
+        memo.reset(a.sets().count() * b.sets().count());
     }
     let mut conflict = W::zero();
     let mut agreed = false;
-    for (sa, wa) in a.iter() {
-        let xa = sa.as_bits().expect("inline operand");
-        for (sb, wb) in b.iter() {
-            let z = xa & sb.as_bits().expect("inline operand");
-            let product = wa.mul(wb)?;
+    for (xa, wa) in a.bits() {
+        for (xb, wb) in b.bits() {
+            let z = xa & xb;
+            let product = wa.mul(&wb)?;
             if product.is_zero() {
                 continue;
             }
@@ -323,21 +470,25 @@ fn inline_raw<W: Weight, const KEEP: bool>(
 }
 
 /// Boxed fallback for frames wider than 128 values.
-fn boxed_raw<W: Weight, const KEEP: bool>(
-    a: &MassFunction<W>,
-    b: &MassFunction<W>,
+fn boxed_raw<W: Weight, E: Entries<W>, const KEEP: bool>(
+    a: &E,
+    b: &E,
 ) -> Result<Raw<W>, EvidenceError> {
-    let inserted = usize::from(KEEP) * a.focal_count() * b.focal_count();
+    let inserted = if KEEP {
+        a.sets().count() * b.sets().count()
+    } else {
+        0
+    };
     let mut acc: HashMap<FocalSet, W> = HashMap::with_capacity(inserted);
     let mut conflict = W::zero();
     let mut agreed = false;
-    for (x, wx) in a.iter() {
-        for (y, wy) in b.iter() {
-            let product = wx.mul(wy)?;
+    for (x, wx) in a.sets() {
+        for (y, wy) in b.sets() {
+            let product = wx.mul(&wy)?;
             if product.is_zero() {
                 continue;
             }
-            let z = x.intersect(y);
+            let z = x.intersect(&y);
             if z.is_empty() {
                 conflict = conflict.add(&product)?;
                 continue;
@@ -365,19 +516,19 @@ fn boxed_raw<W: Weight, const KEEP: bool>(
 /// (Dempster's rule and the alternative rules normalize or repair it);
 /// without it the pass only observes, in the same accumulation order,
 /// so its κ is the same bits.
-fn conjunctive<W: Weight, const KEEP: bool>(
-    a: &MassFunction<W>,
-    b: &MassFunction<W>,
+fn conjunctive<W: Weight, E: Entries<W>, const KEEP: bool>(
+    a: &E,
+    b: &E,
     scratch: &mut Scratch<W>,
 ) -> Result<Raw<W>, EvidenceError> {
-    check_frames(a, b)?;
+    a.check_frames(b)?;
     if a.is_bayesian() && b.is_bayesian() {
-        return bayesian_raw::<W, KEEP>(a, b);
+        return bayesian_raw::<W, E, KEEP>(a, b);
     }
-    if is_inline(a) && is_inline(b) {
-        inline_raw::<W, KEEP>(a, b, &mut scratch.memo)
+    if a.is_inline() && b.is_inline() {
+        inline_raw::<W, E, KEEP>(a, b, &mut scratch.memo)
     } else {
-        boxed_raw::<W, KEEP>(a, b)
+        boxed_raw::<W, E, KEEP>(a, b)
     }
 }
 
@@ -388,7 +539,7 @@ pub(crate) fn conjunctive_raw<W: Weight>(
     a: &MassFunction<W>,
     b: &MassFunction<W>,
 ) -> Result<(Vec<(FocalSet, W)>, W), EvidenceError> {
-    let raw = conjunctive::<W, true>(a, b, &mut Scratch::new())?;
+    let raw = conjunctive::<W, _, true>(a, b, &mut Scratch::new())?;
     Ok((raw.entries, raw.conflict))
 }
 
@@ -447,7 +598,7 @@ pub fn dempster_with<W: Weight>(
         mut entries,
         conflict,
         agreed,
-    } = conjunctive::<W, true>(a, b, scratch)?;
+    } = conjunctive::<W, _, true>(a, b, scratch)?;
     if is_total(agreed, &conflict) {
         return Err(EvidenceError::TotalConflict);
     }
@@ -507,16 +658,17 @@ pub struct Observation<W: Weight> {
 /// conjunctive dispatch run without a sink — same fast paths, same
 /// accumulation order, but no entry is accumulated, nothing is
 /// normalized and no mass function is built. What a merge owes a pair
-/// whose combined value nobody will read.
+/// whose combined value nobody will read — over two mass functions, or
+/// over two [`FocalView`]s of stored ones.
 ///
 /// # Errors
 /// [`EvidenceError::FrameMismatch`] if the frames differ.
-pub fn observe_with<W: Weight>(
-    a: &MassFunction<W>,
-    b: &MassFunction<W>,
+pub fn observe_with<W: Weight, E: Entries<W>>(
+    a: &E,
+    b: &E,
     scratch: &mut Scratch<W>,
 ) -> Result<Observation<W>, EvidenceError> {
-    let raw = conjunctive::<W, false>(a, b, scratch)?;
+    let raw = conjunctive::<W, E, false>(a, b, scratch)?;
     Ok(Observation {
         total: is_total(raw.agreed, &raw.conflict),
         conflict: raw.conflict,

@@ -399,10 +399,28 @@ impl Ord for FocalSet {
     /// member indices. Singletons therefore print before pairs before
     /// Ω, matching the layout of the paper's tables.
     fn cmp(&self, other: &FocalSet) -> Ordering {
-        self.len()
-            .cmp(&other.len())
-            .then_with(|| self.iter().cmp(other.iter()))
+        match (&self.repr, &other.repr) {
+            (Repr::Small(a), Repr::Small(b)) => canonical_cmp(*a, *b),
+            _ => self
+                .len()
+                .cmp(&other.len())
+                .then_with(|| self.iter().cmp(other.iter())),
+        }
     }
+}
+
+/// [`FocalSet`]'s order on two inline bit patterns, in word arithmetic:
+/// fewer members first; among as many, the set holding the lowest
+/// member in which they differ — the first place their ascending member
+/// lists part.
+pub(crate) fn canonical_cmp(a: u128, b: u128) -> Ordering {
+    let differ = a ^ b;
+    let lowest = differ & differ.wrapping_neg();
+    a.count_ones().cmp(&b.count_ones()).then(match differ {
+        0 => Ordering::Equal,
+        _ if lowest & a != 0 => Ordering::Less,
+        _ => Ordering::Greater,
+    })
 }
 
 impl fmt::Debug for FocalSet {
@@ -424,6 +442,29 @@ mod tests {
 
     fn set(v: &[usize]) -> FocalSet {
         FocalSet::from_indices(v.iter().copied())
+    }
+
+    /// The inline order in word arithmetic is the member-list order:
+    /// fewer members first, then ascending member lists compared
+    /// lexicographically — over every subset of members straddling the
+    /// word boundary, pair by pair.
+    #[test]
+    fn inline_order_is_the_member_list_order() {
+        let members = [0, 1, 5, 63, 64, 100, 127];
+        let subsets: Vec<Vec<usize>> = (0u32..1 << members.len())
+            .map(|bits| {
+                (0..members.len())
+                    .filter(|i| bits >> i & 1 == 1)
+                    .map(|i| members[i])
+                    .collect()
+            })
+            .collect();
+        for a in &subsets {
+            for b in &subsets {
+                let lists = a.len().cmp(&b.len()).then_with(|| a.cmp(b));
+                assert_eq!(set(a).cmp(&set(b)), lists, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

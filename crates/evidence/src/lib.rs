@@ -92,7 +92,9 @@ pub mod rules;
 pub mod transform;
 pub mod weight;
 
-pub use combine::{dempster, dempster_all, dempster_with, Combination, Scratch};
+pub use combine::{
+    dempster, dempster_all, dempster_with, Combination, Entries, FocalView, Scratch,
+};
 pub use discount::{condition, discount, weight_of_conflict};
 pub use error::EvidenceError;
 pub use focal::FocalSet;

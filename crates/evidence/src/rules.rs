@@ -17,7 +17,7 @@
 //! All rules share frame-checking and the conjunctive core with
 //! [`crate::combine`].
 
-use crate::combine::conjunctive_raw;
+use crate::combine::{conjunctive_raw, Entries};
 use crate::error::EvidenceError;
 use crate::focal::FocalSet;
 use crate::mass::MassFunction;
@@ -110,10 +110,10 @@ impl CombinationRule {
     ///
     /// # Errors
     /// As [`CombinationRule::combine`].
-    pub fn observe_with<W: Weight>(
+    pub fn observe_with<W: Weight, E: Entries<W>>(
         &self,
-        a: &MassFunction<W>,
-        b: &MassFunction<W>,
+        a: &E,
+        b: &E,
         scratch: &mut crate::combine::Scratch<W>,
     ) -> Result<W, EvidenceError> {
         let seen = crate::combine::observe_with(a, b, scratch)?;

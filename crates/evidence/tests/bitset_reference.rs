@@ -7,7 +7,9 @@
 //! are unchanged by the rework.
 
 use evirel_evidence::reference::{self, RefMass, RefSet};
-use evirel_evidence::{combine, EvidenceError, FocalSet, Frame, MassFunction, Ratio, Weight};
+use evirel_evidence::{
+    combine, EvidenceError, FocalSet, FocalView, Frame, MassFunction, Ratio, Weight,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -377,4 +379,152 @@ fn wide_frame_straddling_inline_boundary() {
     let (ref_mass, ref_kappa) = reference::dempster(&m1, &m2).unwrap();
     assert!(fast.mass.approx_eq(&ref_mass));
     assert!((fast.conflict - ref_kappa).abs() < 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// Focal views: a stored mass function's entries, read where they lie.
+// ---------------------------------------------------------------------
+
+/// `entries` laid out as a stored record holds a mass function's focal
+/// entries: per entry the set's trimmed word count, its little-endian
+/// words, then the weight's bits.
+fn stored_entries(entries: &[(FocalSet, f64)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (set, w) in entries {
+        let mut words = vec![0u64; set.max_index().map_or(0, |max| max / 64 + 1)];
+        for i in set.iter() {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        out.extend_from_slice(&(words.len() as u16).to_le_bytes());
+        for word in words {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(&w.to_bits().to_le_bytes());
+    }
+    out
+}
+
+/// `m`'s focal list as [`stored_entries`] lays it out.
+fn stored(m: &MassFunction<f64>) -> Vec<u8> {
+    stored_entries(&m.iter().map(|(s, w)| (s.clone(), *w)).collect::<Vec<_>>())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Over [`FocalView`]s of two stored mass functions the observing
+    /// pass is the pass over the decoded mass functions: κ the same
+    /// bits and the same total-conflict verdict — Bayesian × Bayesian,
+    /// inline, one side Bayesian — with a fresh scratch and with one a
+    /// full combination has used.
+    #[test]
+    fn observing_views_is_observing_the_decoded_mass_functions(
+        shape in 0usize..3,
+        raw_a in raw_focal(),
+        raw_b in raw_focal(),
+    ) {
+        let (single_a, single_b) = [(true, true), (false, false), (true, false)][shape];
+        let a = normalized::<f64>(NARROW, &focal_of(&raw_a, NARROW, single_a));
+        let b = normalized::<f64>(NARROW, &focal_of(&raw_b, NARROW, single_b));
+        let (bytes_a, bytes_b) = (stored(&a), stored(&b));
+        let view_a = FocalView::new(a.frame(), a.focal_count(), &bytes_a);
+        let view_b = FocalView::new(b.frame(), b.focal_count(), &bytes_b);
+        prop_assert!(view_a.is_some() && view_b.is_some(), "shape {}", shape);
+        let (view_a, view_b) = (view_a.unwrap(), view_b.unwrap());
+        let want = combine::observe_with(&a, &b, &mut combine::Scratch::new()).unwrap();
+        let mut used = combine::Scratch::new();
+        let _ = combine::dempster_with(&b, &a, &mut used);
+        for scratch in [&mut combine::Scratch::new(), &mut used] {
+            let got = combine::observe_with(&view_a, &view_b, scratch).unwrap();
+            prop_assert_eq!(got.conflict.to_bits(), want.conflict.to_bits(), "shape {}", shape);
+            prop_assert_eq!(got.total, want.total, "shape {}", shape);
+        }
+    }
+}
+
+/// A view refuses exactly what the full decode would not keep as it
+/// stands: entries out of canonical order (which it sorts), a set twice,
+/// an empty set, a set outside the frame, an invalid weight (which it
+/// refuses), a zero weight (which it drops), a total off 1 by less than
+/// the rescale slack (which it rescales) — and any frame wider than 128
+/// values. A refused value is decoded in full by the record's reader,
+/// so each lands on the full path's result or error.
+#[test]
+fn a_view_refuses_what_the_full_decode_would_change_or_refuse() {
+    let set = |members: &[usize]| FocalSet::from_indices(members.iter().copied());
+    let cases = [
+        (
+            "out of canonical order",
+            NARROW,
+            vec![(set(&[1, 2]), 0.5), (set(&[0]), 0.5)],
+        ),
+        (
+            "out of order among equals",
+            NARROW,
+            vec![(set(&[2]), 0.5), (set(&[1]), 0.5)],
+        ),
+        (
+            "a set twice",
+            NARROW,
+            vec![(set(&[3]), 0.5), (set(&[3]), 0.5)],
+        ),
+        (
+            "a zero weight",
+            NARROW,
+            vec![(set(&[0]), 1.0), (set(&[1]), 0.0)],
+        ),
+        (
+            "an invalid weight",
+            NARROW,
+            vec![(set(&[0]), -0.5), (set(&[1]), 1.5)],
+        ),
+        (
+            "an empty set",
+            NARROW,
+            vec![(FocalSet::empty(), 0.5), (set(&[0]), 0.5)],
+        ),
+        (
+            "a member outside the frame",
+            NARROW,
+            vec![(set(&[NARROW]), 1.0)],
+        ),
+        (
+            "a total inside the rescale slack",
+            NARROW,
+            vec![(set(&[0]), 0.5), (set(&[1]), 0.5 + 1e-7)],
+        ),
+        (
+            "a frame wider than 128 values",
+            WIDE,
+            vec![(set(&[0]), 1.0)],
+        ),
+    ];
+    for (case, n, entries) in cases {
+        let bytes = stored_entries(&entries);
+        assert!(
+            FocalView::new(&frame(n), entries.len(), &bytes).is_none(),
+            "{case}"
+        );
+        let full = MassFunction::from_entries(frame(n), entries.clone());
+        let as_it_stands = full.as_ref().is_ok_and(|m| {
+            m.iter()
+                .map(|(s, w)| (s.clone(), *w))
+                .eq(entries.iter().cloned())
+        });
+        assert_eq!(as_it_stands, n == WIDE, "{case}: {full:?}");
+    }
+    // What the full decode keeps as it stands is a view; cut short or
+    // run on, its bytes are refused, never read past.
+    let canonical = [(set(&[1]), 0.25), (set(&[2]), 0.25), (set(&[0, 1]), 0.5)];
+    let bytes = stored_entries(&canonical);
+    assert!(FocalView::new(&frame(NARROW), 3, &bytes).is_some());
+    for cut in 0..bytes.len() {
+        assert!(
+            FocalView::new(&frame(NARROW), 3, &bytes[..cut]).is_none(),
+            "cut at {cut}"
+        );
+    }
+    let mut long = bytes.clone();
+    long.push(0);
+    assert!(FocalView::new(&frame(NARROW), 3, &long).is_none());
 }

@@ -40,10 +40,10 @@ use evirel_algebra::conflict::ConflictReport;
 use evirel_algebra::predicate::Predicate;
 use evirel_algebra::support::BoundPredicate;
 use evirel_algebra::threshold::Threshold;
-use evirel_algebra::union::{MergeScratch, PairSelection, UnionOptions};
+use evirel_algebra::union::{MergeScratch, PairSelection, PairSide, UnionOptions};
 use evirel_algebra::AlgebraError;
 use evirel_relation::{ExtendedRelation, Schema, Tuple, Value};
-use evirel_store::codec::decode_record;
+use evirel_store::codec::{decode_key, decode_record};
 use evirel_store::{BufferPool, StoredRelation};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -849,6 +849,13 @@ pub trait TupleMerger: Send {
     fn describe(&self) -> String {
         "dempster".to_owned()
     }
+
+    /// This merger as the paper's Dempster merge, which can also decide
+    /// a matched pair of stored records from views; `None` for any
+    /// other.
+    fn as_dempster(&mut self) -> Option<&mut DempsterMerger> {
+        None
+    }
 }
 
 /// The paper's ∪̃ merge: Dempster's rule per common attribute, `F`
@@ -876,6 +883,30 @@ impl DempsterMerger {
     }
 }
 
+impl DempsterMerger {
+    /// Merge one matched pair under the fused σ̃ by the per-pair kernel
+    /// ([`evirel_algebra::union::merge_pair`]): two tuples, or two stored
+    /// records decoded only as far as the decision needs.
+    pub(crate) fn merge_selected<S: PairSide>(
+        &mut self,
+        schema: &Schema,
+        key: &[Value],
+        left: &S,
+        right: &S,
+        report: &mut ConflictReport,
+    ) -> Result<Option<Tuple>, PlanError>
+    where
+        PlanError: From<S::Error>,
+    {
+        let select = self.select.as_deref().expect("a merger serving a fused σ̃");
+        let (options, scratch) = (&self.options, &mut self.scratch);
+        let merged = evirel_algebra::union::merge_pair(
+            schema, key, left, right, options, report, scratch, select,
+        )?;
+        Ok(merged)
+    }
+}
+
 impl TupleMerger for DempsterMerger {
     fn merge(
         &mut self,
@@ -885,26 +916,20 @@ impl TupleMerger for DempsterMerger {
         right: &Tuple,
         report: &mut ConflictReport,
     ) -> Result<Option<Tuple>, PlanError> {
-        use evirel_algebra::union::{merge_pair, merge_tuples_with};
-        let (options, scratch) = (&self.options, &mut self.scratch);
-        match &self.select {
-            None => merge_tuples_with(schema, key, left, right, options, report, scratch),
-            Some(select) => merge_pair(
-                schema,
-                key,
-                left,
-                right,
-                options,
-                report,
-                scratch,
-                select.as_ref(),
-            ),
+        if self.select.is_some() {
+            return self.merge_selected(schema, key, left, right, report);
         }
-        .map_err(PlanError::Algebra)
+        let (options, scratch) = (&self.options, &mut self.scratch);
+        evirel_algebra::union::merge_tuples_with(schema, key, left, right, options, report, scratch)
+            .map_err(PlanError::Algebra)
     }
 
     fn describe(&self) -> String {
         format!("dempster, on κ=1: {}", self.options.on_total_conflict)
+    }
+
+    fn as_dempster(&mut self) -> Option<&mut DempsterMerger> {
+        Some(self)
     }
 }
 
@@ -961,16 +986,24 @@ pub(crate) fn decide_unmatched(
 ///
 /// A σ̃ directly above a ∪̃/∩̃ runs *inside* the merge
 /// ([`MergeOp::selecting`]): every candidate is decided from the least
-/// it needs, and only survivors are materialized. An unmatched tuple
-/// of a bare stored left input, or of a segment-backed build side, is
-/// decided from one masked decode of its record — membership pair, the
-/// predicate's attributes, plus the key on the left, where the key is
-/// what is probed — and decoded in full (and validated) only if kept;
-/// an unmatched in-memory tuple is decided where it stands; a matched
-/// pair is decoded in full on both sides and decided inside the
-/// per-pair kernel ([`evirel_algebra::union::merge_pair`]), which
-/// combines in full only what the predicate reads and observes κ for
-/// the rest. The emitted tuples, their order, the conflict report and
+/// it needs, and only survivors are materialized. A record of a bare
+/// stored left input is decoded once, to its membership pair and the
+/// predicate's attributes with every other position *viewed* — checked
+/// and borrowed on the pinned page, not built — and its key's encoding
+/// probes the build side. An unmatched one, like an unmatched record of
+/// a segment-backed build side (decoded to the predicate's attributes),
+/// is decided from that and decoded in full (and validated) only if
+/// kept; an unmatched in-memory tuple is decided where it stands. A
+/// matched pair is decided inside the per-pair kernel
+/// ([`evirel_algebra::union::merge_pair`]), which combines in full only
+/// what the predicate reads and observes κ for the rest. When both of
+/// its sides are stored records — a bare stored left input against a
+/// segment-backed build side whose frames agree with it, checked once
+/// at `open` — the right record is decoded like the left, and κ is
+/// observed from the viewed focal entries: only a kept pair is decoded
+/// in full. A record whose views cannot stand for its full decode sends
+/// its pair through the full decode of both; any other matched pair is
+/// two tuples. The emitted tuples, their order, the conflict report and
 /// every error are [`SelectOp`]'s over the unfused merge.
 pub struct MergeOp {
     left: Box<dyn Operator>,
@@ -985,6 +1018,13 @@ pub struct MergeOp {
     /// The left input's records, when a fused selection reads a bare
     /// stored left side itself instead of pulling decoded tuples.
     left_records: Option<RecordCursor>,
+    /// Set at `open` when the left records and a segment-backed build
+    /// side agree on every frame: a matched pair may then be decided
+    /// from views.
+    pair_views: bool,
+    /// Where a left record's key is assembled when it is not one
+    /// borrowed attribute.
+    key_buf: Vec<u8>,
     build: BuildSide,
     /// One flag per build-side ordinal: merged with a left tuple.
     consumed: Vec<bool>,
@@ -1119,6 +1159,8 @@ impl MergeOp {
             schema,
             select,
             left_records: None,
+            pair_views: false,
+            key_buf: Vec::new(),
             build: BuildSide::empty(),
             consumed: Vec::new(),
             stored_index_built: None,
@@ -1204,14 +1246,16 @@ impl MergeOp {
     }
 
     /// Phase 1 over the records of a bare stored left side, under a
-    /// fused selection: each record is decoded under the filter's keyed
-    /// mask — enough to probe and to decide — and in full only when it
-    /// has a partner or is kept.
+    /// fused selection: each record is decoded once under the filter's
+    /// viewed mask — enough to probe with its key's encoding and to
+    /// decide — and a matched one is decided from views where both
+    /// records allow it, in full otherwise (see the type's docs).
     fn next_of_left_records(
         &mut self,
         ctx: &mut ExecContext,
     ) -> Result<Option<Arc<Tuple>>, PlanError> {
         let select = Arc::clone(self.select.as_ref().expect("a cursor serves a selection"));
+        let stored_right = usize::from(self.stored_index_built.is_some());
         loop {
             let records = self.left_records.as_mut().expect("checked by `next`");
             let Some((record, segment)) = records.next()? else {
@@ -1219,26 +1263,54 @@ impl MergeOp {
             };
             ctx.stats.tuples_scanned += 1;
             self.left.read_directly(1, None);
-            let partial = select.keyed_record(record, segment)?;
-            let key = select.key_of(&partial, segment.schema())?;
-            match self.build.probe(&key) {
-                Some(ordinal) => {
-                    let l = decode_record(record, segment.domains(), segment.all_columns())?
-                        .into_tuple(segment.schema())?;
-                    let merged = self.merge_matched(ctx, &key, &l, ordinal)?;
-                    if merged.is_some() {
-                        return Ok(merged);
+            let partial = select.viewed_record(record, segment)?;
+            let key = select.key_of(&partial, segment.schema(), &mut self.key_buf)?;
+            let Some(ordinal) = self.build.probe_encoded(key)? else {
+                if self.emit == MergeEmit::Union && partial.membership.is_positive() {
+                    let kept = select.keep(&select.viewed, &partial, record, segment)?;
+                    if let Some(tuple) = kept {
+                        return Ok(Some(Arc::new(tuple)));
                     }
+                }
+                ctx.stats.records_skipped += 1;
+                continue;
+            };
+            let key = decode_key(key)?;
+            self.consumed[ordinal as usize] = true;
+            ctx.stats.pairs_merged += 1;
+            if stored_right == 1 {
+                self.right.read_directly(1, None);
+            }
+            let (schema, report) = (&self.schema, &mut self.report);
+            let viewed = match (&mut self.build, self.merger.as_dempster()) {
+                (BuildSide::Spilled(side), Some(merger)) if self.pair_views => {
+                    side.record(ordinal).ok().and_then(|right| {
+                        select.with_pair((record, segment, &partial), right, |l, r| {
+                            merger.merge_selected(schema, &key, l, r, report)
+                        })
+                    })
+                }
+                _ => None,
+            };
+            let merged = match viewed {
+                Some(merged) => {
+                    let merged = merged?;
+                    // Both records were visited, neither decoded in full.
+                    if merged.is_none() {
+                        ctx.stats.records_skipped += 1 + stored_right;
+                    }
+                    merged
                 }
                 None => {
-                    if self.emit == MergeEmit::Union && partial.membership.is_positive() {
-                        let kept = select.keep(&select.keyed, &partial, record, segment)?;
-                        if let Some(tuple) = kept {
-                            return Ok(Some(Arc::new(tuple)));
-                        }
-                    }
-                    ctx.stats.records_skipped += 1;
+                    let l = decode_record(record, segment.domains(), segment.all_columns())?
+                        .into_tuple(segment.schema())?;
+                    let r = self.build.tuple(ordinal)?;
+                    self.merger
+                        .merge(&self.schema, &key, &l, &r, &mut self.report)?
                 }
+            };
+            if let Some(tuple) = merged {
+                return Ok(Some(Arc::new(tuple)));
             }
         }
     }
@@ -1261,6 +1333,12 @@ impl Operator for MergeOp {
         self.left_records = match (&self.select, self.left.stored_relation()) {
             (Some(_), Some(stored)) => Some(RecordCursor::new(Arc::clone(stored))),
             _ => None,
+        };
+        // Frames are checked here, once per (left segment, right
+        // segment, attribute), not once per viewed pair.
+        self.pair_views = match (&self.left_records, &self.build) {
+            (Some(records), BuildSide::Spilled(side)) => side.same_frames(records.segment()),
+            _ => false,
         };
         Ok(())
     }

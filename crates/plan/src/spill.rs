@@ -44,29 +44,31 @@
 //!   records are located once, when it is pinned, so a fetch — full or
 //!   masked — is served by slot without walking the length prefixes
 //!   before it.
-//! * `ScanFilter` / `RecordCursor` (crate-private) — the record-level
-//!   σ̃ and the record-at-a-time read of a stored relation. The filter
-//!   is the one evaluator every fused selection decides with: the
-//!   scan above, and [`crate::ops::MergeOp`] with a selection inside
-//!   it, which reads a bare stored left side through the cursor —
-//!   membership pair, the predicate's attributes and the key decoded
-//!   per record, the rest only for a record that has a partner or is
-//!   kept — decides unmatched build-side records the same way, and
-//!   hands the same filter to the per-pair kernel for matched pairs.
-//!   What a rejected record's skipped attributes get is what the fused
-//!   scan gives them: length-, tag- and CRC-checked, not semantically
-//!   validated; every matched record and every emitted tuple is
-//!   decoded in full and validated by `Tuple::new`.
+//! * `ScanFilter` / `RecordCursor` / `RecordSide` (crate-private) — the
+//!   record-level σ̃ every fused selection decides with, the
+//!   record-at-a-time read of a stored relation, and a stored record as
+//!   one side of a matched pair. [`crate::ops::MergeOp`] with a
+//!   selection inside it reads a bare stored left side through the
+//!   cursor: the predicate's attributes built, the rest viewed (checked
+//!   and borrowed on the page), the key's encoding probing the build
+//!   side. A matched pair of two stored records is decided from views,
+//!   with κ observed from the focal entries; a record whose views cannot
+//!   stand for its full decode sends its pair through the full decode.
+//!   A rejected record's skipped attributes are length-, tag- and
+//!   CRC-checked, not semantically validated; every kept pair and every
+//!   emitted tuple is decoded in full and validated by `Tuple::new`.
 
 use crate::error::PlanError;
 use crate::ops::{check_threshold, decide_unmatched, ExecContext, ExecStats, Operator};
 use evirel_algebra::predicate::Predicate;
 use evirel_algebra::support::{BoundPredicate, Row};
 use evirel_algebra::threshold::Threshold;
-use evirel_algebra::union::PairSelection;
+use evirel_algebra::union::{PairSelection, PairSide};
 use evirel_algebra::AlgebraError;
-use evirel_relation::{AttrValue, Schema, SupportPair, Tuple, Value};
-use evirel_store::codec::{decode_record, Record};
+use evirel_relation::{AttrType, AttrValue, Schema, SupportPair, Tuple, Value};
+use evirel_store::codec::{
+    decode_key, decode_record, encode_key, encode_value, Column, FocalView, Record, View,
+};
 use evirel_store::segment::PageRecords;
 use evirel_store::{
     BufferPool, KeyIndex, PageGuard, Segment, SegmentWriter, StoreError, StoredRelation,
@@ -90,25 +92,36 @@ pub struct SpillScanOp {
 }
 
 /// A column mask for the one record decoder, with the way back from a
-/// schema position to a value of a record decoded under it.
+/// schema position to a value or a view of a record decoded under it.
 pub(crate) struct Mask {
-    /// `keep[pos]`: position `pos` is materialized.
-    keep: Vec<bool>,
-    /// Schema position → index into the decoded record's dense values.
+    /// `columns[pos]`: what becomes of position `pos`.
+    pub(crate) columns: Vec<Column>,
+    /// Schema position → index into the decoded record's dense values
+    /// (a built position) or views (a viewed one).
     slots: Vec<usize>,
 }
 
 impl Mask {
-    fn of(keep: Vec<bool>) -> Mask {
-        let slots = keep
+    /// The `read` positions built, every other position `rest`.
+    fn of(read: &[bool], rest: Column) -> Mask {
+        let columns: Vec<Column> = read
             .iter()
-            .scan(0, |kept, &read| {
-                let slot = if read { *kept } else { usize::MAX };
-                *kept += usize::from(read);
-                Some(slot)
+            .map(|&read| if read { Column::Full } else { rest })
+            .collect();
+        let (mut built, mut viewed) = (0, 0);
+        let slots = columns
+            .iter()
+            .map(|column| {
+                let next = match column {
+                    Column::Full => &mut built,
+                    Column::View => &mut viewed,
+                    Column::Skip => return usize::MAX,
+                };
+                *next += 1;
+                *next - 1
             })
             .collect();
-        Mask { keep, slots }
+        Mask { columns, slots }
     }
 }
 
@@ -124,11 +137,11 @@ pub(crate) struct ScanFilter {
     /// `predicate` bound to the schema of the rows it decides.
     bound: BoundPredicate,
     threshold: Threshold,
-    /// The positions `predicate` reads.
+    /// The positions `predicate` reads built, the rest skipped.
     pub(crate) reads: Mask,
-    /// [`ScanFilter::reads`] plus the key positions — what a merge's
-    /// left side decodes, where the key is what is probed.
-    pub(crate) keyed: Mask,
+    /// The positions `predicate` reads built, the rest viewed: a merge's
+    /// left records and both records of a matched pair.
+    pub(crate) viewed: Mask,
 }
 
 /// A record decoded under a [`Mask`], as the row `F_SS` evaluates.
@@ -164,16 +177,12 @@ impl ScanFilter {
         {
             reads[pos] = true;
         }
-        let mut keyed = reads.clone();
-        for &pos in schema.key_positions() {
-            keyed[pos] = true;
-        }
         Ok(ScanFilter {
             bound: BoundPredicate::bind(schema, &predicate),
             predicate,
             threshold,
-            reads: Mask::of(reads),
-            keyed: Mask::of(keyed),
+            reads: Mask::of(&reads, Column::Skip),
+            viewed: Mask::of(&reads, Column::View),
         })
     }
 
@@ -184,38 +193,103 @@ impl ScanFilter {
     }
 
     /// `record` — one of `segment`'s — decoded under
-    /// [`ScanFilter::keyed`]: what a merge's left side probes with
-    /// ([`ScanFilter::key_of`]) and, if nothing matches, decides from.
-    pub(crate) fn keyed_record(
+    /// [`ScanFilter::viewed`], as a merge's left side reads it.
+    pub(crate) fn viewed_record<'a>(
         &self,
-        record: &[u8],
+        record: &'a [u8],
         segment: &Segment,
-    ) -> Result<Record, PlanError> {
-        Ok(decode_record(record, segment.domains(), &self.keyed.keep)?)
+    ) -> Result<Record<'a>, PlanError> {
+        Ok(decode_record(
+            record,
+            segment.domains(),
+            &self.viewed.columns,
+        )?)
     }
 
-    /// The key of `partial`, a record of `schema` from
-    /// [`ScanFilter::keyed_record`] — borrowed where it stands when the
-    /// key is one attribute, the common case.
-    pub(crate) fn key_of<'a>(
+    /// The encoded key of `partial`, a record of `schema` from
+    /// [`ScanFilter::viewed_record`]: borrowed from the page when it is
+    /// one viewed attribute, else assembled in `buf`.
+    pub(crate) fn key_of<'k>(
         &self,
-        partial: &'a Record,
+        partial: &'k Record<'k>,
         schema: &Schema,
-    ) -> Result<Cow<'a, [Value]>, PlanError> {
-        let value = |pos: usize| match &partial.values[self.keyed.slots[pos]] {
-            AttrValue::Definite(v) => Ok(v),
-            AttrValue::Evidential(_) => {
-                Err(StoreError::corrupt("evidential value in a key position"))
+        buf: &'k mut Vec<u8>,
+    ) -> Result<&'k [u8], PlanError> {
+        let mask = &self.viewed;
+        if let [pos] = *schema.key_positions() {
+            if mask.columns[pos] == Column::View {
+                if let View::Definite(_, bytes) = partial.views[mask.slots[pos]] {
+                    return Ok(bytes);
+                }
             }
-        };
-        Ok(match *schema.key_positions() {
-            [pos] => Cow::Borrowed(std::slice::from_ref(value(pos)?)),
-            ref positions => Cow::Owned(
-                positions
-                    .iter()
-                    .map(|&pos| value(pos).cloned())
-                    .collect::<Result<Vec<Value>, StoreError>>()?,
-            ),
+        }
+        let evidential = || StoreError::corrupt("evidential value in a key position");
+        buf.clear();
+        for &pos in schema.key_positions() {
+            let slot = mask.slots[pos];
+            match mask.columns[pos] {
+                Column::View => match partial.views[slot] {
+                    View::Definite(_, bytes) => buf.extend_from_slice(bytes),
+                    _ => return Err(evidential().into()),
+                },
+                _ => match &partial.values[slot] {
+                    AttrValue::Definite(v) => encode_value(v, buf),
+                    AttrValue::Evidential(_) => return Err(evidential().into()),
+                },
+            }
+        }
+        Ok(buf)
+    }
+
+    /// The matched pair of `left` (decoded by
+    /// [`ScanFilter::viewed_record`]) and `right` (decoded here), handed
+    /// to `decide` as two [`RecordSide`]s — `None`, nothing decided,
+    /// when either holds what only its full decode can say.
+    pub(crate) fn with_pair<R>(
+        &self,
+        (record, segment, partial): (&[u8], &Segment, &Record<'_>),
+        right: (&[u8], &Segment),
+        decide: impl for<'s> FnOnce(&RecordSide<'s>, &RecordSide<'s>) -> R,
+    ) -> Option<R> {
+        let decoded = decode_record(right.0, right.1.domains(), &self.viewed.columns).ok()?;
+        let left = self.side(record, segment, partial)?;
+        Some(decide(&left, &self.side(right.0, right.1, &decoded)?))
+    }
+
+    /// `partial` — `record` of `segment` decoded under
+    /// [`ScanFilter::viewed`] — as a [`RecordSide`], if every position
+    /// is what its full decode would build.
+    fn side<'a>(
+        &'a self,
+        record: &'a [u8],
+        segment: &'a Segment,
+        partial: &'a Record<'a>,
+    ) -> Option<RecordSide<'a>> {
+        let mask = &self.viewed;
+        let attrs = segment.schema().attrs();
+        let fits = attrs.iter().enumerate().all(|(pos, attr)| {
+            let slot = mask.slots[pos];
+            match (mask.columns[pos], attr.ty()) {
+                (Column::Skip, _) => true,
+                (Column::Full, AttrType::Definite(kind)) => {
+                    matches!(&partial.values[slot], AttrValue::Definite(v) if v.kind() == *kind)
+                }
+                (Column::Full, AttrType::Evidential(_)) => {
+                    matches!(partial.values[slot], AttrValue::Evidential(_))
+                }
+                (Column::View, AttrType::Definite(kind)) => {
+                    matches!(partial.views[slot], View::Definite(k, _) if k == *kind)
+                }
+                (Column::View, AttrType::Evidential(_)) => {
+                    matches!(partial.views[slot], View::Evidence(_))
+                }
+            }
+        });
+        fits.then_some(RecordSide {
+            record,
+            segment,
+            partial,
+            mask,
         })
     }
 
@@ -227,7 +301,7 @@ impl ScanFilter {
     pub(crate) fn keep(
         &self,
         mask: &Mask,
-        partial: &Record,
+        partial: &Record<'_>,
         record: &[u8],
         segment: &Segment,
     ) -> Result<Option<Tuple>, PlanError> {
@@ -256,7 +330,7 @@ impl ScanFilter {
         for record in PageRecords::new(&guard)? {
             let record = record?;
             stats.tuples_scanned += 1;
-            let partial = decode_record(record, segment.domains(), &self.reads.keep)?;
+            let partial = decode_record(record, segment.domains(), &self.reads.columns)?;
             match self.keep(&self.reads, &partial, record, segment)? {
                 Some(tuple) => out.push(tuple),
                 None => stats.records_skipped += 1,
@@ -278,9 +352,65 @@ fn revised_tuple(
     Ok(tuple.with_membership_owned(revised))
 }
 
+/// One stored record of a matched pair, decoded under
+/// [`ScanFilter::viewed`] — made only when every position is what its
+/// full decode would build and [`Tuple::new`] accept.
+pub(crate) struct RecordSide<'a> {
+    record: &'a [u8],
+    segment: &'a Segment,
+    partial: &'a Record<'a>,
+    mask: &'a Mask,
+}
+
+impl RecordSide<'_> {
+    fn view(&self, pos: usize) -> Option<&View<'_>> {
+        (self.mask.columns[pos] == Column::View).then(|| &self.partial.views[self.mask.slots[pos]])
+    }
+}
+
+impl PairSide for RecordSide<'_> {
+    type Evidence<'b>
+        = FocalView<'b>
+    where
+        Self: 'b;
+    type Error = PlanError;
+
+    fn membership(&self) -> SupportPair {
+        self.partial.membership
+    }
+
+    fn value(&self, pos: usize) -> &AttrValue {
+        &self.partial.values[self.mask.slots[pos]]
+    }
+
+    fn same(&self, other: &Self, pos: usize) -> bool {
+        match (self.view(pos), other.view(pos)) {
+            (Some(View::Definite(_, a)), Some(View::Definite(_, b))) => a == b,
+            _ => self.value(pos) == other.value(pos),
+        }
+    }
+
+    fn evidence(
+        &self,
+        pos: usize,
+        _domain: &Arc<evirel_relation::AttrDomain>,
+    ) -> Result<Self::Evidence<'_>, AlgebraError> {
+        match self.view(pos) {
+            Some(View::Evidence(view)) => Ok(*view),
+            _ => unreachable!("ScanFilter::side checked every viewed position"),
+        }
+    }
+
+    fn tuple(&self) -> Result<Cow<'_, Tuple>, PlanError> {
+        let segment = self.segment;
+        let record = decode_record(self.record, segment.domains(), segment.all_columns())?;
+        Ok(Cow::Owned(record.into_tuple(segment.schema())?))
+    }
+}
+
 impl PairSelection for ScanFilter {
     fn reads(&self, pos: usize) -> bool {
-        self.reads.keep[pos]
+        self.reads.columns[pos] == Column::Full
     }
 
     #[inline]
@@ -505,11 +635,21 @@ impl BuildSide {
         }
     }
 
-    pub(crate) fn probe(&self, key: &[Value]) -> Option<u32> {
+    pub(crate) fn probe(&mut self, key: &[Value]) -> Option<u32> {
         match self {
             BuildSide::Mem { by_key, .. } => by_key.get(key).copied(),
             BuildSide::Spilled(s) => s.probe(key),
         }
+    }
+
+    /// The ordinal of the tuple under the key whose encoding is `key`
+    /// ([`encode_key`]): a segment-backed side looks the bytes up as
+    /// they stand, an in-memory one decodes them first.
+    pub(crate) fn probe_encoded(&self, key: &[u8]) -> Result<Option<u32>, PlanError> {
+        Ok(match self {
+            BuildSide::Mem { by_key, .. } => by_key.get(&decode_key(key)?).copied(),
+            BuildSide::Spilled(s) => s.index.ordinal(key),
+        })
     }
 
     /// Tuple `ordinal` for the caller to read: an in-memory one
@@ -575,7 +715,7 @@ impl SpillBuild {
     /// under its key.
     pub(crate) fn append(&mut self, key: Vec<Value>, tuple: &Tuple) -> Result<(), PlanError> {
         let id = self.writer.append(tuple)?;
-        Ok(self.index.insert(key, id)?)
+        Ok(self.index.insert_values(&key, id)?)
     }
 
     /// Finish writing and open the segment for probing. The temp file
@@ -656,6 +796,11 @@ impl RecordCursor {
     /// The next record's bytes, beside the segment they decode
     /// against — or `None` past the last page (whose pin is dropped
     /// with it).
+    /// The segment the records belong to.
+    pub(crate) fn segment(&self) -> &Segment {
+        self.stored.segment()
+    }
+
     pub(crate) fn next(&mut self) -> Result<Option<(&[u8], &Segment)>, PlanError> {
         while !matches!(&self.pinned, Some(p) if self.next_slot < p.records.len()) {
             // Unpin the walked page before pinning the next.
@@ -692,6 +837,8 @@ pub(crate) struct SpilledRight {
     pool: Arc<BufferPool>,
     index: Arc<KeyIndex>,
     pinned: Option<PinnedPage>,
+    /// The encoding of the last key probed with ([`SpilledRight::probe`]).
+    key: Vec<u8>,
 }
 
 impl SpilledRight {
@@ -701,6 +848,7 @@ impl SpilledRight {
             pool,
             index,
             pinned: None,
+            key: Vec::new(),
         }
     }
 
@@ -720,13 +868,26 @@ impl SpilledRight {
     }
 
     /// The ordinal of the tuple stored under `key`.
-    pub(crate) fn probe(&self, key: &[Value]) -> Option<u32> {
-        self.index.ordinal(key)
+    pub(crate) fn probe(&mut self, key: &[Value]) -> Option<u32> {
+        self.key.clear();
+        encode_key(key, &mut self.key);
+        self.index.ordinal(&self.key)
+    }
+
+    /// Do records of `left` and of this side agree on every evidential
+    /// attribute's frame? Asked once, when a merge opens: a matched pair
+    /// decided from views checks no frame of its own.
+    pub(crate) fn same_frames(&self, left: &Segment) -> bool {
+        let pairs = left.domains().iter().zip(self.segment.domains());
+        pairs.into_iter().all(|pair| match pair {
+            (Some(l), Some(r)) => l.frame() == r.frame(),
+            (l, r) => l.is_none() && r.is_none(),
+        })
     }
 
     /// The bytes of record `ordinal`, its page pinned (and left so),
     /// beside the segment they decode against.
-    fn record(&mut self, ordinal: u32) -> Result<(&[u8], &Segment), PlanError> {
+    pub(crate) fn record(&mut self, ordinal: u32) -> Result<(&[u8], &Segment), PlanError> {
         let id = self
             .index
             .record(ordinal)
@@ -762,7 +923,7 @@ impl SpilledRight {
         filter: &ScanFilter,
     ) -> Result<Option<Tuple>, PlanError> {
         let (record, segment) = self.record(ordinal)?;
-        let partial = decode_record(record, segment.domains(), &filter.reads.keep)?;
+        let partial = decode_record(record, segment.domains(), &filter.reads.columns)?;
         if !partial.membership.is_positive() {
             return Ok(None);
         }

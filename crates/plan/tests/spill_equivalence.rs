@@ -20,7 +20,7 @@
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{ConflictPolicy, ConflictReport, Operand, Predicate, ThetaOp, Threshold};
 use evirel_evidence::rules::CombinationRule;
-use evirel_plan::ops::{DempsterMerger, MergeEmit, MergeOp, Operator, ScanOp, SelectOp};
+use evirel_plan::ops::{run, DempsterMerger, MergeEmit, MergeOp, Operator, ScanOp, SelectOp};
 use evirel_plan::reference::execute_reference;
 use evirel_plan::spill::SpillScanOp;
 use evirel_plan::{
@@ -28,7 +28,7 @@ use evirel_plan::{
     ExecContext, ExecStats, LogicalPlan, MergePairing, StoredRelation, TupleMerger,
 };
 use evirel_relation::cwa::CwaPolicy;
-use evirel_relation::{ExtendedRelation, Tuple, Value};
+use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, Tuple, Value};
 use evirel_testkit::{
     config, definite_pair, encode, equivalent, exec_context, hazardous_pair, identical, masked,
     pair, reseal, same_report, same_tuples, store, vacuous, OrFail, Sides, TempDir, PAGE,
@@ -834,8 +834,9 @@ fn fused_merge_refuses_rot_in_an_attribute_it_skips() {
     let (answer, stats) = run(&sa, &sb);
     assert_eq!(answer, Ok(0));
     assert_eq!(stats.tuples_scanned, 120);
-    // 30 + 30 unmatched records, rejected without a full decode.
-    assert_eq!(stats.records_skipped, 60);
+    // 30 + 30 unmatched records, and both records of each of the 30
+    // matched pairs, rejected without a full decode.
+    assert_eq!(stats.records_skipped, 120);
 
     // `e0` follows the key: attribute tag, weight tag, u32 focal count.
     for (rot, at, value) in [("tag", 0, 7u8), ("length", 5, 0x7F)] {
@@ -857,6 +858,143 @@ fn fused_merge_refuses_rot_in_an_attribute_it_skips() {
                 ),
                 "rotted {rot} of e0 in {key}: {answer:?}"
             );
+        }
+    }
+}
+
+/// Rot no checksum and no tag check can see, in an attribute the fused
+/// σ̃ does not read, of a pair it matches: well-formed focal entries
+/// that are not a mass function as they stand — weights summing to
+/// 0.5, or two entries out of canonical order — sealed under valid
+/// checksums into segments written by `SegmentWriter::append`. A view
+/// refuses either, so the pair is decoded in full, and σ̃(sa ∪̃ sb)
+/// answers what `SelectOp` over the unfused `MergeOp` and the reference
+/// answer over the same bindings: the full decode's error, or the
+/// result its sort makes of the out-of-order entries — the clean
+/// data's — whichever sides are stored, at 1 and 4 threads.
+#[test]
+fn a_matched_pair_a_view_refuses_is_decoded_in_full() {
+    let domain = Arc::new(AttrDomain::categorical("d", ["x", "y", "z"]).unwrap());
+    let relation = |name: &str, lean: f64| {
+        let schema = Schema::builder(name)
+            .key_str("k")
+            .evidential("e0", Arc::clone(&domain))
+            .evidential("e1", Arc::clone(&domain))
+            .build()
+            .unwrap();
+        let mut builder = RelationBuilder::new(Arc::new(schema));
+        for (i, key) in ["a", "rot", "b"].into_iter().enumerate() {
+            builder = builder
+                .tuple(|t| {
+                    let t = t
+                        .set_str("k", key)
+                        .set_evidence_with_omega("e0", [(&["x"][..], lean)], 1.0 - lean)
+                        .membership_pair(0.9 - 0.2 * i as f64, 1.0);
+                    match key {
+                        // Weights no other record holds: the rot's address.
+                        "rot" => t.set_evidence("e1", [(&["x"][..], 0.3125), (&["y"][..], 0.6875)]),
+                        _ => t.set_evidence_with_omega("e1", [(&["z"][..], 0.5)], 0.5),
+                    }
+                })
+                .unwrap();
+        }
+        builder.build()
+    };
+    let (ga, gb) = (relation("L", 0.7), relation("R", 0.6));
+    // One focal entry as a record holds it: word count, word, weight.
+    let entry = |bits: u64, w: f64| {
+        [
+            &1u16.to_le_bytes()[..],
+            &bits.to_le_bytes(),
+            &w.to_bits().to_le_bytes(),
+        ]
+        .concat()
+    };
+    let (x, y) = (entry(1, 0.3125), entry(2, 0.6875));
+    let written = [x.clone(), y.clone()].concat();
+    let rots = [
+        ("a total of 0.5", [x.clone(), entry(2, 0.1875)].concat()),
+        ("out of canonical order", [y, x].concat()),
+    ];
+    let dir = TempDir::new("view-rot");
+    let pool = Arc::new(BufferPool::new(4 * PAGE));
+    let options = vacuous();
+    for (n, (rot, rotted)) in rots.iter().enumerate() {
+        let stored: Vec<Arc<StoredRelation>> = [("sa", &ga), ("sb", &gb)]
+            .into_iter()
+            .map(|(name, rel)| {
+                let path = dir.join(format!("{name}-{n}.evb"));
+                let mut writer = evirel_store::SegmentWriter::create(&path, rel.schema(), PAGE)
+                    .expect("segment writer opens");
+                for tuple in rel.iter() {
+                    writer.append(tuple).expect("record appends");
+                }
+                writer.finish().expect("segment writes");
+                let mut bytes = std::fs::read(&path).unwrap();
+                let at = bytes.windows(written.len()).position(|w| w == written);
+                let at = at.expect("the record that rots");
+                bytes[at..at + rotted.len()].copy_from_slice(rotted);
+                reseal(&mut bytes);
+                std::fs::write(&path, &bytes).unwrap();
+                let stored = StoredRelation::open(&path, Arc::clone(&pool));
+                Arc::new(stored.expect("sealed: the open succeeds"))
+            })
+            .collect();
+        for predicate in [Predicate::is("e0", ["x"]), Predicate::is("e0", ["z"])] {
+            let threshold = Threshold::POSITIVE;
+            let plan = merge_plan(MergeEmit::Union, predicate.clone(), threshold);
+            let mut clean = unfused(MergeEmit::Union, &ga, &gb, &options, &predicate, threshold);
+            let clean = run(clean.as_mut(), &mut exec_context(options.clone())).unwrap();
+            for sides in Sides::ALL {
+                let bound = [sides.stored_left(), sides.stored_right()];
+                let mut bindings = Bindings::new();
+                let mut leaves: Vec<Box<dyn Operator>> = Vec::new();
+                for (i, (name, rel)) in [("sa", &ga), ("sb", &gb)].into_iter().enumerate() {
+                    if bound[i] {
+                        bindings.bind_stored(name, Arc::clone(&stored[i]));
+                        leaves.push(Box::new(SpillScanOp::new(name, Arc::clone(&stored[i]))));
+                    } else {
+                        bindings.bind(name, rel.clone());
+                        leaves.push(Box::new(ScanOp::new(name, Arc::new(rel.clone()))));
+                    }
+                }
+                let right = leaves.pop().unwrap();
+                let merger = Box::new(DempsterMerger::new(options.clone()));
+                let merge = MergeOp::union(leaves.pop().unwrap(), right, merger).unwrap();
+                let mut select =
+                    SelectOp::new(Box::new(merge), predicate.clone(), threshold).unwrap();
+                let unfused = run(&mut select, &mut exec_context(options.clone()));
+                let reference = execute_reference(&plan, &bindings, &options);
+                for threads in [1, 4] {
+                    let mut ctx = exec_context(options.clone());
+                    ctx.parallelism = threads;
+                    if sides == Sides::Spilled {
+                        ctx.spill_threshold_bytes = 0;
+                    }
+                    let fused = execute_plan(&plan, &bindings, &mut ctx);
+                    let context = format!("{rot}, {sides:?}, {threads} threads, σ̃[{predicate}]");
+                    let rotted_side = bound.contains(&true);
+                    match (&unfused, fused, &reference) {
+                        (Ok(unfused), Ok(fused), Ok((reference, _))) => {
+                            assert!(!rotted_side || n == 1, "{context}");
+                            identical(unfused, &fused).or_fail(&context);
+                            identical(&clean, &fused).or_fail(&context);
+                            equivalent(reference, &fused).or_fail(&context);
+                        }
+                        (Err(unfused), Err(fused), Err(reference)) => {
+                            assert!(rotted_side && n == 0, "{context}: {fused}");
+                            assert_eq!(unfused.to_string(), fused.to_string(), "{context}");
+                            assert_eq!(reference.to_string(), fused.to_string(), "{context}");
+                        }
+                        (unfused, fused, reference) => panic!(
+                            "unfused {:?}, fused {:?}, reference {:?}\n{context}",
+                            unfused.as_ref().map(|r| r.len()),
+                            fused.map(|r| r.len()),
+                            reference.as_ref().map(|(r, _)| r.len()),
+                        ),
+                    }
+                }
+            }
         }
     }
 }

@@ -23,17 +23,22 @@
 //! domain share one dictionary on disk too.
 //!
 //! **One record decoder.** [`decode_record`] is the only function that
-//! reads a tuple record, and it takes a column mask. Every value is
-//! self-delimiting (a tag, then a fixed size or its own length/count
-//! fields), so a masked-out position is walked without being built:
-//! tags and bounds are checked exactly as for a masked-in one, but no
-//! string is UTF-8-checked, no mass function assembled, no tuple
-//! validated. A full scan passes the all-true mask; a selection fused
-//! into a stored scan passes the predicate's attributes and decodes in
-//! full only what it keeps; a merge's key index passes the key
-//! positions. Whatever the mask, a record must be consumed exactly.
+//! reads a tuple record, and it takes a column mask that says, per
+//! position, [`Column::Skip`], [`Column::View`] or [`Column::Full`].
+//! Every value is self-delimiting (a tag, then a fixed size or its own
+//! length/count fields), so a skipped position is walked without being
+//! built: tags and bounds are checked exactly as for a built one, but
+//! no string is UTF-8-checked, no mass function assembled, no tuple
+//! validated. A viewed position is checked and borrowed where it lies
+//! ([`View`]). A full scan passes the all-`Full` mask; a selection
+//! fused into a stored scan builds the predicate's attributes and
+//! decodes in full only what it keeps; a merge's key index views the
+//! key positions, and a matched pair under a fused selection views
+//! every attribute the predicate does not read. Whatever the mask, a
+//! record must be consumed exactly.
 
 use crate::error::StoreError;
+pub use evirel_evidence::FocalView;
 use evirel_evidence::{FocalSet, MassFunction, Ratio, Weight};
 use evirel_relation::{
     AttrDomain, AttrType, AttrValue, Schema, SupportPair, Tuple, Value, ValueKind,
@@ -458,18 +463,48 @@ pub fn record_len(tuple: &Tuple) -> usize {
         .sum::<usize>()
 }
 
-/// One decoded record: the membership pair and the values of the
-/// masked-in positions, dense, in schema order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Record {
-    /// The stored `(sn, sp)`.
-    pub membership: SupportPair,
-    /// One value per masked-in position, in schema order.
-    pub values: Vec<AttrValue>,
+/// What [`decode_record`] makes of one position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    /// Walked by its own length fields, tags and bounds checked, and
+    /// not built.
+    Skip,
+    /// Checked and borrowed where it lies, not built: see [`View`].
+    View,
+    /// Built.
+    Full,
 }
 
-impl Record {
-    /// The tuple a record decoded under the all-true mask holds,
+/// A position decoded under [`Column::View`].
+#[derive(Debug, Clone, Copy)]
+pub enum View<'a> {
+    /// A definite value's encoding — its tag, then its payload — with a
+    /// string UTF-8-checked. `Value`'s equality is bitwise (`total_cmp`
+    /// on floats), so equal encodings are equal values.
+    Definite(ValueKind, &'a [u8]),
+    /// An `f64` mass function's focal entries, which [`FocalView::new`]
+    /// accepted: exactly what the full decode would build.
+    Evidence(FocalView<'a>),
+    /// A mass function [`FocalView::new`] refused: only its full decode
+    /// says what it is (a rescaled total, or an error).
+    Refused,
+}
+
+/// One decoded record: the membership pair, the values of the built
+/// positions and the views of the viewed ones, each dense, in schema
+/// order.
+#[derive(Debug, Clone)]
+pub struct Record<'a> {
+    /// The stored `(sn, sp)`.
+    pub membership: SupportPair,
+    /// One value per [`Column::Full`] position, in schema order.
+    pub values: Vec<AttrValue>,
+    /// One view per [`Column::View`] position, in schema order.
+    pub views: Vec<View<'a>>,
+}
+
+impl Record<'_> {
+    /// The tuple a record decoded under the all-`Full` mask holds,
     /// revalidated by [`Tuple::new`] — a corrupt record cannot smuggle
     /// an ill-typed tuple into the executor.
     ///
@@ -482,86 +517,146 @@ impl Record {
 }
 
 /// Walk over one definite value without building it: tag checked,
-/// string bytes skipped by their length field.
-fn skip_value(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
-    match cur.u8()? {
-        VALUE_INT | VALUE_FLOAT => cur.bytes(8).map(|_| ()),
-        VALUE_STR => {
-            let len = cur.u32()? as usize;
-            cur.bytes(len).map(|_| ())
+/// string bytes skipped by their length field (and UTF-8-checked when
+/// `utf8`). Returns the value's kind.
+fn skip_value(cur: &mut Cursor<'_>, utf8: bool) -> Result<ValueKind, StoreError> {
+    let kind = match cur.u8()? {
+        VALUE_INT => ValueKind::Int,
+        VALUE_FLOAT => ValueKind::Float,
+        VALUE_STR => ValueKind::Str,
+        tag => return Err(StoreError::corrupt(format!("unknown value tag {tag}"))),
+    };
+    match kind {
+        ValueKind::Str if utf8 => {
+            cur.str()?;
         }
-        tag => Err(StoreError::corrupt(format!("unknown value tag {tag}"))),
+        ValueKind::Str => {
+            let len = cur.u32()? as usize;
+            cur.bytes(len)?;
+        }
+        _ => {
+            cur.bytes(8)?;
+        }
     }
+    Ok(kind)
 }
 
 /// Walk over one `f64` mass function without building it: weight tag
-/// checked, every entry skipped by its own word count.
-fn skip_mass(cur: &mut Cursor<'_>) -> Result<(), StoreError> {
+/// checked, every entry skipped by its own word count. Returns the
+/// entry count and the entries' bytes.
+fn skip_mass<'a>(cur: &mut Cursor<'a>) -> Result<(usize, &'a [u8]), StoreError> {
     let tag = cur.u8()?;
     if tag != <f64 as WeightCodec>::TAG {
         return Err(StoreError::corrupt(format!(
             "weight tag {tag} does not match the requested weight type"
         )));
     }
-    for _ in 0..cur.u32()? {
+    let count = cur.u32()? as usize;
+    let start = cur.pos;
+    for _ in 0..count {
         let words = cur.u16()? as usize;
         cur.bytes(8 * words + 8)?;
     }
-    Ok(())
+    Ok((count, &cur.data[start..cur.pos]))
 }
 
 /// Decode one tuple record — the one record decoder. `record` is
 /// exactly one record's bytes (a page's length prefix delimits it),
 /// `domains` the per-position evidential domains of its schema, and
-/// `mask[pos]` says whether position `pos` is materialized. Under the
-/// all-true mask every value is built (and [`Record::into_tuple`]
-/// revalidates the tuple); a masked-out position is walked by its own
-/// length fields through the same bounds-checked cursor with every tag
-/// still checked, but its string is not UTF-8-checked and its mass
-/// function is not assembled. Whatever the mask, the membership pair
-/// is validated and the record must be consumed exactly.
+/// `mask[pos]` says what becomes of position `pos`: built, skipped
+/// (walked by its own length fields, every tag checked), or viewed
+/// (walked the same way, a string UTF-8-checked and a mass function's
+/// entries checked by [`FocalView::new`], and borrowed). Whatever the
+/// mask, the membership pair is validated and the record must be
+/// consumed exactly.
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] on malformed, truncated or over-long
-/// records; mass-function validation errors at masked-in positions.
-pub fn decode_record(
-    record: &[u8],
+/// records; mass-function validation errors at built positions.
+pub fn decode_record<'a>(
+    record: &'a [u8],
     domains: &[Option<Arc<AttrDomain>>],
-    mask: &[bool],
-) -> Result<Record, StoreError> {
+    mask: &[Column],
+) -> Result<Record<'a>, StoreError> {
     let mut cur = Cursor::new(record, "record");
     let cur = &mut cur;
     let sn = f64::from_bits(cur.u64()?);
     let sp = f64::from_bits(cur.u64()?);
     let membership = SupportPair::new(sn, sp)?;
     debug_assert_eq!(mask.len(), domains.len(), "one mask entry per position");
-    let mut values = Vec::with_capacity(mask.iter().filter(|&&keep| keep).count());
-    for (pos, (domain, &keep)) in domains.iter().zip(mask).enumerate() {
-        match cur.u8()? {
-            ATTR_DEFINITE if keep => values.push(AttrValue::Definite(decode_value(cur)?)),
-            ATTR_DEFINITE => skip_value(cur)?,
-            ATTR_EVIDENTIAL => {
+    let count = |column| mask.iter().filter(|&&c| c == column).count();
+    let mut values = Vec::with_capacity(count(Column::Full));
+    let mut views = Vec::with_capacity(count(Column::View));
+    for (pos, (domain, &column)) in domains.iter().zip(mask).enumerate() {
+        match (cur.u8()?, column) {
+            (ATTR_DEFINITE, Column::Full) => values.push(AttrValue::Definite(decode_value(cur)?)),
+            (ATTR_DEFINITE, Column::View) => {
+                let start = cur.pos;
+                let kind = skip_value(cur, true)?;
+                views.push(View::Definite(kind, &cur.data[start..cur.pos]));
+            }
+            (ATTR_DEFINITE, Column::Skip) => {
+                skip_value(cur, false)?;
+            }
+            (ATTR_EVIDENTIAL, column) => {
                 let domain = domain.as_ref().ok_or_else(|| {
                     StoreError::corrupt(format!(
                         "evidential value in definite attribute position {pos}"
                     ))
                 })?;
-                if keep {
-                    values.push(AttrValue::Evidential(decode_mass::<f64>(
+                match column {
+                    Column::Full => values.push(AttrValue::Evidential(decode_mass::<f64>(
                         cur,
                         domain.frame(),
-                    )?));
-                } else {
-                    skip_mass(cur)?;
+                    )?)),
+                    Column::View => {
+                        let (count, entries) = skip_mass(cur)?;
+                        views.push(match FocalView::new(domain.frame(), count, entries) {
+                            Some(view) => View::Evidence(view),
+                            None => View::Refused,
+                        });
+                    }
+                    Column::Skip => {
+                        skip_mass(cur)?;
+                    }
                 }
             }
-            tag => return Err(StoreError::corrupt(format!("unknown attribute tag {tag}"))),
+            (tag, _) => return Err(StoreError::corrupt(format!("unknown attribute tag {tag}"))),
         }
     }
     if !cur.is_exhausted() {
         return Err(cur.corrupt(&format!("{} trailing bytes", cur.remaining())));
     }
-    Ok(Record { membership, values })
+    Ok(Record {
+        membership,
+        values,
+        views,
+    })
+}
+
+/// Append a key — the values at a schema's key positions — as the key
+/// index holds it: each value's encoding ([`encode_value`]) in turn,
+/// which is what a record holds at those positions. Encodings are
+/// self-delimiting and `Value`'s equality is bitwise, so two keys are
+/// equal exactly when their encodings are.
+pub fn encode_key(key: &[Value], out: &mut Vec<u8>) {
+    for v in key {
+        encode_value(v, out);
+    }
+}
+
+/// The values of a key written by [`encode_key`].
+///
+/// # Errors
+/// [`StoreError::Corrupt`] on malformed bytes.
+pub fn decode_key(mut bytes: &[u8]) -> Result<Vec<Value>, StoreError> {
+    let mut values = Vec::new();
+    while !bytes.is_empty() {
+        let mut cur = Cursor::new(bytes, "key");
+        values.push(decode_value(&mut cur)?);
+        bytes = &bytes[cur.pos..];
+    }
+    Ok(values)
 }
 
 // ------------------------------------------------------- schema block
@@ -694,7 +789,7 @@ pub fn domains_of(schema: &Schema) -> Vec<Option<Arc<AttrDomain>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evirel_evidence::Frame;
+    use evirel_evidence::{Entries, Frame};
     use proptest::prelude::*;
 
     fn frame() -> Arc<Frame> {
@@ -835,11 +930,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The one decoder under every mask: masked-in positions equal
-        /// the full decode's values bit for bit, the record is consumed
-        /// to the same (final) offset — one byte more is corruption —
-        /// and a record cut short anywhere is `Corrupt`, whatever the
-        /// mask skips.
+        /// The one decoder under every mask: built positions equal the
+        /// full decode's values bit for bit, a viewed one is what the
+        /// full decode built, unbuilt — a definite value's encoding, a
+        /// mass function's entries, refused over a frame wider than 128
+        /// values — the record is consumed to the same (final) offset —
+        /// one byte more is corruption — and a record cut short
+        /// anywhere is `Corrupt`, whatever the mask skips or views.
         #[test]
         fn every_mask_agrees_with_the_full_decode(
             scalars in (0u32..100_000, -1_000_000i64..1_000_000, -1000i64..1000, 0usize..40),
@@ -873,22 +970,37 @@ mod tests {
 
             let domains = domains_of(&schema);
             let arity = schema.arity();
-            let full = decode_record(&buf, &domains, &vec![true; arity]).unwrap();
+            let full = decode_record(&buf, &domains, &vec![Column::Full; arity]).unwrap();
             prop_assert_eq!(&full.clone().into_tuple(&schema).unwrap(), &tuple);
             let mut long = buf.clone();
             long.push(0);
 
-            for bits in 0u32..1 << arity {
-                let mask: Vec<bool> = (0..arity).map(|pos| bits >> pos & 1 == 1).collect();
-                let got = decode_record(&buf, &domains, &mask).unwrap();
-                let want: Vec<AttrValue> = full
-                    .values
-                    .iter()
-                    .zip(&mask)
-                    .filter(|(_, &keep)| keep)
-                    .map(|(v, _)| v.clone())
+            for (bits, rest) in (0u32..1 << arity).flat_map(|bits| [(bits, Column::Skip), (bits, Column::View)]) {
+                let mask: Vec<Column> = (0..arity)
+                    .map(|pos| if bits >> pos & 1 == 1 { Column::Full } else { rest })
                     .collect();
+                let got = decode_record(&buf, &domains, &mask).unwrap();
+                let of = |column: Column| {
+                    full.values.iter().zip(&mask).filter(move |(_, &c)| c == column).map(|(v, _)| v)
+                };
+                let want: Vec<AttrValue> = of(Column::Full).cloned().collect();
                 prop_assert_eq!(&got.values, &want, "mask {:?}", &mask);
+                prop_assert_eq!(got.views.len(), of(Column::View).count());
+                for (view, value) in got.views.iter().zip(of(Column::View)) {
+                    let same = match (view, value) {
+                        (View::Definite(kind, bytes), AttrValue::Definite(v)) => {
+                            let mut encoded = Vec::new();
+                            encode_value(v, &mut encoded);
+                            *kind == v.kind() && *bytes == &encoded[..]
+                        }
+                        (View::Evidence(view), AttrValue::Evidential(m)) => view
+                            .bits()
+                            .eq(m.iter().map(|(s, w)| (s.as_bits().unwrap(), *w))),
+                        (View::Refused, AttrValue::Evidential(m)) => m.frame().len() > 128,
+                        _ => false,
+                    };
+                    prop_assert!(same, "{:?} viewed as {:?}", value, view);
+                }
                 prop_assert_eq!(got.membership.sn().to_bits(), tuple.membership().sn().to_bits());
                 prop_assert_eq!(got.membership.sp().to_bits(), tuple.membership().sp().to_bits());
                 prop_assert!(
@@ -914,7 +1026,15 @@ mod tests {
     fn skipped_positions_are_tag_checked() {
         let schema = record_schema();
         let domains = domains_of(&schema);
-        let none = vec![false; schema.arity()];
+        for rest in [Column::Skip, Column::View] {
+            skipped_or_viewed_positions_are_tag_checked(&domains, &vec![rest; schema.arity()]);
+        }
+    }
+
+    fn skipped_or_viewed_positions_are_tag_checked(
+        domains: &[Option<Arc<AttrDomain>>],
+        none: &[Column],
+    ) {
         let record = |values: &[&[u8]]| {
             let mut buf = vec![0u8; 16];
             buf[..8].copy_from_slice(&1f64.to_bits().to_le_bytes());
@@ -930,7 +1050,7 @@ mod tests {
             &[ATTR_EVIDENTIAL, 0, 0, 0, 0, 0], // evidence in a definite position
         ] {
             assert!(matches!(
-                decode_record(&record(&[bad]), &domains, &none),
+                decode_record(&record(&[bad]), domains, none),
                 Err(StoreError::Corrupt { .. })
             ));
         }
@@ -940,8 +1060,8 @@ mod tests {
         assert!(matches!(
             decode_record(
                 &record(&[&int, &int, &int, &int, &bad_weight]),
-                &domains,
-                &none
+                domains,
+                none
             ),
             Err(StoreError::Corrupt { .. })
         ));

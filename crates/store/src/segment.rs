@@ -656,7 +656,7 @@ fn decode_records(
     bytes: &[u8],
     schema: &Schema,
     domains: &[Option<Arc<AttrDomain>>],
-    all_columns: &[bool],
+    all_columns: &[codec::Column],
 ) -> Result<Vec<Tuple>, StoreError> {
     let records = PageRecords::new(bytes)?;
     let mut out = Vec::with_capacity(records.size_hint().1.unwrap_or(0));
@@ -725,7 +725,7 @@ pub struct Segment {
     domains: Vec<Option<Arc<AttrDomain>>>,
     /// The all-true column mask — full decodes go through the one
     /// masked record decoder with it.
-    all_columns: Vec<bool>,
+    all_columns: Vec<codec::Column>,
     pages: Vec<PageEntry>,
     tuple_count: u64,
     page_size: usize,
@@ -808,7 +808,7 @@ impl Segment {
         };
 
         let pages = compat::read_page_table(&mut file, &header)?;
-        let all_columns = vec![true; schema.arity()];
+        let all_columns = vec![codec::Column::Full; schema.arity()];
 
         let stats = if header.flags & compat::FLAG_STATS != 0 {
             let table_len = (header.page_count * compat::TABLE_ENTRY_V3) as u64;
@@ -861,9 +861,9 @@ impl Segment {
         &self.domains
     }
 
-    /// The all-true column mask: what [`codec::decode_record`] takes to
-    /// decode a record of this segment in full.
-    pub fn all_columns(&self) -> &[bool] {
+    /// The all-`Full` column mask: what [`codec::decode_record`] takes
+    /// to decode a record of this segment in full.
+    pub fn all_columns(&self) -> &[codec::Column] {
         &self.all_columns
     }
 

@@ -14,7 +14,7 @@
 //! masked decode refuses in an attribute it skips, of a record it
 //! would have dropped.
 
-use evirel_store::codec::decode_record;
+use evirel_store::codec::{decode_record, Column};
 use evirel_store::segment::PageRecords;
 use evirel_store::{BufferPool, Segment, SegmentWriter, StoreError, StoredRelation};
 use evirel_testkit::{encode, reseal, TempDir};
@@ -59,9 +59,9 @@ fn try_full_scan(path: &Path) -> Result<u64, StoreError> {
 /// full. Returns how many were kept.
 fn filtered_page(seg: &Segment, bytes: &[u8]) -> Result<u64, StoreError> {
     let arity = seg.schema().arity();
-    let mut reads = vec![false; arity];
-    reads[arity - 1] = true;
-    let all = vec![true; arity];
+    let mut reads = vec![Column::Skip; arity];
+    reads[arity - 1] = Column::Full;
+    let all = vec![Column::Full; arity];
     let mut kept = 0;
     for (slot, record) in PageRecords::new(bytes)?.enumerate() {
         let record = record?;
@@ -85,24 +85,24 @@ fn try_filtered_scan(path: &Path) -> Result<u64, StoreError> {
 }
 
 /// The fused merge's pattern over one page. Its left side: every
-/// record decoded under a mask that reads the key and the last
-/// attribute, every third — a "matched" one — in full as well. Its
-/// build side: the page's records located once
+/// record decoded under a mask that builds the last attribute and views
+/// the rest — the key, whose encoding is what is probed, and the focal
+/// entries κ is observed from — every third — a "matched" one — in
+/// full as well. Its build side: the page's records located once
 /// ([`PageRecords::ranges`]), then addressed by slot, last to first —
 /// odd slots under the last-attribute mask (unmatched, decided), even
-/// ones in full (matched, fetched). Returns the full decodes.
+/// ones viewed like the left and then in full (matched, fetched).
+/// Returns the full decodes.
 fn merged_page(seg: &Segment, bytes: &[u8]) -> Result<u64, StoreError> {
     let arity = seg.schema().arity();
-    let mut reads = vec![false; arity];
-    reads[arity - 1] = true;
-    let mut keyed = reads.clone();
-    for &pos in seg.schema().key_positions() {
-        keyed[pos] = true;
-    }
+    let mut reads = vec![Column::Skip; arity];
+    reads[arity - 1] = Column::Full;
+    let mut viewed = vec![Column::View; arity];
+    viewed[arity - 1] = Column::Full;
     let mut full = 0;
     for (slot, record) in PageRecords::new(bytes)?.enumerate() {
         let record = record?;
-        decode_record(record, seg.domains(), &keyed)?;
+        decode_record(record, seg.domains(), &viewed)?;
         if slot % 3 == 0 {
             decode_record(record, seg.domains(), seg.all_columns())?.into_tuple(seg.schema())?;
             full += 1;
@@ -113,6 +113,7 @@ fn merged_page(seg: &Segment, bytes: &[u8]) -> Result<u64, StoreError> {
         if slot % 2 == 1 {
             decode_record(record, seg.domains(), &reads)?;
         } else {
+            decode_record(record, seg.domains(), &viewed)?;
             decode_record(record, seg.domains(), seg.all_columns())?.into_tuple(seg.schema())?;
             full += 1;
         }
