@@ -23,11 +23,7 @@ use std::hint::black_box;
 fn durable_server(dir: &std::path::Path, follow: Option<String>) -> ServerHandle {
     let (durable, catalog) = DurableCatalog::open_into(dir, seeded()).expect("durable dir opens");
     let config = ServeConfig {
-        follow: follow.map(|addr| FollowConfig {
-            initial_backoff: std::time::Duration::from_millis(10),
-            max_backoff: std::time::Duration::from_millis(100),
-            ..FollowConfig::new(addr)
-        }),
+        follow: follow.map(FollowConfig::new),
         ..ServeConfig::default()
     };
     start_with_durability(catalog, config, Some(durable)).expect("server starts")
@@ -85,15 +81,18 @@ fn bench_replication(c: &mut Criterion) {
     while follower.catalog().generation() < target {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    assert!(follower.replication().records_applied > 0);
+    let applied = follower
+        .metrics()
+        .value("evirel_repl_records_applied_total", &[]);
+    assert!(applied > Some(0), "{applied:?}");
     drop(fconn);
     follower.shutdown();
-    let fstats = follower.join();
-    assert_eq!(fstats.panics, 0, "{fstats:?}");
+    let fmetrics = follower.join();
+    assert_eq!(fmetrics.value("evirel_serve_panics_total", &[]), Some(0));
     drop(conn);
     primary.shutdown();
-    let stats = primary.join();
-    assert_eq!(stats.panics, 0, "{stats:?}");
+    let metrics = primary.join();
+    assert_eq!(metrics.value("evirel_serve_panics_total", &[]), Some(0));
 }
 
 criterion_group!(benches, bench_replication);

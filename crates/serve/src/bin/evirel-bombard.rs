@@ -1,4 +1,5 @@
-//! `evirel-bombard` — load generator for the evirel-serve service.
+//! `evirel-bombard` — load generator for the evirel-serve service, over
+//! [`evirel_serve::load`]: it speaks the server's own frame codec.
 //!
 //! ```text
 //! evirel-bombard --addr HOST:PORT [--read-addr HOST:PORT]
@@ -13,7 +14,9 @@
 //! request, and prints the exact counters plus per-verb
 //! client-observed latency percentiles (p50/p90/p99/max — what the
 //! client waited, queueing and wire included, unlike the server's own
-//! handling-time histograms). With `--shutdown` it sends the
+//! handling-time histograms). A request answered `BUSY` is retried
+//! once on a fresh connection, and the retry's reply is counted like a
+//! first reply. With `--shutdown` it sends the
 //! `SHUTDOWN` verb after the run (the CI clean-shutdown gate).
 //!
 //! `--read-addr` splits the load across a replicated pair: `QUERY`
@@ -34,7 +37,7 @@
 //! server errors** — the acceptance bar for the service under
 //! ≥ 1000 concurrent sessions.
 
-use evirel_workload::driver::{request_once, run_load, LoadConfig};
+use evirel_serve::load::{request_once, run_load, LoadConfig};
 use std::time::{Duration, Instant};
 
 fn main() {

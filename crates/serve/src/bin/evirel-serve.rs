@@ -10,10 +10,13 @@
 //!
 //! Relations given on the command line load under their file
 //! basename (`.evb` segments attach as stored relations streaming
-//! through the buffer pool). `--seed-workload N` additionally
+//! through the buffer pool). An argument that starts with `-` and is
+//! not a flag above prints the usage line and exits 2; pass a file
+//! literally named `-x` as `./-x`. `--seed-workload N` additionally
 //! registers the paper's restaurant databases (`ra`, `rb`) and a
 //! generated union-compatible pair (`ga`, `gb`) of N tuples each —
-//! the dataset the `evirel-bombard` load driver targets.
+//! the dataset the `evirel-bombard` load driver (this crate's other
+//! binary) targets.
 //!
 //! With `--data-dir DIR` the server runs **durably**: on boot it
 //! recovers the directory's committed catalog (manifest + write-ahead
@@ -59,6 +62,12 @@ use evirel_query::{Catalog, DurableCatalog};
 use evirel_serve::{start_with_durability, FollowConfig, ServeConfig};
 use std::io::Write;
 
+const USAGE: &str = "usage: evirel-serve [--addr HOST:PORT] [--workers N] \
+                     [--max-pending N] [--allow-remote-shutdown] \
+                     [--data-dir DIR] [--follow HOST:PORT] \
+                     [--promote-on-disconnect] [--retry-budget N] \
+                     [--seed-workload TUPLES] [file.evr|file.evb ...]";
+
 fn main() {
     let env = Config::from_env();
     let mut config = ServeConfig {
@@ -77,13 +86,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-h" | "--help" => {
-                println!(
-                    "usage: evirel-serve [--addr HOST:PORT] [--workers N] \
-                     [--max-pending N] [--allow-remote-shutdown] \
-                     [--data-dir DIR] [--follow HOST:PORT] \
-                     [--promote-on-disconnect] [--retry-budget N] \
-                     [--seed-workload TUPLES] [file.evr|file.evb ...]"
-                );
+                println!("{USAGE}");
                 return;
             }
             "--addr" => config.addr = required(&mut args, "--addr"),
@@ -101,6 +104,10 @@ fn main() {
             "--retry-budget" => {
                 let n = parse_num(&required(&mut args, "--retry-budget"));
                 retry_budget = Some(u32::try_from(n).unwrap_or(u32::MAX));
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown argument {flag:?}\n{USAGE}");
+                std::process::exit(2);
             }
             path => files.push(path.to_owned()),
         }
@@ -175,18 +182,19 @@ fn main() {
     };
     println!("evirel-serve listening on {}", handle.addr());
     let _ = std::io::stdout().flush();
-    let stats = handle.join();
+    let metrics = handle.join();
+    let v = |name: &str| metrics.value(name, &[]).unwrap_or(0);
     eprintln!(
         "evirel-serve: shut down cleanly — {} session(s), {} request(s), \
          {} error(s), {} busy rejection(s), {} merge(s), {} panic(s)",
-        stats.sessions,
-        stats.requests,
-        stats.errors,
-        stats.rejected_busy,
-        stats.merges,
-        stats.panics,
+        v("evirel_serve_sessions_total"),
+        v("evirel_serve_requests_handled_total"),
+        v("evirel_serve_request_errors_total"),
+        v("evirel_serve_busy_rejected_total"),
+        v("evirel_serve_merges_total"),
+        v("evirel_serve_panics_total"),
     );
-    if stats.panics > 0 {
+    if v("evirel_serve_panics_total") > 0 {
         std::process::exit(1);
     }
 }

@@ -20,10 +20,12 @@
 //!   frame instead of an unbounded thread pile. Each worker session
 //!   runs under a [`evirel_query::SessionBudget`] carving the
 //!   catalog's thread count and pool budget across the pool.
-//! * **Length-prefixed wire protocol** — see [`protocol`]; small
-//!   enough to re-implement from the doc comment (the
-//!   `evirel-bombard` load driver in `evirel-workload` does exactly
-//!   that, keeping the dependency graph acyclic).
+//! * **Length-prefixed wire protocol** — see [`protocol`], the one
+//!   frame codec: the server, the follower and the [`load`] driver
+//!   behind the `evirel-bombard` binary all speak it. It is small
+//!   enough to re-implement from its doc comment, and the repository
+//!   benchmark's std-only client does exactly that, pinning
+//!   interoperability from outside.
 //! * **Streaming replication** — a durable server streams its
 //!   journal to standbys over the `FOLLOW` verb ([`replicate`]);
 //!   followers apply with the primary's fsync-before-publish
@@ -31,12 +33,14 @@
 //!   writes with `ERR readonly`, and can be promoted (`PROMOTE`, or
 //!   `--promote-on-disconnect`) when the primary dies.
 //! * **Observability** — every server owns an
-//!   [`evirel_obs::MetricsRegistry`]: per-verb request counters and
-//!   latency histograms, queue-depth/worker gauges, byte counters,
-//!   plus pull-collectors mirroring the plan cache, buffer pool,
-//!   durable catalog, and replication state. The `METRICS` verb
-//!   scrapes it as Prometheus text; `STATS` renders the same
-//!   registry human-readably, so the two can never disagree. Queries
+//!   [`evirel_obs::MetricsRegistry`], and every number it keeps is a
+//!   handle there: per-verb request counters and latency histograms,
+//!   queue-depth/worker gauges, byte counters, the durable catalog's
+//!   and replication's pushed series, plus pull-collectors mirroring
+//!   the plan cache and buffer pool and deriving replication lag and
+//!   heartbeat age. The `METRICS` verb scrapes it as Prometheus text;
+//!   `STATS` renders the same registry human-readably, so the two can
+//!   never disagree; [`ServerHandle::join`] returns it. Queries
 //!   at or above [`ServeConfig::slow_query_ms`] emit structured
 //!   `slow_query` events with per-stage span timings.
 
@@ -50,10 +54,11 @@
 //! let handle = start(catalog, ServeConfig::default()).unwrap();
 //! println!("listening on {}", handle.addr());
 //! // ... clients connect, QUERY/MERGE/..., one sends SHUTDOWN ...
-//! let stats = handle.join();
-//! assert_eq!(stats.panics, 0);
+//! let metrics = handle.join();
+//! assert_eq!(metrics.value("evirel_serve_panics_total", &[]), Some(0));
 //! ```
 
+pub mod load;
 pub mod protocol;
 pub mod replicate;
 pub mod server;
@@ -63,9 +68,7 @@ pub use protocol::{
     MAX_FRAME_BYTES, SEG_CHUNK_BYTES,
 };
 pub use replicate::{
-    apply_stream, follower_loop, serve_follow, ApplyCtx, FollowerExit, RetryPolicy, SenderCtx,
+    apply_stream, follower_loop, serve_follow, ApplyCtx, FollowConfig, FollowerExit,
+    ReplicationMetrics, SenderCtx,
 };
-pub use server::{
-    start, start_with_durability, FollowConfig, ReplicationSnapshot, ServeConfig, ServerHandle,
-    ServerStats, StatsSnapshot,
-};
+pub use server::{start, start_with_durability, ServeConfig, ServerHandle};

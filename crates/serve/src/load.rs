@@ -1,13 +1,8 @@
-//! Load driver for the evirel-serve query service.
+//! Load driver for the query service: the client behind the
+//! `evirel-bombard` binary.
 //!
-//! This module speaks the service's wire protocol with **zero
-//! dependency on the `evirel-serve` crate** (`evirel-query` depends
-//! on this crate, so workload → serve would close a cycle). The
-//! protocol is re-implemented from its spec — one `u32` big-endian
-//! length prefix plus a UTF-8 payload whose first line is the
-//! verb/status — and `evirel-serve`'s integration tests run this
-//! driver against a live in-process server, so the two
-//! implementations cannot drift apart silently.
+//! It speaks the one frame codec, [`crate::protocol`], and reads
+//! replies with [`Response::parse`].
 //!
 //! [`run_load`] spawns one OS thread per session; every session
 //! opens its own TCP connection (reconnecting with backoff when the
@@ -17,14 +12,12 @@
 //! `protocol_errors == 0 && server_errors == 0` after a run with
 //! ≥ 1000 concurrent sessions.
 
-use std::io::{self, Read, Write};
+use crate::protocol::{read_frame, write_frame, Response};
+use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
-
-/// Frame ceiling mirrored from the service spec.
-const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 /// Shape of one load run.
 #[derive(Debug, Clone)]
@@ -190,25 +183,33 @@ struct Counters {
 }
 
 impl Counters {
-    fn record_latency(&self, verb: Verb, elapsed_us: u64) {
+    fn samples(&self, verb: Verb) -> std::sync::MutexGuard<'_, Vec<u64>> {
         let samples = match verb {
             Verb::Query => &self.query_us,
             Verb::Merge => &self.merge_us,
             Verb::Ping => &self.ping_us,
         };
-        samples
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(elapsed_us);
+        samples.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Account one `OK`, whether it answered the first send or the
+    /// retry after a `BUSY`: its latency, and what its verb counts.
+    fn ok(&self, verb: Verb, body: &str, issued: Instant) {
+        self.samples(verb).push(issued.elapsed().as_micros() as u64);
+        self.ops_ok.fetch_add(1, Ordering::Relaxed);
+        match verb {
+            Verb::Merge => {
+                self.merges_ok.fetch_add(1, Ordering::Relaxed);
+            }
+            Verb::Query if body.lines().next().is_some_and(|h| h.contains("cached=1")) => {
+                self.cached_plans.fetch_add(1, Ordering::Relaxed);
+            }
+            Verb::Query | Verb::Ping => {}
+        }
     }
 
     fn latency(&self, verb: Verb) -> VerbLatency {
-        let samples = match verb {
-            Verb::Query => &self.query_us,
-            Verb::Merge => &self.merge_us,
-            Verb::Ping => &self.ping_us,
-        };
-        VerbLatency::from_samples(&mut samples.lock().unwrap_or_else(|e| e.into_inner()))
+        VerbLatency::from_samples(&mut self.samples(verb))
     }
 
     fn report(&self) -> LoadReport {
@@ -284,66 +285,43 @@ fn run_session(sid: usize, config: &LoadConfig, counters: &Counters) {
         // Reads route to the standby when one is configured; writes
         // always go to the primary.
         let use_read = !is_merge && read_conn.is_some();
-        let addr = if use_read {
-            config.read_addr.as_deref().unwrap_or_default()
-        } else {
-            config.addr.as_str()
-        };
-        let conn = if use_read {
-            read_conn.as_mut().unwrap_or(&mut write_conn)
-        } else {
-            &mut write_conn
-        };
-        let issued = Instant::now();
-        match roundtrip(conn, &request) {
-            Ok(Reply::Ok(body)) => {
-                counters.record_latency(verb, issued.elapsed().as_micros() as u64);
-                counters.ops_ok.fetch_add(1, Ordering::Relaxed);
-                if is_merge {
-                    counters.merges_ok.fetch_add(1, Ordering::Relaxed);
-                } else if body.lines().next().is_some_and(|h| h.contains("cached=1")) {
-                    counters.cached_plans.fetch_add(1, Ordering::Relaxed);
-                }
+        let mut busy_retried = false;
+        let (reply, issued) = loop {
+            let conn = match read_conn.as_mut() {
+                Some(conn) if use_read => conn,
+                _ => &mut write_conn,
+            };
+            let issued = Instant::now();
+            let reply = roundtrip(conn, &request);
+            if busy_retried || !matches!(reply, Ok(Response::Busy { .. })) {
+                break (reply, issued);
             }
-            Ok(Reply::Err) => {
+            // Mid-session BUSY means the connection is gone;
+            // reconnect (with backoff) and retry this op once.
+            busy_retried = true;
+            counters.busy_retries.fetch_add(1, Ordering::Relaxed);
+            let addr = match &config.read_addr {
+                Some(addr) if use_read => addr,
+                _ => &config.addr,
+            };
+            let Some(c) = connect(addr, config, counters) else {
+                counters.busy_give_ups.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            match read_conn.as_mut() {
+                Some(conn) if use_read => *conn = c,
+                _ => write_conn = c,
+            }
+        };
+        // A first reply and a retried one are accounted alike.
+        match reply {
+            Ok(Response::Ok { body }) => counters.ok(verb, &body, issued),
+            Ok(Response::Err { .. }) => {
                 counters.server_errors.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(Reply::Busy) => {
-                // Mid-session BUSY means the connection is gone;
-                // reconnect (with backoff) and retry this op once.
-                counters.busy_retries.fetch_add(1, Ordering::Relaxed);
-                match connect(addr, config, counters) {
-                    Some(c) => {
-                        let conn = if use_read {
-                            read_conn.insert(c)
-                        } else {
-                            write_conn = c;
-                            &mut write_conn
-                        };
-                        let retried = Instant::now();
-                        match roundtrip(conn, &request) {
-                            Ok(Reply::Ok(_)) => {
-                                counters.record_latency(verb, retried.elapsed().as_micros() as u64);
-                                counters.ops_ok.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(Reply::Err) => {
-                                counters.server_errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(Reply::Busy) => {
-                                counters.busy_give_ups.fetch_add(1, Ordering::Relaxed);
-                                return;
-                            }
-                            Err(_) => {
-                                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                    None => {
-                        counters.busy_give_ups.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
+            Ok(Response::Busy { .. }) => {
+                counters.busy_give_ups.fetch_add(1, Ordering::Relaxed);
+                return;
             }
             Err(_) => {
                 counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -377,30 +355,21 @@ fn connect(addr: &str, config: &LoadConfig, counters: &Counters) -> Option<TcpSt
     None
 }
 
-enum Reply {
-    Ok(String),
-    Err,
-    Busy,
-}
-
-fn roundtrip(stream: &mut TcpStream, request: &str) -> io::Result<Reply> {
+/// One request frame out, one reply frame's payload back.
+fn exchange(stream: &mut TcpStream, request: &str) -> io::Result<String> {
     write_frame(stream, request)?;
-    let payload = read_frame(stream)?.ok_or_else(|| {
+    read_frame(stream)?.ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "server closed before replying",
         )
-    })?;
-    let (head, body) = payload.split_once('\n').unwrap_or((payload.as_str(), ""));
-    match head.split_whitespace().next() {
-        Some("OK") => Ok(Reply::Ok(body.to_owned())),
-        Some("ERR") => Ok(Reply::Err),
-        Some("BUSY") => Ok(Reply::Busy),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unrecognized response status {head:?}"),
-        )),
-    }
+    })
+}
+
+/// [`exchange`], the reply parsed.
+fn roundtrip(stream: &mut TcpStream, request: &str) -> io::Result<Response> {
+    let payload = exchange(stream, request)?;
+    Response::parse(&payload).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
 }
 
 /// Send one request over a fresh connection and return the raw
@@ -412,48 +381,59 @@ fn roundtrip(stream: &mut TcpStream, request: &str) -> io::Result<Reply> {
 pub fn request_once(addr: &str, payload: &str, timeout: Duration) -> io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
-    write_frame(&mut stream, payload)?;
-    read_frame(&mut stream)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no response frame"))
+    exchange(&mut stream, payload)
 }
 
-fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    debug_assert!(bytes.len() <= MAX_FRAME_BYTES);
-    // Single write per frame (header + payload coalesced) — split
-    // writes trip Nagle + delayed-ACK stalls; see the serve protocol.
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&u32::to_be_bytes(bytes.len() as u32));
-    frame.extend_from_slice(bytes);
-    w.write_all(&frame)?;
-    w.flush()
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
 
-fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < header.len() {
-        match r.read(&mut header[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream closed mid-header",
-                ))
+    /// A scripted server: its first connection's request is answered
+    /// `BUSY`, its second's `OK` with `body`.
+    fn busy_then_ok(body: &'static str) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let script = std::thread::spawn(move || {
+            for reply in ["BUSY\nserver at capacity".to_owned(), format!("OK\n{body}")] {
+                let (mut conn, _) = listener.accept().unwrap();
+                read_frame(&mut conn).unwrap().expect("a request");
+                write_frame(&mut conn, &reply).unwrap();
             }
-            n => filled += n,
-        }
+        });
+        (addr, script)
     }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame length exceeds protocol ceiling",
-        ));
+
+    fn one_op(addr: String, merge_every: usize) -> LoadReport {
+        run_load(&LoadConfig {
+            addr,
+            sessions: 1,
+            ops_per_session: 1,
+            merge_every,
+            queries: vec!["SELECT * FROM ra".into()],
+            busy_backoff: Duration::from_millis(1),
+            read_timeout: Duration::from_secs(30),
+            ..LoadConfig::default()
+        })
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))
+
+    #[test]
+    fn a_merge_acked_after_busy_counts_as_a_merge() {
+        let (addr, script) = busy_then_ok("merged m0 tuples=6 generation=1");
+        let report = one_op(addr, 1);
+        script.join().unwrap();
+        assert_eq!((report.ops_ok, report.merges_ok), (1, 1), "{report:?}");
+        assert!(report.busy_retries >= 1, "{report:?}");
+        assert_eq!(report.merge_latency.count, 1, "{report:?}");
+    }
+
+    #[test]
+    fn a_cached_query_answered_after_busy_counts_as_cached() {
+        let (addr, script) = busy_then_ok("tuples=0 conflicts=0 cached=1 generation=0\n");
+        let report = one_op(addr, 0);
+        script.join().unwrap();
+        assert_eq!((report.ops_ok, report.cached_plans), (1, 1), "{report:?}");
+        assert!(report.busy_retries >= 1, "{report:?}");
+        assert_eq!(report.query_latency.count, 1, "{report:?}");
+    }
 }

@@ -51,9 +51,11 @@
 //! after the frame.
 //!
 //! The framing layer is deliberately small enough that clients with
-//! no dependency on this crate (the `evirel-bombard` load driver, or
-//! any other language entirely) can re-implement it from this comment
-//! alone.
+//! no dependency on this crate (the repository benchmark's std-only
+//! client, or any other language entirely) can re-implement it from
+//! this comment alone. Within the workspace this module is the one
+//! codec: the server, the follower and the [`crate::load`] driver all
+//! speak it.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -253,7 +255,8 @@ pub fn read_frame_with(
     String::from_utf8(buf).map(Some).map_err(|_| not_utf8())
 }
 
-fn is_timeout(e: &io::Error) -> bool {
+/// A frame-start (or idle) read timeout: a poll tick, not a failure.
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut

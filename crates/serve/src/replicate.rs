@@ -53,9 +53,9 @@
 //! arbitrary byte boundaries.
 
 use crate::protocol::{
-    read_frame_with, write_frame, Request, Response, StreamFrame, SEG_CHUNK_BYTES,
+    is_timeout, read_frame_with, write_frame, Request, Response, StreamFrame, SEG_CHUNK_BYTES,
 };
-use evirel_obs::{Event, EventLog};
+use evirel_obs::{Counter, Event, EventLog, Gauge, MetricsRegistry};
 use evirel_query::{DurableCatalog, SharedCatalog, StreamPlan};
 use evirel_store::{JournalRecord, ManifestEntry};
 use std::io::{self, Read, Write};
@@ -77,18 +77,88 @@ fn store_io(e: evirel_store::StoreError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
+/// Wall-clock Unix milliseconds — heartbeat timestamps and their age
+/// only, never ordering.
+pub(crate) fn unix_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis() as u64)
+}
+
+/// A server's replication series: handles onto its
+/// [`MetricsRegistry`] that the sender, the apply loop and the
+/// follower loop push into, plus the two raw inputs the scrape-time
+/// collector derives generation lag and heartbeat age from.
+#[derive(Debug)]
+pub struct ReplicationMetrics {
+    /// `FOLLOW` subscriptions currently attached (primary side).
+    pub followers: Gauge,
+    /// Records (or resync snapshots) shipped to followers.
+    pub sent: Counter,
+    /// Records applied from a primary (follower side).
+    pub applied: Counter,
+    /// Full-state resyncs installed (follower side).
+    pub resyncs: Counter,
+    /// Reconnect attempts after the initial connection.
+    pub reconnects: Counter,
+    /// Whether the follower link is up (0/1).
+    pub connected: Gauge,
+    /// Highest generation the primary has announced (records,
+    /// snapshots, or `GEN` heartbeats) — the minuend of the
+    /// replication-lag gauge (`primary - applied`).
+    pub primary_generation: AtomicU64,
+    /// Unix milliseconds of the last frame received from the primary;
+    /// 0 until the first frame. The heartbeat-age gauge subtracts
+    /// this from now.
+    pub heartbeat_unix_ms: AtomicU64,
+}
+
+impl ReplicationMetrics {
+    /// Register the `evirel_repl_*` series in `registry` and hold
+    /// their handles.
+    pub fn new(registry: &MetricsRegistry) -> ReplicationMetrics {
+        ReplicationMetrics {
+            followers: registry.gauge(
+                "evirel_repl_followers",
+                "FOLLOW subscriptions currently attached",
+                &[],
+            ),
+            sent: registry.counter(
+                "evirel_repl_records_sent_total",
+                "Records or snapshots shipped to followers",
+                &[],
+            ),
+            applied: registry.counter(
+                "evirel_repl_records_applied_total",
+                "Records applied from a primary",
+                &[],
+            ),
+            resyncs: registry.counter(
+                "evirel_repl_resyncs_total",
+                "Full-state resyncs installed",
+                &[],
+            ),
+            reconnects: registry.counter(
+                "evirel_repl_reconnects_total",
+                "Reconnect attempts after the initial connection",
+                &[],
+            ),
+            connected: registry.gauge(
+                "evirel_repl_connected",
+                "Whether the follower link is up (0/1)",
+                &[],
+            ),
+            primary_generation: AtomicU64::new(0),
+            heartbeat_unix_ms: AtomicU64::new(0),
+        }
+    }
 }
 
 // --------------------------------------------------------- sender
 
 /// What a replication sender needs from the server: the published
 /// catalog (for publish wakeups), the durable history, a stop flag,
-/// and counters.
+/// and the replication series.
 pub struct SenderCtx<'a> {
     /// The published catalog — [`SharedCatalog::wait_newer`] parks
     /// the sender between writes.
@@ -99,8 +169,9 @@ pub struct SenderCtx<'a> {
     pub stop: &'a AtomicBool,
     /// Idle heartbeat cadence (the server's poll interval).
     pub poll: Duration,
-    /// Incremented per record (or snapshot) shipped.
-    pub records_sent: &'a AtomicU64,
+    /// [`ReplicationMetrics::sent`] counts each record (or snapshot)
+    /// shipped.
+    pub metrics: &'a ReplicationMetrics,
 }
 
 /// Serve one `FOLLOW <from>` subscription over `w`: handshake frame,
@@ -162,7 +233,7 @@ pub fn serve_follow(w: &mut impl Write, ctx: &SenderCtx<'_>, from: u64) -> io::R
                     };
                     let generation = record.generation();
                     write_frame(w, &StreamFrame::Rec(record).encode())?;
-                    ctx.records_sent.fetch_add(1, Ordering::Relaxed);
+                    ctx.metrics.sent.inc();
                     cursor = generation;
                 }
             }
@@ -186,7 +257,7 @@ pub fn serve_follow(w: &mut impl Write, ctx: &SenderCtx<'_>, from: u64) -> io::R
                     }
                 }
                 write_frame(w, &StreamFrame::SnapEnd { generation }.encode())?;
-                ctx.records_sent.fetch_add(1, Ordering::Relaxed);
+                ctx.metrics.sent.inc();
                 cursor = generation;
             }
         }
@@ -235,7 +306,7 @@ fn send_segment(
 
 /// What the follower's apply loop needs: its own durable catalog and
 /// published catalog, a stop predicate (shutdown **or** promotion),
-/// and counters.
+/// and the replication series.
 pub struct ApplyCtx<'a> {
     /// The follower's published catalog; every applied record
     /// publishes at the primary's generation.
@@ -245,18 +316,9 @@ pub struct ApplyCtx<'a> {
     pub durable: &'a Mutex<DurableCatalog>,
     /// Checked between frames (and while idle); `true` ends the loop.
     pub stop: &'a dyn Fn() -> bool,
-    /// Incremented per record applied.
-    pub records_applied: &'a AtomicU64,
-    /// Incremented per full-state snapshot installed.
-    pub resyncs: &'a AtomicU64,
-    /// Highest generation the primary has announced (records,
-    /// snapshots, or `GEN` heartbeats) — the minuend of the
-    /// replication-lag gauge (`primary - applied`).
-    pub primary_generation: &'a AtomicU64,
-    /// Unix milliseconds of the last frame received from the primary;
-    /// 0 until the first frame. The heartbeat-age gauge subtracts
-    /// this from now.
-    pub heartbeat_unix_ms: &'a AtomicU64,
+    /// Applied records, installed snapshots, the link state, and what
+    /// the primary announced when.
+    pub metrics: &'a ReplicationMetrics,
     /// Where follower failures are logged (the server's event ring):
     /// one `replication_error` event per failed connect, stream,
     /// apply, install or reconcile.
@@ -299,6 +361,7 @@ fn apply_frames(
     at: &mut (&'static str, u64),
 ) -> io::Result<()> {
     let dir = lock(ctx.durable).dir().to_path_buf();
+    let m = ctx.metrics;
     let mut pending_snap: Option<(u64, Vec<ManifestEntry>)> = None;
     loop {
         if (ctx.stop)() {
@@ -313,7 +376,7 @@ fn apply_frames(
         let frame = StreamFrame::parse(&payload)
             .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
         // Every frame is proof of life — heartbeats included.
-        ctx.heartbeat_unix_ms.store(unix_ms(), Ordering::Relaxed);
+        m.heartbeat_unix_ms.store(unix_ms(), Ordering::Relaxed);
         match frame {
             StreamFrame::Seg {
                 file,
@@ -330,8 +393,8 @@ fn apply_frames(
                 lock(ctx.durable)
                     .apply_record(ctx.catalog, &record)
                     .map_err(to_io)?;
-                ctx.records_applied.fetch_add(1, Ordering::Relaxed);
-                ctx.primary_generation
+                m.applied.inc();
+                m.primary_generation
                     .fetch_max(generation, Ordering::Relaxed);
                 *at = ("stream", generation);
             }
@@ -356,27 +419,18 @@ fn apply_frames(
                 lock(ctx.durable)
                     .install(ctx.catalog, generation, entries)
                     .map_err(to_io)?;
-                ctx.resyncs.fetch_add(1, Ordering::Relaxed);
-                ctx.primary_generation
+                m.resyncs.inc();
+                m.primary_generation
                     .fetch_max(generation, Ordering::Relaxed);
                 *at = ("stream", generation);
             }
             // Heartbeat: liveness, plus the primary's committed
             // generation — what the lag gauge measures against.
             StreamFrame::Gen { committed } => {
-                ctx.primary_generation
-                    .fetch_max(committed, Ordering::Relaxed);
+                m.primary_generation.fetch_max(committed, Ordering::Relaxed);
             }
         }
     }
-}
-
-/// Wall-clock Unix milliseconds — heartbeat timestamps only, never
-/// ordering.
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64)
 }
 
 // ------------------------------------------------------- follower
@@ -390,51 +444,63 @@ pub enum FollowerExit {
     RetriesExhausted,
 }
 
-/// Reconnection policy for a follower.
+/// Standby configuration: where the primary is and what to do when
+/// it goes away. The reconnect backoff is not configured here: it is
+/// derived from the server's poll interval (see [`follower_loop`]).
 #[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// First-retry backoff; doubles per consecutive failure.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Consecutive connection failures tolerated before giving up
-    /// (`None`: retry forever).
-    pub retry_budget: Option<u32>,
-    /// Socket read poll interval (also bounds stop-flag latency).
-    pub poll: Duration,
+pub struct FollowConfig {
+    /// The primary's address (`host:port`) to `FOLLOW`.
+    pub primary: String,
+    /// Promote automatically (drop read-only mode) once
+    /// `retry_budget` consecutive reconnect attempts fail. Off by
+    /// default: unattended promotion risks split-brain when the
+    /// outage is a network partition rather than a dead primary.
+    pub promote_on_disconnect: bool,
+    /// Consecutive connection failures tolerated before
+    /// `promote_on_disconnect` fires (ignored when it is off — the
+    /// follower then retries forever).
+    pub retry_budget: u32,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            initial_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(2),
-            retry_budget: None,
-            poll: Duration::from_millis(100),
+impl FollowConfig {
+    /// A standby of `primary` with a retry budget of 5 and manual
+    /// promotion.
+    pub fn new(primary: impl Into<String>) -> FollowConfig {
+        FollowConfig {
+            primary: primary.into(),
+            promote_on_disconnect: false,
+            retry_budget: 5,
         }
     }
 }
 
-/// The follower's outer loop: connect to `primary`, `FOLLOW` from the
-/// **current** applied generation, apply the stream, reconnect with
-/// exponential backoff on any failure. Returns when the stop
-/// predicate turns true or the retry budget is exhausted.
-pub fn follower_loop(
-    primary: &str,
-    ctx: &ApplyCtx<'_>,
-    connected: &AtomicBool,
-    reconnects: &AtomicU64,
-    policy: &RetryPolicy,
-) -> FollowerExit {
+/// The follower's first reconnect backoff and its ceiling under poll
+/// interval `poll`.
+fn reconnect_backoff(poll: Duration) -> (Duration, Duration) {
+    (poll, poll * 20)
+}
+
+/// The follower's outer loop: connect to `follow.primary`, `FOLLOW`
+/// from the **current** applied generation, apply the stream,
+/// reconnect with exponential backoff on any failure. `poll` is the
+/// socket read poll interval (it also bounds stop-flag latency) and
+/// sets the backoff: one poll interval first, doubling per
+/// consecutive failure up to twenty. Returns when the stop
+/// predicate turns true or, with `promote_on_disconnect`, the retry
+/// budget is exhausted.
+pub fn follower_loop(follow: &FollowConfig, poll: Duration, ctx: &ApplyCtx<'_>) -> FollowerExit {
+    let (initial_backoff, max_backoff) = reconnect_backoff(poll);
+    let retry_budget = follow.promote_on_disconnect.then_some(follow.retry_budget);
+    let m = ctx.metrics;
     let mut failures: u32 = 0;
-    let mut backoff = policy.initial_backoff;
+    let mut backoff = initial_backoff;
     let mut first = true;
     loop {
         if (ctx.stop)() {
             return FollowerExit::Stopped;
         }
         if !first {
-            reconnects.fetch_add(1, Ordering::Relaxed);
+            m.reconnects.inc();
         }
         first = false;
         // Resume from what is durably applied *now* — never from
@@ -454,9 +520,9 @@ pub fn follower_loop(
             durable.committed_generation()
         };
         // Failures past the handshake are logged by `apply_stream`.
-        let attempt = match connect(primary, cursor, ctx, policy.poll) {
+        let attempt = match connect(&follow.primary, cursor, ctx, poll) {
             Ok(Some(mut stream)) => {
-                connected.store(true, Ordering::SeqCst);
+                m.connected.set(1);
                 apply_stream(&mut stream, ctx).map(|()| true)
             }
             Ok(None) => Ok(false),
@@ -465,9 +531,9 @@ pub fn follower_loop(
                 Err(e)
             }
         };
+        m.connected.set(0);
         match attempt {
             Ok(handshook) => {
-                connected.store(false, Ordering::SeqCst);
                 if (ctx.stop)() {
                     return FollowerExit::Stopped;
                 }
@@ -475,21 +541,18 @@ pub fn follower_loop(
                     // The link worked and then dropped: reset the
                     // consecutive-failure count, restart backoff.
                     failures = 1;
-                    backoff = policy.initial_backoff;
+                    backoff = initial_backoff;
                 } else {
                     failures = failures.saturating_add(1);
                 }
             }
-            Err(_) => {
-                connected.store(false, Ordering::SeqCst);
-                failures = failures.saturating_add(1);
-            }
+            Err(_) => failures = failures.saturating_add(1),
         }
-        if policy.retry_budget.is_some_and(|budget| failures > budget) {
+        if retry_budget.is_some_and(|budget| failures > budget) {
             return FollowerExit::RetriesExhausted;
         }
         sleep_unless_stopped(backoff, ctx.stop);
-        backoff = (backoff * 2).min(policy.max_backoff);
+        backoff = (backoff * 2).min(max_backoff);
     }
 }
 
@@ -555,6 +618,17 @@ fn sleep_unless_stopped(total: Duration, stop: &dyn Fn() -> bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The daemon leaves the poll interval at its default, so its
+    /// follower first backs off 100 ms and never more than 2 s.
+    #[test]
+    fn the_daemon_follower_backs_off_100ms_first_and_2s_at_most() {
+        let poll = crate::ServeConfig::default().poll_interval;
+        assert_eq!(
+            reconnect_backoff(poll),
+            (Duration::from_millis(100), Duration::from_secs(2))
+        );
+    }
 
     /// A segment past two chunks, read one chunk at a time, ships as
     /// the frames that cutting the whole file into `SEG_CHUNK_BYTES`

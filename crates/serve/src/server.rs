@@ -38,9 +38,10 @@
 //! ([`std::panic::catch_unwind`]) and surfaced as `ERR panic` frames,
 //! so one poisoned request cannot take down a worker or the process.
 
-use crate::protocol::{write_frame, FrameBuf, Request, Response};
+use crate::protocol::{is_timeout, write_frame, FrameBuf, Request, Response};
 use crate::replicate::{
-    follower_loop, serve_follow, ApplyCtx, FollowerExit, RetryPolicy, SenderCtx,
+    follower_loop, serve_follow, unix_ms, ApplyCtx, FollowConfig, FollowerExit, ReplicationMetrics,
+    SenderCtx,
 };
 use evirel_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use evirel_plan::DEFAULT_SLOW_QUERY_MS;
@@ -54,45 +55,10 @@ use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Standby configuration: where the primary is and what to do when
-/// it goes away.
-#[derive(Debug, Clone)]
-pub struct FollowConfig {
-    /// The primary's address (`host:port`) to `FOLLOW`.
-    pub primary: String,
-    /// Promote automatically (drop read-only mode) once
-    /// `retry_budget` consecutive reconnect attempts fail. Off by
-    /// default: unattended promotion risks split-brain when the
-    /// outage is a network partition rather than a dead primary.
-    pub promote_on_disconnect: bool,
-    /// Consecutive connection failures tolerated before
-    /// `promote_on_disconnect` fires (ignored when it is off — the
-    /// follower then retries forever).
-    pub retry_budget: u32,
-    /// First-reconnect backoff; doubles per consecutive failure.
-    pub initial_backoff: Duration,
-    /// Reconnect backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl FollowConfig {
-    /// A standby of `primary` with default retry policy and manual
-    /// promotion.
-    pub fn new(primary: impl Into<String>) -> FollowConfig {
-        FollowConfig {
-            primary: primary.into(),
-            promote_on_disconnect: false,
-            retry_budget: 5,
-            initial_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(2),
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -141,101 +107,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Monotonic server counters. Each field is a handle onto a series in
-/// the server's [`MetricsRegistry`] — `STATS`, `METRICS`, and
-/// [`ServerHandle::stats`] all read the same underlying atomics, so
-/// the numbers cannot disagree across surfaces.
-#[derive(Debug)]
-pub struct ServerStats {
-    /// Connections admitted to the pending queue.
-    pub accepted: Counter,
-    /// Connections rejected with `BUSY` at the admission gate.
-    pub rejected_busy: Counter,
-    /// Sessions served to completion by workers.
-    pub sessions: Counter,
-    /// Requests handled (any verb, any outcome).
-    pub requests: Counter,
-    /// `ERR` responses sent (typed failures, including protocol).
-    pub errors: Counter,
-    /// Worker panics caught and converted to `ERR panic`.
-    pub panics: Counter,
-    /// Successful `MERGE` writes (generation bumps).
-    pub merges: Counter,
-}
-
-/// A plain-data copy of [`ServerStats`] at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Connections admitted to the pending queue.
-    pub accepted: u64,
-    /// Connections rejected with `BUSY`.
-    pub rejected_busy: u64,
-    /// Sessions served to completion.
-    pub sessions: u64,
-    /// Requests handled.
-    pub requests: u64,
-    /// `ERR` responses sent.
-    pub errors: u64,
-    /// Worker panics caught.
-    pub panics: u64,
-    /// Successful `MERGE` writes.
-    pub merges: u64,
-}
-
-impl ServerStats {
-    fn new(registry: &MetricsRegistry) -> ServerStats {
-        ServerStats {
-            accepted: registry.counter(
-                "evirel_serve_connections_accepted_total",
-                "Connections admitted to the pending queue",
-                &[],
-            ),
-            rejected_busy: registry.counter(
-                "evirel_serve_busy_rejected_total",
-                "Connections rejected with BUSY at the admission gate",
-                &[],
-            ),
-            sessions: registry.counter(
-                "evirel_serve_sessions_total",
-                "Sessions served to completion by workers",
-                &[],
-            ),
-            requests: registry.counter(
-                "evirel_serve_requests_handled_total",
-                "Requests handled, any verb, any outcome",
-                &[],
-            ),
-            errors: registry.counter(
-                "evirel_serve_request_errors_total",
-                "ERR responses sent (typed failures, including protocol)",
-                &[],
-            ),
-            panics: registry.counter(
-                "evirel_serve_panics_total",
-                "Worker panics caught and converted to ERR panic",
-                &[],
-            ),
-            merges: registry.counter(
-                "evirel_serve_merges_total",
-                "Successful MERGE writes (generation bumps)",
-                &[],
-            ),
-        }
-    }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            accepted: self.accepted.get(),
-            rejected_busy: self.rejected_busy.get(),
-            sessions: self.sessions.get(),
-            requests: self.requests.get(),
-            errors: self.errors.get(),
-            panics: self.panics.get(),
-            merges: self.merges.get(),
-        }
-    }
-}
-
 /// The `verb` label values the per-verb series pre-register (the
 /// protocol's verbs plus `invalid` for unparseable requests). Handles
 /// are created once at startup so the per-request hot path touches
@@ -253,9 +124,26 @@ struct VerbMetrics {
     latency: Histogram,
 }
 
-/// Serve-layer instrumentation beyond the [`ServerStats`] counters:
-/// per-verb traffic, queue pressure, worker utilization, wire volume.
+/// The serve layer's series, as handles onto the server's
+/// [`MetricsRegistry`]: admission and session counts, request
+/// outcomes, per-verb traffic, queue pressure, worker utilization,
+/// wire volume. `STATS` and `METRICS` both read them from the
+/// registry, so the two cannot disagree.
 struct ServeMetrics {
+    /// Connections admitted to the pending queue.
+    accepted: Counter,
+    /// Connections rejected with `BUSY` at the admission gate.
+    rejected_busy: Counter,
+    /// Sessions served to completion by workers.
+    sessions: Counter,
+    /// Requests handled (any verb, any outcome).
+    requests: Counter,
+    /// `ERR` responses sent (typed failures, including protocol).
+    errors: Counter,
+    /// Worker panics caught and converted to `ERR panic`.
+    panics: Counter,
+    /// Successful `MERGE` writes (generation bumps).
+    merges: Counter,
     queue_depth: Gauge,
     workers_busy: Gauge,
     bytes_read: Counter,
@@ -289,7 +177,36 @@ impl ServeMetrics {
                 )
             })
             .collect();
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
         ServeMetrics {
+            accepted: counter(
+                "evirel_serve_connections_accepted_total",
+                "Connections admitted to the pending queue",
+            ),
+            rejected_busy: counter(
+                "evirel_serve_busy_rejected_total",
+                "Connections rejected with BUSY at the admission gate",
+            ),
+            sessions: counter(
+                "evirel_serve_sessions_total",
+                "Sessions served to completion by workers",
+            ),
+            requests: counter(
+                "evirel_serve_requests_handled_total",
+                "Requests handled, any verb, any outcome",
+            ),
+            errors: counter(
+                "evirel_serve_request_errors_total",
+                "ERR responses sent (typed failures, including protocol)",
+            ),
+            panics: counter(
+                "evirel_serve_panics_total",
+                "Worker panics caught and converted to ERR panic",
+            ),
+            merges: counter(
+                "evirel_serve_merges_total",
+                "Successful MERGE writes (generation bumps)",
+            ),
             queue_depth: registry.gauge(
                 "evirel_serve_queue_depth",
                 "Connections waiting in the pending queue",
@@ -324,7 +241,7 @@ impl ServeMetrics {
     }
 }
 
-/// Replication role and counters.
+/// Replication role, control flags and series.
 #[derive(Debug)]
 struct Replication {
     /// `true` while this server is an unpromoted standby: `MERGE`
@@ -336,40 +253,17 @@ struct Replication {
     /// Whether this server was *started* as a follower (its role
     /// line reads `follower` or `promoted`, never `primary`).
     role_follower: bool,
-    /// `FOLLOW` subscriptions currently attached (primary side).
-    followers: AtomicU64,
-    /// Records (or resync snapshots) shipped to followers.
-    records_sent: AtomicU64,
-    /// Records applied from a primary (follower side).
-    records_applied: AtomicU64,
-    /// Full-state resyncs installed (follower side).
-    resyncs: AtomicU64,
-    /// Reconnect attempts after the initial connection.
-    reconnects: AtomicU64,
-    /// Whether the follower link is currently up.
-    connected: AtomicBool,
-    /// Highest generation the primary announced (follower side) —
-    /// the minuend of the replication-lag gauge.
-    primary_generation: AtomicU64,
-    /// Unix milliseconds of the last stream frame received (follower
-    /// side); 0 until the first frame.
-    heartbeat_unix_ms: AtomicU64,
+    /// The `evirel_repl_*` series.
+    metrics: ReplicationMetrics,
 }
 
 impl Replication {
-    fn new(follower: bool) -> Replication {
+    fn new(follower: bool, registry: &MetricsRegistry) -> Replication {
         Replication {
             readonly: AtomicBool::new(follower),
             promote: AtomicBool::new(false),
             role_follower: follower,
-            followers: AtomicU64::new(0),
-            records_sent: AtomicU64::new(0),
-            records_applied: AtomicU64::new(0),
-            resyncs: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            connected: AtomicBool::new(false),
-            primary_generation: AtomicU64::new(0),
-            heartbeat_unix_ms: AtomicU64::new(0),
+            metrics: ReplicationMetrics::new(registry),
         }
     }
 
@@ -395,25 +289,6 @@ impl Replication {
     }
 }
 
-/// A plain-data copy of the replication state at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicationSnapshot {
-    /// `primary`, `follower`, or `promoted`.
-    pub role: &'static str,
-    /// `FOLLOW` subscriptions currently attached.
-    pub followers: u64,
-    /// Records/snapshots shipped to followers.
-    pub records_sent: u64,
-    /// Records applied from a primary.
-    pub records_applied: u64,
-    /// Full-state resyncs installed.
-    pub resyncs: u64,
-    /// Reconnect attempts after the initial connection.
-    pub reconnects: u64,
-    /// Whether the follower link is currently up.
-    pub connected: bool,
-}
-
 /// Everything the accept thread and workers share.
 struct Shared {
     shared: Arc<SharedCatalog>,
@@ -424,7 +299,6 @@ struct Shared {
     /// verb renders it.
     metrics: Arc<MetricsRegistry>,
     serve_metrics: ServeMetrics,
-    stats: ServerStats,
     queue: Mutex<VecDeque<TcpStream>>,
     ready: Condvar,
     shutdown: AtomicBool,
@@ -443,7 +317,7 @@ struct Shared {
     /// The data directory's path as `STATS` prints it — fixed at
     /// startup, so reading it never waits on the `durable` mutex.
     data_dir: Option<String>,
-    /// Replication role and counters (present on every server; a
+    /// Replication role, flags and series (present on every server; a
     /// plain primary just never flips out of the `primary` role).
     /// Arc'd so the scrape-time replication collector can hold it
     /// without owning the whole [`Shared`] (which owns the registry —
@@ -490,30 +364,17 @@ impl ServerHandle {
         &self.shared.cache
     }
 
-    /// Current server counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
-    }
-
     /// This server's metrics registry — what the `METRICS` verb
-    /// renders. Fresh per server: in-process servers never share
-    /// counters.
+    /// renders and `STATS` reads, the one place every number the
+    /// server keeps lives. Fresh per server: in-process servers never
+    /// share counters.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.shared.metrics
     }
 
-    /// Current replication role and counters.
-    pub fn replication(&self) -> ReplicationSnapshot {
-        let r = &self.shared.replication;
-        ReplicationSnapshot {
-            role: r.role(),
-            followers: r.followers.load(Ordering::Relaxed),
-            records_sent: r.records_sent.load(Ordering::Relaxed),
-            records_applied: r.records_applied.load(Ordering::Relaxed),
-            resyncs: r.resyncs.load(Ordering::Relaxed),
-            reconnects: r.reconnects.load(Ordering::Relaxed),
-            connected: r.connected.load(Ordering::SeqCst),
-        }
+    /// The replication role: `primary`, `follower`, or `promoted`.
+    pub fn role(&self) -> &'static str {
+        self.shared.replication.role()
     }
 
     /// Ask a follower to promote (stop following, accept writes) and
@@ -533,8 +394,9 @@ impl ServerHandle {
     }
 
     /// Wait for the accept thread and every worker to exit, returning
-    /// the final counters. Call [`ServerHandle::shutdown`] first (or
-    /// have a client send `SHUTDOWN`), or this blocks indefinitely.
+    /// the registry, which holds the final counters. Call
+    /// [`ServerHandle::shutdown`] first (or have a client send
+    /// `SHUTDOWN`), or this blocks indefinitely.
     ///
     /// When the server runs durably, a final checkpoint is taken
     /// *after* the last worker drains — every journaled merge is
@@ -542,7 +404,7 @@ impl ServerHandle {
     /// a clean shutdown leaves a directory that recovers without
     /// journal replay. A failed checkpoint is reported on stderr but
     /// does not lose data: the journal still holds every record.
-    pub fn join(mut self) -> StatsSnapshot {
+    pub fn join(mut self) -> Arc<MetricsRegistry> {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
@@ -558,7 +420,7 @@ impl ServerHandle {
                 eprintln!("evirel-serve: shutdown checkpoint failed: {e}");
             }
         }
-        self.shared.stats.snapshot()
+        Arc::clone(&self.shared.metrics)
     }
 }
 
@@ -607,9 +469,8 @@ pub fn start_with_durability(
         .as_ref()
         .map_or(0, DurableCatalog::recovered_generation);
     let metrics = Arc::new(MetricsRegistry::new());
-    let stats = ServerStats::new(&metrics);
     let serve_metrics = ServeMetrics::new(&metrics);
-    let replication = Arc::new(Replication::new(config.follow.is_some()));
+    let replication = Arc::new(Replication::new(config.follow.is_some(), &metrics));
     let data_dir = durable.as_ref().map(|d| d.dir().display().to_string());
     let durable = durable.map(|mut d| {
         d.set_metrics(DurableMetrics {
@@ -655,7 +516,6 @@ pub fn start_with_durability(
         cache,
         metrics,
         serve_metrics,
-        stats,
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
         shutdown: AtomicBool::new(false),
@@ -702,15 +562,16 @@ pub fn start_with_durability(
 }
 
 /// Mirror the subsystems that keep their own counters — plan cache,
-/// buffer pool, replication — into the registry at scrape time, so
-/// `METRICS` and `STATS` read one source of truth. (The durability
-/// layer pushes its series itself — [`DurableMetrics`] — because
-/// reading them here would take the durable mutex, which a MERGE
-/// holds across its fsync.) Each
-/// collector runs on [`MetricsRegistry::refresh`] (every scrape) and
-/// touches only narrow `Arc`s, never the whole [`Shared`] — which
-/// owns the registry, so capturing it would cycle and leak the
-/// server. [`Counter::set_at_least`] keeps mirrored counters monotone.
+/// buffer pool — into the registry at scrape time, and derive the two
+/// replication gauges that are functions of the clock and the
+/// catalog: generation lag and heartbeat age. (The durability layer
+/// and replication push their series themselves — [`DurableMetrics`],
+/// [`ReplicationMetrics`] — the former because reading them here
+/// would take the durable mutex, which a MERGE holds across its
+/// fsync.) Each collector runs on [`MetricsRegistry::refresh`] (every
+/// scrape) and touches only narrow `Arc`s, never the whole [`Shared`]
+/// — which owns the registry, so capturing it would cycle and leak
+/// the server.
 fn register_collectors(
     metrics: &Arc<MetricsRegistry>,
     catalog: &Arc<SharedCatalog>,
@@ -720,73 +581,29 @@ fn register_collectors(
     // Plan-cache + buffer-pool/generation collectors are shared with
     // the `eql` REPL so both surfaces expose identical series names.
     register_query_collectors(metrics, catalog, cache);
-    {
-        let repl = Arc::clone(replication);
-        let catalog = Arc::clone(catalog);
-        let followers = metrics.gauge(
-            "evirel_repl_followers",
-            "FOLLOW subscriptions currently attached",
-            &[],
-        );
-        let sent = metrics.counter(
-            "evirel_repl_records_sent_total",
-            "Records or snapshots shipped to followers",
-            &[],
-        );
-        let applied = metrics.counter(
-            "evirel_repl_records_applied_total",
-            "Records applied from a primary",
-            &[],
-        );
-        let resyncs = metrics.counter(
-            "evirel_repl_resyncs_total",
-            "Full-state resyncs installed",
-            &[],
-        );
-        let reconnects = metrics.counter(
-            "evirel_repl_reconnects_total",
-            "Reconnect attempts after the initial connection",
-            &[],
-        );
-        let connected = metrics.gauge(
-            "evirel_repl_connected",
-            "Whether the follower link is up (0/1)",
-            &[],
-        );
-        let lag = metrics.gauge(
-            "evirel_repl_generation_lag",
-            "Primary generation minus locally applied generation",
-            &[],
-        );
-        let heartbeat_age = metrics.gauge(
-            "evirel_repl_heartbeat_age_seconds",
-            "Seconds since the last stream frame from the primary",
-            &[],
-        );
-        metrics.register_collector("replication", move || {
-            followers.set(repl.followers.load(Ordering::Relaxed));
-            sent.set_at_least(repl.records_sent.load(Ordering::Relaxed));
-            applied.set_at_least(repl.records_applied.load(Ordering::Relaxed));
-            resyncs.set_at_least(repl.resyncs.load(Ordering::Relaxed));
-            reconnects.set_at_least(repl.reconnects.load(Ordering::Relaxed));
-            connected.set(u64::from(repl.connected.load(Ordering::SeqCst)));
-            let primary = repl.primary_generation.load(Ordering::Relaxed);
-            lag.set(primary.saturating_sub(catalog.generation()));
-            let hb = repl.heartbeat_unix_ms.load(Ordering::Relaxed);
-            heartbeat_age.set(if hb == 0 {
-                0
-            } else {
-                unix_ms().saturating_sub(hb) / 1000
-            });
+    let repl = Arc::clone(replication);
+    let catalog = Arc::clone(catalog);
+    let lag = metrics.gauge(
+        "evirel_repl_generation_lag",
+        "Primary generation minus locally applied generation",
+        &[],
+    );
+    let heartbeat_age = metrics.gauge(
+        "evirel_repl_heartbeat_age_seconds",
+        "Seconds since the last stream frame from the primary",
+        &[],
+    );
+    metrics.register_collector("replication", move || {
+        let m = &repl.metrics;
+        let primary = m.primary_generation.load(Ordering::Relaxed);
+        lag.set(primary.saturating_sub(catalog.generation()));
+        let hb = m.heartbeat_unix_ms.load(Ordering::Relaxed);
+        heartbeat_age.set(if hb == 0 {
+            0
+        } else {
+            unix_ms().saturating_sub(hb) / 1000
         });
-    }
-}
-
-/// Wall-clock Unix milliseconds — heartbeat-age arithmetic only.
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64)
+    });
 }
 
 /// The follower thread: follow the primary until shutdown, promotion,
@@ -803,25 +620,10 @@ fn run_follower(shared: &Shared, follow: &FollowConfig) {
         catalog: &shared.shared,
         durable,
         stop: &stop,
-        records_applied: &repl.records_applied,
-        resyncs: &repl.resyncs,
-        primary_generation: &repl.primary_generation,
-        heartbeat_unix_ms: &repl.heartbeat_unix_ms,
+        metrics: &repl.metrics,
         events: shared.metrics.events(),
     };
-    let policy = RetryPolicy {
-        initial_backoff: follow.initial_backoff,
-        max_backoff: follow.max_backoff,
-        retry_budget: follow.promote_on_disconnect.then_some(follow.retry_budget),
-        poll: shared.config.poll_interval,
-    };
-    let exit = follower_loop(
-        &follow.primary,
-        &ctx,
-        &repl.connected,
-        &repl.reconnects,
-        &policy,
-    );
+    let exit = follower_loop(follow, shared.config.poll_interval, &ctx);
     let promote_now = match exit {
         // Promotion releases read-only; plain shutdown leaves the
         // role as it was (the server is exiting anyway).
@@ -847,11 +649,11 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             queue.push_back(stream);
             shared.serve_metrics.queue_depth.set(queue.len() as u64);
             drop(queue);
-            shared.stats.accepted.inc();
+            shared.serve_metrics.accepted.inc();
             shared.ready.notify_one();
         } else {
             drop(queue);
-            shared.stats.rejected_busy.inc();
+            shared.serve_metrics.rejected_busy.inc();
             let busy = Response::Busy {
                 message: format!(
                     "server at capacity ({} pending sessions); back off and retry",
@@ -886,7 +688,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(stream) = conn else { return };
-        shared.stats.sessions.inc();
+        shared.serve_metrics.sessions.inc();
         shared.serve_metrics.workers_busy.add(1);
         serve_connection(stream, shared);
         shared.serve_metrics.workers_busy.sub(1);
@@ -923,9 +725,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean close
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            Err(e) if is_timeout(&e) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
@@ -933,7 +733,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             }
             Err(_) => return, // torn frame / reset — nothing to answer
         };
-        shared.stats.requests.inc();
+        shared.serve_metrics.requests.inc();
         shared
             .serve_metrics
             .bytes_read
@@ -958,7 +758,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                     "this server has no durability layer (no --data-dir); \
                      there is no journal to stream",
                 );
-                shared.stats.errors.inc();
+                shared.serve_metrics.errors.inc();
                 frame.begin();
                 let _ = err.write_to(&mut frame);
                 if frame.seal().and_then(|f| stream.write_all(f)).is_err() {
@@ -966,16 +766,17 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 }
                 continue;
             };
-            shared.replication.followers.fetch_add(1, Ordering::SeqCst);
+            let metrics = &shared.replication.metrics;
+            metrics.followers.add(1);
             let ctx = SenderCtx {
                 catalog: &shared.shared,
                 durable,
                 stop: &shared.shutdown,
                 poll: shared.config.poll_interval,
-                records_sent: &shared.replication.records_sent,
+                metrics,
             };
             let _ = serve_follow(&mut stream, &ctx, *from);
-            shared.replication.followers.fetch_sub(1, Ordering::SeqCst);
+            metrics.followers.sub(1);
             return; // the stream is spent either way
         }
         // A panic inside request handling must not kill the worker:
@@ -988,7 +789,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             handle_request(&session, parsed, shared, shutdown_allowed, &mut frame)
         }));
         let (failed, shutdown_after) = handled.unwrap_or_else(|_| {
-            shared.stats.panics.inc();
+            shared.serve_metrics.panics.inc();
             // Whatever the handler had written is discarded.
             let panic = Response::error("panic", "internal panic while handling request");
             frame.begin();
@@ -997,7 +798,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         });
         verb_metrics.latency.observe(started.elapsed());
         if failed {
-            shared.stats.errors.inc();
+            shared.serve_metrics.errors.inc();
         }
         // One write per reply, straight from the frame it was
         // rendered into.
@@ -1194,7 +995,7 @@ fn merge_response(session: &Session, shared: &Shared, name: &str, query: &str) -
         // the shared counter here could already see a concurrent
         // writer's later bump.
         Ok(generation) => {
-            shared.stats.merges.inc();
+            shared.serve_metrics.merges.inc();
             Response::Ok {
                 body: format!("merged {name} tuples={tuples} generation={generation}"),
             }

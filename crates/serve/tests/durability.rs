@@ -5,10 +5,10 @@
 //! incarnation shut down cleanly (checkpoint) or was dropped with
 //! only the journal on disk.
 
-use evirel_obs::{EventLog, MetricsRegistry};
+use evirel_obs::MetricsRegistry;
 use evirel_query::{Catalog, DurableCatalog, DurableMetrics, SharedCatalog, StreamPlan};
 use evirel_serve::protocol::{write_frame, Response, StreamFrame};
-use evirel_serve::replicate::{apply_stream, ApplyCtx};
+use evirel_serve::replicate::{apply_stream, ApplyCtx, ReplicationMetrics};
 use evirel_serve::{start_with_durability, ServeConfig, ServerHandle};
 use evirel_store::failpoint::FailpointFs;
 use evirel_store::JournalRecord;
@@ -65,8 +65,8 @@ fn merge_survives_clean_shutdown_and_restart() {
         let q = ok_body(roundtrip(&mut c, "QUERY\nSELECT * FROM m1 WITH SN > 0"));
         assert!(q.starts_with("tuples=6"), "{q}");
         roundtrip(&mut c, "SHUTDOWN");
-        let final_stats = handle.join();
-        assert_eq!(final_stats.panics, 0);
+        let metrics = handle.join();
+        assert_eq!(metrics.value("evirel_serve_panics_total", &[]), Some(0));
     }
     // Clean shutdown checkpointed: manifest present, journal empty
     // (8-byte header only).
@@ -324,17 +324,13 @@ fn fsyncs_per_write_path_operation() {
         std::sync::Mutex::new(follower),
         SharedCatalog::new(frecovered),
     );
-    let (applied, resyncs, primary, heartbeat) = Default::default();
-    let events = EventLog::default();
+    let registry = MetricsRegistry::new();
     let ctx = ApplyCtx {
         catalog: &fshared,
         durable: &follower,
         stop: &|| false,
-        records_applied: &applied,
-        resyncs: &resyncs,
-        primary_generation: &primary,
-        heartbeat_unix_ms: &heartbeat,
-        events: &events,
+        metrics: &ReplicationMetrics::new(&registry),
+        events: registry.events(),
     };
     let n = fsyncs(&mut || apply_stream(&mut &stream[..], &ctx).expect("applies"));
     assert_eq!(n, 1, "a follower's small apply");

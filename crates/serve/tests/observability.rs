@@ -5,31 +5,7 @@
 
 use evirel_serve::protocol::Response;
 use evirel_serve::{start, ServeConfig};
-use evirel_testkit::{connect, ok_body, roundtrip, seeded, stat};
-
-/// The value of an exact series (name including labels, if any) in a
-/// Prometheus text exposition.
-fn series(exposition: &str, name: &str) -> u64 {
-    exposition
-        .lines()
-        .filter(|line| !line.starts_with('#'))
-        .find_map(|line| {
-            let (series_name, value) = line.split_once(' ')?;
-            (series_name == name).then(|| {
-                value
-                    .parse()
-                    .unwrap_or_else(|e| panic!("series {name} value {value:?}: {e}"))
-            })
-        })
-        .unwrap_or_else(|| panic!("series {name} missing from exposition:\n{exposition}"))
-}
-
-/// The `STATS` line starting with `prefix`.
-fn line<'a>(body: &'a str, prefix: &str) -> &'a str {
-    body.lines()
-        .find(|line| line.starts_with(prefix))
-        .unwrap_or_else(|| panic!("no line starting with {prefix:?} in:\n{body}"))
-}
+use evirel_testkit::{connect, line, ok_body, roundtrip, seeded, series, stat};
 
 #[test]
 fn metrics_scrape_covers_every_subsystem() {
@@ -114,6 +90,9 @@ fn metrics_scrape_covers_every_subsystem() {
     handle.join();
 }
 
+/// On a lone primary; `stats_and_metrics_agree_on_a_replicated_pair`
+/// (the replication suite) is the same check where the `evirel_repl_*`
+/// series are not all zero.
 #[test]
 fn stats_and_metrics_read_the_same_registry() {
     let handle = start(seeded(), ServeConfig::default()).expect("server starts");

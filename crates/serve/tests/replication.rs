@@ -7,7 +7,7 @@
 use evirel_query::DurableCatalog;
 use evirel_serve::protocol::{read_frame, write_frame, Response};
 use evirel_serve::{start_with_durability, FollowConfig, ServeConfig, ServerHandle};
-use evirel_testkit::{connect, ok_body, roundtrip, seeded, TempDir};
+use evirel_testkit::{connect, line, ok_body, roundtrip, seeded, series, stat, TempDir};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -50,15 +50,10 @@ fn reserved_addr() -> String {
 }
 
 fn boot_follower_of(dir: &Path, primary_addr: &str) -> ServerHandle {
-    let follow = FollowConfig {
-        initial_backoff: Duration::from_millis(25),
-        max_backoff: Duration::from_millis(100),
-        ..FollowConfig::new(primary_addr)
-    };
     boot_with(
         dir,
         ServeConfig {
-            follow: Some(follow),
+            follow: Some(FollowConfig::new(primary_addr)),
             ..serve_config()
         },
     )
@@ -71,8 +66,6 @@ fn boot_follower(dir: &Path, primary: &ServerHandle) -> ServerHandle {
 fn boot_follower_with(dir: &Path, primary: &ServerHandle, follow: FollowConfig) -> ServerHandle {
     let follow = FollowConfig {
         primary: primary.addr().to_string(),
-        initial_backoff: Duration::from_millis(25),
-        max_backoff: Duration::from_millis(100),
         ..follow
     };
     boot_with(
@@ -91,6 +84,12 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// A replication series of `server`'s registry.
+fn repl(server: &ServerHandle, series: &str) -> u64 {
+    let name = format!("evirel_repl_{series}");
+    server.metrics().value(&name, &[]).expect("registered")
 }
 
 /// Block until the follower's applied catalog generation reaches
@@ -155,8 +154,10 @@ fn follower_applies_merges_and_serves_reads_but_rejects_writes() {
 
     roundtrip(&mut pc, "SHUTDOWN");
     follower.shutdown();
-    assert_eq!(follower.join().panics, 0);
-    assert_eq!(primary.join().panics, 0);
+    for server in [follower, primary] {
+        let metrics = server.join();
+        assert_eq!(metrics.value("evirel_serve_panics_total", &[]), Some(0));
+    }
 }
 
 #[test]
@@ -225,9 +226,8 @@ fn fresh_follower_resyncs_past_a_checkpointed_primary_history() {
     let follower = boot_follower(&fdir, &primary);
     wait_applied(&follower, 2);
     assert!(
-        follower.replication().resyncs >= 1,
-        "a fresh follower behind the checkpoint floor must resync, got {:?}",
-        follower.replication()
+        repl(&follower, "resyncs_total") >= 1,
+        "a fresh follower behind the checkpoint floor must resync"
     );
     let mut fc = connect(follower.addr());
     for (name, tuples) in [("m1", "tuples=6"), ("m2", "tuples=")] {
@@ -317,9 +317,7 @@ fn promote_on_disconnect_fails_over_when_the_primary_dies() {
     // budget and it promotes itself.
     roundtrip(&mut pc, "SHUTDOWN");
     primary.join();
-    wait_until("automatic promotion", || {
-        follower.replication().role == "promoted"
-    });
+    wait_until("automatic promotion", || follower.role() == "promoted");
 
     // Zero committed merges lost, and the survivor accepts writes.
     let mut fc = connect(follower.addr());
@@ -364,7 +362,7 @@ fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
     let mut pc = connect(primary.addr());
     ok_body(roundtrip(&mut pc, "MERGE m1\nSELECT * FROM ra UNION rb"));
     wait_applied(&follower, 1);
-    assert_eq!(follower.replication().records_applied, 1);
+    assert_eq!(repl(&follower, "records_applied_total"), 1);
     primary.shutdown();
     std::mem::forget(primary);
     std::thread::sleep(Duration::from_millis(200));
@@ -383,17 +381,11 @@ fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
     // one record it misses.
     wait_applied(&follower, 2);
     assert_eq!(
-        follower.replication().records_applied,
+        repl(&follower, "records_applied_total"),
         2,
-        "exactly one record applied per generation — no re-apply, no skip: {:?}",
-        follower.replication()
+        "exactly one record applied per generation — no re-apply, no skip"
     );
-    assert_eq!(
-        follower.replication().resyncs,
-        0,
-        "{:?}",
-        follower.replication()
-    );
+    assert_eq!(repl(&follower, "resyncs_total"), 0);
     let mut fc = connect(follower.addr());
     let q = ok_body(roundtrip(&mut fc, "QUERY\nSELECT * FROM m2 WITH SN > 0"));
     assert!(q.starts_with("tuples="), "{q}");
@@ -401,6 +393,87 @@ fn torn_stream_resumes_from_applied_generation_never_reapplies_or_skips() {
     roundtrip(&mut pc, "SHUTDOWN");
     follower.shutdown();
     follower.join();
+    primary.join();
+}
+
+/// `STATS` and `METRICS` agree on every replication number of a
+/// replicated pair, and each equals what the test drove: a fresh
+/// follower resyncs past a checkpointed history, applies four
+/// records, and reconnects once when its primary restarts.
+#[test]
+fn stats_and_metrics_agree_on_a_replicated_pair() {
+    let pdir = TempDir::new("serve-repl-p-scrape");
+    let fdir = TempDir::new("serve-repl-f-scrape");
+    let addr = reserved_addr();
+    let merge = |primary: &ServerHandle, name: &str| {
+        let mut c = connect(primary.addr());
+        ok_body(roundtrip(
+            &mut c,
+            &format!("MERGE {name}\nSELECT * FROM ra UNION rb"),
+        ));
+    };
+    let restart = |primary: ServerHandle| {
+        primary.shutdown();
+        primary.join();
+        boot_primary_at(&pdir, &addr)
+    };
+
+    // The shutdown checkpoint leaves no record below generation 1 to
+    // tail, so the fresh follower takes one resync.
+    let primary = boot_primary_at(&pdir, &addr);
+    merge(&primary, "m0");
+    let primary = restart(primary);
+    // The follower's first reconnect waits one poll interval, long
+    // enough for a restarted primary to be listening again.
+    let follower = boot_with(
+        &fdir,
+        ServeConfig {
+            follow: Some(FollowConfig::new(addr.clone())),
+            poll_interval: Duration::from_secs(1),
+            ..serve_config()
+        },
+    );
+    wait_applied(&follower, 1);
+    merge(&primary, "m1");
+    merge(&primary, "m2");
+    wait_applied(&follower, 3);
+    let primary = restart(primary);
+    merge(&primary, "m3");
+    merge(&primary, "m4");
+    wait_applied(&follower, 5);
+
+    for (server, expected) in [
+        (
+            &primary,
+            [
+                ("followers", "evirel_repl_followers", 1),
+                ("sent", "evirel_repl_records_sent_total", 2),
+            ]
+            .as_slice(),
+        ),
+        (
+            &follower,
+            &[
+                ("applied", "evirel_repl_records_applied_total", 4),
+                ("resyncs", "evirel_repl_resyncs_total", 1),
+                ("reconnects", "evirel_repl_reconnects_total", 1),
+                ("connected", "evirel_repl_connected", 1),
+            ],
+        ),
+    ] {
+        let mut c = connect(server.addr());
+        let stats = ok_body(roundtrip(&mut c, "STATS"));
+        let exposition = ok_body(roundtrip(&mut c, "METRICS"));
+        let replication = line(&stats, "replication ");
+        for &(key, series_name, count) in expected {
+            assert_eq!(stat(replication, key), count, "STATS {key}: {replication}");
+            assert_eq!(series(&exposition, series_name), count, "{series_name}");
+        }
+    }
+
+    follower.shutdown();
+    follower.join();
+    primary.shutdown();
     primary.join();
 }
 

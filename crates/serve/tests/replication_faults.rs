@@ -24,9 +24,11 @@
 //! by [`DurableCatalog::bind`] / [`DurableCatalog::unbind`], and the
 //! follower applies through [`apply_stream`].
 
-use evirel_obs::EventLog;
+use evirel_obs::{EventLog, MetricsRegistry};
 use evirel_query::{Catalog, DurableCatalog, SharedCatalog};
-use evirel_serve::replicate::{apply_stream, serve_follow, ApplyCtx, SenderCtx};
+use evirel_serve::replicate::{
+    apply_stream, serve_follow, ApplyCtx, ReplicationMetrics, SenderCtx,
+};
 use evirel_serve::{read_frame, write_frame, StreamFrame};
 use evirel_store::failpoint::FailpointFs;
 use evirel_store::JournalRecord;
@@ -34,7 +36,7 @@ use evirel_testkit::{assert_converged, config, small_domain, TempDir};
 use evirel_workload::generator::{generate, GeneratorConfig};
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -106,13 +108,12 @@ impl Write for CaptureUntilIdle<'_> {
 /// bytes (handshake frame stripped, trailing heartbeat swallowed).
 fn capture(durable: &Mutex<DurableCatalog>, shared: &SharedCatalog, from: u64) -> Vec<u8> {
     let stop = AtomicBool::new(false);
-    let sent = AtomicU64::new(0);
     let ctx = SenderCtx {
         catalog: shared,
         durable,
         stop: &stop,
         poll: Duration::from_millis(1),
-        records_sent: &sent,
+        metrics: &ReplicationMetrics::new(&MetricsRegistry::new()),
     };
     let mut sink = CaptureUntilIdle {
         buf: Vec::new(),
@@ -141,10 +142,7 @@ fn frame_boundaries(stream: &[u8]) -> Vec<usize> {
 struct Follower {
     durable: Mutex<DurableCatalog>,
     shared: SharedCatalog,
-    applied: AtomicU64,
-    resyncs: AtomicU64,
-    primary_generation: AtomicU64,
-    heartbeat_unix_ms: AtomicU64,
+    metrics: ReplicationMetrics,
     events: EventLog,
 }
 
@@ -156,10 +154,7 @@ impl Follower {
         Follower {
             durable: Mutex::new(durable),
             shared: SharedCatalog::with_generation(recovered, generation),
-            applied: AtomicU64::new(0),
-            resyncs: AtomicU64::new(0),
-            primary_generation: AtomicU64::new(0),
-            heartbeat_unix_ms: AtomicU64::new(0),
+            metrics: ReplicationMetrics::new(&MetricsRegistry::new()),
             events: EventLog::default(),
         }
     }
@@ -177,10 +172,7 @@ impl Follower {
             catalog: &self.shared,
             durable: &self.durable,
             stop: &stop,
-            records_applied: &self.applied,
-            resyncs: &self.resyncs,
-            primary_generation: &self.primary_generation,
-            heartbeat_unix_ms: &self.heartbeat_unix_ms,
+            metrics: &self.metrics,
             events: &self.events,
         };
         let mut r = stream;

@@ -1,15 +1,12 @@
-//! Integration tests for the query service: the workload driver
-//! against an in-process server (this is also the compatibility gate
-//! between `evirel_workload::driver`'s re-implemented protocol and
-//! [`evirel_serve::protocol`] — the two must interoperate perfectly
-//! or these tests fail), plus targeted admission-control and
-//! robustness probes.
+//! Integration tests for the query service: the load driver
+//! ([`evirel_serve::load`]) against an in-process server, plus
+//! targeted admission-control and robustness probes.
 
 use evirel_query::Catalog;
+use evirel_serve::load::{run_load, LoadConfig};
 use evirel_serve::protocol::{read_frame, Response};
 use evirel_serve::{start, ServeConfig};
 use evirel_testkit::{connect, roundtrip, seeded};
-use evirel_workload::driver::{run_load, LoadConfig};
 use evirel_workload::generator::{generate_pair, GeneratorConfig, PairConfig};
 use std::time::Duration;
 
@@ -64,13 +61,14 @@ fn driver_sustains_64_mixed_sessions_with_zero_errors() {
     assert!(q.max_us > 0, "a TCP round-trip takes measurable time");
 
     handle.shutdown();
-    let stats = handle.join();
-    assert_eq!(stats.panics, 0, "{stats:?}");
-    assert_eq!(stats.errors, 0, "{stats:?}");
-    assert_eq!(stats.requests, 64 * 8, "{stats:?}");
+    let metrics = handle.join();
+    let v = |name: &str| metrics.value(name, &[]).unwrap_or_default();
+    assert_eq!(v("evirel_serve_panics_total"), 0);
+    assert_eq!(v("evirel_serve_request_errors_total"), 0);
+    assert_eq!(v("evirel_serve_requests_handled_total"), 64 * 8);
     assert!(
-        stats.merges > 0,
-        "MERGE writes must bump generations: {stats:?}"
+        v("evirel_serve_merges_total") > 0,
+        "MERGE writes must bump generations"
     );
 }
 
@@ -111,10 +109,13 @@ fn overload_is_a_typed_busy_never_a_hang() {
         "over-capacity connection must get a typed BUSY, got {frame:?}"
     );
 
-    assert!(handle.stats().rejected_busy >= 1);
+    let busy = handle
+        .metrics()
+        .value("evirel_serve_busy_rejected_total", &[]);
+    assert!(busy >= Some(1), "{busy:?}");
     handle.shutdown();
-    let stats = handle.join();
-    assert_eq!(stats.panics, 0);
+    let metrics = handle.join();
+    assert_eq!(metrics.value("evirel_serve_panics_total", &[]), Some(0));
 }
 
 #[test]
@@ -147,9 +148,16 @@ fn malformed_requests_round_trip_as_typed_errors() {
     }
 
     handle.shutdown();
-    let stats = handle.join();
-    assert_eq!(stats.panics, 0, "typed errors, not panics: {stats:?}");
-    assert_eq!(stats.errors, cases.len() as u64);
+    let metrics = handle.join();
+    assert_eq!(
+        metrics.value("evirel_serve_panics_total", &[]),
+        Some(0),
+        "typed errors, not panics"
+    );
+    assert_eq!(
+        metrics.value("evirel_serve_request_errors_total", &[]),
+        Some(cases.len() as u64)
+    );
 }
 
 #[test]
@@ -174,7 +182,8 @@ fn merge_publishes_a_new_generation_and_is_queryable() {
     assert!(body.contains("generation=1"), "{body}");
 
     handle.shutdown();
-    assert_eq!(handle.join().merges, 1);
+    let metrics = handle.join();
+    assert_eq!(metrics.value("evirel_serve_merges_total", &[]), Some(1));
 }
 
 #[test]

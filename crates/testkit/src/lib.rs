@@ -16,7 +16,8 @@
 //!   conflict reports and counters;
 //! * [`durable`] — `reseal`, segment bytes and follower convergence;
 //! * [`TempDir`] — a directory that removes itself;
-//! * [`wire`] — a blocking client for `evirel-serve`'s protocol.
+//! * [`wire`] — a blocking client for `evirel-serve`'s protocol, and
+//!   readers for its `STATS` and `METRICS` text.
 //!
 //! It is a dev-dependency only, of integration suites (`tests/`) and
 //! harnesses (`benches/`). A crate's unit tests cannot use it: the kit
@@ -33,7 +34,7 @@ pub use compare::{equivalent, identical, masked, same_report, same_tuples, OrFai
 pub use durable::{assert_converged, encode, reseal, segment_bytes, TempDir};
 pub use gen::{definite_pair, hazardous_pair, pair, relation, small_domain};
 pub use sides::{store, Sides, PAGE};
-pub use wire::{connect, ok_body, roundtrip, seeded, stat};
+pub use wire::{connect, line, ok_body, roundtrip, seeded, series, stat};
 
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::ConflictPolicy;

@@ -1,5 +1,6 @@
-//! A blocking client for `evirel-serve`'s protocol, and the catalog the
-//! servers under test are seeded with.
+//! A blocking client for `evirel-serve`'s protocol, readers for what
+//! `STATS` and `METRICS` print, and the catalog the servers under test
+//! are seeded with.
 
 use crate::config;
 use evirel_query::Catalog;
@@ -51,4 +52,28 @@ pub fn stat(text: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {key}= in {text:?}"))
         .parse()
         .unwrap_or_else(|e| panic!("{key} not a number: {e}"))
+}
+
+/// The `STATS` line starting with `prefix`.
+pub fn line<'a>(body: &'a str, prefix: &str) -> &'a str {
+    body.lines()
+        .find(|line| line.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no line starting with {prefix:?} in:\n{body}"))
+}
+
+/// The value of an exact series (name including labels, if any) in a
+/// Prometheus text exposition.
+pub fn series(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .find_map(|line| {
+            let (series_name, value) = line.split_once(' ')?;
+            (series_name == name).then(|| {
+                value
+                    .parse()
+                    .unwrap_or_else(|e| panic!("series {name} value {value:?}: {e}"))
+            })
+        })
+        .unwrap_or_else(|| panic!("series {name} missing from exposition:\n{exposition}"))
 }

@@ -16,18 +16,11 @@
 //! * [`generator`] — parameterized random extended relations (tuple
 //!   count, domain size, focal-set shape, key overlap, conflict bias)
 //!   for the scaling benchmarks.
-//!
-//! Plus [`driver`] — a dependency-free client for the `evirel-serve`
-//! query service and the `evirel-bombard` load-generator binary,
-//! which sustains thousands of concurrent mixed read/merge sessions
-//! against it.
 
-pub mod driver;
 pub mod generator;
 pub mod restaurant;
 pub mod survey;
 
-pub use driver::{run_load, LoadConfig, LoadReport};
 pub use generator::{GeneratorConfig, PairConfig};
 pub use restaurant::{restaurant_db_a, restaurant_db_b, RestaurantDb};
 pub use survey::{Survey, SurveyConfig};
