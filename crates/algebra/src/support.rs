@@ -30,7 +30,7 @@
 
 use crate::error::AlgebraError;
 use crate::predicate::{Operand, Predicate, ThetaOp};
-use evirel_evidence::{FocalSet, MassFunction};
+use evirel_evidence::{bel_pls, FocalSet, FocalView, MassFunction};
 use evirel_relation::{AttrDomain, AttrValue, RelationError, Schema, SupportPair, Tuple, Value};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -41,6 +41,13 @@ pub trait Row {
     /// The value at position `pos` of the schema the predicate was
     /// bound against.
     fn value(&self, pos: usize) -> &AttrValue;
+
+    /// The evidence at `pos` as a view of its focal entries, where the
+    /// row holds it so instead of as a value — only at a position
+    /// [`BoundPredicate::views`] names. `None`: read [`Row::value`].
+    fn focal_view(&self, _pos: usize) -> Option<FocalView<'_>> {
+        None
+    }
 }
 
 impl Row for Tuple {
@@ -123,6 +130,14 @@ impl BoundPredicate {
     pub fn support(&self, row: &impl Row) -> Result<SupportPair, AlgebraError> {
         self.0.support(row)
     }
+
+    /// Per position of `arity`: is it read only as an `is` predicate's
+    /// evidence — where a row may hold a [`FocalView`] instead?
+    pub fn views(&self, arity: usize) -> Vec<bool> {
+        let mut reads = vec![None; arity];
+        self.0.mark(&mut reads);
+        reads.into_iter().map(|read| read == Some(true)).collect()
+    }
 }
 
 impl Node {
@@ -159,6 +174,29 @@ impl Node {
         })
     }
 
+    /// Mark each position this node reads in `reads`: `Some(true)`
+    /// while it is read only as an `is` predicate's evidence.
+    fn mark(&self, reads: &mut [Option<bool>]) {
+        let mut read = |pos: usize, is: bool| reads[pos] = Some(is && reads[pos] != Some(false));
+        match self {
+            Node::IsEvidence { pos, .. } => read(*pos, true),
+            Node::IsDefinite { pos, .. } => read(*pos, false),
+            Node::Theta { left, right, .. } => {
+                for operand in [left, right] {
+                    if let BoundOperand::Attr { pos, .. } = operand {
+                        read(*pos, false);
+                    }
+                }
+            }
+            Node::And(a, b) | Node::Or(a, b) => {
+                a.mark(reads);
+                b.mark(reads);
+            }
+            Node::Not(a) => a.mark(reads),
+            Node::Invalid(_) => {}
+        }
+    }
+
     fn support(&self, row: &impl Row) -> Result<SupportPair, AlgebraError> {
         match self {
             // §3.1.1: `(Bel(C), Pls(C))` of the attribute's evidence.
@@ -167,8 +205,11 @@ impl Node {
                 domain,
                 target,
             } => {
-                let m = row.value(*pos).to_evidence(domain)?;
-                Ok(SupportPair::new(m.bel(target), m.pls(target))?)
+                let (sn, sp) = match row.focal_view(*pos) {
+                    Some(view) => bel_pls(&view, target),
+                    None => bel_pls(&row.value(*pos).to_evidence(domain)?, target),
+                };
+                Ok(SupportPair::new(sn, sp)?)
             }
             Node::IsDefinite { pos, attr, values } => match row.value(*pos) {
                 AttrValue::Definite(v) if values.contains(v) => Ok(SupportPair::certain()),

@@ -29,8 +29,13 @@
 //! before timing, each text's selection is asserted bit-identical to
 //! `SelectOp` over the unfused `MergeOp` over the same stored scans. It
 //! repeats the merge-kernel work `union_stored` measures through a
-//! server, without the server's noise. Last recording:
-//! `crates/bench/BASELINES.md`.
+//! server, without the server's noise. A last row,
+//! `stored-scan-select`, is `scan_stored`'s query in process the same
+//! way: `sa` read through a 256 KiB pool, so every pass evicts, and its
+//! 48 texts `SELECT k FROM sa WHERE e<a> IS {v<i>} WITH SN > 0.8`, the
+//! σ̃ inside the scan; before timing, each text's selection is asserted
+//! bit-identical to `SelectOp` over the bare `SpillScanOp`. Last
+//! recording: `crates/bench/BASELINES.md`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use evirel_algebra::product::product_schema;
@@ -193,11 +198,12 @@ fn bench_planner(c: &mut Criterion) {
     group.finish();
 }
 
-/// `union_stored`'s data: `sa` and `sb`, `tuples` generated tuples each
-/// — half their keys shared, a quarter of the shared pairs drawn to
-/// conflict — written with the default page size into `dir` and read
-/// through one 64 MiB pool, as the server's set-up `MERGE`s store them.
-fn stored_pair(tuples: usize, dir: &TempDir) -> [Arc<StoredRelation>; 2] {
+/// `union_stored`'s and `scan_stored`'s data: `sa` and `sb`, `tuples`
+/// generated tuples each — half their keys shared, a quarter of the
+/// shared pairs drawn to conflict — written with the default page size
+/// into `dir` and read through one pool of `pool_bytes`, as the
+/// server's set-up `MERGE`s store them.
+fn stored_pair(tuples: usize, dir: &TempDir, pool_bytes: usize) -> [Arc<StoredRelation>; 2] {
     let (ga, gb) = generate_pair(&PairConfig {
         base: GeneratorConfig {
             tuples,
@@ -207,16 +213,16 @@ fn stored_pair(tuples: usize, dir: &TempDir) -> [Arc<StoredRelation>; 2] {
         conflict_bias: 0.25,
     })
     .expect("generator config is valid");
-    let pool = Arc::new(BufferPool::new(64 << 20));
+    let pool = Arc::new(BufferPool::new(pool_bytes));
     [("sa", ga), ("sb", gb)].map(|(name, rel)| {
         let stored = StoredRelation::store(&rel, dir.join(name), Arc::clone(&pool));
         Arc::new(stored.expect("segment writes"))
     })
 }
 
-/// The first `texts` of `union_stored`'s 48 selections, `e<a> IS {v<i>}`
-/// with `SN > 0.8`.
-fn union_selections(texts: usize) -> Vec<Predicate> {
+/// The first `texts` of the stored workloads' 48 selections,
+/// `e<a> IS {v<i>}` with `SN > 0.8`.
+fn selections(texts: usize) -> Vec<Predicate> {
     (0..3)
         .flat_map(|attr| (0..16).map(move |label| (attr, label)))
         .take(texts)
@@ -246,7 +252,7 @@ fn bench_stored_union(c: &mut Criterion) {
     let mut group = c.benchmark_group("planner/stored-union-select");
     let (tuples, texts) = if measured() { (10_000, 48) } else { (400, 3) };
     let dir = TempDir::new("planner-union");
-    let stored = stored_pair(tuples, &dir);
+    let stored = stored_pair(tuples, &dir, 64 << 20);
     let mut bindings = Bindings::new();
     for (name, relation) in ["sa", "sb"].into_iter().zip(&stored) {
         bindings.bind_stored(name, Arc::clone(relation));
@@ -256,7 +262,7 @@ fn bench_stored_union(c: &mut Criterion) {
             .union(scan("sb"))
             .select_where(predicate.clone(), ABOVE_08)
     };
-    let plans: Vec<LogicalPlan> = union_selections(texts)
+    let plans: Vec<LogicalPlan> = selections(texts)
         .iter()
         .map(|predicate| {
             let fused = execute_plan(&selected(predicate).build(), &bindings, &mut context_at(1));
@@ -265,6 +271,47 @@ fn bench_stored_union(c: &mut Criterion) {
                 &fused.expect("plan executes"),
             )
             .or_fail(format_args!("σ̃[{predicate}] over {tuples} tuples a side"));
+            selected(predicate).project(["k"]).build()
+        })
+        .collect();
+    group.throughput(Throughput::Elements(texts as u64));
+    group.bench_with_input(BenchmarkId::new("fused", tuples), &tuples, |bench, _| {
+        bench.iter(|| {
+            for plan in &plans {
+                let out = execute_plan(black_box(plan), &bindings, &mut context_at(1));
+                black_box(out.expect("plan executes"));
+            }
+        })
+    });
+    group.finish();
+}
+
+/// σ̃ over a stored scan as the planner ran it before the selection
+/// moved into the scan: `SelectOp` over the bare `SpillScanOp`.
+fn unfused_scan(stored: &Arc<StoredRelation>, predicate: &Predicate) -> ExtendedRelation {
+    let scan = Box::new(SpillScanOp::new("sa", Arc::clone(stored)));
+    let mut select =
+        SelectOp::new(scan, predicate.clone(), ABOVE_08).expect("a positive threshold");
+    run(&mut select, &mut context_at(1)).expect("scans")
+}
+
+fn bench_stored_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("planner/stored-scan-select");
+    let (tuples, texts) = if measured() { (10_000, 48) } else { (400, 3) };
+    let dir = TempDir::new("planner-scan");
+    let [sa, _] = stored_pair(tuples, &dir, 256 << 10);
+    let mut bindings = Bindings::new();
+    bindings.bind_stored("sa", Arc::clone(&sa));
+    let selected = |predicate: &Predicate| scan("sa").select_where(predicate.clone(), ABOVE_08);
+    let plans: Vec<LogicalPlan> = selections(texts)
+        .iter()
+        .map(|predicate| {
+            let fused = execute_plan(&selected(predicate).build(), &bindings, &mut context_at(1));
+            identical(
+                &unfused_scan(&sa, predicate),
+                &fused.expect("plan executes"),
+            )
+            .or_fail(format_args!("σ̃[{predicate}] over {tuples} stored tuples"));
             selected(predicate).project(["k"]).build()
         })
         .collect();
@@ -290,6 +337,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_planner, bench_stored_union
+    targets = bench_planner, bench_stored_union, bench_stored_scan
 }
 criterion_main!(benches);

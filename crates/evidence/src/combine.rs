@@ -363,6 +363,32 @@ impl Entries<f64> for FocalView<'_> {
     }
 }
 
+/// `(Bel(target), Pls(target))` of one operand, in one walk over its
+/// focal entries in canonical order: `Bel` sums the sets inside
+/// `target`, `Pls` the sets that meet it — the sums
+/// [`MassFunction::bel`] and [`MassFunction::pls`] take, addend for
+/// addend. `F_SS` of `A is C` takes this of a built mass function and of
+/// a [`FocalView`] of a stored one alike, so the two give the same bits.
+pub fn bel_pls<W: Weight, E: Entries<W>>(evidence: &E, target: &FocalSet) -> (W, W) {
+    let (mut bel, mut pls) = (W::zero(), W::zero());
+    // Sums of masses stay within [0, 1].
+    let mut add = |(inside, meets): (bool, bool), w: W| {
+        if meets {
+            pls = pls.add(&w).expect("mass sum overflow");
+        }
+        if inside {
+            bel = bel.add(&w).expect("mass sum overflow");
+        }
+    };
+    match target.as_bits().filter(|_| evidence.frame_len() <= 128) {
+        // Every set over a frame of at most 128 values is inline.
+        Some(t) => (evidence.bits()).for_each(|(x, w)| add((x & !t == 0, x & t != 0), w)),
+        None => (evidence.sets())
+            .for_each(|(x, w)| add((x.is_subset_of(target), x.intersects(target)), w)),
+    }
+    (bel, pls)
+}
+
 /// `1 − diag`, clamped to exact zero when it lands within the weight
 /// tolerance (floating-point dust must not surface as negative κ).
 fn one_minus<W: Weight>(diag: &W) -> Result<W, EvidenceError> {

@@ -93,7 +93,7 @@ pub mod transform;
 pub mod weight;
 
 pub use combine::{
-    dempster, dempster_all, dempster_with, Combination, Entries, FocalView, Scratch,
+    bel_pls, dempster, dempster_all, dempster_with, Combination, Entries, FocalView, Scratch,
 };
 pub use discount::{condition, discount, weight_of_conflict};
 pub use error::EvidenceError;

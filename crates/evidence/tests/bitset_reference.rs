@@ -528,3 +528,46 @@ fn a_view_refuses_what_the_full_decode_would_change_or_refuse() {
     long.push(0);
     assert!(FocalView::new(&frame(NARROW), 3, &long).is_none());
 }
+
+/// 120 values: inline sets that take both words of a stored entry.
+const TWO_WORDS: usize = 120;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The one Bel/Pls walk ([`combine::bel_pls`]) over a [`FocalView`]
+    /// of a stored mass function is the walk over the decoded mass
+    /// function, bit for bit, and that is [`MassFunction::bel`] and
+    /// [`MassFunction::pls`] — over one-word and two-word frames. A view
+    /// is refused for entries out of canonical order, whose full decode
+    /// (sorted) walks to the same bits, and for any frame over 128
+    /// values, which only the built path reads.
+    #[test]
+    fn bel_pls_over_a_view_is_bel_pls_over_the_decoded_mass_function(
+        n in prop_oneof![Just(NARROW), Just(TWO_WORDS), Just(WIDE)],
+        raw in raw_focal(),
+        members in proptest::collection::vec(0usize..WIDE, 1..=12),
+    ) {
+        let m = normalized::<f64>(n, &focal_of(&raw, n, false));
+        let target = FocalSet::from_indices(members.iter().map(|i| i % n));
+        let bits = |(bel, pls): (f64, f64)| (bel.to_bits(), pls.to_bits());
+        let built = bits(combine::bel_pls(&m, &target));
+        prop_assert_eq!(built, bits((m.bel(&target), m.pls(&target))));
+        let bytes = stored(&m);
+        match FocalView::new(m.frame(), m.focal_count(), &bytes) {
+            Some(view) => {
+                prop_assert!(n <= 128);
+                prop_assert_eq!(bits(combine::bel_pls(&view, &target)), built);
+            }
+            None => prop_assert_eq!(n, WIDE),
+        }
+
+        let mut reversed: Vec<(FocalSet, f64)> = m.iter().map(|(s, w)| (s.clone(), *w)).collect();
+        reversed.reverse();
+        let bytes = stored_entries(&reversed);
+        let refused = FocalView::new(m.frame(), reversed.len(), &bytes);
+        prop_assert_eq!(refused.is_none(), n == WIDE || reversed.len() > 1);
+        let decoded = MassFunction::from_entries(Arc::clone(m.frame()), reversed).unwrap();
+        prop_assert_eq!(bits(combine::bel_pls(&decoded, &target)), built);
+    }
+}

@@ -15,7 +15,9 @@
 //!   A σ̃ directly above the scan is evaluated *inside* it
 //!   ([`SpillScanOp::filtered`]): per record the one record decoder
 //!   materializes the membership pair and the predicate's attributes
-//!   only, `F_SS` and the threshold decide, and a record is decoded in
+//!   only, an evidential one read only by `is` as a [`FocalView`] (a
+//!   refused view or a definite value: decoded again, built) — `F_SS`
+//!   and the threshold decide, and a record is decoded in
 //!   full (and validated as a tuple) only if it survives. Under
 //!   CWA_ER a rejected record is a dropped one — nothing downstream
 //!   ever sees it — so the emitted tuples, their order and their
@@ -55,8 +57,9 @@
 //!   with κ observed from the focal entries; a record whose views cannot
 //!   stand for its full decode sends its pair through the full decode.
 //!   A rejected record's skipped attributes are length-, tag- and
-//!   CRC-checked, not semantically validated; every kept pair and every
-//!   emitted tuple is decoded in full and validated by `Tuple::new`.
+//!   CRC-checked, not semantically validated, and its viewed ones are
+//!   checked by [`FocalView::new`]; every kept pair and every emitted
+//!   tuple is decoded in full and validated by `Tuple::new`.
 
 use crate::error::PlanError;
 use crate::ops::{check_threshold, decide_unmatched, ExecContext, ExecStats, Operator};
@@ -102,12 +105,15 @@ pub(crate) struct Mask {
 }
 
 impl Mask {
-    /// The `read` positions built, every other position `rest`.
-    fn of(read: &[bool], rest: Column) -> Mask {
-        let columns: Vec<Column> = read
-            .iter()
-            .map(|&read| if read { Column::Full } else { rest })
-            .collect();
+    /// The `view` positions viewed, the other `read` positions built,
+    /// every other position `rest`.
+    fn of(read: &[bool], view: &[bool], rest: Column) -> Mask {
+        let column = |(&read, &view)| match (view, read) {
+            (true, _) => Column::View,
+            (false, true) => Column::Full,
+            (false, false) => rest,
+        };
+        let columns: Vec<Column> = read.iter().zip(view).map(column).collect();
         let (mut built, mut viewed) = (0, 0);
         let slots = columns
             .iter()
@@ -139,20 +145,35 @@ pub(crate) struct ScanFilter {
     threshold: Threshold,
     /// The positions `predicate` reads built, the rest skipped.
     pub(crate) reads: Mask,
+    /// `reads` with the positions `predicate` reads only as an `is`
+    /// predicate's evidence viewed (`None`: there are none) — what a
+    /// record decided alone is decoded under first.
+    decided: Option<Mask>,
     /// The positions `predicate` reads built, the rest viewed: a merge's
     /// left records and both records of a matched pair.
     pub(crate) viewed: Mask,
 }
 
-/// A record decoded under a [`Mask`], as the row `F_SS` evaluates.
+/// A record decoded under a [`Mask`], as the row `F_SS` evaluates: a
+/// viewed position is read only through [`Row::focal_view`].
 struct PartialRow<'a> {
-    values: &'a [AttrValue],
-    slots: &'a [usize],
+    partial: &'a Record<'a>,
+    mask: &'a Mask,
 }
 
 impl Row for PartialRow<'_> {
     fn value(&self, pos: usize) -> &AttrValue {
-        &self.values[self.slots[pos]]
+        &self.partial.values[self.mask.slots[pos]]
+    }
+
+    fn focal_view(&self, pos: usize) -> Option<FocalView<'_>> {
+        match (
+            self.mask.columns[pos],
+            self.partial.views.get(self.mask.slots[pos]),
+        ) {
+            (Column::View, Some(View::Evidence(view))) => Some(*view),
+            _ => None,
+        }
     }
 }
 
@@ -177,12 +198,17 @@ impl ScanFilter {
         {
             reads[pos] = true;
         }
+        let bound = BoundPredicate::bind(schema, &predicate);
+        let (views, none) = (bound.views(schema.arity()), vec![false; schema.arity()]);
         Ok(ScanFilter {
-            bound: BoundPredicate::bind(schema, &predicate),
+            bound,
             predicate,
             threshold,
-            reads: Mask::of(&reads, Column::Skip),
-            viewed: Mask::of(&reads, Column::View),
+            decided: views
+                .contains(&true)
+                .then(|| Mask::of(&reads, &views, Column::Skip)),
+            reads: Mask::of(&reads, &none, Column::Skip),
+            viewed: Mask::of(&reads, &none, Column::View),
         })
     }
 
@@ -305,14 +331,41 @@ impl ScanFilter {
         record: &[u8],
         segment: &Segment,
     ) -> Result<Option<Tuple>, PlanError> {
-        let row = PartialRow {
-            values: &partial.values,
-            slots: &mask.slots,
-        };
+        let row = PartialRow { partial, mask };
         match self.decide(&row, partial.membership)? {
             Some(revised) => Ok(Some(revised_tuple(record, segment, revised)?)),
             None => Ok(None),
         }
+    }
+
+    /// Decide `record` — one of `segment`'s — alone, and decode it in
+    /// full only if kept; with `positive`, one without positive support
+    /// is dropped before the predicate sees it. Decoded under `decided`
+    /// if every view there is [`View::Evidence`], else — a refused view,
+    /// a definite value, a decode error — under `reads`, as it always was.
+    fn keep_record(
+        &self,
+        record: &[u8],
+        segment: &Segment,
+        positive: bool,
+    ) -> Result<Option<Tuple>, PlanError> {
+        let domains = segment.domains();
+        let viewed = self.decided.as_ref().and_then(|mask| {
+            let partial = decode_record(record, domains, &mask.columns).ok()?;
+            let evidence = partial.views.iter().all(|v| matches!(v, View::Evidence(_)));
+            evidence.then_some((mask, partial))
+        });
+        let (mask, partial) = match viewed {
+            Some(viewed) => viewed,
+            None => (
+                &self.reads,
+                decode_record(record, domains, &self.reads.columns)?,
+            ),
+        };
+        if positive && !partial.membership.is_positive() {
+            return Ok(None);
+        }
+        self.keep(mask, &partial, record, segment)
     }
 
     /// Visit every record of `page`: count it, decide it from its
@@ -330,8 +383,7 @@ impl ScanFilter {
         for record in PageRecords::new(&guard)? {
             let record = record?;
             stats.tuples_scanned += 1;
-            let partial = decode_record(record, segment.domains(), &self.reads.columns)?;
-            match self.keep(&self.reads, &partial, record, segment)? {
+            match self.keep_record(record, segment, false)? {
                 Some(tuple) => out.push(tuple),
                 None => stats.records_skipped += 1,
             }
@@ -923,11 +975,7 @@ impl SpilledRight {
         filter: &ScanFilter,
     ) -> Result<Option<Tuple>, PlanError> {
         let (record, segment) = self.record(ordinal)?;
-        let partial = decode_record(record, segment.domains(), &filter.reads.columns)?;
-        if !partial.membership.is_positive() {
-            return Ok(None);
-        }
-        filter.keep(&filter.reads, &partial, record, segment)
+        filter.keep_record(record, segment, true)
     }
 }
 

@@ -20,6 +20,7 @@
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{ConflictPolicy, ConflictReport, Operand, Predicate, ThetaOp, Threshold};
 use evirel_evidence::rules::CombinationRule;
+use evirel_evidence::MassFunction;
 use evirel_plan::ops::{run, DempsterMerger, MergeEmit, MergeOp, Operator, ScanOp, SelectOp};
 use evirel_plan::reference::execute_reference;
 use evirel_plan::spill::SpillScanOp;
@@ -28,10 +29,13 @@ use evirel_plan::{
     ExecContext, ExecStats, LogicalPlan, MergePairing, StoredRelation, TupleMerger,
 };
 use evirel_relation::cwa::CwaPolicy;
-use evirel_relation::{AttrDomain, ExtendedRelation, RelationBuilder, Schema, Tuple, Value};
+use evirel_relation::{
+    AttrDomain, AttrValue, ExtendedRelation, RelationBuilder, Schema, SupportPair, Tuple, Value,
+};
 use evirel_testkit::{
-    config, definite_pair, encode, equivalent, exec_context, hazardous_pair, identical, masked,
-    pair, reseal, same_report, same_tuples, store, vacuous, OrFail, Sides, TempDir, PAGE,
+    config, definite_pair, encode, equivalent, exec_context, generated_pair, hazardous_pair,
+    identical, masked, pair, reseal, same_report, same_tuples, store, vacuous, OrFail, Sides,
+    TempDir, PAGE,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -813,7 +817,7 @@ fn fused_merge_stops_where_select_over_merge_stops() {
 /// between it and an answer.
 #[test]
 fn fused_merge_refuses_rot_in_an_attribute_it_skips() {
-    let (ga, gb) = pair(3, 60);
+    let (ga, gb) = generated_pair(3, 60);
     // Reads `e2`, skips `e0`; admits nothing, the generator keeps mass on Ω.
     let predicate = Predicate::is("e2", [Value::str("v0")]);
     let plan = merge_plan(MergeEmit::Union, predicate, Threshold::SnAtLeast(0.99));
@@ -994,6 +998,92 @@ fn a_matched_pair_a_view_refuses_is_decoded_in_full() {
                         ),
                     }
                 }
+            }
+        }
+    }
+}
+
+/// A definite value in an evidential attribute — which `Tuple::new`
+/// accepts — is no focal view, so a stored record holding one is
+/// decided from its full decode. Over `{k, d}` with `d = x` definite in
+/// one record and `{y}` evidence in another (beside a partial `{x}`),
+/// `d IS {x} WITH SN > 0.5` fused into the scan is `SelectOp` over the
+/// bare scan and the reference, and so is it inside a ∪̃ with a second
+/// such relation — whichever sides are stored or spilled, so the
+/// scan's records, a merge's left records and its unmatched build-side
+/// records are each decided this way — at 1 and 4 threads.
+#[test]
+fn a_definite_value_in_an_evidential_attribute_is_decided_in_full() {
+    let domain = Arc::new(AttrDomain::categorical("d", ["x", "y", "z"]).unwrap());
+    let relation = |name: &str, rows: [(&str, Option<&str>); 3]| {
+        let schema = Schema::builder(name)
+            .key_str("k")
+            .evidential("d", Arc::clone(&domain))
+            .build()
+            .unwrap();
+        let schema = Arc::new(schema);
+        let mut rel = ExtendedRelation::new(Arc::clone(&schema));
+        for (key, definite) in rows {
+            let d = match definite {
+                Some(label) => AttrValue::Definite(Value::str(label)),
+                None if key.ends_with('y') => AttrValue::Evidential(
+                    MassFunction::certain(Arc::clone(domain.frame()), "y").unwrap(),
+                ),
+                None => {
+                    let m = MassFunction::<f64>::builder(Arc::clone(domain.frame()));
+                    let m = m.add(["x"], 0.7).unwrap().add_omega(0.3).build();
+                    AttrValue::Evidential(m.unwrap())
+                }
+            };
+            let values = vec![AttrValue::Definite(Value::str(key)), d];
+            rel.insert(Tuple::new(&schema, values, SupportPair::certain()).unwrap())
+                .unwrap();
+        }
+        rel
+    };
+    let l = relation("L", [("a", Some("x")), ("by", None), ("c", None)]);
+    let r = relation("R", [("a", None), ("by", Some("y")), ("r", Some("x"))]);
+    let predicate = Predicate::is("d", [Value::str("x")]);
+    let threshold = Threshold::SnGreater(0.5);
+    let pool = Arc::new(BufferPool::new(4 * PAGE));
+
+    // The scan, against `SelectOp` over the bare stored scan.
+    let scanned = scan("sa")
+        .select_where(predicate.clone(), threshold)
+        .build();
+    let bare = Box::new(SpillScanOp::new("sa", store(&l, &pool)));
+    let mut select = SelectOp::new(bare, predicate.clone(), threshold).unwrap();
+    let expected = run(&mut select, &mut exec_context(UnionOptions::default())).unwrap();
+    assert_eq!(
+        expected.len(),
+        2,
+        "a (definite x) and c ({{x}} at 0.7) pass"
+    );
+    // The merge, against `SelectOp` over `MergeOp` over in-memory scans.
+    let merged = scan("sa")
+        .union(scan("sb"))
+        .select_where(predicate.clone(), threshold)
+        .build();
+    let options = UnionOptions::default();
+    let mut unfused_merge = unfused(MergeEmit::Union, &l, &r, &options, &predicate, threshold);
+    let expected_merge = run(unfused_merge.as_mut(), &mut exec_context(options.clone())).unwrap();
+    let mut mem_bindings = Bindings::new();
+    mem_bindings.bind("sa", l.clone()).bind("sb", r.clone());
+
+    for sides in Sides::ALL {
+        let bindings = sides.bind(&l, &r, &pool);
+        for threads in [1, 4] {
+            let context = format!("{sides:?}, {threads} threads");
+            for (plan, expected) in [(&scanned, &expected), (&merged, &expected_merge)] {
+                let mut ctx = exec_context(options.clone());
+                ctx.parallelism = threads;
+                if sides == Sides::Spilled {
+                    ctx.spill_threshold_bytes = 0;
+                }
+                let fused = execute_plan(plan, &bindings, &mut ctx).expect(&context);
+                identical(expected, &fused).or_fail(&context);
+                let (reference, _) = execute_reference(plan, &mem_bindings, &options).unwrap();
+                identical(&reference, &fused).or_fail(format_args!("vs reference, {context}"));
             }
         }
     }

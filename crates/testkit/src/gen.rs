@@ -1,6 +1,10 @@
 //! Generated inputs. Each keeps the exact `GeneratorConfig` its suites
-//! drew from before they shared it, so every drawn relation is
-//! unchanged, byte for byte.
+//! drew from before they shared it. [`pair`] and [`relation`] then put
+//! a definite in-domain label in place of one evidential value in
+//! [`DEFINITE_EVERY`]: `Tuple::new` accepts a definite value in an
+//! evidential attribute, and every reader of evidence has to decide it
+//! as the certain mass function on that label, but the generator never
+//! draws one.
 
 use evirel_evidence::MassFunction;
 use evirel_relation::cwa::CwaPolicy;
@@ -8,12 +12,53 @@ use evirel_relation::{
     AttrDomain, AttrValue, ExtendedRelation, Schema, SupportPair, Tuple, Value, ValueKind,
 };
 use evirel_workload::generator::{generate, generate_pair, GeneratorConfig, PairConfig};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
+
+/// One evidential value in this many is a definite label instead.
+pub const DEFINITE_EVERY: u64 = 8;
+
+/// `rel` with one evidential value in [`DEFINITE_EVERY`] replaced by a
+/// definite label of the attribute's domain. Which values, and which
+/// label, depend on the tuple's key and the position only, so the two
+/// tuples of a shared key agree: the generator's evidence keeps mass on
+/// Ω, and a definite value meets no total conflict it did not.
+fn with_definites(rel: ExtendedRelation) -> ExtendedRelation {
+    let schema = Arc::clone(rel.schema());
+    let mut out = ExtendedRelation::new(Arc::clone(&schema));
+    for tuple in rel.iter() {
+        let key = tuple.key(&schema);
+        let values = tuple.values().iter().enumerate().map(|(pos, value)| {
+            let mut hasher = DefaultHasher::new();
+            (&key, pos).hash(&mut hasher);
+            let draw = hasher.finish();
+            match schema.attr(pos).ty().domain() {
+                Some(domain) if draw.is_multiple_of(DEFINITE_EVERY) => {
+                    let label = (draw / DEFINITE_EVERY) as usize % domain.len();
+                    AttrValue::Definite(domain.value(label).expect("in the domain").clone())
+                }
+                _ => value.clone(),
+            }
+        });
+        let tuple = Tuple::new(&schema, values.collect(), tuple.membership()).unwrap();
+        out.insert_with_policy(tuple, CwaPolicy::AllowZero).unwrap();
+    }
+    out
+}
 
 /// Two generated relations `GA`, `GB` of `tuples` tuples each over
 /// `(k, e0, e1, e2)`: half their keys shared (`shared-N`, the rest
-/// `left-N` / `right-N`), conflict bias 0.3.
+/// `left-N` / `right-N`), conflict bias 0.3; one evidential value in
+/// [`DEFINITE_EVERY`] definite.
 pub fn pair(seed: u64, tuples: usize) -> (ExtendedRelation, ExtendedRelation) {
+    let (ga, gb) = generated_pair(seed, tuples);
+    (with_definites(ga), with_definites(gb))
+}
+
+/// [`pair`] as the generator draws it: every non-key value evidence
+/// that keeps mass on Ω — for a suite that addresses a record's bytes
+/// by that layout.
+pub fn generated_pair(seed: u64, tuples: usize) -> (ExtendedRelation, ExtendedRelation) {
     generate_pair(&PairConfig {
         base: GeneratorConfig {
             tuples,
@@ -43,9 +88,10 @@ pub fn small_domain(seed: u64, tuples: usize) -> GeneratorConfig {
     }
 }
 
-/// [`small_domain`]'s relation, named `R`.
+/// [`small_domain`]'s relation, named `R`; one evidential value in
+/// [`DEFINITE_EVERY`] definite.
 pub fn relation(seed: u64, tuples: usize) -> ExtendedRelation {
-    generate("R", &small_domain(seed, tuples)).expect("generator config is valid")
+    with_definites(generate("R", &small_domain(seed, tuples)).expect("generator config is valid"))
 }
 
 /// [`pair`] plus hand-made tuples the generator never draws (its

@@ -32,7 +32,7 @@ pub mod wire;
 
 pub use compare::{equivalent, identical, masked, same_report, same_tuples, OrFail};
 pub use durable::{assert_converged, encode, reseal, segment_bytes, TempDir};
-pub use gen::{definite_pair, hazardous_pair, pair, relation, small_domain};
+pub use gen::{definite_pair, generated_pair, hazardous_pair, pair, relation, small_domain};
 pub use sides::{store, Sides, PAGE};
 pub use wire::{connect, line, ok_body, roundtrip, seeded, series, stat};
 
