@@ -22,21 +22,40 @@ use evirel_relation::Value;
 use std::fmt;
 use std::sync::Arc;
 
-/// What to do when two matched tuples are in *total* conflict (κ = 1)
-/// on some attribute.
+/// What to do when two matched tuples are in *total* conflict (κ = 1).
+///
+/// A pair can conflict totally at three kinds of target, and a policy
+/// resolves each in its own way:
+/// * an *evidential* attribute, whose evidence sets have no focal
+///   elements in common — Dempster's rule is undefined;
+/// * a *definite* attribute, whose two values differ — an open domain
+///   has no evidence to combine;
+/// * the *membership pair*, where `F` finds one side a certain member
+///   `(1, 1)` and the other certainly not one, `(0, 0)`.
+///
+/// Whatever the policy, every total conflict is recorded in the
+/// [`ConflictReport`] with κ = 1 and `total = true`, in the order the
+/// kernel meets them. Under CWA_ER a merged tuple whose resolved
+/// membership has `sn = 0` is not stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConflictPolicy {
-    /// Abort the union with [`crate::AlgebraError::TotalConflict`] —
-    /// the strictest reading of the paper's "inform the integrators".
+    /// Abort the union with [`crate::AlgebraError::TotalConflict`] at
+    /// the first total conflict — the strictest reading of the paper's
+    /// "inform the integrators".
     #[default]
     Error,
-    /// Keep the left relation's value, record the conflict.
+    /// Keep the left tuple's evidence set, definite value or membership
+    /// pair. A left `(0, 0)` drops the merged tuple.
     KeepLeft,
-    /// Keep the right relation's value, record the conflict.
+    /// Keep the right tuple's evidence set, definite value or membership
+    /// pair. A right `(0, 0)` drops the merged tuple.
     KeepRight,
-    /// Replace the value with total ignorance (the vacuous evidence
-    /// set), record the conflict. This mirrors Yager's treatment of
-    /// conflict as ignorance.
+    /// Replace an evidential value with total ignorance, the vacuous
+    /// evidence set — Yager's treatment of conflict as ignorance. A
+    /// definite attribute has no vacuous value, so it keeps the *left*
+    /// value, as under [`ConflictPolicy::KeepLeft`]. A membership pair
+    /// becomes the unknown `(0, 1)`, which has no support, so the merged
+    /// tuple is not stored.
     Vacuous,
 }
 

@@ -20,27 +20,21 @@
 use crate::conflict::{AttributeConflict, ConflictPolicy, ConflictReport, PairKey};
 use crate::error::AlgebraError;
 use crate::support::Row;
-use evirel_evidence::{rules::CombinationRule, Entries, EvidenceError, MassFunction};
+use evirel_evidence::{combine, Entries, EvidenceError, MassFunction};
 use evirel_relation::{
     AttrDomain, AttrType, AttrValue, ExtendedRelation, RelationError, SupportPair, Tuple, Value,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Options for the extended union.
-#[derive(Debug, Clone, Default)]
+/// Options for the extended union. Every matched attribute is combined
+/// with Dempster's rule and every membership pair with the paper's `F`;
+/// what is left to choose is what a total conflict resolves to.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct UnionOptions {
     /// How to resolve total conflict (κ = 1) on an attribute or on
     /// tuple membership.
     pub on_total_conflict: ConflictPolicy,
-    /// Combination rule for attribute evidence. The paper uses
-    /// Dempster's rule; the alternatives exist for ablation studies.
-    /// Membership pairs always use the paper's `F` (Dempster over Ψ).
-    pub rule: CombinationRule,
-    /// If set, summarize each combined attribute evidence set to at
-    /// most this many focal elements (see
-    /// [`evirel_evidence::approx::summarize`]).
-    pub max_focal: Option<usize>,
 }
 
 /// The result of an extended union: the integrated relation plus the
@@ -53,8 +47,8 @@ pub struct UnionOutcome {
     pub report: ConflictReport,
 }
 
-/// Compute `left ∪̃ right` with default options (Dempster's rule,
-/// error on total conflict).
+/// Compute `left ∪̃ right` with default options: an error on total
+/// conflict.
 ///
 /// # Errors
 /// * [`AlgebraError::Relation`] if the schemas are not
@@ -345,13 +339,13 @@ pub fn merge_pair<S: PairSide>(
                 &mut key,
                 l.value(pos),
                 r.value(pos),
-                options,
+                policy,
                 report,
                 scratch,
             )?),
             AttrType::Evidential(domain) => {
                 let (lm, rm) = (l.evidence(pos, domain)?, r.evidence(pos, domain)?);
-                observe_evidence(name, &mut key, &lm, &rm, options, report, scratch)?;
+                observe_evidence(name, &mut key, &lm, &rm, policy, report, scratch)?;
                 None
             }
         });
@@ -380,7 +374,7 @@ pub fn merge_pair<S: PairSide>(
                 &mut key,
                 lv,
                 rv,
-                options,
+                policy,
                 &mut unheard,
                 scratch,
             )?,
@@ -419,7 +413,7 @@ fn total_conflict(
     }
 }
 
-/// Report what the rule's step saw of one attribute pair — κ > 0 as an
+/// Report what Dempster's rule saw of one attribute pair — κ > 0 as an
 /// observation, a total conflict as one (raised under
 /// [`ConflictPolicy::Error`]) — and hand back what the step built,
 /// `None` on a total conflict.
@@ -453,10 +447,10 @@ fn reported<T>(
 
 /// The per-pair kernel's evidential step — one implementation for ∪̃
 /// and the integration pipeline's registry merge: combine attribute
-/// `attr`'s two values under `options.rule`, record κ > 0 in `report`,
-/// and resolve a total conflict by `options.on_total_conflict`. `key`
-/// is the pair's, made once by the caller and passed to every step of
-/// the pair's merge so its observations share one handle.
+/// `attr`'s two values with Dempster's rule, record κ > 0 in `report`,
+/// and resolve a total conflict by `policy`. `key` is the pair's, made
+/// once by the caller and passed to every step of the pair's merge so
+/// its observations share one handle.
 ///
 /// # Errors
 /// [`AlgebraError::TotalConflict`] under [`ConflictPolicy::Error`];
@@ -468,19 +462,16 @@ pub fn combine_evidence(
     key: &mut PairKey<'_>,
     lv: &AttrValue,
     rv: &AttrValue,
-    options: &UnionOptions,
+    policy: ConflictPolicy,
     report: &mut ConflictReport,
     scratch: &mut MergeScratch,
 ) -> Result<AttrValue, AlgebraError> {
     let lm = lv.to_evidence(domain)?;
     let rm = rv.to_evidence(domain)?;
-    let step = options.rule.combine_reporting_with(&lm, &rm, scratch);
-    let mass = match reported(step, attr, key, options.on_total_conflict, report)? {
-        Some(mass) => match options.max_focal {
-            Some(k) => evirel_evidence::approx::summarize(&mass, k).map_err(RelationError::from)?,
-            None => mass,
-        },
-        None => match options.on_total_conflict {
+    let step = combine::dempster_with(&lm, &rm, scratch).map(|c| (c.mass, c.conflict));
+    let mass = match reported(step, attr, key, policy, report)? {
+        Some(mass) => mass,
+        None => match policy {
             ConflictPolicy::KeepRight => rm.into_owned(),
             ConflictPolicy::Vacuous => {
                 MassFunction::vacuous(Arc::clone(domain.frame())).map_err(RelationError::from)?
@@ -493,30 +484,25 @@ pub fn combine_evidence(
 
 /// [`combine_evidence`] for an attribute whose combined value nobody
 /// reads yet: the same observations into `report` and the same errors,
-/// from the rule's observing pass over the two sides' evidence — no
+/// from Dempster's observing pass over the two sides' evidence — no
 /// combined mass function.
 fn observe_evidence<E: Entries<f64>>(
     attr: &Arc<str>,
     key: &mut PairKey<'_>,
     lm: &E,
     rm: &E,
-    options: &UnionOptions,
+    policy: ConflictPolicy,
     report: &mut ConflictReport,
     scratch: &mut MergeScratch,
 ) -> Result<(), AlgebraError> {
-    let step = options.rule.observe_with(lm, rm, scratch);
-    let combinable = reported(
-        step.map(|kappa| ((), kappa)),
-        attr,
-        key,
-        options.on_total_conflict,
-        report,
-    )?;
-    // `summarize` refuses a cap of 0 whatever it is handed; so does the
-    // step that hands it nothing.
-    if combinable.is_some() && options.max_focal == Some(0) {
-        return Err(RelationError::from(EvidenceError::EmptyFocalElement).into());
-    }
+    let step = combine::observe_with(lm, rm, scratch).and_then(|seen| {
+        if seen.total {
+            Err(EvidenceError::TotalConflict)
+        } else {
+            Ok(((), seen.conflict))
+        }
+    });
+    reported(step, attr, key, policy, report)?;
     Ok(())
 }
 
@@ -696,7 +682,6 @@ mod tests {
             &b,
             &UnionOptions {
                 on_total_conflict: ConflictPolicy::KeepLeft,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -709,7 +694,6 @@ mod tests {
             &b,
             &UnionOptions {
                 on_total_conflict: ConflictPolicy::KeepRight,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -740,7 +724,6 @@ mod tests {
             &b,
             &UnionOptions {
                 on_total_conflict: ConflictPolicy::Vacuous,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -775,40 +758,6 @@ mod tests {
         let mehl = out.relation.get_by_key(&[Value::str("mehl")]).unwrap();
         assert!((mehl.membership().sn() - 5.0 / 6.0).abs() < 1e-9);
         assert!((mehl.membership().sp() - 5.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn alternative_rule_still_reports_dempster_kappa() {
-        let out = union_with(
-            &garden_a(),
-            &garden_b(),
-            &UnionOptions {
-                rule: CombinationRule::Yager,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Yager absorbs the conflict into Ω but the report still shows κ.
-        assert!((out.report.conflicts()[0].kappa - 0.534).abs() < 1e-9);
-        let garden = out.relation.get_by_key(&[Value::str("garden")]).unwrap();
-        let rating = garden.value(2).as_evidential().unwrap();
-        let omega = rating.frame().omega();
-        assert!(rating.mass_of(&omega) > 0.5);
-    }
-
-    #[test]
-    fn max_focal_summarizes() {
-        let out = union_with(
-            &garden_a(),
-            &garden_b(),
-            &UnionOptions {
-                max_focal: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let garden = out.relation.get_by_key(&[Value::str("garden")]).unwrap();
-        assert!(garden.value(2).as_evidential().unwrap().focal_count() <= 1);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! into the union of the discarded sets, preserving total mass and
 //! never *under*-reporting plausibility.
 //!
-//! The ablation bench `benches/combine.rs` measures the
-//! speed/precision trade-off of this knob.
+//! It is a step applied to a mass function, not an option of the
+//! extended union: ∪̃ keeps every focal element Dempster's rule yields,
+//! and a caller who wants a cap applies [`summarize`] to the result.
 
 use crate::error::EvidenceError;
 use crate::mass::MassFunction;

@@ -16,8 +16,9 @@
 //! * belief `Bel`, plausibility `Pls`, commonality `Q` and related
 //!   functionals ([`MassFunction::bel`], [`MassFunction::pls`], …);
 //! * Dempster's rule of combination with explicit conflict mass κ
-//!   ([`combine::dempster`]), plus alternative rules (Yager,
-//!   Dubois–Prade, mixing) in [`rules`] for ablation studies;
+//!   ([`combine::dempster`]) — the one rule the extended union uses —
+//!   plus alternative rules (Yager, Dubois–Prade, mixing) in [`rules`]
+//!   for comparing the rules on the same evidence;
 //! * decision transforms (pignistic, plausibility) in [`transform`];
 //! * focal-element approximation (summarization) in [`approx`].
 //!
@@ -34,7 +35,7 @@
 //! | §2.1 subsets of Ω | [`focal`] | canonical bitset focal elements (`u128` inline / boxed words) |
 //! | §2.1 mass, Bel, Pls | [`mass`], [`measures`] | basic probability assignments and derived functionals |
 //! | §2.2 Dempster's rule | [`combine`] | the hot-path combination engine (singleton fast path, bitset memo) |
-//! | §2.2 alternatives | [`rules`] | Yager, Dubois–Prade, mixing — ablation rules |
+//! | §2.2 alternatives | [`rules`] | Yager, Dubois–Prade, mixing — for comparison with Dempster's |
 //! | — (Shafer 1976) | [`mod@discount`] | source discounting and Dempster conditioning |
 //! | — (Lowrance 1986) | [`approx`] | focal-element summarization for long chains |
 //! | — (Smets) | [`transform`] | pignistic / plausibility decision transforms |

@@ -1,11 +1,12 @@
 //! Alternative combination rules.
 //!
-//! The paper commits to Dempster's rule (and our extended union does
-//! too), but the choice of rule is a known design axis in evidential
-//! reasoning: Dempster's normalization can behave counter-intuitively
-//! under high conflict (Zadeh's paradox). To support the ablation
-//! benchmarks called out in DESIGN.md, this module provides the three
-//! classical alternatives:
+//! The paper commits to Dempster's rule, and so does the extended
+//! union: its merge kernel calls [`crate::combine`] directly. But the
+//! choice of rule is a known design axis in evidential reasoning:
+//! Dempster's normalization can behave counter-intuitively under high
+//! conflict (Zadeh's paradox). For comparing the rules on the same
+//! evidence — `examples/conflict_analysis.rs` sweeps all four — this
+//! module provides the three classical alternatives:
 //!
 //! * **Yager's rule** — conflict mass is moved to Ω (ignorance)
 //!   instead of being normalized away;
@@ -17,15 +18,16 @@
 //! All rules share frame-checking and the conjunctive core with
 //! [`crate::combine`].
 
-use crate::combine::{conjunctive_raw, Entries};
+use crate::combine::conjunctive_raw;
 use crate::error::EvidenceError;
 use crate::focal::FocalSet;
 use crate::mass::MassFunction;
 use crate::weight::Weight;
 use std::collections::HashMap;
 
-/// Which combination rule to use — the ablation switch used by the
-/// extended union and the benches.
+/// Which combination rule to apply — a library comparison of the
+/// classical rules over the same two sources, not a switch of the
+/// extended union, which always uses Dempster's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CombinationRule {
     /// Dempster's rule with normalization by `1 − κ` (the paper's
@@ -60,70 +62,7 @@ impl CombinationRule {
         }
     }
 
-    /// Apply the rule and also report the κ Dempster would have seen —
-    /// the accounting the merge layers (∪̃'s per-attribute combination,
-    /// the integrate method registry) record per conflict report.
-    ///
-    /// Dempster's rule reports κ from its single conjunctive pass; the
-    /// alternative rules absorb conflict internally, so κ is computed
-    /// separately for them.
-    ///
-    /// # Errors
-    /// As [`CombinationRule::combine`].
-    pub fn combine_reporting<W: Weight>(
-        &self,
-        a: &MassFunction<W>,
-        b: &MassFunction<W>,
-    ) -> Result<(MassFunction<W>, W), EvidenceError> {
-        self.combine_reporting_with(a, b, &mut crate::combine::Scratch::new())
-    }
-
-    /// [`CombinationRule::combine_reporting`] reusing a caller-held
-    /// [`crate::combine::Scratch`] — merge passes hold one scratch for
-    /// the whole pass instead of allocating a memo table per
-    /// combination. Results are bit-for-bit identical.
-    ///
-    /// # Errors
-    /// As [`CombinationRule::combine`].
-    pub fn combine_reporting_with<W: Weight>(
-        &self,
-        a: &MassFunction<W>,
-        b: &MassFunction<W>,
-        scratch: &mut crate::combine::Scratch<W>,
-    ) -> Result<(MassFunction<W>, W), EvidenceError> {
-        match self {
-            CombinationRule::Dempster => {
-                let c = crate::combine::dempster_with(a, b, scratch)?;
-                Ok((c.mass, c.conflict))
-            }
-            rule => {
-                let kappa = crate::combine::conflict_with(a, b, scratch)?;
-                Ok((rule.combine(a, b)?, kappa))
-            }
-        }
-    }
-
-    /// What [`CombinationRule::combine_reporting_with`] reports of a
-    /// pair, without the combination: the κ it would return, or the
-    /// [`EvidenceError::TotalConflict`] it would fail with (Dempster's
-    /// rule only — the alternatives absorb any conflict).
-    ///
-    /// # Errors
-    /// As [`CombinationRule::combine`].
-    pub fn observe_with<W: Weight, E: Entries<W>>(
-        &self,
-        a: &E,
-        b: &E,
-        scratch: &mut crate::combine::Scratch<W>,
-    ) -> Result<W, EvidenceError> {
-        let seen = crate::combine::observe_with(a, b, scratch)?;
-        if seen.total && *self == CombinationRule::Dempster {
-            return Err(EvidenceError::TotalConflict);
-        }
-        Ok(seen.conflict)
-    }
-
-    /// All rules, for sweep-style benchmarks.
+    /// All rules, for sweeps that compare them.
     pub const ALL: [CombinationRule; 4] = [
         CombinationRule::Dempster,
         CombinationRule::Yager,

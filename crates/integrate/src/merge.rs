@@ -13,16 +13,18 @@
 //! hash-sharded copies under an exchange when the thread budget and
 //! the pairing's size warrant it, spill scans for stored inputs — with
 //! `RegistryMerger` plugged in where ∪̃ uses Dempster's rule on
-//! everything. The evidential and membership steps of the per-pair
-//! kernel are the algebra's own ([`combine_evidence`],
-//! [`combine_membership`]).
+//! everything. Its evidential and membership steps are ∪̃'s own
+//! ([`combine_evidence`], [`combine_membership`]): Dempster's rule and
+//! the paper's `F`, a total conflict resolved by the registry's
+//! [`MethodRegistry::on_total_conflict`]. So where every non-key
+//! attribute is evidential, the registry merge of two relations is
+//! their ∪̃, tuples, report and errors alike.
 
 use crate::entity_id::MatchOutcome;
 use crate::error::IntegrateError;
 use crate::methods::{IntegrationMethod, MethodRegistry};
-use evirel_algebra::union::{combine_evidence, combine_membership, UnionOptions};
+use evirel_algebra::union::{combine_evidence, combine_membership};
 use evirel_algebra::{AlgebraError, ConflictReport, PairKey};
-use evirel_evidence::rules::CombinationRule;
 use evirel_plan::{
     execute_merge, BoundRelation, Config, ExecContext, MergePairing, PlanError, TupleMerger,
 };
@@ -201,30 +203,7 @@ impl TupleMerger for RegistryMerger {
             attr: attr.name().to_owned(),
             reason,
         };
-        let mut evidential =
-            |attr: &AttrDef, key: &mut PairKey<'_>, lv, rv, rule, report: &mut ConflictReport| {
-                let AttrType::Evidential(domain) = attr.ty() else {
-                    return Err(mismatch(
-                        attr,
-                        "evidential merge needs an evidential attribute".to_owned(),
-                    ));
-                };
-                let options = UnionOptions {
-                    on_total_conflict: registry.on_total_conflict,
-                    rule,
-                    max_focal: None,
-                };
-                Ok(combine_evidence(
-                    attr.shared_name(),
-                    domain,
-                    key,
-                    lv,
-                    rv,
-                    &options,
-                    report,
-                    scratch,
-                )?)
-            };
+        let policy = registry.on_total_conflict;
         let mut values = Vec::with_capacity(schema.arity());
         for (pos, attr) in schema.attrs().iter().enumerate() {
             let lv = l.value(pos);
@@ -249,14 +228,18 @@ impl TupleMerger for RegistryMerger {
                     })?)
                 }
                 IntegrationMethod::Evidential => {
-                    evidential(attr, &mut key, lv, rv, CombinationRule::Dempster, report)?
-                }
-                IntegrationMethod::EvidentialWith(rule) => {
-                    evidential(attr, &mut key, lv, rv, rule, report)?
+                    let AttrType::Evidential(domain) = attr.ty() else {
+                        return Err(mismatch(
+                            attr,
+                            "evidential merge needs an evidential attribute".to_owned(),
+                        ));
+                    };
+                    let name = attr.shared_name();
+                    combine_evidence(name, domain, &mut key, lv, rv, policy, report, scratch)?
                 }
             });
         }
-        match combine_membership(&mut key, l, r, registry.on_total_conflict, report)? {
+        match combine_membership(&mut key, l, r, policy, report)? {
             Some(membership) => Ok(Some(Tuple::new(schema, values, membership)?)),
             None => Ok(None),
         }
@@ -601,31 +584,6 @@ mod tests {
         let err = merge(&l, &r, &matching, &registry());
         assert!(matches!(err, Err(IntegrateError::Algebra(_))));
         let reg = registry().with_conflict_policy(ConflictPolicy::Vacuous);
-        let out = merge(&l, &r, &matching, &reg).unwrap();
-        let wok = out.relation.get_by_key(&[Value::str("wok")]).unwrap();
-        assert!(wok.value(2).as_evidential().unwrap().is_vacuous());
-    }
-
-    #[test]
-    fn alternative_rule_through_registry() {
-        let reg = registry().assign(
-            "rating",
-            IntegrationMethod::EvidentialWith(CombinationRule::Yager),
-        );
-        let mk = |label: &str| {
-            RelationBuilder::new(schema("X"))
-                .tuple(|t| {
-                    t.set_str("k", "wok")
-                        .set_int("seats", 1)
-                        .set_evidence("rating", [(&[label][..], 1.0)])
-                })
-                .unwrap()
-                .build()
-        };
-        let l = mk("ex");
-        let r = mk("avg");
-        let matching = KeyMatcher.match_tuples(&l, &r).unwrap();
-        // Yager handles total conflict by moving mass to Ω — no error.
         let out = merge(&l, &r, &matching, &reg).unwrap();
         let wok = out.relation.get_by_key(&[Value::str("wok")]).unwrap();
         assert!(wok.value(2).as_evidential().unwrap().is_vacuous());

@@ -10,7 +10,6 @@
 use crate::error::IntegrateError;
 use evirel_algebra::ConflictPolicy;
 use evirel_baselines::AggregateFn;
-use evirel_evidence::rules::CombinationRule;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -19,11 +18,10 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum IntegrationMethod {
     /// Dempster's rule of combination on evidence sets — the paper's
-    /// contribution and the default for evidential attributes.
+    /// contribution, ∪̃'s own attribute step, and the default for
+    /// evidential attributes.
     #[default]
     Evidential,
-    /// An alternative combination rule (ablation).
-    EvidentialWith(CombinationRule),
     /// Dayal's aggregate resolution — numeric definite attributes.
     Aggregate(AggregateFn),
     /// Trust the left source.
@@ -36,7 +34,6 @@ impl fmt::Display for IntegrationMethod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IntegrationMethod::Evidential => write!(f, "evidential(dempster)"),
-            IntegrationMethod::EvidentialWith(rule) => write!(f, "evidential({})", rule.name()),
             IntegrationMethod::Aggregate(a) => write!(f, "aggregate({a})"),
             IntegrationMethod::KeepLeft => write!(f, "keep-left"),
             IntegrationMethod::KeepRight => write!(f, "keep-right"),
@@ -127,10 +124,7 @@ impl MethodRegistry {
                         reason: "aggregate over evidential attribute (use Evidential)".to_owned(),
                     });
                 }
-                (
-                    IntegrationMethod::Evidential | IntegrationMethod::EvidentialWith(_),
-                    evirel_relation::AttrType::Definite(_),
-                ) => {
+                (IntegrationMethod::Evidential, evirel_relation::AttrType::Definite(_)) => {
                     return Err(IntegrateError::MethodMismatch {
                         attr: attr.name().to_owned(),
                         reason: "evidential combination over open definite attribute \
@@ -222,10 +216,8 @@ mod tests {
             IntegrationMethod::Evidential.to_string(),
             "evidential(dempster)"
         );
-        assert_eq!(
-            IntegrationMethod::EvidentialWith(CombinationRule::Yager).to_string(),
-            "evidential(yager)"
-        );
+        assert_eq!(IntegrationMethod::KeepLeft.to_string(), "keep-left");
+        assert_eq!(IntegrationMethod::KeepRight.to_string(), "keep-right");
         assert_eq!(
             IntegrationMethod::Aggregate(AggregateFn::Average).to_string(),
             "aggregate(avg)"

@@ -293,7 +293,7 @@ impl Operator for ExchangeOp {
                 .iter_mut()
                 .map(|shard| {
                     let mut wctx =
-                        ExecContext::with_pool(Arc::clone(&ctx.pool), 1, ctx.union_options.clone());
+                        ExecContext::with_pool(Arc::clone(&ctx.pool), 1, ctx.union_options);
                     wctx.spill_threshold_bytes = ctx.spill_threshold_bytes;
                     scope.spawn(move || {
                         let mut out = Vec::new();

@@ -202,7 +202,7 @@ fn physical_node(
         },
         Leaves::Shard { .. } => op,
     };
-    let merger = || Box::new(DempsterMerger::new(options.clone()));
+    let merger = || Box::new(DempsterMerger::new(*options));
     Ok(match plan {
         LogicalPlan::Scan { name } => leaves.scan(name, &binding_of(source, name)?.relation)?,
         LogicalPlan::Select {
@@ -249,7 +249,7 @@ fn physical_node(
                     emit,
                     lower(left, leaves)?,
                     lower(right, leaves)?,
-                    options.clone(),
+                    *options,
                     predicate.clone(),
                     *threshold,
                 )?;
@@ -934,7 +934,7 @@ mod tests {
         options: &UnionOptions,
         parallelism: usize,
     ) -> String {
-        let mut ctx = exec_context(options.clone());
+        let mut ctx = exec_context(*options);
         ctx.parallelism = parallelism;
         explain_plan(plan, b, &mut ctx, false).unwrap()
     }
@@ -1048,7 +1048,6 @@ mod tests {
             .build();
         let options = UnionOptions {
             on_total_conflict: evirel_algebra::ConflictPolicy::Vacuous,
-            ..Default::default()
         };
 
         let text = explain(&plan, &b, &options, 4);
@@ -1058,12 +1057,12 @@ mod tests {
         let text = explain(&plan, &b, &options, 1);
         assert!(!text.contains("exchange"), "{text}");
 
-        let mut seq_ctx = exec_context(options.clone());
+        let mut seq_ctx = exec_context(options);
         seq_ctx.parallelism = 1;
         let seq = execute_plan(&plan, &b, &mut seq_ctx).unwrap();
         assert!(!seq_ctx.conflict_report().is_empty());
         for threads in [2usize, 4, 8] {
-            let mut ctx = exec_context(options.clone());
+            let mut ctx = exec_context(options);
             ctx.parallelism = threads;
             let par = execute_plan(&plan, &b, &mut ctx).unwrap();
             assert!(

@@ -80,8 +80,8 @@ pub struct ExecStats {
 /// and the physical-planning parallelism knob.
 #[derive(Debug)]
 pub struct ExecContext {
-    /// Options (conflict policy, combination rule, focal cap) used by
-    /// [`DempsterMerger`].
+    /// Options used by [`DempsterMerger`]: the total-conflict policy
+    /// of every ∪̃/∩̃ the context executes.
     pub union_options: UnionOptions,
     /// Worker threads available to physical planning: subtrees whose
     /// operators pair tuples by key equality are wrapped in a
@@ -863,7 +863,7 @@ pub trait TupleMerger: Send {
 /// its whole pass, so the combination engine's memo table is
 /// allocated once per merge instead of once per Dempster call.
 pub struct DempsterMerger {
-    /// Conflict policy, combination rule, focal cap.
+    /// The total-conflict policy.
     pub options: UnionOptions,
     scratch: MergeScratch,
     /// The σ̃ fused into the merge this merger serves
@@ -1652,7 +1652,7 @@ mod tests {
         let b = rel("B", &[("a", "y", 1.0), ("solo-b", "z", 1.0)]);
         let mut ctx = ExecContext::new(&config());
         ctx.union_options.on_total_conflict = evirel_algebra::ConflictPolicy::Vacuous;
-        let merger = Box::new(DempsterMerger::new(ctx.union_options.clone()));
+        let merger = Box::new(DempsterMerger::new(ctx.union_options));
         let mut op = MergeOp::union(
             Box::new(ScanOp::new("a", Arc::clone(&a))),
             Box::new(ScanOp::new("b", Arc::clone(&b))),
@@ -1673,7 +1673,6 @@ mod tests {
         let mut ctx2 = ExecContext::new(&config());
         let merger = Box::new(DempsterMerger::new(UnionOptions {
             on_total_conflict: evirel_algebra::ConflictPolicy::Vacuous,
-            ..Default::default()
         }));
         let mut op = MergeOp::intersect(
             Box::new(ScanOp::new("a", Arc::clone(&a))),

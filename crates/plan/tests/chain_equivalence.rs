@@ -100,7 +100,7 @@ proptest! {
         let (naive, _) =
             execute_reference(&plan, &bindings, &options).expect("reference succeeds");
 
-        let mut seq_ctx = exec_context(options.clone());
+        let mut seq_ctx = exec_context(options);
         seq_ctx.parallelism = 1;
         let seq = execute_plan(&plan, &bindings, &mut seq_ctx).expect("sequential succeeds");
         let mut par_ctx = exec_context(options);

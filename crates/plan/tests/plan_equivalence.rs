@@ -138,14 +138,14 @@ proptest! {
         let context = format!("plan:\n{}", plan.render());
         let options = vacuous();
         let naive = execute_reference(&plan, &bindings, &options);
-        let mut ctx = exec_context(options.clone());
+        let mut ctx = exec_context(options);
         let streaming = execute_plan(&plan, &bindings, &mut ctx);
         // Stored bindings: same tuples, same order, same bits, same
         // conflict report — or the same error — on the run that builds
         // the ∪̃'s right-side key index and on the one that reuses it.
         let stored_bindings = stored_bindings(seed, 24);
         for run in 0..2 {
-            let mut stored_ctx = exec_context(options.clone());
+            let mut stored_ctx = exec_context(options);
             let stored = execute_plan(&plan, &stored_bindings, &mut stored_ctx);
             match (&streaming, &stored) {
                 (Ok(s), Ok(d)) => {
@@ -208,10 +208,10 @@ proptest! {
         let context = format!("{threads} threads\nplan:\n{}", plan.render());
         let options = vacuous();
 
-        let mut seq_ctx = exec_context(options.clone());
+        let mut seq_ctx = exec_context(options);
         seq_ctx.parallelism = 1;
         let seq = execute_plan(&plan, &bindings, &mut seq_ctx);
-        let mut par_ctx = exec_context(options.clone());
+        let mut par_ctx = exec_context(options);
         par_ctx.parallelism = threads;
         let par = execute_plan(&plan, &bindings, &mut par_ctx);
 

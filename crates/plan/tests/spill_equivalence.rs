@@ -19,7 +19,6 @@
 
 use evirel_algebra::union::UnionOptions;
 use evirel_algebra::{ConflictPolicy, ConflictReport, Operand, Predicate, ThetaOp, Threshold};
-use evirel_evidence::rules::CombinationRule;
 use evirel_evidence::MassFunction;
 use evirel_plan::ops::{run, DempsterMerger, MergeEmit, MergeOp, Operator, ScanOp, SelectOp};
 use evirel_plan::reference::execute_reference;
@@ -573,7 +572,7 @@ fn unfused(
 ) -> Box<dyn Operator> {
     let left = Box::new(ScanOp::new("sa", Arc::new(ga.clone())));
     let right = Box::new(ScanOp::new("sb", Arc::new(gb.clone())));
-    let merger = Box::new(DempsterMerger::new(options.clone()));
+    let merger = Box::new(DempsterMerger::new(*options));
     let merge = match emit {
         MergeEmit::Union => MergeOp::union(left, right, merger),
         MergeEmit::Intersect => MergeOp::intersect(left, right, merger),
@@ -590,10 +589,10 @@ proptest! {
     /// `(sn, sp)`, order, the conflict report observation by
     /// observation, the counters (but for what only a stored run
     /// counts) or the error — for every side combination, predicate
-    /// kind, threshold kind, non-error policy, combination rule and
-    /// focal cap, at 1 and 4 threads, on data with total conflicts on
-    /// read and unread attributes and on the membership pair; and it
-    /// agrees with the reference, report included.
+    /// kind, threshold kind and non-error policy, at 1 and 4 threads,
+    /// on data with total conflicts on read and unread attributes and
+    /// on the membership pair; and it agrees with the reference, report
+    /// included.
     #[test]
     fn fused_merge_is_select_over_merge_bit_for_bit(
         seed in 0u64..1_000_000,
@@ -601,7 +600,7 @@ proptest! {
         pred_kind in 0u8..10,
         attr_val in 0u8..48,    // attribute index × predicate value
         th in 0u8..4,
-        how in 0u8..24,         // policy × rule × focal cap
+        how in 0u8..3,          // non-error policy
     ) {
         let emit = [MergeEmit::Union, MergeEmit::Intersect][usize::from(shape % 2)];
         let sides = Sides::ALL[usize::from(shape / 2 % 5)];
@@ -616,9 +615,7 @@ proptest! {
                 ConflictPolicy::Vacuous,
                 ConflictPolicy::KeepLeft,
                 ConflictPolicy::KeepRight,
-            ][usize::from(how % 3)],
-            rule: CombinationRule::ALL[usize::from(how / 3 % 4)],
-            max_focal: [None, Some(2)][usize::from(how / 12)],
+            ][usize::from(how)],
         };
         let predicate = merge_predicate_of(pred_kind, attr_val / 16, attr_val % 16);
         // A key-only predicate under the default threshold is not a σ̃
@@ -627,14 +624,14 @@ proptest! {
         let threshold = threshold_of(if pred_kind == 6 { th | 1 } else { th });
         let plan = merge_plan(emit, predicate.clone(), threshold);
 
-        let mut oracle_ctx = exec_context(options.clone());
+        let mut oracle_ctx = exec_context(options);
         let mut oracle = unfused(emit, &ga, &gb, &options, &predicate, threshold);
         let (expected, failure, report) = drive(oracle.as_mut(), &mut oracle_ctx);
         prop_assert_eq!(failure.is_some(), pred_kind >= 8 && !ga.is_empty());
 
         let pool = Arc::new(BufferPool::new(3 * PAGE));
         let bindings = sides.bind(&ga, &gb, &pool);
-        let mut ctx = exec_context(options.clone());
+        let mut ctx = exec_context(options);
         ctx.parallelism = threads;
         if sides == Sides::Spilled {
             ctx.spill_threshold_bytes = 0;
@@ -701,11 +698,10 @@ fn stops_alike(
     let (l, r) = definite_pair(skip);
     let options = UnionOptions {
         on_total_conflict: policy,
-        ..Default::default()
     };
     let threshold = Threshold::SnAtLeast(0.3);
     let mut oracle = unfused(emit, &l, &r, &options, predicate, threshold);
-    let mut oracle_ctx = exec_context(options.clone());
+    let mut oracle_ctx = exec_context(options);
     let (expected, failure, report) = drive(oracle.as_mut(), &mut oracle_ctx);
     assert_eq!(
         failure.is_some(),
@@ -717,12 +713,12 @@ fn stops_alike(
             emit,
             leaf("sa", &l, sides.stored_left(), pool),
             leaf("sb", &r, sides.stored_right(), pool),
-            options.clone(),
+            options,
             predicate.clone(),
             threshold,
         )
         .expect("union-compatible, positive threshold");
-        let mut ctx = exec_context(options.clone());
+        let mut ctx = exec_context(options);
         let (got, fused_failure, fused_report) = drive(&mut fused, &mut ctx);
         same_tuples(expected.iter().map(|t| &**t), got.iter().map(|t| &**t)).or_fail(&context);
         assert_eq!(failure, fused_failure, "{context}");
@@ -731,7 +727,7 @@ fn stops_alike(
 
         let bindings = sides.bind(&l, &r, pool);
         let plan = merge_plan(emit, predicate.clone(), threshold);
-        let mut ctx = exec_context(options.clone());
+        let mut ctx = exec_context(options);
         let planned = execute_plan(&plan, &bindings, &mut ctx).map(|rel| rel.len());
         let whole = failure.clone().map_or(Ok(expected.len()), Err);
         assert_eq!(whole, planned.map_err(|e| e.to_string()), "{context}");
@@ -948,7 +944,7 @@ fn a_matched_pair_a_view_refuses_is_decoded_in_full() {
             let threshold = Threshold::POSITIVE;
             let plan = merge_plan(MergeEmit::Union, predicate.clone(), threshold);
             let mut clean = unfused(MergeEmit::Union, &ga, &gb, &options, &predicate, threshold);
-            let clean = run(clean.as_mut(), &mut exec_context(options.clone())).unwrap();
+            let clean = run(clean.as_mut(), &mut exec_context(options)).unwrap();
             for sides in Sides::ALL {
                 let bound = [sides.stored_left(), sides.stored_right()];
                 let mut bindings = Bindings::new();
@@ -963,14 +959,14 @@ fn a_matched_pair_a_view_refuses_is_decoded_in_full() {
                     }
                 }
                 let right = leaves.pop().unwrap();
-                let merger = Box::new(DempsterMerger::new(options.clone()));
+                let merger = Box::new(DempsterMerger::new(options));
                 let merge = MergeOp::union(leaves.pop().unwrap(), right, merger).unwrap();
                 let mut select =
                     SelectOp::new(Box::new(merge), predicate.clone(), threshold).unwrap();
-                let unfused = run(&mut select, &mut exec_context(options.clone()));
+                let unfused = run(&mut select, &mut exec_context(options));
                 let reference = execute_reference(&plan, &bindings, &options);
                 for threads in [1, 4] {
-                    let mut ctx = exec_context(options.clone());
+                    let mut ctx = exec_context(options);
                     ctx.parallelism = threads;
                     if sides == Sides::Spilled {
                         ctx.spill_threshold_bytes = 0;
@@ -1066,7 +1062,7 @@ fn a_definite_value_in_an_evidential_attribute_is_decided_in_full() {
         .build();
     let options = UnionOptions::default();
     let mut unfused_merge = unfused(MergeEmit::Union, &l, &r, &options, &predicate, threshold);
-    let expected_merge = run(unfused_merge.as_mut(), &mut exec_context(options.clone())).unwrap();
+    let expected_merge = run(unfused_merge.as_mut(), &mut exec_context(options)).unwrap();
     let mut mem_bindings = Bindings::new();
     mem_bindings.bind("sa", l.clone()).bind("sb", r.clone());
 
@@ -1075,7 +1071,7 @@ fn a_definite_value_in_an_evidential_attribute_is_decided_in_full() {
         for threads in [1, 4] {
             let context = format!("{sides:?}, {threads} threads");
             for (plan, expected) in [(&scanned, &expected), (&merged, &expected_merge)] {
-                let mut ctx = exec_context(options.clone());
+                let mut ctx = exec_context(options);
                 ctx.parallelism = threads;
                 if sides == Sides::Spilled {
                     ctx.spill_threshold_bytes = 0;

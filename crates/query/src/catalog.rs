@@ -64,8 +64,7 @@ pub struct Catalog {
     /// sides) page through — one pool per catalog, shared by every
     /// query and exchange worker.
     pub pool: Arc<BufferPool>,
-    /// Options applied to `UNION` sources (conflict policy,
-    /// combination rule, focal cap).
+    /// Options applied to `UNION` sources: the total-conflict policy.
     pub union_options: UnionOptions,
     /// Worker threads for query execution: shardable plan fragments
     /// run through the plan layer's exchange operator when > 1. The
@@ -100,11 +99,7 @@ impl Catalog {
     pub fn exec_context(&self) -> ExecContext {
         // One pool per catalog: stored scans and spilled merge build
         // sides of every query page under a single byte budget.
-        ExecContext::with_pool(
-            Arc::clone(&self.pool),
-            self.parallelism,
-            self.union_options.clone(),
-        )
+        ExecContext::with_pool(Arc::clone(&self.pool), self.parallelism, self.union_options)
     }
 
     /// Register (or replace) a relation under `name`. Lookup is by the

@@ -66,6 +66,5 @@ pub fn context_at(threads: usize) -> ExecContext {
 pub fn vacuous() -> UnionOptions {
     UnionOptions {
         on_total_conflict: ConflictPolicy::Vacuous,
-        ..Default::default()
     }
 }

@@ -5,8 +5,8 @@
 //! approach: how many matched pairs survive the merge (vs. abort on
 //! total conflict), how specific the surviving values are, and what
 //! Dempster's κ distribution looks like. Closes with Zadeh's paradox
-//! under all four combination rules — the ablation knob exposed by
-//! `UnionOptions::rule`.
+//! under all four combination rules, applied directly through
+//! `CombinationRule::combine` — ∪̃ itself always uses Dempster's rule.
 //!
 //! ```sh
 //! cargo run --example conflict_analysis
