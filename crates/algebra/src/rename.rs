@@ -5,6 +5,7 @@
 //! disambiguate before a self-product.
 
 use crate::error::AlgebraError;
+use evirel_relation::cwa::CwaPolicy;
 use evirel_relation::{AttrType, ExtendedRelation, Schema};
 use std::sync::Arc;
 
@@ -64,8 +65,10 @@ fn rebuild(rel: &ExtendedRelation, schema: Arc<Schema>) -> ExtendedRelation {
         // Tuple values are positionally identical; only names changed.
         let rebuilt = evirel_relation::Tuple::new(&schema, t.values().to_vec(), t.membership())
             .expect("renaming preserves tuple validity");
-        out.insert(rebuilt)
-            .expect("renaming preserves keys and CWA");
+        // Renaming keeps every tuple the input holds, a zero-support
+        // one included.
+        out.insert_with_policy(rebuilt, CwaPolicy::AllowZero)
+            .expect("renaming preserves keys");
     }
     out
 }

@@ -10,6 +10,7 @@
 use crate::domain_map::DomainMapping;
 use crate::error::IntegrateError;
 use crate::schema_map::SchemaMapping;
+use evirel_relation::cwa::CwaPolicy;
 use evirel_relation::{AttrValue, ExtendedRelation, Schema, Tuple};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,7 +55,10 @@ impl Preprocessor {
     ///
     /// Steps: rename attributes per the schema mapping; translate each
     /// tuple's values per the domain mappings (identity for unmapped
-    /// attributes); re-validate against `target`.
+    /// attributes); re-validate against `target`. A tuple with no
+    /// support (`sn = 0`) is kept as it is: ∪̃ merges it into a matched
+    /// tuple and drops it when unmatched, so the merge decides, not
+    /// preprocessing.
     ///
     /// # Errors
     /// Mapping errors, plus tuple validation errors against the target
@@ -91,7 +95,7 @@ impl Preprocessor {
                 values.push(mapped);
             }
             let rebuilt = Tuple::new(&target, values, tuple.membership())?;
-            out.insert(rebuilt)?;
+            out.insert_with_policy(rebuilt, CwaPolicy::AllowZero)?;
         }
         Ok(out)
     }
@@ -212,6 +216,51 @@ mod tests {
             .unwrap();
         let t = out.get_by_key(&[Value::str("a")]).unwrap();
         assert!(t.value(1).as_evidential().unwrap().is_vacuous());
+    }
+
+    /// A zero-support input tuple passes preprocessing, through a
+    /// rename and a reliability discount, with its membership
+    /// unchanged.
+    #[test]
+    fn zero_support_tuple_passes_preprocessing() {
+        let d = Arc::new(AttrDomain::categorical("d", ["x", "y"]).unwrap());
+        let source = Arc::new(
+            Schema::builder("src")
+                .key_str("k")
+                .evidential("e", Arc::clone(&d))
+                .build()
+                .unwrap(),
+        );
+        let mut rel = RelationBuilder::new(Arc::clone(&source))
+            .tuple(|t| t.set_str("k", "a").set_evidence("e", [(&["x"][..], 1.0)]))
+            .unwrap()
+            .build();
+        let ghost = Tuple::new(
+            &source,
+            vec![
+                AttrValue::Definite(Value::str("b")),
+                rel.iter().next().unwrap().value(1).clone(),
+            ],
+            evirel_relation::SupportPair::new(0.0, 1.0).unwrap(),
+        )
+        .unwrap();
+        rel.insert_with_policy(ghost, CwaPolicy::AllowZero).unwrap();
+        let global = Arc::new(
+            Schema::builder("g")
+                .key_str("k")
+                .evidential("d", Arc::clone(&d))
+                .build()
+                .unwrap(),
+        );
+        let out = Preprocessor::new()
+            .with_schema_mapping(SchemaMapping::identity().map("e", "d"))
+            .with_reliability(0.9)
+            .apply(&rel, global)
+            .unwrap();
+        assert_eq!(out.len(), 2);
+        let b = out.get_by_key(&[Value::str("b")]).unwrap();
+        assert_eq!(b.membership().sn(), 0.0);
+        assert_eq!(b.membership().sp(), 1.0);
     }
 
     #[test]

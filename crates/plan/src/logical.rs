@@ -536,8 +536,8 @@ fn binary_compatible_schema(
 /// Plan-time semantic validation: every attribute referenced by a
 /// selection, join, or projection must exist in its input's schema.
 /// Errors carry the attribute name and the schema it was resolved
-/// against — the check `evirel_query::plan::lower` reserved its
-/// `Result` for.
+/// against — the check EQL's `evirel_query::plan::lower_validated`
+/// runs on every parsed statement.
 ///
 /// # Errors
 /// [`PlanError::UnknownAttribute`], plus schema-resolution failures.

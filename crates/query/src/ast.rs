@@ -1,140 +1,60 @@
-//! Abstract syntax of EQL queries.
+//! The parsed form of an EQL statement.
 //!
-//! The `WHERE` grammar mirrors [`evirel_algebra::Predicate`] directly;
-//! the AST keeps source offsets out (errors carry offsets instead) and
-//! converts losslessly into algebra predicates during planning.
+//! There is no separate syntax tree: the `WHERE`/`WITH` language is
+//! the algebra's own selection-condition language, so the parser
+//! builds [`evirel_algebra::Predicate`]s, [`evirel_algebra::Threshold`]s
+//! and the statement's [`LogicalPlan`] directly, and that plan is what
+//! validation, the optimizer and `EXPLAIN`'s `logical:` section see.
 
-use evirel_relation::Value;
+use evirel_plan::LogicalPlan;
 
-/// A literal value in a query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Literal {
-    /// Quoted string or bare identifier used as a domain value.
-    Str(String),
-    /// Integer.
-    Int(i64),
-    /// Float.
-    Float(f64),
-}
-
-impl Literal {
-    /// Convert to a relational value.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Literal::Str(s) => Value::str(s.as_str()),
-            Literal::Int(i) => Value::Int(*i),
-            Literal::Float(x) => Value::Float(*x),
-        }
-    }
-}
-
-/// One side of a comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExprOperand {
-    /// An attribute reference (possibly qualified, e.g. `RA.rname`).
-    Attr(String),
-    /// A literal value.
-    Literal(Literal),
-    /// An evidence-set literal `[si^0.5, {hu, ca}^0.5]`.
-    Evidence(Vec<(Vec<Literal>, f64)>),
-}
-
-/// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-/// A boolean condition.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Condition {
-    /// `attr IS {v1, …, vn}`
-    Is {
-        /// Attribute name.
-        attr: String,
-        /// Target values.
-        values: Vec<Literal>,
-    },
-    /// `left op right`
-    Cmp {
-        /// Left operand.
-        left: ExprOperand,
-        /// Operator.
-        op: CmpOp,
-        /// Right operand.
-        right: ExprOperand,
-    },
-    /// `a AND b`
-    And(Box<Condition>, Box<Condition>),
-    /// `a OR b` (extension)
-    Or(Box<Condition>, Box<Condition>),
-    /// `NOT a` (extension)
-    Not(Box<Condition>),
-}
-
-/// Membership threshold clause.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ThresholdClause {
-    /// `WITH SN > c`
-    SnGreater(f64),
-    /// `WITH SN >= c`
-    SnAtLeast(f64),
-    /// `WITH SN = 1`
-    Definite,
-    /// `WITH SP >= c`
-    SpAtLeast(f64),
-}
-
-/// A source expression in `FROM`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Source {
-    /// A named relation.
-    Relation(String),
-    /// `left UNION right` — the extended union ∪̃.
-    Union(Box<Source>, Box<Source>),
-    /// `left JOIN right ON condition` — the extended join ⋈̃.
-    Join {
-        /// Left source.
-        left: Box<Source>,
-        /// Right source.
-        right: Box<Source>,
-        /// Join condition.
-        on: Condition,
-    },
-}
-
-/// A full `SELECT` statement.
+/// A parsed `SELECT` statement: its logical plan, not yet validated
+/// against a catalog. The plan is deliberately mechanical — `WHERE` is
+/// a σ̃ with the default threshold `SN > 0` and a `WITH` other than
+/// `SN > 0` a separate membership filter above it — so the optimizer's
+/// rewrite rules (threshold fusion, pushdown, ∪̃ distribution) do the
+/// composition and `EXPLAIN` can show them firing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
-    /// `None` means `*`.
-    pub projection: Option<Vec<String>>,
-    /// The source expression.
-    pub source: Source,
-    /// Optional `WHERE` condition.
-    pub predicate: Option<Condition>,
-    /// Optional `WITH` threshold (defaults to `SN > 0`).
-    pub threshold: Option<ThresholdClause>,
+    /// The statement's logical plan.
+    pub plan: LogicalPlan,
+}
+
+impl SelectStmt {
+    /// The statement's logical plan, cloned.
+    pub fn to_logical(&self) -> LogicalPlan {
+        self.plan.clone()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
+    use evirel_relation::Value;
 
     #[test]
     fn literal_conversion() {
-        assert_eq!(Literal::Str("si".into()).to_value(), Value::str("si"));
-        assert_eq!(Literal::Int(5).to_value(), Value::int(5));
-        assert_eq!(Literal::Float(0.5).to_value(), Value::float(0.5));
+        // Each literal kind — a quoted string, an integer, a float —
+        // is the algebra's `Value` in the statement's plan.
+        for (literal, value) in [
+            ("'si'", Value::str("si")),
+            ("5", Value::int(5)),
+            ("0.5", Value::float(0.5)),
+        ] {
+            let stmt =
+                crate::parser::parse(&format!("SELECT * FROM r WHERE a = {literal}")).unwrap();
+            let expected = LogicalPlan::Select {
+                input: Box::new(LogicalPlan::Scan { name: "r".into() }),
+                predicate: Predicate::Theta {
+                    left: Operand::Attr("a".into()),
+                    op: ThetaOp::Eq,
+                    right: Operand::Value(value),
+                },
+                threshold: Threshold::POSITIVE,
+            };
+            assert_eq!(stmt.plan, expected, "{literal}");
+            assert_eq!(stmt.to_logical(), expected, "{literal}");
+        }
     }
 }

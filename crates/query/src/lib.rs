@@ -23,10 +23,11 @@
 //! * thresholds:       `WITH SN > c`, `WITH SN >= c`, `WITH SN = 1`,
 //!   `WITH SP >= c`
 //!
-//! Pipeline: [`lexer`] → [`parser`] → [`ast`] → [`plan`] →
-//! [`prepare`] (the one place text becomes an optimized plan) → the
-//! `evirel-plan` executor, against a [`catalog::Catalog`] of named
-//! extended relations. [`exec`] is that pipeline for a bare catalog,
+//! Pipeline: [`lexer`] → [`parser`], which builds the statement's
+//! one tree, its `evirel-plan` logical plan ([`ast::SelectStmt`]) →
+//! [`plan`] validation → [`prepare`] (the one place text becomes an
+//! optimized plan) → the `evirel-plan` executor, against a
+//! [`catalog::Catalog`] of named extended relations. [`exec`] is that pipeline for a bare catalog,
 //! [`session`] the same through a plan cache and a resource budget.
 //!
 //! ```

@@ -1,211 +1,35 @@
-//! Lowering the AST into algebra operations.
+//! Plan-time validation of a parsed statement.
 //!
-//! [`lower`] turns a parsed statement into a [`Plan`];
-//! [`Plan::to_logical`] converts that into an `evirel-plan`
-//! [`LogicalPlan`] for the streaming executor, and [`Plan::validate`]
-//! performs the plan-time semantic checks (unknown attributes in
-//! `WHERE`/`ON`/projection lists error here, not mid-execution).
+//! The parser already built the statement's
+//! [`evirel_plan::LogicalPlan`] (see [`SelectStmt`]); what is left
+//! before the optimizer is the check against a catalog,
+//! [`lower_validated`], and the catalog-free rendering, [`explain`].
 
-use crate::ast::{CmpOp, Condition, ExprOperand, SelectStmt, Source, ThresholdClause};
+use crate::ast::SelectStmt;
 use crate::catalog::Catalog;
 use crate::error::QueryError;
-use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
-use evirel_plan::LogicalPlan;
 
-/// A lowered query plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Plan {
-    /// The source-expression plan.
-    pub source: SourcePlan,
-    /// The selection predicate, if any.
-    pub predicate: Option<Predicate>,
-    /// The membership threshold (`SN > 0` when the query omits `WITH`).
-    pub threshold: Threshold,
-    /// Projection attribute list (`None` = all).
-    pub projection: Option<Vec<String>>,
-}
-
-/// A lowered source expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SourcePlan {
-    /// Scan a catalog relation.
-    Scan(String),
-    /// Extended union of two sources.
-    Union(Box<SourcePlan>, Box<SourcePlan>),
-    /// Extended join.
-    Join {
-        /// Left input.
-        left: Box<SourcePlan>,
-        /// Right input.
-        right: Box<SourcePlan>,
-        /// Join predicate.
-        on: Predicate,
-    },
-}
-
-/// Lower a parsed statement into a [`Plan`]. This is the pure
-/// syntactic lowering; semantic checks against a catalog live in
-/// [`Plan::validate`] (and [`lower_validated`] runs both).
-///
-/// # Errors
-/// Infallible once parsed; the `Result` mirrors the executor's needs
-/// and the validated entry points.
-pub fn lower(stmt: &SelectStmt) -> Result<Plan, QueryError> {
-    Ok(Plan {
-        source: lower_source(&stmt.source)?,
-        predicate: stmt.predicate.as_ref().map(lower_condition).transpose()?,
-        threshold: stmt
-            .threshold
-            .map(lower_threshold)
-            .unwrap_or(Threshold::POSITIVE),
-        projection: stmt.projection.clone(),
-    })
-}
-
-/// Lower and semantically validate against `catalog`: unknown
+/// Validate `stmt` against `catalog` and return it: unknown
 /// relations, and attributes in `WHERE`, `ON`, or the projection list
 /// that do not exist in the (possibly derived) source schema, error
 /// here — at plan time, with the attribute name — rather than at
 /// execution.
 ///
 /// # Errors
-/// [`QueryError::UnknownRelation`], [`QueryError::UnknownAttribute`].
-pub fn lower_validated(stmt: &SelectStmt, catalog: &Catalog) -> Result<Plan, QueryError> {
-    let plan = lower(stmt)?;
-    plan.validate(catalog)?;
-    Ok(plan)
+/// [`QueryError::UnknownRelation`], [`QueryError::UnknownAttribute`],
+/// and incompatibility errors from schema derivation.
+pub fn lower_validated<'s>(
+    stmt: &'s SelectStmt,
+    catalog: &Catalog,
+) -> Result<&'s SelectStmt, QueryError> {
+    evirel_plan::validate_plan(&stmt.plan, catalog)?;
+    Ok(stmt)
 }
 
-fn lower_source(source: &Source) -> Result<SourcePlan, QueryError> {
-    Ok(match source {
-        Source::Relation(name) => SourcePlan::Scan(name.clone()),
-        Source::Union(l, r) => {
-            SourcePlan::Union(Box::new(lower_source(l)?), Box::new(lower_source(r)?))
-        }
-        Source::Join { left, right, on } => SourcePlan::Join {
-            left: Box::new(lower_source(left)?),
-            right: Box::new(lower_source(right)?),
-            on: lower_condition(on)?,
-        },
-    })
-}
-
-fn lower_condition(c: &Condition) -> Result<Predicate, QueryError> {
-    Ok(match c {
-        Condition::Is { attr, values } => Predicate::Is {
-            attr: attr.clone(),
-            values: values.iter().map(|l| l.to_value()).collect(),
-        },
-        Condition::Cmp { left, op, right } => Predicate::Theta {
-            left: lower_operand(left),
-            op: lower_cmp(*op),
-            right: lower_operand(right),
-        },
-        Condition::And(a, b) => {
-            Predicate::And(Box::new(lower_condition(a)?), Box::new(lower_condition(b)?))
-        }
-        Condition::Or(a, b) => {
-            Predicate::Or(Box::new(lower_condition(a)?), Box::new(lower_condition(b)?))
-        }
-        Condition::Not(a) => Predicate::Not(Box::new(lower_condition(a)?)),
-    })
-}
-
-fn lower_operand(o: &ExprOperand) -> Operand {
-    match o {
-        ExprOperand::Attr(name) => Operand::Attr(name.clone()),
-        ExprOperand::Literal(l) => Operand::Value(l.to_value()),
-        ExprOperand::Evidence(entries) => Operand::Evidence(
-            entries
-                .iter()
-                .map(|(vals, w)| (vals.iter().map(|l| l.to_value()).collect(), *w))
-                .collect(),
-        ),
-    }
-}
-
-fn lower_cmp(op: CmpOp) -> ThetaOp {
-    match op {
-        CmpOp::Eq => ThetaOp::Eq,
-        CmpOp::Ne => ThetaOp::Ne,
-        CmpOp::Lt => ThetaOp::Lt,
-        CmpOp::Le => ThetaOp::Le,
-        CmpOp::Gt => ThetaOp::Gt,
-        CmpOp::Ge => ThetaOp::Ge,
-    }
-}
-
-fn lower_threshold(t: ThresholdClause) -> Threshold {
-    match t {
-        ThresholdClause::SnGreater(c) => Threshold::SnGreater(c),
-        ThresholdClause::SnAtLeast(c) => Threshold::SnAtLeast(c),
-        ThresholdClause::Definite => Threshold::Definite,
-        ThresholdClause::SpAtLeast(c) => Threshold::SpAtLeastPositive(c),
-    }
-}
-
-impl Plan {
-    /// Convert to an `evirel-plan` [`LogicalPlan`] for the streaming
-    /// executor. The conversion is deliberately mechanical — `WHERE`
-    /// becomes a default-threshold σ̃ and `WITH` a separate membership
-    /// filter — so the optimizer's rewrite rules (threshold fusion,
-    /// pushdown, ∪̃ distribution) do the composition and `EXPLAIN` can
-    /// show them firing.
-    pub fn to_logical(&self) -> LogicalPlan {
-        let mut plan = source_logical(&self.source);
-        if let Some(predicate) = &self.predicate {
-            plan = LogicalPlan::Select {
-                input: Box::new(plan),
-                predicate: predicate.clone(),
-                threshold: Threshold::POSITIVE,
-            };
-        }
-        if self.threshold != Threshold::POSITIVE {
-            plan = LogicalPlan::ThresholdFilter {
-                input: Box::new(plan),
-                threshold: self.threshold,
-            };
-        }
-        if let Some(attrs) = &self.projection {
-            plan = LogicalPlan::Project {
-                input: Box::new(plan),
-                attrs: attrs.clone(),
-            };
-        }
-        plan
-    }
-
-    /// Semantic validation against `catalog` — see [`lower_validated`].
-    ///
-    /// # Errors
-    /// [`QueryError::UnknownRelation`], [`QueryError::UnknownAttribute`],
-    /// and incompatibility errors from schema derivation.
-    pub fn validate(&self, catalog: &Catalog) -> Result<(), QueryError> {
-        evirel_plan::validate_plan(&self.to_logical(), catalog)?;
-        Ok(())
-    }
-}
-
-fn source_logical(source: &SourcePlan) -> LogicalPlan {
-    match source {
-        SourcePlan::Scan(name) => LogicalPlan::Scan { name: name.clone() },
-        SourcePlan::Union(l, r) => LogicalPlan::Union {
-            left: Box::new(source_logical(l)),
-            right: Box::new(source_logical(r)),
-        },
-        SourcePlan::Join { left, right, on } => LogicalPlan::Join {
-            left: Box::new(source_logical(left)),
-            right: Box::new(source_logical(right)),
-            on: on.clone(),
-            threshold: Threshold::POSITIVE,
-        },
-    }
-}
-
-/// Parse and lower a query, returning the rendered logical plan tree
-/// without executing it — the catalog-free `EXPLAIN`, line for line
-/// the `logical:` section of [`crate::explain_with`] (no rewrites
-/// fire, since schema-aware rules need the catalog):
+/// Parse a query, returning the rendered logical plan tree without
+/// executing it — the catalog-free `EXPLAIN`, line for line the
+/// `logical:` section of [`crate::explain_with`] (no rewrites fire,
+/// since schema-aware rules need the catalog):
 ///
 /// ```text
 /// π̃[rname, rating]
@@ -219,49 +43,105 @@ fn source_logical(source: &SourcePlan) -> LogicalPlan {
 /// # Errors
 /// Lex/parse errors.
 pub fn explain(query: &str) -> Result<String, QueryError> {
-    Ok(lower(&crate::parser::parse(query)?)?.to_logical().render())
+    Ok(crate::parser::parse(query)?.plan.render())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use evirel_algebra::{Operand, Predicate, ThetaOp, Threshold};
+    use evirel_plan::LogicalPlan;
+    use evirel_relation::Value;
 
     fn config() -> evirel_plan::Config {
         evirel_plan::Config::from_env()
     }
 
+    fn catalog() -> Catalog {
+        let mut c = Catalog::with_config(&config());
+        c.register("ra", evirel_workload::restaurant_db_a().restaurants);
+        c.register("rb", evirel_workload::restaurant_db_b().restaurants);
+        c.register("rma", evirel_workload::restaurant_db_a().managed_by);
+        c
+    }
+
+    /// The plan the optimizer receives for `query`: parsed, validated
+    /// against the restaurant catalog, and taken as a `LogicalPlan`.
+    fn lower(query: &str) -> LogicalPlan {
+        lower_validated(&parse(query).unwrap(), &catalog())
+            .unwrap()
+            .to_logical()
+    }
+
+    fn scan(name: &str) -> Box<LogicalPlan> {
+        Box::new(LogicalPlan::Scan { name: name.into() })
+    }
+
     #[test]
     fn lowers_paper_query() {
-        let plan =
-            lower(&parse("SELECT rname FROM ra WHERE speciality IS {si} WITH SN > 0").unwrap())
-                .unwrap();
-        assert_eq!(plan.source, SourcePlan::Scan("ra".into()));
-        assert_eq!(plan.threshold, Threshold::SnGreater(0.0));
-        assert_eq!(plan.projection, Some(vec!["rname".to_owned()]));
-        match plan.predicate.unwrap() {
-            Predicate::Is { attr, values } => {
-                assert_eq!(attr, "speciality");
-                assert_eq!(values, vec![evirel_relation::Value::str("si")]);
+        assert_eq!(
+            lower("SELECT rname FROM ra WHERE speciality IS {si} WITH SN > 0"),
+            LogicalPlan::Project {
+                input: Box::new(LogicalPlan::Select {
+                    input: scan("ra"),
+                    predicate: Predicate::Is {
+                        attr: "speciality".into(),
+                        values: vec![Value::str("si")],
+                    },
+                    threshold: Threshold::SnGreater(0.0),
+                }),
+                attrs: vec!["rname".to_owned()],
             }
+        );
+        // Validation names the attribute it cannot find.
+        match lower_validated(
+            &parse("SELECT rname FROM ra WHERE ghost IS {si}").unwrap(),
+            &catalog(),
+        ) {
+            Err(QueryError::UnknownAttribute { attr, .. }) => assert_eq!(attr, "ghost"),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
     fn default_threshold_is_positive() {
-        let plan = lower(&parse("SELECT * FROM ra").unwrap()).unwrap();
-        assert_eq!(plan.threshold, Threshold::POSITIVE);
-        assert!(plan.predicate.is_none());
-        assert!(plan.projection.is_none());
+        // No predicate, projection or membership filter: the bare scan,
+        // and `WITH SN > 0` spells the same default.
+        assert_eq!(lower("SELECT * FROM ra"), *scan("ra"));
+        assert_eq!(lower("SELECT * FROM ra WITH SN > 0"), *scan("ra"));
+        assert_eq!(
+            lower("SELECT * FROM ra WHERE rating IS {ex}"),
+            LogicalPlan::Select {
+                input: scan("ra"),
+                predicate: Predicate::is("rating", ["ex"]),
+                threshold: Threshold::POSITIVE,
+            }
+        );
     }
 
     #[test]
     fn lowers_union_and_join() {
-        let plan = lower(&parse("SELECT * FROM ra UNION rb").unwrap()).unwrap();
-        assert!(matches!(plan.source, SourcePlan::Union(_, _)));
-        let plan = lower(&parse("SELECT * FROM r JOIN rm ON R.k = RM.k").unwrap()).unwrap();
-        assert!(matches!(plan.source, SourcePlan::Join { .. }));
+        assert_eq!(
+            lower("SELECT * FROM ra UNION rb"),
+            LogicalPlan::Union {
+                left: scan("ra"),
+                right: scan("rb"),
+            }
+        );
+        assert_eq!(
+            lower("SELECT * FROM ra JOIN rma ON RA.rname = RMA.rname"),
+            LogicalPlan::Join {
+                left: scan("ra"),
+                right: scan("rma"),
+                on: Predicate::Theta {
+                    left: Operand::Attr("RA.rname".into()),
+                    op: ThetaOp::Eq,
+                    right: Operand::Attr("RMA.rname".into()),
+                },
+                threshold: Threshold::POSITIVE,
+            }
+        );
     }
 
     #[test]
@@ -313,12 +193,19 @@ mod tests {
             (">", ThetaOp::Gt),
             (">=", ThetaOp::Ge),
         ] {
-            let q = format!("SELECT * FROM r WHERE a {text} 1");
-            let plan = lower(&parse(&q).unwrap()).unwrap();
-            match plan.predicate.unwrap() {
-                Predicate::Theta { op: got, .. } => assert_eq!(got, op),
-                other => panic!("{other:?}"),
-            }
+            assert_eq!(
+                lower(&format!("SELECT * FROM ra WHERE bldg-no {text} 1")),
+                LogicalPlan::Select {
+                    input: scan("ra"),
+                    predicate: Predicate::Theta {
+                        left: Operand::Attr("bldg-no".into()),
+                        op,
+                        right: Operand::Value(Value::int(1)),
+                    },
+                    threshold: Threshold::POSITIVE,
+                },
+                "{text}"
+            );
         }
     }
 }

@@ -1,15 +1,16 @@
 //! Prepared plans and the plan cache.
 //!
-//! Parsing is cheap; lowering, semantic validation, and the rewrite
-//! optimizer are the per-query costs worth amortizing when the same
-//! EQL text executes many times (the common shape of service
-//! traffic). A [`PreparedPlan`] captures the *optimized* logical plan
-//! once; re-execution ([`PreparedPlan::run`]) goes straight to
-//! physical planning via [`evirel_plan::execute_optimized_metered`],
-//! skipping lowering and every rewrite pass. Every way EQL text is
-//! executed — [`crate::execute`], a [`crate::Session`] — is
+//! The parser turns EQL text into its logical plan in one pass;
+//! semantic validation and the rewrite optimizer are the per-query
+//! costs worth amortizing when the same text executes many times (the
+//! common shape of service traffic). A [`PreparedPlan`] captures the
+//! *optimized* logical plan once; re-execution ([`PreparedPlan::run`])
+//! goes straight to physical planning via
+//! [`evirel_plan::execute_optimized_metered`], skipping parsing,
+//! validation and every rewrite pass. Every way EQL text is executed —
+//! [`crate::execute`], a [`crate::Session`] — is
 //! [`PreparedPlan::prepare`] followed by [`PreparedPlan::run`], and
-//! `EXPLAIN` ([`explain_with`]) lowers the text the same way.
+//! `EXPLAIN` ([`explain_with`]) builds its plan the same way.
 //!
 //! **Staleness is the hazard**: a plan bakes in the schemas and
 //! statistics of the relations it scans — projection lists, rewrite
@@ -81,8 +82,8 @@ pub fn normalize_eql(text: &str) -> String {
     key
 }
 
-/// A query prepared against one catalog generation: parsed, lowered,
-/// validated, and rewritten exactly once.
+/// A query prepared against one catalog generation: parsed into its
+/// logical plan, validated, and rewritten exactly once.
 #[derive(Debug)]
 pub struct PreparedPlan {
     normalized: String,
@@ -118,11 +119,12 @@ fn scanned_bindings(
         .try_for_each(|input| scanned_bindings(input, catalog, scanned))
 }
 
-/// Parse, lower, and validate `text` against `catalog` — the only
-/// place EQL text becomes a plan.
+/// Parse `text` into its logical plan and validate it against
+/// `catalog` — the only place EQL text becomes a plan.
 fn lower_text(catalog: &Catalog, text: &str) -> Result<LogicalPlan, QueryError> {
     let stmt = crate::parser::parse(text)?;
-    let logical = lower_validated(&stmt, catalog)?.to_logical();
+    lower_validated(&stmt, catalog)?;
+    let logical = stmt.plan;
     // Deriving the output schema forces every scan leaf to resolve,
     // so a query over an unregistered relation fails *here* — at
     // prepare time, with a typed error — instead of caching a plan
@@ -156,12 +158,13 @@ pub fn explain_with(
 }
 
 impl PreparedPlan {
-    /// Parse, lower, validate, and optimize `text` against `catalog`
-    /// as it stands at `generation`.
+    /// Parse, validate, and optimize `text` against `catalog` as it
+    /// stands at `generation`.
     ///
     /// # Errors
-    /// Lex/parse errors, unknown relations/attributes — exactly the
-    /// plan-time errors of [`crate::execute`].
+    /// Lex/parse errors (a `WITH` that admits `sn = 0` among them),
+    /// unknown relations/attributes — exactly the plan-time errors of
+    /// [`crate::execute`].
     pub fn prepare(
         catalog: &Catalog,
         generation: u64,

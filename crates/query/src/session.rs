@@ -144,8 +144,9 @@ impl SessionBudget {
 pub struct SessionOutcome {
     /// The relation, conflict report, and counters.
     pub outcome: QueryOutcome,
-    /// `true` when the plan came from the cache — lowering,
-    /// validation, and the rewrite pass were all skipped.
+    /// `true` when the plan came from the cache — parsing the text
+    /// into its plan, validation, and the rewrite pass were all
+    /// skipped.
     pub cached_plan: bool,
     /// The catalog generation the query executed against.
     pub generation: u64,

@@ -16,7 +16,8 @@
 
 use evirel_plan::{BoundRelation, RelationSource};
 use evirel_query::{
-    execute_with_report, Catalog, PlanCache, QueryError, QueryOutcome, Session, SharedCatalog,
+    execute_with_report, Catalog, PlanCache, PreparedPlan, QueryError, QueryOutcome, Session,
+    SharedCatalog,
 };
 use evirel_testkit::{config, pair};
 use evirel_workload::generator::{generate, GeneratorConfig};
@@ -266,4 +267,37 @@ fn a_cached_plan_does_not_keep_a_superseded_extension_alive() {
     assert_eq!(session.cache().stats().stale, 1);
 
     std::fs::remove_file(&segment).ok();
+}
+
+/// A `WITH` that admits `sn = 0` tuples violates CWA_ER. It is refused
+/// when the query is prepared, with the wording of the operator-time
+/// check: the cache never keeps a plan that could only fail at
+/// execution, and `EXPLAIN` reports the same error.
+#[test]
+fn a_threshold_admitting_zero_support_is_refused_when_prepared() {
+    let mut catalog = Catalog::with_config(&config());
+    catalog.register("ra", restaurant_db_a().restaurants);
+    let session = Session::new(
+        Arc::new(SharedCatalog::new(catalog)),
+        Arc::new(PlanCache::default()),
+    );
+    for (query, threshold) in [
+        ("SELECT * FROM ra WITH SN >= 0", "sn >= 0"),
+        ("SELECT * FROM ra WITH SN > -1", "sn > -1"),
+    ] {
+        let snapshot = session.pin();
+        let err = PreparedPlan::prepare(snapshot.catalog(), snapshot.generation(), query)
+            .expect_err(query);
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "execution error: membership threshold {threshold} admits sn = 0 tuples, \
+                 violating CWA_ER"
+            )
+        );
+        assert_eq!(session.query(query).expect_err(query), err);
+        assert!(!session.cache().peek(&snapshot, query), "{query}");
+        assert_eq!(session.explain(query).expect_err(query), err);
+    }
+    assert_eq!(session.cache().stats().entries, 0);
 }

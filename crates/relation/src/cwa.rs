@@ -31,8 +31,9 @@ use crate::value::Value;
 pub enum CwaPolicy {
     /// Enforce CWA_ER: reject tuples with `sn = 0`. The default.
     Enforce,
-    /// Admit zero-support tuples. Used only to materialize complement
-    /// relations inside the boundedness-property verifier.
+    /// Admit zero-support tuples: to materialize complement relations
+    /// inside the boundedness-property verifier, and to pass on an
+    /// input's tuples unchanged (renaming, integration preprocessing).
     AllowZero,
 }
 

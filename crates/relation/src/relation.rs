@@ -71,9 +71,11 @@ impl ExtendedRelation {
     }
 
     /// Insert with an explicit [`CwaPolicy`]. `CwaPolicy::AllowZero`
-    /// exists solely for the boundedness-property verifier, which must
-    /// materialize complement tuples with `sn = 0` (§3.6); production
-    /// code uses [`ExtendedRelation::insert`].
+    /// is for the boundedness-property verifier, which must
+    /// materialize complement tuples with `sn = 0` (§3.6), and for
+    /// steps that pass on the tuples their input holds (renaming,
+    /// integration preprocessing); a new tuple goes through
+    /// [`ExtendedRelation::insert`].
     ///
     /// # Errors
     /// As [`ExtendedRelation::insert`], minus the CWA check when the
